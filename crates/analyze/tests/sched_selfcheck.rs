@@ -160,26 +160,3 @@ fn propagates_child_panic_with_trace() {
     assert!(msg.contains("kaboom-7261"), "payload lost: {msg}");
     assert!(msg.contains("decision trace"), "trace missing: {msg}");
 }
-
-#[test]
-fn primitives_work_uncontrolled() {
-    // Outside `explore`, the wrappers must behave exactly like std.
-    let shared = Arc::new((Mutex::new(0usize), Condvar::new()));
-    let s2 = Arc::clone(&shared);
-    let t = dcmesh_analyze::sync::spawn_named("bg", move || {
-        let (m, cv) = &*s2;
-        *m.lock() = 41;
-        cv.notify_all();
-    });
-    {
-        let (m, cv) = &*shared;
-        let mut g = m.lock();
-        while *g == 0 {
-            g = cv.wait(g);
-        }
-        *g += 1;
-        assert_eq!(*g, 42);
-    }
-    t.join().unwrap();
-    assert!(!sched::is_active());
-}

@@ -362,7 +362,11 @@ impl<R: Real> LfdEngine<R> {
         let n_qd = self.cfg.n_qd;
         let build = self.cfg.build;
         let policy = build.policy();
-        let mut rec = dcmesh_obs::StepRecorder::new();
+        // A QD step records at most eight slices (coefficient upload, two
+        // nonlocal half-steps each with a PCIe round-trip on the host-BLAS
+        // build, two potential half-steps, one kinetic step): reserve them
+        // so the QD loop never allocates.
+        let mut rec = dcmesh_obs::StepRecorder::with_capacity(8 * n_qd);
         let wall0 = Instant::now();
         if let Some(dev) = &self.device {
             dev.reset_clock();
@@ -382,12 +386,7 @@ impl<R: Real> LfdEngine<R> {
                 [p.e_field(t_mid), 0.0, 0.0]
             });
             if let Some(e) = pulse_field {
-                self.pot_half = PotentialPropagator::with_field(
-                    self.cfg.mesh.clone(),
-                    &self.v_loc,
-                    e,
-                    R::from_f64(self.cfg.dt) * R::HALF,
-                );
+                self.pot_half.set_field(&self.v_loc, e);
             }
             // Device builds refresh the per-step propagator coefficient
             // table (the time-dependent local phases) on the device: the
@@ -657,11 +656,18 @@ impl<R: Real> LfdEngine<R> {
     /// trouble long before anything overflows. NaN amplitudes surface
     /// as a NaN error, which every threshold comparison treats as a
     /// violation.
+    ///
+    /// The norm is [`WfAos::orbital_norm`]'s expression with the sum over
+    /// the grid carried in f64 (the same bits for an f64 engine): summed in
+    /// f32, 10^4 terms carry an error of up to 1e-5 of their own, which
+    /// would be the meter's and not the state's.
     pub fn max_norm_error(&self) -> f64 {
         let aos = self.state_aos();
+        let dv = self.cfg.mesh.dv();
         (0..self.cfg.norb)
             .map(|n| {
-                let nv = aos.orbital_norm(n).to_f64();
+                let n2: f64 = aos.orbital(n).iter().map(|z| z.norm_sqr().to_f64()).sum();
+                let nv = (n2.sqrt().powi(2) * dv).sqrt();
                 if nv.is_finite() {
                     (nv - 1.0).abs()
                 } else {
@@ -907,6 +913,67 @@ mod tests {
         let mut c = LfdEngine::<f64>::new(small_cfg(BuildKind::CpuBlas), vec![0.0; 512]);
         let tc = c.run_md_step();
         assert!(!tc.modeled);
+    }
+
+    #[test]
+    fn modeled_device_runs_the_papers_kernels_whatever_the_host_executor_fuses() {
+        // One QD step is 15 kinetic + 2 potential + 2 nonlocal launches,
+        // and their modeled busy time is a function of the bytes and flops
+        // charged, in order. The constants are what the pre-fusion kernels
+        // (three host sweeps per directional step, BLAS-2 nonlocal) charged.
+        let one_qd = LfdConfig {
+            n_qd: 1,
+            ..small_cfg(BuildKind::GpuCublas)
+        };
+        let mut e = LfdEngine::<f64>::new(one_qd, vec![0.0; 512]);
+        e.run_md_step();
+        let stats = e.device().unwrap().stats();
+        assert_eq!(stats.kernels_launched, 19);
+        assert_eq!(stats.kernel_busy.to_bits(), 0x3eb7_df8a_5f45_9c0e);
+        for (build, total_bits) in [
+            (BuildKind::GpuCublas, 0x3f50_7f92_709a_4704u64),
+            (BuildKind::GpuCublasPinned, 0x3f1b_003f_1daa_be57),
+        ] {
+            let mut e = LfdEngine::<f64>::new(small_cfg(build), vec![0.0; 512]);
+            let t = e.run_md_step();
+            assert_eq!(e.device().unwrap().stats().kernels_launched, 5 * 19);
+            assert_eq!(t.total.to_bits(), total_bits, "{build:?}: {:e}", t.total);
+        }
+    }
+
+    #[test]
+    fn norm_meter_of_an_f64_engine_reads_orbital_norm_to_the_bit() {
+        // Carrying the grid sum in f64 changed the meter for f32 engines
+        // only: for f64 it is `WfAos::orbital_norm`, bit for bit.
+        for build in [BuildKind::CpuBlas, BuildKind::GpuCublas] {
+            let mut e = LfdEngine::<f64>::new(small_cfg(build), vec![0.0; 512]);
+            e.run_md_step();
+            let aos = e.state_aos();
+            let want = (0..e.config().norb)
+                .map(|n| (aos.orbital_norm(n) - 1.0).abs())
+                .fold(0.0, f64::max);
+            assert_eq!(e.max_norm_error().to_bits(), want.to_bits(), "{build:?}");
+        }
+    }
+
+    #[test]
+    fn single_precision_orbitals_stay_normalised_to_single_precision() {
+        // The projector accumulates its renormalisation norms chunk by
+        // chunk, so on 8000 grid points an f32 orbital's norm is good to a
+        // few ulps — measured with an f64 sum, which is what tells a state
+        // error from the summation error of the meter.
+        let cfg = LfdConfig {
+            mesh: Mesh3::cubic(20, 0.4),
+            norb: 6,
+            lumo: 3,
+            n_qd: 2,
+            ..small_cfg(BuildKind::CpuBlas)
+        };
+        let mut e = LfdEngine::<f32>::new(cfg, vec![0.0; 8000]);
+        for _ in 0..10 {
+            e.run_md_step();
+        }
+        assert!(e.max_norm_error() < 1e-6, "{:e}", e.max_norm_error());
     }
 
     #[test]

@@ -15,19 +15,27 @@
 //! | paper | here | what changes |
 //! |---|---|---|
 //! | Algorithm 1 | [`KineticPropagator::apply_axis_alg1`] | AoS layout, orbital-outermost loops, full-mesh `wrk` scratch written then copied back |
-//! | Algorithm 3 | [`KineticPropagator::apply_axis_alg3`] | SoA layout, plane-outermost loops, in-place pair update (no `wrk`) |
+//! | Algorithm 3 | [`KineticPropagator::apply_axis_alg3`] | SoA layout, orbital index fastest, in-place pair update (no `wrk`) |
 //! | Algorithm 4 | [`KineticPropagator::apply_axis_alg4`] | + orbital cache blocking |
-//! | Algorithm 5 | [`KineticPropagator::apply_axis_alg5`] | + `teams distribute` hierarchical parallelism over disjoint slabs, optional device launch with `nowait` |
+//! | Algorithm 5 | [`KineticPropagator::apply_axis_alg5`] | + `teams distribute` hierarchical parallelism over disjoint line sets, optional device launch with `nowait` |
+//!
+//! Algorithms 3-5 are one kernel, `sweep_axis` over
+//! [`dcmesh_math::simd::stencil_lines_raw`], with two parameters: the orbital
+//! block (`norb` for Algorithm 3) and whether the line sets are spread over
+//! teams. The kernel fuses the three passes of a directional step per axis
+//! line, so a line is read from beyond L1 once per step; the device model
+//! still sees the paper's three launches per directional step.
 //!
 //! The exact-unitary pairwise update makes the in-place sweep safe without
 //! the paper's `psi_old` carry buffer; eliminating that buffer is precisely
 //! the memory-reuse optimization §III-A describes.
 
 use dcmesh_device::{
-    teams_distribute_mut, Device, KernelWork, LaunchPolicy, NowaitScope, Precision,
+    teams_distribute, teams_distribute_mut, Device, KernelWork, LaunchPolicy, NowaitScope,
+    Precision, StreamId,
 };
 use dcmesh_grid::{Mesh3, WfAos, WfSoa};
-use dcmesh_math::simd;
+use dcmesh_math::simd::{self, LineSet, StencilPass};
 use dcmesh_math::tridiag::exp_2x2_symmetric;
 use dcmesh_math::{Complex, Real};
 use dcmesh_pool::SlicePtr;
@@ -62,21 +70,8 @@ impl StepFraction {
     }
 }
 
-/// One even- or odd-parity pass of the split exponential.
-#[derive(Copy, Clone, Debug)]
-struct Pass<R> {
-    /// First index of the first pair (0 = even pass, 1 = odd pass).
-    start: usize,
-    /// 2x2 diagonal coefficient.
-    d: Complex<R>,
-    /// 2x2 off-diagonal coefficient.
-    o: Complex<R>,
-    /// Phase applied to unpaired boundary points.
-    lone: Complex<R>,
-}
-
 /// The three passes (even-half, odd-full, even-half) of one directional step.
-type PassSet<R> = [Pass<R>; 3];
+type PassSet<R> = [StencilPass<R>; 3];
 
 /// Precomputed kinetic propagator for one mesh and QD time step.
 #[derive(Clone, Debug)]
@@ -94,7 +89,7 @@ impl<R: Real> KineticPropagator<R> {
     /// Build coefficient tables for `mesh` and time step `dt`.
     pub fn new(mesh: Mesh3, dt: R, mass: R) -> Self {
         let spacing = [mesh.dx, mesh.dy, mesh.dz];
-        let mut passes = [[[Pass {
+        let mut passes = [[[StencilPass {
             start: 0,
             d: Complex::zero(),
             o: Complex::zero(),
@@ -196,7 +191,7 @@ impl<R: Real> KineticPropagator<R> {
     }
 
     // ------------------------------------------------------------------
-    // Algorithm 3: SoA, plane-outermost, in-place.
+    // Algorithms 3-5: one line kernel, two parameters.
     // ------------------------------------------------------------------
 
     /// Paper Algorithm 3: loop interchange so the orbital index is fastest
@@ -204,10 +199,6 @@ impl<R: Real> KineticPropagator<R> {
     pub fn apply_axis_alg3(&self, psi: &mut WfSoa<R>, axis: Axis, frac: StepFraction) {
         self.apply_axis_alg4(psi, axis, frac, psi.norb().max(1));
     }
-
-    // ------------------------------------------------------------------
-    // Algorithm 4: + orbital blocking.
-    // ------------------------------------------------------------------
 
     /// Paper Algorithm 4: Algorithm 3 plus cache blocking over the orbital
     /// index (`block_size` orbitals at a time stay register/cache resident).
@@ -219,60 +210,20 @@ impl<R: Real> KineticPropagator<R> {
         block_size: usize,
     ) {
         assert_eq!(psi.mesh().len(), self.mesh.len(), "mesh mismatch");
-        assert!(block_size >= 1);
-        let passes = *self.pass_set(axis, frac);
         let norb = psi.norb();
-        let m = self.mesh.clone();
-        let n_axis = self.axis_extent(axis);
-        // Offset between pair partners in the flat SoA array.
-        let stride = axis_soa_stride(&m, axis, norb);
-        let data = psi.data_mut();
-        for pass in &passes {
-            for_each_plane_base(&m, axis, norb, |base_of| {
-                if pass.start == 1 {
-                    let b0 = base_of(0);
-                    for nb in (0..norb).step_by(block_size) {
-                        let hi = (nb + block_size).min(norb);
-                        simd::scale(&mut data[b0 + nb..b0 + hi], pass.lone);
-                    }
-                }
-                let mut i = pass.start;
-                while i + 1 < n_axis {
-                    let a = base_of(i);
-                    let b = a + stride;
-                    // The partner runs never overlap (stride >= norb), so
-                    // splitting at `b` yields two disjoint views for the
-                    // vectorized pair rotation.
-                    let (head, tail) = data.split_at_mut(b);
-                    for nb in (0..norb).step_by(block_size) {
-                        let hi = (nb + block_size).min(norb);
-                        simd::pair_update(
-                            &mut head[a + nb..a + hi],
-                            &mut tail[nb..hi],
-                            pass.d,
-                            pass.o,
-                        );
-                    }
-                    i += 2;
-                }
-                if i < n_axis {
-                    let c = base_of(i);
-                    simd::scale(&mut data[c..c + norb], pass.lone);
-                }
-            });
-        }
+        let passes = self.pass_set(axis, frac);
+        // No teams: the same line sets, one after the other on this thread.
+        dcmesh_pool::run_inline(|| {
+            sweep_axis(psi.data_mut(), &self.mesh, norb, axis, passes, block_size);
+        });
     }
 
-    // ------------------------------------------------------------------
-    // Algorithm 5: hierarchical teams offload.
-    // ------------------------------------------------------------------
-
     /// Paper Algorithm 5: the blocked SoA kernel distributed over teams
-    /// (disjoint slabs of the SoA array — data-race free by construction)
-    /// with the inner orbital loop as the `parallel for simd` level. When a
-    /// [`Device`] is supplied the pass is launched through the offload
-    /// runtime: `policy = Async` reproduces `nowait`, `Sync` the ablation
-    /// of Table I's last row.
+    /// (disjoint line sets of the SoA array — data-race free by
+    /// construction) with the inner orbital loop as the `parallel for simd`
+    /// level. When a [`Device`] is supplied the step is launched through
+    /// the offload runtime: `policy = Async` reproduces `nowait`, `Sync` the
+    /// ablation of Table I's last row.
     pub fn apply_axis_alg5(
         &self,
         psi: &mut WfSoa<R>,
@@ -282,36 +233,26 @@ impl<R: Real> KineticPropagator<R> {
         device: Option<(&Device, LaunchPolicy)>,
     ) {
         assert_eq!(psi.mesh().len(), self.mesh.len(), "mesh mismatch");
-        let passes = *self.pass_set(axis, frac);
         let norb = psi.norb();
-        let m = self.mesh.clone();
-        let work = self.pass_work(norb);
+        let passes = self.pass_set(axis, frac);
         let data = psi.data_mut();
-        for (pi, pass) in passes.iter().enumerate() {
-            let mut run = || match axis {
-                Axis::X => sweep_x_teams(data, &m, norb, pass, block_size),
-                Axis::Y => sweep_yz_teams(data, &m, norb, pass, block_size, Axis::Y),
-                Axis::Z => sweep_yz_teams(data, &m, norb, pass, block_size, Axis::Z),
-            };
-            // All passes of one directional step are data-dependent, so
-            // they share stream 0 (they serialize on the device); `nowait`
-            // only removes the host-side launch gaps between them.
-            let _ = pi;
-            match device {
-                Some((dev, policy)) => {
-                    dev.launch_named("lfd.kinetic", dcmesh_device::StreamId(0), policy, work, run);
-                }
-                None => run(),
+        let mut run = || sweep_axis(data, &self.mesh, norb, axis, passes, block_size);
+        match device {
+            Some((dev, policy)) => {
+                let work = self.pass_work(norb);
+                dev.launch_named(PHASE, StreamId(0), policy, work, run);
+                charge_later_passes(dev, policy, work);
             }
+            None => run(),
         }
     }
 
     /// Paper Algorithm 5 under genuinely deferred `nowait` launches: enqueue
-    /// `reps` repetitions of the directional step's three passes on stream 0
-    /// of the scope's device and return immediately. The host thread runs
-    /// ahead (it can issue the next launches, transfers, or field work)
-    /// while the lane thread executes the sweeps — the real host/"device"
-    /// overlap behind Table I's `nowait` row. Settled at scope exit or
+    /// `reps` repetitions of the directional step on stream 0 of the
+    /// scope's device and return immediately. The host thread runs ahead
+    /// (it can issue the next launches, transfers, or field work) while the
+    /// lane thread executes the sweeps — the real host/"device" overlap
+    /// behind Table I's `nowait` row. Settled at scope exit or
     /// [`Device::synchronize`].
     pub fn apply_axis_alg5_nowait<'scope>(
         &'scope self,
@@ -326,14 +267,14 @@ impl<R: Real> KineticPropagator<R> {
         let norb = psi.norb();
         let ptr = SlicePtr::new(psi.data_mut());
         for _ in 0..reps {
-            self.enqueue_axis_passes(ptr, norb, axis, frac, block_size, scope);
+            self.enqueue_axis_step(ptr, norb, axis, frac, block_size, scope);
         }
     }
 
-    /// Full Strang kinetic step with every pass deferred (`nowait`) onto the
-    /// scope's device — the deferred counterpart of [`Self::step_optimized`]
-    /// with `LaunchPolicy::Async`. Bitwise-identical results: the passes run
-    /// in the same order on the same kernels, just on the lane thread.
+    /// Full Strang kinetic step with every directional step deferred
+    /// (`nowait`) onto the scope's device — the deferred counterpart of
+    /// [`Self::step_optimized`] with `LaunchPolicy::Async`. Bitwise-identical
+    /// results: the same kernel in the same order, just on the lane thread.
     pub fn step_nowait<'scope>(
         &'scope self,
         psi: &'scope mut WfSoa<R>,
@@ -343,20 +284,13 @@ impl<R: Real> KineticPropagator<R> {
         assert_eq!(psi.mesh().len(), self.mesh.len(), "mesh mismatch");
         let norb = psi.norb();
         let ptr = SlicePtr::new(psi.data_mut());
-        let seq = [
-            (Axis::X, StepFraction::Half),
-            (Axis::Y, StepFraction::Half),
-            (Axis::Z, StepFraction::Full),
-            (Axis::Y, StepFraction::Half),
-            (Axis::X, StepFraction::Half),
-        ];
-        for (axis, frac) in seq {
-            self.enqueue_axis_passes(ptr, norb, axis, frac, block_size, scope);
+        for (axis, frac) in STRANG_SEQUENCE {
+            self.enqueue_axis_step(ptr, norb, axis, frac, block_size, scope);
         }
     }
 
-    /// Enqueue the three passes of one directional step as deferred bodies
-    /// on stream 0 of `scope`'s device.
+    /// Enqueue one directional step as a deferred body on stream 0 of
+    /// `scope`'s device, charged as the paper's three launches.
     ///
     /// # Safety argument
     ///
@@ -366,7 +300,7 @@ impl<R: Real> KineticPropagator<R> {
     /// no two bodies touch the data concurrently — and the host cannot
     /// touch it either while the `'scope` borrow is live. The scope settles
     /// all bodies before `'scope` ends, so the pointer never dangles.
-    fn enqueue_axis_passes<'scope>(
+    fn enqueue_axis_step<'scope>(
         &'scope self,
         ptr: SlicePtr<Complex<R>>,
         norb: usize,
@@ -378,24 +312,12 @@ impl<R: Real> KineticPropagator<R> {
         let passes = self.pass_set(axis, frac);
         let work = self.pass_work(norb);
         let m = &self.mesh;
-        for pass in passes {
-            let pass = *pass;
-            scope.launch_named(
-                "lfd.kinetic",
-                dcmesh_device::StreamId(0),
-                LaunchPolicy::Async,
-                work,
-                move || {
-                    // SAFETY: FIFO-serial lane execution; see above.
-                    let data = unsafe { ptr.as_mut_slice() };
-                    match axis {
-                        Axis::X => sweep_x_teams(data, m, norb, &pass, block_size),
-                        Axis::Y => sweep_yz_teams(data, m, norb, &pass, block_size, Axis::Y),
-                        Axis::Z => sweep_yz_teams(data, m, norb, &pass, block_size, Axis::Z),
-                    }
-                },
-            );
-        }
+        scope.launch_named(PHASE, StreamId(0), LaunchPolicy::Async, work, move || {
+            // SAFETY: FIFO-serial lane execution; see above.
+            let data = unsafe { ptr.as_mut_slice() };
+            sweep_axis(data, m, norb, axis, passes, block_size);
+        });
+        charge_later_passes(scope.device(), LaunchPolicy::Async, work);
     }
 
     /// Bytes + flops of one pass over the whole wavefunction set (feeds the
@@ -438,14 +360,7 @@ impl<R: Real> KineticPropagator<R> {
         block_size: usize,
         device: Option<(&Device, LaunchPolicy)>,
     ) {
-        let seq = [
-            (Axis::X, StepFraction::Half),
-            (Axis::Y, StepFraction::Half),
-            (Axis::Z, StepFraction::Full),
-            (Axis::Y, StepFraction::Half),
-            (Axis::X, StepFraction::Half),
-        ];
-        for (axis, frac) in seq {
+        for (axis, frac) in STRANG_SEQUENCE {
             self.apply_axis_alg5(psi, axis, frac, block_size, device);
         }
     }
@@ -454,9 +369,9 @@ impl<R: Real> KineticPropagator<R> {
 /// Build the `E(theta/2) O(theta) E(theta/2)` pass set for one axis step.
 fn build_passes<R: Real>(theta: R, diag: R, off: R) -> PassSet<R> {
     let half_diag = diag * R::HALF;
-    let make = |angle: R, start: usize| -> Pass<R> {
+    let make = |angle: R, start: usize| -> StencilPass<R> {
         let (d, o) = exp_2x2_symmetric(angle, half_diag, off);
-        Pass {
+        StencilPass {
             start,
             d,
             o,
@@ -468,15 +383,6 @@ fn build_passes<R: Real>(theta: R, diag: R, off: R) -> PassSet<R> {
         make(theta, 1),
         make(theta * R::HALF, 0),
     ]
-}
-
-/// SoA flat-array offset between pair partners along `axis`.
-fn axis_soa_stride(m: &Mesh3, axis: Axis, norb: usize) -> usize {
-    match axis {
-        Axis::X => m.ny * m.nz * norb,
-        Axis::Y => m.nz * norb,
-        Axis::Z => norb,
-    }
 }
 
 /// Iterate the two non-axis indices; the callback receives a closure
@@ -507,145 +413,96 @@ fn for_each_on_plane(m: &Mesh3, axis: Axis, mut body: impl FnMut(&dyn Fn(usize) 
     }
 }
 
-/// Iterate the two non-axis indices; the callback receives a closure mapping
-/// the axis index to the SoA flat base offset (start of the orbital run).
-fn for_each_plane_base(
+/// Trace / device-track name of the kinetic kernel.
+const PHASE: &str = "lfd.kinetic";
+
+/// The modeled device runs the paper's kernel, one launch per pass, all
+/// three on stream 0 (they are data-dependent, so they serialize there;
+/// `nowait` only removes the host-side gaps between them). The fused host
+/// body rides on the first launch; this charges passes two and three.
+fn charge_later_passes(dev: &Device, policy: LaunchPolicy, work: KernelWork) {
+    for _ in 1..3 {
+        dev.launch_named(PHASE, StreamId(0), policy, work, || ());
+    }
+}
+
+/// The Strang sequence `X(dt/2) Y(dt/2) Z(dt) Y(dt/2) X(dt/2)`.
+const STRANG_SEQUENCE: [(Axis, StepFraction); 5] = [
+    (Axis::X, StepFraction::Half),
+    (Axis::Y, StepFraction::Half),
+    (Axis::Z, StepFraction::Full),
+    (Axis::Y, StepFraction::Half),
+    (Axis::X, StepFraction::Half),
+];
+
+/// One directional step — all three passes — over every line along `axis`
+/// of an SoA array: the kernel behind Algorithms 3, 4 and 5.
+///
+/// Teams own disjoint line sets. Y and Z lines lie inside one x-slab
+/// (`ny * nz * norb` contiguous elements), so the teams are the slabs; an X
+/// line crosses every slab, so the teams are the `ny` rows of fixed `j`,
+/// each the `nz` adjacent lines through that row. Adjacent X or Y lines
+/// (consecutive `k`) are `norb` elements apart, so unless the orbital block
+/// splits a point's run they are swept as one line of `nz * norb`-element
+/// runs: long contiguous streams instead of `nz` short ones.
+// AUDIT: no_panic
+fn sweep_axis<R: Real>(
+    data: &mut [Complex<R>],
     m: &Mesh3,
-    axis: Axis,
     norb: usize,
-    mut body: impl FnMut(&dyn Fn(usize) -> usize),
+    axis: Axis,
+    passes: &PassSet<R>,
+    block: usize,
 ) {
-    match axis {
+    let row = m.nz * norb;
+    let slab = m.ny * row;
+    let backend = simd::active_backend();
+    // The `nz` lines through one row of an x-slab, `stride` between points.
+    let row_lines = |first, n_axis, stride| {
+        let (n_lines, run, block) = if block >= norb {
+            (1, row, row)
+        } else {
+            (m.nz, norb, block)
+        };
+        LineSet {
+            first,
+            n_lines,
+            line_step: norb,
+            n_axis,
+            stride,
+            run,
+            block,
+        }
+    };
+    let set = match axis {
         Axis::X => {
-            for j in 0..m.ny {
-                for k in 0..m.nz {
-                    body(&|i| m.idx(i, j, k) * norb);
+            // AUDIT: waiver(the resolver takes this for KineticPropagator::new; SlicePtr::new only captures pointer and length)
+            let base = SlicePtr::new(data);
+            return teams_distribute(m.ny, |j| {
+                let set = row_lines(j * row, m.nx, slab);
+                // SAFETY: team j touches row j of every slab and nothing
+                // else, rows of different j are disjoint, and `data` stays
+                // mutably borrowed until the teams have joined.
+                unsafe {
+                    let ptr = base.rows_mut(set.first, row, slab, m.nx);
+                    simd::stencil_lines_raw(backend, ptr, base.len(), &set, passes);
                 }
-            }
+            });
         }
-        Axis::Y => {
-            for i in 0..m.nx {
-                for k in 0..m.nz {
-                    body(&|j| m.idx(i, j, k) * norb);
-                }
-            }
-        }
-        Axis::Z => {
-            for i in 0..m.nx {
-                for j in 0..m.ny {
-                    body(&|k| m.idx(i, j, k) * norb);
-                }
-            }
-        }
-    }
-}
-
-/// Teams sweep for the X axis: chunks are aligned *pairs of x-slabs*
-/// (each slab = `ny*nz*norb` contiguous SoA elements), so every team owns
-/// its pair outright.
-// AUDIT: no_panic
-fn sweep_x_teams<R: Real>(
-    data: &mut [Complex<R>],
-    m: &Mesh3,
-    norb: usize,
-    pass: &Pass<R>,
-    block_size: usize,
-) {
-    let slab = m.ny * m.nz * norb;
-    let nx = m.nx;
-    let s = pass.start;
-    // Head lone point (odd pass).
-    if s == 1 {
-        apply_lone(&mut data[..slab], pass.lone); // AUDIT: waiver(slab <= data.len() = nx*slab)
-    }
-    let paired_slabs = (nx - s) / 2 * 2;
-    let body_range = s * slab..(s + paired_slabs) * slab;
-    let tail_start = s + paired_slabs;
-    // Disjoint pairs: one team per pair of slabs.
-    let body = &mut data[body_range]; // AUDIT: waiver(range capped at nx*slab = data.len())
-    let n_teams = paired_slabs / 2;
-    teams_distribute_mut(body, n_teams, |_, chunk| {
-        debug_assert_eq!(chunk.len(), 2 * slab);
-        let (lo, hi) = chunk.split_at_mut(slab);
-        for base in (0..slab).step_by(norb) {
-            for nb in (0..norb).step_by(block_size) {
-                let end = (nb + block_size).min(norb);
-                simd::pair_update(
-                    &mut lo[base + nb..base + end], // AUDIT: waiver(base + end <= slab = lo.len())
-                    &mut hi[base + nb..base + end], // AUDIT: waiver(base + end <= slab = hi.len())
-                    pass.d,
-                    pass.o,
-                );
-            }
-        }
-    });
-    // Tail lone point.
-    if tail_start < nx {
-        apply_lone(
-            &mut data[tail_start * slab..(tail_start + 1) * slab], // AUDIT: waiver(tail_start < nx)
-            pass.lone,
-        );
-    }
-}
-
-/// Teams sweep for the Y or Z axis: one team per x-slab; the coupled pairs
-/// live entirely inside a slab.
-// AUDIT: no_panic
-fn sweep_yz_teams<R: Real>(
-    data: &mut [Complex<R>],
-    m: &Mesh3,
-    norb: usize,
-    pass: &Pass<R>,
-    block_size: usize,
-    axis: Axis,
-) {
-    let slab = m.ny * m.nz * norb;
-    let (n_axis, stride, n_other) = match axis {
-        Axis::Y => (m.ny, m.nz * norb, m.nz),
-        Axis::Z => (m.nz, norb, m.ny),
-        Axis::X => unreachable!("X handled by sweep_x_teams"), // AUDIT: waiver(caller dispatches X to sweep_x_teams)
+        Axis::Y => row_lines(0, m.ny, row),
+        Axis::Z => LineSet {
+            first: 0,
+            n_lines: m.ny,
+            line_step: row,
+            n_axis: m.nz,
+            stride: norb,
+            run: norb,
+            block,
+        },
     };
     teams_distribute_mut(data, m.nx, |_, chunk| {
-        debug_assert_eq!(chunk.len(), slab);
-        for other in 0..n_other {
-            // Base of the 1D line within this slab for the fixed other index.
-            let line0 = match axis {
-                Axis::Y => other * norb,        // other = k
-                Axis::Z => other * m.nz * norb, // other = j
-                Axis::X => unreachable!(), // AUDIT: waiver(caller dispatches X to sweep_x_teams)
-            };
-            if pass.start == 1 {
-                apply_lone(&mut chunk[line0..line0 + norb], pass.lone); // AUDIT: waiver(line0 + norb <= slab)
-            }
-            let mut i = pass.start;
-            while i + 1 < n_axis {
-                let a = line0 + i * stride;
-                let b = a + stride;
-                // stride >= norb, so the partner runs are disjoint.
-                let (head, tail) = chunk.split_at_mut(b);
-                for nb in (0..norb).step_by(block_size) {
-                    let end = (nb + block_size).min(norb);
-                    simd::pair_update(
-                        &mut head[a + nb..a + end], // AUDIT: waiver(a + end <= b = head.len())
-                        &mut tail[nb..end], // AUDIT: waiver(end <= norb <= stride <= tail.len())
-                        pass.d,
-                        pass.o,
-                    );
-                }
-                i += 2;
-            }
-            if i < n_axis {
-                let c = line0 + i * stride;
-                apply_lone(&mut chunk[c..c + norb], pass.lone); // AUDIT: waiver(c + norb <= slab)
-            }
-        }
+        simd::stencil_lines_with(backend, chunk, &set, passes);
     });
-}
-
-// AUDIT: no_panic
-#[inline(always)]
-fn apply_lone<R: Real>(zs: &mut [Complex<R>], lone: Complex<R>) {
-    simd::scale(zs, lone);
 }
 
 #[cfg(test)]
@@ -744,8 +601,100 @@ mod tests {
         for block in [1usize, 2, 3, 4, 16] {
             let mut b = wf0.to_soa();
             prop.apply_axis_alg4(&mut b, Axis::Y, StepFraction::Full, block);
-            assert!(a.max_abs_diff(&b) < 1e-15, "block {block}");
+            // Every element rounds alike wherever it sits in a run, so the
+            // orbital block changes the traversal and not one bit.
+            assert_eq!(a.data(), b.data(), "block {block}");
         }
+    }
+
+    /// The pre-fusion formulation of Algorithms 3-5: three whole-mesh
+    /// sweeps, one per pass, each pair and lone point through the
+    /// pointwise kernels, orbital block by orbital block.
+    fn three_sweeps<R: Real>(
+        prop: &KineticPropagator<R>,
+        psi: &mut WfSoa<R>,
+        axis: Axis,
+        frac: StepFraction,
+        block: usize,
+    ) {
+        let m = prop.mesh().clone();
+        let norb = psi.norb();
+        let (n_axis, stride) = match axis {
+            Axis::X => (m.nx, m.ny * m.nz * norb),
+            Axis::Y => (m.ny, m.nz * norb),
+            Axis::Z => (m.nz, norb),
+        };
+        let data = psi.data_mut();
+        for pass in prop.pass_set(axis, frac) {
+            for_each_on_plane(&m, axis, |idx_of| {
+                for nb in (0..norb).step_by(block) {
+                    let len = block.min(norb - nb);
+                    let at = |i: usize| idx_of(i) * norb + nb;
+                    if pass.start == 1 {
+                        simd::scale(&mut data[at(0)..at(0) + len], pass.lone);
+                    }
+                    let mut i = pass.start;
+                    while i + 1 < n_axis {
+                        let (head, tail) = data.split_at_mut(at(i) + stride);
+                        simd::pair_update(
+                            &mut head[at(i)..at(i) + len],
+                            &mut tail[..len],
+                            pass.d,
+                            pass.o,
+                        );
+                        i += 2;
+                    }
+                    if i < n_axis {
+                        simd::scale(&mut data[at(i)..at(i) + len], pass.lone);
+                    }
+                }
+            });
+        }
+    }
+
+    /// Line kernel == three separate sweeps, bit for bit, and == Alg. 1 to
+    /// rounding, over odd extents, ragged orbital counts and block sizes.
+    fn line_kernel_matches_its_references<R: Real>(tol: f64) {
+        for (nx, ny, nz) in [(7, 4, 5), (4, 5, 7), (1, 6, 2)] {
+            let mesh = Mesh3::new(nx, ny, nz, 0.4, 0.5, 0.6);
+            let prop = KineticPropagator::<R>::new(mesh.clone(), R::from_f64(0.03), R::ONE);
+            for norb in [1usize, 3, 4, 7, 16, 33] {
+                let mut wf0 = WfAos::<R>::zeros(mesh.clone(), norb);
+                wf0.randomize(40 + norb as u64);
+                for block in [1, 2, norb] {
+                    for axis in [Axis::X, Axis::Y, Axis::Z] {
+                        let mut want = wf0.to_soa();
+                        three_sweeps(&prop, &mut want, axis, StepFraction::Half, block);
+                        let mut alg4 = wf0.to_soa();
+                        prop.apply_axis_alg4(&mut alg4, axis, StepFraction::Half, block);
+                        let mut alg5 = wf0.to_soa();
+                        prop.apply_axis_alg5(&mut alg5, axis, StepFraction::Half, block, None);
+                        let tag = format!("{nx}x{ny}x{nz} norb {norb} block {block} {axis:?}");
+                        assert_eq!(alg4.data(), want.data(), "alg4 {tag}");
+                        assert_eq!(alg5.data(), want.data(), "alg5 {tag}");
+                    }
+                    let mut aos = wf0.clone();
+                    prop.step_alg1(&mut aos);
+                    let mut soa = wf0.to_soa();
+                    prop.step_optimized(&mut soa, block, None);
+                    let diff = aos.max_abs_diff(&soa.to_aos()).to_f64();
+                    assert!(
+                        diff < tol,
+                        "{nx}x{ny}x{nz} norb {norb} block {block}: {diff}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn line_kernel_matches_three_sweeps_bitwise_and_alg1_dp() {
+        line_kernel_matches_its_references::<f64>(1e-13);
+    }
+
+    #[test]
+    fn line_kernel_matches_three_sweeps_bitwise_and_alg1_sp() {
+        line_kernel_matches_its_references::<f32>(1e-5);
     }
 
     #[test]

@@ -21,7 +21,8 @@
 
 use dcmesh_device::{Device, KernelWork, LaunchPolicy, Precision, StreamId};
 use dcmesh_math::gemm::{gemm, gemm_cfmas, Op};
-use dcmesh_math::{Complex, Matrix, Real};
+use dcmesh_math::{simd, Complex, Matrix, Real};
+use dcmesh_pool::arena::with_scratch;
 
 /// Which implementation the nonlocal kernels use (Table II rows).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -252,112 +253,115 @@ impl<R: Real> NonlocalCorrection<R> {
     // transpose T = Psi^T with rows = Norb, cols = Ngrid).
     // ------------------------------------------------------------------
 
-    /// Overlap in transposed form: `M = T * T0^H * dv`, an `Norb_t x Nref`
-    /// matrix with `M[n][u] = <psi_ref_u(0) | psi_n(t)>`. Zero-copy: `t` is
-    /// the raw SoA storage viewed as a `norb x ngrid` column-major matrix.
-    fn overlap_soa(&self, t: &[Complex<R>], norb: usize, full_basis: bool) -> Matrix<R> {
+    /// Overlap in transposed form: `M = alpha * T * T0^H`, an
+    /// `Norb_t x Nref` column-major matrix written to `m`; with
+    /// `alpha = dv`, `M[n][u] = <psi_ref_u(0) | psi_n(t)>`. Zero-copy: `t`
+    /// is the raw SoA storage viewed as a `norb x ngrid` column-major
+    /// matrix.
+    fn overlap_soa(
+        &self,
+        alpha: Complex<R>,
+        t: &[Complex<R>],
+        norb: usize,
+        full_basis: bool,
+        m: &mut [Complex<R>],
+    ) {
         let t0 = if full_basis {
             &self.psi0_t
         } else {
             &self.psi0u_t
         };
-        let ngrid = self.psi0.rows();
-        let mut m = Matrix::zeros(norb, t0.rows());
-        let mdims = (norb, t0.rows());
         dcmesh_math::gemm::gemm_colmajor(
-            Complex::from_real(self.dv),
+            alpha,
             t,
-            (norb, ngrid),
+            (norb, self.psi0.rows()),
             Op::None,
             t0.data(),
             (t0.rows(), t0.cols()),
             Op::ConjTrans,
             Complex::zero(),
-            m.data_mut(),
-            mdims,
+            m,
+            (norb, t0.rows()),
         );
-        m
     }
 
     /// `nlp_prop()` on an SoA-resident wavefunction set: identical math to
-    /// [`NonlocalCorrection::nlp_prop`], two GEMMs on the transposed layout,
-    /// operating in place on the SoA storage (no layout conversion — this
-    /// is why the SoA data structure "BLASifies" for free).
+    /// [`NonlocalCorrection::nlp_prop`], the two skinny GEMMs on the
+    /// transposed layout, operating in place on the SoA storage (no layout
+    /// conversion — this is why the SoA data structure "BLASifies" for
+    /// free). Scratch comes from the thread's arena: no heap traffic.
     pub fn nlp_prop_soa(&self, soa: &mut dcmesh_grid::WfSoa<R>) {
         let norb = soa.norb();
         let ngrid = self.psi0.rows();
         assert_eq!(soa.data().len(), norb * ngrid, "SoA size mismatch");
         let c = Complex::new(R::ZERO, -(self.delta_sci * self.dt * R::HALF));
-        let m = self.overlap_soa(soa.data(), norb, false);
-        // T += c * M * T0u, in place on the SoA storage.
-        let t0u_dims = (self.psi0u_t.rows(), self.psi0u_t.cols());
-        dcmesh_math::gemm::gemm_colmajor(
-            c,
-            m.data(),
-            (m.rows(), m.cols()),
-            Op::None,
-            self.psi0u_t.data(),
-            t0u_dims,
-            Op::None,
-            Complex::one(),
-            soa.data_mut(),
-            (norb, ngrid),
-        );
-        // Renormalize each orbital (= each row of T) in two streaming
-        // passes: accumulate all norms point-by-point (orbital runs are
-        // contiguous in SoA), then scale — never a strided sweep.
+        let t0u = &self.psi0u_t;
         let data = soa.data_mut();
-        let mut n2 = vec![R::ZERO; norb];
-        for point in data.chunks_exact(norb) {
-            for (acc, z) in n2.iter_mut().zip(point) {
-                *acc += z.norm_sqr();
-            }
-        }
-        let inv: Vec<R> = n2
-            .iter()
-            .map(|&s| {
-                let norm = (s * self.dv).sqrt();
-                if norm > R::ZERO {
-                    R::ONE / norm
-                } else {
-                    R::ZERO
+        with_scratch::<Complex<R>, 1, ()>([norb * t0u.rows()], |[m]| {
+            // M' = c * dv * T * T0u^H, then T += M' * T0u in place with
+            // the squared norm of every updated orbital from the same pass.
+            self.overlap_soa(c.scale(self.dv), data, norb, false, m);
+            with_scratch::<R, 1, ()>([norb], |[inv]| {
+                simd::proj_update(m, t0u.data(), t0u.rows(), data, norb, inv);
+                for s in inv.iter_mut() {
+                    let norm = (*s * self.dv).sqrt();
+                    *s = if norm > R::ZERO {
+                        R::ONE / norm
+                    } else {
+                        R::ZERO
+                    };
                 }
-            })
-            .collect();
-        for point in data.chunks_exact_mut(norb) {
-            for (z, &iv) in point.iter_mut().zip(&inv) {
-                *z = z.scale(iv);
-            }
-        }
+                // Renormalize each orbital (= each row of T): one
+                // streaming pass over contiguous orbital runs.
+                let inv = &*inv;
+                dcmesh_pool::global().for_each_chunks_of_mut(
+                    data,
+                    simd::PROJ_CHUNK * norb,
+                    |_, chunk| {
+                        for point in chunk.chunks_exact_mut(norb) {
+                            for (z, &iv) in point.iter_mut().zip(inv) {
+                                *z = z.scale(iv);
+                            }
+                        }
+                    },
+                );
+            });
+        });
     }
 
     /// SoA variant of [`NonlocalCorrection::scissor_energies`].
     pub fn scissor_energies_soa(&self, soa: &dcmesh_grid::WfSoa<R>) -> Vec<R> {
         let norb = soa.norb();
-        let m = self.overlap_soa(soa.data(), norb, false);
-        (0..norb)
-            .map(|n| {
-                let mut s = R::ZERO;
-                for u in 0..m.cols() {
-                    s += m[(n, u)].norm_sqr();
-                }
-                s * self.delta_sci
-            })
-            .collect()
+        let nu = self.psi0u_t.rows();
+        with_scratch::<Complex<R>, 1, _>([norb * nu], |[m]| {
+            self.overlap_soa(Complex::from_real(self.dv), soa.data(), norb, false, m);
+            (0..norb)
+                .map(|n| {
+                    let mut s = R::ZERO;
+                    for u in 0..nu {
+                        s += m[u * norb + n].norm_sqr();
+                    }
+                    s * self.delta_sci
+                })
+                .collect()
+        })
     }
 
     /// SoA variant of [`NonlocalCorrection::remap_occ`].
     pub fn remap_occ_soa(&self, soa: &dcmesh_grid::WfSoa<R>, occ0: &[R]) -> Vec<R> {
         let norb = soa.norb();
         assert_eq!(occ0.len(), norb);
-        let m = self.overlap_soa(soa.data(), norb, true);
-        let mut f = vec![R::ZERO; self.psi0.cols()];
-        for (s, fs) in f.iter_mut().enumerate() {
-            for (n, f0) in occ0.iter().enumerate() {
-                *fs += *f0 * m[(n, s)].norm_sqr();
+        let nref = self.psi0.cols();
+        with_scratch::<Complex<R>, 1, _>([norb * nref], |[m]| {
+            self.overlap_soa(Complex::from_real(self.dv), soa.data(), norb, true, m);
+            let mut f = vec![R::ZERO; nref];
+            for (s, fs) in f.iter_mut().enumerate() {
+                for (n, f0) in occ0.iter().enumerate() {
+                    *fs += *f0 * m[s * norb + n].norm_sqr();
+                }
             }
-        }
-        f
+            f
+        })
     }
 
     /// Device-launched SoA `nlp_prop`.
@@ -538,6 +542,64 @@ mod tests {
         for (a, b) in fa.iter().zip(&fb) {
             assert!((a - b).abs() < 1e-11);
         }
+    }
+
+    /// SoA projector kernels against the loop-form oracle, over ragged
+    /// orbital counts (vector tails), odd reference counts and a grid
+    /// (7 x 4 x 5 and 9 x 9 x 9: one chunk and two) with an odd point count.
+    fn soa_kernels_match_loops<R: Real>(tol: f64) {
+        for mesh in [Mesh3::new(7, 4, 5, 0.5, 0.4, 0.6), Mesh3::cubic(9, 0.5)] {
+            for norb in [1usize, 3, 4, 7, 16, 33] {
+                let lumo = norb / 3;
+                let mut wf = WfAos::<R>::zeros(mesh.clone(), norb);
+                wf.randomize(50 + norb as u64);
+                let dv = R::from_f64(mesh.dv());
+                let nl = NonlocalCorrection::new(
+                    wf.to_matrix(),
+                    lumo,
+                    R::from_f64(0.4),
+                    R::from_f64(0.03),
+                    dv,
+                );
+                let mut state = WfAos::<R>::zeros(mesh.clone(), norb);
+                state.randomize(90 + norb as u64);
+                let mut mat = state.to_matrix();
+                let mut soa = state.to_soa();
+                for _ in 0..2 {
+                    nl.nlp_prop(&mut mat, GemmPath::Loops);
+                    nl.nlp_prop_soa(&mut soa);
+                }
+                let diff = mat.max_abs_diff(&soa.to_aos().to_matrix()).to_f64();
+                assert!(diff < tol, "norb {norb}: nlp_prop differs by {diff}");
+                let occ0: Vec<R> = (0..norb).map(|n| R::from_usize(n % 3)).collect();
+                let pairs = [
+                    (
+                        nl.scissor_energies(&mat, GemmPath::Loops),
+                        nl.scissor_energies_soa(&soa),
+                    ),
+                    (
+                        nl.remap_occ(&mat, &occ0, GemmPath::Loops),
+                        nl.remap_occ_soa(&soa, &occ0),
+                    ),
+                ];
+                for (want, got) in pairs {
+                    for (a, b) in want.iter().zip(&got) {
+                        let diff = (*a - *b).abs().to_f64();
+                        assert!(diff < 10.0 * tol, "norb {norb}: {a} vs {b}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn soa_kernels_match_loops_dp() {
+        soa_kernels_match_loops::<f64>(1e-13);
+    }
+
+    #[test]
+    fn soa_kernels_match_loops_sp() {
+        soa_kernels_match_loops::<f32>(2e-5);
     }
 
     #[test]

@@ -37,21 +37,32 @@ impl<R: Real> PotentialPropagator<R> {
         Self { mesh, phases, dt }
     }
 
-    /// Rebuild phases adding a uniform electric field `e_field` (length
+    /// Build phases adding a uniform electric field `e_field` (length
     /// gauge, dipole about the mesh center): `v(r) = v_loc(r) + E . (r-rc)`.
     pub fn with_field(mesh: Mesh3, v_loc: &[f64], e_field: [f64; 3], dt: R) -> Self {
+        let mut prop = Self {
+            phases: vec![Complex::zero(); mesh.len()],
+            mesh,
+            dt,
+        };
+        prop.set_field(v_loc, e_field);
+        prop
+    }
+
+    /// Recompute the phases in place for a new field value — what a laser
+    /// pulse asks for once per QD step, with no allocation.
+    pub fn set_field(&mut self, v_loc: &[f64], e_field: [f64; 3]) {
+        let mesh = &self.mesh;
         assert_eq!(v_loc.len(), mesh.len());
         let rc = mesh.center();
-        let mut phases = Vec::with_capacity(mesh.len());
-        for (i, j, k) in mesh.iter_points() {
+        for ((i, j, k), phase) in mesh.iter_points().zip(self.phases.iter_mut()) {
             let p = mesh.position(i, j, k);
             let dip = e_field[0] * (p[0] - rc[0])
                 + e_field[1] * (p[1] - rc[1])
                 + e_field[2] * (p[2] - rc[2]);
             let v = v_loc[mesh.idx(i, j, k)] + dip;
-            phases.push(Complex::cis(-dt * R::from_f64(v)));
+            *phase = Complex::cis(-self.dt * R::from_f64(v));
         }
-        Self { mesh, phases, dt }
     }
 
     /// The time step the phases encode.

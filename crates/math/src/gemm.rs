@@ -557,51 +557,11 @@ pub fn gemm_colmajor_with_backend<R: Real>(
             Op::ConjTrans => b[r * br + col].conj(),
         }
     };
-    // Fast path: `C = alpha A B^H + beta C` with a small output and a long
-    // contraction dimension (the SoA overlap GEMM `T T0^H`). Both operand
-    // columns are contiguous per contraction index, so the kernel is an
-    // outer-product accumulation streaming A and B exactly once, with a
-    // k-chunk tree reduction for parallelism.
+    // The nonlocal projector's overlap shape, `C = alpha A B^H + beta C`
+    // with a small output and a long contraction (the SoA `T T0^H`), goes
+    // to the register-tiled kernel in `simd`.
     if op_a == Op::None && op_b == Op::ConjTrans && m * n <= 16384 && k >= 256 {
-        let chunk = k.div_ceil(pool().size().max(1)).max(256);
-        let n_chunks = k.div_ceil(chunk);
-        let partials: Vec<Vec<Complex<R>>> = pool().map_index(n_chunks, |ci| {
-            let p0 = ci * chunk;
-            let p1 = (p0 + chunk).min(k);
-            let mut part = vec![Complex::zero(); m * n];
-            for p in p0..p1 {
-                let acol = &a[p * ar..p * ar + m];
-                let bcol = &b[p * br..p * br + n];
-                for (j, bv) in bcol.iter().enumerate() {
-                    simd::axpy_with(backend, bv.conj(), acol, &mut part[j * m..(j + 1) * m]);
-                }
-            }
-            part
-        });
-        for (i, cv) in c.iter_mut().enumerate() {
-            let mut acc = Complex::zero();
-            for part in &partials {
-                acc += part[i];
-            }
-            *cv = alpha * acc + beta * *cv;
-        }
-        return;
-    }
-    // Fast path: thin inner dimension (`C += A B`, the SoA rank update):
-    // per output column, k contiguous axpys.
-    if op_a == Op::None && op_b == Op::None && k <= 64 && k < m.max(n) {
-        pool().for_each_chunks_of_mut(c, m, |j, ccol| {
-            if beta != Complex::one() {
-                for z in ccol.iter_mut() {
-                    *z *= beta;
-                }
-            }
-            for p in 0..k {
-                let coeff = alpha * b[j * br + p];
-                simd::axpy_with(backend, coeff, &a[p * ar..p * ar + m], ccol);
-            }
-        });
-        return;
+        return simd::proj_overlap_with(backend, alpha, a, m, b, n, beta, c);
     }
     // Large general shapes: split-complex packed AVX2 kernel when allowed.
     if m * n * k >= 32 * 32 * 32

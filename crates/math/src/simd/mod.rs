@@ -11,10 +11,25 @@
 //!   textbook BLIS structure specialized to complex-as-two-reals.
 //! * **Pointwise kernels** ([`pair_update`], [`scale`], [`axpy`],
 //!   [`dotc`]) — the kinetic stencil 2×2 pair rotation, the phase/
-//!   potential pointwise multiply, and the two BLAS-2 fast-path kernels of
-//!   the nonlocal correction, each deinterleaving `Complex<f64>` lanes
-//!   in-register (`unpacklo`/`unpackhi` — a fixed permutation that
-//!   elementwise arithmetic commutes with).
+//!   potential pointwise multiply, and the two BLAS-2 kernels behind
+//!   [`crate::gemm::gemm`]'s skinny shapes. The pair rotation and the phase
+//!   work on the interleaved `Complex<f64>` lanes directly (a complex
+//!   product is a multiply and an FMA against the value and its re/im
+//!   swap), so every element rounds alike wherever it sits in a run; `axpy`
+//!   and `dotc` deinterleave in-register (`unpacklo`/`unpackhi` — a fixed
+//!   permutation that elementwise arithmetic commutes with).
+//! * **Projector kernels** ([`proj_overlap_with`], [`proj_update`]) — the two
+//!   skinny complex GEMMs of the nonlocal correction, `M = T·T0ᴴ` (tiny
+//!   output, contraction over the grid) and `T += M·T0` (tiny inner
+//!   dimension) with the row norms of the result from the same pass. The
+//!   accumulator tile, respectively the orbital run of a grid point, stays
+//!   in registers; grid chunks are spread over the pool and their partials
+//!   added in an order that depends on the shape alone.
+//! * **Kinetic line kernel** ([`stencil_lines_with`]) — paper Algorithms 3–5 as
+//!   one loop nest: the three passes of a directional step applied to a
+//!   line (or a bundle of adjacent lines) as a wavefront, so the live
+//!   points stay in L1 and the backend is resolved once per call, not once
+//!   per 256-byte run.
 //!
 //! # Backend selection
 //!
@@ -22,9 +37,10 @@
 //!
 //! * `auto` (default) — AVX2+FMA when the CPU has it, else scalar;
 //! * `avx2` — force AVX2 (silently degrades to scalar when unsupported);
-//! * `scalar` — force the portable path. The scalar fallbacks perform the
-//!   *identical* arithmetic sequence as the pre-SIMD code, so
-//!   `DCMESH_SIMD=scalar` reproduces pre-SIMD results bit-for-bit.
+//! * `scalar` — force the portable path: plain `Complex<R>` arithmetic, no
+//!   FMA contraction, also what every `f32` call runs. The pointwise and
+//!   line kernels then perform the arithmetic sequence of the pre-SIMD
+//!   code; the projector kernels sum their chunk partials in chunk order.
 //!
 //! Every kernel also has a `*_with(backend, ..)` variant taking an explicit
 //! [`Backend`], used by the equivalence tests and benches so they never
@@ -46,7 +62,7 @@ use crate::complex::Complex;
 use crate::gemm::Op;
 use crate::real::Real;
 use dcmesh_pool::arena::with_scratch;
-use dcmesh_pool::global as pool;
+use dcmesh_pool::{global as pool, SlicePtr};
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
@@ -170,6 +186,19 @@ unsafe fn cast_slice_mut<R: Real>(s: &mut [Complex<R>]) -> &mut [Complex<f64>] {
     unsafe { &mut *(s as *mut [Complex<R>] as *mut [Complex<f64>]) }
 }
 
+/// Reinterpret an `R` slice as `f64`.
+///
+/// # Safety
+///
+/// Same contract as [`cast_slice`].
+// SAFETY: (bounds=identity cast; element layout and slice length are
+// unchanged, aliasing=the exclusive borrow carries over from the input)
+#[inline(always)]
+unsafe fn cast_reals_mut<R: Real>(s: &mut [R]) -> &mut [f64] {
+    // SAFETY: R == f64 per the caller contract.
+    unsafe { &mut *(s as *mut [R] as *mut [f64]) }
+}
+
 #[inline(always)]
 fn cast_c<R: Real>(z: Complex<R>) -> Complex<f64> {
     Complex::new(z.re.to_f64(), z.im.to_f64())
@@ -224,6 +253,8 @@ pub fn axpy_scalar<R: Real>(alpha: Complex<R>, x: &[Complex<R>], y: &mut [Comple
 }
 
 /// `z *= ph` over a slice — scalar reference (the potential/phase loop).
+// Out of line for the same reason as `pair_update_scalar`.
+#[inline(never)]
 pub fn scale_scalar<R: Real>(zs: &mut [Complex<R>], ph: Complex<R>) {
     for z in zs {
         *z *= ph;
@@ -233,6 +264,10 @@ pub fn scale_scalar<R: Real>(zs: &mut [Complex<R>], ph: Complex<R>) {
 /// The kinetic stencil 2×2 pair rotation over two equal-length slices —
 /// scalar reference (the exact arithmetic of the sweep inner loop):
 /// `a' = d*a + o*b`, `b' = o*a + d*b`.
+// Out of line: the `noalias` of the two `&mut` runs only survives a call
+// boundary. Inlined into the line kernel, whose runs all derive from one
+// raw pointer, the loop no longer vectorizes (3.5x slower on f32, measured).
+#[inline(never)]
 pub fn pair_update_scalar<R: Real>(
     a: &mut [Complex<R>],
     b: &mut [Complex<R>],
@@ -342,6 +377,436 @@ pub fn pair_update<R: Real>(
     o: Complex<R>,
 ) {
     pair_update_with(active_backend(), a, b, d, o);
+}
+
+// ---------------------------------------------------------------------------
+// Skinny projector kernels (the nonlocal correction's two GEMM shapes)
+// ---------------------------------------------------------------------------
+
+/// Grid points per parallel work unit (and per partial sum) of the
+/// projector kernels. A constant, so the order in which partials are added
+/// depends on the shape alone — never on the size of the pool.
+pub const PROJ_CHUNK: usize = 512;
+
+/// Portable body of [`proj_overlap_with`] for orbitals `n_lo..norb` of one
+/// chunk: `part[u][n] += sum_p t[p][n] * conj(t0[p][u])`.
+fn proj_overlap_portable<R: Real>(
+    t: &[Complex<R>],
+    norb: usize,
+    t0: &[Complex<R>],
+    nref: usize,
+    n_lo: usize,
+    part: &mut [Complex<R>],
+) {
+    if n_lo == norb {
+        return;
+    }
+    for (tp, bp) in t.chunks_exact(norb).zip(t0.chunks_exact(nref)) {
+        for (b, col) in bp.iter().zip(part.chunks_exact_mut(norb)) {
+            let bc = b.conj();
+            for (acc, z) in col[n_lo..].iter_mut().zip(&tp[n_lo..]) {
+                *acc += *z * bc;
+            }
+        }
+    }
+}
+
+/// The projector overlap `M = alpha * T * T0^H + beta * M` on an explicit
+/// backend: `t` is the SoA wavefunction array viewed as a column-major
+/// `norb x ngrid` matrix, `t0` a `nref x ngrid` reference block, `out` the
+/// small column-major `norb x nref` result. `beta == 0` ignores what `out`
+/// held.
+///
+/// The contraction runs over the grid in chunks of [`PROJ_CHUNK`] points
+/// spread over the pool; each chunk accumulates its own partial (on AVX2
+/// with the accumulator tile in registers across an L1-sized block of
+/// points) and the partials are added in chunk order.
+#[allow(clippy::too_many_arguments)]
+pub fn proj_overlap_with<R: Real>(
+    backend: Backend,
+    alpha: Complex<R>,
+    t: &[Complex<R>],
+    norb: usize,
+    t0: &[Complex<R>],
+    nref: usize,
+    beta: Complex<R>,
+    out: &mut [Complex<R>],
+) {
+    assert_eq!(out.len(), norb * nref, "overlap output shape mismatch");
+    if out.is_empty() {
+        return;
+    }
+    let ngrid = t.len() / norb;
+    assert_eq!(t.len(), ngrid * norb, "T storage size mismatch");
+    assert_eq!(t0.len(), ngrid * nref, "T0 storage size mismatch");
+    let avx2 = use_avx2::<R>(backend);
+    let len = out.len();
+    with_scratch::<Complex<R>, 1, ()>([ngrid.div_ceil(PROJ_CHUNK) * len], |[partials]| {
+        pool().for_each_chunks_of_mut(partials, len, |ci, part| {
+            part.fill(Complex::zero());
+            let (p0, p1) = (ci * PROJ_CHUNK, ((ci + 1) * PROJ_CHUNK).min(ngrid));
+            let (tc, bc) = (&t[p0 * norb..p1 * norb], &t0[p0 * nref..p1 * nref]);
+            let mut n_lo = 0;
+            #[cfg(target_arch = "x86_64")]
+            if avx2 {
+                // SAFETY: (cpu=avx2, bounds=R == f64 per use_avx2 so the
+                // casts are identity) `use_avx2` verified CPU support.
+                unsafe {
+                    avx2::proj_overlap(
+                        cast_slice(tc),
+                        norb,
+                        cast_slice(bc),
+                        nref,
+                        cast_slice_mut(part),
+                    );
+                }
+                n_lo = norb & !3;
+            }
+            let _ = avx2;
+            proj_overlap_portable(tc, norb, bc, nref, n_lo, part);
+        });
+        for (i, cv) in out.iter_mut().enumerate() {
+            let mut acc = Complex::zero();
+            for part in partials.chunks_exact(len) {
+                acc += part[i];
+            }
+            *cv = if beta == Complex::zero() {
+                alpha * acc
+            } else {
+                alpha * acc + beta * *cv
+            };
+        }
+    });
+}
+
+/// Portable body of [`proj_update_with`] for orbitals `n_lo..norb` of one
+/// chunk.
+fn proj_update_portable<R: Real>(
+    m: &[Complex<R>],
+    t0: &[Complex<R>],
+    nref: usize,
+    t: &mut [Complex<R>],
+    norb: usize,
+    n_lo: usize,
+    nrm: &mut [R],
+) {
+    if n_lo == norb {
+        return;
+    }
+    for (tp, bp) in t.chunks_exact_mut(norb).zip(t0.chunks_exact(nref)) {
+        let tp = &mut tp[n_lo..];
+        for (b, col) in bp.iter().zip(m.chunks_exact(norb)) {
+            for (z, mv) in tp.iter_mut().zip(&col[n_lo..]) {
+                *z += *mv * *b;
+            }
+        }
+        for (acc, z) in nrm[n_lo..].iter_mut().zip(tp.iter()) {
+            *acc += z.norm_sqr();
+        }
+    }
+}
+
+/// The projector rank update `T += M * T0` on an explicit backend, with
+/// the squared norm of every updated row `norms[n] = sum_g |T[n][g]|^2`
+/// accumulated in the same pass: `m` is the small
+/// column-major `norb x nref` coefficient matrix, `t0` the `nref x ngrid`
+/// reference block, `t` the SoA array updated in place.
+///
+/// Chunks of [`PROJ_CHUNK`] grid points are spread over the pool (on AVX2
+/// the orbital run of one grid point stays in registers across all `nref`
+/// terms); per-chunk norm partials are added in chunk order.
+pub fn proj_update_with<R: Real>(
+    backend: Backend,
+    m: &[Complex<R>],
+    t0: &[Complex<R>],
+    nref: usize,
+    t: &mut [Complex<R>],
+    norb: usize,
+    norms: &mut [R],
+) {
+    assert_eq!(m.len(), norb * nref, "coefficient shape mismatch");
+    assert_eq!(norms.len(), norb, "norm output length mismatch");
+    if t.is_empty() {
+        norms.fill(R::ZERO);
+        return;
+    }
+    let ngrid = t.len() / norb;
+    assert_eq!(t.len(), ngrid * norb, "T storage size mismatch");
+    assert_eq!(t0.len(), ngrid * nref, "T0 storage size mismatch");
+    let avx2 = use_avx2::<R>(backend);
+    let n_chunks = ngrid.div_ceil(PROJ_CHUNK);
+    with_scratch::<Complex<R>, 1, ()>([if avx2 { m.len() } else { 0 }], |[im]| {
+        for (d, z) in im.iter_mut().zip(m) {
+            *d = Complex::new(-z.im, z.re);
+        }
+        let im = &*im;
+        with_scratch::<R, 1, ()>([n_chunks * norb], |[partials]| {
+            let slots = SlicePtr::new(partials);
+            pool().for_each_chunks_of_mut(t, PROJ_CHUNK * norb, |ci, tc| {
+                // SAFETY: chunk index ci is claimed exactly once, so slot
+                // [ci*norb, (ci+1)*norb) has no other live reference;
+                // `partials` outlives the dispatch.
+                let nrm = unsafe { slots.subslice_mut(ci * norb, (ci + 1) * norb) };
+                nrm.fill(R::ZERO);
+                let p0 = ci * PROJ_CHUNK;
+                let bc = &t0[p0 * nref..(p0 + tc.len() / norb) * nref];
+                let mut n_lo = 0;
+                #[cfg(target_arch = "x86_64")]
+                if avx2 {
+                    // SAFETY: (cpu=avx2, bounds=R == f64 per use_avx2 so
+                    // the casts are identity) `use_avx2` verified CPU
+                    // support.
+                    unsafe {
+                        avx2::proj_update(
+                            cast_slice(m),
+                            cast_slice(im),
+                            cast_slice(bc),
+                            nref,
+                            cast_slice_mut(tc),
+                            norb,
+                            cast_reals_mut(nrm),
+                        );
+                    }
+                    n_lo = norb & !3;
+                }
+                let _ = (avx2, im);
+                proj_update_portable(m, bc, nref, tc, norb, n_lo, nrm);
+            });
+            for (n, out) in norms.iter_mut().enumerate() {
+                *out = partials.chunks_exact(norb).map(|part| part[n]).sum();
+            }
+        });
+    });
+}
+
+/// [`proj_update_with`] on the [`active_backend`].
+#[inline]
+pub fn proj_update<R: Real>(
+    m: &[Complex<R>],
+    t0: &[Complex<R>],
+    nref: usize,
+    t: &mut [Complex<R>],
+    norb: usize,
+    norms: &mut [R],
+) {
+    proj_update_with(active_backend(), m, t0, nref, t, norb, norms);
+}
+
+// ---------------------------------------------------------------------------
+// Kinetic line kernel (paper Algorithms 3-5 in one loop nest)
+// ---------------------------------------------------------------------------
+
+/// One even- or odd-parity pass of the split kinetic exponential along a
+/// line: points `start, start+1`, `start+2, start+3`, ... are rotated
+/// pairwise by `[[d, o], [o, d]]`; points left without a partner (the head
+/// of an odd pass, the tail when the count is odd) take the phase `lone`.
+#[derive(Copy, Clone, Debug)]
+pub struct StencilPass<R> {
+    /// First index of the first pair (0 = even pass, 1 = odd pass).
+    pub start: usize,
+    /// 2x2 diagonal coefficient.
+    pub d: Complex<R>,
+    /// 2x2 off-diagonal coefficient.
+    pub o: Complex<R>,
+    /// Phase applied to unpaired boundary points.
+    pub lone: Complex<R>,
+}
+
+/// A family of equally shaped stencil lines inside one flat SoA array:
+/// element `n` of the run at point `i` of line `l` lives at
+/// `first + l * line_step + i * stride + n`. A run is the orbitals of one
+/// grid point, or of several adjacent ones when neighbouring lines are
+/// swept as one (every element of a pass takes the same coefficients).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct LineSet {
+    /// Element offset of line 0, point 0, orbital 0.
+    pub first: usize,
+    /// Number of lines.
+    pub n_lines: usize,
+    /// Element offset between the starts of consecutive lines.
+    pub line_step: usize,
+    /// Points per line (the extent of the swept axis).
+    pub n_axis: usize,
+    /// Element offset between consecutive points of a line.
+    pub stride: usize,
+    /// Contiguous elements per point.
+    pub run: usize,
+    /// Elements of a run swept together (paper Alg. 4's cache block).
+    pub block: usize,
+}
+
+impl LineSet {
+    /// One past the last element any line of the set touches.
+    pub fn span(&self) -> usize {
+        if self.n_lines == 0 || self.n_axis == 0 || self.run == 0 {
+            return 0;
+        }
+        self.first
+            + (self.n_lines - 1) * self.line_step
+            + (self.n_axis - 1) * self.stride
+            + self.run
+    }
+}
+
+/// The order in which one line takes its three passes: a wavefront.
+///
+/// Pass `q` may touch a point as soon as pass `q - 1` is done with it, so
+/// instead of three sweeps over the whole line the passes chase each other
+/// down it, the later pass first: at any moment only the last four points
+/// are live, which keeps a line in L1 however long it is and whatever its
+/// stride (a power-of-two stride maps all of a line's points to one cache
+/// set). Every point still sees its updates in pass order, with the same
+/// partner and the same operands, so the result is bit-for-bit that of
+/// three separate sweeps.
+struct Wavefront<'a, R> {
+    passes: &'a [StencilPass<R>; 3],
+    n_axis: usize,
+    /// First point each pass has not touched yet.
+    done: [usize; 3],
+}
+
+/// One step of a [`Wavefront`]: rotate the pair `at, at + 1` by `pass`, or
+/// (`lone`) multiply the partnerless point `at` by its phase.
+struct StencilUnit<'a, R> {
+    pass: &'a StencilPass<R>,
+    at: usize,
+    lone: bool,
+}
+
+impl<'a, R> Wavefront<'a, R> {
+    fn new(passes: &'a [StencilPass<R>; 3], n_axis: usize) -> Self {
+        Self {
+            passes,
+            n_axis,
+            done: [0; 3],
+        }
+    }
+}
+
+impl<'a, R> Iterator for Wavefront<'a, R> {
+    type Item = StencilUnit<'a, R>;
+
+    // AUDIT: no_panic
+    #[inline(always)]
+    fn next(&mut self) -> Option<Self::Item> {
+        // The latest pass that can move does: `ready` is how far the pass
+        // before has got (the whole line, for the first).
+        let mut ready = self.n_axis;
+        let mut pick = None;
+        for (pass, done) in self.passes.iter().zip(self.done.iter_mut()) {
+            let at = *done;
+            let lone = (at == 0 && pass.start == 1) || at + 1 == self.n_axis;
+            let next = at + if lone { 1 } else { 2 };
+            if at < self.n_axis && next <= ready {
+                pick = Some((pass, done, at, lone, next));
+            }
+            ready = at;
+        }
+        let (pass, done, at, lone, next) = pick?;
+        *done = next;
+        Some(StencilUnit { pass, at, lone })
+    }
+}
+
+/// Portable body of the line kernel: the loop nest of
+/// `avx2::stencil_lines` over the scalar reference kernels.
+///
+/// # Safety
+///
+/// Same contract as [`stencil_lines_raw`], whose checks ran already.
+// SAFETY: (bounds=every run of len elements from base + nb + i*stride
+// with i < n_axis and nb + len <= run ends at or below set.span() which
+// the dispatcher checked against the allocation, aliasing=the caller owns
+// the set's lines; partner runs are stride >= run >= len apart)
+unsafe fn stencil_lines_portable<R: Real>(
+    ptr: *mut Complex<R>,
+    set: &LineSet,
+    passes: &[StencilPass<R>; 3],
+) {
+    for line in 0..set.n_lines {
+        let base = set.first + line * set.line_step;
+        let mut nb = 0;
+        while nb < set.run {
+            let len = (set.run - nb).min(set.block);
+            // SAFETY: see the bounds= and aliasing= claims above; each
+            // slice is dropped before the next one over its elements.
+            let run = |i: usize| unsafe {
+                std::slice::from_raw_parts_mut(ptr.add(base + nb + i * set.stride), len)
+            };
+            for unit in Wavefront::new(passes, set.n_axis) {
+                if unit.lone {
+                    scale_scalar(run(unit.at), unit.pass.lone);
+                } else {
+                    pair_update_scalar(run(unit.at), run(unit.at + 1), unit.pass.d, unit.pass.o);
+                }
+            }
+            nb += len;
+        }
+    }
+}
+
+/// The kinetic line kernel on an explicit backend, over raw storage: every
+/// line of `set`, one orbital block at a time, takes the three passes of a
+/// directional step as one wavefront, so a line's `n_axis x block`
+/// amplitudes are read from beyond L1 once per directional step instead of
+/// once per pass. The backend is resolved once per call; per element the
+/// arithmetic is that of [`pair_update_with`] / [`scale_with`] on a run of
+/// the block's length.
+///
+/// The raw form exists for callers that hand disjoint, *strided* line
+/// sets of one array to different threads (no `&mut` sub-slice can express
+/// that); everyone else uses [`stencil_lines_with`].
+///
+/// # Safety
+///
+/// `len` elements must be live behind `ptr`, and for the duration of the
+/// call nothing else may access the elements of the set's lines.
+// SAFETY: (bounds=set.span() <= len and block >= 1 are asserted before any
+// access, aliasing=the caller grants exclusive access to the set's lines;
+// stride >= norb is asserted so partner runs never overlap)
+pub unsafe fn stencil_lines_raw<R: Real>(
+    backend: Backend,
+    ptr: *mut Complex<R>,
+    len: usize,
+    set: &LineSet,
+    passes: &[StencilPass<R>; 3],
+) {
+    // AUDIT: waiver(entry guard before the raw-pointer sweep; a bad line set must fail loudly)
+    assert!(
+        set.block >= 1
+            && set.span() <= len
+            && (set.n_axis <= 1 || set.stride >= set.run)
+            && passes.iter().all(|p| p.start <= 1),
+        "invalid line set {set:?} over {len} elements"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if use_avx2::<R>(backend) {
+        // SAFETY: (cpu=avx2, bounds=R == f64 per use_avx2 so both pointer
+        // casts are identities; the checks above cover the kernel's
+        // contract) `use_avx2` verified CPU support.
+        unsafe {
+            avx2::stencil_lines(
+                ptr as *mut Complex<f64>,
+                set,
+                &*(passes as *const [StencilPass<R>; 3] as *const [StencilPass<f64>; 3]),
+            );
+        }
+        return;
+    }
+    let _ = backend;
+    // SAFETY: the checks above cover the portable body's contract.
+    unsafe { stencil_lines_portable(ptr, set, passes) };
+}
+
+/// [`stencil_lines_raw`] over a slice the caller owns outright.
+pub fn stencil_lines_with<R: Real>(
+    backend: Backend,
+    data: &mut [Complex<R>],
+    set: &LineSet,
+    passes: &[StencilPass<R>; 3],
+) {
+    // SAFETY: the exclusive borrow covers every element of every line.
+    unsafe { stencil_lines_raw(backend, data.as_mut_ptr(), data.len(), set, passes) };
 }
 
 // ---------------------------------------------------------------------------

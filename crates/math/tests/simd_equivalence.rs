@@ -14,8 +14,8 @@
 use dcmesh_math::gemm::{
     gemm_blocked, gemm_colmajor_with_backend, gemm_naive, gemm_with_backend, Matrix, Op,
 };
-use dcmesh_math::simd::{self, Backend};
-use dcmesh_math::C64;
+use dcmesh_math::simd::{self, Backend, LineSet, StencilPass};
+use dcmesh_math::{Complex, Real, C64};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -194,4 +194,209 @@ proptest! {
         let d_v = simd::dotc_with(Backend::Avx2, &x, &y_s);
         prop_assert!((d_s - d_v).abs() < tol(len), "len={len}: {d_s:?} vs {d_v:?}");
     }
+}
+
+/// The line kernel's reference: three separate sweeps over every line of
+/// `set`, pairs and lone points through the pointwise kernels.
+fn separate_sweeps<R: Real>(
+    backend: Backend,
+    data: &mut [Complex<R>],
+    set: &LineSet,
+    passes: &[StencilPass<R>; 3],
+) {
+    for pass in passes {
+        for line in 0..set.n_lines {
+            for nb in (0..set.run).step_by(set.block) {
+                let len = set.block.min(set.run - nb);
+                let at = |i: usize| set.first + line * set.line_step + i * set.stride + nb;
+                if pass.start == 1 {
+                    simd::scale_with(backend, &mut data[at(0)..at(0) + len], pass.lone);
+                }
+                let mut i = pass.start;
+                while i + 1 < set.n_axis {
+                    let (head, tail) = data.split_at_mut(at(i + 1));
+                    simd::pair_update_with(
+                        backend,
+                        &mut head[at(i)..at(i) + len],
+                        &mut tail[..len],
+                        pass.d,
+                        pass.o,
+                    );
+                    i += 2;
+                }
+                if i < set.n_axis {
+                    simd::scale_with(backend, &mut data[at(i)..at(i) + len], pass.lone);
+                }
+            }
+        }
+    }
+}
+
+fn stencil_case<R: Real>(rng: &mut StdRng, set: &LineSet, len: usize) {
+    let mut unit = |lo: f64| {
+        let z = C64::from_polar(rng.gen_range(lo..1.0), rng.gen_range(-3.0..3.0));
+        Complex::new(R::from_f64(z.re), R::from_f64(z.im))
+    };
+    let passes: [StencilPass<R>; 3] = [0, 1, 0].map(|start| StencilPass {
+        start,
+        d: unit(0.5),
+        o: unit(0.0),
+        lone: unit(0.999),
+    });
+    let data: Vec<Complex<R>> = (0..len).map(|_| unit(0.0)).collect();
+    for backend in [Backend::Scalar, Backend::Avx2] {
+        let mut fused = data.clone();
+        let mut want = data.clone();
+        simd::stencil_lines_with(backend, &mut fused, set, &passes);
+        separate_sweeps(backend, &mut want, set, &passes);
+        assert!(fused == want, "{backend:?} {set:?}");
+    }
+}
+
+/// `(T * T0^H, T + M * T0, row norms)` by the textbook triple loops.
+#[allow(clippy::type_complexity)]
+fn projector_reference(
+    t: &[C64],
+    norb: usize,
+    t0: &[C64],
+    nref: usize,
+    m: &[C64],
+) -> (Vec<C64>, Vec<C64>, Vec<f64>) {
+    let ngrid = t.len() / norb;
+    let mut overlap = vec![C64::zero(); norb * nref];
+    let mut updated = t.to_vec();
+    let mut norms = vec![0.0; norb];
+    for g in 0..ngrid {
+        for n in 0..norb {
+            for u in 0..nref {
+                overlap[u * norb + n] += t[g * norb + n] * t0[g * nref + u].conj();
+                updated[g * norb + n] += m[u * norb + n] * t0[g * nref + u];
+            }
+            norms[n] += updated[g * norb + n].norm_sqr();
+        }
+    }
+    (overlap, updated, norms)
+}
+
+/// Both projector kernels on both backends against [`projector_reference`].
+fn projector_case(rng: &mut StdRng, norb: usize, nref: usize, ngrid: usize) {
+    let t = random_vec(rng, norb * ngrid);
+    let t0 = random_vec(rng, nref * ngrid);
+    let m = random_vec(rng, norb * nref);
+    let (alpha, beta) = (C64::new(0.3, -0.9), C64::new(1.0, 0.25));
+    let c0 = random_vec(rng, norb * nref);
+    let (overlap, updated, norms) = projector_reference(&t, norb, &t0, nref, &m);
+    for backend in [Backend::Scalar, Backend::Avx2] {
+        let shape = format!("{backend:?} {norb}x{nref}x{ngrid}");
+        let mut c = c0.clone();
+        simd::proj_overlap_with(backend, alpha, &t, norb, &t0, nref, beta, &mut c);
+        for ((got, raw), old) in c.iter().zip(&overlap).zip(&c0) {
+            let want = alpha * *raw + beta * *old;
+            assert!((*got - want).abs() < tol(ngrid), "{shape} overlap");
+        }
+        // beta == 0 must not read the output.
+        let mut fresh = vec![C64::new(f64::NAN, f64::NAN); norb * nref];
+        simd::proj_overlap_with(backend, alpha, &t, norb, &t0, nref, C64::zero(), &mut fresh);
+        assert!(
+            fresh.iter().all(|z| z.re.is_finite() && z.im.is_finite()),
+            "{shape}"
+        );
+
+        let mut tt = t.clone();
+        let mut nrm = vec![f64::NAN; norb];
+        simd::proj_update_with(backend, &m, &t0, nref, &mut tt, norb, &mut nrm);
+        for (got, want) in tt.iter().zip(&updated) {
+            assert!((*got - *want).abs() < tol(nref), "{shape} update");
+        }
+        for (got, want) in nrm.iter().zip(&norms) {
+            assert!(
+                (got - want).abs() < tol(ngrid) * want.max(1.0),
+                "{shape} norms"
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn stencil_lines_equal_separate_sweeps_bitwise(
+        n_lines in 1usize..4,
+        n_axis in 1usize..9,
+        run in 1usize..20,
+        block in 1usize..24,
+        // 0: points adjacent (Z lines), 1: lines adjacent (X or Y lines).
+        layout in 0usize..2,
+        first in 0usize..5,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (line_step, stride) = if layout == 0 {
+            (n_axis * run + 3, run)
+        } else {
+            (run, n_lines * run + 2)
+        };
+        let set = LineSet { first, n_lines, line_step, n_axis, stride, run, block };
+        stencil_case::<f64>(&mut rng, &set, set.span() + 3);
+        stencil_case::<f32>(&mut rng, &set, set.span() + 3);
+    }
+
+    #[test]
+    fn projector_kernels_match_triple_loops_on_both_backends(
+        norb in 1usize..36,
+        nref in 1usize..12,
+        // Past 512 grid points the contraction spans several chunks.
+        ngrid in 1usize..1200,
+        seed in 0u64..1_000_000,
+    ) {
+        projector_case(&mut StdRng::seed_from_u64(seed), norb, nref, ngrid);
+    }
+}
+
+#[test]
+fn projector_kernels_on_even_chunks_of_wide_tiles() {
+    // The benchmark's shape (16 orbitals, whole 512-point chunks) and its
+    // neighbours: an even point count leaves the two-point body no lone
+    // last point, for the 8-orbital tile and the 4-orbital one.
+    let mut rng = StdRng::seed_from_u64(512);
+    for (norb, nref, ngrid) in [
+        (16, 8, 512),
+        (16, 8, 1024),
+        (8, 3, 2),
+        (12, 5, 514),
+        (33, 8, 600),
+    ] {
+        projector_case(&mut rng, norb, nref, ngrid);
+    }
+}
+
+#[test]
+fn projector_results_do_not_depend_on_who_ran_the_chunks() {
+    // The partial-sum order is a function of the shape: a dispatch spread
+    // over the pool and one forced onto this thread agree to the last bit.
+    let mut rng = StdRng::seed_from_u64(99);
+    let (norb, nref, ngrid) = (8, 5, 3000);
+    let t = random_vec(&mut rng, norb * ngrid);
+    let t0 = random_vec(&mut rng, nref * ngrid);
+    let m = random_vec(&mut rng, norb * nref);
+    let run = || {
+        let mut c = vec![C64::zero(); norb * nref];
+        let backend = simd::active_backend();
+        simd::proj_overlap_with(
+            backend,
+            C64::one(),
+            &t,
+            norb,
+            &t0,
+            nref,
+            C64::zero(),
+            &mut c,
+        );
+        let mut tt = t.clone();
+        let mut nrm = vec![0.0; norb];
+        simd::proj_update(&m, &t0, nref, &mut tt, norb, &mut nrm);
+        (c, tt, nrm)
+    };
+    assert!(run() == dcmesh_pool::run_inline(run));
 }

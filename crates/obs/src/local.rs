@@ -42,6 +42,13 @@ impl StepRecorder {
         Self::default()
     }
 
+    /// An empty recorder with room for `slices` slices.
+    pub fn with_capacity(slices: usize) -> Self {
+        Self {
+            slices: Vec::with_capacity(slices),
+        }
+    }
+
     /// Record a slice with explicit timing (modeled device phases).
     pub fn record(
         &mut self,

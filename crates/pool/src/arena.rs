@@ -131,7 +131,9 @@ pub fn with_scratch<T: Pod, const N: usize, R>(
     let mut arena = ARENAS
         .with(|stack| stack.borrow_mut().pop())
         .unwrap_or_else(RawArena::new);
-    arena.ensure(total_elems * size);
+    // At least one byte: an all-empty request on a fresh arena must still
+    // build its (empty) slices from a non-null, aligned pointer.
+    arena.ensure((total_elems * size).max(1));
     let mut slices: [&mut [T]; N] = std::array::from_fn(|_| &mut [][..]); // AUDIT: waiver(full-range slice of an empty array literal)
     let mut offset = 0usize; // in elements
     for (slot, &len) in slices.iter_mut().zip(lens.iter()) {
@@ -166,6 +168,19 @@ mod tests {
             assert!(a.iter().all(|&x| x == 1.0));
             assert!(b.iter().all(|&x| x == 2.0));
         });
+    }
+
+    #[test]
+    fn empty_requests_on_a_fresh_thread_get_empty_slices() {
+        // A thread of its own: its arena stack has never been used.
+        std::thread::spawn(|| {
+            with_scratch::<f64, 2, ()>([0, 0], |[a, b]| {
+                assert!(a.is_empty() && b.is_empty());
+                assert_eq!(a.as_ptr() as usize % ALIGN, 0);
+            });
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

@@ -47,6 +47,10 @@
 //! [`Lane`] is the second half of the story: a persistent FIFO executor
 //! thread used by `dcmesh-device` to give `LaunchPolicy::Async` (`nowait`)
 //! launches a real deferred body per stream, settled at `synchronize`.
+//! A task enqueued by a thread that may only dispatch serially — a worker,
+//! a thread inside `dispatch`, an inline scope — runs under [`run_inline`]
+//! itself: its launcher holds the dispatch lock while it settles the lane,
+//! so a body that waited for that lock would never finish.
 //!
 //! # Checked concurrency
 //!
@@ -54,9 +58,10 @@
 //!
 //! * Every mutex, condvar, protocol atomic, and thread in this crate comes
 //!   from [`dcmesh_analyze::sync`], so the launch/steal/park, lane
-//!   enqueue/settle, and panic re-raise state machines run under the
-//!   schedule explorer in `tests/modelcheck.rs` — every interleaving
-//!   within a preemption bound, on the real code. When no explorer is
+//!   enqueue/settle, and panic re-raise state machines — and their
+//!   composition, a lane body launched inside a dispatch that dispatches
+//!   in turn — run under the schedule explorer in `tests/modelcheck.rs`:
+//!   every interleaving within a preemption bound, on the real code. When no explorer is
 //!   active the wrappers cost one relaxed atomic load per operation.
 //! * Dispatches and lanes carry [`dcmesh_analyze::race`] vector-clock
 //!   edges (launch fork → participant join; participant completion fork →
@@ -250,6 +255,36 @@ impl<T> SlicePtr<T> {
         // SAFETY: bounds were just checked; caller upholds liveness and
         // non-overlap of concurrent ranges (see above).
         unsafe { std::slice::from_raw_parts_mut(self.ptr.add(lo), hi - lo) }
+    }
+
+    /// Base pointer of the captured slice, for an access pattern no
+    /// contiguous sub-slice can express: `rows` runs of `row_len` elements
+    /// starting at `first` and `stride` apart (one team's rows of a strided
+    /// sweep). The rows are bounds-checked and shadow-logged like
+    /// [`Self::subslice_mut`] ranges.
+    ///
+    /// # Safety
+    ///
+    /// Same liveness requirement as [`Self::as_mut_slice`]; the caller may
+    /// dereference the pointer inside the claimed rows only, and accesses
+    /// to overlapping rows must not be concurrent.
+    // SAFETY: (bounds=the last row's end <= len is asserted on entry,
+    // aliasing=caller promises concurrent accesses never overlap its rows)
+    pub unsafe fn rows_mut(
+        self,
+        first: usize,
+        row_len: usize,
+        stride: usize,
+        rows: usize,
+    ) -> *mut T {
+        assert!(rows == 0 || first + (rows - 1) * stride + row_len <= self.len);
+        if race::enabled() {
+            for r in 0..rows {
+                let lo = first + r * stride;
+                self.shadow_write(lo, lo + row_len, "sliceptr.rows_mut");
+            }
+        }
+        self.ptr
     }
 }
 
@@ -847,6 +882,15 @@ impl Lane {
 
     /// Append a task to the lane's FIFO queue and return immediately.
     pub fn enqueue(&self, task: LaneTask) {
+        // A launcher that may only dispatch serially (it is a pool worker,
+        // holds the dispatch lock, or runs in an inline scope) hands that
+        // rule to its deferred body: the body would otherwise block on the
+        // dispatch lock while its launcher blocks in `wait_idle`.
+        let task: LaneTask = if IN_POOL_WORKER.get() || IN_DISPATCH.get() || INLINE_SCOPE.get() {
+            Box::new(move || run_inline(task))
+        } else {
+            task
+        };
         let task = if race::enabled() {
             // Launch edge: the enqueuer's history happens-before the body.
             let pkt = race::fork();
@@ -1028,6 +1072,40 @@ mod tests {
         // The lane survives a panicking task.
         lane.enqueue(Box::new(|| {}));
         assert!(lane.wait_idle().is_none());
+    }
+
+    #[test]
+    fn lane_body_inherits_its_launchers_serial_dispatch_rule() {
+        // A deferred body that dispatches on the pool its launcher is
+        // already dispatching on (or is shut out of by `run_inline`) must
+        // run that dispatch inline: the launcher holds the dispatch lock
+        // while it waits for the lane. The scenario runs on a thread of
+        // its own so that a deadlock fails the test instead of hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let pool = Arc::new(ThreadPool::new(2));
+            let lane = Mutex::new(Lane::new("test-lane-inherit"));
+            let hits = Arc::new(AtomicUsize::new(0));
+            let launch_and_settle = || {
+                let (pool, hits) = (Arc::clone(&pool), Arc::clone(&hits));
+                let lane = lane.lock();
+                lane.enqueue(Box::new(move || {
+                    assert!(in_inline_scope(), "rule not inherited");
+                    pool.for_each_index_coarse(0..8, |_| {
+                        hits.fetch_add(1, Ordering::Relaxed);
+                    });
+                }));
+                assert!(lane.wait_idle().is_none(), "lane body panicked");
+            };
+            let mut items = [0u32; 4];
+            pool.map_mut(&mut items, |_, _| launch_and_settle());
+            run_inline(launch_and_settle);
+            tx.send(hits.load(Ordering::Relaxed)).unwrap();
+        });
+        let hits = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("a lane body deadlocked against its launcher's dispatch");
+        assert_eq!(hits, (4 + 1) * 8);
     }
 
     #[test]

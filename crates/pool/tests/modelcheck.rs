@@ -167,3 +167,38 @@ fn lane_panic_surfaces_at_wait_idle_and_lane_survives() {
     assert!(stats.complete, "schedule space truncated: {stats:?}");
     assert!(stats.schedules > 1, "scenario never branched: {stats:?}");
 }
+
+/// Protocol 4 — dispatch x lane x nested dispatch (what `md_step` composes:
+/// engines stepped by a pool dispatch, each deferring `nowait` kernels onto
+/// a lane, each kernel dispatching its teams on the same pool). The item
+/// that launches holds the dispatch (as the dispatcher, under the dispatch
+/// lock, or as the worker inside it) while it settles the lane, so on every
+/// schedule the lane body must inherit the inline rule and run its own
+/// dispatch serially; if it reached for the dispatch lock instead, the
+/// explorer would report the deadlock with its decision trace.
+#[test]
+fn lane_body_launched_inside_a_dispatch_dispatches_inline() {
+    let stats = sched::explore(opts(), || {
+        let pool = Arc::new(ThreadPool::new(2));
+        let lane = Arc::new(Lane::new("mc-nested"));
+        let hits = Arc::new(AtomicUsize::new(0));
+        {
+            let (pool_in, lane, hits) = (Arc::clone(&pool), Arc::clone(&lane), Arc::clone(&hits));
+            pool.for_each_index_coarse(0..2, move |i| {
+                if i != 0 {
+                    return;
+                }
+                let (pool_in, hits) = (Arc::clone(&pool_in), Arc::clone(&hits));
+                lane.enqueue(Box::new(move || {
+                    pool_in.for_each_index_coarse(0..2, |_| {
+                        hits.fetch_add(1, Ordering::Relaxed);
+                    });
+                }));
+                assert!(lane.wait_idle().is_none());
+            });
+        }
+        assert_eq!(hits.load(Ordering::Relaxed), 2, "nested dispatch lost work");
+    });
+    assert!(stats.complete, "schedule space truncated: {stats:?}");
+    assert!(stats.schedules > 1, "scenario never branched: {stats:?}");
+}

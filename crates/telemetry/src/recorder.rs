@@ -194,6 +194,8 @@ mod tests {
 
     #[test]
     fn records_samples_and_summary() {
+        // Steps engines: must not steal a fault plan a sibling test installed.
+        let _guard = dcmesh_ckpt::fault::test_lock();
         let mut sim = DcMeshSim::new(quick_cfg());
         let mut rec = FlightRecorder::new(RecorderConfig {
             capacity: 8,
@@ -216,6 +218,8 @@ mod tests {
 
     #[test]
     fn ring_buffer_evicts_oldest() {
+        // Steps engines: must not steal a fault plan a sibling test installed.
+        let _guard = dcmesh_ckpt::fault::test_lock();
         let mut sim = DcMeshSim::new(quick_cfg());
         let mut rec = FlightRecorder::new(RecorderConfig {
             capacity: 3,
@@ -234,6 +238,8 @@ mod tests {
 
     #[test]
     fn jsonl_lines_parse_back() {
+        // Steps engines: must not steal a fault plan a sibling test installed.
+        let _guard = dcmesh_ckpt::fault::test_lock();
         let mut sim = DcMeshSim::new(quick_cfg());
         let mut rec = FlightRecorder::new(RecorderConfig::default());
         for _ in 0..2 {

@@ -2,7 +2,8 @@
 # Tiered repo-wide hygiene gate. Run from anywhere; operates on the
 # workspace root. Shared by local runs and CI (.github/workflows/ci.yml):
 #
-#   check.sh quick   fast lane — fmt, clippy -D warnings, workspace tests
+#   check.sh quick   fast lane — fmt, clippy -D warnings, workspace tests,
+#                    root integration tests at 1, 2 and 4 pool threads
 #   check.sh gates   heavy gates — audit, racecheck, fault matrix, model
 #                    check, overlap ablation, serve p95 latency gate, ...
 #   check.sh all     quick + gates (default)
@@ -19,6 +20,13 @@ cleanup() {
 }
 trap cleanup EXIT
 
+# Wall-clock cap on every test run: a hang is a failure in minutes, not a
+# silent CI timeout. Test binaries are built beforehand (uncapped), so the
+# cap times runs, not compiles.
+capped() {
+  timeout 300 "$@"
+}
+
 tier_quick() {
   echo "== cargo fmt --check =="
   cargo fmt --all -- --check
@@ -27,15 +35,43 @@ tier_quick() {
   cargo clippy --workspace --all-targets -- -D warnings
 
   echo "== cargo test --workspace -q =="
-  cargo test --workspace -q
+  cargo test --workspace --no-run -q
+  capped cargo test --workspace -q
+
+  echo "== root integration tests at DCMESH_THREADS=1,2,4: one physics digest =="
+  # The pool's size is fixed per process, so each thread count is a run of
+  # its own; tests/dcmesh_pipeline.rs prints the digest they must share.
+  local want="" threads log digest
+  for threads in 1 2 4; do
+    log=$(mktemp /tmp/dcmesh_threads_XXXXXX.log)
+    SCRATCH+=("$log")
+    DCMESH_THREADS=$threads capped cargo test -q --tests -- --nocapture > "$log" 2>&1 || {
+      cat "$log" >&2
+      echo "root integration tests failed (or hung) at DCMESH_THREADS=$threads" >&2
+      exit 1
+    }
+    # -o: under -q the line shares its row with the progress dots.
+    digest=$(grep -m1 -o 'physics-digest [0-9a-f]*' "$log") || {
+      echo "no physics-digest line at DCMESH_THREADS=$threads" >&2
+      exit 1
+    }
+    echo "DCMESH_THREADS=$threads: $digest"
+    if [ -z "$want" ]; then
+      want=$digest
+    elif [ "$digest" != "$want" ]; then
+      echo "physics digest depends on the thread count: '$want' at 1, '$digest' at $threads" >&2
+      exit 1
+    fi
+  done
 }
 
 tier_gates() {
   echo "== cargo bench --workspace --no-run =="
   cargo bench --workspace --no-run
+  cargo test --workspace --no-run -q
 
   echo "== pool tests at DCMESH_THREADS=2 =="
-  DCMESH_THREADS=2 cargo test -q -p dcmesh-pool -p dcmesh-device -p dcmesh-lfd
+  DCMESH_THREADS=2 capped cargo test -q -p dcmesh-pool -p dcmesh-device -p dcmesh-lfd
 
   echo "== static-analysis audit gate (lint + panic-freedom + SAFETY contracts) =="
   # `lint` is kept as an alias of `audit` for older scripts/muscle memory.
@@ -44,7 +80,7 @@ tier_gates() {
   echo "== SIMD forced-scalar equivalence (math + lfd suites) =="
   # The scalar backend must reproduce today's results bit-compatibly; the
   # bitwise-equality tests in these crates enforce it under the override.
-  DCMESH_SIMD=scalar cargo test -q -p dcmesh-math -p dcmesh-lfd -p dcmesh-tune
+  DCMESH_SIMD=scalar capped cargo test -q -p dcmesh-math -p dcmesh-lfd -p dcmesh-tune
 
   echo "== tuning-cache smoke (cold search, warm load, identical tiles) =="
   TUNE_DIR=$(mktemp -d /tmp/dcmesh_tune_XXXXXX)
@@ -63,18 +99,18 @@ tier_gates() {
   echo "== concurrency suites under the shadow-access race detector =="
   # --test-threads=1: shadow intervals are raw addresses, so unrelated
   # tests must not interleave reallocations (see crates/analyze/src/race.rs).
-  DCMESH_RACECHECK=1 cargo test -q -p dcmesh-pool -p dcmesh-device -p dcmesh-lfd -- --test-threads=1
+  DCMESH_RACECHECK=1 capped cargo test -q -p dcmesh-pool -p dcmesh-device -p dcmesh-lfd -- --test-threads=1
 
   echo "== fault-injection matrix (comm failures, NaN recovery, restart equivalence) =="
   # Fault plans and the metrics registry are process-global, so these
   # suites serialize injection internally (fault::test_lock).
-  cargo test -q -p dcmesh-comm --test faults
-  cargo test -q -p dcmesh-ckpt
-  cargo test -q -p dcmesh-core resilience
-  cargo test -q --test restart_equivalence
+  capped cargo test -q -p dcmesh-comm --test faults
+  capped cargo test -q -p dcmesh-ckpt
+  capped cargo test -q -p dcmesh-core resilience
+  capped cargo test -q --test restart_equivalence
 
   echo "== serve edge cases (cancellation, backpressure, eviction, replay) =="
-  cargo test -q -p dcmesh-serve
+  capped cargo test -q -p dcmesh-serve
 
   echo "== checkpoint/restore smoke (fig7 driver round-trip) =="
   CKPT_SMOKE=$(mktemp -u /tmp/dcmesh_smoke_XXXXXX.ckpt)
@@ -90,7 +126,7 @@ tier_gates() {
   grep -q "restored checkpoint" "$SMOKE_OUT"
 
   echo "== comm request-lifecycle model check (sched explorer) =="
-  cargo test -q --test comm_request_modelcheck
+  capped cargo test -q --test comm_request_modelcheck
 
   echo "== overlap-ablation gate (weak scaling with vs without --no-overlap) =="
   # The scaling clocks are fully modeled (deterministic), so the gate runs

@@ -116,3 +116,76 @@ fn field_free_and_lit_runs_diverge() {
     }
     assert!(diverged, "laser had no effect on the coupled pipeline");
 }
+
+/// FNV-1a over a stream of 64-bit words.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    words
+        .into_iter()
+        .flat_map(u64::to_le_bytes)
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// Bits of everything a fixed 3-step run reports, for the host-resident
+/// and the device-resident build, plus the full wavefunction state of a
+/// stand-alone engine of each.
+fn physics_digest() -> u64 {
+    use dcmesh::lfd::{BuildKind, LfdConfig, LfdEngine};
+    let mut words = Vec::new();
+    for build in [BuildKind::CpuBlas, BuildKind::GpuCublas] {
+        let mut cfg = base_cfg();
+        cfg.build = build;
+        cfg.laser = Some(LaserPulse {
+            e0: 0.3,
+            omega: 0.8,
+            duration: 400.0,
+        });
+        let mut sim = DcMeshSim::new(cfg);
+        for _ in 0..3 {
+            let r = sim.md_step();
+            words.extend([
+                r.excited_population.to_bits(),
+                r.mean_polarization[0].to_bits(),
+                r.mean_polarization[1].to_bits(),
+                r.hops as u64,
+            ]);
+        }
+        // 24^3 x 8: 27 chunks of the projector's grid contraction, more
+        // than any pool here has threads.
+        let mesh = dcmesh::grid::Mesh3::cubic(24, 0.4);
+        let v_loc = vec![0.0; mesh.len()];
+        let mut engine = LfdEngine::<f64>::new(
+            LfdConfig {
+                mesh,
+                norb: 8,
+                lumo: 4,
+                dt: 0.02,
+                n_qd: 2,
+                block_size: 4,
+                build,
+                delta_sci: 0.05,
+                laser: None,
+                seed: 11,
+            },
+            v_loc,
+        );
+        engine.run_md_step();
+        words.extend(
+            engine
+                .state_data()
+                .iter()
+                .flat_map(|z| [z.re.to_bits(), z.im.to_bits()]),
+        );
+        words.extend(engine.occupations.iter().map(|f| f.to_bits()));
+    }
+    fnv1a(words)
+}
+
+/// Prints the digest `scripts/check.sh quick` compares across
+/// `DCMESH_THREADS=1,2,4` (the pool's size is fixed per process, so each
+/// thread count is a run of its own).
+#[test]
+fn prints_physics_digest() {
+    println!("physics-digest {:016x}", physics_digest());
+}
