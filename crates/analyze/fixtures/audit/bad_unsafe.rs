@@ -1,6 +1,6 @@
-// Deliberately unhygienic source used by the lint negative-path test.
-// This file lives under `fixtures/` so the workspace scan skips it; the
-// test feeds it to the scanner directly and asserts every rule fires.
+// Deliberately unhygienic source used by the hygiene negative-path test.
+// This file lives under `fixtures/` so the workspace audit skips it; the
+// test feeds it to the audit directly and asserts every rule fires.
 
 static mut HITS: u64 = 0;
 

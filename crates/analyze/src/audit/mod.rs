@@ -4,8 +4,7 @@
 //! file lexed exactly once ([`crate::lex`]), with the token stream
 //! shared by every rule:
 //!
-//! 1. the legacy hygiene lints ([`crate::lint`], ported onto the lexed
-//!    front end),
+//! 1. the hygiene lints ([`crate::lint`], on the lexed front end),
 //! 2. the panic-freedom call-graph pass ([`callgraph`]): fns marked
 //!    `// AUDIT: no_panic` must not reach `panic!`/`unwrap`/`expect`/
 //!    `assert!`/slice indexing without an `// AUDIT: waiver(reason)`,
@@ -215,7 +214,7 @@ pub fn run(corpus: &Corpus) -> AuditReport {
     for (fi, file) in corpus.files.iter().enumerate() {
         items.extend(items::extract_file(fi, &file.lx));
         anns.push(items::annotations(&file.lx));
-        // Pass 1: the legacy hygiene lints on the shared lex.
+        // Pass 1: the hygiene lints on the shared lex.
         findings.extend(
             lint::scan_lexed(&file.rel, &file.lx)
                 .into_iter()
@@ -251,7 +250,7 @@ pub fn run(corpus: &Corpus) -> AuditReport {
     AuditReport { findings, stats }
 }
 
-/// Shared entry point for the `audit` binary and its `lint` alias.
+/// Entry point of the `audit` binary.
 ///
 /// Usage: `audit [--format=json|text] [--report] [ROOT]`. Exit code is
 /// failure iff any finding is reported.

@@ -22,8 +22,8 @@
 //!    `wait_idle`, `nowait_scope` exit) overlapping writes without a
 //!    happens-before edge are reported through `dcmesh-obs` and panic
 //!    the offending test.
-//! 3. [`lint`] — a source-level hygiene gate (`--bin lint`): walks the
-//!    workspace and fails on undocumented `unsafe`, stray
+//! 3. [`lint`] — the source-level hygiene rules, run as the first pass of
+//!    [`audit`] (`--bin audit`): undocumented `unsafe`, stray
 //!    `thread::spawn`, wall-clock reads in kernel crates, and
 //!    `static mut`.
 //!

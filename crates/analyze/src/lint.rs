@@ -64,7 +64,7 @@ const KERNEL_CRATES: [&str; 6] = [
 ];
 
 /// Directories scanned relative to the workspace root.
-pub(crate) const SCAN_ROOTS: [&str; 5] = ["crates", "vendor/rayon", "src", "tests", "examples"];
+pub(crate) const SCAN_ROOTS: [&str; 4] = ["crates", "src", "tests", "examples"];
 
 /// Which invariant a finding violates.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -396,29 +396,6 @@ pub(crate) fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
             out.push(path);
         }
     }
-}
-
-/// Scan the workspace rooted at `root`; returns every lint finding.
-///
-/// This is the legacy entry point (the `lint` binary). The `audit`
-/// binary runs the same rules *plus* the call-graph and contract passes
-/// over a shared one-lex-per-file corpus — see [`crate::audit`].
-pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
-    let mut files = Vec::new();
-    for sub in SCAN_ROOTS {
-        collect_rs(&root.join(sub), &mut files);
-    }
-    let mut findings = Vec::new();
-    for file in files {
-        let contents = std::fs::read_to_string(&file)?;
-        let rel = file
-            .strip_prefix(root)
-            .unwrap_or(&file)
-            .to_string_lossy()
-            .replace('\\', "/");
-        findings.extend(scan_source(&rel, &contents));
-    }
-    Ok(findings)
 }
 
 /// Locate the workspace root: walk up from `start` to the first

@@ -6,15 +6,52 @@ use dcmesh_analyze::audit::{self, AuditReport, Corpus};
 use dcmesh_analyze::lint;
 use std::path::PathBuf;
 
-/// Load one fixture and audit it under a synthetic workspace path.
-fn audit_fixture(stem: &str) -> (String, AuditReport) {
+/// Load one fixture and audit it as if it lived at `rel`.
+fn audit_fixture_at(stem: &str, rel: &str) -> AuditReport {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("fixtures/audit")
         .join(format!("{stem}.rs"));
     let src = std::fs::read_to_string(&path).expect("fixture readable");
+    audit::run(&Corpus::from_sources(vec![(rel.to_string(), src)]))
+}
+
+/// Load one fixture and audit it under a synthetic workspace path.
+fn audit_fixture(stem: &str) -> (String, AuditReport) {
     let rel = format!("crates/fixt/src/{stem}.rs");
-    let corpus = Corpus::from_sources(vec![(rel.clone(), src)]);
-    (rel, audit::run(&corpus))
+    let report = audit_fixture_at(stem, &rel);
+    (rel, report)
+}
+
+#[test]
+fn hygiene_fixture_trips_every_rule_with_a_location() {
+    // Audited as if it lived in a kernel crate, the fixture must trip
+    // all seven hygiene rules. (The undocumented `#[target_feature]
+    // unsafe fn` deliberately counts under undocumented-unsafe too.)
+    let report = audit_fixture_at("bad_unsafe", "crates/math/src/bad.rs");
+    for (rule, hits) in [
+        ("static-mut", 1),
+        ("undocumented-unsafe", 2),
+        ("thread-spawn", 1),
+        ("wall-clock", 1),
+        ("println-metrics", 1),
+        ("raw-arch", 1),
+        ("target-feature", 1),
+    ] {
+        assert_eq!(
+            report.by_rule(rule).len(),
+            hits,
+            "{rule}: {:?}",
+            report.findings
+        );
+    }
+    let sm = report.by_rule("static-mut")[0];
+    assert_eq!((sm.path.as_str(), sm.line), ("crates/math/src/bad.rs", 5));
+    // Display form is what the CI log shows; keep it grep-able.
+    let shown = format!("{sm}");
+    assert!(
+        shown.starts_with("crates/math/src/bad.rs:5: [static-mut]"),
+        "{shown}"
+    );
 }
 
 #[test]

@@ -42,44 +42,7 @@ fn bench_simd_gemm(c: &mut Criterion) {
         let mut cm = Matrix::zeros(M, N);
         bch.iter(|| gemm_blocked(alpha, &a, Op::None, &b, Op::None, C64::zero(), &mut cm));
     });
-    group.bench_function("scalar_panels_m64_n16_k35280", |bch| {
-        let mut cm = Matrix::zeros(M, N);
-        bch.iter(|| {
-            gemm_with_backend(
-                Backend::Scalar,
-                alpha,
-                &a,
-                Op::None,
-                &b,
-                Op::None,
-                C64::zero(),
-                &mut cm,
-            );
-        });
-    });
-    group.bench_function("avx2_packed_default_tiles", |bch| {
-        let mut cm = Matrix::zeros(M, N);
-        bch.iter(|| {
-            gemm_with_backend(
-                Backend::Avx2,
-                alpha,
-                &a,
-                Op::None,
-                &b,
-                Op::None,
-                C64::zero(),
-                &mut cm,
-            );
-        });
-    });
-    // Autotuned: search (or warm-load) tiles for this shape class, install
-    // them into the registry, and run the same packed kernel.
-    let tiles = dcmesh_tune::gemm_tiles(M, N, K);
-    let tuned_id = format!(
-        "avx2_packed_tuned_mc{}_kc{}_nc{}",
-        tiles.mc, tiles.kc, tiles.nc
-    );
-    group.bench_function(tuned_id.as_str(), |bch| {
+    group.bench_function("avx2_packed_m64_n16_k35280", |bch| {
         let mut cm = Matrix::zeros(M, N);
         bch.iter(|| {
             gemm_with_backend(

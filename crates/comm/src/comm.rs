@@ -451,9 +451,8 @@ enum RecvState {
     Done(Message),
 }
 
-/// Handle for a posted receive. Created by [`Rank::irecv`] /
-/// [`Rank::irecv_modeled`]; consumed by [`Rank::wait`] and friends, which
-/// perform the modeled-clock settlement. The post captures the rank's
+/// Handle for a posted receive. Created by [`Rank::irecv`]; consumed by
+/// [`Rank::wait`] and friends, which perform the modeled-clock settlement. The post captures the rank's
 /// clock, so the settlement can split the transfer into hidden and
 /// stalled time (see [`OverlapStats`]).
 #[derive(Debug)]
@@ -462,7 +461,6 @@ pub struct RecvRequest {
     from: usize,
     tag: u64,
     posted_clock: f64,
-    modeled: bool,
     state: RecvState,
 }
 
@@ -829,7 +827,9 @@ impl Rank {
 
     /// Post a selective receive and return its request handle. The rank's
     /// current clock is captured as the post time; compute advanced before
-    /// the matching [`Rank::wait`] overlaps the modeled transfer.
+    /// the matching [`Rank::wait`] overlaps the modeled transfer. A message
+    /// sent by [`Rank::send_modeled`] is received like any other: its
+    /// payload is empty and its logical size is what the clock is charged.
     pub fn irecv(&mut self, from: usize, tag: u64) -> RecvRequest {
         assert!(tag < COLLECTIVE_TAG_BASE, "user tags must be < 2^60");
         self.fault_op();
@@ -838,21 +838,6 @@ impl Rank {
             from,
             tag,
             posted_clock: self.clock,
-            modeled: false,
-            state: RecvState::Pending,
-        }
-    }
-
-    /// [`Rank::irecv`] for modeled messages (see [`Rank::send_modeled`]).
-    pub fn irecv_modeled(&mut self, from: usize, tag: u64) -> RecvRequest {
-        assert!(tag < COLLECTIVE_TAG_BASE, "user tags must be < 2^60");
-        self.fault_op();
-        dcmesh_obs::metrics::counter_add("comm.recv_posted", 1);
-        RecvRequest {
-            from,
-            tag,
-            posted_clock: self.clock,
-            modeled: true,
             state: RecvState::Pending,
         }
     }
@@ -892,31 +877,6 @@ impl Rank {
         }
     }
 
-    /// Fallible form of [`Rank::wait`]. A peer that died after the post
-    /// surfaces here as [`CommError::RankFailed`]; a message the fault
-    /// plan dropped surfaces as [`CommError::Timeout`] — faults resolve at
-    /// the wait.
-    pub fn try_wait(&mut self, req: RecvRequest) -> Result<Vec<f64>, CommError> {
-        debug_assert!(!req.modeled, "modeled request waited as a payload receive");
-        self.settle(req).map(|(_bytes, payload)| payload)
-    }
-
-    /// Complete a posted modeled receive, returning the logical byte
-    /// count. Panics (structured) on failure; see
-    /// [`Rank::try_wait_modeled`].
-    pub fn wait_modeled(&mut self, req: RecvRequest) -> u64 {
-        match self.try_wait_modeled(req) {
-            Ok(bytes) => bytes,
-            Err(e) => self.escalate(e),
-        }
-    }
-
-    /// Fallible form of [`Rank::wait_modeled`].
-    pub fn try_wait_modeled(&mut self, req: RecvRequest) -> Result<u64, CommError> {
-        debug_assert!(req.modeled, "payload request waited as a modeled receive");
-        self.settle(req).map(|(bytes, _payload)| bytes)
-    }
-
     /// Complete a batch of posted receives in order, returning their
     /// payloads. Panics (structured) on the first failure; see
     /// [`Rank::try_wait_all`].
@@ -935,32 +895,18 @@ impl Rank {
         reqs.into_iter().map(|r| self.try_wait(r)).collect()
     }
 
-    /// Batch form of [`Rank::wait_modeled`].
-    pub fn wait_all_modeled(&mut self, reqs: Vec<RecvRequest>) -> Vec<u64> {
-        match self.try_wait_all_modeled(reqs) {
-            Ok(bytes) => bytes,
-            Err(e) => self.escalate(e),
-        }
-    }
-
-    /// Fallible batch form of [`Rank::wait_modeled`].
-    pub fn try_wait_all_modeled(&mut self, reqs: Vec<RecvRequest>) -> Result<Vec<u64>, CommError> {
-        reqs.into_iter().map(|r| self.try_wait_modeled(r)).collect()
-    }
-
-    /// Settle one posted receive: obtain the matching message (claimed by
-    /// an earlier [`Rank::test`] or received now), charge the modeled
-    /// transfer to the clock, and split it into hidden vs stalled time.
-    fn settle(&mut self, req: RecvRequest) -> Result<(u64, Vec<f64>), CommError> {
+    /// Fallible form of [`Rank::wait`]. A peer that died after the post
+    /// surfaces here as [`CommError::RankFailed`]; a message the fault
+    /// plan dropped surfaces as [`CommError::Timeout`] — faults resolve at
+    /// the wait. Settles the receive: obtains the matching message (claimed
+    /// by an earlier [`Rank::test`] or received now), charges the modeled
+    /// transfer to the clock, and splits it into hidden vs stalled time.
+    pub fn try_wait(&mut self, req: RecvRequest) -> Result<Vec<f64>, CommError> {
         let msg = match req.state {
             RecvState::Done(msg) => msg,
             RecvState::Pending => self.recv_raw(req.from, req.tag)?,
         };
-        let bytes = if req.modeled {
-            msg.logical_bytes.unwrap_or((msg.payload.len() * 8) as u64)
-        } else {
-            (msg.payload.len() * 8) as u64
-        };
+        let bytes = msg.logical_bytes.unwrap_or((msg.payload.len() * 8) as u64);
         let latency = self.net.p2p_time(bytes as usize, req.from, self.id);
         let arrival = msg.clock + latency;
         let wait_clock = self.clock;
@@ -972,7 +918,7 @@ impl Rank {
         self.clock = wait_clock.max(arrival);
         dcmesh_obs::metrics::counter_add("comm.wait_ns", (stall * 1e9) as u64);
         self.record_p2p(req.from, bytes, latency);
-        Ok((bytes, msg.payload))
+        Ok(msg.payload)
     }
 
     /// Feed modeled p2p traffic into the metrics registry: total exchanged
@@ -1011,21 +957,6 @@ impl Rank {
         dcmesh_obs::metrics::counter_add("comm.send_bytes", logical_bytes);
         let msg = self.make_msg(tag, Vec::new(), self.clock, Some(logical_bytes));
         self.post(to, msg)
-    }
-
-    /// Blocking receive of a modeled message; advances the clock by the
-    /// modeled transfer time of its logical size.
-    pub fn recv_modeled(&mut self, from: usize, tag: u64) -> u64 {
-        match self.try_recv_modeled(from, tag) {
-            Ok(bytes) => bytes,
-            Err(e) => self.escalate(e),
-        }
-    }
-
-    /// Fallible form of [`Rank::recv_modeled`].
-    pub fn try_recv_modeled(&mut self, from: usize, tag: u64) -> Result<u64, CommError> {
-        let req = self.irecv_modeled(from, tag);
-        self.try_wait_modeled(req)
     }
 
     /// Admit a message off the wire, dropping duplicates by the per-sender
@@ -1393,8 +1324,7 @@ mod tests {
                 r.send_modeled(1, 9, 1 << 30); // "1 GiB" halo
                 0.0
             } else {
-                let bytes = r.recv_modeled(0, 9);
-                assert_eq!(bytes, 1 << 30);
+                assert!(r.recv(0, 9).is_empty(), "a modeled message has no payload");
                 r.time()
             }
         });
@@ -1445,13 +1375,13 @@ mod tests {
                 let peer = 1 - r.id();
                 if overlap {
                     r.send_modeled(peer, 9, 1 << 28);
-                    let req = r.irecv_modeled(peer, 9);
+                    let req = r.irecv(peer, 9);
                     r.advance(1.0);
-                    r.wait_modeled(req);
+                    r.wait(req);
                 } else {
                     r.advance(1.0);
                     r.send_modeled(peer, 9, 1 << 28);
-                    r.recv_modeled(peer, 9);
+                    r.recv(peer, 9);
                 }
                 (r.time(), r.overlap())
             });
@@ -1474,9 +1404,9 @@ mod tests {
                 r.send_modeled(1, 9, 1 << 30);
                 OverlapStats::default()
             } else {
-                let req = r.irecv_modeled(0, 9);
+                let req = r.irecv(0, 9);
                 r.advance(1e-6); // far less than the ~21 ms transfer
-                r.wait_modeled(req);
+                r.wait(req);
                 r.overlap()
             }
         });

@@ -222,10 +222,10 @@ fn simulate_md_step(cfg: &ScalingConfig, p: usize, scale: f64) -> (f64, OverlapS
                 // new iterate needs it — the transfer rides under compute.
                 rank.send_modeled(next, tag, 3 * halo);
                 rank.send_modeled(prev, tag + 50, 3 * halo);
-                let from_prev = rank.irecv_modeled(prev, tag);
-                let from_next = rank.irecv_modeled(next, tag + 50);
+                let from_prev = rank.irecv(prev, tag);
+                let from_next = rank.irecv(next, tag + 50);
                 rank.advance(slice);
-                rank.wait_all_modeled(vec![from_prev, from_next]);
+                rank.wait_all(vec![from_prev, from_next]);
             } else {
                 // Ablation: blocking order. The sends are stamped after
                 // the slice, so every receive exposes the full transfer.
@@ -233,8 +233,8 @@ fn simulate_md_step(cfg: &ScalingConfig, p: usize, scale: f64) -> (f64, OverlapS
                 if n > 1 {
                     rank.send_modeled(next, tag, 3 * halo);
                     rank.send_modeled(prev, tag + 50, 3 * halo);
-                    rank.recv_modeled(prev, tag);
-                    rank.recv_modeled(next, tag + 50);
+                    rank.recv(prev, tag);
+                    rank.recv(next, tag + 50);
                 }
             }
             // Global potential: coarse-grid tree reduction + broadcast,

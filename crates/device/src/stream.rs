@@ -17,7 +17,7 @@
 //! guarantee `std::thread::scope` gives.
 
 use crate::perf::{HardwareSpec, KernelWork, TransferKind};
-use parking_lot::Mutex;
+use dcmesh_analyze::sync::Mutex;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;

@@ -20,7 +20,7 @@ use dcmesh_device::{Device, LaunchPolicy, TransferKind};
 use dcmesh_grid::{Mesh3, WfAos, WfSoa};
 use dcmesh_math::Real;
 
-use crate::kinetic::{Axis, KineticPropagator, StepFraction};
+use crate::kinetic::KineticPropagator;
 use crate::maxwell::LaserPulse;
 use crate::nonlocal::{GemmPath, NonlocalCorrection};
 use crate::potential::PotentialPropagator;
@@ -139,9 +139,8 @@ pub struct LfdConfig {
     pub dt: f64,
     /// QD steps per MD step (`N_QD`).
     pub n_qd: usize,
-    /// Orbital block size for the blocked kernels. `0` asks the runtime
-    /// autotuner to pick one at engine construction (cached on disk per
-    /// orbital count, ISA, and thread count — see `dcmesh-tune`).
+    /// Orbital block size for the blocked kernels. `0` means unblocked:
+    /// the engine normalises it to `norb` (paper Alg. 3) at construction.
     pub block_size: usize,
     /// Which build variant to run.
     pub build: BuildKind,
@@ -175,6 +174,14 @@ impl LfdConfig {
     }
 }
 
+/// The wavefunctions in a build's native layout.
+enum State<R: Real> {
+    /// Baseline AoS layout (CpuLoops build only).
+    Aos(WfAos<R>),
+    /// Optimized SoA layout (all other builds).
+    Soa(WfSoa<R>),
+}
+
 /// The per-domain LFD engine.
 pub struct LfdEngine<R: Real> {
     cfg: LfdConfig,
@@ -182,15 +189,9 @@ pub struct LfdEngine<R: Real> {
     pot_half: PotentialPropagator<R>,
     v_loc: Vec<f64>,
     nl: NonlocalCorrection<R>,
-    /// State in the baseline AoS layout (CpuLoops build only).
-    psi_aos: Option<WfAos<R>>,
-    /// State in the optimized SoA layout (all other builds).
-    psi_soa: Option<WfSoa<R>>,
+    psi: State<R>,
     device: Option<Device>,
     shadow: Option<ShadowState<R>>,
-    /// Resolved orbital block size (`cfg.block_size`, or the autotuner's
-    /// pick when the config said 0).
-    block_size: usize,
     /// Simulation time (a.u.).
     pub time: f64,
     /// Occupations of the adiabatic reference states.
@@ -220,8 +221,11 @@ impl<R: Real> LfdEngine<R> {
 
     /// Build the engine from externally prepared (QXMD ground-state)
     /// orbitals; they define both `Psi(0)` and the initial `Psi(t)`.
-    pub fn with_initial_state(cfg: LfdConfig, v_loc: Vec<f64>, init: WfAos<R>) -> Self {
+    pub fn with_initial_state(mut cfg: LfdConfig, v_loc: Vec<f64>, init: WfAos<R>) -> Self {
         assert_eq!(init.norb(), cfg.norb);
+        if cfg.block_size == 0 {
+            cfg.block_size = cfg.norb;
+        }
         let dt = R::from_f64(cfg.dt);
         let kin = KineticPropagator::new(cfg.mesh.clone(), dt, R::ONE);
         let pot_half = PotentialPropagator::new(cfg.mesh.clone(), &v_loc, dt * R::HALF);
@@ -245,50 +249,26 @@ impl<R: Real> LfdEngine<R> {
                 s
             }
         });
-        let (psi_aos, psi_soa) = match cfg.build {
-            BuildKind::CpuLoops => (Some(init), None),
-            _ => (None, Some(init.to_soa())),
+        let psi = match cfg.build {
+            BuildKind::CpuLoops => State::Aos(init),
+            _ => State::Soa(init.to_soa()),
         };
-        let block_size = if cfg.block_size == 0 {
-            tuned_block_size(&cfg)
-        } else {
-            cfg.block_size
-        };
-        // Publish the tile/block choices the hot kernels will consult, so
-        // every telemetry RunRecord carries them and `compare` can flag
-        // tile-choice drift between runs. `DCMESH_TUNE=1` additionally
-        // forces a (cached) search for the nonlocal GEMM shape class.
-        dcmesh_obs::metrics::gauge_set("tune.stencil.block", block_size as f64);
-        let nu = (cfg.norb - cfg.lumo).max(1);
-        if std::env::var("DCMESH_TUNE").as_deref() == Ok("1") {
-            dcmesh_tune::gemm_tiles(cfg.norb, nu, cfg.mesh.len());
-        } else {
-            dcmesh_tune::report_gemm_tiles(cfg.norb, nu, cfg.mesh.len());
-        }
         Self {
             cfg,
             kin,
             pot_half,
             v_loc,
             nl,
-            psi_aos,
-            psi_soa,
+            psi,
             device,
             shadow,
-            block_size,
             time: 0.0,
             occupations,
             md_steps: 0,
         }
     }
 
-    /// The orbital block size the kinetic kernels actually use
-    /// (resolved from the config, or autotuned when it asked for 0).
-    pub fn block_size(&self) -> usize {
-        self.block_size
-    }
-
-    /// The configuration.
+    /// The configuration (`block_size` as normalised at construction).
     pub fn config(&self) -> &LfdConfig {
         &self.cfg
     }
@@ -300,10 +280,9 @@ impl<R: Real> LfdEngine<R> {
 
     /// Current state in the AoS layout (copies from SoA if needed).
     pub fn state_aos(&self) -> WfAos<R> {
-        match (&self.psi_aos, &self.psi_soa) {
-            (Some(a), _) => a.clone(),
-            (_, Some(s)) => s.to_aos(),
-            _ => unreachable!("engine always holds a state"),
+        match &self.psi {
+            State::Aos(a) => a.clone(),
+            State::Soa(s) => s.to_aos(),
         }
     }
 
@@ -312,20 +291,18 @@ impl<R: Real> LfdEngine<R> {
     /// writes through this so a restored engine of the same build gets a
     /// bitwise-identical state with no layout conversion.
     pub fn state_data(&self) -> &[dcmesh_math::Complex<R>] {
-        match (&self.psi_aos, &self.psi_soa) {
-            (Some(a), _) => a.data(),
-            (_, Some(s)) => s.data(),
-            _ => unreachable!("engine always holds a state"),
+        match &self.psi {
+            State::Aos(a) => a.data(),
+            State::Soa(s) => s.data(),
         }
     }
 
     /// Mutable access to the native-layout wavefunction storage
     /// (see [`LfdEngine::state_data`]).
     pub fn state_data_mut(&mut self) -> &mut [dcmesh_math::Complex<R>] {
-        match (&mut self.psi_aos, &mut self.psi_soa) {
-            (Some(a), _) => a.data_mut(),
-            (_, Some(s)) => s.data_mut(),
-            _ => unreachable!("engine always holds a state"),
+        match &mut self.psi {
+            State::Aos(a) => a.data_mut(),
+            State::Soa(s) => s.data_mut(),
         }
     }
 
@@ -400,9 +377,9 @@ impl<R: Real> LfdEngine<R> {
                 } else {
                     TransferKind::Pageable
                 };
-                let x0 = self.dev_xfer();
+                let x0 = self.dev_clocks().1;
                 dev.transfer_h2d(dcmesh_device::StreamId(0), coeff_bytes, kind);
-                let dur = self.dev_xfer() - x0;
+                let dur = self.dev_clocks().1 - x0;
                 rec.record_host_seconds(PHASE_TRANSFER, dur);
                 rec.tag_bytes(coeff_bytes);
             }
@@ -426,13 +403,12 @@ impl<R: Real> LfdEngine<R> {
         // the DC domain's electron count is fixed by QXMD).
         let _hs_span = dcmesh_obs::span!("lfd.occ_handshake");
         let total_before = self.total_occupation();
-        let mut new_occ = if let Some(soa) = &self.psi_soa {
-            self.nl.remap_occ_soa(soa, &self.occupations)
-        } else if let Some(aos) = &self.psi_aos {
-            self.nl
-                .remap_occ(&aos.to_matrix(), &self.occupations, GemmPath::Loops)
-        } else {
-            unreachable!("engine always holds a state")
+        let mut new_occ = match &self.psi {
+            State::Soa(soa) => self.nl.remap_occ_soa(soa, &self.occupations),
+            State::Aos(aos) => {
+                self.nl
+                    .remap_occ(&aos.to_matrix(), &self.occupations, GemmPath::Loops)
+            }
         };
         let total_after: R = new_occ.iter().copied().sum();
         if total_after > R::ZERO {
@@ -463,16 +439,12 @@ impl<R: Real> LfdEngine<R> {
         timings
     }
 
-    /// Modeled kernel-busy seconds so far (0 for CPU builds).
-    fn dev_busy(&self) -> f64 {
-        self.device.as_ref().map_or(0.0, |d| d.stats().kernel_busy)
-    }
-
-    /// Modeled H2D/D2H transfer seconds so far (0 for CPU builds).
-    fn dev_xfer(&self) -> f64 {
-        self.device
-            .as_ref()
-            .map_or(0.0, |d| d.stats().transfer_time)
+    /// Modeled (kernel-busy, transfer) seconds so far (0 for CPU builds).
+    fn dev_clocks(&self) -> (f64, f64) {
+        self.device.as_ref().map_or((0.0, 0.0), |d| {
+            let s = d.stats();
+            (s.kernel_busy, s.transfer_time)
+        })
     }
 
     /// Run `f` and record its duration under `name`: modeled kernel-busy
@@ -488,17 +460,17 @@ impl<R: Real> LfdEngine<R> {
     ) {
         let modeled = self.cfg.build.uses_device();
         let t0 = Instant::now();
-        let b0 = self.dev_busy();
-        let x0 = self.dev_xfer();
+        let (b0, x0) = self.dev_clocks();
         f(self, policy);
+        let (b1, x1) = self.dev_clocks();
         let dur = if modeled {
-            self.dev_busy() - b0
+            b1 - b0
         } else {
             t0.elapsed().as_secs_f64()
         };
         rec.record_host_seconds(name, dur);
         if modeled {
-            let xfer = self.dev_xfer() - x0;
+            let xfer = x1 - x0;
             if xfer > 0.0 {
                 rec.record_host_seconds(PHASE_TRANSFER, xfer);
             }
@@ -510,97 +482,58 @@ impl<R: Real> LfdEngine<R> {
         policy: LaunchPolicy,
         rec: &mut dcmesh_obs::StepRecorder,
     ) {
-        match self.cfg.build {
-            BuildKind::CpuLoops => {
-                let psi = self.psi_aos.as_mut().expect("AoS state");
-                // Baseline: potential phase applied via SoA conversion-free
-                // AoS sweep (pointwise phase on each orbital).
-                let t0 = Instant::now();
-                apply_potential_aos(&self.pot_half, psi);
-                rec.record_host_seconds(PHASE_POTENTIAL, t0.elapsed().as_secs_f64());
-                let t1 = Instant::now();
-                self.kin.step_alg1(psi);
-                rec.record_host_seconds(PHASE_KINETIC, t1.elapsed().as_secs_f64());
-                let t2 = Instant::now();
-                apply_potential_aos(&self.pot_half, psi);
-                rec.record_host_seconds(PHASE_POTENTIAL, t2.elapsed().as_secs_f64());
-            }
-            _ => {
-                let modeled = self.cfg.build.uses_device();
+        self.timed_phase(rec, PHASE_POTENTIAL, |e, p| e.apply_potential(p), policy);
+        self.timed_phase(rec, PHASE_KINETIC, |e, p| e.apply_kinetic(p), policy);
+        self.timed_phase(rec, PHASE_POTENTIAL, |e, p| e.apply_potential(p), policy);
+    }
+
+    fn apply_potential(&mut self, policy: LaunchPolicy) {
+        match &mut self.psi {
+            State::Aos(psi) => apply_potential_aos(&self.pot_half, psi),
+            State::Soa(psi) => {
                 let dev_pair = self.device.as_ref().map(|d| (d, policy));
-                let busy = |p: Option<(&Device, LaunchPolicy)>| {
-                    p.map_or(0.0, |(d, _)| d.stats().kernel_busy)
-                };
-                let psi = self.psi_soa.as_mut().expect("SoA state");
-
-                let t0 = Instant::now();
-                let b0 = busy(dev_pair);
                 self.pot_half.apply(psi, dev_pair);
-                let d0 = if modeled {
-                    busy(dev_pair) - b0
-                } else {
-                    t0.elapsed().as_secs_f64()
-                };
-                rec.record_host_seconds(PHASE_POTENTIAL, d0);
-
-                let t1 = Instant::now();
-                let b1 = busy(dev_pair);
-                match dev_pair {
-                    // Pinned/streams build: genuinely deferred `nowait`
-                    // launches — bodies run on the stream lane while the
-                    // host returns immediately; the scope settles them
-                    // before the potential half-step touches psi.
-                    Some((dev, LaunchPolicy::Async)) => dev.nowait_scope(|scope| {
-                        self.kin.step_nowait(psi, self.block_size, scope);
-                    }),
-                    _ => self.kin.step_optimized(psi, self.block_size, dev_pair),
-                }
-                let d1 = if modeled {
-                    busy(dev_pair) - b1
-                } else {
-                    t1.elapsed().as_secs_f64()
-                };
-                rec.record_host_seconds(PHASE_KINETIC, d1);
-
-                let t2 = Instant::now();
-                let b2 = busy(dev_pair);
-                self.pot_half.apply(psi, dev_pair);
-                let d2 = if modeled {
-                    busy(dev_pair) - b2
-                } else {
-                    t2.elapsed().as_secs_f64()
-                };
-                rec.record_host_seconds(PHASE_POTENTIAL, d2);
             }
         }
     }
 
+    fn apply_kinetic(&mut self, policy: LaunchPolicy) {
+        let block = self.cfg.block_size;
+        match &mut self.psi {
+            State::Aos(psi) => self.kin.step_alg1(psi),
+            State::Soa(psi) => match self.device.as_ref().map(|d| (d, policy)) {
+                // Pinned/streams build: genuinely deferred `nowait`
+                // launches — bodies run on the stream lane while the host
+                // returns immediately; the scope settles them before the
+                // potential half-step touches psi.
+                Some((dev, LaunchPolicy::Async)) => dev.nowait_scope(|scope| {
+                    self.kin.step_nowait(psi, block, scope);
+                }),
+                dev_pair => self.kin.step_optimized(psi, block, dev_pair),
+            },
+        }
+    }
+
     fn apply_nonlocal(&mut self, policy: LaunchPolicy) {
-        match self.cfg.build {
-            BuildKind::CpuLoops => {
-                let psi = self.psi_aos.as_mut().expect("AoS state");
+        let psi = match &mut self.psi {
+            State::Aos(psi) => {
                 let mut m = psi.to_matrix();
                 self.nl.nlp_prop(&mut m, GemmPath::Loops);
                 *psi = WfAos::from_matrix(psi.mesh().clone(), m);
+                return;
             }
-            BuildKind::CpuBlas => {
-                let psi = self.psi_soa.as_mut().expect("SoA state");
-                self.nl.nlp_prop_soa(psi);
-            }
-            BuildKind::GpuBlas => {
+            State::Soa(psi) => psi,
+        };
+        match &self.device {
+            None => self.nl.nlp_prop_soa(psi),
+            Some(dev) if self.cfg.build == BuildKind::GpuBlas => {
                 // Host BLAS forces the wavefunctions over PCIe both ways.
-                let psi = self.psi_soa.as_mut().expect("SoA state");
-                let dev = self.device.as_ref().expect("device");
                 let bytes = std::mem::size_of_val(psi.data()) as u64;
                 dev.transfer_d2h(dcmesh_device::StreamId(0), bytes, TransferKind::Pageable);
                 self.nl.nlp_prop_soa(psi);
                 dev.transfer_h2d(dcmesh_device::StreamId(0), bytes, TransferKind::Pageable);
             }
-            BuildKind::GpuCublas | BuildKind::GpuCublasPinned => {
-                let psi = self.psi_soa.as_mut().expect("SoA state");
-                let dev = self.device.as_ref().expect("device");
-                self.nl.nlp_prop_soa_on_device(psi, dev, policy);
-            }
+            Some(dev) => self.nl.nlp_prop_soa_on_device(psi, dev, policy),
         }
     }
 
@@ -632,10 +565,9 @@ impl<R: Real> LfdEngine<R> {
 
     /// Scissor (excited-state) energy of each orbital right now.
     pub fn scissor_energies(&self) -> Vec<R> {
-        match (&self.psi_soa, &self.psi_aos) {
-            (Some(s), _) => self.nl.scissor_energies_soa(s),
-            (_, Some(a)) => self.nl.scissor_energies(&a.to_matrix(), GemmPath::Loops),
-            _ => unreachable!(),
+        match &self.psi {
+            State::Soa(s) => self.nl.scissor_energies_soa(s),
+            State::Aos(a) => self.nl.scissor_energies(&a.to_matrix(), GemmPath::Loops),
         }
     }
 
@@ -699,45 +631,6 @@ impl<R: Real> LfdEngine<R> {
     pub fn shadow(&self) -> Option<&ShadowState<R>> {
         self.shadow.as_ref()
     }
-}
-
-/// Autotune the orbital block size for this configuration's orbital count:
-/// time one Strang-axis sweep per candidate on a shrunken copy of the mesh
-/// (same norb, so the inner-loop trip count the blocking controls is
-/// faithful) and take the fastest. The winner is cached on disk per
-/// (norb, ISA, threads), so only the first engine construction ever pays
-/// the search.
-fn tuned_block_size(cfg: &LfdConfig) -> usize {
-    let norb = cfg.norb;
-    let mut candidates: Vec<usize> = [4usize, 8, 16, 32, 64]
-        .into_iter()
-        .filter(|&b| b < norb)
-        .collect();
-    candidates.push(norb);
-    if candidates.len() == 1 {
-        return norb;
-    }
-    let probe = Mesh3::new(
-        cfg.mesh.nx.min(12),
-        cfg.mesh.ny.min(12),
-        cfg.mesh.nz.min(12),
-        cfg.mesh.dx,
-        cfg.mesh.dy,
-        cfg.mesh.dz,
-    );
-    let prop = KineticPropagator::<f64>::new(probe.clone(), 0.02, 1.0);
-    let mut wf = WfAos::<f64>::zeros(probe, norb);
-    wf.randomize(1);
-    let mut soa = wf.to_soa();
-    dcmesh_tune::tuned_usize(&format!("stencil.block.norb{norb}"), &candidates, |block| {
-        for (axis, frac) in [
-            (Axis::X, StepFraction::Half),
-            (Axis::Y, StepFraction::Half),
-            (Axis::Z, StepFraction::Full),
-        ] {
-            prop.apply_axis_alg5(&mut soa, axis, frac, block, None);
-        }
-    })
 }
 
 /// Apply the potential phase to an AoS state (baseline path).
@@ -1010,33 +903,27 @@ mod tests {
     }
 
     #[test]
-    fn autotuned_block_size_matches_explicit_results() {
-        // block_size = 0 resolves through the tuner (temp cache dir so the
-        // test never touches the checked-in bench_results/) and must give
-        // the same physics as any explicit legal block size.
-        let dir = std::env::temp_dir().join(format!("dcmesh-lfd-tune-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dcmesh_tune::set_cache_dir(&dir);
+    fn zero_block_size_means_unblocked() {
+        // block_size = 0 is normalised to norb (Alg. 3) at construction and
+        // steps bit-identically to saying so.
         let v: Vec<f64> = (0..512).map(|i| (i as f64 * 0.013).sin() * 0.5).collect();
-        // norb = 6 gives the tuner a real choice ({4, 6}); norb = 4 would
-        // short-circuit to the single legal candidate.
-        let mut base = small_cfg(BuildKind::CpuBlas);
-        base.norb = 6;
-        base.lumo = 3;
-        let mut explicit = LfdEngine::<f64>::new(base.clone(), v.clone());
-        explicit.run_md_step();
-        let mut cfg = base;
-        cfg.block_size = 0;
-        let mut tuned = LfdEngine::<f64>::new(cfg.clone(), v.clone());
-        let chosen = tuned.block_size();
-        assert!([4, 6].contains(&chosen), "tuned block {chosen}");
-        tuned.run_md_step();
-        let diff = explicit.state_aos().max_abs_diff(&tuned.state_aos());
-        assert!(diff < 1e-12, "tuned block diverged by {diff}");
-        // Second engine: warm start must reuse the persisted winner.
-        let again = LfdEngine::<f64>::new(cfg, v);
-        assert_eq!(again.block_size(), chosen, "warm tuner changed its pick");
-        let _ = std::fs::remove_dir_all(&dir);
+        let base = LfdConfig {
+            norb: 6,
+            lumo: 3,
+            ..small_cfg(BuildKind::CpuBlas)
+        };
+        let [zero, norb] = [0, base.norb].map(|block_size| {
+            let cfg = LfdConfig {
+                block_size,
+                ..base.clone()
+            };
+            let mut e = LfdEngine::<f64>::new(cfg, v.clone());
+            assert_eq!(e.config().block_size, 6);
+            e.run_md_step();
+            e
+        });
+        assert!(zero.state_data() == norb.state_data());
+        assert!(zero.occupations == norb.occupations);
     }
 
     #[test]

@@ -5,16 +5,19 @@
 //! to BLAS level-3 calls. This module supplies that BLAS:
 //!
 //! * [`gemm_naive`] — reference triple loop (the pre-BLAS "CPU OpenMP
-//!   Parallel" build of Table II uses the loop formulation).
-//! * [`gemm_blocked`] — cache-blocked sequential GEMM (the "BLAS" build).
-//!   Always scalar: this is the bit-stable reference the SIMD paths are
-//!   validated against.
-//! * [`gemm`] — blocked + parallel over column panels on the persistent
-//!   `dcmesh-pool` executor (the production path; the device executor
-//!   layers the cuBLAS roofline model on top). Dispatches large `f64`
-//!   problems to the split-complex AVX2 packed kernel in [`crate::simd`]
-//!   when the active backend allows; [`gemm_with_backend`] pins the
-//!   backend explicitly (tests, benches).
+//!   Parallel" build of Table II uses the loop formulation) and the
+//!   semantics oracle of the tests.
+//! * [`gemm_colmajor_with_backend`] — the one general GEMM, over raw
+//!   column-major slices: scalar blocked column panels spread over the
+//!   persistent `dcmesh-pool` executor (the device executor layers the
+//!   cuBLAS roofline model on top), the split-complex AVX2 packed kernel
+//!   in [`crate::simd`] for large `f64` problems when the backend allows,
+//!   and the register-tiled projector kernel for the nonlocal overlap
+//!   shape. [`gemm_colmajor`], [`gemm`] and [`gemm_with_backend`] are the
+//!   same kernel on the active or a pinned backend, over slices or
+//!   [`Matrix`] operands.
+//! * [`gemm_blocked`] — that kernel pinned to the scalar backend and to the
+//!   calling thread (the "BLAS" build's serial rung).
 //!
 //! Matrices are column-major like BLAS, so a wavefunction matrix `Psi` with
 //! `Ngrid` rows (grid points) and `Norb` columns (orbitals) stores each
@@ -22,10 +25,10 @@
 //!
 //! Parallel dispatch is zero-allocation in steady state (no chunk lists,
 //! no spawned threads, and packing scratch comes from the per-thread
-//! aligned arena), and with the scalar backend the arithmetic per output
-//! column is identical to the serial [`gemm_blocked`] ordering — the
-//! scalar parallel paths are bitwise equal to their serial counterparts,
-//! which the tests assert.
+//! aligned arena), and the arithmetic per output entry is a function of
+//! the shape and the backend alone — a call spread over the pool is
+//! bitwise equal to the same call under `dcmesh_pool::run_inline`, which
+//! the tests assert.
 
 use crate::complex::Complex;
 use crate::real::Real;
@@ -239,31 +242,11 @@ pub fn gemm_naive<R: Real>(
 /// sized so an MC x KC A-panel plus a KC x NC B-panel stay L2-resident.
 const BLOCK: usize = 64;
 
-/// Pack `op(A)` block rows [i0,i1) x cols [p0,p1) into a row-major scratch
-/// (arena-backed; only the leading `(i1-i0)*(p1-p0)` entries are written).
-fn pack_a<R: Real>(
-    a: &Matrix<R>,
-    op_a: Op,
-    i0: usize,
-    i1: usize,
-    p0: usize,
-    p1: usize,
-    buf: &mut [Complex<R>],
-) {
-    let mut w = 0;
-    for i in i0..i1 {
-        for p in p0..p1 {
-            buf[w] = a.op_at(op_a, i, p);
-            w += 1;
-        }
-    }
-}
-
-/// Single-threaded blocked GEMM: `C = alpha * op(A) * op(B) + beta * C`.
+/// Single-threaded scalar GEMM: `C = alpha * op(A) * op(B) + beta * C`.
 ///
-/// Blocks over (i, j, p) with an explicitly packed A-panel so the inner
-/// kernel streams contiguous memory — the same data-reuse idea as the
-/// loop-interchange/tiling optimizations of paper §III-A/B, applied to GEMM.
+/// The "BLAS" rung of the Table II ladder and the bit-stable reference the
+/// SIMD paths are validated against: [`gemm_with_backend`] pinned to
+/// [`Backend::Scalar`] with every dispatch kept on the calling thread.
 pub fn gemm_blocked<R: Real>(
     alpha: Complex<R>,
     a: &Matrix<R>,
@@ -273,103 +256,13 @@ pub fn gemm_blocked<R: Real>(
     beta: Complex<R>,
     c: &mut Matrix<R>,
 ) {
-    let (m, n, k) = gemm_dims(a, op_a, b, op_b, c);
-    // beta-scale once up front.
-    if beta != Complex::one() {
-        for z in c.data_mut() {
-            *z *= beta;
-        }
-    }
-    // Packing scratch lives in the per-thread aligned arena: no per-call
-    // (let alone per-panel) heap traffic.
-    with_scratch::<Complex<R>, 2, ()>([BLOCK * BLOCK, BLOCK], |[apack, bcol]| {
-        for p0 in (0..k).step_by(BLOCK) {
-            let p1 = (p0 + BLOCK).min(k);
-            for i0 in (0..m).step_by(BLOCK) {
-                let i1 = (i0 + BLOCK).min(m);
-                pack_a(a, op_a, i0, i1, p0, p1, apack);
-                let kw = p1 - p0;
-                for j in 0..n {
-                    // Gather op(B) column segment once per (p-block, j).
-                    for (idx, p) in (p0..p1).enumerate() {
-                        bcol[idx] = b.op_at(op_b, p, j);
-                    }
-                    let cc = &mut c.data_mut()[j * m..(j + 1) * m];
-                    for (row, i) in (i0..i1).enumerate() {
-                        let ar = &apack[row * kw..(row + 1) * kw];
-                        let mut acc = Complex::zero();
-                        for (av, bv) in ar.iter().zip(&bcol[..kw]) {
-                            acc += *av * *bv;
-                        }
-                        cc[i] += alpha * acc;
-                    }
-                }
-            }
-        }
+    dcmesh_pool::run_inline(|| {
+        gemm_with_backend(Backend::Scalar, alpha, a, op_a, b, op_b, beta, c);
     });
 }
 
-/// `A^H B` fast path on raw column-major slices: every entry of C is a
-/// conjugated dot of two contiguous columns (SIMD-dispatched `dotc`).
-#[allow(clippy::too_many_arguments)]
-fn gemm_adjoint_fast<R: Real>(
-    backend: Backend,
-    alpha: Complex<R>,
-    a: &[Complex<R>],
-    ar: usize,
-    b: &[Complex<R>],
-    br: usize,
-    beta: Complex<R>,
-    c: &mut [Complex<R>],
-    (m, _n): (usize, usize),
-) {
-    debug_assert_eq!(ar, br);
-    let k = ar;
-    pool().for_each_chunks_of_mut(c, m, |j, ccol| {
-        let bcol = &b[j * k..(j + 1) * k];
-        for (i, cv) in ccol.iter_mut().enumerate() {
-            let acol = &a[i * k..(i + 1) * k];
-            *cv = alpha * simd::dotc_with(backend, acol, bcol) + beta * *cv;
-        }
-    });
-}
-
-/// `C += alpha A B` fast path for small inner dimension: column j of C
-/// accumulates k contiguous axpys (SIMD-dispatched `axpy`).
-#[allow(clippy::too_many_arguments)]
-fn gemm_thin_k_fast<R: Real>(
-    backend: Backend,
-    alpha: Complex<R>,
-    a: &[Complex<R>],
-    m: usize,
-    b: &[Complex<R>],
-    k: usize,
-    beta: Complex<R>,
-    c: &mut [Complex<R>],
-    _n: usize,
-) {
-    pool().for_each_chunks_of_mut(c, m, |j, ccol| {
-        if beta != Complex::one() {
-            for z in ccol.iter_mut() {
-                *z *= beta;
-            }
-        }
-        for p in 0..k {
-            let coeff = alpha * b[j * k + p];
-            simd::axpy_with(backend, coeff, &a[p * m..(p + 1) * m], ccol);
-        }
-    });
-}
-
-/// Production GEMM: blocked kernel parallelized over column panels on the
-/// persistent pool, dispatching on [`simd::active_backend`].
-///
-/// Column panels of `C` are independent, so each claim-loop task owns a
-/// disjoint slice of the output — data-race freedom by construction, per
-/// the hpc-parallel guides. Two BLAS-2-flavored fast paths cover the shapes the
-/// nonlocal correction produces (`A^H B` with contiguous columns, and
-/// `C += A B` with a thin inner dimension); large general shapes go to the
-/// split-complex packed AVX2 kernel when the backend allows.
+/// Production GEMM on [`Matrix`] operands: [`gemm_colmajor`] over their
+/// column-major storage, dispatching on [`simd::active_backend`].
 pub fn gemm<R: Real>(
     alpha: Complex<R>,
     a: &Matrix<R>,
@@ -395,89 +288,20 @@ pub fn gemm_with_backend<R: Real>(
     beta: Complex<R>,
     c: &mut Matrix<R>,
 ) {
-    let (m, n, k) = gemm_dims(a, op_a, b, op_b, c);
-    if op_a == Op::ConjTrans && op_b == Op::None {
-        return gemm_adjoint_fast(
-            backend,
-            alpha,
-            a.data(),
-            a.rows(),
-            b.data(),
-            b.rows(),
-            beta,
-            c.data_mut(),
-            (m, n),
-        );
-    }
-    if op_a == Op::None && op_b == Op::None && k <= 64 && k < m {
-        return gemm_thin_k_fast(
-            backend,
-            alpha,
-            a.data(),
-            m,
-            b.data(),
-            k,
-            beta,
-            c.data_mut(),
-            n,
-        );
-    }
-    if m * n * k < 32 * 32 * 32 {
-        // Small problems: parallel dispatch overhead dominates.
-        return gemm_blocked(alpha, a, op_a, b, op_b, beta, c);
-    }
-    let (adims, bdims) = ((a.rows(), a.cols()), (b.rows(), b.cols()));
-    if simd::try_gemm_packed(
+    let cdims = (c.rows(), c.cols());
+    gemm_colmajor_with_backend(
         backend,
         alpha,
         a.data(),
-        adims,
+        (a.rows(), a.cols()),
         op_a,
         b.data(),
-        bdims,
+        (b.rows(), b.cols()),
         op_b,
         beta,
         c.data_mut(),
-        (m, n),
-        k,
-    ) {
-        return;
-    }
-    let rows = m;
-    pool().for_each_chunks_of_mut(c.data_mut(), rows * BLOCK.max(1), |panel, cpanel| {
-        let j0 = panel * BLOCK;
-        let ncols = cpanel.len() / rows;
-        if beta != Complex::one() {
-            for z in cpanel.iter_mut() {
-                *z *= beta;
-            }
-        }
-        with_scratch::<Complex<R>, 2, ()>([BLOCK * BLOCK, BLOCK], |[apack, bcol]| {
-            for p0 in (0..k).step_by(BLOCK) {
-                let p1 = (p0 + BLOCK).min(k);
-                let kw = p1 - p0;
-                for i0 in (0..m).step_by(BLOCK) {
-                    let i1 = (i0 + BLOCK).min(m);
-                    pack_a(a, op_a, i0, i1, p0, p1, apack);
-                    for jj in 0..ncols {
-                        let j = j0 + jj;
-                        for (idx, p) in (p0..p1).enumerate() {
-                            bcol[idx] = b.op_at(op_b, p, j);
-                        }
-                        let cc = &mut cpanel[jj * rows..(jj + 1) * rows];
-                        for (row, i) in (i0..i1).enumerate() {
-                            let ar = &apack[row * kw..(row + 1) * kw];
-                            let mut acc = Complex::zero();
-                            for (av, bv) in ar.iter().zip(&bcol[..kw]) {
-                                acc += *av * *bv;
-                            }
-                            cc[i] += alpha * acc;
-                        }
-                    }
-                }
-            }
-        });
-    });
+        cdims,
+    );
 }
 
 /// Slice-based GEMM over raw column-major storage:
@@ -515,7 +339,16 @@ pub fn gemm_colmajor<R: Real>(
     );
 }
 
-/// [`gemm_colmajor`] with the SIMD backend pinned per call.
+/// [`gemm_colmajor`] with the SIMD backend pinned per call: the one general
+/// complex GEMM every other entry point of this module lands in.
+///
+/// The kernel is chosen by what the call can observe: the nonlocal
+/// projector's overlap shape goes to [`simd::proj_overlap_with`], large
+/// `f64` problems on an AVX2 backend to the split-complex packed
+/// microkernel, everything else to scalar blocked column panels. Column
+/// panels of `C` are independent, so each claim-loop task owns a disjoint
+/// slice of the output — data-race freedom by construction — and the
+/// arithmetic per output entry does not depend on who ran the panel.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_colmajor_with_backend<R: Real>(
     backend: Backend,
@@ -543,86 +376,99 @@ pub fn gemm_colmajor_with_backend<R: Real>(
     };
     assert_eq!(k, kb, "GEMM inner dimensions must agree");
     assert_eq!((cr, cc), (m, n), "GEMM output shape mismatch");
-    let a_at = |r: usize, col: usize| -> Complex<R> {
-        match op_a {
-            Op::None => a[col * ar + r],
-            Op::Trans => a[r * ar + col],
-            Op::ConjTrans => a[r * ar + col].conj(),
+    let small = m * n * k < 32 * 32 * 32;
+    let mut kernel = || {
+        // The nonlocal projector's overlap shape, `C = alpha A B^H + beta C`
+        // with a small output and a long contraction (the SoA `T T0^H`),
+        // goes to the register-tiled kernel in `simd`.
+        if op_a == Op::None && op_b == Op::ConjTrans && m * n <= 16384 && k >= 256 {
+            return simd::proj_overlap_with(backend, alpha, a, m, b, n, beta, c);
         }
-    };
-    let b_at = |r: usize, col: usize| -> Complex<R> {
-        match op_b {
-            Op::None => b[col * br + r],
-            Op::Trans => b[r * br + col],
-            Op::ConjTrans => b[r * br + col].conj(),
+        // Large general shapes: split-complex packed AVX2 kernel when allowed.
+        if !small
+            && simd::try_gemm_packed(
+                backend,
+                alpha,
+                a,
+                (ar, ac),
+                op_a,
+                b,
+                (br, bc),
+                op_b,
+                beta,
+                c,
+                (m, n),
+                k,
+            )
+        {
+            return;
         }
-    };
-    // The nonlocal projector's overlap shape, `C = alpha A B^H + beta C`
-    // with a small output and a long contraction (the SoA `T T0^H`), goes
-    // to the register-tiled kernel in `simd`.
-    if op_a == Op::None && op_b == Op::ConjTrans && m * n <= 16384 && k >= 256 {
-        return simd::proj_overlap_with(backend, alpha, a, m, b, n, beta, c);
-    }
-    // Large general shapes: split-complex packed AVX2 kernel when allowed.
-    if m * n * k >= 32 * 32 * 32
-        && simd::try_gemm_packed(
-            backend,
-            alpha,
-            a,
-            (ar, ac),
-            op_a,
-            b,
-            (br, bc),
-            op_b,
-            beta,
-            c,
-            (m, n),
-            k,
-        )
-    {
-        return;
-    }
-    // Parallelize over column panels of C (disjoint output).
-    pool().for_each_chunks_of_mut(c, m * BLOCK.max(1), |panel, cpanel| {
-        let j0 = panel * BLOCK;
-        let ncols = cpanel.len() / m;
-        if beta != Complex::one() {
-            for z in cpanel.iter_mut() {
-                *z *= beta;
+        let a_at = |r: usize, col: usize| -> Complex<R> {
+            match op_a {
+                Op::None => a[col * ar + r],
+                Op::Trans => a[r * ar + col],
+                Op::ConjTrans => a[r * ar + col].conj(),
             }
-        }
-        with_scratch::<Complex<R>, 2, ()>([BLOCK * BLOCK, BLOCK], |[apack, bcol]| {
-            for p0 in (0..k).step_by(BLOCK) {
-                let p1 = (p0 + BLOCK).min(k);
-                let kw = p1 - p0;
-                for i0 in (0..m).step_by(BLOCK) {
-                    let i1 = (i0 + BLOCK).min(m);
-                    let mut w = 0;
-                    for i in i0..i1 {
-                        for p in p0..p1 {
-                            apack[w] = a_at(i, p);
-                            w += 1;
-                        }
-                    }
-                    for jj in 0..ncols {
-                        let j = j0 + jj;
-                        for (idx, p) in (p0..p1).enumerate() {
-                            bcol[idx] = b_at(p, j);
-                        }
-                        let ccol = &mut cpanel[jj * m..(jj + 1) * m];
-                        for (row, i) in (i0..i1).enumerate() {
-                            let arow = &apack[row * kw..(row + 1) * kw];
-                            let mut acc = Complex::zero();
-                            for (av, bv) in arow.iter().zip(&bcol[..kw]) {
-                                acc += *av * *bv;
+        };
+        let b_at = |r: usize, col: usize| -> Complex<R> {
+            match op_b {
+                Op::None => b[col * br + r],
+                Op::Trans => b[r * br + col],
+                Op::ConjTrans => b[r * br + col].conj(),
+            }
+        };
+        // Blocks over (p, i, j) with an explicitly packed A-panel so the
+        // inner kernel streams contiguous memory — the data-reuse idea of
+        // paper §III-A/B applied to GEMM — parallel over column panels of C.
+        pool().for_each_chunks_of_mut(c, m * BLOCK, |panel, cpanel| {
+            let j0 = panel * BLOCK;
+            let ncols = cpanel.len() / m;
+            if beta != Complex::one() {
+                for z in cpanel.iter_mut() {
+                    *z *= beta;
+                }
+            }
+            // Packing scratch lives in the per-thread aligned arena: no
+            // per-call (let alone per-panel) heap traffic.
+            with_scratch::<Complex<R>, 2, ()>([BLOCK * BLOCK, BLOCK], |[apack, bcol]| {
+                for p0 in (0..k).step_by(BLOCK) {
+                    let p1 = (p0 + BLOCK).min(k);
+                    let kw = p1 - p0;
+                    for i0 in (0..m).step_by(BLOCK) {
+                        let i1 = (i0 + BLOCK).min(m);
+                        let mut w = 0;
+                        for i in i0..i1 {
+                            for p in p0..p1 {
+                                apack[w] = a_at(i, p);
+                                w += 1;
                             }
-                            ccol[i] += alpha * acc;
+                        }
+                        for jj in 0..ncols {
+                            let j = j0 + jj;
+                            for (idx, p) in (p0..p1).enumerate() {
+                                bcol[idx] = b_at(p, j);
+                            }
+                            let ccol = &mut cpanel[jj * m..(jj + 1) * m];
+                            for (row, i) in (i0..i1).enumerate() {
+                                let arow = &apack[row * kw..(row + 1) * kw];
+                                let mut acc = Complex::zero();
+                                for (av, bv) in arow.iter().zip(&bcol[..kw]) {
+                                    acc += *av * *bv;
+                                }
+                                ccol[i] += alpha * acc;
+                            }
                         }
                     }
                 }
-            }
+            });
         });
-    });
+    };
+    if small {
+        // Small problems: parallel dispatch overhead dominates.
+        dcmesh_pool::run_inline(kernel)
+    } else {
+        kernel()
+    }
 }
 
 /// Matrix-vector product `y = op(A) x` (level-2 helper for small solvers).
@@ -686,27 +532,57 @@ mod tests {
         }
     }
 
-    #[test]
-    fn parallel_matches_naive_all_ops() {
-        let mut rng = StdRng::seed_from_u64(3);
+    type Shape = (usize, usize, usize);
+
+    /// `gemm_with_backend` against `gemm_naive` for all nine `Op` pairs
+    /// of one `(m, n, k)` problem in precision `R`.
+    fn all_ops_match_naive<R: Real>(rng: &mut StdRng, backend: Backend, (m, n, k): Shape) {
         let ops = [Op::None, Op::Trans, Op::ConjTrans];
+        let mut mat = |rows, cols| random_matrix(rng, rows, cols).cast::<R>();
         for &op_a in &ops {
             for &op_b in &ops {
-                let (m, n, k) = (33, 41, 29);
                 let a = match op_a {
-                    Op::None => random_matrix(&mut rng, m, k),
-                    _ => random_matrix(&mut rng, k, m),
+                    Op::None => mat(m, k),
+                    _ => mat(k, m),
                 };
                 let b = match op_b {
-                    Op::None => random_matrix(&mut rng, k, n),
-                    _ => random_matrix(&mut rng, n, k),
+                    Op::None => mat(k, n),
+                    _ => mat(n, k),
                 };
-                let mut c1 = random_matrix(&mut rng, m, n);
+                let mut c1 = mat(m, n);
                 let mut c2 = c1.clone();
-                let alpha = C64::new(1.1, 0.2);
-                gemm_naive(alpha, &a, op_a, &b, op_b, C64::one(), &mut c1);
-                gemm(alpha, &a, op_a, &b, op_b, C64::one(), &mut c2);
-                assert!(c1.max_abs_diff(&c2) < 1e-11, "{op_a:?} {op_b:?}");
+                let alpha = Complex::new(R::from_f64(1.1), R::from_f64(0.2));
+                let beta = Complex::new(R::from_f64(-0.2), R::from_f64(0.4));
+                gemm_naive(alpha, &a, op_a, &b, op_b, beta, &mut c1);
+                gemm_with_backend(backend, alpha, &a, op_a, &b, op_b, beta, &mut c2);
+                let tol = R::from_f64(64.0 * (k as f64 + 4.0)) * R::EPSILON;
+                assert!(
+                    c1.max_abs_diff(&c2) < tol,
+                    "{} {backend:?} ({m},{n},{k}) {op_a:?} {op_b:?}",
+                    R::PRECISION_LABEL
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_matches_naive_all_ops() {
+        // A generic shape, the eigensolver's `X^H Y` (long contraction,
+        // small square output), the thin-k `X V`, and both sides of the
+        // 32^3 "run inline" threshold.
+        let shapes: [Shape; 6] = [
+            (33, 41, 29),
+            (16, 16, 4096),
+            (4, 4, 512),
+            (4096, 16, 16),
+            (31, 33, 32),
+            (32, 32, 32),
+        ];
+        let mut rng = StdRng::seed_from_u64(3);
+        for shape in shapes {
+            for backend in [Backend::Scalar, Backend::Avx2] {
+                all_ops_match_naive::<f64>(&mut rng, backend, shape);
+                all_ops_match_naive::<f32>(&mut rng, backend, shape);
             }
         }
     }
@@ -726,60 +602,51 @@ mod tests {
 
     #[test]
     fn pool_parallel_gemm_is_bitwise_equal_to_serial() {
-        // With the scalar backend pinned, the pool-parallel panel path
-        // performs the exact arithmetic sequence of the serial blocked
-        // kernel per output column, so the results must agree to the last
-        // bit regardless of pool size or chunk-claim order. (The AVX2
-        // packed path reorders the contraction; it is validated against
-        // the scalar reference by tolerance elsewhere.)
+        // One kernel, two ways of running it: spread over the pool, and
+        // kept on this thread by `run_inline`. Every output entry is
+        // computed by the same arithmetic sequence whoever claims its
+        // panel (or its chunk of the projector's contraction), so the
+        // results must agree to the last bit regardless of pool size or
+        // chunk-claim order — on either backend, at every kernel the shape
+        // dispatch can pick.
         let mut rng = StdRng::seed_from_u64(7);
-        let (m, n, k) = (150, 130, 90);
-        let a = random_matrix(&mut rng, m, k);
-        let b = random_matrix(&mut rng, k, n);
-        let mut serial = random_matrix(&mut rng, m, n);
-        let mut parallel = serial.clone();
         let alpha = C64::new(0.7, -0.3);
         let beta = C64::new(-0.2, 0.4);
-        gemm_blocked(alpha, &a, Op::None, &b, Op::None, beta, &mut serial);
-        gemm_with_backend(
-            Backend::Scalar,
-            alpha,
-            &a,
-            Op::None,
-            &b,
-            Op::None,
-            beta,
-            &mut parallel,
-        );
-        assert_eq!(serial.data(), parallel.data());
-        // The AVX2 packed path (when this CPU has it) must match the same
-        // serial reference within an accumulation-order tolerance.
-        let mut vectored = random_matrix(&mut rng, m, n);
-        let mut vec_ref = vectored.clone();
-        gemm_blocked(alpha, &a, Op::None, &b, Op::None, beta, &mut vec_ref);
-        gemm_with_backend(
-            Backend::Avx2,
-            alpha,
-            &a,
-            Op::None,
-            &b,
-            Op::None,
-            beta,
-            &mut vectored,
-        );
-        assert!(vec_ref.max_abs_diff(&vectored) < 1e-11 * (k as f64).sqrt());
-        // Same property for the adjoint fast path vs its serial column loop.
-        let q = random_matrix(&mut rng, k, m);
-        let mut c_fast = random_matrix(&mut rng, m, n);
-        let c_ref = Matrix::from_fn(m, n, |i, j| {
-            let mut acc = C64::zero();
-            for p in 0..k {
-                acc += q[(p, i)].conj() * b[(p, j)];
+        for (op_a, op_b, (m, n, k)) in [
+            (Op::None, Op::None, (150, 130, 90)),
+            (Op::ConjTrans, Op::None, (16, 16, 4096)),
+            (Op::None, Op::None, (4096, 16, 16)),
+            (Op::None, Op::ConjTrans, (8, 5, 3000)),
+        ] {
+            let a = match op_a {
+                Op::None => random_matrix(&mut rng, m, k),
+                _ => random_matrix(&mut rng, k, m),
+            };
+            let b = match op_b {
+                Op::None => random_matrix(&mut rng, k, n),
+                _ => random_matrix(&mut rng, n, k),
+            };
+            let c0 = random_matrix(&mut rng, m, n);
+            let mut blocked = c0.clone();
+            gemm_blocked(alpha, &a, op_a, &b, op_b, beta, &mut blocked);
+            for backend in [Backend::Scalar, Backend::Avx2] {
+                let mut parallel = c0.clone();
+                gemm_with_backend(backend, alpha, &a, op_a, &b, op_b, beta, &mut parallel);
+                let mut inline = c0.clone();
+                dcmesh_pool::run_inline(|| {
+                    gemm_with_backend(backend, alpha, &a, op_a, &b, op_b, beta, &mut inline);
+                });
+                assert_eq!(inline.data(), parallel.data(), "{backend:?} ({m},{n},{k})");
+                if backend == Backend::Scalar {
+                    // `gemm_blocked` is exactly that inline scalar call.
+                    assert_eq!(blocked.data(), inline.data(), "({m},{n},{k})");
+                } else {
+                    // The AVX2 kernels reorder the contraction: tolerance.
+                    let tol = 1e-11 * (k as f64).sqrt();
+                    assert!(blocked.max_abs_diff(&inline) < tol, "({m},{n},{k})");
+                }
             }
-            alpha * acc + beta * c_fast[(i, j)]
-        });
-        gemm(alpha, &q, Op::ConjTrans, &b, Op::None, beta, &mut c_fast);
-        assert!(c_ref.max_abs_diff(&c_fast) < 1e-11);
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!   comparison of Table II of the paper.
 //! * [`Complex`] — a minimal complex-number type (the paper propagates
 //!   complex-valued Kohn–Sham wavefunctions).
-//! * [`gemm`] — a from-scratch blocked, rayon-parallel complex GEMM standing
+//! * [`gemm`] — a from-scratch blocked, pool-parallel complex GEMM standing
 //!   in for AOCL-BLAS / cuBLAS in the "BLASification" of the nonlocal
 //!   correction (paper §III-D).
 //! * [`fft`] — radix-2 + Bluestein FFTs used by reference spectral solvers.

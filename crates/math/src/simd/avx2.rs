@@ -6,13 +6,12 @@
 //!   into separate re/im arrays (SoA), so every vector load is four useful
 //!   reals and the complex product needs no in-register shuffles at all —
 //!   16 FMAs per contraction step for a 4×4 output tile.
-//! * [`dotc`], [`axpy`] and the projector overlap load interleaved
-//!   `Complex<f64>` pairs and deinterleave in-register with
-//!   `unpacklo/unpackhi`. Those produce the fixed lane permutation
-//!   `[z0 z2 z1 z3]`; elementwise arithmetic commutes with any lane
-//!   permutation, and the same unpack pair applied to (re, im) vectors
-//!   restores the original interleaved order on store, so results land
-//!   exactly where the scalar loop would put them.
+//! * The projector overlap loads interleaved `Complex<f64>` pairs and
+//!   deinterleaves in-register with `unpacklo/unpackhi`. Those produce the
+//!   fixed lane permutation `[z0 z2 z1 z3]`; elementwise arithmetic
+//!   commutes with any lane permutation, and the same unpack pair applied
+//!   to (re, im) vectors restores the original interleaved order on store,
+//!   so results land exactly where the scalar loop would put them.
 //! * [`scale`], [`pair_update`] and the projector rank update multiply
 //!   interleaved values by a *scalar* complex coefficient, which needs no
 //!   deinterleaving: `z * c = z * [cr, cr] + swap(z) * [-ci, ci]` (or, in
@@ -112,117 +111,6 @@ pub unsafe fn mk4x4(
             _mm256_storeu_pd(out_re.as_mut_ptr().add(j * MR), cre[j]); // AUDIT: waiver(j < NR tile bound)
             _mm256_storeu_pd(out_im.as_mut_ptr().add(j * MR), cim[j]); // AUDIT: waiver(j < NR tile bound)
         }
-    }
-}
-
-/// Conjugated dot product `sum conj(a[i]) * b[i]` over interleaved
-/// complex slices.
-///
-/// # Safety
-///
-/// Caller must have verified AVX2 and FMA support on this CPU.
-#[target_feature(enable = "avx2", enable = "fma")]
-// AUDIT: no_panic
-// SAFETY: (cpu=avx2, bounds=vector loop reads i+4 <= vec_n <= n
-// complex values per step; remainder is safe slice iteration)
-pub unsafe fn dotc(a: &[C64], b: &[C64]) -> C64 {
-    debug_assert_eq!(a.len(), b.len());
-    let n = a.len();
-    let pa = a.as_ptr() as *const f64;
-    let pb = b.as_ptr() as *const f64;
-    let mut accr = _mm256_setzero_pd();
-    let mut acci = _mm256_setzero_pd();
-    let vec_n = n - n % 4;
-    let mut i = 0;
-    while i < vec_n {
-        // SAFETY: i + 4 <= n complex values = 2*i + 8 <= 2n f64 reads.
-        let (alo, ahi) = unsafe {
-            (
-                _mm256_loadu_pd(pa.add(2 * i)),
-                _mm256_loadu_pd(pa.add(2 * i + 4)),
-            )
-        };
-        // SAFETY: as above for b.
-        let (blo, bhi) = unsafe {
-            (
-                _mm256_loadu_pd(pb.add(2 * i)),
-                _mm256_loadu_pd(pb.add(2 * i + 4)),
-            )
-        };
-        let (ar, ai) = deinterleave(alo, ahi);
-        let (br, bi) = deinterleave(blo, bhi);
-        // conj(a)*b: re += ar*br + ai*bi, im += ar*bi - ai*br.
-        accr = _mm256_fmadd_pd(ai, bi, _mm256_fmadd_pd(ar, br, accr));
-        acci = _mm256_fnmadd_pd(ai, br, _mm256_fmadd_pd(ar, bi, acci));
-        i += 4;
-    }
-    let mut re = hsum(accr);
-    let mut im = hsum(acci);
-    // AUDIT: waiver(vec_n = n - n%4 <= n so the remainder range is valid)
-    for (x, y) in a[vec_n..].iter().zip(&b[vec_n..]) {
-        let z = x.conj() * *y;
-        re += z.re;
-        im += z.im;
-    }
-    Complex::new(re, im)
-}
-
-/// Horizontal sum of a ymm vector's four lanes.
-#[inline]
-#[target_feature(enable = "avx2", enable = "fma")]
-// AUDIT: no_panic
-// SAFETY: (cpu=avx2, bounds=one 4-lane store into the local [f64; 4])
-// pure register arithmetic otherwise; see `deinterleave`.
-fn hsum(v: __m256d) -> f64 {
-    let mut lanes = [0.0f64; 4];
-    // SAFETY: `lanes` is exactly 4 f64s.
-    unsafe { _mm256_storeu_pd(lanes.as_mut_ptr(), v) };
-    (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]) // AUDIT: waiver(constant lanes 0..4 of [f64; 4])
-}
-
-/// `y += alpha * x` over interleaved complex slices.
-///
-/// # Safety
-///
-/// Caller must have verified AVX2 and FMA support on this CPU.
-#[target_feature(enable = "avx2", enable = "fma")]
-// AUDIT: no_panic
-// SAFETY: (cpu=avx2, bounds=vector loop touches i+4 <= vec_n <= n
-// complex values per step, aliasing=x and y are distinct borrows)
-pub unsafe fn axpy(alpha: C64, x: &[C64], y: &mut [C64]) {
-    debug_assert_eq!(x.len(), y.len());
-    let n = x.len();
-    let px = x.as_ptr() as *const f64;
-    let py = y.as_mut_ptr() as *mut f64;
-    let alr = _mm256_set1_pd(alpha.re);
-    let ali = _mm256_set1_pd(alpha.im);
-    let vec_n = n - n % 4;
-    let mut i = 0;
-    while i < vec_n {
-        // SAFETY: i + 4 <= n complex values; all reads/writes in bounds.
-        unsafe {
-            let (xlo, xhi) = (
-                _mm256_loadu_pd(px.add(2 * i)),
-                _mm256_loadu_pd(px.add(2 * i + 4)),
-            );
-            let (ylo, yhi) = (
-                _mm256_loadu_pd(py.add(2 * i)),
-                _mm256_loadu_pd(py.add(2 * i + 4)),
-            );
-            let (xr, xi) = deinterleave(xlo, xhi);
-            let (yr, yi) = deinterleave(ylo, yhi);
-            // y += alpha*x: re += alr*xr - ali*xi, im += alr*xi + ali*xr.
-            let nr = _mm256_fnmadd_pd(ali, xi, _mm256_fmadd_pd(alr, xr, yr));
-            let ni = _mm256_fmadd_pd(ali, xr, _mm256_fmadd_pd(alr, xi, yi));
-            let (olo, ohi) = interleave(nr, ni);
-            _mm256_storeu_pd(py.add(2 * i), olo);
-            _mm256_storeu_pd(py.add(2 * i + 4), ohi);
-        }
-        i += 4;
-    }
-    // AUDIT: waiver(vec_n = n - n%4 <= n so the remainder range is valid)
-    for (xi, yi) in x[vec_n..].iter().zip(&mut y[vec_n..]) {
-        *yi += alpha * *xi;
     }
 }
 

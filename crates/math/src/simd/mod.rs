@@ -5,19 +5,15 @@
 //! in the other component, halving effective bandwidth and blocking FMA
 //! contraction. This module applies the same idea at register level:
 //!
-//! * **Split-complex packed GEMM** ([`gemm_packed_f64`]) — operands are
+//! * **Split-complex packed GEMM** ([`try_gemm_packed`]) — operands are
 //!   repacked into separate re/im panels (SoA), and a 4×4 register-tiled
 //!   AVX2+FMA microkernel contracts them with 16 FMAs per k-step, the
 //!   textbook BLIS structure specialized to complex-as-two-reals.
-//! * **Pointwise kernels** ([`pair_update`], [`scale`], [`axpy`],
-//!   [`dotc`]) — the kinetic stencil 2×2 pair rotation, the phase/
-//!   potential pointwise multiply, and the two BLAS-2 kernels behind
-//!   [`crate::gemm::gemm`]'s skinny shapes. The pair rotation and the phase
-//!   work on the interleaved `Complex<f64>` lanes directly (a complex
+//! * **Pointwise kernels** ([`pair_update`], [`scale`]) — the kinetic
+//!   stencil 2×2 pair rotation and the phase/potential pointwise multiply.
+//!   Both work on the interleaved `Complex<f64>` lanes directly (a complex
 //!   product is a multiply and an FMA against the value and its re/im
-//!   swap), so every element rounds alike wherever it sits in a run; `axpy`
-//!   and `dotc` deinterleave in-register (`unpacklo`/`unpackhi` — a fixed
-//!   permutation that elementwise arithmetic commutes with).
+//!   swap), so every element rounds alike wherever it sits in a run.
 //! * **Projector kernels** ([`proj_overlap_with`], [`proj_update`]) — the two
 //!   skinny complex GEMMs of the nonlocal correction, `M = T·T0ᴴ` (tiny
 //!   output, contraction over the grid) and `T += M·T0` (tiny inner
@@ -46,17 +42,9 @@
 //! [`Backend`], used by the equivalence tests and benches so they never
 //! mutate process-global state. All raw `std::arch` use in the workspace
 //! lives in this directory — enforced by the `analyze` lint.
-//!
-//! # Autotuned tiles
-//!
-//! The packed GEMM reads its (mc, kc, nc) cache tiles from a process-global
-//! registry keyed by shape class. `dcmesh-tune` populates the registry from
-//! its on-disk cache (or a cold search); absent an entry, [`default_tiles`]
-//! heuristics apply.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use crate::complex::Complex;
 use crate::gemm::Op;
@@ -78,16 +66,6 @@ pub enum Backend {
     Avx2,
     /// Portable scalar kernels — bitwise identical to the pre-SIMD code.
     Scalar,
-}
-
-impl Backend {
-    /// Stable label used in tuning-cache fingerprints and telemetry.
-    pub fn label(self) -> &'static str {
-        match self {
-            Backend::Avx2 => "avx2",
-            Backend::Scalar => "scalar",
-        }
-    }
 }
 
 /// Does this CPU support the AVX2+FMA kernels? Cached after first query.
@@ -211,46 +189,8 @@ fn use_avx2<R: Real>(backend: Backend) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Pointwise / BLAS-2 kernels (scalar reference + dispatch)
+// Pointwise kernels (scalar reference + dispatch)
 // ---------------------------------------------------------------------------
-
-/// Unrolled conjugated dot product `sum conj(a[i]) * b[i]` — scalar
-/// reference; the exact arithmetic of the pre-SIMD `dotc_unrolled`.
-pub fn dotc_scalar<R: Real>(a: &[Complex<R>], b: &[Complex<R>]) -> Complex<R> {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc0 = Complex::zero();
-    let mut acc1 = Complex::zero();
-    let mut acc2 = Complex::zero();
-    let mut acc3 = Complex::zero();
-    let mut chunks_a = a.chunks_exact(4);
-    let mut chunks_b = b.chunks_exact(4);
-    for (ca, cb) in (&mut chunks_a).zip(&mut chunks_b) {
-        acc0 += ca[0].conj() * cb[0];
-        acc1 += ca[1].conj() * cb[1];
-        acc2 += ca[2].conj() * cb[2];
-        acc3 += ca[3].conj() * cb[3];
-    }
-    for (x, y) in chunks_a.remainder().iter().zip(chunks_b.remainder()) {
-        acc0 += x.conj() * *y;
-    }
-    acc0 + acc1 + acc2 + acc3
-}
-
-/// `y += alpha * x` — scalar reference (the pre-SIMD `axpy_unrolled`).
-pub fn axpy_scalar<R: Real>(alpha: Complex<R>, x: &[Complex<R>], y: &mut [Complex<R>]) {
-    debug_assert_eq!(x.len(), y.len());
-    let mut xc = x.chunks_exact(4);
-    let mut yc = y.chunks_exact_mut(4);
-    for (cx, cy) in (&mut xc).zip(&mut yc) {
-        cy[0] += alpha * cx[0];
-        cy[1] += alpha * cx[1];
-        cy[2] += alpha * cx[2];
-        cy[3] += alpha * cx[3];
-    }
-    for (xi, yi) in xc.remainder().iter().zip(yc.into_remainder()) {
-        *yi += alpha * *xi;
-    }
-}
 
 /// `z *= ph` over a slice — scalar reference (the potential/phase loop).
 // Out of line for the same reason as `pair_update_scalar`.
@@ -281,51 +221,6 @@ pub fn pair_update_scalar<R: Real>(
         *x = d * u + o * v;
         *y = o * u + d * v;
     }
-}
-
-/// Conjugated dot product on an explicit backend.
-pub fn dotc_with<R: Real>(backend: Backend, a: &[Complex<R>], b: &[Complex<R>]) -> Complex<R> {
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2::<R>(backend) {
-        // SAFETY: (bounds=R == f64 per use_avx2 so the casts are identity)
-        let (a64, b64) = unsafe { (cast_slice(a), cast_slice(b)) };
-        // SAFETY: (cpu=avx2) `use_avx2` verified AVX2+FMA CPU support.
-        let r = unsafe { avx2::dotc(a64, b64) };
-        return Complex::new(R::from_f64(r.re), R::from_f64(r.im));
-    }
-    let _ = backend;
-    dotc_scalar(a, b)
-}
-
-/// Conjugated dot product on the [`active_backend`].
-#[inline]
-pub fn dotc<R: Real>(a: &[Complex<R>], b: &[Complex<R>]) -> Complex<R> {
-    dotc_with(active_backend(), a, b)
-}
-
-/// `y += alpha * x` on an explicit backend.
-pub fn axpy_with<R: Real>(
-    backend: Backend,
-    alpha: Complex<R>,
-    x: &[Complex<R>],
-    y: &mut [Complex<R>],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2::<R>(backend) {
-        // SAFETY: (bounds=R == f64 per use_avx2 so the casts are identity)
-        let (x64, y64) = unsafe { (cast_slice(x), cast_slice_mut(y)) };
-        // SAFETY: (cpu=avx2) `use_avx2` verified AVX2+FMA CPU support.
-        unsafe { avx2::axpy(cast_c(alpha), x64, y64) };
-        return;
-    }
-    let _ = backend;
-    axpy_scalar(alpha, x, y);
-}
-
-/// `y += alpha * x` on the [`active_backend`].
-#[inline]
-pub fn axpy<R: Real>(alpha: Complex<R>, x: &[Complex<R>], y: &mut [Complex<R>]) {
-    axpy_with(active_backend(), alpha, x, y);
 }
 
 /// `z *= ph` over a slice on an explicit backend.
@@ -810,7 +705,7 @@ pub fn stencil_lines_with<R: Real>(
 }
 
 // ---------------------------------------------------------------------------
-// Tile registry (populated by dcmesh-tune)
+// Split-complex packed GEMM
 // ---------------------------------------------------------------------------
 
 /// Microkernel register tile: rows of C per microkernel call.
@@ -818,81 +713,13 @@ pub const MR: usize = 4;
 /// Microkernel register tile: cols of C per microkernel call.
 pub const NR: usize = 4;
 
-/// Cache-blocking parameters of the packed GEMM.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct GemmTiles {
-    /// Rows of the packed A block (L2 panel height).
-    pub mc: usize,
-    /// Contraction depth per packing pass (L1/L2 panel depth).
-    pub kc: usize,
-    /// Columns per C panel — also the parallel work-distribution grain.
-    pub nc: usize,
-}
-
-impl GemmTiles {
-    /// Snap to legal values: `mc`/`nc` multiples of MR/NR, everything >= 1.
-    pub fn clamped(self) -> Self {
-        GemmTiles {
-            mc: self.mc.next_multiple_of(MR).max(MR),
-            kc: self.kc.max(1),
-            nc: self.nc.next_multiple_of(NR).max(NR),
-        }
-    }
-}
-
-/// Heuristic tiles used when the tuner has not (yet) supplied a winner:
-/// A-panel (2 × mc × kc × 8 B = 256 KiB) L2-resident, B sliver L1-resident.
-pub fn default_tiles() -> GemmTiles {
-    GemmTiles {
-        mc: 64,
-        kc: 256,
-        nc: 128,
-    }
-}
-
-/// Power-of-two shape-class bucket (dimension -> its ceiling power of two).
-fn bucket(x: usize) -> usize {
-    x.max(1).next_power_of_two()
-}
-
-/// Shape-class key for the tile registry and tuning cache: GEMM problems
-/// are bucketed by ceiling powers of two per dimension, so one tuned entry
-/// covers e.g. every (33..64, 33..64, 2049..4096) problem.
-pub fn shape_class(m: usize, n: usize, k: usize) -> String {
-    format!("gemm-m{}-n{}-k{}", bucket(m), bucket(n), bucket(k))
-}
-
-fn registry() -> &'static Mutex<HashMap<String, GemmTiles>> {
-    static REGISTRY: OnceLock<Mutex<HashMap<String, GemmTiles>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Install tuned tiles for a shape class (called by `dcmesh-tune`).
-pub fn install_tiles(class: &str, tiles: GemmTiles) {
-    registry()
-        .lock()
-        .expect("tile registry poisoned")
-        .insert(class.to_string(), tiles.clamped());
-}
-
-/// Tuned tiles for a shape class, if the tuner installed any.
-pub fn installed_tiles(class: &str) -> Option<GemmTiles> {
-    registry()
-        .lock()
-        .expect("tile registry poisoned")
-        .get(class)
-        .copied()
-}
-
-/// Tiles the packed GEMM will use for an (m, n, k) problem: the tuned
-/// winner for its shape class when installed, else [`default_tiles`].
-pub fn tiles_for(m: usize, n: usize, k: usize) -> GemmTiles {
-    installed_tiles(&shape_class(m, n, k)).unwrap_or_else(default_tiles)
-}
-
-// ---------------------------------------------------------------------------
-// Split-complex packed GEMM
-// ---------------------------------------------------------------------------
+/// Cache tiles of the packed GEMM: rows of the packed A block and
+/// contraction depth per packing pass (A-panel 2 × MC × KC × 8 B = 256 KiB,
+/// L2-resident; B sliver L1-resident), and columns per C panel — also the
+/// parallel work-distribution grain.
+const MC: usize = 64;
+const KC: usize = 256;
+const NC: usize = 128;
 
 /// Element of `op(S)` at (r, c) for column-major storage with `rows` rows.
 #[inline(always)]
@@ -972,17 +799,16 @@ fn pack_b_splitc(
 /// Split-complex packed GEMM on raw column-major f64 storage:
 /// `C = alpha * op(A) * op(B) + beta * C`.
 ///
-/// Parallelizes over `nc`-column panels of C on the persistent pool (each
+/// Parallelizes over `NC`-column panels of C on the persistent pool (each
 /// panel is a disjoint output slice, and per-panel arithmetic order is
 /// fixed, so results are deterministic for any worker count). Panel scratch
 /// comes from the per-thread aligned arena — no allocation in steady state.
 ///
 /// Callers must have verified AVX2+FMA support (see [`avx2_available`]);
-/// use [`try_gemm_packed`] for checked dispatch.
+/// [`try_gemm_packed`] is the checked dispatch.
 #[allow(clippy::too_many_arguments)]
 #[cfg(target_arch = "x86_64")]
-pub fn gemm_packed_f64(
-    tiles: GemmTiles,
+fn gemm_packed_f64(
     alpha: Complex<f64>,
     a: &[Complex<f64>],
     (ar, _ac): (usize, usize),
@@ -996,9 +822,8 @@ pub fn gemm_packed_f64(
     k: usize,
 ) {
     assert!(avx2_available(), "gemm_packed_f64 requires AVX2+FMA");
-    let GemmTiles { mc, kc, nc } = tiles.clamped();
-    pool().for_each_chunks_of_mut(c, m * nc, |panel, cpanel| {
-        let j0 = panel * nc;
+    pool().for_each_chunks_of_mut(c, m * NC, |panel, cpanel| {
+        let j0 = panel * NC;
         let ncols = cpanel.len() / m.max(1);
         if beta != Complex::one() {
             for z in cpanel.iter_mut() {
@@ -1007,13 +832,13 @@ pub fn gemm_packed_f64(
         }
         let np = ncols.next_multiple_of(NR);
         with_scratch::<f64, 6, ()>(
-            [mc * kc, mc * kc, kc * np, kc * np, MR * NR, MR * NR],
+            [MC * KC, MC * KC, KC * np, KC * np, MR * NR, MR * NR],
             |[are, aim, bre, bim, tre, tim]| {
-                for pc in (0..k).step_by(kc) {
-                    let kw = (pc + kc).min(k) - pc;
+                for pc in (0..k).step_by(KC) {
+                    let kw = (pc + KC).min(k) - pc;
                     pack_b_splitc(b, br, op_b, pc, kw, j0, ncols, bre, bim);
-                    for ic in (0..m).step_by(mc) {
-                        let mw = (ic + mc).min(m) - ic;
+                    for ic in (0..m).step_by(MC) {
+                        let mw = (ic + MC).min(m) - ic;
                         pack_a_splitc(a, ar, op_a, ic, mw, pc, kw, are, aim);
                         for jt in (0..ncols).step_by(NR) {
                             let jw = (ncols - jt).min(NR);
@@ -1070,7 +895,6 @@ pub fn try_gemm_packed<R: Real>(
         // SAFETY: `use_avx2` proved R == f64, so these casts are identities.
         let (a64, b64, c64) = unsafe { (cast_slice(a), cast_slice(b), cast_slice_mut(c)) };
         gemm_packed_f64(
-            tiles_for(m, n, k),
             cast_c(alpha),
             a64,
             adims,
@@ -1106,52 +930,12 @@ mod tests {
     }
 
     #[test]
-    fn backend_label_roundtrip() {
-        assert_eq!(Backend::Avx2.label(), "avx2");
-        assert_eq!(Backend::Scalar.label(), "scalar");
-    }
-
-    #[test]
-    fn tile_registry_install_and_lookup() {
-        let class = shape_class(150, 130, 90);
-        assert_eq!(class, "gemm-m256-n256-k128");
-        assert!(installed_tiles("gemm-test-never-installed").is_none());
-        install_tiles(
-            "gemm-test-roundtrip",
-            GemmTiles {
-                mc: 30,
-                kc: 100,
-                nc: 17,
-            },
-        );
-        let got = installed_tiles("gemm-test-roundtrip").unwrap();
-        // Clamped to MR/NR multiples on install.
-        assert_eq!(
-            got,
-            GemmTiles {
-                mc: 32,
-                kc: 100,
-                nc: 20
-            }
-        );
-    }
-
-    #[test]
     fn pointwise_kernels_match_scalar_across_remainders() {
         // Covers every remainder lane count (len % 4 in 0..4).
         for len in [0usize, 1, 2, 3, 4, 5, 7, 8, 17, 64, 65] {
             let alpha = C64::new(0.3, -0.8);
             let d = C64::new(0.9, 0.1);
             let o = C64::new(-0.2, 0.4);
-
-            let x = seq(len, 0.1);
-            let mut ys = seq(len, 0.2);
-            let mut yv = ys.clone();
-            axpy_with(Backend::Scalar, alpha, &x, &mut ys);
-            axpy_with(Backend::Avx2, alpha, &x, &mut yv);
-            for (s, v) in ys.iter().zip(&yv) {
-                assert!((*s - *v).abs() < 1e-14, "axpy len={len}");
-            }
 
             let mut zs = seq(len, 0.3);
             let mut zv = zs.clone();
@@ -1168,11 +952,6 @@ mod tests {
             for (s, v) in a_s.iter().zip(&a_v).chain(b_s.iter().zip(&b_v)) {
                 assert!((*s - *v).abs() < 1e-14, "pair_update len={len}");
             }
-
-            let ds = dotc_with(Backend::Scalar, &x, &a_s);
-            let dv = dotc_with(Backend::Avx2, &x, &a_s);
-            let tol = 1e-14 * (len.max(1) as f64);
-            assert!((ds - dv).abs() < tol, "dotc len={len}: {ds:?} vs {dv:?}");
         }
     }
 }

@@ -5,7 +5,7 @@
 //!
 //! 1. **Span tracing** — [`span!`] guards emit enter/exit events into
 //!    thread-local buffers that are merged at flush, so instrumentation
-//!    composes with rayon without lock contention. When the collector is
+//!    composes with the pool without lock contention. When the collector is
 //!    disabled (the default) every instrumentation point reduces to one
 //!    relaxed atomic load.
 //! 2. **Metrics registry** — [`metrics`]: counters, gauges, and

@@ -100,7 +100,7 @@ pub struct SpanTree {
 impl SpanTree {
     /// Rebuild the tree from drained events, linking Begin/End pairs by
     /// span id. Works regardless of which thread recorded which event —
-    /// that is the property the rayon nesting tests pin down.
+    /// that is the property the cross-thread nesting test pins down.
     pub fn build(events: &[Event]) -> Self {
         let mut nodes: Vec<SpanNode> = Vec::new();
         let mut by_id: BTreeMap<u64, usize> = BTreeMap::new();

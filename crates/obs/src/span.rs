@@ -3,7 +3,7 @@
 //! [`SpanGuard::new`] emits a [`EventKind::Begin`] event and pushes its id
 //! onto a thread-local stack; dropping the guard pops the stack and emits
 //! the matching [`EventKind::End`]. Nesting within one thread is therefore
-//! automatic. Across threads (rayon workers have empty stacks) pass the
+//! automatic. Across threads (pool workers have empty stacks) pass the
 //! parent explicitly: `span!("phase", parent = outer.id())` — the merge in
 //! [`crate::trace::drain`] preserves the `id`/`parent` links, so the tree
 //! reconstructed by [`crate::report::SpanTree`] is correct regardless of
@@ -54,7 +54,7 @@ impl SpanGuard {
     }
 
     /// Open a span with an explicit parent id — the cross-thread form for
-    /// rayon workers, whose local stacks are empty.
+    /// pool workers, whose local stacks are empty.
     pub fn with_parent(name: impl Into<Cow<'static, str>>, parent: u64) -> Self {
         if !enabled() {
             return Self { live: None };

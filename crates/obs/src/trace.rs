@@ -3,7 +3,7 @@
 //! Every recording thread owns a thread-local buffer (an
 //! `Arc<Mutex<Vec<Event>>>` registered once in a global list). Pushing an
 //! event locks only the thread's own buffer — uncontended in steady state
-//! — so rayon workers never serialize on a shared sink. [`drain`] merges
+//! — so pool workers never serialize on a shared sink. [`drain`] merges
 //! all buffers and sorts by `(ts_us, seq)`, giving a globally ordered
 //! timeline.
 

@@ -1,4 +1,4 @@
-//! Integration tests for the observability layer: rayon-safe span
+//! Integration tests for the observability layer: cross-thread span
 //! nesting, exact histogram bucket boundaries, the disabled fast path,
 //! and Chrome-trace JSON round-tripping.
 
@@ -9,7 +9,6 @@ use dcmesh_obs::json::Json;
 use dcmesh_obs::metrics::{self, bucket_exponent, Histogram};
 use dcmesh_obs::report::{aggregate, SpanTree};
 use dcmesh_obs::{chrome, span, trace, StepRecorder, Track};
-use rayon::prelude::*;
 
 /// The collector is global state; serialize the tests that touch it.
 fn collector_lock() -> MutexGuard<'static, ()> {
@@ -26,19 +25,23 @@ fn fresh_deterministic_collector() {
 }
 
 #[test]
-fn span_nesting_survives_rayon_merge() {
+fn span_nesting_survives_cross_thread_merge() {
     let _guard = collector_lock();
     fresh_deterministic_collector();
 
     let step = span!("sim.step");
     let step_id = step.id();
     assert_ne!(step_id, 0);
-    // Children run on rayon workers whose thread-local span stacks are
+    // Children run on other threads, whose thread-local span stacks are
     // empty — the explicit-parent form carries the hierarchy across.
-    (0..6usize).into_par_iter().for_each(|i| {
-        let domain = span!("sim.domain", parent = step_id);
-        let inner = span!(format!("sim.domain.kernel{i}"), parent = domain.id());
-        drop(inner);
+    std::thread::scope(|s| {
+        for i in 0..6usize {
+            s.spawn(move || {
+                let domain = span!("sim.domain", parent = step_id);
+                let inner = span!(format!("sim.domain.kernel{i}"), parent = domain.id());
+                drop(inner);
+            });
+        }
     });
     drop(step);
     dcmesh_obs::disable();

@@ -162,31 +162,6 @@ pub fn compare(
         }
     }
 
-    // Autotuner tile choices (`tune.*` gauges: GEMM mc/kc/nc per shape
-    // class, stencil block size). These are small integers chosen once per
-    // (shape, ISA, threads); any change between comparable runs means the
-    // tuner drifted — a different cache, fingerprint, or search outcome —
-    // which silently changes the perf profile. Exact equality, no ratio.
-    // Keys present on only one side are skipped (a newly tuned shape
-    // class is not drift).
-    for (name, base_v) in &baseline.gauges {
-        if !name.starts_with("tune.") {
-            continue;
-        }
-        let Some(cand_v) = candidate.gauges.get(name) else {
-            continue;
-        };
-        #[allow(clippy::float_cmp)] // tile sizes are exact small integers
-        if cand_v != base_v {
-            regressions.push(Regression {
-                what: format!("tune gauge {name}"),
-                baseline: *base_v,
-                candidate: *cand_v,
-                detail: "tile-choice drift: autotuned parameter changed between runs".into(),
-            });
-        }
-    }
-
     // Modeled scaling makespans (`scaling.modeled_step_s.pN` gauges, one
     // per simulated rank count). These come from the deterministic
     // simulated clocks, not wall time, so no noise floor applies; the
@@ -391,36 +366,6 @@ mod tests {
         };
         let regs = compare(&base, &other, &relaxed).unwrap();
         assert!(regs.is_empty());
-    }
-
-    #[test]
-    fn tile_choice_drift_is_a_regression() {
-        let base = {
-            let mut r = record_with_step_time(0.05);
-            r.gauges
-                .insert("tune.gemm-m64-n16-k524288.kc".into(), 256.0);
-            r.gauges.insert("tune.stencil.block".into(), 32.0);
-            r
-        };
-        // Identical tiles: clean.
-        let regs = compare(&base, &base, &CompareConfig::default()).unwrap();
-        assert!(regs.is_empty(), "same tiles must pass: {regs:?}");
-        // Changed kc: flagged exactly, no ratio slack.
-        let mut drifted = base.clone();
-        drifted
-            .gauges
-            .insert("tune.gemm-m64-n16-k524288.kc".into(), 128.0);
-        let regs = compare(&base, &drifted, &CompareConfig::default()).unwrap();
-        assert!(
-            regs.iter()
-                .any(|r| r.what == "tune gauge tune.gemm-m64-n16-k524288.kc"),
-            "kc 256 -> 128 must be flagged: {regs:?}"
-        );
-        // A shape class tuned only in the candidate is not drift.
-        let mut extra = base.clone();
-        extra.gauges.insert("tune.gemm-m8-n8-k8.mc".into(), 32.0);
-        let regs = compare(&base, &extra, &CompareConfig::default()).unwrap();
-        assert!(regs.is_empty(), "new class is not drift: {regs:?}");
     }
 
     #[test]

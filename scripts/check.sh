@@ -4,8 +4,9 @@
 #
 #   check.sh quick   fast lane — fmt, clippy -D warnings, workspace tests,
 #                    root integration tests at 1, 2 and 4 pool threads
-#   check.sh gates   heavy gates — audit, racecheck, fault matrix, model
-#                    check, overlap ablation, serve p95 latency gate, ...
+#   check.sh gates   heavy gates — lines per crate, audit, racecheck, fault
+#                    matrix, model check, overlap ablation, serve p95
+#                    latency gate, frozen-benchmark build + smoke, ...
 #   check.sh all     quick + gates (default)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -13,7 +14,13 @@ cd "$(dirname "$0")/.."
 # Every mktemp dir/file registers here; the EXIT trap removes them even
 # when a gate fails mid-way (they used to leak on error).
 SCRATCH=()
+# Set by the benchmark smoke: the committed benchmark/Cargo.lock, which
+# `cargo --offline` rewrites whenever the dependency graph has shrunk.
+LOCK_SAVED=""
 cleanup() {
+  if [ -n "$LOCK_SAVED" ]; then
+    cp -- "$LOCK_SAVED" benchmark/Cargo.lock
+  fi
   if [ "${#SCRATCH[@]}" -gt 0 ]; then
     rm -rf -- "${SCRATCH[@]}"
   fi
@@ -66,6 +73,13 @@ tier_quick() {
 }
 
 tier_gates() {
+  echo "== .rs lines per crate (ROADMAP aim 2: the trend must be visible) =="
+  local dir
+  for dir in crates/* vendor/* src tests examples; do
+    printf '%7d  %s\n' "$(find "$dir" -name '*.rs' -print0 | xargs -0 cat | wc -l)" "$dir"
+  done
+  printf '%7d  total\n' "$(find crates vendor src tests examples -name '*.rs' -print0 | xargs -0 cat | wc -l)"
+
   echo "== cargo bench --workspace --no-run =="
   cargo bench --workspace --no-run
   cargo test --workspace --no-run -q
@@ -74,27 +88,12 @@ tier_gates() {
   DCMESH_THREADS=2 capped cargo test -q -p dcmesh-pool -p dcmesh-device -p dcmesh-lfd
 
   echo "== static-analysis audit gate (lint + panic-freedom + SAFETY contracts) =="
-  # `lint` is kept as an alias of `audit` for older scripts/muscle memory.
   cargo run -q -p dcmesh-analyze --bin audit -- --report
 
   echo "== SIMD forced-scalar equivalence (math + lfd suites) =="
   # The scalar backend must reproduce today's results bit-compatibly; the
   # bitwise-equality tests in these crates enforce it under the override.
-  DCMESH_SIMD=scalar capped cargo test -q -p dcmesh-math -p dcmesh-lfd -p dcmesh-tune
-
-  echo "== tuning-cache smoke (cold search, warm load, identical tiles) =="
-  TUNE_DIR=$(mktemp -d /tmp/dcmesh_tune_XXXXXX)
-  SCRATCH+=("$TUNE_DIR")
-  COLD_OUT=$(DCMESH_TUNE_DIR="$TUNE_DIR" cargo run -q --release -p dcmesh-tune --bin tune_probe 2>/dev/null)
-  WARM_LOG=$(mktemp /tmp/dcmesh_tune_warm_XXXXXX.log)
-  SCRATCH+=("$WARM_LOG")
-  WARM_OUT=$(DCMESH_TUNE_DIR="$TUNE_DIR" cargo run -q --release -p dcmesh-tune --bin tune_probe 2>"$WARM_LOG")
-  grep -q "cache=warm" "$WARM_LOG"
-  [ "$COLD_OUT" = "$WARM_OUT" ] || {
-    echo "tuning smoke: warm-start tiles differ from cold search" >&2
-    diff <(echo "$COLD_OUT") <(echo "$WARM_OUT") >&2 || true
-    exit 1
-  }
+  DCMESH_SIMD=scalar capped cargo test -q -p dcmesh-math -p dcmesh-lfd
 
   echo "== concurrency suites under the shadow-access race detector =="
   # --test-threads=1: shadow intervals are raw addresses, so unrelated
@@ -167,6 +166,16 @@ tier_gates() {
   # A record diffed against itself must never regress (exit 0).
   cargo run -q --release -p dcmesh-bench --bin compare -- \
     "$REC_DIR/fig5.runrecord.json" "$REC_DIR/fig5.runrecord.json"
+
+  echo "== frozen benchmark still builds and smokes (BENCHMARK.json, benchmark/) =="
+  # No workspace test compiles benchmark/src/probes.rs, so a deletion pass
+  # can break it unnoticed. The build may rewrite benchmark/Cargo.lock
+  # (BENCHMARK.json's command has no --locked); cleanup puts it back.
+  LOCK_SAVED=$(mktemp /tmp/dcmesh_benchmark_lock_XXXXXX)
+  SCRATCH+=("$LOCK_SAVED")
+  cp benchmark/Cargo.lock "$LOCK_SAVED"
+  cargo build --release --offline --manifest-path benchmark/Cargo.toml
+  capped cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke > /dev/null
 }
 
 TIER="${1:-all}"

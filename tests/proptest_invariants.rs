@@ -75,12 +75,12 @@ proptest! {
     }
 
     #[test]
-    fn gemm_adjoint_fast_path_matches_naive(
+    fn gemm_adjoint_shape_matches_naive(
         m in 1usize..12,
         n in 1usize..12,
         k in 1usize..300,
     ) {
-        // op_a = ConjTrans, op_b = None triggers the contiguous-dot path.
+        // op_a = ConjTrans, op_b = None: the eigensolver's `X^H Y` shape.
         let a = Matrix::from_fn(k, m, |r, c| Complex::new((r as f64 * 0.1).sin(), (c as f64 * 0.2).cos()));
         let b = Matrix::from_fn(k, n, |r, c| Complex::new((r as f64 * 0.3).cos(), (c as f64 * 0.05).sin()));
         let mut c1 = Matrix::zeros(m, n);
