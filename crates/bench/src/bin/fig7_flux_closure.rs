@@ -7,11 +7,10 @@
 //! toroidal-moment time series that tracks the topological switching.
 
 use dcmesh_bench::BenchArgs;
-use dcmesh_core::{config_fingerprint, DcMeshConfig, DcMeshSim};
+use dcmesh_core::{DcMeshConfig, DcMeshSim, ResilientRunner, RunEvent};
 use dcmesh_lfd::LaserPulse;
 use dcmesh_qxmd::pbtio3::{PbTiO3Cell, Supercell};
 use dcmesh_qxmd::polarization::{LkDynamics, PolarizationField};
-use dcmesh_telemetry::{FlightRecorder, RecorderConfig};
 
 fn main() {
     let args = BenchArgs::parse();
@@ -61,10 +60,12 @@ fn main() {
         seed: 7,
     };
     // `--restore PATH` resumes a prior run's trajectory bitwise;
-    // `--checkpoint PATH` (+ `--checkpoint-every N`) snapshots this one.
-    let mut sim = match &args.restore {
+    // `--checkpoint PATH` mirrors this one's snapshots (one every
+    // `--checkpoint-every N` good steps) to disk. Either way the run is
+    // stepped by the one supervised runner.
+    let sim = match &args.restore {
         Some(path) => {
-            let sim = DcMeshSim::restore_from_checkpoint(cfg, path)
+            let sim = DcMeshSim::restore_from_checkpoint(cfg.clone(), path)
                 .unwrap_or_else(|e| panic!("cannot restore from {}: {e}", path.display()));
             println!(
                 "restored checkpoint {} at MD step {}",
@@ -73,36 +74,41 @@ fn main() {
             );
             sim
         }
-        None => DcMeshSim::new(cfg),
+        None => DcMeshSim::new(cfg.clone()),
     };
-    let mut recorder = args
-        .telemetry
-        .then(|| FlightRecorder::new(RecorderConfig::default()));
+    let every = args.checkpoint_every.max(1);
+    let mut runner = ResilientRunner::from_sim(sim, cfg, every);
+    if let Some(path) = &args.checkpoint {
+        runner = runner.with_checkpoint_path(path.clone());
+        println!(
+            "checkpointing every {every} MD step(s) -> {}",
+            path.display()
+        );
+    }
     let total_steps = 12;
     println!(
         "running coupled DC-MESH: {total_steps} MD steps x 40 QD steps, fs pulse on a vortex..."
     );
     println!("step  t(fs)    excited   G_y        <Pz>      hops");
-    while sim.md_steps() < total_steps {
-        let r = sim.md_step();
-        if let Some(rec) = &mut recorder {
-            rec.observe(&sim, &r);
-        }
+    while runner.md_steps() < total_steps {
+        let r = runner
+            .step()
+            .unwrap_or_else(|e| panic!("fig7 run cannot continue: {e}"));
         println!(
             "{:>4}  {:>6.3}  {:>8.4}  {:>9.5}  {:>8.5}  {:>4}",
-            sim.md_steps(),
+            runner.md_steps(),
             r.time_fs,
             r.excited_population,
             r.toroidal_moment,
             r.mean_polarization[1],
             r.hops
         );
-        if let Some(path) = &args.checkpoint {
-            let every = args.checkpoint_every.max(1);
-            if sim.md_steps().is_multiple_of(every) {
-                sim.save_checkpoint(path)
-                    .unwrap_or_else(|e| panic!("cannot checkpoint to {}: {e}", path.display()));
-                println!("      checkpointed -> {}", path.display());
+    }
+    for event in runner.events() {
+        match event {
+            RunEvent::Warning(w) => println!("warning: {w}"),
+            RunEvent::Rollback { step, rollbacks } => {
+                println!("rollback #{rollbacks}: resumed from MD step {step} with dt_qd halved")
             }
         }
     }
@@ -140,5 +146,5 @@ fn main() {
     println!("\nshape check: the same sub-coercive pulse leaves the dark vortex intact but");
     println!("switches the photo-excited one — the paper's ultralow-power switching pathway.");
 
-    args.finish_obs_with(Some(config_fingerprint(sim.config())), recorder.as_ref());
+    args.finish_obs_with(Some(&runner));
 }

@@ -21,9 +21,10 @@
 //! 1,000 QD steps) and `--scale X` for anything in between.
 
 use dcmesh_core::metrics::Table;
+use dcmesh_core::{config_fingerprint, step_series_jsonl, ResilientRunner};
 use dcmesh_grid::Mesh3;
 use dcmesh_obs::Event;
-use dcmesh_telemetry::{FlightRecorder, RunRecord};
+use dcmesh_telemetry::RunRecord;
 use std::path::PathBuf;
 
 /// Workload scale and observability options parsed from the command line.
@@ -48,8 +49,8 @@ pub struct BenchArgs {
     pub checkpoint: Option<PathBuf>,
     /// Resume from this checkpoint file before stepping (`--restore PATH`).
     pub restore: Option<PathBuf>,
-    /// Emit a flight-recorder RunRecord (+ step-series JSONL) at exit
-    /// (`--telemetry`). Implies the collector is on.
+    /// Emit a RunRecord (+ step-series JSONL) at exit (`--telemetry`).
+    /// Implies the collector is on.
     pub telemetry: bool,
     /// RunRecord output path (`--record PATH`); defaults to
     /// `bench_results/<bin>.runrecord.json`.
@@ -262,23 +263,20 @@ impl BenchArgs {
     /// as requested, and hand back the drained events for further checks.
     /// Returns `None` (and does nothing) when observability is off.
     ///
-    /// Drivers that ran a simulation should call
-    /// [`BenchArgs::finish_obs_with`] instead, so the RunRecord carries
-    /// the config fingerprint and the flight recorder's invariant summary.
+    /// Drivers that stepped a simulation through a [`ResilientRunner`]
+    /// should call [`BenchArgs::finish_obs_with`] instead, so the
+    /// RunRecord carries the config fingerprint and the runner's invariant
+    /// summary.
     pub fn finish_obs(&self) -> Option<Vec<Event>> {
-        self.finish_obs_with(None, None)
+        self.finish_obs_with(None)
     }
 
     /// [`BenchArgs::finish_obs`] plus RunRecord emission: with
     /// `--telemetry`, writes the schema-versioned RunRecord JSON to
     /// [`BenchArgs::record_path`] and the per-step JSONL series next to it
-    /// (`<record>.steps.jsonl`) — from the flight recorder when one ran,
+    /// (`<record>.steps.jsonl`) — the runner's samples when one ran,
     /// otherwise synthesized from the `md_step` spans in the trace.
-    pub fn finish_obs_with(
-        &self,
-        config_fingerprint: Option<u64>,
-        recorder: Option<&FlightRecorder>,
-    ) -> Option<Vec<Event>> {
+    pub fn finish_obs_with(&self, runner: Option<&ResilientRunner>) -> Option<Vec<Event>> {
         if !self.obs_active() {
             return None;
         }
@@ -302,18 +300,18 @@ impl BenchArgs {
             let record = RunRecord::collect(
                 &self.bin,
                 &self.describe(),
-                config_fingerprint,
+                runner.map(|r| config_fingerprint(r.sim().config())),
                 &events,
                 &metrics,
-                recorder.and_then(FlightRecorder::summary),
+                runner.and_then(ResilientRunner::summary),
             );
             record.write(&record_path).unwrap_or_else(|e| {
                 panic!("cannot write record to {}: {e}", record_path.display())
             });
             println!("wrote RunRecord to {}", record_path.display());
             let steps_path = record_path.with_extension("steps.jsonl");
-            let jsonl = match recorder {
-                Some(rec) => rec.to_jsonl(),
+            let jsonl = match runner {
+                Some(r) => step_series_jsonl(r.samples()),
                 None => steps_jsonl_from_events(&events),
             };
             std::fs::write(&steps_path, jsonl)
@@ -491,7 +489,7 @@ pub fn obs_report(events: &[Event]) -> String {
     out
 }
 
-/// Fallback step series for drivers without a [`FlightRecorder`]: one
+/// Fallback step series for drivers without a [`ResilientRunner`]: one
 /// JSONL line per completed `sim.md_step` span in the trace (or
 /// `lfd.md_step` for engine-only benches), carrying the span duration as
 /// `wall_s`.

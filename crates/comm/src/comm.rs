@@ -1,8 +1,8 @@
 //! Rank-per-thread message passing with simulated clocks.
 //!
 //! QXMD's global-local SCF needs: point-to-point exchange of domain
-//! boundaries, allreduce of the global density/energy, broadcast of the
-//! global potential, and gathers for diagnostics. Each rank carries a
+//! boundaries, allreduce of the global density/energy, and broadcast of
+//! the global potential. Each rank carries a
 //! simulated clock: `advance()` adds *measured* local compute time, and
 //! every communication operation adds *modeled* network time from
 //! [`NetworkModel`], so a laptop reproduces full-machine timing structure.
@@ -1140,47 +1140,6 @@ impl Rank {
         }
         Ok(())
     }
-
-    /// Gather each rank's `data` to the root; `Some(rows)` on root (indexed
-    /// by rank), `None` elsewhere. Panics (structured) on rank failure or
-    /// deadline expiry.
-    pub fn gather(&mut self, root: usize, data: &[f64]) -> Option<Vec<Vec<f64>>> {
-        match self.try_gather(root, data) {
-            Ok(rows) => rows,
-            Err(e) => self.escalate(e),
-        }
-    }
-
-    /// Fallible form of [`Rank::gather`].
-    pub fn try_gather(
-        &mut self,
-        root: usize,
-        data: &[f64],
-    ) -> Result<Option<Vec<Vec<f64>>>, CommError> {
-        let tag = self.next_collective_tag();
-        self.fault_op();
-        if self.id == root {
-            let mut rows: Vec<Vec<f64>> = vec![Vec::new(); self.size];
-            rows[root] = data.to_vec();
-            let mut max_clock = self.clock;
-            // Index loop: `recv_raw` needs `&mut self`, so `rows` cannot be
-            // borrowed through `iter_mut` across the receives.
-            #[allow(clippy::needless_range_loop)]
-            for from in 0..self.size {
-                if from == root {
-                    continue;
-                }
-                let msg = self.recv_raw(from, tag)?;
-                max_clock = max_clock.max(msg.clock);
-                rows[from] = msg.payload;
-            }
-            self.clock = max_clock + self.net.gather_time(data.len() * 8, self.size);
-            Ok(Some(rows))
-        } else {
-            self.send_raw(root, tag, data.to_vec())?;
-            Ok(None)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1268,18 +1227,6 @@ mod tests {
         for v in out {
             assert_eq!(v, vec![3.5, -2.0]);
         }
-    }
-
-    #[test]
-    fn gather_collects_by_rank() {
-        let out = World::run(3, NetworkModel::ideal(), |r| {
-            r.gather(0, &[r.id() as f64 * 10.0])
-        });
-        let rows = out[0].as_ref().expect("root has rows");
-        assert_eq!(rows[0], vec![0.0]);
-        assert_eq!(rows[1], vec![10.0]);
-        assert_eq!(rows[2], vec![20.0]);
-        assert!(out[1].is_none() && out[2].is_none());
     }
 
     #[test]

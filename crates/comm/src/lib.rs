@@ -6,8 +6,8 @@
 //! dragonfly fabric. This crate substitutes (DESIGN.md):
 //!
 //! * [`comm::World`] — ranks as OS threads with selective point-to-point
-//!   receive, barriers, reductions, broadcasts and gathers (the collective
-//!   set QXMD's global-local SCF actually uses), and
+//!   receive, barriers, reductions and broadcasts (the collective set
+//!   QXMD's global-local SCF actually uses), and
 //! * [`network::NetworkModel`] — an analytic latency/bandwidth model of the
 //!   Slingshot dragonfly (tree collectives cost `ceil(log2 P)` rounds,
 //!   priced node-aware: on-node rounds ride shared memory/NVLink),
@@ -25,10 +25,8 @@
 //! hidden behind compute (the paper's Alg. 5 `nowait` discipline, applied
 //! at the MPI layer; see DESIGN.md's substitution table).
 
-pub mod cart;
 pub mod comm;
 pub mod network;
 
-pub use cart::{Cart3d, Face};
 pub use comm::{CommError, OverlapStats, Rank, RecvRequest, SendRequest, World, WorldError};
 pub use network::NetworkModel;

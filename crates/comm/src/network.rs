@@ -90,21 +90,6 @@ impl NetworkModel {
         on_rounds * Self::hop_time(self.on_node_latency, self.on_node_bandwidth, bytes)
             + off_rounds * Self::hop_time(self.latency, self.bandwidth, bytes)
     }
-
-    /// Gather/scatter time: root receives (p-1) messages, pipelined; modeled
-    /// as latency * log2(p) + total bytes / bandwidth.
-    pub fn gather_time(&self, bytes_per_rank: usize, p: usize) -> f64 {
-        if p <= 1 {
-            return 0.0;
-        }
-        let total = bytes_per_rank.saturating_mul(p - 1);
-        let bw_term = if self.bandwidth.is_infinite() {
-            0.0
-        } else {
-            total as f64 / self.bandwidth
-        };
-        self.latency * (p as f64).log2().ceil() + bw_term
-    }
 }
 
 #[cfg(test)]
@@ -172,7 +157,6 @@ mod tests {
     fn single_rank_collectives_free() {
         let n = NetworkModel::slingshot11();
         assert_eq!(n.tree_collective_time(1 << 20, 1), 0.0);
-        assert_eq!(n.gather_time(1 << 20, 1), 0.0);
     }
 
     #[test]

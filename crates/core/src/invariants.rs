@@ -1,19 +1,20 @@
-//! Physics-invariant probes for the flight recorder.
+//! Physics-invariant probes and the per-step record built from them.
 //!
 //! A [`SimInvariants`] snapshot collects every conserved (or
 //! slowly-varying) quantity of the coupled simulation in one pass:
 //! classical + electronic total energy, per-domain wavefunction norm
 //! error, FSSH population sums, the Maxwell field energy, and the total
-//! electron occupation. `dcmesh-telemetry` samples these per MD step and
-//! its watchdog compares drifts against thresholds *before* the state
-//! ever goes non-finite — the early-warning counterpart to
-//! [`crate::resilience`]'s hard non-finite check.
+//! electron occupation. [`crate::ResilientRunner`] takes one per MD step
+//! and turns it into a [`StepSample`], folds it into the run's
+//! [`InvariantSummary`], and checks it against the drift ceilings
+//! ([`drift_warnings`]) *before* its hard non-finite check — the early
+//! warning ahead of a rollback.
 //!
 //! The electronic energy evaluation is the expensive part
-//! (`LfdEngine::band_energies` runs full Hamiltonian expectations), which
-//! is why the recorder samples on a stride instead of every step.
+//! (`LfdEngine::band_energies` runs full Hamiltonian expectations).
 
 use crate::simulation::DcMeshSim;
+use dcmesh_obs::json::Json;
 
 /// One snapshot of the simulation's physics invariants.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -55,7 +56,7 @@ impl SimInvariants {
 
 /// NaN-sticky maximum: `f64::max` silently discards NaN operands, which
 /// would let a poisoned domain hide behind a healthy one.
-fn max_sticky(acc: f64, v: f64) -> f64 {
+pub(crate) fn max_sticky(acc: f64, v: f64) -> f64 {
     if acc.is_nan() || v.is_nan() {
         f64::NAN
     } else {
@@ -112,6 +113,266 @@ impl DcMeshSim {
     }
 }
 
+/// Drift ceilings of the watchdog rule. One value each has ever been in
+/// use, so they are constants rather than options.
+const MAX_ENERGY_DRIFT: f64 = 0.05;
+const MAX_NORM_ERROR: f64 = 1e-3;
+const MAX_POPULATION_ERROR: f64 = 1e-3;
+const MAX_OCCUPATION_DRIFT: f64 = 1e-6;
+
+/// One watched quantity of a sample: `(name, value, ceiling)`.
+pub(crate) type Watched = (&'static str, f64, f64);
+
+/// The four watched quantities of `inv` against the run's `base`line (its
+/// first sample), computed once per step: the sample, the summary and the
+/// warnings all read this one array. Drifts are relative to `base`; the
+/// energy drift is scaled by `|base.total_energy|`.
+pub(crate) fn watched(base: &SimInvariants, inv: &SimInvariants) -> [Watched; 4] {
+    let scale = base.total_energy.abs().max(1e-12);
+    [
+        (
+            "energy_drift",
+            (inv.total_energy - base.total_energy).abs() / scale,
+            MAX_ENERGY_DRIFT,
+        ),
+        ("norm_error", inv.max_norm_error, MAX_NORM_ERROR),
+        (
+            "population_error",
+            inv.max_population_error,
+            MAX_POPULATION_ERROR,
+        ),
+        (
+            "occupation_drift",
+            (inv.total_occupation - base.total_occupation).abs(),
+            MAX_OCCUPATION_DRIFT,
+        ),
+    ]
+}
+
+/// One ceiling crossed by one sample.
+#[derive(Clone, Debug, PartialEq)]
+pub struct DriftWarning {
+    /// MD step the violating sample was taken at.
+    pub step: u64,
+    /// Which invariant degraded (e.g. `"energy_drift"`).
+    pub what: &'static str,
+    /// Observed value (may be NaN).
+    pub value: f64,
+    /// The ceiling it crossed.
+    pub threshold: f64,
+}
+
+impl std::fmt::Display for DriftWarning {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "step {}: {} = {:.3e} exceeds {:.3e}",
+            self.step, self.what, self.value, self.threshold
+        )
+    }
+}
+
+/// The watchdog rule: every ceiling the sample taken at `step` crossed.
+/// Written `!(value <= ceiling)` so a NaN counts as a violation rather
+/// than slipping past.
+pub(crate) fn drift_warnings(
+    step: u64,
+    watched: &[Watched; 4],
+) -> impl Iterator<Item = DriftWarning> + '_ {
+    watched
+        .iter()
+        .filter(
+            #[allow(clippy::neg_cmp_op_on_partial_ord)]
+            |(_, value, ceiling)| !(*value <= *ceiling),
+        )
+        .map(move |&(what, value, threshold)| DriftWarning {
+            step,
+            what,
+            value,
+            threshold,
+        })
+}
+
+/// One per-step sample of a supervised run: the perf series of the step
+/// and the physics invariants after it.
+#[derive(Clone, Debug)]
+pub struct StepSample {
+    /// Completed MD steps when the sample was taken. After a rollback the
+    /// series visibly moves backwards — that is the point of a flight
+    /// recorder.
+    pub step: u64,
+    /// Simulation time (fs).
+    pub time_fs: f64,
+    /// Wall-clock seconds the `md_step` call that produced this sample
+    /// took (not the snapshot or the invariant evaluation after it).
+    pub wall_s: f64,
+    /// LFD electron-propagation seconds this step (modeled for device
+    /// builds), summed over domains.
+    pub lfd_electron_s: f64,
+    /// LFD nonlocal-correction seconds this step.
+    pub lfd_nonlocal_s: f64,
+    /// LFD transfer seconds this step.
+    pub lfd_transfer_s: f64,
+    /// Total excited population.
+    pub excited_population: f64,
+    /// Surface hops this step.
+    pub hops: u64,
+    /// Instantaneous MD temperature (K).
+    pub temperature_k: f64,
+    /// Resident simulation-state bytes.
+    pub resident_bytes: u64,
+    /// Physics invariants after the step.
+    pub invariants: SimInvariants,
+    /// Relative total-energy drift vs. the run's first sample.
+    pub energy_drift: f64,
+}
+
+impl StepSample {
+    /// One JSONL line for this sample.
+    pub fn to_json(&self) -> Json {
+        let inv = &self.invariants;
+        Json::Obj(vec![
+            ("step".into(), Json::Num(self.step as f64)),
+            ("time_fs".into(), Json::Num(self.time_fs)),
+            ("wall_s".into(), Json::Num(self.wall_s)),
+            ("lfd_electron_s".into(), Json::Num(self.lfd_electron_s)),
+            ("lfd_nonlocal_s".into(), Json::Num(self.lfd_nonlocal_s)),
+            ("lfd_transfer_s".into(), Json::Num(self.lfd_transfer_s)),
+            (
+                "excited_population".into(),
+                Json::Num(self.excited_population),
+            ),
+            ("hops".into(), Json::Num(self.hops as f64)),
+            ("temperature_k".into(), Json::Num(self.temperature_k)),
+            (
+                "resident_bytes".into(),
+                Json::Num(self.resident_bytes as f64),
+            ),
+            ("total_energy".into(), Json::Num(inv.total_energy)),
+            ("md_total_energy".into(), Json::Num(inv.md_total_energy)),
+            ("electronic_energy".into(), Json::Num(inv.electronic_energy)),
+            ("field_energy".into(), Json::Num(inv.field_energy)),
+            ("max_norm_error".into(), Json::Num(inv.max_norm_error)),
+            (
+                "max_population_error".into(),
+                Json::Num(inv.max_population_error),
+            ),
+            ("total_occupation".into(), Json::Num(inv.total_occupation)),
+            ("energy_drift".into(), Json::Num(self.energy_drift)),
+        ])
+    }
+}
+
+/// A step series as JSONL: one [`StepSample::to_json`] object per line.
+pub fn step_series_jsonl<'a>(samples: impl IntoIterator<Item = &'a StepSample>) -> String {
+    let mut out = String::new();
+    for s in samples {
+        out.push_str(&s.to_json().to_string());
+        out.push('\n');
+    }
+    out
+}
+
+/// Whole-run invariant summary, embedded in a telemetry `RunRecord`. The
+/// extremes are accumulated over every sample of the run, so they stay
+/// exact after old samples have left the runner's bounded buffer.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct InvariantSummary {
+    /// Steps sampled.
+    pub samples: u64,
+    /// Total energy at the first sampled step.
+    pub initial_total_energy: f64,
+    /// Total energy at the last sampled step.
+    pub final_total_energy: f64,
+    /// Worst relative total-energy drift over the run. NaN when a sample
+    /// went non-finite — every threshold comparison treats that as a
+    /// violation.
+    pub max_energy_drift: f64,
+    /// Worst per-orbital norm error over the run.
+    pub max_norm_error: f64,
+    /// Worst FSSH population-sum error over the run.
+    pub max_population_error: f64,
+    /// Largest deviation of the total occupation from its initial value.
+    pub max_occupation_drift: f64,
+}
+
+impl InvariantSummary {
+    /// The summary of a run whose first sample is `base`, before any
+    /// sample has been folded in.
+    pub(crate) fn starting_at(base: &SimInvariants) -> Self {
+        Self {
+            samples: 0,
+            initial_total_energy: base.total_energy,
+            final_total_energy: base.total_energy,
+            max_energy_drift: 0.0,
+            max_norm_error: 0.0,
+            max_population_error: 0.0,
+            max_occupation_drift: 0.0,
+        }
+    }
+
+    /// Fold one sample in; the maxima are NaN-sticky.
+    pub(crate) fn fold(&mut self, inv: &SimInvariants, watched: &[Watched; 4]) {
+        self.samples += 1;
+        self.final_total_energy = inv.total_energy;
+        let maxima = [
+            &mut self.max_energy_drift,
+            &mut self.max_norm_error,
+            &mut self.max_population_error,
+            &mut self.max_occupation_drift,
+        ];
+        for (max, (_, value, _)) in maxima.into_iter().zip(watched) {
+            *max = max_sticky(*max, *value);
+        }
+    }
+
+    /// JSON object for embedding in a run record.
+    pub fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("samples".into(), Json::Num(self.samples as f64)),
+            (
+                "initial_total_energy".into(),
+                Json::Num(self.initial_total_energy),
+            ),
+            (
+                "final_total_energy".into(),
+                Json::Num(self.final_total_energy),
+            ),
+            ("max_energy_drift".into(), Json::Num(self.max_energy_drift)),
+            ("max_norm_error".into(), Json::Num(self.max_norm_error)),
+            (
+                "max_population_error".into(),
+                Json::Num(self.max_population_error),
+            ),
+            (
+                "max_occupation_drift".into(),
+                Json::Num(self.max_occupation_drift),
+            ),
+        ])
+    }
+
+    /// Parse back from [`InvariantSummary::to_json`] output. Non-finite
+    /// values were serialized as `null` and come back as NaN.
+    pub fn from_json(json: &Json) -> Result<Self, String> {
+        let num = |key: &str| -> Result<f64, String> {
+            match json.get(key) {
+                Some(Json::Num(n)) => Ok(*n),
+                Some(Json::Null) => Ok(f64::NAN),
+                _ => Err(format!("invariants: missing number '{key}'")),
+            }
+        };
+        Ok(Self {
+            samples: num("samples")? as u64,
+            initial_total_energy: num("initial_total_energy")?,
+            final_total_energy: num("final_total_energy")?,
+            max_energy_drift: num("max_energy_drift")?,
+            max_norm_error: num("max_norm_error")?,
+            max_population_error: num("max_population_error")?,
+            max_occupation_drift: num("max_occupation_drift")?,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,6 +383,71 @@ mod tests {
             n_qd: 5,
             ..DcMeshConfig::default()
         }
+    }
+
+    fn healthy() -> SimInvariants {
+        SimInvariants {
+            md_total_energy: 1.0,
+            electronic_energy: -3.0,
+            field_energy: 0.5,
+            total_energy: -1.5,
+            max_norm_error: 1e-9,
+            max_population_error: 1e-12,
+            total_occupation: 8.0,
+        }
+    }
+
+    fn warnings(step: u64, inv: &SimInvariants) -> Vec<DriftWarning> {
+        drift_warnings(step, &watched(&healthy(), inv)).collect()
+    }
+
+    #[test]
+    fn healthy_samples_raise_no_warnings() {
+        assert!(warnings(0, &healthy()).is_empty());
+    }
+
+    #[test]
+    fn energy_drift_is_relative_to_the_baseline() {
+        let drifted = SimInvariants {
+            total_energy: -1.5 * 1.2,
+            ..healthy()
+        };
+        let warns = warnings(5, &drifted);
+        assert_eq!(warns.len(), 1);
+        assert_eq!(warns[0].what, "energy_drift");
+        assert_eq!(warns[0].step, 5);
+        assert!((warns[0].value - 0.2).abs() < 1e-12);
+    }
+
+    #[test]
+    fn nan_invariants_always_warn() {
+        let poisoned = SimInvariants {
+            total_energy: f64::NAN,
+            max_norm_error: f64::NAN,
+            ..healthy()
+        };
+        let whats: Vec<&str> = warnings(1, &poisoned).iter().map(|w| w.what).collect();
+        assert_eq!(whats, ["energy_drift", "norm_error"]);
+    }
+
+    #[test]
+    fn multiple_violations_are_all_reported_and_summarized() {
+        let worse = SimInvariants {
+            total_energy: -1.2,
+            max_norm_error: 1e-2,
+            max_population_error: 1e-2,
+            total_occupation: 8.1,
+            ..healthy()
+        };
+        assert_eq!(warnings(1, &worse).len(), 4);
+        let mut summary = InvariantSummary::starting_at(&healthy());
+        summary.fold(&healthy(), &watched(&healthy(), &healthy()));
+        summary.fold(&worse, &watched(&healthy(), &worse));
+        assert_eq!(summary.samples, 2);
+        assert_eq!(summary.final_total_energy, -1.2);
+        assert!((summary.max_energy_drift - 0.2).abs() < 1e-12);
+        assert_eq!(summary.max_norm_error, 1e-2);
+        assert!((summary.max_occupation_drift - 0.1).abs() < 1e-12);
     }
 
     #[test]

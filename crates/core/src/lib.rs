@@ -18,8 +18,12 @@
 //!   single-node throughput (Fig. 4).
 //! * [`checkpoint`] — bit-exact snapshot/restore of the full simulation
 //!   state (atomic checkpoint files, config fingerprinting).
-//! * [`resilience`] — non-finite-state detection with checkpoint rollback
-//!   and QD-step halving.
+//! * [`invariants`] — the physics invariants of one state, the per-step
+//!   [`StepSample`] / whole-run [`InvariantSummary`] built from them, and
+//!   the drift ceilings of the watchdog rule.
+//! * [`resilience`] — [`ResilientRunner`], the supervised run: per-step
+//!   recording, drift warnings, non-finite-state detection with
+//!   checkpoint rollback and QD-step halving.
 
 pub mod checkpoint;
 pub mod invariants;
@@ -29,8 +33,10 @@ pub mod scaling;
 pub mod simulation;
 
 pub use checkpoint::config_fingerprint;
-pub use invariants::SimInvariants;
+pub use invariants::{
+    step_series_jsonl, DriftWarning, InvariantSummary, SimInvariants, StepSample,
+};
 pub use metrics::{parallel_efficiency_strong, parallel_efficiency_weak, Speed};
-pub use resilience::{ResilienceError, ResilientRunner};
+pub use resilience::{ResilienceError, ResilientRunner, RunEvent};
 pub use scaling::{AnalyticEfficiency, ScalingConfig, ScalingPoint};
 pub use simulation::{DcMeshConfig, DcMeshSim, StepReport};

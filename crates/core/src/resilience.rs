@@ -1,18 +1,31 @@
-//! Graceful degradation: checkpoint-backed rollback and retry.
+//! The supervised run: per-step recording, drift warnings, and
+//! checkpoint-backed rollback and retry — the one way to step a
+//! [`DcMeshSim`] under supervision.
 //!
-//! [`ResilientRunner`] wraps a [`DcMeshSim`] and watches every step for
-//! non-finite state (a NaN escaping a kernel, an exploding integrator).
-//! On detection it rolls the simulation back to the last in-memory
-//! snapshot and retries with a halved QD time step (`dt_qd / 2`,
+//! [`ResilientRunner`] wraps a [`DcMeshSim`]. After every attempted MD
+//! step it, in this order: records a [`StepSample`] (the wall time of the
+//! `md_step` call plus the physics invariants) and folds it into the
+//! run's [`InvariantSummary`]; turns every drift ceiling the sample
+//! crossed into a [`RunEvent::Warning`]; and only then checks the state
+//! for non-finite values (a NaN escaping a kernel, an exploding
+//! integrator). On detection it rolls the simulation back to the last
+//! in-memory snapshot and retries with a halved QD time step (`dt_qd / 2`,
 //! `n_qd * 2` — the MD step length is preserved), up to a bounded number
-//! of rollbacks. Snapshots are taken at construction and every
+//! of rollbacks — so a poisoned step's warnings are ordered strictly
+//! before its [`RunEvent::Rollback`], and the poisoned sample stays in
+//! the record. Snapshots are taken at construction and every
 //! `checkpoint_every` successful steps; an optional path mirrors them to
 //! disk through the atomic checkpoint writer.
 
+use crate::invariants::{
+    drift_warnings, watched, DriftWarning, InvariantSummary, SimInvariants, StepSample,
+};
 use crate::simulation::{DcMeshConfig, DcMeshSim, StepReport};
 use dcmesh_ckpt::CkptError;
+use std::collections::VecDeque;
 use std::fmt;
 use std::path::PathBuf;
+use std::time::Instant;
 
 /// Why a resilient run could not continue.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -48,14 +61,36 @@ impl From<CkptError> for ResilienceError {
     }
 }
 
-/// Called after every attempted MD step, *before* the finiteness check
-/// decides whether to roll back. The telemetry watchdog hangs off this
-/// hook, which is what guarantees its drift warnings are ordered strictly
-/// before any rollback for the same step.
-pub type StepObserver = Box<dyn FnMut(&DcMeshSim, &StepReport)>;
+/// Something the runner noticed during a run, in the order it happened.
+#[derive(Clone, Debug, PartialEq)]
+pub enum RunEvent {
+    /// A sample crossed a drift ceiling. Raised before the finiteness
+    /// check of the same step, so for a poisoned step the warning precedes
+    /// the matching [`RunEvent::Rollback`].
+    Warning(DriftWarning),
+    /// The runner rolled back to its last snapshot.
+    Rollback {
+        /// MD step counter after the rollback restored the snapshot.
+        step: u64,
+        /// Total rollbacks so far.
+        rollbacks: u32,
+    },
+}
 
-/// Checkpoint-backed driver that detects non-finite state and retries
-/// from the last snapshot with a smaller electronic time step.
+/// Step samples kept in memory; older ones are evicted (the summary is
+/// accumulated separately and stays exact).
+const SAMPLE_CAPACITY: usize = 4096;
+
+fn push_bounded(ring: &mut VecDeque<StepSample>, sample: StepSample) {
+    if ring.len() >= SAMPLE_CAPACITY {
+        ring.pop_front();
+    }
+    ring.push_back(sample);
+}
+
+/// Checkpoint-backed driver that records every step, warns on invariant
+/// drift, detects non-finite state and retries from the last snapshot
+/// with a smaller electronic time step.
 pub struct ResilientRunner {
     sim: DcMeshSim,
     cfg: DcMeshConfig,
@@ -65,7 +100,11 @@ pub struct ResilientRunner {
     last_snapshot: Vec<u8>,
     rollbacks: u32,
     max_rollbacks: u32,
-    observer: Option<StepObserver>,
+    /// The drift baseline (the run's first sample) and the summary
+    /// accumulated against it.
+    summary: Option<(SimInvariants, InvariantSummary)>,
+    samples: VecDeque<StepSample>,
+    events: Vec<RunEvent>,
 }
 
 impl fmt::Debug for ResilientRunner {
@@ -98,15 +137,10 @@ impl ResilientRunner {
             last_snapshot,
             rollbacks: 0,
             max_rollbacks: 3,
-            observer: None,
+            summary: None,
+            samples: VecDeque::new(),
+            events: Vec::new(),
         }
-    }
-
-    /// Install a hook that sees `(sim, report)` after every attempted MD
-    /// step, before the finiteness check — so an observer inspecting a
-    /// poisoned state runs strictly before the rollback that repairs it.
-    pub fn set_step_observer(&mut self, observer: impl FnMut(&DcMeshSim, &StepReport) + 'static) {
-        self.observer = Some(Box::new(observer));
     }
 
     /// Rebuild a runner from a snapshot an earlier runner produced — the
@@ -166,14 +200,29 @@ impl ResilientRunner {
         &self.last_snapshot
     }
 
+    /// Warnings and rollbacks in occurrence order.
+    pub fn events(&self) -> &[RunEvent] {
+        &self.events
+    }
+
+    /// Whole-run invariant summary; `None` until the first step.
+    pub fn summary(&self) -> Option<InvariantSummary> {
+        self.summary.map(|(_, summary)| summary)
+    }
+
+    /// The buffered step samples, oldest first — one per *attempted* step,
+    /// so a rolled-back step's poisoned sample is in the series.
+    pub fn samples(&self) -> impl Iterator<Item = &StepSample> {
+        self.samples.iter()
+    }
+
     /// Advance one MD step, rolling back and retrying with a halved QD
     /// step whenever the post-step state is non-finite.
     pub fn step(&mut self) -> Result<StepReport, ResilienceError> {
         loop {
+            let started = Instant::now();
             let report = self.sim.md_step();
-            if let Some(obs) = &mut self.observer {
-                obs(&self.sim, &report);
-            }
+            self.record(&report, started.elapsed().as_secs_f64());
             if self.sim.is_finite() {
                 self.steps_since_ckpt += 1;
                 if self.checkpoint_every > 0 && self.steps_since_ckpt >= self.checkpoint_every {
@@ -195,7 +244,43 @@ impl ResilientRunner {
             self.cfg.dt_qd *= 0.5;
             self.cfg.n_qd *= 2;
             self.sim = DcMeshSim::restore_from_bytes(self.cfg.clone(), &self.last_snapshot, false)?;
+            self.events.push(RunEvent::Rollback {
+                step: self.sim.md_steps(),
+                rollbacks: self.rollbacks,
+            });
         }
+    }
+
+    /// Sample the step just attempted (`wall_s` is its `md_step` call
+    /// alone): one invariant evaluation against one baseline feeds the
+    /// sample, the summary and the drift warnings.
+    fn record(&mut self, report: &StepReport, wall_s: f64) {
+        let inv = self.sim.physics_invariants();
+        let (base, summary) = self
+            .summary
+            .get_or_insert_with(|| (inv, InvariantSummary::starting_at(&inv)));
+        let watched = watched(base, &inv);
+        summary.fold(&inv, &watched);
+        for warning in drift_warnings(self.sim.md_steps(), &watched) {
+            dcmesh_obs::metrics::counter_add("telemetry.watchdog_warnings", 1);
+            self.events.push(RunEvent::Warning(warning));
+        }
+        let [(_, energy_drift, _), ..] = watched;
+        let sample = StepSample {
+            step: self.sim.md_steps(),
+            time_fs: report.time_fs,
+            wall_s,
+            lfd_electron_s: report.lfd_electron_s,
+            lfd_nonlocal_s: report.lfd_nonlocal_s,
+            lfd_transfer_s: report.lfd_transfer_s,
+            excited_population: report.excited_population,
+            hops: report.hops as u64,
+            temperature_k: report.temperature_k,
+            resident_bytes: self.sim.resident_bytes(),
+            invariants: inv,
+            energy_drift,
+        };
+        push_bounded(&mut self.samples, sample);
     }
 
     /// Run until the wrapped simulation has completed `target` MD steps
@@ -231,12 +316,101 @@ mod tests {
     }
 
     #[test]
-    fn clean_run_never_rolls_back() {
+    fn clean_run_records_every_step_without_events() {
         let _guard = fault::test_lock();
         let mut runner = ResilientRunner::new(quick_cfg(), 2);
         runner.run_to(4).unwrap();
         assert_eq!(runner.md_steps(), 4);
         assert_eq!(runner.rollbacks(), 0);
+        assert!(runner.events().is_empty(), "no drift, no rollback");
+        let summary = runner.summary().expect("every step is sampled");
+        assert_eq!(summary.samples, 4);
+        assert!(summary.max_energy_drift < 0.05);
+        assert!(summary.max_occupation_drift < 1e-9);
+        let steps: Vec<u64> = runner.samples().map(|s| s.step).collect();
+        assert_eq!(steps, [1, 2, 3, 4]);
+        assert!(
+            runner.samples().all(|s| s.wall_s > 0.0),
+            "wall_s is the md_step call's own duration, first sample included"
+        );
+    }
+
+    #[test]
+    fn warning_precedes_rollback_for_an_injected_nan() {
+        let plan = FaultPlan {
+            nan_at_step: Some(1),
+            ..FaultPlan::none()
+        };
+        fault::with_installed(plan, || {
+            let mut runner = ResilientRunner::new(quick_cfg(), 1);
+            runner.run_to(3).unwrap();
+            assert_eq!(runner.rollbacks(), 1);
+            let events = runner.events();
+            let first_warning = events
+                .iter()
+                .position(|e| matches!(e, RunEvent::Warning(_)))
+                .expect("poisoned step must warn");
+            let first_rollback = events
+                .iter()
+                .position(|e| matches!(e, RunEvent::Rollback { .. }))
+                .expect("NaN injection must roll back");
+            assert!(
+                first_warning < first_rollback,
+                "drift warning must be ordered strictly before the rollback \
+                 (events: {events:?})"
+            );
+            assert_eq!(
+                events[first_rollback],
+                RunEvent::Rollback {
+                    step: 1,
+                    rollbacks: 1
+                },
+                "the rollback restores the step-1 snapshot"
+            );
+            // The run recovered, but the poisoned attempt stays on record.
+            assert!(runner.sim().is_finite());
+            assert_eq!(runner.samples().count(), 4, "3 good steps + 1 poisoned");
+            assert!(
+                runner.summary().unwrap().max_energy_drift.is_nan(),
+                "the poisoned sample must stay visible in the summary"
+            );
+        });
+    }
+
+    #[test]
+    fn step_series_jsonl_lines_parse_back() {
+        let _guard = fault::test_lock();
+        let mut runner = ResilientRunner::new(quick_cfg(), 0);
+        runner.run_to(2).unwrap();
+        let jsonl = crate::invariants::step_series_jsonl(runner.samples());
+        let lines: Vec<&str> = jsonl.lines().collect();
+        assert_eq!(lines.len(), 2);
+        for line in lines {
+            let v = dcmesh_obs::json::Json::parse(line).expect("valid JSON");
+            assert!(v.get("step").is_some());
+            assert!(v.get("total_energy").is_some());
+            assert!(v.get("energy_drift").is_some());
+        }
+    }
+
+    #[test]
+    fn sample_buffer_evicts_the_oldest_at_capacity() {
+        let _guard = fault::test_lock();
+        let mut runner = ResilientRunner::new(quick_cfg(), 0);
+        runner.step().unwrap();
+        let template = runner.samples().next().unwrap().clone();
+        let mut ring = VecDeque::new();
+        for step in 0..SAMPLE_CAPACITY as u64 + 2 {
+            push_bounded(
+                &mut ring,
+                StepSample {
+                    step,
+                    ..template.clone()
+                },
+            );
+        }
+        assert_eq!(ring.len(), SAMPLE_CAPACITY);
+        assert_eq!(ring.front().unwrap().step, 2, "oldest two evicted");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Job specification, lifecycle status, and the handle a submitter keeps.
 //!
 //! A [`JobSpec`] is plain `Send` data: the worker thread that picks it up
-//! constructs the simulation (and its non-`Send` telemetry runner) locally,
-//! so nothing stateful ever crosses a thread boundary. The submitter gets a
+//! constructs the simulation and its runner locally, so nothing stateful
+//! ever crosses a thread boundary. The submitter gets a
 //! [`JobHandle`] back — a cancellation flag plus a condvar-backed slot the
 //! worker fills with the [`JobOutcome`] when the job leaves the system.
 
@@ -11,7 +11,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dcmesh_analyze::sync::{AtomicBool, Condvar, Mutex};
-use dcmesh_core::DcMeshConfig;
+use dcmesh_core::{DcMeshConfig, InvariantSummary, StepSample};
+use dcmesh_obs::metrics::{Histogram, MetricsSnapshot};
 use dcmesh_telemetry::RunRecord;
 
 /// How a job shares the process-wide compute pool while it runs.
@@ -31,7 +32,7 @@ pub enum PoolShare {
 /// Everything needed to run one simulation job. Plain data, `Send`.
 #[derive(Clone, Debug)]
 pub struct JobSpec {
-    /// Display name; becomes the per-job RunRecord workload label.
+    /// Display name.
     pub name: String,
     /// Simulation configuration (including the RNG seed, so a fixed spec
     /// replays deterministically).
@@ -123,11 +124,40 @@ pub struct JobOutcome {
     /// Excited-state population after the last completed step (NaN if no
     /// step ran) — the physics observable a tenant actually asked for.
     pub excited_population: f64,
-    /// Per-job telemetry record (steps, rollbacks, step-time histogram,
-    /// invariant summary). Absent when the job never ran.
-    pub record: Option<RunRecord>,
-    /// The job's flight-recorder ring flushed as JSONL (last attempt).
-    pub step_series_jsonl: String,
+    /// Whole-run invariant summary of the last attempt (`None` when no
+    /// step ran).
+    pub summary: Option<InvariantSummary>,
+    /// The last attempt's step samples, oldest first — one per attempted
+    /// step, rolled-back ones included.
+    pub samples: Vec<StepSample>,
+}
+
+impl JobOutcome {
+    /// The step samples as JSONL (one object per line).
+    pub fn step_series_jsonl(&self) -> String {
+        dcmesh_core::step_series_jsonl(&self.samples)
+    }
+
+    /// The job as a [`RunRecord`] labelled `workload`, so a tenant's
+    /// regression gating works unchanged: steps, rollbacks and attempts as
+    /// counters, the `md_step` wall times as a histogram, the invariant
+    /// summary. Built when asked for; thread count, fault plan and git
+    /// metadata are those of the calling process at that moment.
+    pub fn record(&self, workload: &str) -> RunRecord {
+        let mut m = MetricsSnapshot::default();
+        m.counters.insert("serve.job.steps".into(), self.steps_done);
+        m.counters
+            .insert("serve.job.rollbacks".into(), u64::from(self.rollbacks));
+        m.counters
+            .insert("serve.job.attempts".into(), u64::from(self.attempts));
+        let mut step_hist = Histogram::default();
+        for s in &self.samples {
+            step_hist.record(s.wall_s);
+        }
+        m.histograms
+            .insert("serve.job.step_seconds".into(), step_hist);
+        RunRecord::collect("serve", workload, None, &[], &m, self.summary)
+    }
 }
 
 /// Mutable per-job state shared between the handle and the worker.
@@ -255,8 +285,8 @@ mod tests {
                 queue_wait_s: 0.0,
                 run_s: 0.0,
                 excited_population: 0.5,
-                record: None,
-                step_series_jsonl: String::new(),
+                summary: None,
+                samples: Vec::new(),
             });
         });
         let outcome = handle.wait();

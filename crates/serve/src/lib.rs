@@ -21,9 +21,11 @@
 //!   then evicted ([`JobStatus::Evicted`]) if the retry budget runs out.
 //!   Panics become [`JobStatus::Failed`]. The service itself never goes
 //!   down with a tenant.
-//! - **Per-job telemetry** — every job gets its own flight-recorder ring
-//!   and a [`RunRecord`](dcmesh_telemetry::RunRecord) in its
-//!   [`JobOutcome`], so a tenant's regression gating works unchanged.
+//! - **Per-job telemetry** — a job is stepped by one
+//!   `dcmesh_core::ResilientRunner`; its [`JobOutcome`] carries that
+//!   runner's step samples and invariant summary as data and formats the
+//!   JSONL series or a [`RunRecord`](dcmesh_telemetry::RunRecord) when
+//!   asked, so a tenant's regression gating works unchanged.
 //!
 //! [`load`] is the open-loop load harness behind the `serve_load` bench
 //! driver and the deterministic-replay test.

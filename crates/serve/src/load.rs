@@ -113,7 +113,6 @@ pub fn run_load(cfg: &LoadConfig) -> LoadReport {
     let service = Service::start(ServeConfig {
         queue_capacity: cfg.queue_capacity,
         concurrency: cfg.concurrency,
-        ..ServeConfig::default()
     });
     let mut rng = SplitMix64::seed_from_u64(cfg.seed);
     let t0 = Instant::now();

@@ -1,10 +1,13 @@
 //! The scheduler: N worker threads draining the admission queue over the
 //! shared compute pool.
 //!
-//! Each worker builds the simulation (and its non-`Send` telemetry
-//! runner) locally from the `Send` [`JobSpec`], then steps it to
-//! completion, checking the cancel flag and deadline at every MD-step
-//! boundary. Kernel dispatches go through the process-wide
+//! Each worker builds a [`ResilientRunner`] locally from the `Send`
+//! [`JobSpec`] and steps it to completion, checking the cancel flag and
+//! deadline at every MD-step boundary. The runner is the whole
+//! supervision stack — it records the step samples and invariant summary
+//! the [`JobOutcome`] carries, warns on drift, and rolls back — so what
+//! happens after an MD step is answered in `dcmesh_core::resilience`
+//! alone. Kernel dispatches go through the process-wide
 //! `dcmesh-pool` executor; under [`PoolShare::Shared`] concurrent jobs
 //! serialize on the pool's dispatch lock (each parallel region gets every
 //! core), under [`PoolShare::Inline`] each job pins its kernels to its
@@ -25,11 +28,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dcmesh_analyze::sync::{spawn_named, AtomicUsize, JoinHandle};
-use dcmesh_core::{ResilienceError, ResilientRunner};
-use dcmesh_obs::metrics::{self, Histogram, MetricsSnapshot};
-use dcmesh_telemetry::{
-    GitMeta, InvariantSummary, RecorderConfig, RunRecord, TelemetryRunner, WatchdogThresholds,
-};
+use dcmesh_core::{InvariantSummary, ResilienceError, ResilientRunner, StepSample};
+use dcmesh_obs::metrics;
 
 use crate::job::{JobHandle, JobOutcome, JobShared, JobSpec, JobStatus, PoolShare};
 use crate::queue::{Job, JobQueue, Rejected, ResumeState};
@@ -42,8 +42,6 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Worker threads draining the queue (jobs running concurrently).
     pub concurrency: usize,
-    /// Per-job flight-recorder sizing.
-    pub recorder: RecorderConfig,
 }
 
 impl Default for ServeConfig {
@@ -51,16 +49,8 @@ impl Default for ServeConfig {
         Self {
             queue_capacity: 32,
             concurrency: 2,
-            recorder: RecorderConfig::default(),
         }
     }
-}
-
-/// Immutable context shared by every worker.
-struct WorkerCtx {
-    git: GitMeta,
-    threads: usize,
-    recorder: RecorderConfig,
 }
 
 /// A running job service: admission queue plus worker threads.
@@ -80,23 +70,13 @@ impl std::fmt::Debug for Service {
 }
 
 impl Service {
-    /// Spawn the worker threads and start accepting jobs. Git metadata
-    /// for per-job RunRecords is detected once here (it shells out), not
-    /// per job.
+    /// Spawn the worker threads and start accepting jobs.
     pub fn start(cfg: ServeConfig) -> Self {
         let queue = Arc::new(JobQueue::new(cfg.queue_capacity));
-        let ctx = Arc::new(WorkerCtx {
-            git: GitMeta::detect(),
-            threads: dcmesh_pool::configured_threads(),
-            recorder: cfg.recorder,
-        });
         let workers = (0..cfg.concurrency.max(1))
             .map(|i| {
                 let queue = Arc::clone(&queue);
-                let ctx = Arc::clone(&ctx);
-                spawn_named(&format!("dcmesh-serve-{i}"), move || {
-                    worker_loop(&ctx, &queue)
-                })
+                spawn_named(&format!("dcmesh-serve-{i}"), move || worker_loop(&queue))
             })
             .collect();
         Self {
@@ -160,8 +140,8 @@ impl Service {
                 queue_wait_s: job.submitted_at.elapsed().as_secs_f64(),
                 run_s: 0.0,
                 excited_population: f64::NAN,
-                record: None,
-                step_series_jsonl: String::new(),
+                summary: None,
+                samples: Vec::new(),
             });
         }
         for w in self.workers {
@@ -178,40 +158,40 @@ enum AttemptEnd {
     Retry(ResumeState),
 }
 
-/// What an attempt measured, independent of how it ended.
+/// What an attempt measured, independent of how it ended: read off its
+/// runner once the step loop is over.
 struct AttemptStats {
     steps_done: u64,
     attempt_rollbacks: u32,
     excited_population: f64,
-    step_hist: Histogram,
-    jsonl: String,
     summary: Option<InvariantSummary>,
+    samples: Vec<StepSample>,
     run_s: f64,
 }
 
 impl AttemptStats {
-    fn empty(started: Instant) -> Self {
+    /// The stats of a job that never stepped.
+    fn empty() -> Self {
         Self {
             steps_done: 0,
             attempt_rollbacks: 0,
             excited_population: f64::NAN,
-            step_hist: Histogram::default(),
-            jsonl: String::new(),
             summary: None,
-            run_s: started.elapsed().as_secs_f64(),
+            samples: Vec::new(),
+            run_s: 0.0,
         }
     }
 }
 
-fn worker_loop(ctx: &WorkerCtx, queue: &JobQueue) {
+fn worker_loop(queue: &JobQueue) {
     while let Some(job) = queue.pop_wait() {
-        process(ctx, queue, job);
+        process(queue, job);
     }
 }
 
 /// Run one pass over a job: pre-flight checks, one attempt, then either
 /// publish the outcome or requeue the retry.
-fn process(ctx: &WorkerCtx, queue: &JobQueue, mut job: Job) {
+fn process(queue: &JobQueue, mut job: Job) {
     if job.queue_wait_s.is_none() {
         let wait = job.submitted_at.elapsed().as_secs_f64();
         job.queue_wait_s = Some(wait);
@@ -220,17 +200,17 @@ fn process(ctx: &WorkerCtx, queue: &JobQueue, mut job: Job) {
     // Pre-SCF checks: a cancel or an expired deadline that landed while
     // the job was queued resolves it before any state is built.
     if job.shared.cancel.load(Ordering::Acquire) {
-        return finish(ctx, job, JobStatus::Cancelled, None);
+        return finish(job, JobStatus::Cancelled, None);
     }
     if job.deadline_at.is_some_and(|d| Instant::now() >= d) {
-        return finish(ctx, job, JobStatus::DeadlineExceeded, None);
+        return finish(job, JobStatus::DeadlineExceeded, None);
     }
     job.shared.set_running();
     job.attempts += 1;
-    match catch_unwind(AssertUnwindSafe(|| run_attempt(ctx, &job))) {
+    match catch_unwind(AssertUnwindSafe(|| run_attempt(&job))) {
         Err(payload) => {
             let reason = panic_reason(payload.as_ref());
-            finish(ctx, job, JobStatus::Failed { reason }, None);
+            finish(job, JobStatus::Failed { reason }, None);
         }
         Ok((end, stats)) => {
             job.run_s += stats.run_s;
@@ -241,19 +221,19 @@ fn process(ctx: &WorkerCtx, queue: &JobQueue, mut job: Job) {
                     job.resume = Some(resume);
                     queue.requeue_front(job);
                 }
-                AttemptEnd::Finished(status) => finish(ctx, job, status, Some(&stats)),
+                AttemptEnd::Finished(status) => finish(job, status, Some(stats)),
             }
         }
     }
 }
 
-/// One attempt: build the runner (fresh or from the retry snapshot), wrap
-/// it in telemetry, and step to the target with cooperative checks at
-/// every MD-step boundary.
-fn run_attempt(ctx: &WorkerCtx, job: &Job) -> (AttemptEnd, AttemptStats) {
+/// One attempt: build the runner (fresh or from the retry snapshot) and
+/// step it to the target with cooperative checks at every MD-step
+/// boundary.
+fn run_attempt(job: &Job) -> (AttemptEnd, AttemptStats) {
     let spec = &job.spec;
     let started = Instant::now();
-    let runner = match &job.resume {
+    let mut runner = match &job.resume {
         Some(r) => {
             match ResilientRunner::from_snapshot(r.cfg.clone(), &r.snapshot, spec.checkpoint_every)
             {
@@ -263,7 +243,10 @@ fn run_attempt(ctx: &WorkerCtx, job: &Job) -> (AttemptEnd, AttemptStats) {
                         AttemptEnd::Finished(JobStatus::Failed {
                             reason: format!("resume failed: {e}"),
                         }),
-                        AttemptStats::empty(started),
+                        AttemptStats {
+                            run_s: started.elapsed().as_secs_f64(),
+                            ..AttemptStats::empty()
+                        },
                     )
                 }
             }
@@ -271,36 +254,32 @@ fn run_attempt(ctx: &WorkerCtx, job: &Job) -> (AttemptEnd, AttemptStats) {
         None => ResilientRunner::new(spec.cfg.clone(), spec.checkpoint_every),
     }
     .with_max_rollbacks(spec.max_rollbacks);
-    let mut tr = TelemetryRunner::from_runner(runner, ctx.recorder, WatchdogThresholds::default());
 
-    let mut step_hist = Histogram::default();
     let mut excited = f64::NAN;
-    let step_loop = |tr: &mut TelemetryRunner, step_hist: &mut Histogram, excited: &mut f64| loop {
+    let step_loop = |runner: &mut ResilientRunner, excited: &mut f64| loop {
         if job.shared.cancel.load(Ordering::Acquire) {
             break AttemptEnd::Finished(JobStatus::Cancelled);
         }
         if job.deadline_at.is_some_and(|d| Instant::now() >= d) {
             break AttemptEnd::Finished(JobStatus::DeadlineExceeded);
         }
-        if tr.runner().md_steps() >= spec.target_steps {
+        if runner.md_steps() >= spec.target_steps {
             break AttemptEnd::Finished(JobStatus::Completed);
         }
-        let t0 = Instant::now();
-        match tr.step() {
+        match runner.step() {
             Ok(report) => {
-                step_hist.record(t0.elapsed().as_secs_f64());
                 metrics::counter_add("serve.steps", 1);
                 *excited = report.excited_population;
             }
             Err(ResilienceError::Unrecoverable { .. }) => {
                 if job.attempts <= spec.retries {
                     break AttemptEnd::Retry(ResumeState {
-                        cfg: tr.runner().config().clone(),
-                        snapshot: tr.runner().last_snapshot().to_vec(),
+                        cfg: runner.config().clone(),
+                        snapshot: runner.last_snapshot().to_vec(),
                     });
                 }
                 break AttemptEnd::Finished(JobStatus::Evicted {
-                    rollbacks: job.rollbacks + tr.rollbacks(),
+                    rollbacks: job.rollbacks + runner.rollbacks(),
                     attempts: job.attempts,
                 });
             }
@@ -312,29 +291,27 @@ fn run_attempt(ctx: &WorkerCtx, job: &Job) -> (AttemptEnd, AttemptStats) {
         }
     };
     let end = match spec.pool_share {
-        PoolShare::Inline => {
-            dcmesh_pool::run_inline(|| step_loop(&mut tr, &mut step_hist, &mut excited))
-        }
-        PoolShare::Shared => step_loop(&mut tr, &mut step_hist, &mut excited),
+        PoolShare::Inline => dcmesh_pool::run_inline(|| step_loop(&mut runner, &mut excited)),
+        PoolShare::Shared => step_loop(&mut runner, &mut excited),
     };
 
     (
         end,
         AttemptStats {
-            steps_done: tr.runner().md_steps(),
-            attempt_rollbacks: tr.rollbacks(),
+            steps_done: runner.md_steps(),
+            attempt_rollbacks: runner.rollbacks(),
             excited_population: excited,
-            step_hist,
-            jsonl: tr.to_jsonl(),
-            summary: tr.summary(),
+            summary: runner.summary(),
+            samples: runner.samples().cloned().collect(),
             run_s: started.elapsed().as_secs_f64(),
         },
     )
 }
 
-/// Publish the terminal outcome (with its per-job RunRecord when the job
-/// actually ran) and bump the per-status service counters.
-fn finish(ctx: &WorkerCtx, job: Job, status: JobStatus, rep: Option<&AttemptStats>) {
+/// Publish the terminal outcome (with the last attempt's samples and
+/// summary when the job actually ran) and bump the per-status service
+/// counters.
+fn finish(job: Job, status: JobStatus, stats: Option<AttemptStats>) {
     let counter = match &status {
         JobStatus::Completed => "serve.completed",
         JobStatus::Cancelled => "serve.cancelled",
@@ -346,40 +323,17 @@ fn finish(ctx: &WorkerCtx, job: Job, status: JobStatus, rep: Option<&AttemptStat
     metrics::counter_add(counter, 1);
     metrics::histogram_record("serve.run_seconds", job.run_s);
 
-    let record = rep.map(|r| {
-        let mut m = MetricsSnapshot::default();
-        m.counters.insert("serve.job.steps".into(), r.steps_done);
-        m.counters
-            .insert("serve.job.rollbacks".into(), u64::from(job.rollbacks));
-        m.counters
-            .insert("serve.job.attempts".into(), u64::from(job.attempts));
-        m.histograms
-            .insert("serve.job.step_seconds".into(), r.step_hist.clone());
-        RunRecord::from_parts(
-            "serve",
-            &job.spec.name,
-            None,
-            ctx.threads,
-            dcmesh_ckpt::fault::current()
-                .map(|p| p.spec())
-                .unwrap_or_default(),
-            ctx.git.clone(),
-            &[],
-            &m,
-            r.summary,
-        )
-    });
-
+    let stats = stats.unwrap_or_else(AttemptStats::empty);
     job.shared.finish(JobOutcome {
         status,
-        steps_done: rep.map_or(0, |r| r.steps_done),
+        steps_done: stats.steps_done,
         rollbacks: job.rollbacks,
         attempts: job.attempts,
         queue_wait_s: job.queue_wait_s.unwrap_or(0.0),
         run_s: job.run_s,
-        excited_population: rep.map_or(f64::NAN, |r| r.excited_population),
-        record,
-        step_series_jsonl: rep.map_or(String::new(), |r| r.jsonl.clone()),
+        excited_population: stats.excited_population,
+        summary: stats.summary,
+        samples: stats.samples,
     });
 }
 
@@ -431,9 +385,10 @@ mod tests {
             direct.to_bits(),
             "serving must not perturb the physics"
         );
-        let record = outcome.record.expect("completed jobs carry a RunRecord");
+        let record = outcome.record("direct-equiv");
         assert_eq!(record.counters.get("serve.job.steps"), Some(&3));
-        assert!(!outcome.step_series_jsonl.is_empty());
+        assert_eq!(record.invariants, outcome.summary);
+        assert_eq!(outcome.step_series_jsonl().lines().count(), 3);
     }
 
     #[test]

@@ -73,7 +73,6 @@ fn burst_arrivals_beyond_the_queue_bound_are_rejected_typed() {
     let service = Service::start(ServeConfig {
         concurrency: 1,
         queue_capacity: 1,
-        ..ServeConfig::default()
     });
     let blocker = service.submit(spec("blocker", 100_000)).unwrap();
     wait_running(&blocker);

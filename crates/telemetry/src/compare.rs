@@ -220,7 +220,7 @@ pub fn compare(
 mod tests {
     use super::*;
     use crate::record::{GitMeta, RunRecord};
-    use crate::sample::InvariantSummary;
+    use dcmesh_core::InvariantSummary;
     use dcmesh_obs::metrics::{Histogram, MetricsSnapshot};
     use dcmesh_obs::trace::{Event, Track};
 

@@ -1,20 +1,12 @@
 //! # dcmesh-telemetry
 //!
-//! The flight recorder: a structured-telemetry layer on top of
-//! `dcmesh-obs` that turns a run of the coupled simulation (or a bench
-//! driver) into machine-readable artifacts a later run can be compared
-//! against.
+//! The artefact half of the measurement substrate: what a run leaves
+//! behind, and how two such artefacts are compared. It sits *beside* the
+//! run loop, not inside it — the loop itself is
+//! [`dcmesh_core::ResilientRunner`], which records the per-step samples,
+//! the whole-run [`InvariantSummary`] and the drift warnings this crate
+//! only formats.
 //!
-//! * [`recorder`] — [`FlightRecorder`]: samples per-MD-step physics
-//!   invariants ([`dcmesh_core::SimInvariants`]) and performance series
-//!   into a bounded ring buffer, flushed as JSONL.
-//! * [`watchdog`] — [`Watchdog`]: configurable drift thresholds that warn
-//!   when energy drift, norm error, or population leakage degrades
-//!   *before* the state goes non-finite (the soft counterpart to
-//!   `ResilientRunner`'s hard non-finite check).
-//! * [`runner`] — [`TelemetryRunner`]: wires a recorder + watchdog into
-//!   `ResilientRunner`'s step-observer hook, so watchdog warnings are
-//!   ordered strictly before any rollback for the same step.
 //! * [`record`] — [`RunRecord`]: a schema-versioned JSON summary of one
 //!   run (config fingerprint, thread count, fault plan, git metadata,
 //!   per-phase aggregates, metric snapshots with log₂ histogram buckets,
@@ -22,22 +14,10 @@
 //! * [`compare`] — diff two RunRecords: log₂-histogram latency
 //!   comparison, per-phase ratios, invariant-drift thresholds. The
 //!   `dcmesh-bench` `compare` binary exits nonzero on any regression.
-//! * [`aggregate`] — min/mean/max + load-imbalance views of per-rank
-//!   telemetry gathered through `dcmesh-comm`, matching the paper's
-//!   scaling-efficiency methodology.
 
-pub mod aggregate;
 pub mod compare;
 pub mod record;
-pub mod recorder;
-pub mod runner;
-pub mod sample;
-pub mod watchdog;
 
-pub use aggregate::{gather_stats, summarize, RankStat};
 pub use compare::{compare, CompareConfig, Regression};
+pub use dcmesh_core::InvariantSummary;
 pub use record::{GitMeta, HistRecord, PhaseRecord, RunRecord, SCHEMA_VERSION};
-pub use recorder::{FlightRecorder, RecorderConfig};
-pub use runner::{TelemetryEvent, TelemetryRunner};
-pub use sample::{InvariantSummary, StepSample};
-pub use watchdog::{Watchdog, WatchdogThresholds, WatchdogWarning};

@@ -10,7 +10,7 @@ use dcmesh_obs::metrics::{Histogram, MetricsSnapshot, MAX_EXP, MIN_EXP};
 use dcmesh_obs::report::PhaseAgg;
 use dcmesh_obs::trace::Event;
 
-use crate::sample::InvariantSummary;
+use dcmesh_core::InvariantSummary;
 
 /// Bump when the RunRecord JSON layout changes incompatibly. `compare`
 /// refuses to diff records with different schema versions.
@@ -320,7 +320,7 @@ pub struct RunRecord {
     pub gauges: BTreeMap<String, f64>,
     /// Histogram snapshot with percentiles and sparse buckets.
     pub histograms: Vec<HistRecord>,
-    /// Whole-run invariant summary, when a flight recorder ran.
+    /// Whole-run invariant summary, when a supervised simulation ran.
     pub invariants: Option<InvariantSummary>,
 }
 

@@ -34,6 +34,21 @@ capped() {
   timeout 300 "$@"
 }
 
+# A filtered `cargo test` exits 0 when the filter matches nothing
+# ("running 0 tests"), so a renamed module silently un-gates itself. Run
+# the command and fail unless its `running N tests` lines sum to > 0.
+ran_some() {
+  local log ran
+  log=$(mktemp /tmp/dcmesh_filtered_XXXXXX.log)
+  SCRATCH+=("$log")
+  capped "$@" 2>&1 | tee "$log"
+  ran=$(awk '/^running [0-9]+ tests?$/ { n += $2 } END { print n + 0 }' "$log")
+  if [ "$ran" -eq 0 ]; then
+    echo "no test ran: the filter of '$*' matches nothing" >&2
+    exit 1
+  fi
+}
+
 tier_quick() {
   echo "== cargo fmt --check =="
   cargo fmt --all -- --check
@@ -105,7 +120,9 @@ tier_gates() {
   # suites serialize injection internally (fault::test_lock).
   capped cargo test -q -p dcmesh-comm --test faults
   capped cargo test -q -p dcmesh-ckpt
-  capped cargo test -q -p dcmesh-core resilience
+  # The runner's tests (recording, warning-before-rollback, NaN recovery)
+  # live in crates/core/src/resilience.rs.
+  ran_some cargo test -q -p dcmesh-core resilience
   capped cargo test -q --test restart_equivalence
 
   echo "== serve edge cases (cancellation, backpressure, eviction, replay) =="

@@ -4,7 +4,7 @@
 //! wavefunctions, FSSH amplitudes, polarization, and RNG stream all
 //! compared through `f64::to_bits`.
 
-use dcmesh_core::{DcMeshConfig, DcMeshSim};
+use dcmesh_core::{DcMeshConfig, DcMeshSim, ResilientRunner};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -133,6 +133,34 @@ fn restart_through_a_checkpoint_file_is_bitwise_identical() {
         resumed.md_step();
     }
     assert_bitwise_identical(&uninterrupted, &resumed);
+}
+
+#[test]
+fn a_file_the_runner_mirrored_restores_bitwise_identical() {
+    // The fig7 driver's path: both legs are stepped by `ResilientRunner`,
+    // the first mirroring its step-k snapshot to disk. Supervision (the
+    // per-step invariant sampling) must not perturb the trajectory either.
+    let cfg = quick_cfg();
+    let total = 4;
+    let k = 2;
+    let path = temp_ckpt_path("runner");
+
+    let mut uninterrupted = DcMeshSim::new(cfg.clone());
+    for _ in 0..total {
+        uninterrupted.md_step();
+    }
+
+    ResilientRunner::new(cfg.clone(), k)
+        .with_checkpoint_path(path.clone())
+        .run_to(k)
+        .unwrap();
+    let restored = DcMeshSim::restore_from_checkpoint(cfg.clone(), &path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_eq!(restored.md_steps(), k, "the file holds the step-k snapshot");
+    let mut resumed = ResilientRunner::from_sim(restored, cfg, k);
+    resumed.run_to(total).unwrap();
+    assert_eq!(resumed.rollbacks(), 0);
+    assert_bitwise_identical(&uninterrupted, resumed.sim());
 }
 
 #[test]
