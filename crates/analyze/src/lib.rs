@@ -2,26 +2,23 @@
 //! executor and stream layers.
 //!
 //! PR 2 moved the whole hot path onto raw-pointer fan-out: the pool's
-//! claim-loop dispatch (`SlicePtr`, `JobRef`) and the deferred `nowait`
-//! stream lanes are the Rust analogue of the paper's Algorithm 5
-//! hierarchical offload, and their soundness rests on *protocol*
-//! arguments (every index claimed exactly once; (plane × orbital-block)
-//! teams write disjoint SoA slabs; FIFO lanes serialize same-stream
-//! bodies). This crate turns those arguments from comments into checked
-//! artifacts, with three layers:
+//! claim-loop dispatch (`SlicePtr`, `JobRef`) is the Rust analogue of the
+//! paper's Algorithm 5 hierarchical offload, and its soundness rests on
+//! *protocol* arguments (every index claimed exactly once; (plane ×
+//! orbital-block) teams write disjoint SoA slabs). This crate turns those
+//! arguments from comments into checked artifacts, with three layers:
 //!
 //! 1. [`sched`] — a deterministic schedule explorer ("loom-lite"): a
 //!    controllable scheduler plus the instrumented primitives in
 //!    [`sync`] that `dcmesh-pool` is built on. Tests run the *actual*
-//!    pool and lane state machines under every interleaving reachable
-//!    within a preemption bound, instead of trusting a hand-written
-//!    handoff argument.
+//!    pool state machine under every interleaving reachable within a
+//!    preemption bound, instead of trusting a hand-written handoff
+//!    argument.
 //! 2. [`race`] — a shadow-access race detector (`DCMESH_RACECHECK=1`):
 //!    `SlicePtr` writes are logged as byte intervals with vector-clock
-//!    snapshots; at every region settle (dispatch return, lane
-//!    `wait_idle`, `nowait_scope` exit) overlapping writes without a
-//!    happens-before edge are reported through `dcmesh-obs` and panic
-//!    the offending test.
+//!    snapshots; at every region settle (dispatch return) overlapping
+//!    writes without a happens-before edge are reported through
+//!    `dcmesh-obs` and panic the offending test.
 //! 3. [`lint`] — the source-level hygiene rules, run as the first pass of
 //!    [`audit`] (`--bin audit`): undocumented `unsafe`, stray
 //!    `thread::spawn`, wall-clock reads in kernel crates, and

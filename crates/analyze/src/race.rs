@@ -2,10 +2,10 @@
 //!
 //! The pool's dispatch API and `SlicePtr` hand out aliasing write access
 //! on the *promise* of disjointness: (plane × orbital-block) kinetic
-//! teams, GEMM column panels, per-domain stepping, and deferred lane
-//! bodies all write through `SlicePtr::subslice_mut` / `get_mut` /
-//! `as_mut_slice` with a comment asserting their ranges cannot overlap
-//! concurrently. This module checks that promise at runtime.
+//! teams, GEMM column panels and per-domain stepping all write through
+//! `SlicePtr::subslice_mut` / `get_mut` / `as_mut_slice` / `rows_mut`
+//! with a comment asserting their ranges cannot overlap concurrently.
+//! This module checks that promise at runtime.
 //!
 //! Armed via `DCMESH_RACECHECK=1` (or [`force_enable`] in tests); when
 //! disarmed every hook is one relaxed atomic load.
@@ -20,11 +20,11 @@
 //! * Happens-before edges mirror the executor's launch→settle structure:
 //!   a dispatch [`fork`]s a packet that every claim-loop participant
 //!   [`join`]s; participants fork completion packets the dispatcher joins
-//!   before settling. Lane enqueues fork a packet the lane thread joins
-//!   before the body runs; `wait_idle` joins completion packets. Within
-//!   one thread, program order orders everything.
-//! * At every **settle point** (dispatch return, `Lane::wait_idle`,
-//!   `nowait_scope` exit) the logs are drained and checked: two writes
+//!   before settling. Any other hand-over between threads is the same
+//!   pair: the giver [`fork`]s, the taker [`join`]s. Within one thread,
+//!   program order orders everything.
+//! * At every **settle point** (dispatch return, or an explicit
+//!   [`settle`]) the logs are drained and checked: two writes
 //!   from different threads that overlap without a happens-before edge
 //!   in either direction are a violation. Violations are counted on the
 //!   `race.violations` metric, printed, and panic the settling thread
@@ -183,8 +183,8 @@ fn lock_state(s: &Arc<Mutex<ThreadState>>) -> std::sync::MutexGuard<'_, ThreadSt
 
 /// Advance this thread's clock and emit a packet carrying its history;
 /// the matching [`join`] on another thread creates the happens-before
-/// edge. Call at launch points (dispatch publish, lane enqueue) and at
-/// completion points (participant exit, lane body end).
+/// edge. Call at launch points (dispatch publish) and at completion
+/// points (participant exit).
 pub fn fork() -> Packet {
     let state = my_state();
     let mut st = lock_state(&state);

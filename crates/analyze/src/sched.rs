@@ -10,8 +10,8 @@
 //! number of *preemptions* (switching away from a thread that could have
 //! continued, the CHESS bound) — visits every interleaving reachable
 //! within the bound. The state machines under test are the **real**
-//! `dcmesh-pool` dispatch/steal/park and lane enqueue/settle protocols,
-//! not models of them.
+//! `dcmesh-pool` dispatch/steal/park protocol and `dcmesh-comm` request
+//! lifecycle, not models of them.
 //!
 //! What the model covers and what it does not:
 //!
@@ -339,7 +339,7 @@ impl Controller {
     }
 
     /// Controlled join: block until `target` exits. Returns immediately
-    /// during teardown so `Drop` impls that join (pool, lane) cannot
+    /// during teardown so `Drop` impls that join (the pool's) cannot
     /// double-panic while unwinding.
     pub(crate) fn join_thread(&self, tid: usize, target: usize) {
         loop {
@@ -610,7 +610,7 @@ fn next_prefix(decisions: &[Decision], bound: usize) -> Option<Vec<usize>> {
 /// Exhaustively explore the schedules of `f` within `opts`.
 ///
 /// `f` is executed once per schedule; it should build its concurrent
-/// scenario from scratch (construct pools/lanes, dispatch, assert, drop).
+/// scenario from scratch (construct pools, dispatch, assert, drop).
 /// Panics — with the decision trace — if any schedule fails an assertion,
 /// deadlocks, or exceeds `max_steps`.
 pub fn explore(opts: Options, f: impl Fn() + Send + Sync + 'static) -> Stats {

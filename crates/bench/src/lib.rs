@@ -81,7 +81,8 @@ impl BenchArgs {
     /// `--checkpoint PATH`, `--restore PATH`, `--telemetry`,
     /// `--record PATH`, `--no-overlap`, `--ranks P1,P2,...`,
     /// `--jobs N`, `--concurrency C1,C2,...`, `--deadline-ms MS`,
-    /// `--arrival-ms MS` from `std::env::args`.
+    /// `--arrival-ms MS` from `std::env::args`, and install the
+    /// `DCMESH_FAULT_PLAN` fault plan if one is set (exit 2 on a bad one).
     pub fn parse() -> Self {
         Self::parse_with_default(0.25)
     }
@@ -228,6 +229,11 @@ impl BenchArgs {
         // the global pool is built once, on first dispatch.
         if let Some(n) = parsed.threads {
             dcmesh_pool::set_thread_override(n);
+        }
+        // A fault plan that does not parse must not run as a clean one.
+        if let Err(e) = dcmesh_ckpt::fault::install_from_env() {
+            eprintln!("DCMESH_FAULT_PLAN: {e}");
+            std::process::exit(2);
         }
         parsed
     }

@@ -223,17 +223,21 @@ pub fn clear() {
     NAN_CONSUMED.store(false, Ordering::Relaxed);
 }
 
-/// Install a plan from `DCMESH_FAULT_PLAN` if the variable is set.
-/// Returns whether a plan was installed; panics on a malformed spec
-/// (a silently ignored fault plan would defeat the test it gates).
-pub fn install_from_env() -> bool {
-    match std::env::var("DCMESH_FAULT_PLAN") {
-        Ok(spec) if !spec.trim().is_empty() => {
-            let plan = FaultPlan::parse(&spec).unwrap_or_else(|e| panic!("DCMESH_FAULT_PLAN: {e}"));
+/// Install a plan from `DCMESH_FAULT_PLAN` if the variable is set and not
+/// blank. `Ok` says whether a plan was installed; a malformed spec is an
+/// `Err` with the parse message and installs nothing (a silently ignored
+/// fault plan would defeat the test it gates, so callers exit on it).
+pub fn install_from_env() -> Result<bool, String> {
+    install_spec(std::env::var("DCMESH_FAULT_PLAN").ok().as_deref())
+}
+
+fn install_spec(spec: Option<&str>) -> Result<bool, String> {
+    match spec.filter(|s| !s.trim().is_empty()) {
+        Some(spec) => FaultPlan::parse(spec).map(|plan| {
             install(plan);
             true
-        }
-        _ => false,
+        }),
+        None => Ok(false),
     }
 }
 
@@ -499,6 +503,22 @@ mod tests {
         let _guard = test_lock();
         clear();
         assert_eq!(current(), None);
+    }
+
+    #[test]
+    fn env_spec_installs_a_good_plan_skips_a_blank_one_and_reports_a_bad_one() {
+        let _guard = test_lock();
+        clear();
+        assert_eq!(install_spec(Some("seed=3,nan@2")), Ok(true));
+        assert_eq!(current().map(|p| p.spec()).as_deref(), Some("seed=3,nan@2"));
+        clear();
+        for blank in [None, Some(""), Some("  ")] {
+            assert_eq!(install_spec(blank), Ok(false));
+            assert!(!armed(), "{blank:?} armed the injection sites");
+        }
+        let err = install_spec(Some("seed=3,drop=1.5")).unwrap_err();
+        assert!(err.contains("drop=1.5"), "{err}");
+        assert!(!armed(), "a malformed plan must install nothing");
     }
 
     #[test]

@@ -34,4 +34,4 @@ pub mod stream;
 pub use alloc::DeviceVec;
 pub use exec::{parallel_for, teams_distribute, teams_distribute_mut};
 pub use perf::{HardwareSpec, KernelWork, Precision, TransferKind};
-pub use stream::{Device, LaunchPolicy, NowaitScope, StreamId};
+pub use stream::{Device, LaunchPolicy, StreamId};

@@ -6,20 +6,14 @@
 //! lets kernels on different streams overlap (paper §III-C and the Table I
 //! `nowait` ablation, where asynchronous offloading gains ~10%).
 //!
-//! The real computation inside a launch **usually** executes immediately on
-//! the CPU, with the *modeled clock* distinguishing policies. The exception
-//! is [`Device::nowait_scope`]: inside a scope, `Async` launches enqueue
-//! their body on a persistent per-stream FIFO lane (a `dcmesh_pool::Lane`
-//! thread) and return immediately — genuine host/"device" overlap, not just
-//! a modeled one. Deferred bodies are settled (run to completion) at
-//! [`Device::synchronize`] or at scope exit, whichever comes first, so
-//! borrows captured by deferred bodies never outlive their data — the same
-//! guarantee `std::thread::scope` gives.
+//! The real computation inside a launch always executes at once, on the
+//! calling thread; `nowait` is a policy of the *modeled clock* and nothing
+//! else. There is no deferred body, no per-stream thread and no settle
+//! point: a launch's borrows end when [`Device::launch_named`] returns, and
+//! [`Device::synchronize`] only advances the modeled host clock.
 
 use crate::perf::{HardwareSpec, KernelWork, TransferKind};
 use dcmesh_analyze::sync::Mutex;
-use std::marker::PhantomData;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// Identifier of a device stream (CUDA-stream analog).
@@ -76,9 +70,6 @@ struct DeviceInner {
 pub struct Device {
     spec: Arc<HardwareSpec>,
     inner: Arc<Mutex<DeviceInner>>,
-    /// Per-stream FIFO executor threads for deferred (`nowait`) bodies,
-    /// created lazily on first deferred launch per stream.
-    lanes: Arc<Mutex<Vec<Option<dcmesh_pool::Lane>>>>,
 }
 
 impl Device {
@@ -92,7 +83,6 @@ impl Device {
                 streams: vec![0.0; num_streams],
                 stats: DeviceStats::default(),
             })),
-            lanes: Arc::new(Mutex::new(Vec::new())),
         }
     }
 
@@ -142,9 +132,9 @@ impl Device {
         out
     }
 
-    /// Advance the modeled clock for one kernel launch (shared by immediate
-    /// and deferred launches — the timeline model is identical; only *when
-    /// the body actually runs* differs).
+    /// Advance the modeled clock for one kernel launch. Not generic, so
+    /// that [`Device::launch_named`] stays small enough to inline into
+    /// every kernel's call site.
     fn charge_kernel(
         &self,
         name: &'static str,
@@ -179,64 +169,15 @@ impl Device {
         }
     }
 
-    /// Enqueue an already-lifetime-erased task on `stream`'s FIFO lane,
-    /// creating the lane thread on first use.
-    fn enqueue_on_lane(&self, stream: StreamId, task: Box<dyn FnOnce() + Send + 'static>) {
-        assert!(
-            stream.0 < self.num_streams(),
-            "stream {} out of range",
-            stream.0
-        );
-        let mut lanes = self.lanes.lock();
-        if lanes.len() <= stream.0 {
-            lanes.resize_with(stream.0 + 1, || None);
-        }
-        let lane = lanes[stream.0]
-            .get_or_insert_with(|| dcmesh_pool::Lane::new(&format!("dcmesh-lane-{}", stream.0)));
-        lane.enqueue(task);
-        if dcmesh_obs::enabled() {
-            dcmesh_obs::metrics::counter_add("device.deferred_launches", 1);
-        }
-    }
-
-    /// Run every enqueued deferred body to completion; returns the first
-    /// captured panic payload, if any.
-    fn drain_lanes(&self) -> Option<Box<dyn std::any::Any + Send + 'static>> {
-        let lanes = self.lanes.lock();
-        let mut panic = None;
-        for lane in lanes.iter().flatten() {
-            if let Some(p) = lane.wait_idle() {
-                panic.get_or_insert(p);
-            }
-        }
-        panic
-    }
-
-    /// Open a deferred-launch scope: inside `f`, [`NowaitScope::launch_named`]
-    /// with [`LaunchPolicy::Async`] enqueues its body on the stream's
-    /// persistent lane and returns immediately, so the host thread runs
-    /// ahead of the "device" — the real overlap behind the paper's `nowait`
-    /// ablation (Table I). All deferred bodies are settled before
-    /// `nowait_scope` returns (even on panic), which is what lets them
-    /// borrow data owned by the caller, exactly like `std::thread::scope`.
-    pub fn nowait_scope<'env, T>(
-        &'env self,
-        f: impl for<'scope> FnOnce(&'scope NowaitScope<'scope, 'env>) -> T,
-    ) -> T {
-        let scope = NowaitScope {
-            device: self,
-            _scope: PhantomData,
-            _env: PhantomData,
-        };
-        let out = catch_unwind(AssertUnwindSafe(|| f(&scope)));
-        // Settle before returning regardless of how `f` exited: deferred
-        // bodies may borrow caller data that dies right after this frame.
-        let lane_panic = self.drain_lanes();
-        match out {
-            Err(payload) => resume_unwind(payload),
-            Ok(_) if lane_panic.is_some() => resume_unwind(lane_panic.unwrap()),
-            Ok(v) => v,
-        }
+    /// Frozen-benchmark shim, not an API: `benchmark/src/probes.rs` (the
+    /// `device.nowait_roundtrip_us` probe) calls `nowait_scope(|scope|
+    /// scope.launch_named(..))` and may not be edited. The "scope" is the
+    /// device itself, so that call is [`Device::launch_named`]. Nothing in
+    /// this workspace may call it; the next `benchmark` issue removes it
+    /// with the probe (ROADMAP).
+    #[doc(hidden)]
+    pub fn nowait_scope<T>(&self, f: impl FnOnce(&Device) -> T) -> T {
+        f(self)
     }
 
     /// Record a host-to-device transfer of `bytes` over `kind`, on `stream`.
@@ -296,14 +237,9 @@ impl Device {
         }
     }
 
-    /// Block the host until all streams drain; returns the host clock.
-    ///
-    /// Also settles any deferred (`nowait`) bodies still queued on the
-    /// stream lanes; a panic captured from a deferred body re-raises here.
+    /// Block the (modeled) host until all streams drain; returns the host
+    /// clock.
     pub fn synchronize(&self) -> f64 {
-        if let Some(payload) = self.drain_lanes() {
-            resume_unwind(payload);
-        }
         let max_end = {
             let mut g = self.inner.lock();
             let max_end = g.streams.iter().copied().fold(g.host_clock, f64::max);
@@ -372,72 +308,6 @@ impl Device {
     /// Number of streams.
     pub fn num_streams(&self) -> usize {
         self.inner.lock().streams.len()
-    }
-}
-
-/// Handle for launching deferred kernels inside [`Device::nowait_scope`].
-///
-/// The lifetimes mirror `std::thread::Scope`: `'scope` is the scope itself
-/// (invariant), `'env` the environment it may borrow from. A deferred body
-/// must satisfy `F: 'scope`, and the scope settles every body before
-/// returning, so borrowed captures are sound.
-pub struct NowaitScope<'scope, 'env: 'scope> {
-    device: &'env Device,
-    _scope: PhantomData<&'scope mut &'scope ()>,
-    _env: PhantomData<&'env mut &'env ()>,
-}
-
-impl std::fmt::Debug for NowaitScope<'_, '_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NowaitScope").finish_non_exhaustive()
-    }
-}
-
-impl<'scope, 'env> NowaitScope<'scope, 'env> {
-    /// The device this scope defers onto.
-    pub fn device(&self) -> &'env Device {
-        self.device
-    }
-
-    /// Launch a kernel under this scope's deferred-execution rules:
-    ///
-    /// * [`LaunchPolicy::Sync`] — runs `body` immediately (identical to
-    ///   [`Device::launch_named`]).
-    /// * [`LaunchPolicy::Async`] — charges the modeled enqueue cost now,
-    ///   pushes `body` onto `stream`'s FIFO lane, and returns immediately.
-    ///   Bodies on one stream run in launch order; the scope (or
-    ///   [`Device::synchronize`]) settles them.
-    pub fn launch_named<F>(
-        &'scope self,
-        name: &'static str,
-        stream: StreamId,
-        policy: LaunchPolicy,
-        work: KernelWork,
-        body: F,
-    ) where
-        F: FnOnce() + Send + 'scope,
-    {
-        match policy {
-            LaunchPolicy::Sync => {
-                self.device.launch_named(name, stream, policy, work, body);
-            }
-            LaunchPolicy::Async => {
-                let task: Box<dyn FnOnce() + Send + 'scope> = Box::new(body);
-                // SAFETY: (bounds=nowait_scope drains every lane before its
-                // frame returns — on success and on panic — so the task
-                // cannot outlive 'scope, aliasing=lifetime erasure only; the
-                // captured borrows stay live because 'env outlives 'scope)
-                // `Device::synchronize` offers an earlier settle point.
-                let task: Box<dyn FnOnce() + Send + 'static> = unsafe {
-                    std::mem::transmute::<
-                        Box<dyn FnOnce() + Send + 'scope>,
-                        Box<dyn FnOnce() + Send + 'static>,
-                    >(task)
-                };
-                self.device.charge_kernel(name, stream, policy, work);
-                self.device.enqueue_on_lane(stream, task);
-            }
-        }
     }
 }
 
@@ -550,140 +420,5 @@ mod tests {
         let d2 = d.clone();
         d.enter_data(64);
         assert_eq!(d2.stats().resident_bytes, 64);
-    }
-
-    #[test]
-    fn nowait_scope_defers_async_bodies_and_settles_on_exit() {
-        let d = Device::a100();
-        let mut data = vec![0u64; 256];
-        d.nowait_scope(|scope| {
-            let cells = &mut data;
-            scope.launch_named(
-                "k1",
-                StreamId(0),
-                LaunchPolicy::Async,
-                work(1024),
-                move || {
-                    for x in cells.iter_mut() {
-                        *x += 1;
-                    }
-                },
-            );
-        });
-        // Scope exit settled the body; the borrow is usable again.
-        assert!(data.iter().all(|&x| x == 1));
-        assert_eq!(d.stats().kernels_launched, 1);
-    }
-
-    #[test]
-    fn nowait_bodies_on_one_stream_run_fifo() {
-        let d = Device::a100();
-        let log = Arc::new(Mutex::new(Vec::new()));
-        d.nowait_scope(|scope| {
-            for i in 0..32 {
-                let log = Arc::clone(&log);
-                scope.launch_named("k", StreamId(1), LaunchPolicy::Async, work(64), move || {
-                    log.lock().push(i);
-                });
-            }
-        });
-        assert_eq!(*log.lock(), (0..32).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn synchronize_settles_deferred_bodies_mid_scope() {
-        let d = Device::a100();
-        let flag = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        d.nowait_scope(|scope| {
-            let f = Arc::clone(&flag);
-            scope.launch_named("k", StreamId(0), LaunchPolicy::Async, work(64), move || {
-                f.store(true, std::sync::atomic::Ordering::SeqCst);
-            });
-            d.synchronize();
-            assert!(flag.load(std::sync::atomic::Ordering::SeqCst));
-        });
-    }
-
-    #[test]
-    fn sync_policy_inside_scope_runs_inline() {
-        let d = Device::a100();
-        let mut hit = false;
-        d.nowait_scope(|scope| {
-            scope.launch_named("k", StreamId(0), LaunchPolicy::Sync, work(64), || {
-                hit = true;
-            });
-        });
-        assert!(hit);
-    }
-
-    #[test]
-    fn deferred_body_panic_propagates_at_scope_exit() {
-        let d = Device::a100();
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            d.nowait_scope(|scope| {
-                scope.launch_named("k", StreamId(0), LaunchPolicy::Async, work(64), || {
-                    panic!("deferred boom");
-                });
-            });
-        }));
-        let payload = result.expect_err("panic must propagate");
-        let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert_eq!(msg, "deferred boom");
-        // The device remains usable after the panic.
-        d.nowait_scope(|scope| {
-            scope.launch_named("k", StreamId(0), LaunchPolicy::Async, work(64), || {});
-        });
-    }
-
-    #[test]
-    fn deferred_body_panic_reraises_at_synchronize() {
-        // A panic in a deferred body must surface at the *first* settle
-        // point — an explicit mid-scope synchronize() — not silently wait
-        // for scope exit; and consuming it there must not re-trip the
-        // scope-exit drain.
-        let d = Device::a100();
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            d.nowait_scope(|scope| {
-                scope.launch_named("k", StreamId(0), LaunchPolicy::Async, work(64), || {
-                    panic!("sync boom");
-                });
-                let caught = catch_unwind(AssertUnwindSafe(|| {
-                    scope.device().synchronize();
-                }))
-                .expect_err("synchronize must re-raise the deferred panic");
-                let msg = caught.downcast_ref::<&str>().copied().unwrap_or_default();
-                assert_eq!(msg, "sync boom");
-            });
-        }));
-        assert!(
-            result.is_ok(),
-            "payload already consumed at synchronize(); scope exit must not re-panic"
-        );
-        // The device (and its lanes) remain usable afterwards.
-        let hit = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        d.nowait_scope(|scope| {
-            let h = Arc::clone(&hit);
-            scope.launch_named("k", StreamId(0), LaunchPolicy::Async, work(64), move || {
-                h.store(true, std::sync::atomic::Ordering::SeqCst);
-            });
-        });
-        d.synchronize();
-        assert!(hit.load(std::sync::atomic::Ordering::SeqCst));
-    }
-
-    #[test]
-    fn deferred_launches_charge_async_clock_semantics() {
-        let spec = HardwareSpec::a100();
-        let w = work(1 << 30);
-        let kt = spec.kernel_time(&w);
-        // Deferred nowait launches on two streams overlap on the modeled
-        // timeline exactly like immediate Async launches do.
-        let d = Device::new(spec, 2);
-        d.nowait_scope(|scope| {
-            scope.launch_named("k", StreamId(0), LaunchPolicy::Async, w, || {});
-            scope.launch_named("k", StreamId(1), LaunchPolicy::Async, w, || {});
-        });
-        let t = d.synchronize();
-        assert!(t < 1.2 * kt, "deferred async {t} vs kernel {kt}");
     }
 }

@@ -501,16 +501,10 @@ impl<R: Real> LfdEngine<R> {
         let block = self.cfg.block_size;
         match &mut self.psi {
             State::Aos(psi) => self.kin.step_alg1(psi),
-            State::Soa(psi) => match self.device.as_ref().map(|d| (d, policy)) {
-                // Pinned/streams build: genuinely deferred `nowait`
-                // launches — bodies run on the stream lane while the host
-                // returns immediately; the scope settles them before the
-                // potential half-step touches psi.
-                Some((dev, LaunchPolicy::Async)) => dev.nowait_scope(|scope| {
-                    self.kin.step_nowait(psi, block, scope);
-                }),
-                dev_pair => self.kin.step_optimized(psi, block, dev_pair),
-            },
+            State::Soa(psi) => {
+                let dev_pair = self.device.as_ref().map(|d| (d, policy));
+                self.kin.step_optimized(psi, block, dev_pair);
+            }
         }
     }
 
@@ -832,6 +826,54 @@ mod tests {
             assert_eq!(e.device().unwrap().stats().kernels_launched, 5 * 19);
             assert_eq!(t.total.to_bits(), total_bits, "{build:?}: {:e}", t.total);
         }
+    }
+
+    /// Names of the threads the dcmesh runtime has spawned in this process
+    /// (`dcmesh-pool-*`; once also `dcmesh-lane-*`). The raw `Threads:`
+    /// count of `/proc/self/status` will not do here: the test harness
+    /// starts and retires its own threads while this test runs.
+    #[cfg(target_os = "linux")]
+    fn runtime_threads() -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir("/proc/self/task")
+            .expect("/proc/self/task")
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .map(|comm| comm.trim().to_string())
+            .filter(|comm| comm.starts_with("dcmesh-"))
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn pinned_build_differs_from_cublas_in_the_modeled_clock_only() {
+        // `nowait` + pinned transfers are a policy of the modeled clock:
+        // same kernels, same order, same thread, so the same bits — and no
+        // thread of its own (the global pool is built first so that its
+        // workers are in both counts).
+        let v: Vec<f64> = (0..512).map(|i| (i as f64 * 0.013).sin() * 0.5).collect();
+        dcmesh_pool::global();
+        #[cfg(target_os = "linux")]
+        let threads_before = runtime_threads();
+        let [mut pinned, mut cublas] = [BuildKind::GpuCublasPinned, BuildKind::GpuCublas]
+            .map(|build| LfdEngine::<f64>::new(small_cfg(build), v.clone()));
+        for step in 0..3 {
+            let (tp, tc) = (pinned.run_md_step(), cublas.run_md_step());
+            assert!(tp.modeled && tc.modeled);
+            assert!(
+                tp.total < tc.total,
+                "step {step}: pinned {:e} !< cublas {:e}",
+                tp.total,
+                tc.total
+            );
+        }
+        assert!(pinned.state_data() == cublas.state_data());
+        assert!(pinned.occupations == cublas.occupations);
+        #[cfg(target_os = "linux")]
+        assert_eq!(
+            runtime_threads(),
+            threads_before,
+            "a pinned engine spawned a thread"
+        );
     }
 
     #[test]

@@ -31,8 +31,7 @@
 //! the memory-reuse optimization §III-A describes.
 
 use dcmesh_device::{
-    teams_distribute, teams_distribute_mut, Device, KernelWork, LaunchPolicy, NowaitScope,
-    Precision, StreamId,
+    teams_distribute, teams_distribute_mut, Device, KernelWork, LaunchPolicy, Precision, StreamId,
 };
 use dcmesh_grid::{Mesh3, WfAos, WfSoa};
 use dcmesh_math::simd::{self, LineSet, StencilPass};
@@ -245,79 +244,6 @@ impl<R: Real> KineticPropagator<R> {
             }
             None => run(),
         }
-    }
-
-    /// Paper Algorithm 5 under genuinely deferred `nowait` launches: enqueue
-    /// `reps` repetitions of the directional step on stream 0 of the
-    /// scope's device and return immediately. The host thread runs ahead
-    /// (it can issue the next launches, transfers, or field work) while the
-    /// lane thread executes the sweeps — the real host/"device" overlap
-    /// behind Table I's `nowait` row. Settled at scope exit or
-    /// [`Device::synchronize`].
-    pub fn apply_axis_alg5_nowait<'scope>(
-        &'scope self,
-        psi: &'scope mut WfSoa<R>,
-        axis: Axis,
-        frac: StepFraction,
-        block_size: usize,
-        reps: usize,
-        scope: &'scope NowaitScope<'scope, '_>,
-    ) {
-        assert_eq!(psi.mesh().len(), self.mesh.len(), "mesh mismatch");
-        let norb = psi.norb();
-        let ptr = SlicePtr::new(psi.data_mut());
-        for _ in 0..reps {
-            self.enqueue_axis_step(ptr, norb, axis, frac, block_size, scope);
-        }
-    }
-
-    /// Full Strang kinetic step with every directional step deferred
-    /// (`nowait`) onto the scope's device — the deferred counterpart of
-    /// [`Self::step_optimized`] with `LaunchPolicy::Async`. Bitwise-identical
-    /// results: the same kernel in the same order, just on the lane thread.
-    pub fn step_nowait<'scope>(
-        &'scope self,
-        psi: &'scope mut WfSoa<R>,
-        block_size: usize,
-        scope: &'scope NowaitScope<'scope, '_>,
-    ) {
-        assert_eq!(psi.mesh().len(), self.mesh.len(), "mesh mismatch");
-        let norb = psi.norb();
-        let ptr = SlicePtr::new(psi.data_mut());
-        for (axis, frac) in STRANG_SEQUENCE {
-            self.enqueue_axis_step(ptr, norb, axis, frac, block_size, scope);
-        }
-    }
-
-    /// Enqueue one directional step as a deferred body on stream 0 of
-    /// `scope`'s device, charged as the paper's three launches.
-    ///
-    /// # Safety argument
-    ///
-    /// `ptr` aliases wavefunction storage the caller has mutably borrowed
-    /// for `'scope` (see the public signatures above). Every body lands on
-    /// the *same* stream lane, which runs them FIFO on a single thread, so
-    /// no two bodies touch the data concurrently — and the host cannot
-    /// touch it either while the `'scope` borrow is live. The scope settles
-    /// all bodies before `'scope` ends, so the pointer never dangles.
-    fn enqueue_axis_step<'scope>(
-        &'scope self,
-        ptr: SlicePtr<Complex<R>>,
-        norb: usize,
-        axis: Axis,
-        frac: StepFraction,
-        block_size: usize,
-        scope: &'scope NowaitScope<'scope, '_>,
-    ) {
-        let passes = self.pass_set(axis, frac);
-        let work = self.pass_work(norb);
-        let m = &self.mesh;
-        scope.launch_named(PHASE, StreamId(0), LaunchPolicy::Async, work, move || {
-            // SAFETY: FIFO-serial lane execution; see above.
-            let data = unsafe { ptr.as_mut_slice() };
-            sweep_axis(data, m, norb, axis, passes, block_size);
-        });
-        charge_later_passes(scope.device(), LaunchPolicy::Async, work);
     }
 
     /// Bytes + flops of one pass over the whole wavefunction set (feeds the
@@ -734,56 +660,6 @@ mod tests {
         assert!(t_async < t_sync, "async {t_async} !< sync {t_sync}");
         // Results identical regardless of policy.
         assert!(a.max_abs_diff(&b) == 0.0);
-    }
-
-    #[test]
-    fn nowait_deferred_step_is_bitwise_equal_to_inline() {
-        let mesh = Mesh3::new(9, 6, 5, 0.4, 0.5, 0.6);
-        let prop = KineticPropagator::new(mesh.clone(), 0.03, 1.0);
-        let wf0 = test_wf(&mesh, 4, 2);
-
-        let mut aos = wf0.clone();
-        prop.step_alg1(&mut aos);
-
-        let mut inline = wf0.to_soa();
-        prop.step_optimized(&mut inline, 2, None);
-
-        // Same step, but every pass enqueued as a deferred body on the
-        // device's stream-0 lane and settled at scope exit.
-        let dev = Device::a100();
-        let mut deferred = wf0.to_soa();
-        dev.nowait_scope(|scope| prop.step_nowait(&mut deferred, 2, scope));
-
-        assert!(inline.max_abs_diff(&deferred) == 0.0, "deferred != inline");
-        assert!(
-            aos.max_abs_diff(&deferred.to_aos()) < 1e-13,
-            "deferred != alg1"
-        );
-        // 5 directional steps x 3 passes, all actually launched.
-        assert_eq!(dev.stats().kernels_launched, 15);
-    }
-
-    #[test]
-    fn nowait_repeated_axis_matches_inline_pipeline() {
-        // The Table I pattern: many repetitions of one directional update
-        // enqueued under a single borrow, host running ahead of the lane.
-        let mesh = Mesh3::new(8, 6, 7, 0.5, 0.5, 0.5);
-        let prop = KineticPropagator::new(mesh.clone(), 0.05, 1.0);
-        let wf0 = test_wf(&mesh, 3, 7);
-
-        let mut inline = wf0.to_soa();
-        for _ in 0..10 {
-            prop.apply_axis_alg5(&mut inline, Axis::Y, StepFraction::Half, 2, None);
-        }
-
-        let dev = Device::a100();
-        let mut deferred = wf0.to_soa();
-        dev.nowait_scope(|scope| {
-            prop.apply_axis_alg5_nowait(&mut deferred, Axis::Y, StepFraction::Half, 2, 10, scope);
-        });
-
-        assert!(inline.max_abs_diff(&deferred) == 0.0, "deferred != inline");
-        assert_eq!(dev.stats().kernels_launched, 30);
     }
 
     #[test]

@@ -116,7 +116,7 @@ pub unsafe fn mk4x4(
 
 /// `z *= ph` over an interleaved complex slice.
 ///
-/// Lane-local: each 128-bit lane holds one complex value and computes
+/// SIMD-lane-local: each 128-bit lane holds one complex value and computes
 /// `re = zr*pr - zi*pi`, `im = zr*pi + zi*pr` as one multiply and one FMA,
 /// so an odd trailing element takes the 128-bit form of the same two
 /// operations and every element rounds alike wherever it sits in a run.
@@ -160,7 +160,7 @@ pub unsafe fn scale(zs: &mut [C64], ph: C64) {
 /// Kinetic stencil pair rotation over two interleaved complex slices:
 /// `a' = d*a + o*b`, `b' = o*a + d*b` elementwise.
 ///
-/// Lane-local like [`scale`]: with `swap(z) = [zi, zr]` a complex product
+/// SIMD-lane-local like [`scale`]: with `swap(z) = [zi, zr]` a complex product
 /// is `z * c = z * [cr, cr] + swap(z) * [-ci, ci]`, so each output is one
 /// multiply and three FMAs on the interleaved values and a swap per input
 /// — half the shuffles of a deinterleave/reinterleave round trip, and an

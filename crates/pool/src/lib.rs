@@ -42,36 +42,24 @@
 //! A pool call from *inside* a worker (nested dispatch) runs inline and
 //! serially on that worker; it cannot deadlock.
 //!
-//! # Lanes
-//!
-//! [`Lane`] is the second half of the story: a persistent FIFO executor
-//! thread used by `dcmesh-device` to give `LaunchPolicy::Async` (`nowait`)
-//! launches a real deferred body per stream, settled at `synchronize`.
-//! A task enqueued by a thread that may only dispatch serially — a worker,
-//! a thread inside `dispatch`, an inline scope — runs under [`run_inline`]
-//! itself: its launcher holds the dispatch lock while it settles the lane,
-//! so a body that waited for that lock would never finish.
-//!
 //! # Checked concurrency
 //!
 //! The protocols above are machine-checked rather than argued in comments:
 //!
 //! * Every mutex, condvar, protocol atomic, and thread in this crate comes
-//!   from [`dcmesh_analyze::sync`], so the launch/steal/park, lane
-//!   enqueue/settle, and panic re-raise state machines — and their
-//!   composition, a lane body launched inside a dispatch that dispatches
-//!   in turn — run under the schedule explorer in `tests/modelcheck.rs`:
-//!   every interleaving within a preemption bound, on the real code. When no explorer is
-//!   active the wrappers cost one relaxed atomic load per operation.
-//! * Dispatches and lanes carry [`dcmesh_analyze::race`] vector-clock
-//!   edges (launch fork → participant join; participant completion fork →
-//!   settle join), and the [`SlicePtr`] accessors log their byte ranges
-//!   when `DCMESH_RACECHECK=1`. At each settle point (dispatch return,
-//!   [`Lane::wait_idle`]) overlapping unordered writes panic the caller.
+//!   from [`dcmesh_analyze::sync`], so the launch/steal/park and panic
+//!   re-raise state machines run under the schedule explorer in
+//!   `tests/modelcheck.rs`: every interleaving within a preemption bound,
+//!   on the real code. When no explorer is active the wrappers cost one
+//!   relaxed atomic load per operation.
+//! * Dispatches carry [`dcmesh_analyze::race`] vector-clock edges (launch
+//!   fork → participant join; participant completion fork → settle join),
+//!   and the [`SlicePtr`] accessors log their byte ranges when
+//!   `DCMESH_RACECHECK=1`. At the settle point (dispatch return)
+//!   overlapping unordered writes panic the caller.
 
 use std::any::Any;
 use std::cell::Cell;
-use std::collections::VecDeque;
 use std::mem::{ManuallyDrop, MaybeUninit};
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -135,10 +123,10 @@ pub fn global() -> &'static ThreadPool {
 /// The *user* of this type guarantees that concurrent accesses derived from
 /// it are disjoint or serialized. Inside this crate it hands pairwise
 /// disjoint sub-slices to claim-loop participants; `dcmesh-lfd` uses it to
-/// enqueue successive sweep passes over one buffer on a single FIFO
-/// [`Lane`] (serial by construction). Under `DCMESH_RACECHECK=1` that
-/// promise is checked: every accessor logs its byte range to the shadow
-/// race detector, and unordered overlaps panic at the next settle point.
+/// hand each team the rows of a strided sweep. Under `DCMESH_RACECHECK=1`
+/// that promise is checked: every accessor logs its byte range to the
+/// shadow race detector, and unordered overlaps panic at the next settle
+/// point.
 pub struct SlicePtr<T> {
     ptr: *mut T,
     len: usize,
@@ -343,17 +331,6 @@ thread_local! {
     /// scheduler uses — an "inline" job occupies exactly its own scheduler
     /// thread and never contends for the shared pool.
     static INLINE_SCOPE: Cell<bool> = const { Cell::new(false) };
-}
-
-/// True when the current thread is a pool worker executing a job. Nested
-/// dispatches consult this to run inline instead of deadlocking.
-pub fn on_worker_thread() -> bool {
-    IN_POOL_WORKER.get()
-}
-
-/// True when the current thread is inside a [`run_inline`] scope.
-pub fn in_inline_scope() -> bool {
-    INLINE_SCOPE.get()
 }
 
 /// Run `f` with every pool dispatch from this thread forced onto the
@@ -822,175 +799,6 @@ fn worker_loop(shared: Arc<Shared>, participant: usize) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// FIFO lanes for deferred (`nowait`) launches
-// ---------------------------------------------------------------------------
-
-type LaneTask = Box<dyn FnOnce() + Send + 'static>;
-
-struct LaneState {
-    queue: VecDeque<LaneTask>,
-    running: bool,
-    shutdown: bool,
-    panic: Option<Box<dyn Any + Send + 'static>>,
-    /// Completion packets forked by the lane thread after each task;
-    /// joined (and settled) by [`Lane::wait_idle`]. Racecheck only.
-    race_done: Vec<race::Packet>,
-}
-
-struct LaneShared {
-    state: Mutex<LaneState>,
-    task_cv: Condvar,
-    idle_cv: Condvar,
-}
-
-/// A persistent FIFO executor thread: tasks enqueued on a lane run one at a
-/// time, in order, off the enqueuing thread.
-///
-/// `dcmesh-device` keeps one lane per stream so `LaunchPolicy::Async`
-/// (`nowait`) launches execute as real deferred bodies, settled at
-/// `Device::synchronize()` / scope exit. Panics inside a task are captured
-/// and surfaced by [`Lane::wait_idle`].
-pub struct Lane {
-    shared: Arc<LaneShared>,
-    handle: Option<JoinHandle>,
-}
-
-impl Lane {
-    /// Spawn a lane thread named `name`.
-    pub fn new(name: &str) -> Self {
-        let shared = Arc::new(LaneShared {
-            state: Mutex::new(LaneState {
-                queue: VecDeque::new(),
-                running: false,
-                shutdown: false,
-                panic: None,
-                race_done: Vec::new(),
-            }),
-            task_cv: Condvar::new(),
-            idle_cv: Condvar::new(),
-        });
-        let handle = {
-            let shared = Arc::clone(&shared);
-            spawn_named(name, move || lane_loop(shared))
-        };
-        Self {
-            shared,
-            handle: Some(handle),
-        }
-    }
-
-    /// Append a task to the lane's FIFO queue and return immediately.
-    pub fn enqueue(&self, task: LaneTask) {
-        // A launcher that may only dispatch serially (it is a pool worker,
-        // holds the dispatch lock, or runs in an inline scope) hands that
-        // rule to its deferred body: the body would otherwise block on the
-        // dispatch lock while its launcher blocks in `wait_idle`.
-        let task: LaneTask = if IN_POOL_WORKER.get() || IN_DISPATCH.get() || INLINE_SCOPE.get() {
-            Box::new(move || run_inline(task))
-        } else {
-            task
-        };
-        let task = if race::enabled() {
-            // Launch edge: the enqueuer's history happens-before the body.
-            let pkt = race::fork();
-            let wrapped: LaneTask = Box::new(move || {
-                race::join(&pkt);
-                task();
-            });
-            wrapped
-        } else {
-            task
-        };
-        let mut st = self.shared.state.lock();
-        st.queue.push_back(task);
-        self.shared.task_cv.notify_one();
-    }
-
-    /// Tasks enqueued but not yet started.
-    pub fn pending(&self) -> usize {
-        self.shared.state.lock().queue.len()
-    }
-
-    /// Block until the queue is empty and no task is running; returns the
-    /// first captured panic payload, if any task panicked since the last
-    /// call.
-    ///
-    /// This is a race-detector settle point: with `DCMESH_RACECHECK=1` the
-    /// lane bodies' shadowed writes are checked (and the check can panic)
-    /// before the payload is returned.
-    pub fn wait_idle(&self) -> Option<Box<dyn Any + Send + 'static>> {
-        let (payload, done) = {
-            let mut st = self.shared.state.lock();
-            while !st.queue.is_empty() || st.running {
-                st = self.shared.idle_cv.wait(st);
-            }
-            (st.panic.take(), std::mem::take(&mut st.race_done))
-        };
-        if race::enabled() {
-            for pkt in &done {
-                race::join(pkt);
-            }
-            race::settle("pool.lane");
-        }
-        payload
-    }
-}
-
-impl Drop for Lane {
-    fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock();
-            st.shutdown = true;
-            self.shared.task_cv.notify_all();
-        }
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl std::fmt::Debug for Lane {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Lane")
-            .field("pending", &self.pending())
-            .finish()
-    }
-}
-
-fn lane_loop(shared: Arc<LaneShared>) {
-    loop {
-        let task = {
-            let mut st = shared.state.lock();
-            loop {
-                if let Some(task) = st.queue.pop_front() {
-                    st.running = true;
-                    break task;
-                }
-                if st.shutdown {
-                    return;
-                }
-                st = shared.task_cv.wait(st);
-            }
-        };
-        let result = catch_unwind(AssertUnwindSafe(task));
-        let mut st = shared.state.lock();
-        if let Err(payload) = result {
-            if st.panic.is_none() {
-                st.panic = Some(payload);
-            }
-        }
-        if race::enabled() {
-            // Completion edge: this body's writes happen-before wait_idle.
-            st.race_done.push(race::fork());
-        }
-        st.running = false;
-        if st.queue.is_empty() {
-            shared.idle_cv.notify_all();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1051,77 +859,19 @@ mod tests {
     }
 
     #[test]
-    fn lane_runs_fifo_and_waits_idle() {
-        let lane = Lane::new("test-lane");
-        let log = Arc::new(Mutex::new(Vec::new()));
-        for i in 0..16 {
-            let log = Arc::clone(&log);
-            lane.enqueue(Box::new(move || log.lock().push(i)));
-        }
-        assert!(lane.wait_idle().is_none());
-        assert_eq!(*log.lock(), (0..16).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn lane_captures_panics() {
-        let lane = Lane::new("test-lane-panic");
-        lane.enqueue(Box::new(|| panic!("lane boom")));
-        let payload = lane.wait_idle().expect("panic captured");
-        let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert_eq!(msg, "lane boom");
-        // The lane survives a panicking task.
-        lane.enqueue(Box::new(|| {}));
-        assert!(lane.wait_idle().is_none());
-    }
-
-    #[test]
-    fn lane_body_inherits_its_launchers_serial_dispatch_rule() {
-        // A deferred body that dispatches on the pool its launcher is
-        // already dispatching on (or is shut out of by `run_inline`) must
-        // run that dispatch inline: the launcher holds the dispatch lock
-        // while it waits for the lane. The scenario runs on a thread of
-        // its own so that a deadlock fails the test instead of hanging it.
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            let pool = Arc::new(ThreadPool::new(2));
-            let lane = Mutex::new(Lane::new("test-lane-inherit"));
-            let hits = Arc::new(AtomicUsize::new(0));
-            let launch_and_settle = || {
-                let (pool, hits) = (Arc::clone(&pool), Arc::clone(&hits));
-                let lane = lane.lock();
-                lane.enqueue(Box::new(move || {
-                    assert!(in_inline_scope(), "rule not inherited");
-                    pool.for_each_index_coarse(0..8, |_| {
-                        hits.fetch_add(1, Ordering::Relaxed);
-                    });
-                }));
-                assert!(lane.wait_idle().is_none(), "lane body panicked");
-            };
-            let mut items = [0u32; 4];
-            pool.map_mut(&mut items, |_, _| launch_and_settle());
-            run_inline(launch_and_settle);
-            tx.send(hits.load(Ordering::Relaxed)).unwrap();
-        });
-        let hits = rx
-            .recv_timeout(std::time::Duration::from_secs(10))
-            .expect("a lane body deadlocked against its launcher's dispatch");
-        assert_eq!(hits, (4 + 1) * 8);
-    }
-
-    #[test]
     fn run_inline_keeps_every_index_on_the_calling_thread() {
         let pool = ThreadPool::new(4);
         let caller = std::thread::current().id();
         let foreign = AtomicUsize::new(0);
         run_inline(|| {
-            assert!(in_inline_scope());
+            assert!(INLINE_SCOPE.get());
             pool.for_each_index_coarse(0..64, |_| {
                 if std::thread::current().id() != caller {
                     foreign.fetch_add(1, Ordering::Relaxed);
                 }
             });
         });
-        assert!(!in_inline_scope(), "scope must end with the closure");
+        assert!(!INLINE_SCOPE.get(), "scope must end with the closure");
         assert_eq!(
             foreign.load(Ordering::Relaxed),
             0,
@@ -1136,7 +886,7 @@ mod tests {
         }));
         assert!(err.is_err());
         assert!(
-            !in_inline_scope(),
+            !INLINE_SCOPE.get(),
             "a panicking inline body must not leak the scope flag"
         );
         // And the shared pool still parallelizes afterwards.

@@ -1,7 +1,7 @@
 //! Bounded exhaustive model checking of the pool's concurrency protocols.
 //!
-//! These tests run the **real** `ThreadPool` and `Lane` implementations —
-//! not models — under `dcmesh_analyze::sched`: every mutex, condvar,
+//! These tests run the **real** `ThreadPool` implementation — not a model —
+//! under `dcmesh_analyze::sched`: every mutex, condvar,
 //! protocol atomic, and thread in `dcmesh-pool` routes through
 //! `dcmesh_analyze::sync`, so the explorer enumerates every interleaving
 //! reachable within the preemption bound and fails with a decision trace
@@ -17,7 +17,7 @@
 //! points of its own.
 
 use dcmesh_analyze::sched::{self, Options};
-use dcmesh_pool::{Lane, ThreadPool};
+use dcmesh_pool::ThreadPool;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -59,62 +59,7 @@ fn dispatch_epoch_protocol_exactly_once() {
     assert!(stats.schedules > 1, "scenario never branched: {stats:?}");
 }
 
-/// Protocol 2 — lane enqueue/settle with concurrent enqueuers. Two
-/// producer threads race their enqueues against the lane thread's
-/// pop/run/idle-signal cycle and against the consumer's `wait_idle`;
-/// every schedule must run both tasks before `wait_idle` returns (no
-/// lost tasks, no premature idle signal).
-#[test]
-fn lane_concurrent_enqueuers_all_tasks_run_before_idle() {
-    let stats = sched::explore(opts(), || {
-        let lane = Arc::new(Lane::new("mc-lane"));
-        let ran = Arc::new(AtomicUsize::new(0));
-        let producers: Vec<_> = (0..2)
-            .map(|p| {
-                let lane = Arc::clone(&lane);
-                let ran = Arc::clone(&ran);
-                dcmesh_analyze::sync::spawn_named(&format!("producer-{p}"), move || {
-                    lane.enqueue(Box::new(move || {
-                        ran.fetch_add(1, Ordering::Relaxed);
-                    }));
-                })
-            })
-            .collect();
-        for h in producers {
-            h.join().unwrap();
-        }
-        assert!(lane.wait_idle().is_none());
-        assert_eq!(
-            ran.load(Ordering::Relaxed),
-            2,
-            "wait_idle returned before every enqueued task ran"
-        );
-    });
-    assert!(stats.complete, "schedule space truncated: {stats:?}");
-    assert!(stats.schedules > 1, "scenario never branched: {stats:?}");
-}
-
-/// Protocol 2b — FIFO order. A single producer's tasks must run in
-/// enqueue order on every schedule of the lane thread's cycle.
-#[test]
-fn lane_preserves_fifo_order() {
-    let stats = sched::explore(opts(), || {
-        let lane = Lane::new("mc-fifo");
-        let log = Arc::new(std::sync::Mutex::new(Vec::new()));
-        for i in 0..3 {
-            let log = Arc::clone(&log);
-            lane.enqueue(Box::new(move || {
-                log.lock().unwrap().push(i);
-            }));
-        }
-        assert!(lane.wait_idle().is_none());
-        assert_eq!(*log.lock().unwrap(), vec![0, 1, 2], "FIFO order violated");
-    });
-    assert!(stats.complete, "schedule space truncated: {stats:?}");
-    assert!(stats.schedules > 1, "scenario never branched: {stats:?}");
-}
-
-/// Protocol 3 — panic capture and re-raise in dispatch. On every
+/// Protocol 2 — panic capture and re-raise in dispatch. On every
 /// interleaving of the claim loop with the panicking body, the payload
 /// must cross from whichever participant hit it to the dispatching
 /// thread, remaining chunks must be cancelled (not lost mid-claim), and
@@ -140,64 +85,6 @@ fn dispatch_reraises_panic_and_pool_survives() {
             h.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(hits.load(Ordering::Relaxed), 2);
-    });
-    assert!(stats.complete, "schedule space truncated: {stats:?}");
-    assert!(stats.schedules > 1, "scenario never branched: {stats:?}");
-}
-
-/// Protocol 3b — panic capture in lanes. The first payload must surface
-/// at `wait_idle` on every interleaving of the enqueue, the panicking
-/// body, and the waiter; the lane thread must survive it.
-#[test]
-fn lane_panic_surfaces_at_wait_idle_and_lane_survives() {
-    let stats = sched::explore(opts(), || {
-        let lane = Lane::new("mc-panic");
-        lane.enqueue(Box::new(|| panic!("mc-lane-boom")));
-        let payload = lane.wait_idle().expect("payload must surface");
-        let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert_eq!(msg, "mc-lane-boom");
-        let ran = Arc::new(AtomicUsize::new(0));
-        let r = Arc::clone(&ran);
-        lane.enqueue(Box::new(move || {
-            r.fetch_add(1, Ordering::Relaxed);
-        }));
-        assert!(lane.wait_idle().is_none(), "stale payload leaked");
-        assert_eq!(ran.load(Ordering::Relaxed), 1);
-    });
-    assert!(stats.complete, "schedule space truncated: {stats:?}");
-    assert!(stats.schedules > 1, "scenario never branched: {stats:?}");
-}
-
-/// Protocol 4 — dispatch x lane x nested dispatch (what `md_step` composes:
-/// engines stepped by a pool dispatch, each deferring `nowait` kernels onto
-/// a lane, each kernel dispatching its teams on the same pool). The item
-/// that launches holds the dispatch (as the dispatcher, under the dispatch
-/// lock, or as the worker inside it) while it settles the lane, so on every
-/// schedule the lane body must inherit the inline rule and run its own
-/// dispatch serially; if it reached for the dispatch lock instead, the
-/// explorer would report the deadlock with its decision trace.
-#[test]
-fn lane_body_launched_inside_a_dispatch_dispatches_inline() {
-    let stats = sched::explore(opts(), || {
-        let pool = Arc::new(ThreadPool::new(2));
-        let lane = Arc::new(Lane::new("mc-nested"));
-        let hits = Arc::new(AtomicUsize::new(0));
-        {
-            let (pool_in, lane, hits) = (Arc::clone(&pool), Arc::clone(&lane), Arc::clone(&hits));
-            pool.for_each_index_coarse(0..2, move |i| {
-                if i != 0 {
-                    return;
-                }
-                let (pool_in, hits) = (Arc::clone(&pool_in), Arc::clone(&hits));
-                lane.enqueue(Box::new(move || {
-                    pool_in.for_each_index_coarse(0..2, |_| {
-                        hits.fetch_add(1, Ordering::Relaxed);
-                    });
-                }));
-                assert!(lane.wait_idle().is_none());
-            });
-        }
-        assert_eq!(hits.load(Ordering::Relaxed), 2, "nested dispatch lost work");
     });
     assert!(stats.complete, "schedule space truncated: {stats:?}");
     assert!(stats.schedules > 1, "scenario never branched: {stats:?}");

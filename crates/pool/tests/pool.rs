@@ -56,9 +56,6 @@ fn nested_dispatch_runs_inline_without_deadlock() {
         outer_hits.fetch_add(1, Ordering::Relaxed);
         // A dispatch from inside a worker must not wait on the pool; it
         // runs inline and serially on the current thread.
-        if dcmesh_pool::on_worker_thread() {
-            assert!(dcmesh_pool::on_worker_thread());
-        }
         global().for_each_index(0..8, |_| {
             inner_hits.fetch_add(1, Ordering::Relaxed);
         });

@@ -1,12 +1,14 @@
-//! End-to-end race-detector tests through the real executor: a seeded
-//! overlapping-write pair on two independent lanes must be flagged, and
-//! the legitimate disjoint patterns the pool hands out must stay clean.
+//! End-to-end race-detector tests: a seeded overlapping-write pair on two
+//! threads nothing orders must be flagged, and the legitimate patterns —
+//! the disjoint ranges the real executor hands out, one buffer handed from
+//! thread to thread over an explicit edge — must stay clean.
 //!
 //! Lives in its own test binary: `force_enable` arms the detector for the
 //! whole process, and these tests must not leak shadow state into the
 //! other pool suites.
 
-use dcmesh_pool::{Lane, SlicePtr, ThreadPool};
+use dcmesh_analyze::race;
+use dcmesh_pool::{SlicePtr, ThreadPool};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -17,45 +19,64 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
         .unwrap_or_else(|e| e.into_inner())
 }
 
+/// Run `body` to completion on a `spawn_named` thread of its own that
+/// first joins `after` (its launch edge); returns the completion packet
+/// the thread forks when `body` is done.
+fn on_thread(
+    name: &str,
+    after: race::Packet,
+    body: impl FnOnce() + Send + 'static,
+) -> race::Packet {
+    let (tx, rx) = std::sync::mpsc::channel();
+    dcmesh_analyze::sync::spawn_named(name, move || {
+        race::join(&after);
+        body();
+        tx.send(race::fork()).unwrap();
+    })
+    .join()
+    .unwrap();
+    rx.recv().unwrap()
+}
+
 #[test]
-fn seeded_overlap_on_two_lanes_is_flagged() {
+fn seeded_overlap_on_two_threads_is_flagged() {
     let _g = serial();
-    dcmesh_analyze::race::force_enable();
-    dcmesh_analyze::race::reset();
+    race::force_enable();
+    race::reset();
     let mut buf = vec![0u64; 16];
     let ptr = SlicePtr::new(&mut buf);
-    let ((), violations) = dcmesh_analyze::race::capture(|| {
-        // Two independent FIFO lanes: nothing orders their bodies against
-        // each other, and the seeded ranges [0,10) and [5,15) overlap in
-        // [5,10) — exactly the bug class the lane safety comments in
-        // dcmesh-lfd promise cannot happen (they use ONE lane per buffer).
-        let lane_a = Lane::new("race-lane-a");
-        let lane_b = Lane::new("race-lane-b");
-        lane_a.enqueue(Box::new(move || {
-            // SAFETY: deliberately unsound overlap with lane_b's range —
-            // u64 stores are atomic enough on this target for a test that
-            // only needs the *detector* to object.
+    let ((), violations) = race::capture(|| {
+        // Both threads are ordered after this launch edge and before the
+        // settle, but nothing orders them against each other, and the
+        // seeded ranges [0,10) and [5,15) overlap in [5,10). (They run one
+        // after the other in real time: the detector reads vector clocks,
+        // not timing, so the test itself has no data race.)
+        let launch = race::fork();
+        let done_a = on_thread("race-thread-a", launch.clone(), move || {
+            // SAFETY: the allocation is live and nothing else touches it
+            // while this thread runs; only the *clocks* are unordered.
             let s = unsafe { ptr.subslice_mut(0, 10) };
-            for x in s.iter_mut() {
-                *x = 1;
-            }
-        }));
-        lane_b.enqueue(Box::new(move || {
+            s.fill(1);
+        });
+        let done_b = on_thread("race-thread-b", launch, move || {
             // SAFETY: see above — seeded overlap, detector must flag it.
             let s = unsafe { ptr.subslice_mut(5, 15) };
-            for x in s.iter_mut() {
-                *x = 2;
-            }
-        }));
-        assert!(lane_a.wait_idle().is_none());
-        assert!(lane_b.wait_idle().is_none());
+            s.fill(2);
+        });
+        race::join(&done_a);
+        race::join(&done_b);
+        race::settle("test.two_threads");
     });
     assert!(
         !violations.is_empty(),
         "the seeded overlapping write pair was not flagged"
     );
     let v = &violations[0];
-    assert!(v.settle == "pool.lane", "wrong settle point: {}", v.settle);
+    assert!(
+        v.settle == "test.two_threads",
+        "wrong settle point: {}",
+        v.settle
+    );
     assert_eq!(v.labels.0, "sliceptr.subslice_mut");
     assert_eq!(v.labels.1, "sliceptr.subslice_mut");
     // The reported overlap is the seeded [5,10) element range in bytes.
@@ -66,9 +87,9 @@ fn seeded_overlap_on_two_lanes_is_flagged() {
 #[test]
 fn disjoint_chunk_dispatch_is_clean() {
     let _g = serial();
-    dcmesh_analyze::race::force_enable();
-    dcmesh_analyze::race::reset();
-    let ((), violations) = dcmesh_analyze::race::capture(|| {
+    race::force_enable();
+    race::reset();
+    let ((), violations) = race::capture(|| {
         let pool = ThreadPool::new(4);
         let mut buf = vec![0u64; 1024];
         pool.for_each_chunks_of_mut(&mut buf, 64, |t, chunk| {
@@ -89,9 +110,9 @@ fn disjoint_chunk_dispatch_is_clean() {
 #[test]
 fn per_element_dispatch_and_map_are_clean() {
     let _g = serial();
-    dcmesh_analyze::race::force_enable();
-    dcmesh_analyze::race::reset();
-    let ((), violations) = dcmesh_analyze::race::capture(|| {
+    race::force_enable();
+    race::reset();
+    let ((), violations) = race::capture(|| {
         let pool = ThreadPool::new(4);
         let mut buf = vec![0u32; 500];
         pool.for_each_mut(&mut buf, |i, x| *x = i as u32);
@@ -105,33 +126,34 @@ fn per_element_dispatch_and_map_are_clean() {
 }
 
 #[test]
-fn serial_lane_reuse_of_one_buffer_is_clean() {
-    // The dcmesh-lfd kinetic pattern: successive passes over the same
-    // buffer enqueued on ONE lane — serialized by FIFO execution, ordered
-    // by the lane thread's program order. Must not be flagged.
+fn handed_over_reuse_of_one_buffer_is_clean() {
+    // Successive passes over the same buffer on different threads, each
+    // launched from the completion packet of the one before: the explicit
+    // fork -> join edge orders them. Must not be flagged.
     let _g = serial();
-    dcmesh_analyze::race::force_enable();
-    dcmesh_analyze::race::reset();
+    race::force_enable();
+    race::reset();
     let mut buf = vec![0u64; 32];
     let ptr = SlicePtr::new(&mut buf);
-    let ((), violations) = dcmesh_analyze::race::capture(|| {
-        let lane = Lane::new("race-serial-lane");
-        for pass in 1..=3u64 {
-            lane.enqueue(Box::new(move || {
-                // SAFETY: FIFO-serial lane execution — one task at a time,
-                // in order, on one thread; no concurrent aliasing.
+    let ((), violations) = race::capture(|| {
+        let mut edge = race::fork();
+        for (pass, name) in [(1u64, "race-first"), (2, "race-second")] {
+            edge = on_thread(name, edge, move || {
+                // SAFETY: one thread at a time, each after the last one
+                // finished; no concurrent aliasing.
                 let s = unsafe { ptr.as_mut_slice() };
                 for x in s.iter_mut() {
                     *x += pass;
                 }
-            }));
+            });
         }
-        assert!(lane.wait_idle().is_none());
+        race::join(&edge);
+        race::settle("test.handed_over");
     });
-    assert_eq!(buf[0], 6, "passes did not all run");
+    assert_eq!(buf[0], 3, "passes did not all run");
     assert!(
         violations.is_empty(),
-        "false positive on serial lane reuse: {violations:?}"
+        "false positive on handed-over reuse: {violations:?}"
     );
 }
 
@@ -140,10 +162,10 @@ fn sequential_dispatches_over_same_buffer_are_clean() {
     // Launch→settle edges must order dispatch N's writes before dispatch
     // N+1's, even though different workers touch the same addresses.
     let _g = serial();
-    dcmesh_analyze::race::force_enable();
-    dcmesh_analyze::race::reset();
+    race::force_enable();
+    race::reset();
     let hits = AtomicUsize::new(0);
-    let ((), violations) = dcmesh_analyze::race::capture(|| {
+    let ((), violations) = race::capture(|| {
         let pool = ThreadPool::new(3);
         let mut buf = vec![0u64; 256];
         for _round in 0..4 {

@@ -6,7 +6,8 @@
 #                    root integration tests at 1, 2 and 4 pool threads
 #   check.sh gates   heavy gates — lines per crate, audit, racecheck, fault
 #                    matrix, model check, overlap ablation, serve p95
-#                    latency gate, frozen-benchmark build + smoke, ...
+#                    latency gate, Table I nowait ablation, frozen-benchmark
+#                    build + smoke, ...
 #   check.sh all     quick + gates (default)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -183,6 +184,28 @@ tier_gates() {
   # A record diffed against itself must never regress (exit 0).
   cargo run -q --release -p dcmesh-bench --bin compare -- \
     "$REC_DIR/fig5.runrecord.json" "$REC_DIR/fig5.runrecord.json"
+
+  echo "== Table I nowait ablation (modeled clock: asynchronous beats synchronous) =="
+  # `nowait` is a policy of the modeled device clock and nothing else (no
+  # kernel body is ever deferred to a thread), so these lines are its one
+  # observable. At --quick the two Algorithm 5 rows are modeled, hence
+  # exact: 0.0003 s with nowait and 0.0030 s without (a 910.54 % gain) at
+  # PR 14, the last commit that had per-stream lane threads. They stay there.
+  local t1_out t1_rows t1_gain
+  t1_out=$(mktemp /tmp/dcmesh_table1_XXXXXX.log)
+  SCRATCH+=("$t1_out")
+  cargo run -q --release -p dcmesh-bench --bin table1 -- --quick --deterministic > "$t1_out"
+  t1_rows=$(awk -F'|' '/^\| Algorithm 5/ { gsub(/ /, "", $4); printf "%s ", $4 }' "$t1_out")
+  t1_gain=$(sed -n 's/^asynchronous (nowait) gain over synchronous: \(-\{0,1\}[0-9.]*\)%.*/\1/p' "$t1_out")
+  echo "Algorithm 5 modeled rows: $t1_rows(nowait, disable nowait); gain $t1_gain %"
+  if [ "$t1_rows" != "0.0003 0.0030 " ]; then
+    echo "table1: the modeled Algorithm 5 rows moved (want 0.0003 0.0030)" >&2
+    exit 1
+  fi
+  awk -v g="$t1_gain" 'BEGIN { exit !(g > 0) }' || {
+    echo "table1: no positive nowait gain ('$t1_gain')" >&2
+    exit 1
+  }
 
   echo "== frozen benchmark still builds and smokes (BENCHMARK.json, benchmark/) =="
   # No workspace test compiles benchmark/src/probes.rs, so a deletion pass
