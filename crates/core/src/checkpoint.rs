@@ -214,7 +214,7 @@ impl DcMeshSim {
         sim.supercell.atoms = sim.md.atoms.clone();
 
         let external = unflatten3(&d.take_f64_vec()?, natoms, "external forces")?;
-        sim.md.forces.set_external(external);
+        sim.md.forces.set_external(external.into_iter().enumerate());
 
         // Maxwell field history.
         let mut mx = sim.maxwell.export_state();

@@ -54,9 +54,15 @@ impl EhrenfestFF {
         }
     }
 
-    /// Replace the external (electronic) forces for the coming MD step.
-    pub fn set_external(&self, forces: Vec<[f64; 3]>) {
-        *self.external.borrow_mut() = forces;
+    /// Replace the external (electronic) forces for the coming MD step:
+    /// every atom named in `forces` gets its force, every other atom zero.
+    /// Scatters into the buffer held since construction.
+    pub fn set_external(&self, forces: impl IntoIterator<Item = (usize, [f64; 3])>) {
+        let mut external = self.external.borrow_mut();
+        external.fill([0.0; 3]);
+        for (atom, f) in forces {
+            external[atom] = f;
+        }
     }
 
     /// Current external forces (for diagnostics).
@@ -205,7 +211,7 @@ impl DcMeshSim {
         let sim_box = SimBox {
             lengths: supercell.box_lengths,
         };
-        let ff = EhrenfestFF::new(PerovskiteFF::pbtio3(sim_box), supercell.atoms.len());
+        let ff = EhrenfestFF::new(PerovskiteFF::pbtio3(sim_box.clone()), supercell.atoms.len());
         let md = MdIntegrator::new(
             supercell.atoms.clone(),
             ff,
@@ -222,7 +228,8 @@ impl DcMeshSim {
         for d in 0..cfg.domains_x {
             let mut mesh = Mesh3::cubic(cfg.domain_mesh_points, h);
             mesh.origin = [d as f64 * slab_len, 0.0, 0.0];
-            let domain_atoms = atoms_in_slab(&supercell.atoms, d as f64 * slab_len, slab_len);
+            let (domain_atoms, _) =
+                atoms_in_slab(&supercell.atoms, &sim_box, d as f64 * slab_len, slab_len);
             let v_loc = if domain_atoms.is_empty() {
                 vec![0.0; mesh.len()]
             } else {
@@ -387,7 +394,14 @@ impl DcMeshSim {
         // faces through the nonblocking comm fabric and report the seam
         // mismatch (diagnostic only — it must not perturb the physics). ---
         let boundary_span = dcmesh_obs::span!("sim.boundary_exchange", parent = step_id);
-        let boundary_mismatch = self.boundary_density_mismatch();
+        // One post-LFD density per domain, shared by the seam diagnostic
+        // and the Ehrenfest feedback.
+        let densities: Vec<Vec<f64>> = if self.engines.len() > 1 || cfg.ehrenfest_feedback {
+            self.engines.iter().map(|e| e.density_f64()).collect()
+        } else {
+            Vec::new()
+        };
+        let boundary_mismatch = self.seam_mismatch(&densities);
         drop(boundary_span);
         dcmesh_obs::metrics::gauge_set("sim.boundary_mismatch", boundary_mismatch);
 
@@ -426,30 +440,30 @@ impl DcMeshSim {
         // --- Ehrenfest feedback: electron density -> forces on the ions. ---
         let ehrenfest_span = dcmesh_obs::span!("sim.ehrenfest_feedback", parent = step_id);
         if cfg.ehrenfest_feedback {
-            let slab_len_fb = self.supercell.box_lengths[0] / cfg.domains_x as f64;
-            let mut external = vec![[0.0; 3]; self.md.atoms.len()];
-            for (d, engine) in self.engines.iter().enumerate() {
-                let rho = engine.density_f64();
-                let x0 = d as f64 * slab_len_fb;
-                // Atoms of this slab, with their global indices.
-                let mut slab = AtomSet::new(self.md.atoms.species.clone());
-                let mut idx_map = Vec::new();
-                for (gi, a) in self.md.atoms.atoms.iter().enumerate() {
-                    if a.pos[0] >= x0 && a.pos[0] < x0 + slab_len_fb {
-                        slab.atoms.push(a.clone());
-                        idx_map.push(gi);
-                    }
-                }
-                if slab.is_empty() {
-                    continue;
-                }
-                slab.clear_forces();
-                dcmesh_tddft::forces::local_pseudo_forces(&engine.config().mesh, &mut slab, &rho);
-                for (li, &gi) in idx_map.iter().enumerate() {
-                    external[gi] = slab.atoms[li].force;
-                }
-            }
-            self.md.forces.set_external(external);
+            let (atoms, sim_box) = (&self.md.atoms, &self.md.forces.classical.sim_box);
+            // Per domain, one pool claim each: the atoms of its slab with
+            // their global indices, their forces from the domain's density.
+            let slabs: Vec<(AtomSet, Vec<usize>)> =
+                dcmesh_pool::global().map_mut(&mut self.engines, |d, engine| {
+                    let (mut slab, idx_map) =
+                        atoms_in_slab(atoms, sim_box, d as f64 * slab_len, slab_len);
+                    slab.clear_forces();
+                    dcmesh_tddft::forces::local_pseudo_forces(
+                        &engine.config().mesh,
+                        &mut slab,
+                        &densities[d],
+                    );
+                    (slab, idx_map)
+                });
+            // Scattered in domain order.
+            self.md
+                .forces
+                .set_external(slabs.iter().flat_map(|(slab, idx_map)| {
+                    idx_map
+                        .iter()
+                        .copied()
+                        .zip(slab.atoms.iter().map(|a| a.force))
+                }));
         }
         drop(ehrenfest_span);
 
@@ -516,6 +530,16 @@ impl DcMeshSim {
     /// the mean absolute mismatch per boundary point (0 for one domain).
     /// Purely diagnostic: reads densities, mutates nothing.
     pub fn boundary_density_mismatch(&self) -> f64 {
+        if self.engines.len() < 2 {
+            return 0.0;
+        }
+        let densities: Vec<Vec<f64>> = self.engines.iter().map(|e| e.density_f64()).collect();
+        self.seam_mismatch(&densities)
+    }
+
+    /// [`DcMeshSim::boundary_density_mismatch`] on densities the caller
+    /// already holds (one per domain; unread for a single domain).
+    fn seam_mismatch(&self, densities: &[Vec<f64>]) -> f64 {
         let nd = self.engines.len();
         if nd < 2 {
             return 0.0;
@@ -523,13 +547,10 @@ impl DcMeshSim {
         let faces: Vec<(Vec<f64>, Vec<f64>)> = self
             .engines
             .iter()
-            .map(|e| {
-                let rho = e.density_f64();
+            .zip(densities)
+            .map(|(e, rho)| {
                 let mesh = &e.config().mesh;
-                (
-                    mesh.pack_face(&rho, 0, false),
-                    mesh.pack_face(&rho, 0, true),
-                )
+                (mesh.pack_face(rho, 0, false), mesh.pack_face(rho, 0, true))
             })
             .collect();
         // Distinct tags per direction: with two domains, prev == next, so
@@ -567,15 +588,23 @@ impl DcMeshSim {
     }
 }
 
-/// Atoms whose (periodic-wrapped) x coordinate falls in `[x0, x0 + len)`.
-fn atoms_in_slab(atoms: &AtomSet, x0: f64, len: f64) -> AtomSet {
+/// Atoms whose periodic-wrapped x coordinate falls in `[x0, x0 + len)`,
+/// with their indices in `atoms`. The copies sit at the wrapped x: a domain
+/// mesh is not periodic, so an atom that drifted out of `[0, Lx)` must be
+/// seen where its image inside the box is.
+fn atoms_in_slab(atoms: &AtomSet, sim_box: &SimBox, x0: f64, len: f64) -> (AtomSet, Vec<usize>) {
     let mut out = AtomSet::new(atoms.species.clone());
-    for a in &atoms.atoms {
-        if a.pos[0] >= x0 && a.pos[0] < x0 + len {
-            out.atoms.push(a.clone());
+    let mut indices = Vec::new();
+    for (i, a) in atoms.atoms.iter().enumerate() {
+        let x = sim_box.wrap(a.pos)[0];
+        if x >= x0 && x < x0 + len {
+            let mut copy = a.clone();
+            copy.pos[0] = x;
+            out.atoms.push(copy);
+            indices.push(i);
         }
     }
-    out
+    (out, indices)
 }
 
 #[cfg(test)]
@@ -709,6 +738,40 @@ mod tests {
             .map(|(a, b)| (a.pos[0] - b.pos[0]).abs())
             .sum();
         assert!(dx > 0.0, "feedback did not affect the trajectory");
+    }
+
+    #[test]
+    fn atom_outside_the_box_keeps_its_ehrenfest_force() {
+        // Pb sits at x = 0 exactly: any negative displacement used to drop
+        // it from every slab and zero its electronic force.
+        let mut cfg = quick_cfg();
+        cfg.ehrenfest_feedback = true;
+        let external_at = |x: f64| {
+            let mut sim = DcMeshSim::new(cfg.clone());
+            let atoms = &mut sim.md.atoms.atoms;
+            let pb = atoms
+                .iter()
+                .position(|a| a.species == 0 && a.pos == [0.0; 3])
+                .expect("Pb at the origin");
+            atoms[pb].pos[0] = x;
+            sim.md_step();
+            sim.md.forces.external()[pb]
+        };
+        let lx = DcMeshSim::new(cfg.clone()).supercell.box_lengths[0];
+        let outside = external_at(-0.01);
+        let image = external_at(lx - 0.01);
+        assert!(
+            outside.iter().any(|f| f.abs() > 1e-12),
+            "no electronic force on the atom at x = -0.01: {outside:?}"
+        );
+        for ax in 0..3 {
+            assert!(
+                (outside[ax] - image[ax]).abs() <= 1e-12 * image[ax].abs().max(1.0),
+                "axis {ax}: {} at x = -0.01, {} at its image",
+                outside[ax],
+                image[ax]
+            );
+        }
     }
 
     #[test]

@@ -8,11 +8,13 @@
 use dcmesh_math::phys::KB_HARTREE_PER_K;
 use dcmesh_tddft::AtomSet;
 
-/// Anything that can fill the force accumulators of an [`AtomSet`] and
-/// report the potential energy (Hartree).
+/// Anything that can add its forces to the accumulators of an [`AtomSet`]
+/// and report the potential energy (Hartree).
 pub trait ForceProvider {
-    /// Compute forces into `atoms[i].force` (overwriting) and return the
-    /// potential energy.
+    /// Add the forces into `atoms[i].force` and return the potential
+    /// energy. The accumulators are not cleared: a caller that wants these
+    /// forces alone calls [`AtomSet::clear_forces`] first, as
+    /// [`MdIntegrator`] does, and providers stack by calling one another.
     fn compute(&self, atoms: &mut AtomSet) -> f64;
 }
 

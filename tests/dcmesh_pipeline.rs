@@ -129,7 +129,8 @@ fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
 
 /// Bits of everything a fixed 3-step run reports, for the host-resident
 /// and the device-resident build, plus the full wavefunction state of a
-/// stand-alone engine of each.
+/// stand-alone engine of each, plus the atom positions of a run with
+/// Ehrenfest feedback.
 fn physics_digest() -> u64 {
     use dcmesh::lfd::{BuildKind, LfdConfig, LfdEngine};
     let mut words = Vec::new();
@@ -179,6 +180,26 @@ fn physics_digest() -> u64 {
         );
         words.extend(engine.occupations.iter().map(|f| f.to_bits()));
     }
+    // The coupling phases: 160 atoms are three row chunks of the pair
+    // loop, the two domains two claims of the Ehrenfest loop; the atoms
+    // carry whatever order the pool added their forces in.
+    let mut cfg = base_cfg();
+    cfg.supercell_dims = [4, 4, 2];
+    cfg.build = BuildKind::GpuCublas;
+    cfg.flux_closure_amplitude = Some(0.3);
+    cfg.ehrenfest_feedback = true;
+    let mut sim = DcMeshSim::new(cfg);
+    for _ in 0..3 {
+        sim.md_step();
+    }
+    words.extend(
+        sim.md
+            .atoms
+            .atoms
+            .iter()
+            .flat_map(|a| a.pos)
+            .map(f64::to_bits),
+    );
     fnv1a(words)
 }
 

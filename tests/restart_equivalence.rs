@@ -27,6 +27,18 @@ fn laser_cfg() -> DcMeshConfig {
     }
 }
 
+/// Ehrenfest feedback on a supercell of 160 atoms: three row chunks of the
+/// pair loop, two domain claims of the pseudo-force loop.
+fn feedback_cfg() -> DcMeshConfig {
+    DcMeshConfig {
+        supercell_dims: [4, 4, 2],
+        n_qd: 5,
+        flux_closure_amplitude: Some(0.3),
+        ehrenfest_feedback: true,
+        ..DcMeshConfig::default()
+    }
+}
+
 /// Unique temp path without a tempfile dependency.
 fn temp_ckpt_path(tag: &str) -> PathBuf {
     static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -106,6 +118,13 @@ fn restart_is_bitwise_identical_under_laser() {
     // The laser exercises the time-dependent propagator rebuild and the
     // Maxwell history: both legs must agree through the pulse.
     restart_matches_uninterrupted(laser_cfg(), 2, 4);
+}
+
+#[test]
+fn restart_is_bitwise_identical_with_ehrenfest_feedback() {
+    // The external forces ride in the checkpoint, and the pool-parallel
+    // force loops add in an order that only the atom count fixes.
+    restart_matches_uninterrupted(feedback_cfg(), 2, 4);
 }
 
 #[test]
