@@ -34,7 +34,8 @@ fn run(args: &BenchArgs, build: BuildKind) -> KernelRow {
     let mut engine = LfdEngine::<f64>::new(cfg, v_loc);
     let t = engine.run_md_step();
     // Energy-calculation kernel (calc_energy()): time scissor_energies over
-    // the same number of calls per MD step as nlp_prop (2 per QD step).
+    // the paper's number of nlp_prop calls per MD step (2 per QD step — what
+    // the modeled device runs; the host merges them into n_qd + 1).
     let calls = 2 * args.n_qd();
     let e0 = Instant::now();
     for _ in 0..calls {

@@ -16,7 +16,6 @@
 //! a stochastic surface hop, an atomic update, and the polarization
 //! response.
 
-use dcmesh_comm::{NetworkModel, Rank, World};
 use dcmesh_grid::Mesh3;
 use dcmesh_lfd::{BuildKind, LaserPulse, LfdConfig, LfdEngine, Maxwell1d};
 use dcmesh_qxmd::forcefield::SimBox;
@@ -293,10 +292,7 @@ impl DcMeshSim {
         // Counter-based generator: its whole state is one u64, so a
         // checkpoint can capture and resume the hop stream bit-exactly.
         let rng = SplitMix64::seed_from_u64(cfg.seed);
-        let prev_dipole = engines
-            .iter()
-            .map(|e| dcmesh_lfd::spectrum::dipole_moment(&e.state_aos(), &e.occupations, 0))
-            .collect();
+        let prev_dipole = engines.iter().map(domain_dipole).collect();
         Self {
             cfg,
             md,
@@ -352,11 +348,7 @@ impl DcMeshSim {
         // Polarization-current feedback: each domain radiates the change of
         // its dipole moment (matter -> field coupling of the Maxwell-TDDFT
         // loop). The current from the previous MD window drives this one.
-        let dipoles: Vec<f64> = self
-            .engines
-            .iter()
-            .map(|e| dcmesh_lfd::spectrum::dipole_moment(&e.state_aos(), &e.occupations, 0))
-            .collect();
+        let dipoles: Vec<f64> = self.engines.iter().map(domain_dipole).collect();
         let slab_volume = slab_len * self.supercell.box_lengths[1] * self.supercell.box_lengths[2];
         let currents: Vec<f64> = dipoles
             .iter()
@@ -390,9 +382,9 @@ impl DcMeshSim {
         drop(lfd_span);
         dcmesh_obs::metrics::gauge_set("sim.excited_population", excited);
 
-        // --- Domain-boundary exchange: neighbouring domains swap density
-        // faces through the nonblocking comm fabric and report the seam
-        // mismatch (diagnostic only — it must not perturb the physics). ---
+        // --- Domain-boundary exchange: neighbouring domains compare density
+        // faces across their seams (diagnostic only — it must not perturb
+        // the physics). ---
         let boundary_span = dcmesh_obs::span!("sim.boundary_exchange", parent = step_id);
         // One post-LFD density per domain, shared by the seam diagnostic
         // and the Ehrenfest feedback.
@@ -522,19 +514,32 @@ impl DcMeshSim {
     /// Electron-density continuity across the DC domain seams.
     ///
     /// Each domain packs its low/high x-faces of the density (the seam
-    /// planes of the x-decomposition) on this thread — `LfdEngine` is not
-    /// `Sync` — then a one-shot [`World`] over the domains runs the real
-    /// posted-receive exchange: faces are sent, both receives are posted,
-    /// and the requests settle at the point the neighbour data is consumed,
-    /// the same isend/irecv discipline the scaling drivers model. Returns
-    /// the mean absolute mismatch per boundary point (0 for one domain).
-    /// Purely diagnostic: reads densities, mutates nothing.
+    /// planes of the x-decomposition) and compares them with the facing
+    /// planes of its two ring neighbours: a plain loop over the domains on
+    /// this thread, with the per-domain sums and the rank-ordered reduction
+    /// of the posted-receive exchange it replaced (which stays as the test
+    /// oracle; `comm`'s isend/irecv discipline is exercised by the scaling
+    /// drivers). Returns the mean absolute mismatch per boundary point
+    /// (0 for one domain). Purely diagnostic: reads densities, mutates
+    /// nothing.
     pub fn boundary_density_mismatch(&self) -> f64 {
         if self.engines.len() < 2 {
             return 0.0;
         }
         let densities: Vec<Vec<f64>> = self.engines.iter().map(|e| e.density_f64()).collect();
         self.seam_mismatch(&densities)
+    }
+
+    /// The low and high x-face of every domain's density.
+    fn seam_faces(&self, densities: &[Vec<f64>]) -> Vec<(Vec<f64>, Vec<f64>)> {
+        self.engines
+            .iter()
+            .zip(densities)
+            .map(|(e, rho)| {
+                let mesh = &e.config().mesh;
+                (mesh.pack_face(rho, 0, false), mesh.pack_face(rho, 0, true))
+            })
+            .collect()
     }
 
     /// [`DcMeshSim::boundary_density_mismatch`] on densities the caller
@@ -544,48 +549,35 @@ impl DcMeshSim {
         if nd < 2 {
             return 0.0;
         }
-        let faces: Vec<(Vec<f64>, Vec<f64>)> = self
-            .engines
-            .iter()
-            .zip(densities)
-            .map(|(e, rho)| {
-                let mesh = &e.config().mesh;
-                (mesh.pack_face(rho, 0, false), mesh.pack_face(rho, 0, true))
+        let faces = self.seam_faces(densities);
+        // Summed in domain order: the diagnostic is bit-exact run to run
+        // (the determinism test compares reports exactly).
+        let total: f64 = (0..nd)
+            .map(|d| {
+                let (lo, hi) = &faces[d];
+                let (prev_hi, next_lo) = (&faces[(d + nd - 1) % nd].1, &faces[(d + 1) % nd].0);
+                let diff: f64 = lo
+                    .iter()
+                    .zip(prev_hi)
+                    .chain(hi.iter().zip(next_lo))
+                    .map(|(a, b)| (a - b).abs())
+                    .sum();
+                diff / (lo.len() + hi.len()) as f64
             })
-            .collect();
-        // Distinct tags per direction: with two domains, prev == next, so
-        // the two inbound faces must demultiplex by tag alone.
-        const TAG_HI: u64 = 61; // my high face, headed to next's low seam
-        const TAG_LO: u64 = 62; // my low face, headed to prev's high seam
-        let out = World::run(nd, NetworkModel::slingshot11(), |rank: &mut Rank| {
-            let d = rank.id();
-            let n = rank.size();
-            let next = (d + 1) % n;
-            let prev = (d + n - 1) % n;
-            let (lo, hi) = &faces[d];
-            rank.isend(next, TAG_HI, hi).wait();
-            rank.isend(prev, TAG_LO, lo).wait();
-            let from_prev = rank.irecv(prev, TAG_HI);
-            let from_next = rank.irecv(next, TAG_LO);
-            let prev_hi = rank.wait(from_prev);
-            let next_lo = rank.wait(from_next);
-            let diff: f64 = lo
-                .iter()
-                .zip(&prev_hi)
-                .chain(hi.iter().zip(&next_lo))
-                .map(|(a, b)| (a - b).abs())
-                .sum();
-            diff / (lo.len() + hi.len()) as f64
-        });
-        // Fixed rank-ordered reduction keeps the diagnostic bit-exact run
-        // to run (the determinism test compares reports exactly).
-        out.iter().sum::<f64>() / nd as f64
+            .sum();
+        total / nd as f64
     }
 
     /// Total electron occupation across domains (conservation check).
     pub fn total_occupation(&self) -> f64 {
         self.engines.iter().map(|e| e.total_occupation()).sum()
     }
+}
+
+/// x-dipole of a domain's electrons, from its density read in place
+/// (`spectrum::dipole_moment` of `state_aos()`, bit for bit, without the copy).
+fn domain_dipole(e: &LfdEngine<f64>) -> f64 {
+    dcmesh_lfd::spectrum::density_dipole(&e.config().mesh, &e.density_f64(), 0)
 }
 
 /// Atoms whose periodic-wrapped x coordinate falls in `[x0, x0 + len)`,
@@ -696,6 +688,64 @@ mod tests {
         // The halo-exchange diagnostic is bit-exact too (fixed reduction
         // order across the world's ranks).
         assert_eq!(r1.boundary_mismatch, r2.boundary_mismatch);
+    }
+
+    /// The posted-receive exchange `seam_mismatch` ran until PR 17, kept as
+    /// its oracle: a rank per domain sends both faces, posts both receives
+    /// and settles them where the neighbour data is consumed.
+    fn seam_mismatch_over_the_world(sim: &DcMeshSim, densities: &[Vec<f64>]) -> f64 {
+        use dcmesh_comm::{NetworkModel, Rank, World};
+        let faces = sim.seam_faces(densities);
+        let nd = faces.len();
+        // Distinct tags per direction: with two domains, prev == next, so
+        // the two inbound faces must demultiplex by tag alone.
+        const TAG_HI: u64 = 61; // my high face, headed to next's low seam
+        const TAG_LO: u64 = 62; // my low face, headed to prev's high seam
+        let out = World::run(nd, NetworkModel::slingshot11(), |rank: &mut Rank| {
+            let d = rank.id();
+            let n = rank.size();
+            let next = (d + 1) % n;
+            let prev = (d + n - 1) % n;
+            let (lo, hi) = &faces[d];
+            rank.isend(next, TAG_HI, hi).wait();
+            rank.isend(prev, TAG_LO, lo).wait();
+            let from_prev = rank.irecv(prev, TAG_HI);
+            let from_next = rank.irecv(next, TAG_LO);
+            let prev_hi = rank.wait(from_prev);
+            let next_lo = rank.wait(from_next);
+            let diff: f64 = lo
+                .iter()
+                .zip(&prev_hi)
+                .chain(hi.iter().zip(&next_lo))
+                .map(|(a, b)| (a - b).abs())
+                .sum();
+            diff / (lo.len() + hi.len()) as f64
+        });
+        out.iter().sum::<f64>() / nd as f64
+    }
+
+    #[test]
+    fn seam_loop_is_the_world_exchange_bit_for_bit() {
+        for domains_x in [2, 4] {
+            let mut sim = DcMeshSim::new(DcMeshConfig {
+                domains_x,
+                ..quick_cfg()
+            });
+            for step in 0..2 {
+                let reported = sim.md_step().boundary_mismatch;
+                let densities: Vec<Vec<f64>> =
+                    sim.engines.iter().map(|e| e.density_f64()).collect();
+                let want = seam_mismatch_over_the_world(&sim, &densities);
+                assert!(want > 0.0, "{domains_x} domains: seams agree exactly");
+                for got in [reported, sim.boundary_density_mismatch()] {
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{domains_x} domains, step {step}: {got:e} vs {want:e}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

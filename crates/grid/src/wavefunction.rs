@@ -296,6 +296,22 @@ impl<R: Real> WfSoa<R> {
         &mut self.data[base..base + self.norb]
     }
 
+    /// Electron number density `rho(r) = sum_n f_n |psi_n(r)|^2`, read in
+    /// place: each point's sum runs in orbital order and skips `f == 0`, so
+    /// the result is [`WfAos::density`]'s bit for bit.
+    pub fn density(&self, occupations: &[R]) -> Vec<R> {
+        assert_eq!(occupations.len(), self.norb);
+        let mut rho = vec![R::ZERO; self.mesh.len()];
+        for (r, point) in rho.iter_mut().zip(self.data.chunks_exact(self.norb.max(1))) {
+            for (z, &f) in point.iter().zip(occupations) {
+                if f != R::ZERO {
+                    *r += z.norm_sqr() * f;
+                }
+            }
+        }
+        rho
+    }
+
     /// Convert to the AoS layout.
     pub fn to_aos(&self) -> WfAos<R> {
         let g = self.mesh.len();

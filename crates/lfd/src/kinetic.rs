@@ -61,7 +61,7 @@ pub enum StepFraction {
 }
 
 impl StepFraction {
-    fn scale<R: Real>(self) -> R {
+    pub(crate) fn scale<R: Real>(self) -> R {
         match self {
             StepFraction::Half => R::HALF,
             StepFraction::Full => R::ONE,

@@ -13,7 +13,8 @@
 //!   `exp(-i dt v_loc(r,t))` including the laser coupling.
 //! * [`nonlocal`] — the shadow-dynamics nonlocal correction of Eqs. (7)-(9):
 //!   scissor-shifted rank-Norb projection, in loop form and "BLASified"
-//!   GEMM form (`nlp_prop`, `calc_energy`, `remap_occ`, §III-D).
+//!   GEMM form (`nlp_prop`, `calc_energy`, `remap_occ`, §III-D), applied as
+//!   the projector's exact exponential rather than Eq. (7)'s first order.
 //! * [`maxwell`] — 1D FDTD vector-potential propagation across DC domains
 //!   plus the analytic laser pulse; [`scalar`] — the auxiliary damped wave
 //!   equation for the scalar potential (refs [27, 28]).

@@ -2,13 +2,26 @@
 //!
 //! Shadow dynamics (Eqs. (5)-(8)) replaces the expensive nonlocal operator
 //! `v_nl` inside the QD loop by a scissor-shifted projection onto the t = 0
-//! unoccupied subspace:
+//! unoccupied subspace, `D_sci P` with `P = sum_{u >= LUMO} |psi_u(0)><psi_u(0)|`.
+//! The paper's Eq. (7) applies its first-order step and renormalizes:
 //!
 //! ```text
-//! (1 - i dt/2 v_nl) |psi(t)>  ~=  |psi(t)> - i (D_sci dt / 2) sum_{u >= LUMO} |psi_u(0)><psi_u(0)|psi(t)>
+//! (1 - i dt/2 v_nl) |psi(t)>  ~=  |psi(t)> - i (D_sci dt / 2) P |psi(t)>
 //! ```
 //!
-//! with the scissor shift `D_sci` (Eq. (8)) computed once per MD step from
+//! This crate applies the exponential itself (an extension of Eq. (7), see
+//! DESIGN.md). `P` projects onto an orthonormal block, so `P^2 = P` and
+//!
+//! ```text
+//! exp(-i theta P) = 1 + (e^{-i theta} - 1) P,      theta = D_sci dt frac
+//! ```
+//!
+//! exactly: the same two GEMMs with another scalar. The step is unitary to
+//! rounding (nothing to renormalize) and composes exactly — two half-steps
+//! are one full step, which is what lets the engine merge the trailing
+//! half-step of one QD step with the leading half-step of the next.
+//!
+//! The scissor shift `D_sci` (Eq. (8)) is computed once per MD step from
 //! HOMO/LUMO eigenvalues with and without the true nonlocal potential, then
 //! amortized over N_QD = 100-1000 QD steps.
 //!
@@ -19,10 +32,13 @@
 //! implemented here in both loop form (the pre-BLAS build of Table II) and
 //! GEMM form.
 
-use dcmesh_device::{Device, KernelWork, LaunchPolicy, Precision, StreamId};
+use dcmesh_device::{KernelWork, Precision};
+use dcmesh_grid::WfSoa;
 use dcmesh_math::gemm::{gemm, gemm_cfmas, Op};
 use dcmesh_math::{simd, Complex, Matrix, Real};
 use dcmesh_pool::arena::with_scratch;
+
+use crate::kinetic::StepFraction;
 
 /// Which implementation the nonlocal kernels use (Table II rows).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -133,12 +149,23 @@ impl<R: Real> NonlocalCorrection<R> {
         o
     }
 
-    /// `nlp_prop()`: apply the normalized nonlocal half-step of Eq. (6)/(7)
-    /// in place. Each column is renormalized to unit norm afterwards,
-    /// realizing the `1/|| ... ||` normalization of Eq. (6).
-    pub fn nlp_prop(&self, psi_t: &mut Matrix<R>, path: GemmPath) {
+    /// The scalar `e^{-i theta} - 1` of the exact step, `theta = D_sci dt
+    /// frac`. Formed in f64 as `-2 sin^2(theta/2) - i sin(theta)` and cast:
+    /// at `theta ~ 1e-3` an f32 `cos(theta) - 1` keeps one significant bit.
+    fn phase_minus_one(&self, frac: StepFraction) -> Complex<R> {
+        let theta = self.delta_sci.to_f64() * self.dt.to_f64() * frac.scale::<f64>();
+        let s = (0.5 * theta).sin();
+        Complex::new(R::from_f64(-2.0 * s * s), R::from_f64(-theta.sin()))
+    }
+
+    /// The nonlocal step `psi <- exp(-i theta P) psi`, that is
+    /// `psi += (e^{-i theta} - 1) Psi_u (Psi_u^H psi dv)` with
+    /// `theta = D_sci dt frac`, in place and unitary: nothing is renormalized.
+    pub fn apply(&self, psi_t: &mut Matrix<R>, frac: StepFraction, path: GemmPath) {
         assert_eq!(psi_t.rows(), self.psi0.rows());
-        let c = Complex::new(R::ZERO, -(self.delta_sci * self.dt * R::HALF));
+        #[cfg(test)]
+        counts::bump(1, 0);
+        let c = self.phase_minus_one(frac);
         let o = self.overlap(psi_t, self.lumo, path);
         match path {
             GemmPath::Blas => {
@@ -168,23 +195,13 @@ impl<R: Real> NonlocalCorrection<R> {
                 }
             }
         }
-        // Renormalize columns (unitarized propagator).
-        let rows = psi_t.rows();
-        for t in 0..psi_t.cols() {
-            let col = psi_t.col_mut(t);
-            let mut n2 = R::ZERO;
-            for z in col.iter() {
-                n2 += z.norm_sqr();
-            }
-            let norm = (n2 * self.dv).sqrt();
-            if norm > R::ZERO {
-                let inv = R::ONE / norm;
-                for z in col.iter_mut() {
-                    *z = z.scale(inv);
-                }
-            }
-        }
-        debug_assert_eq!(rows, self.psi0.rows());
+    }
+
+    /// `nlp_prop()`: the nonlocal half-step `exp(-i (D_sci dt / 2) P)` in
+    /// place — [`NonlocalCorrection::apply`] at [`StepFraction::Half`], the
+    /// step that opens and closes the engine's MD step.
+    pub fn nlp_prop(&self, psi_t: &mut Matrix<R>, path: GemmPath) {
+        self.apply(psi_t, StepFraction::Half, path);
     }
 
     /// `calc_energy()`: the scissor (nonlocal) energy correction per
@@ -217,8 +234,9 @@ impl<R: Real> NonlocalCorrection<R> {
         f
     }
 
-    /// Roofline work of one `nlp_prop` (two GEMMs + renormalization), for
-    /// the device timing model.
+    /// Roofline work of one half-step of the paper's `nlp_prop` (two GEMMs
+    /// and its renormalization) — what the modeled device is charged per
+    /// `lfd.nonlocal` launch, twice per QD step.
     pub fn nlp_work(&self, ncols: usize) -> KernelWork {
         let g = self.psi0.rows() as u64;
         let nu = (self.psi0.cols() - self.lumo) as u64;
@@ -236,15 +254,6 @@ impl<R: Real> NonlocalCorrection<R> {
             flops: 8 * cfmas + 8 * g * n,
             precision: Some(precision),
         }
-    }
-
-    /// Run `nlp_prop` through the device offload runtime (the GPU builds of
-    /// Table II), returning nothing extra — timing lands on the device.
-    pub fn nlp_prop_on_device(&self, psi_t: &mut Matrix<R>, device: &Device, policy: LaunchPolicy) {
-        let work = self.nlp_work(psi_t.cols());
-        device.launch_named("lfd.nonlocal", StreamId(0), policy, work, || {
-            self.nlp_prop(psi_t, GemmPath::Blas);
-        });
     }
 
     // ------------------------------------------------------------------
@@ -285,52 +294,69 @@ impl<R: Real> NonlocalCorrection<R> {
         );
     }
 
-    /// `nlp_prop()` on an SoA-resident wavefunction set: identical math to
-    /// [`NonlocalCorrection::nlp_prop`], the two skinny GEMMs on the
-    /// transposed layout, operating in place on the SoA storage (no layout
-    /// conversion — this is why the SoA data structure "BLASifies" for
-    /// free). Scratch comes from the thread's arena: no heap traffic.
-    pub fn nlp_prop_soa(&self, soa: &mut dcmesh_grid::WfSoa<R>) {
+    /// [`NonlocalCorrection::apply`] on an SoA-resident wavefunction set:
+    /// identical math, the two skinny GEMMs on the transposed layout,
+    /// operating in place on the SoA storage (no layout conversion — this
+    /// is why the SoA data structure "BLASifies" for free). Scratch comes
+    /// from the thread's arena: no heap traffic. `norms2[n]` receives the
+    /// squared norm `sum_g |psi_n(g)|^2` (no `dv`) the update pass
+    /// accumulates anyway, for [`NonlocalCorrection::renormalize_soa`].
+    pub fn apply_soa(&self, soa: &mut WfSoa<R>, frac: StepFraction, norms2: &mut [R]) {
         let norb = soa.norb();
         let ngrid = self.psi0.rows();
         assert_eq!(soa.data().len(), norb * ngrid, "SoA size mismatch");
-        let c = Complex::new(R::ZERO, -(self.delta_sci * self.dt * R::HALF));
+        #[cfg(test)]
+        counts::bump(1, 0);
+        let c = self.phase_minus_one(frac);
         let t0u = &self.psi0u_t;
         let data = soa.data_mut();
         with_scratch::<Complex<R>, 1, ()>([norb * t0u.rows()], |[m]| {
             // M' = c * dv * T * T0u^H, then T += M' * T0u in place with
             // the squared norm of every updated orbital from the same pass.
             self.overlap_soa(c.scale(self.dv), data, norb, false, m);
-            with_scratch::<R, 1, ()>([norb], |[inv]| {
-                simd::proj_update(m, t0u.data(), t0u.rows(), data, norb, inv);
-                for s in inv.iter_mut() {
-                    let norm = (*s * self.dv).sqrt();
-                    *s = if norm > R::ZERO {
-                        R::ONE / norm
-                    } else {
-                        R::ZERO
-                    };
+            simd::proj_update(m, t0u.data(), t0u.rows(), data, norb, norms2);
+        });
+    }
+
+    /// Scale every orbital to unit norm from the squared norms
+    /// [`NonlocalCorrection::apply_soa`] handed back (the inverse norms on
+    /// return): one streaming pass over contiguous orbital runs.
+    pub fn renormalize_soa(&self, soa: &mut WfSoa<R>, norms2: &mut [R]) {
+        #[cfg(test)]
+        counts::bump(0, 1);
+        let norb = soa.norb();
+        for s in norms2.iter_mut() {
+            let norm = (*s * self.dv).sqrt();
+            *s = if norm > R::ZERO {
+                R::ONE / norm
+            } else {
+                R::ZERO
+            };
+        }
+        let inv = &*norms2;
+        dcmesh_pool::global().for_each_chunks_of_mut(
+            soa.data_mut(),
+            simd::PROJ_CHUNK * norb,
+            |_, chunk| {
+                for point in chunk.chunks_exact_mut(norb) {
+                    for (z, &iv) in point.iter_mut().zip(inv) {
+                        *z = z.scale(iv);
+                    }
                 }
-                // Renormalize each orbital (= each row of T): one
-                // streaming pass over contiguous orbital runs.
-                let inv = &*inv;
-                dcmesh_pool::global().for_each_chunks_of_mut(
-                    data,
-                    simd::PROJ_CHUNK * norb,
-                    |_, chunk| {
-                        for point in chunk.chunks_exact_mut(norb) {
-                            for (z, &iv) in point.iter_mut().zip(inv) {
-                                *z = z.scale(iv);
-                            }
-                        }
-                    },
-                );
-            });
+            },
+        );
+    }
+
+    /// `nlp_prop()` on an SoA-resident set: [`NonlocalCorrection::apply_soa`]
+    /// at [`StepFraction::Half`].
+    pub fn nlp_prop_soa(&self, soa: &mut WfSoa<R>) {
+        with_scratch::<R, 1, ()>([soa.norb()], |[norms2]| {
+            self.apply_soa(soa, StepFraction::Half, norms2);
         });
     }
 
     /// SoA variant of [`NonlocalCorrection::scissor_energies`].
-    pub fn scissor_energies_soa(&self, soa: &dcmesh_grid::WfSoa<R>) -> Vec<R> {
+    pub fn scissor_energies_soa(&self, soa: &WfSoa<R>) -> Vec<R> {
         let norb = soa.norb();
         let nu = self.psi0u_t.rows();
         with_scratch::<Complex<R>, 1, _>([norb * nu], |[m]| {
@@ -348,7 +374,7 @@ impl<R: Real> NonlocalCorrection<R> {
     }
 
     /// SoA variant of [`NonlocalCorrection::remap_occ`].
-    pub fn remap_occ_soa(&self, soa: &dcmesh_grid::WfSoa<R>, occ0: &[R]) -> Vec<R> {
+    pub fn remap_occ_soa(&self, soa: &WfSoa<R>, occ0: &[R]) -> Vec<R> {
         let norb = soa.norb();
         assert_eq!(occ0.len(), norb);
         let nref = self.psi0.cols();
@@ -363,18 +389,25 @@ impl<R: Real> NonlocalCorrection<R> {
             f
         })
     }
+}
 
-    /// Device-launched SoA `nlp_prop`.
-    pub fn nlp_prop_soa_on_device(
-        &self,
-        soa: &mut dcmesh_grid::WfSoa<R>,
-        device: &Device,
-        policy: LaunchPolicy,
-    ) {
-        let work = self.nlp_work(soa.norb());
-        device.launch_named("lfd.nonlocal", StreamId(0), policy, work, || {
-            self.nlp_prop_soa(soa);
-        });
+/// Projector applications and scale sweeps made on this thread: the pin
+/// on how many of each one `run_md_step` makes.
+#[cfg(test)]
+pub(crate) mod counts {
+    use std::cell::Cell;
+
+    thread_local! {
+        static COUNTS: Cell<(u32, u32)> = const { Cell::new((0, 0)) };
+    }
+
+    pub(crate) fn bump(applications: u32, sweeps: u32) {
+        COUNTS.with(|c| c.set((c.get().0 + applications, c.get().1 + sweeps)));
+    }
+
+    /// `(applications, sweeps)` since the last call; resets both.
+    pub(crate) fn take() -> (u32, u32) {
+        COUNTS.with(|c| c.replace((0, 0)))
     }
 }
 
@@ -416,8 +449,7 @@ mod tests {
     #[test]
     fn occupied_references_pass_through_unchanged() {
         // Occupied reference columns are orthogonal to the unoccupied
-        // projector: nlp_prop must leave them exactly invariant (up to the
-        // renormalization, which is then a no-op).
+        // projector: nlp_prop must leave them invariant.
         let (_, nl) = setup();
         let occ_only = Matrix::from_fn(nl.ngrid(), 3, |r, c| nl.psi0[(r, c)]);
         let mut out = occ_only.clone();
@@ -493,22 +525,186 @@ mod tests {
         assert!(psi.max_abs_diff(&before) < 1e-12);
     }
 
-    #[test]
-    fn correction_is_antihermitian_first_order() {
-        // The first-order change -i c P |psi> has <psi|dpsi> purely
-        // imaginary: norm is conserved to O(c^2) even before renormalizing.
-        let (mesh, nl) = setup();
-        let lumo_col = Matrix::from_fn(nl.ngrid(), 1, |r, _| nl.psi0[(r, 4)]);
-        let o = nl.overlap(&lumo_col, nl.lumo, GemmPath::Blas);
-        let c = C64::new(0.0, -(nl.delta_sci * nl.dt * 0.5));
-        // <psi | c P psi> = c * sum_u |o_u|^2: purely imaginary.
-        let mut ip = C64::zero();
-        for u in 0..o.rows() {
-            ip += c.scale(o[(u, 0)].norm_sqr());
+    /// One step on every path — loop form, matrix GEMM, SoA — from the
+    /// same AoS start.
+    fn apply_on_every_path<R: Real>(
+        nl: &NonlocalCorrection<R>,
+        state: &WfAos<R>,
+        frac: StepFraction,
+    ) -> [Matrix<R>; 3] {
+        let [mut loops, mut blas] = [state.to_matrix(), state.to_matrix()];
+        nl.apply(&mut loops, frac, GemmPath::Loops);
+        nl.apply(&mut blas, frac, GemmPath::Blas);
+        let mut soa = state.to_soa();
+        nl.apply_soa(&mut soa, frac, &mut vec![R::ZERO; state.norb()]);
+        [loops, blas, soa.to_aos().to_matrix()]
+    }
+
+    /// `<ref_col | psi_col> dv`, summed in f64.
+    fn amplitude<R: Real>(
+        nl: &NonlocalCorrection<R>,
+        ref_col: usize,
+        psi: &Matrix<R>,
+        col: usize,
+    ) -> C64 {
+        let mut acc = C64::zero();
+        for (r, z) in nl.psi0.col(ref_col).iter().zip(psi.col(col)) {
+            acc += r.cast::<f64>().conj() * z.cast::<f64>();
         }
-        assert!(ip.re.abs() < 1e-14);
-        assert!(ip.im.abs() > 0.0);
-        let _ = mesh;
+        acc.scale(nl.dv.to_f64())
+    }
+
+    /// Oracle (a): on `a psi_occ + b psi_u` the step multiplies the `psi_u`
+    /// amplitude by `e^{-i theta}` and leaves the `psi_occ` amplitude alone.
+    fn two_level_phase<R: Real>(tol: f64) {
+        let mesh = Mesh3::cubic(6, 0.5);
+        // Orthonormalized in f64, then cast: the oracle's error is the
+        // step's, not the reference set's.
+        let reference = reference(&mesh, 6);
+        let (a, b) = (C64::new(0.6, 0.0), C64::new(0.0, 0.8));
+        let (occ, un) = (1, 4);
+        for theta_full in [1e-4, 1e-3, 1e-2, 0.1, 1.0] {
+            let nl = NonlocalCorrection::<R>::new(
+                reference.cast(),
+                3,
+                R::from_f64(theta_full / 0.02),
+                R::from_f64(0.02),
+                R::from_f64(mesh.dv()),
+            );
+            let mixed = Matrix::from_fn(nl.ngrid(), 1, |r, _| {
+                (a * reference[(r, occ)] + b * reference[(r, un)]).cast()
+            });
+            let state = WfAos::from_matrix(mesh.clone(), mixed);
+            for frac in [StepFraction::Half, StepFraction::Full] {
+                // theta as the f32 corrector sees it.
+                let theta = nl.delta_sci.to_f64() * nl.dt.to_f64() * frac.scale::<f64>();
+                for (path, out) in apply_on_every_path(&nl, &state, frac).iter().enumerate() {
+                    let err_u = (amplitude(&nl, un, out, 0) - b * C64::cis(-theta)).abs();
+                    let err_occ = (amplitude(&nl, occ, out, 0) - a).abs();
+                    assert!(
+                        err_u < tol && err_occ < tol,
+                        "theta {theta:e}, path {path}: psi_u off by {err_u:e}, psi_occ by {err_occ:e}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn two_level_phase_dp() {
+        two_level_phase::<f64>(1e-14);
+    }
+
+    #[test]
+    fn two_level_phase_sp() {
+        two_level_phase::<f32>(1e-6);
+    }
+
+    #[test]
+    fn two_half_steps_are_one_full_step() {
+        // Oracle (b): the step composes exactly, which is what lets the
+        // engine merge adjacent half-steps.
+        let (mesh, nl) = setup();
+        let mut state = WfAos::<f64>::zeros(mesh, 6);
+        state.randomize(34);
+        let largest = state.data().iter().map(|z| z.abs()).fold(0.0, f64::max);
+        let full = apply_on_every_path(&nl, &state, StepFraction::Full);
+        let half = apply_on_every_path(&nl, &state, StepFraction::Half);
+        for (path, (full, half)) in full.iter().zip(half).enumerate() {
+            let half = WfAos::from_matrix(state.mesh().clone(), half);
+            let twice = &apply_on_every_path(&nl, &half, StepFraction::Half)[path];
+            let diff = full.max_abs_diff(twice) / largest;
+            assert!(diff < 1e-15, "path {path}: Half.Half vs Full {diff:e}");
+        }
+    }
+
+    #[test]
+    fn a_thousand_full_steps_stay_unitary_without_renormalization() {
+        // Oracle (c): an orthonormal block stays one, to rounding.
+        let (mesh, nl) = setup();
+        let mut state = WfAos::<f64>::zeros(mesh.clone(), 6);
+        state.randomize(35);
+        let mut soa = state.to_soa();
+        let mut norms2 = vec![0.0; 6];
+        for _ in 0..1000 {
+            nl.apply_soa(&mut soa, StepFraction::Full, &mut norms2);
+        }
+        let after = soa.to_aos();
+        let s = after.overlap(&after);
+        let drift = s.max_abs_diff(&Matrix::identity(6));
+        assert!(
+            drift < 1e-12,
+            "overlap matrix off the identity by {drift:e}"
+        );
+        // The norms the step hands back are those of the state it left.
+        for (n, n2) in norms2.iter().enumerate() {
+            assert!((n2 * mesh.dv() - s[(n, n)].re).abs() < 1e-13);
+        }
+    }
+
+    /// The paper's Eq. (7) as this crate applied it until PR 17: the
+    /// first-order step `1 - i theta P`, then every column renormalized.
+    fn first_order_step(nl: &NonlocalCorrection<f64>, psi_t: &mut Matrix<f64>, theta: f64) {
+        let o = nl.overlap(psi_t, nl.lumo, GemmPath::Blas);
+        let c = C64::new(0.0, -theta);
+        gemm(c, &nl.psi0u, Op::None, &o, Op::None, C64::one(), psi_t);
+        for t in 0..psi_t.cols() {
+            let n2: f64 = psi_t.col(t).iter().map(|z| z.norm_sqr()).sum();
+            let inv = 1.0 / (n2 * nl.dv).sqrt();
+            psi_t.col_mut(t).iter_mut().for_each(|z| *z = z.scale(inv));
+        }
+    }
+
+    #[test]
+    fn first_order_step_is_recovered_to_second_order() {
+        // Oracle (d). On `a psi_occ + b psi_u` the two steps differ by
+        // <= theta^2; on an orbital wholly inside or outside the
+        // projector's range only by the phase `theta - atan(theta)` <=
+        // theta^3. And the sign: the first-order step grows `|b|^2` by
+        // `|a|^2 |b|^2 theta^2` and lets the renormalization pay for it
+        // out of the occupied amplitude; the exact step transfers nothing.
+        let mesh = Mesh3::cubic(6, 0.5);
+        let reference = reference(&mesh, 6);
+        let (a, b) = (0.8, 0.6);
+        for theta in [1e-3, 1e-2, 0.1f64] {
+            let nl = NonlocalCorrection::new(reference.clone(), 3, theta / 0.02, 0.02, mesh.dv());
+            // Columns: mixed, inside the range, outside it.
+            let start = Matrix::from_fn(nl.ngrid(), 3, |r, col| match col {
+                0 => reference[(r, 1)].scale(a) + reference[(r, 4)].scale(b),
+                1 => reference[(r, 4)],
+                _ => reference[(r, 1)],
+            });
+            let (mut exact, mut first) = (start.clone(), start.clone());
+            nl.apply(&mut exact, StepFraction::Full, GemmPath::Blas);
+            first_order_step(&nl, &mut first, theta);
+            let col_diff = |col: usize| {
+                let (x, y) = (exact.col(col), first.col(col));
+                let d2: f64 = x.iter().zip(y).map(|(p, q)| (*p - *q).norm_sqr()).sum();
+                (d2 * mesh.dv()).sqrt()
+            };
+            assert!(col_diff(0) <= theta * theta, "mixed: {:e}", col_diff(0));
+            assert!(
+                col_diff(0) > 0.1 * theta * theta,
+                "mixed: {:e}",
+                col_diff(0)
+            );
+            for col in [1, 2] {
+                assert!(
+                    col_diff(col) <= theta.powi(3),
+                    "theta {theta}, column {col}: {:e}",
+                    col_diff(col)
+                );
+            }
+            let b2_exact = amplitude(&nl, 4, &exact, 0).norm_sqr();
+            let b2_first = amplitude(&nl, 4, &first, 0).norm_sqr();
+            assert!((b2_exact - b * b).abs() < 1e-14, "exact moved |b|^2");
+            let growth = a * a * b * b * theta * theta;
+            assert!(
+                (b2_first - b * b - growth).abs() < 0.5 * growth,
+                "theta {theta}: first order grew |b|^2 by {:e}, want {growth:e}",
+                b2_first - b * b
+            );
+        }
     }
 
     #[test]
@@ -600,16 +796,5 @@ mod tests {
     #[test]
     fn soa_kernels_match_loops_sp() {
         soa_kernels_match_loops::<f32>(2e-5);
-    }
-
-    #[test]
-    fn device_path_counts_gemm_flops() {
-        let (_, nl) = setup();
-        let mut psi = nl.psi0.clone();
-        let dev = Device::a100();
-        nl.nlp_prop_on_device(&mut psi, &dev, LaunchPolicy::Sync);
-        let s = dev.stats();
-        assert_eq!(s.kernels_launched, 1);
-        assert!(s.kernel_busy > 0.0);
     }
 }

@@ -24,8 +24,12 @@ use crate::potential::PotentialPropagator;
 /// to the mesh center: `mu = -integral rho(r) (r - r_c) dV` (electron
 /// charge = -1 in atomic units).
 pub fn dipole_moment(wf: &WfAos<f64>, occupations: &[f64], axis: usize) -> f64 {
-    let mesh = wf.mesh().clone();
-    let rho = wf.density(occupations);
+    density_dipole(wf.mesh(), &wf.density(occupations), axis)
+}
+
+/// [`dipole_moment`] of a density `rho` already in hand (one value per
+/// point of `mesh`).
+pub fn density_dipole(mesh: &Mesh3, rho: &[f64], axis: usize) -> f64 {
     let c = mesh.center();
     let dv = mesh.dv();
     let mut mu = 0.0;

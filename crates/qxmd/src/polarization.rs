@@ -16,6 +16,8 @@
 //!     the double well, lowering the switching barrier — the mechanism behind
 //!     light-induced topological switching (refs [12, 35]).
 
+use dcmesh_pool::arena::with_scratch;
+
 use crate::pbtio3::Supercell;
 
 /// A 2D (x-z plane) polarization field on the supercell's cell grid.
@@ -238,41 +240,46 @@ impl LkDynamics {
     pub fn step(&mut self, dt: f64, e_applied: [f64; 2], n_exc: f64) {
         let (nx, nz) = (self.field.nx, self.field.nz);
         let a_eff = self.alpha * (1.0 - self.screening * n_exc);
-        let mut dpx = vec![0.0; nx * nz];
-        let mut dpz = vec![0.0; nx * nz];
-        for ix in 0..nx {
-            for iz in 0..nz {
-                let i = ix * self.field.nz + iz;
-                let (px, pz) = (self.field.px[i], self.field.pz[i]);
-                let p2 = px * px + pz * pz;
-                // Landau part: dF/dP = -a_eff P + beta |P|^2 P - E,
-                // plus tetragonal anisotropy a' d(Px^2 Pz^2)/dP (screened
-                // alongside the well by the excited carriers).
-                let an = self.anisotropy * (a_eff / self.alpha).max(0.0);
-                let mut fx =
-                    -a_eff * px + self.beta * p2 * px - e_applied[0] + 2.0 * an * px * pz * pz;
-                let mut fz =
-                    -a_eff * pz + self.beta * p2 * pz - e_applied[1] + 2.0 * an * pz * px * px;
-                // Gradient coupling (periodic neighbours in the plane).
-                let neighbors = [
-                    ((ix + 1) % nx, iz),
-                    ((ix + nx - 1) % nx, iz),
-                    (ix, (iz + 1) % nz),
-                    (ix, (iz + nz - 1) % nz),
-                ];
-                for (jx, jz) in neighbors {
-                    let j = jx * self.field.nz + jz;
-                    fx += self.kappa * (px - self.field.px[j]);
-                    fz += self.kappa * (pz - self.field.pz[j]);
+        // Arena scratch: no allocation per sub-step.
+        with_scratch::<f64, 2, ()>([nx * nz, nx * nz], |[dpx, dpz]| {
+            for ix in 0..nx {
+                for iz in 0..nz {
+                    let i = ix * self.field.nz + iz;
+                    let (px, pz) = (self.field.px[i], self.field.pz[i]);
+                    let p2 = px * px + pz * pz;
+                    // Landau part: dF/dP = -a_eff P + beta |P|^2 P - E,
+                    // plus tetragonal anisotropy a' d(Px^2 Pz^2)/dP (screened
+                    // alongside the well by the excited carriers).
+                    let an = self.anisotropy * (a_eff / self.alpha).max(0.0);
+                    let mut fx =
+                        -a_eff * px + self.beta * p2 * px - e_applied[0] + 2.0 * an * px * pz * pz;
+                    let mut fz =
+                        -a_eff * pz + self.beta * p2 * pz - e_applied[1] + 2.0 * an * pz * px * px;
+                    // Gradient coupling (periodic neighbours in the plane).
+                    let neighbors = [
+                        ((ix + 1) % nx, iz),
+                        ((ix + nx - 1) % nx, iz),
+                        (ix, (iz + 1) % nz),
+                        (ix, (iz + nz - 1) % nz),
+                    ];
+                    for (jx, jz) in neighbors {
+                        let j = jx * self.field.nz + jz;
+                        fx += self.kappa * (px - self.field.px[j]);
+                        fz += self.kappa * (pz - self.field.pz[j]);
+                    }
+                    dpx[i] = -self.gamma * fx;
+                    dpz[i] = -self.gamma * fz;
                 }
-                dpx[i] = -self.gamma * fx;
-                dpz[i] = -self.gamma * fz;
             }
-        }
-        for i in 0..nx * nz {
-            self.field.px[i] += dt * dpx[i];
-            self.field.pz[i] += dt * dpz[i];
-        }
+            // A component with no drive decays by a fixed factor per step
+            // and would sit in the subnormal range for ever (a 35x slower
+            // step): below 1e-300 it is zero.
+            let flushed = |p: f64| if p.abs() < 1e-300 { 0.0 } else { p };
+            for i in 0..nx * nz {
+                self.field.px[i] = flushed(self.field.px[i] + dt * dpx[i]);
+                self.field.pz[i] = flushed(self.field.pz[i] + dt * dpz[i]);
+            }
+        });
         self.time += dt;
     }
 
@@ -469,6 +476,41 @@ mod tests {
             "mean Pz {}",
             lit.field.mean()[1]
         );
+    }
+
+    /// FNV-1a of the toroidal moment and mean polarization after each of
+    /// `windows` `md_step`-sized LK windows (207 sub-steps of 0.01 at the
+    /// default `dt_md`) from the flux-closure start, driven along x only.
+    fn x_driven_windows(lk: &mut LkDynamics, windows: usize) -> u64 {
+        let e_c = 2.0 * lk.alpha * lk.p_spontaneous(0.0) / (3.0 * 3.0f64.sqrt());
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for _ in 0..windows {
+            for _ in 0..207 {
+                lk.step(0.01, [0.5 * e_c, 0.0], 0.01);
+            }
+            let m = lk.field.mean();
+            for word in [lk.field.toroidal_moment(), m[0], m[1]] {
+                h = (h ^ word.to_bits()).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn undriven_component_flushes_to_zero_instead_of_going_subnormal() {
+        // With ez = 0, pz decays a fixed factor per sub-step. Under this
+        // drive it passes 1e-300 near window 68 (near MD step 233 in the
+        // `traj_coupled` run that found this), where it used to stick at
+        // 4.4e-323 and make every later step 35x slower. The observables
+        // of the windows before the flush are the parent commit's bits.
+        let mut sc = Supercell::build(&PbTiO3Cell::cubic(), [8, 4, 4]);
+        sc.imprint_flux_closure(0.3, 1.0);
+        let mut lk = LkDynamics::new(PolarizationField::from_supercell(&sc, 0), 0.5, 0.05);
+        assert_eq!(x_driven_windows(&mut lk, 60), 0x128d_f805_fe6b_3256);
+        assert!(lk.field.pz.iter().all(|p| p.is_normal()), "flushed early");
+        x_driven_windows(&mut lk, 340);
+        assert!(lk.field.pz.iter().all(|p| *p == 0.0), "pz never flushed");
+        assert!(lk.field.px.iter().all(|p| p.is_normal()), "px is driven");
     }
 
     #[test]

@@ -6,8 +6,8 @@
 #                    root integration tests at 1, 2 and 4 pool threads
 #   check.sh gates   heavy gates — lines per crate, audit, racecheck, fault
 #                    matrix, model check, overlap ablation, serve p95
-#                    latency gate, Table I nowait ablation, frozen-benchmark
-#                    build + smoke, ...
+#                    latency gate, Table I nowait ablation, Table II modeled
+#                    rows, frozen-benchmark build + smoke, ...
 #   check.sh all     quick + gates (default)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -204,6 +204,32 @@ tier_gates() {
   fi
   awk -v g="$t1_gain" 'BEGIN { exit !(g > 0) }' || {
     echo "table1: no positive nowait gain ('$t1_gain')" >&2
+    exit 1
+  }
+
+  echo "== Table II modeled GPU rows (the paper's algorithm) and the merged-half-step line =="
+  # The modeled device is charged the paper's two nonlocal half-steps per
+  # QD step whatever the host merges (PR 17), so at --quick the nonlocal and
+  # total cells (SP, DP) of the three GPU rows are exact. These are PR 16's,
+  # as is the paper's side of the merged line (2.817921e-5 s on both cuBLAS
+  # rows); the merged side is this repository's extension and must read
+  # strictly below it.
+  local t2_out t2_rows t2_merged
+  t2_out=$(mktemp /tmp/dcmesh_table2_XXXXXX.log)
+  SCRATCH+=("$t2_out")
+  cargo run -q --release -p dcmesh-bench --bin table2 -- --quick --deterministic > "$t2_out"
+  t2_rows=$(awk -F'|' '/^\| GPU.*modeled/ { gsub(/ /, ""); printf "%s,%s,%s,%s ", $5, $6, $9, $10 }' "$t2_out")
+  echo "GPU rows (nonlocal SP,DP, total SP,DP): $t2_rows"
+  if [ "$t2_rows" != "0.0000,0.0000,0.0216,0.0221 0.0000,0.0000,0.0199,0.0201 0.0000,0.0000,0.0019,0.0019 " ]; then
+    echo "table2: the modeled GPU rows moved" >&2
+    exit 1
+  fi
+  t2_merged=$(sed -n "s/^merged half-steps (this repository's extension of Eq. (7)).* paper's -> merged: //p" "$t2_out")
+  echo "merged half-steps, paper's -> merged: $t2_merged"
+  echo "$t2_merged" | tr ';' '\n' | awk '
+    $1 != "2.817921e-5" || !($3 < $1) { bad = 1 }
+    END { exit !(NR == 2 && !bad) }' || {
+    echo "table2: the merged-half-step line is missing, moved its paper side, or is not below it" >&2
     exit 1
   }
 
