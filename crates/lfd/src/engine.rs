@@ -379,7 +379,7 @@ impl<R: Real> LfdEngine<R> {
                 [p.e_field(t_mid), 0.0, 0.0]
             });
             if let Some(e) = pulse_field {
-                self.pot_half.set_field(&self.v_loc, e);
+                self.pot_half.set_field(e);
             }
             // Device builds refresh the per-step propagator coefficient
             // table (the time-dependent local phases) on the device: the

@@ -5,8 +5,8 @@
 //! along one axis the tridiagonal finite-difference kinetic operator is
 //! split into even/odd 2x2 blocks whose exponentials are *exact* 2x2
 //! unitaries (space-splitting method, paper ref. [28]). One directional
-//! application is the three-pass sweep `E(dt/2) O(dt) E(dt/2)`; a full 3D
-//! step is the Strang sequence `X(dt/2) Y(dt/2) Z(dt) Y(dt/2) X(dt/2)`.
+//! application is the three-pass sweep `E(dt/2) O(dt) E(dt/2)`; the paper's
+//! full 3D step is the sequence `X(dt/2) Y(dt/2) Z(dt) Y(dt/2) X(dt/2)`.
 //! Every pass is an in-place 3-point-stencil-shaped sweep — the loop nest
 //! the paper's Algorithms 1-5 restructure.
 //!
@@ -22,20 +22,27 @@
 //! Algorithms 3-5 are one kernel, `sweep_axis` over
 //! [`dcmesh_math::simd::stencil_lines_raw`], with two parameters: the orbital
 //! block (`norb` for Algorithm 3) and whether the line sets are spread over
-//! teams. The kernel fuses the three passes of a directional step per axis
-//! line, so a line is read from beyond L1 once per step; the device model
-//! still sees the paper's three launches per directional step.
+//! teams. The kernel fuses the passes of a sweep per axis line, so a line is
+//! read from beyond L1 once per sweep; the device model still sees the
+//! paper's launches, one per pass of the paper's sequence.
 //!
 //! The exact-unitary pairwise update makes the in-place sweep safe without
 //! the paper's `psi_old` carry buffer; eliminating that buffer is precisely
 //! the memory-reuse optimization §III-A describes.
+//!
+//! The optimized step (DESIGN.md §4, PR 18): directional steps act on
+//! different mesh indices with per-axis constant coefficients, so they commute
+//! exactly — the paper's sequence *is* `X(½)² Y(½)² Z(1)`, and the adjacent
+//! even passes inside `X(½)²` add their angles: three sweeps of 5 + 5 + 3
+//! passes instead of five of 3 (Algorithm 1 keeps the paper's order and is the
+//! oracle). A pass also multiplies *every* point of a line by one scalar phase:
+//! the tables hold the bare rotation, a list's last pass the list's whole phase.
 
 use dcmesh_device::{
     teams_distribute, teams_distribute_mut, Device, KernelWork, LaunchPolicy, Precision, StreamId,
 };
 use dcmesh_grid::{Mesh3, WfAos, WfSoa};
 use dcmesh_math::simd::{self, LineSet, StencilPass};
-use dcmesh_math::tridiag::exp_2x2_symmetric;
 use dcmesh_math::{Complex, Real};
 use dcmesh_pool::SlicePtr;
 
@@ -43,11 +50,11 @@ use dcmesh_pool::SlicePtr;
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Axis {
     /// Sweep couples neighbouring x indices.
-    X,
+    X = 0,
     /// Sweep couples neighbouring y indices.
-    Y,
+    Y = 1,
     /// Sweep couples neighbouring z indices.
-    Z,
+    Z = 2,
 }
 
 /// Time-step fraction `p` of the paper's `kin_prop(…, p, …)`:
@@ -55,9 +62,9 @@ pub enum Axis {
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum StepFraction {
     /// `dt / 2`.
-    Half,
+    Half = 0,
     /// `dt`.
-    Full,
+    Full = 1,
 }
 
 impl StepFraction {
@@ -69,40 +76,38 @@ impl StepFraction {
     }
 }
 
-/// The three passes (even-half, odd-full, even-half) of one directional step.
-type PassSet<R> = [StencilPass<R>; 3];
-
 /// Precomputed kinetic propagator for one mesh and QD time step.
 #[derive(Clone, Debug)]
 pub struct KineticPropagator<R> {
     mesh: Mesh3,
-    /// Electron mass (atomic units).
-    pub mass: R,
-    /// QD time step `Delta_QD` (atomic units).
-    pub dt: R,
-    /// Pass tables indexed `[axis][fraction]`.
-    passes: [[PassSet<R>; 2]; 3],
+    mass: R,
+    dt: R,
+    /// Pass lists `[axis][sweep]`: the directional step `E O E` at `dt/2` and
+    /// at `dt`, then ([`STEP`]) the axis's share of a whole step — X, Y: two
+    /// half-steps, `E(dt/4) O(dt/2) E(dt/2) O(dt/2) E(dt/4)`; Z: its `Z(dt)`.
+    passes: [[Vec<StencilPass<R>>; 3]; 3],
 }
+
+/// Index of an axis's share of a whole step, beside `Half = 0`, `Full = 1`.
+const STEP: usize = 2;
 
 impl<R: Real> KineticPropagator<R> {
     /// Build coefficient tables for `mesh` and time step `dt`.
     pub fn new(mesh: Mesh3, dt: R, mass: R) -> Self {
+        let (half, quarter) = (dt * R::HALF, dt * R::HALF * R::HALF);
         let spacing = [mesh.dx, mesh.dy, mesh.dz];
-        let mut passes = [[[StencilPass {
-            start: 0,
-            d: Complex::zero(),
-            o: Complex::zero(),
-            lone: Complex::zero(),
-        }; 3]; 2]; 3];
-        for (ax, pax) in passes.iter_mut().enumerate() {
+        let passes = std::array::from_fn(|ax| {
             let h = R::from_f64(spacing[ax]);
             let diag = R::ONE / (mass * h * h);
-            let off = -(diag * R::HALF);
-            for (fi, frac) in [StepFraction::Half, StepFraction::Full].iter().enumerate() {
-                let theta = dt * frac.scale::<R>();
-                pax[fi] = build_passes(theta, diag, off);
-            }
-        }
+            let list = |angles: &[(R, usize)]| build_passes(angles, diag, -(diag * R::HALF));
+            let full = list(&[(half, 0), (dt, 1), (half, 0)]);
+            let step = if ax == Axis::Z as usize {
+                full.clone()
+            } else {
+                list(&[(quarter, 0), (half, 1), (half, 0), (half, 1), (quarter, 0)])
+            };
+            [list(&[(quarter, 0), (half, 1), (quarter, 0)]), full, step]
+        });
         Self {
             mesh,
             mass,
@@ -116,17 +121,18 @@ impl<R: Real> KineticPropagator<R> {
         &self.mesh
     }
 
-    fn pass_set(&self, axis: Axis, frac: StepFraction) -> &PassSet<R> {
-        let ai = match axis {
-            Axis::X => 0,
-            Axis::Y => 1,
-            Axis::Z => 2,
-        };
-        let fi = match frac {
-            StepFraction::Half => 0,
-            StepFraction::Full => 1,
-        };
-        &self.passes[ai][fi]
+    /// Electron mass (atomic units).
+    pub fn mass(&self) -> R {
+        self.mass
+    }
+
+    /// QD time step `Delta_QD` (atomic units).
+    pub fn dt(&self) -> R {
+        self.dt
+    }
+
+    fn pass_set(&self, axis: Axis, frac: StepFraction) -> &[StencilPass<R>] {
+        &self.passes[axis as usize][frac as usize]
     }
 
     fn axis_extent(&self, axis: Axis) -> usize {
@@ -146,13 +152,13 @@ impl<R: Real> KineticPropagator<R> {
     /// back — the baseline whose memory traffic the later stages remove.
     pub fn apply_axis_alg1(&self, psi: &mut WfAos<R>, axis: Axis, frac: StepFraction) {
         assert_eq!(psi.mesh().len(), self.mesh.len(), "mesh mismatch");
-        let passes = *self.pass_set(axis, frac);
+        let passes = self.pass_set(axis, frac);
         let m = self.mesh.clone();
         let g = m.len();
         let n_axis = self.axis_extent(axis);
         let mut wrk = vec![Complex::<R>::zero(); g];
         for n in 0..psi.norb() {
-            for pass in &passes {
+            for pass in passes {
                 let orb = psi.orbital_mut(n);
                 // Compute every point's new value into wrk, then copy back
                 // (the paper's explicitly wasteful baseline).
@@ -196,11 +202,12 @@ impl<R: Real> KineticPropagator<R> {
     /// Paper Algorithm 3: loop interchange so the orbital index is fastest
     /// (SoA layout), updating in place with no scratch mesh.
     pub fn apply_axis_alg3(&self, psi: &mut WfSoa<R>, axis: Axis, frac: StepFraction) {
-        self.apply_axis_alg4(psi, axis, frac, psi.norb().max(1));
+        self.apply_axis_alg4(psi, axis, frac, 0);
     }
 
     /// Paper Algorithm 4: Algorithm 3 plus cache blocking over the orbital
-    /// index (`block_size` orbitals at a time stay register/cache resident).
+    /// index (`block_size` orbitals at a time stay register/cache resident;
+    /// `0` means all of them, i.e. Algorithm 3).
     pub fn apply_axis_alg4(
         &self,
         psi: &mut WfSoa<R>,
@@ -231,23 +238,54 @@ impl<R: Real> KineticPropagator<R> {
         block_size: usize,
         device: Option<(&Device, LaunchPolicy)>,
     ) {
+        self.sweep(psi, axis, self.pass_set(axis, frac), 3, block_size, device);
+    }
+
+    /// One axis's share of [`KineticPropagator::step_optimized`] — `X(dt/2)²`
+    /// or `Y(dt/2)²` as one five-pass sweep, `Z(dt)` — as Algorithm 5 runs it.
+    pub fn apply_axis_step(
+        &self,
+        psi: &mut WfSoa<R>,
+        axis: Axis,
+        block_size: usize,
+        device: Option<(&Device, LaunchPolicy)>,
+    ) {
+        let paper_passes = if axis == Axis::Z { 3 } else { 6 };
+        let passes = &self.passes[axis as usize][STEP];
+        self.sweep(psi, axis, passes, paper_passes, block_size, device);
+    }
+
+    /// One fused sweep of `passes` along `axis`. The modeled device runs the
+    /// paper's kernel: `paper_passes` launches on stream 0 (data-dependent, so
+    /// `nowait` only removes the host-side gaps), the host body on the first.
+    fn sweep(
+        &self,
+        psi: &mut WfSoa<R>,
+        axis: Axis,
+        passes: &[StencilPass<R>],
+        paper_passes: usize,
+        block_size: usize,
+        device: Option<(&Device, LaunchPolicy)>,
+    ) {
         assert_eq!(psi.mesh().len(), self.mesh.len(), "mesh mismatch");
         let norb = psi.norb();
-        let passes = self.pass_set(axis, frac);
         let data = psi.data_mut();
         let mut run = || sweep_axis(data, &self.mesh, norb, axis, passes, block_size);
         match device {
             Some((dev, policy)) => {
                 let work = self.pass_work(norb);
                 dev.launch_named(PHASE, StreamId(0), policy, work, run);
-                charge_later_passes(dev, policy, work);
+                for _ in 1..paper_passes {
+                    dev.launch_named(PHASE, StreamId(0), policy, work, || ());
+                }
             }
             None => run(),
         }
     }
 
-    /// Bytes + flops of one pass over the whole wavefunction set (feeds the
-    /// device roofline model).
+    /// Bytes + flops of one pass of the *paper's* kernel over the whole
+    /// wavefunction set (feeds the device roofline model): a full complex 2x2
+    /// update per pair, by design, not the bare rotation the host runs.
     fn pass_work(&self, norb: usize) -> KernelWork {
         let elems = (self.mesh.len() * norb) as u64;
         let csize = 2 * std::mem::size_of::<R>() as u64;
@@ -267,48 +305,52 @@ impl<R: Real> KineticPropagator<R> {
     // Full 3D steps.
     // ------------------------------------------------------------------
 
-    /// Full Strang kinetic step `X(dt/2) Y(dt/2) Z(dt) Y(dt/2) X(dt/2)`
-    /// using the baseline Algorithm 1 kernels.
+    /// Full kinetic step in the paper's order `X(dt/2) Y(dt/2) Z(dt) Y(dt/2)
+    /// X(dt/2)`, pass by pass, using the baseline Algorithm 1 kernels.
     pub fn step_alg1(&self, psi: &mut WfAos<R>) {
-        self.apply_axis_alg1(psi, Axis::X, StepFraction::Half);
-        self.apply_axis_alg1(psi, Axis::Y, StepFraction::Half);
-        self.apply_axis_alg1(psi, Axis::Z, StepFraction::Full);
-        self.apply_axis_alg1(psi, Axis::Y, StepFraction::Half);
-        self.apply_axis_alg1(psi, Axis::X, StepFraction::Half);
+        for (axis, frac) in STRANG_SEQUENCE {
+            self.apply_axis_alg1(psi, axis, frac);
+        }
     }
 
-    /// Full Strang kinetic step using the optimized SoA kernels
-    /// (`block_size = norb` reproduces Algorithm 3; smaller blocks
-    /// Algorithm 4; `device`/`teams` Algorithm 5).
+    /// Full kinetic step using the optimized SoA kernels (`block_size = 0`
+    /// or `norb` reproduces Algorithm 3; smaller blocks Algorithm 4;
+    /// `device`/`teams` Algorithm 5): the paper's sequence with its commuting
+    /// axis factors gathered, `X(dt/2)² Y(dt/2)² Z(dt)`, 13 passes in three
+    /// sweeps. The modeled device is charged the paper's 15.
     pub fn step_optimized(
         &self,
         psi: &mut WfSoa<R>,
         block_size: usize,
         device: Option<(&Device, LaunchPolicy)>,
     ) {
-        for (axis, frac) in STRANG_SEQUENCE {
-            self.apply_axis_alg5(psi, axis, frac, block_size, device);
+        for axis in [Axis::X, Axis::Y, Axis::Z] {
+            self.apply_axis_step(psi, axis, block_size, device);
         }
     }
 }
 
-/// Build the `E(theta/2) O(theta) E(theta/2)` pass set for one axis step.
-fn build_passes<R: Real>(theta: R, diag: R, off: R) -> PassSet<R> {
-    let half_diag = diag * R::HALF;
-    let make = |angle: R, start: usize| -> StencilPass<R> {
-        let (d, o) = exp_2x2_symmetric(angle, half_diag, off);
-        StencilPass {
+/// Build the pass list `[(angle, start)]` for one axis: bare rotations
+/// `[[c, -is], [-is, c]]`, `c + is = cis(angle * off)`, partnerless points
+/// untouched. The scalar `cis(-angle * diag / 2)` a pass of the split
+/// exponential also applies to *every* point commutes with all of them; the
+/// last pass carries the product for the whole list.
+fn build_passes<R: Real>(angles: &[(R, usize)], diag: R, off: R) -> Vec<StencilPass<R>> {
+    let mut passes: Vec<_> = angles
+        .iter()
+        .map(|&(angle, start)| StencilPass {
             start,
-            d,
-            o,
-            lone: Complex::cis(-angle * half_diag),
-        }
-    };
-    [
-        make(theta * R::HALF, 0),
-        make(theta, 1),
-        make(theta * R::HALF, 0),
-    ]
+            d: Complex::new((angle * off).cos(), R::ZERO),
+            o: Complex::new(R::ZERO, -(angle * off).sin()),
+            lone: Complex::one(),
+        })
+        .collect();
+    if let Some(last) = passes.last_mut() {
+        let total = angles.iter().fold(R::ZERO, |sum, a| sum + a.0);
+        let phase = Complex::cis(-total * (diag * R::HALF));
+        (last.d, last.o, last.lone) = (last.d * phase, last.o * phase, phase);
+    }
+    passes
 }
 
 /// Iterate the two non-axis indices; the callback receives a closure
@@ -342,17 +384,8 @@ fn for_each_on_plane(m: &Mesh3, axis: Axis, mut body: impl FnMut(&dyn Fn(usize) 
 /// Trace / device-track name of the kinetic kernel.
 const PHASE: &str = "lfd.kinetic";
 
-/// The modeled device runs the paper's kernel, one launch per pass, all
-/// three on stream 0 (they are data-dependent, so they serialize there;
-/// `nowait` only removes the host-side gaps between them). The fused host
-/// body rides on the first launch; this charges passes two and three.
-fn charge_later_passes(dev: &Device, policy: LaunchPolicy, work: KernelWork) {
-    for _ in 1..3 {
-        dev.launch_named(PHASE, StreamId(0), policy, work, || ());
-    }
-}
-
-/// The Strang sequence `X(dt/2) Y(dt/2) Z(dt) Y(dt/2) X(dt/2)`.
+/// The paper's sequence `X(dt/2) Y(dt/2) Z(dt) Y(dt/2) X(dt/2)` — the order
+/// Algorithm 1 keeps and the modeled device is charged for.
 const STRANG_SEQUENCE: [(Axis, StepFraction); 5] = [
     (Axis::X, StepFraction::Half),
     (Axis::Y, StepFraction::Half),
@@ -361,8 +394,8 @@ const STRANG_SEQUENCE: [(Axis, StepFraction); 5] = [
     (Axis::X, StepFraction::Half),
 ];
 
-/// One directional step — all three passes — over every line along `axis`
-/// of an SoA array: the kernel behind Algorithms 3, 4 and 5.
+/// One sweep — all of `passes` — over every line along `axis` of an SoA array
+/// (`block == 0`: all orbitals together): the kernel behind Algorithms 3-5.
 ///
 /// Teams own disjoint line sets. Y and Z lines lie inside one x-slab
 /// (`ny * nz * norb` contiguous elements), so the teams are the slabs; an X
@@ -377,9 +410,10 @@ fn sweep_axis<R: Real>(
     m: &Mesh3,
     norb: usize,
     axis: Axis,
-    passes: &PassSet<R>,
+    passes: &[StencilPass<R>],
     block: usize,
 ) {
+    let block = if block == 0 { norb.max(1) } else { block };
     let row = m.nz * norb;
     let slab = m.ny * row;
     let backend = simd::active_backend();
@@ -533,17 +567,16 @@ mod tests {
         }
     }
 
-    /// The pre-fusion formulation of Algorithms 3-5: three whole-mesh
-    /// sweeps, one per pass, each pair and lone point through the
-    /// pointwise kernels, orbital block by orbital block.
-    fn three_sweeps<R: Real>(
-        prop: &KineticPropagator<R>,
+    /// The pre-fusion formulation of Algorithms 3-5: one whole-mesh sweep
+    /// per pass, each pair and lone point through the pointwise kernel the
+    /// line kernel picks for that pass, orbital block by orbital block.
+    fn separate_sweeps<R: Real>(
+        m: &Mesh3,
         psi: &mut WfSoa<R>,
         axis: Axis,
-        frac: StepFraction,
+        passes: &[StencilPass<R>],
         block: usize,
     ) {
-        let m = prop.mesh().clone();
         let norb = psi.norb();
         let (n_axis, stride) = match axis {
             Axis::X => (m.nx, m.ny * m.nz * norb),
@@ -551,35 +584,43 @@ mod tests {
             Axis::Z => (m.nz, norb),
         };
         let data = psi.data_mut();
-        for pass in prop.pass_set(axis, frac) {
-            for_each_on_plane(&m, axis, |idx_of| {
+        for pass in passes {
+            for_each_on_plane(m, axis, |idx_of| {
                 for nb in (0..norb).step_by(block) {
                     let len = block.min(norb - nb);
                     let at = |i: usize| idx_of(i) * norb + nb;
+                    let lone = |data: &mut [Complex<R>], i: usize| {
+                        if pass.rotation().is_none() {
+                            simd::scale(&mut data[at(i)..at(i) + len], pass.lone);
+                        }
+                    };
                     if pass.start == 1 {
-                        simd::scale(&mut data[at(0)..at(0) + len], pass.lone);
+                        lone(data, 0);
                     }
                     let mut i = pass.start;
                     while i + 1 < n_axis {
                         let (head, tail) = data.split_at_mut(at(i) + stride);
-                        simd::pair_update(
-                            &mut head[at(i)..at(i) + len],
-                            &mut tail[..len],
-                            pass.d,
-                            pass.o,
-                        );
+                        let (a, b) = (&mut head[at(i)..at(i) + len], &mut tail[..len]);
+                        match pass.rotation() {
+                            Some((c, s)) => {
+                                simd::pair_rotate_with(simd::active_backend(), a, b, c, s)
+                            }
+                            None => simd::pair_update(a, b, pass.d, pass.o),
+                        }
                         i += 2;
                     }
                     if i < n_axis {
-                        simd::scale(&mut data[at(i)..at(i) + len], pass.lone);
+                        lone(data, i);
                     }
                 }
             });
         }
     }
 
-    /// Line kernel == three separate sweeps, bit for bit, and == Alg. 1 to
-    /// rounding, over odd extents, ragged orbital counts and block sizes.
+    /// Line kernel == separate sweeps, bit for bit (three-pass directional
+    /// steps and the five-pass merged ones), and the commuted step == Alg. 1
+    /// in the paper's order to rounding, over odd extents, ragged orbital
+    /// counts and block sizes.
     fn line_kernel_matches_its_references<R: Real>(tol: f64) {
         for (nx, ny, nz) in [(7, 4, 5), (4, 5, 7), (1, 6, 2)] {
             let mesh = Mesh3::new(nx, ny, nz, 0.4, 0.5, 0.6);
@@ -589,15 +630,25 @@ mod tests {
                 wf0.randomize(40 + norb as u64);
                 for block in [1, 2, norb] {
                     for axis in [Axis::X, Axis::Y, Axis::Z] {
+                        let tag = format!("{nx}x{ny}x{nz} norb {norb} block {block} {axis:?}");
+                        let half = prop.pass_set(axis, StepFraction::Half);
                         let mut want = wf0.to_soa();
-                        three_sweeps(&prop, &mut want, axis, StepFraction::Half, block);
+                        separate_sweeps(&mesh, &mut want, axis, half, block);
                         let mut alg4 = wf0.to_soa();
                         prop.apply_axis_alg4(&mut alg4, axis, StepFraction::Half, block);
                         let mut alg5 = wf0.to_soa();
                         prop.apply_axis_alg5(&mut alg5, axis, StepFraction::Half, block, None);
-                        let tag = format!("{nx}x{ny}x{nz} norb {norb} block {block} {axis:?}");
                         assert_eq!(alg4.data(), want.data(), "alg4 {tag}");
                         assert_eq!(alg5.data(), want.data(), "alg5 {tag}");
+                        if axis != Axis::Z {
+                            let mut want = wf0.to_soa();
+                            let merged = &prop.passes[axis as usize][STEP];
+                            assert_eq!(merged.len(), 5);
+                            separate_sweeps(&mesh, &mut want, axis, merged, block);
+                            let mut step = wf0.to_soa();
+                            prop.apply_axis_step(&mut step, axis, block, None);
+                            assert_eq!(step.data(), want.data(), "merged {tag}");
+                        }
                     }
                     let mut aos = wf0.clone();
                     prop.step_alg1(&mut aos);
@@ -621,6 +672,254 @@ mod tests {
     #[test]
     fn line_kernel_matches_three_sweeps_bitwise_and_alg1_sp() {
         line_kernel_matches_its_references::<f32>(1e-5);
+    }
+
+    /// A randomized state of `norb` orbitals in the SoA layout.
+    fn soa<R: Real>(mesh: &Mesh3, norb: usize, seed: u64) -> WfSoa<R> {
+        let mut wf = WfAos::<R>::zeros(mesh.clone(), norb);
+        wf.randomize(seed);
+        wf.to_soa()
+    }
+
+    /// Extents that leave a line lone points only (1), one pair only (2) or
+    /// both (3), next to ordinary odd and even ones.
+    const COMMUTATION_MESHES: [(usize, usize, usize); 6] = [
+        (1, 2, 3),
+        (3, 1, 2),
+        (2, 3, 1),
+        (4, 5, 6),
+        (7, 4, 5),
+        (1, 1, 4),
+    ];
+
+    /// The directional steps are tensor factors: any two of them commute.
+    fn axis_steps_commute<R: Real>(tol: f64) {
+        for (nx, ny, nz) in COMMUTATION_MESHES {
+            let mesh = Mesh3::new(nx, ny, nz, 0.4, 0.5, 0.6);
+            let prop = KineticPropagator::<R>::new(mesh.clone(), R::from_f64(0.03), R::ONE);
+            let psi0 = soa::<R>(&mesh, 3, 11);
+            for (a, b) in [(Axis::X, Axis::Y), (Axis::X, Axis::Z), (Axis::Y, Axis::Z)] {
+                let [ab, ba] = [[a, b], [b, a]].map(|order| {
+                    let mut psi = psi0.clone();
+                    for axis in order {
+                        prop.apply_axis_alg3(&mut psi, axis, StepFraction::Full);
+                    }
+                    psi
+                });
+                let diff = ab.max_abs_diff(&ba).to_f64();
+                assert!(diff < tol, "{nx}x{ny}x{nz} {a:?}{b:?}: {diff:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn axis_steps_commute_dp() {
+        axis_steps_commute::<f64>(1e-14);
+    }
+
+    #[test]
+    fn axis_steps_commute_sp() {
+        axis_steps_commute::<f32>(1e-6);
+    }
+
+    #[test]
+    fn merged_sweep_is_two_half_steps() {
+        for (nx, ny, nz) in COMMUTATION_MESHES {
+            let mesh = Mesh3::new(nx, ny, nz, 0.4, 0.5, 0.6);
+            let prop = KineticPropagator::new(mesh.clone(), 0.03, 1.0);
+            let psi0 = soa::<f64>(&mesh, 3, 12);
+            // Z's share of a step is the one `Z(dt)` of the paper's order.
+            for axis in [Axis::X, Axis::Y] {
+                let mut twice = psi0.clone();
+                prop.apply_axis_alg5(&mut twice, axis, StepFraction::Half, 2, None);
+                prop.apply_axis_alg5(&mut twice, axis, StepFraction::Half, 2, None);
+                let mut once = psi0.clone();
+                prop.apply_axis_step(&mut once, axis, 2, None);
+                let diff = twice.max_abs_diff(&once);
+                assert!(diff < 1e-14, "{nx}x{ny}x{nz} {axis:?}: {diff:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn zero_block_means_all_orbitals_on_every_axis() {
+        // `0` used to reach the line kernel's entry assert (on a pool
+        // worker, for X) outside `LfdEngine`, which normalises its own.
+        let mesh = Mesh3::new(6, 6, 6, 0.5, 0.5, 0.5);
+        let prop = KineticPropagator::new(mesh.clone(), 0.02, 1.0);
+        let psi0 = soa::<f64>(&mesh, 4, 13);
+        for axis in [Axis::X, Axis::Y, Axis::Z] {
+            let [zero, norb] = [0, 4].map(|block| {
+                let mut psi = psi0.clone();
+                prop.apply_axis_alg4(&mut psi, axis, StepFraction::Full, block);
+                prop.apply_axis_alg5(&mut psi, axis, StepFraction::Half, block, None);
+                prop.step_optimized(&mut psi, block, None);
+                psi
+            });
+            assert_eq!(zero.data(), norb.data(), "{axis:?}");
+        }
+    }
+
+    /// `|a - b|` in units of the spacing of doubles at `b`'s magnitude.
+    fn ulps(a: f64, b: f64) -> f64 {
+        (a - b).abs() / (b.abs().max(f64::MIN_POSITIVE) * f64::EPSILON)
+    }
+
+    #[test]
+    fn pass_lists_are_bare_rotations_times_one_phase() {
+        use dcmesh_math::tridiag::exp_2x2_symmetric;
+        let (diag, off) = (6.25, -3.125);
+        let e_o_e = [(0.01, 0), (0.02, 1), (0.01, 0)];
+        let merged = [(0.005, 0), (0.01, 1), (0.01, 0), (0.01, 1), (0.005, 0)];
+        for angles in [&e_o_e[..], &merged[..]] {
+            let passes = build_passes(angles, diag, off);
+            let total: f64 = angles.iter().map(|a| a.0).sum();
+            let phase = Complex::cis(-total * diag * 0.5);
+            for (q, (pass, &(angle, start))) in passes.iter().zip(angles).enumerate() {
+                assert_eq!(pass.start, start);
+                let last = q + 1 == passes.len();
+                assert_eq!(pass.rotation().is_some(), !last, "pass {q}");
+                // Coefficient by coefficient: the bare pass times its own
+                // uniform phase is the pass of the split exponential.
+                let own = Complex::cis(-angle * diag * 0.5);
+                let (d, o) = exp_2x2_symmetric(angle, diag * 0.5, off);
+                let (c, s) = ((angle * off).cos(), (angle * off).sin());
+                if let Some(rot) = pass.rotation() {
+                    assert_eq!(rot, (c, s));
+                    assert_eq!((pass.d, pass.o), (C64::new(c, 0.0), C64::new(0.0, -s)));
+                } else {
+                    assert_eq!(pass.lone, phase);
+                    assert_eq!(
+                        (pass.d, pass.o),
+                        (phase.scale(c), phase.mul_neg_i().scale(s))
+                    );
+                }
+                for (bare, full) in [(C64::new(c, 0.0), d), (C64::new(0.0, -s), o)] {
+                    let got = bare * own;
+                    assert!(ulps(got.re, full.re) <= 2.0 && ulps(got.im, full.im) <= 2.0);
+                }
+            }
+            // As operators on a line: the list == the split exponential's
+            // passes, every point of which carries the phase of its pass.
+            for n in 1..=6 {
+                let line0: Vec<C64> = (0..n)
+                    .map(|i| C64::from_polar(1.0 / (1.0 + i as f64), 0.7 * i as f64))
+                    .collect();
+                let apply = |line: &mut [C64], start: usize, d: C64, o: C64, lone: C64| {
+                    let paired =
+                        |i: usize| i >= start && (i - start).is_multiple_of(2) && i + 1 < n;
+                    for i in 0..n {
+                        if paired(i) {
+                            let (u, v) = (line[i], line[i + 1]);
+                            (line[i], line[i + 1]) = (d * u + o * v, o * u + d * v);
+                        } else if !(i > 0 && paired(i - 1)) {
+                            line[i] *= lone;
+                        }
+                    }
+                };
+                let (mut got, mut want) = (line0.clone(), line0.clone());
+                for (pass, &(angle, start)) in passes.iter().zip(angles) {
+                    apply(&mut got, pass.start, pass.d, pass.o, pass.lone);
+                    let (d, o) = exp_2x2_symmetric(angle, diag * 0.5, off);
+                    apply(&mut want, start, d, o, Complex::cis(-angle * diag * 0.5));
+                }
+                for (g, w) in got.iter().zip(&want) {
+                    assert!(
+                        (*g - *w).abs() < 4.0 * f64::EPSILON,
+                        "n {n}: {g:?} vs {w:?}"
+                    );
+                }
+                if n == 1 {
+                    // Lone points only: exactly the list's phase, once.
+                    assert_eq!(got[0], line0[0] * phase);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kinetic_step_is_second_order_against_the_closed_form() {
+        // Free propagation of a Gaussian packet along one axis of a mesh
+        // that is one point thick in the other two. `T` along the axis is a
+        // Toeplitz tridiagonal with Dirichlet walls, diagonal in the sine
+        // basis: lambda_k = diag + 2 off cos(k pi / (n + 1)); an axis of one
+        // point contributes its `diag` as a phase. Halving dt at a fixed
+        // total time must cut the even/odd splitting error about fourfold.
+        let (n, h, t_total) = (32usize, 0.5, 0.64);
+        for axis in [Axis::X, Axis::Y, Axis::Z] {
+            let (nx, ny, nz) = match axis {
+                Axis::X => (n, 1, 1),
+                Axis::Y => (1, n, 1),
+                Axis::Z => (1, 1, n),
+            };
+            let mesh = Mesh3::new(nx, ny, nz, h, h, h);
+            let t = KineticTridiag::new(n, 1.0, h);
+            let packet: Vec<C64> = (0..n)
+                .map(|j| {
+                    let x = j as f64 - 15.5;
+                    C64::from_polar((-x * x / 18.0).exp(), 0.6 * x)
+                })
+                .collect();
+            let sine = |k: usize, j: usize| {
+                let arg = ((k + 1) * (j + 1)) as f64 * std::f64::consts::PI / (n + 1) as f64;
+                (2.0 / (n + 1) as f64).sqrt() * arg.sin()
+            };
+            let mut exact = vec![C64::zero(); n];
+            for k in 0..n {
+                let theta = (k + 1) as f64 * std::f64::consts::PI / (n + 1) as f64;
+                let lambda = t.diag + 2.0 * t.offdiag * theta.cos() + 2.0 * t.diag;
+                let coeff: C64 =
+                    (0..n).fold(C64::zero(), |acc, j| acc + packet[j].scale(sine(k, j)));
+                let evolved = coeff * Complex::cis(-lambda * t_total);
+                for (j, z) in exact.iter_mut().enumerate() {
+                    *z += evolved.scale(sine(k, j));
+                }
+            }
+            let error = |steps: usize| {
+                let prop = KineticPropagator::new(mesh.clone(), t_total / steps as f64, 1.0);
+                let mut wf = WfAos::<f64>::zeros(mesh.clone(), 1);
+                wf.orbital_mut(0).copy_from_slice(&packet);
+                let mut psi = wf.to_soa();
+                for _ in 0..steps {
+                    prop.step_optimized(&mut psi, 0, None);
+                }
+                let got = psi.to_aos();
+                let diffs = got
+                    .orbital(0)
+                    .iter()
+                    .zip(&exact)
+                    .map(|(g, w)| (*g - *w).abs());
+                diffs.fold(0.0, f64::max)
+            };
+            let (coarse, fine) = (error(16), error(32));
+            assert!(fine > 1e-9, "{axis:?}: nothing to converge, {fine:e}");
+            assert!(
+                coarse >= 3.5 * fine,
+                "{axis:?}: error {coarse:e} at dt, {fine:e} at dt/2: ratio {:.2}",
+                coarse / fine
+            );
+        }
+    }
+
+    #[test]
+    fn modeled_device_is_charged_the_papers_fifteen_passes() {
+        // 13 passes run on the host in three sweeps; the device model sees
+        // the paper's 6 + 6 + 3 launches of one full pass each. The busy
+        // time is what the five three-pass launches of PR 17 charged.
+        let mesh = Mesh3::new(6, 5, 4, 0.4, 0.5, 0.6);
+        let prop = KineticPropagator::new(mesh.clone(), 0.03, 1.0);
+        for policy in [LaunchPolicy::Async, LaunchPolicy::Sync] {
+            let dev = Device::a100();
+            let mut psi = soa::<f64>(&mesh, 3, 2);
+            prop.step_optimized(&mut psi, 2, Some((&dev, policy)));
+            let stats = dev.stats();
+            assert_eq!(stats.kernels_launched, 15, "{policy:?}");
+            assert_eq!(
+                stats.kernel_busy.to_bits(),
+                0x3e88_dbbb_9eee_efb3,
+                "{policy:?}"
+            );
+        }
     }
 
     #[test]

@@ -20,8 +20,17 @@ use dcmesh_math::{Complex, Real};
 #[derive(Clone, Debug)]
 pub struct PotentialPropagator<R> {
     mesh: Mesh3,
-    /// `exp(-i dt v_loc(r))` per mesh point.
+    /// `exp(-i dt v_loc(r))` per mesh point, set aside by the first field
+    /// (empty until then: a field-free run holds one array, `phases`).
+    statics: Vec<Complex<R>>,
+    /// `exp(-i dt (v_loc(r) + E . (r - rc)))` per mesh point, what `apply`
+    /// multiplies by: `statics` times the uniform field's separable factor.
     phases: Vec<Complex<R>>,
+    /// `cis(-dt E_d (r_d - rc_d))` for the `nx` points along x, then the
+    /// `ny` along y, then the `nz` along z.
+    axis_phases: Vec<Complex<R>>,
+    /// The field `phases` encodes.
+    field: [f64; 3],
     dt: R,
 }
 
@@ -34,34 +43,58 @@ impl<R: Real> PotentialPropagator<R> {
             .iter()
             .map(|&v| Complex::cis(-dt * R::from_f64(v)))
             .collect();
-        Self { mesh, phases, dt }
+        Self {
+            phases,
+            statics: Vec::new(),
+            axis_phases: vec![Complex::one(); mesh.nx + mesh.ny + mesh.nz],
+            field: [0.0; 3],
+            mesh,
+            dt,
+        }
     }
 
     /// Build phases adding a uniform electric field `e_field` (length
     /// gauge, dipole about the mesh center): `v(r) = v_loc(r) + E . (r-rc)`.
     pub fn with_field(mesh: Mesh3, v_loc: &[f64], e_field: [f64; 3], dt: R) -> Self {
-        let mut prop = Self {
-            phases: vec![Complex::zero(); mesh.len()],
-            mesh,
-            dt,
-        };
-        prop.set_field(v_loc, e_field);
+        let mut prop = Self::new(mesh, v_loc, dt);
+        prop.set_field(e_field);
         prop
     }
 
-    /// Recompute the phases in place for a new field value — what a laser
-    /// pulse asks for once per QD step, with no allocation.
-    pub fn set_field(&mut self, v_loc: &[f64], e_field: [f64; 3]) {
-        let mesh = &self.mesh;
-        assert_eq!(v_loc.len(), mesh.len());
-        let rc = mesh.center();
-        for ((i, j, k), phase) in mesh.iter_points().zip(self.phases.iter_mut()) {
-            let p = mesh.position(i, j, k);
-            let dip = e_field[0] * (p[0] - rc[0])
-                + e_field[1] * (p[1] - rc[1])
-                + e_field[2] * (p[2] - rc[2]);
-            let v = v_loc[mesh.idx(i, j, k)] + dip;
-            *phase = Complex::cis(-self.dt * R::from_f64(v));
+    /// Recompute the phases in place for a new field value — once per QD step
+    /// under a laser pulse, no allocation after the first: `nx + ny + nz` `cis`
+    /// calls and two products per point; nothing for the field already encoded.
+    pub fn set_field(&mut self, e_field: [f64; 3]) {
+        if e_field == self.field {
+            return;
+        }
+        if self.statics.is_empty() {
+            self.statics.clone_from(&self.phases);
+        }
+        self.field = e_field;
+        if e_field == [0.0; 3] {
+            // What `new` holds, to the bit: the phases depend on the field alone.
+            self.phases.copy_from_slice(&self.statics);
+            return;
+        }
+        let m = &self.mesh;
+        let rc = m.center();
+        let mut table = self.axis_phases.iter_mut();
+        for (d, n) in [m.nx, m.ny, m.nz].into_iter().enumerate() {
+            for (i, phase) in table.by_ref().take(n).enumerate() {
+                // Coordinate `d` of point `i` along axis `d`.
+                let dip = e_field[d] * (m.position(i, i, i)[d] - rc[d]);
+                *phase = Complex::cis(-self.dt * R::from_f64(dip));
+            }
+        }
+        let (px, rest) = self.axis_phases.split_at(m.nx);
+        let (py, pz) = rest.split_at(m.ny);
+        let rows = self.phases.chunks_exact_mut(m.nz);
+        for ((row, fixed), ij) in rows.zip(self.statics.chunks_exact(m.nz)).zip(0..) {
+            let pxy = px[ij / m.ny] * py[ij % m.ny];
+            for ((phase, v), pz) in row.iter_mut().zip(fixed).zip(pz) {
+                *phase = *v * (pxy * *pz);
+            }
         }
     }
 
@@ -199,6 +232,54 @@ mod tests {
         let p1 = out.orbital(0)[mesh.idx(4, 1, 1)].arg();
         let want = -dt * e[0] * mesh.dx;
         assert!(((p1 - p0) - want).abs() < 1e-12, "{} vs {want}", p1 - p0);
+    }
+
+    /// The separable field phases against the direct per-point
+    /// `cis(-dt (v + E . (r - rc)))`, fields set one after the other on one
+    /// propagator (the phases must not remember the previous field).
+    fn separable_field_matches_direct<R: Real>(tol: f64) {
+        for (nx, ny, nz) in [(5, 4, 3), (4, 3, 6), (1, 7, 2)] {
+            let mesh = Mesh3::new(nx, ny, nz, 0.4, 0.5, 0.6);
+            let v: Vec<f64> = (0..mesh.len()).map(|i| (i as f64 * 0.37).sin()).collect();
+            let dt = R::from_f64(0.05);
+            let mut prop = PotentialPropagator::new(mesh.clone(), &v, dt);
+            let rc = mesh.center();
+            let fields = [
+                [0.3, 0.0, 0.0],
+                [0.0, -0.2, 0.0],
+                [0.0, 0.0, 0.25],
+                [0.1, 0.2, -0.3],
+                [0.0; 3],
+            ];
+            for e in fields {
+                prop.set_field(e);
+                for ((i, j, k), got) in mesh.iter_points().zip(&prop.phases) {
+                    let p = mesh.position(i, j, k);
+                    let dip: f64 = (0..3).map(|d| e[d] * (p[d] - rc[d])).sum();
+                    let want = Complex::cis(-dt * R::from_f64(v[mesh.idx(i, j, k)] + dip));
+                    let diff = (*got - want).abs().to_f64();
+                    assert!(
+                        diff < tol,
+                        "{nx}x{ny}x{nz} E {e:?} at {i},{j},{k}: {diff:e}"
+                    );
+                }
+            }
+            // Field-free again: bit for bit what `new` built.
+            assert_eq!(prop.phases, prop.statics);
+            let fresh = PotentialPropagator::with_field(mesh.clone(), &v, fields[3], dt);
+            prop.set_field(fields[3]);
+            assert_eq!(prop.phases, fresh.phases);
+        }
+    }
+
+    #[test]
+    fn separable_field_matches_direct_dp() {
+        separable_field_matches_direct::<f64>(1e-14);
+    }
+
+    #[test]
+    fn separable_field_matches_direct_sp() {
+        separable_field_matches_direct::<f32>(1e-5);
     }
 
     #[test]

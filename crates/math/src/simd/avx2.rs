@@ -165,6 +165,9 @@ pub unsafe fn scale(zs: &mut [C64], ph: C64) {
 /// multiply and three FMAs on the interleaved values and a swap per input
 /// — half the shuffles of a deinterleave/reinterleave round trip, and an
 /// odd trailing element takes the 128-bit form of the same operations.
+/// `BARE` is the caller's word that `d.im == 0` and `o.re == 0` (the bare
+/// rotation `[[c, -is], [-is, c]]`): the two FMAs per output that then add
+/// an exact zero are left out — the same bits for half the arithmetic.
 ///
 /// # Safety
 ///
@@ -175,7 +178,7 @@ pub unsafe fn scale(zs: &mut [C64], ph: C64) {
 // SAFETY: (cpu=avx2, bounds=the vector loop touches complex values i and
 // i+1 <= n - 1 per step and the tail the single value n - 1,
 // aliasing=a and b are disjoint &mut borrows)
-pub unsafe fn pair_update(a: &mut [C64], b: &mut [C64], d: C64, o: C64) {
+pub unsafe fn pair_update<const BARE: bool>(a: &mut [C64], b: &mut [C64], d: C64, o: C64) {
     debug_assert_eq!(a.len(), b.len());
     let n = a.len().min(b.len());
     let pa = a.as_mut_ptr() as *mut f64;
@@ -196,11 +199,20 @@ pub unsafe fn pair_update(a: &mut [C64], b: &mut [C64], d: C64, o: C64) {
             // a' = d*u + o*v:
             //   re = ((dr*ur - di*ui) + or*vr) - oi*vi
             //   im = ((dr*ui + di*ur) + or*vi) + oi*vr
-            let na = _mm256_fmadd_pd(us, d_im, _mm256_mul_pd(u, d_re));
-            let na = _mm256_fmadd_pd(vs, o_im, _mm256_fmadd_pd(v, o_re, na));
             // b' = o*u + d*v (same structure with d/o swapped).
-            let nb = _mm256_fmadd_pd(us, o_im, _mm256_mul_pd(u, o_re));
-            let nb = _mm256_fmadd_pd(vs, d_im, _mm256_fmadd_pd(v, d_re, nb));
+            let (na, nb) = if BARE {
+                (
+                    _mm256_fmadd_pd(vs, o_im, _mm256_mul_pd(u, d_re)),
+                    _mm256_fmadd_pd(v, d_re, _mm256_mul_pd(us, o_im)),
+                )
+            } else {
+                let na = _mm256_fmadd_pd(us, d_im, _mm256_mul_pd(u, d_re));
+                let nb = _mm256_fmadd_pd(us, o_im, _mm256_mul_pd(u, o_re));
+                (
+                    _mm256_fmadd_pd(vs, o_im, _mm256_fmadd_pd(v, o_re, na)),
+                    _mm256_fmadd_pd(vs, d_im, _mm256_fmadd_pd(v, d_re, nb)),
+                )
+            };
             _mm256_storeu_pd(pa.add(2 * i), na);
             _mm256_storeu_pd(pb.add(2 * i), nb);
         }
@@ -215,10 +227,19 @@ pub unsafe fn pair_update(a: &mut [C64], b: &mut [C64], d: C64, o: C64) {
             let v = _mm_loadu_pd(pb.add(2 * i));
             let us = _mm_permute_pd::<0b01>(u);
             let vs = _mm_permute_pd::<0b01>(v);
-            let na = _mm_fmadd_pd(us, d_im, _mm_mul_pd(u, d_re));
-            let na = _mm_fmadd_pd(vs, o_im, _mm_fmadd_pd(v, o_re, na));
-            let nb = _mm_fmadd_pd(us, o_im, _mm_mul_pd(u, o_re));
-            let nb = _mm_fmadd_pd(vs, d_im, _mm_fmadd_pd(v, d_re, nb));
+            let (na, nb) = if BARE {
+                (
+                    _mm_fmadd_pd(vs, o_im, _mm_mul_pd(u, d_re)),
+                    _mm_fmadd_pd(v, d_re, _mm_mul_pd(us, o_im)),
+                )
+            } else {
+                let na = _mm_fmadd_pd(us, d_im, _mm_mul_pd(u, d_re));
+                let nb = _mm_fmadd_pd(us, o_im, _mm_mul_pd(u, o_re));
+                (
+                    _mm_fmadd_pd(vs, o_im, _mm_fmadd_pd(v, o_re, na)),
+                    _mm_fmadd_pd(vs, d_im, _mm_fmadd_pd(v, d_re, nb)),
+                )
+            };
             _mm_storeu_pd(pa.add(2 * i), na);
             _mm_storeu_pd(pb.add(2 * i), nb);
         }
@@ -514,11 +535,12 @@ pub unsafe fn proj_update(
 }
 
 /// The kinetic line kernel: every line of `set`, one orbital block at a
-/// time, takes all three passes `E(theta/2) O(theta) E(theta/2)` of a
-/// directional step as one [`Wavefront`], the live points L1-resident.
-/// Each block is a run handed to [`pair_update`] / [`scale`], whose bodies
-/// are lane-local: an element rounds the same wherever it sits in a run,
-/// so the block size changes no bit.
+/// time, takes all passes of a sweep (`E O E`, or `E O E O E` for two
+/// merged half-steps) as one [`Wavefront`], the live points L1-resident.
+/// Each block is a run handed to [`pair_update`] — its `BARE` form when the
+/// pass is a bare rotation, whose partnerless points are left alone — or
+/// [`scale`]. Their bodies are lane-local: an element rounds the same
+/// wherever it sits in a run, so the block size changes no bit.
 ///
 /// # Safety
 ///
@@ -533,7 +555,7 @@ pub unsafe fn proj_update(
 // below set.span() which the dispatcher checked against the allocation,
 // aliasing=the caller owns the set's lines; partner runs are
 // stride >= run >= len apart)
-pub unsafe fn stencil_lines(ptr: *mut C64, set: &LineSet, passes: &[StencilPass<f64>; 3]) {
+pub unsafe fn stencil_lines(ptr: *mut C64, set: &LineSet, passes: &[StencilPass<f64>]) {
     for line in 0..set.n_lines {
         let base = set.first + line * set.line_step;
         let mut nb = 0;
@@ -545,12 +567,16 @@ pub unsafe fn stencil_lines(ptr: *mut C64, set: &LineSet, passes: &[StencilPass<
                 std::slice::from_raw_parts_mut(ptr.add(base + nb + i * set.stride), len)
             };
             for unit in Wavefront::new(passes, set.n_axis) {
+                let (pass, at) = (unit.pass, unit.at);
                 // SAFETY: same target features as this fn.
                 unsafe {
-                    if unit.lone {
-                        scale(run(unit.at), unit.pass.lone);
-                    } else {
-                        pair_update(run(unit.at), run(unit.at + 1), unit.pass.d, unit.pass.o);
+                    match (pass.rotation(), unit.lone) {
+                        (Some(_), true) => {}
+                        (Some(_), false) => {
+                            pair_update::<true>(run(at), run(at + 1), pass.d, pass.o)
+                        }
+                        (None, true) => scale(run(at), pass.lone),
+                        (None, false) => pair_update::<false>(run(at), run(at + 1), pass.d, pass.o),
                     }
                 }
             }

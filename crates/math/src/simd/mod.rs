@@ -9,11 +9,13 @@
 //!   repacked into separate re/im panels (SoA), and a 4×4 register-tiled
 //!   AVX2+FMA microkernel contracts them with 16 FMAs per k-step, the
 //!   textbook BLIS structure specialized to complex-as-two-reals.
-//! * **Pointwise kernels** ([`pair_update`], [`scale`]) — the kinetic
-//!   stencil 2×2 pair rotation and the phase/potential pointwise multiply.
-//!   Both work on the interleaved `Complex<f64>` lanes directly (a complex
-//!   product is a multiply and an FMA against the value and its re/im
-//!   swap), so every element rounds alike wherever it sits in a run.
+//! * **Pointwise kernels** ([`pair_update`], [`pair_rotate_with`], [`scale`])
+//!   — the kinetic stencil 2×2 pair update, its bare form `[[c, -is], [-is,
+//!   c]]` with real `c`, `s` (half the arithmetic) and the phase/potential
+//!   pointwise multiply. All work on the interleaved `Complex<f64>` lanes
+//!   directly (a complex product is a multiply and an FMA against the value
+//!   and its re/im swap), so every element rounds alike wherever it sits in
+//!   a run.
 //! * **Projector kernels** ([`proj_overlap_with`], [`proj_update`]) — the two
 //!   skinny complex GEMMs of the nonlocal correction, `M = T·T0ᴴ` (tiny
 //!   output, contraction over the grid) and `T += M·T0` (tiny inner
@@ -22,10 +24,11 @@
 //!   in registers; grid chunks are spread over the pool and their partials
 //!   added in an order that depends on the shape alone.
 //! * **Kinetic line kernel** ([`stencil_lines_with`]) — paper Algorithms 3–5 as
-//!   one loop nest: the three passes of a directional step applied to a
-//!   line (or a bundle of adjacent lines) as a wavefront, so the live
+//!   one loop nest: the passes of a sweep (up to [`MAX_PASSES`]) applied to
+//!   a line (or a bundle of adjacent lines) as a wavefront, so the live
 //!   points stay in L1 and the backend is resolved once per call, not once
-//!   per 256-byte run.
+//!   per 256-byte run. A pass that is a bare rotation goes through
+//!   [`pair_rotate_with`] and leaves its partnerless points alone.
 //!
 //! # Backend selection
 //!
@@ -223,6 +226,20 @@ pub fn pair_update_scalar<R: Real>(
     }
 }
 
+/// The bare pair rotation `a' = c*a - i*s*b`, `b' = -i*s*a + c*b` with real
+/// `c`, `s` — scalar reference: [`pair_update_scalar`] at `d = (c, 0)`,
+/// `o = (0, -s)` without the products that are zero.
+// Out of line for the same reason as `pair_update_scalar`.
+#[inline(never)]
+pub fn pair_rotate_scalar<R: Real>(a: &mut [Complex<R>], b: &mut [Complex<R>], c: R, s: R) {
+    debug_assert_eq!(a.len(), b.len());
+    for (x, y) in a.iter_mut().zip(b.iter_mut()) {
+        let (u, v) = (*x, *y);
+        *x = Complex::new(c * u.re + s * v.im, c * u.im - s * v.re);
+        *y = Complex::new(c * v.re + s * u.im, c * v.im - s * u.re);
+    }
+}
+
 /// `z *= ph` over a slice on an explicit backend.
 pub fn scale_with<R: Real>(backend: Backend, zs: &mut [Complex<R>], ph: Complex<R>) {
     #[cfg(target_arch = "x86_64")]
@@ -256,7 +273,7 @@ pub fn pair_update_with<R: Real>(
         // SAFETY: (bounds=R == f64 per use_avx2 so the casts are identity)
         let (a64, b64) = unsafe { (cast_slice_mut(a), cast_slice_mut(b)) };
         // SAFETY: (cpu=avx2) `use_avx2` verified AVX2+FMA CPU support.
-        unsafe { avx2::pair_update(a64, b64, cast_c(d), cast_c(o)) };
+        unsafe { avx2::pair_update::<false>(a64, b64, cast_c(d), cast_c(o)) };
         return;
     }
     let _ = backend;
@@ -272,6 +289,27 @@ pub fn pair_update<R: Real>(
     o: Complex<R>,
 ) {
     pair_update_with(active_backend(), a, b, d, o);
+}
+
+/// Bare pair rotation (see [`pair_rotate_scalar`]) on an explicit backend.
+pub fn pair_rotate_with<R: Real>(
+    backend: Backend,
+    a: &mut [Complex<R>],
+    b: &mut [Complex<R>],
+    c: R,
+    s: R,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if use_avx2::<R>(backend) {
+        let d = Complex::new(c.to_f64(), 0.0);
+        let o = Complex::new(0.0, -s.to_f64());
+        // SAFETY: (cpu=avx2, bounds=R == f64 per use_avx2 so the casts are
+        // identity) `use_avx2` verified AVX2+FMA CPU support.
+        unsafe { avx2::pair_update::<true>(cast_slice_mut(a), cast_slice_mut(b), d, o) };
+        return;
+    }
+    let _ = backend;
+    pair_rotate_scalar(a, b, c, s);
 }
 
 // ---------------------------------------------------------------------------
@@ -507,6 +545,19 @@ pub struct StencilPass<R> {
     pub lone: Complex<R>,
 }
 
+impl<R: Real> StencilPass<R> {
+    /// `(c, s)` when the pass is the bare rotation `d = (c, 0)`, `o = (0, -s)`,
+    /// `lone = 1`, which the line kernel sends to [`pair_rotate_with`].
+    #[inline(always)]
+    pub fn rotation(&self) -> Option<(R, R)> {
+        (self.d.im == R::ZERO && self.o.re == R::ZERO && self.lone == Complex::one())
+            .then_some((self.d.re, -self.o.im))
+    }
+}
+
+/// Most passes one sweep takes: two merged half-steps, `E O E O E`.
+pub const MAX_PASSES: usize = 5;
+
 /// A family of equally shaped stencil lines inside one flat SoA array:
 /// element `n` of the run at point `i` of line `l` lives at
 /// `first + l * line_step + i * stride + n`. A run is the orbitals of one
@@ -543,21 +594,21 @@ impl LineSet {
     }
 }
 
-/// The order in which one line takes its three passes: a wavefront.
+/// The order in which one line takes its passes: a wavefront.
 ///
 /// Pass `q` may touch a point as soon as pass `q - 1` is done with it, so
-/// instead of three sweeps over the whole line the passes chase each other
-/// down it, the later pass first: at any moment only the last four points
-/// are live, which keeps a line in L1 however long it is and whatever its
-/// stride (a power-of-two stride maps all of a line's points to one cache
-/// set). Every point still sees its updates in pass order, with the same
-/// partner and the same operands, so the result is bit-for-bit that of
-/// three separate sweeps.
+/// instead of one sweep per pass over the whole line the passes chase each
+/// other down it, the later pass first: at any moment only the last four
+/// points (six for five passes) are live, which keeps a line in L1 however
+/// long it is and whatever its stride (a power-of-two stride maps all of a
+/// line's points to one cache set). Every point still sees its updates in
+/// pass order, with the same partner and the same operands, so the result
+/// is bit-for-bit that of separate sweeps.
 struct Wavefront<'a, R> {
-    passes: &'a [StencilPass<R>; 3],
+    passes: &'a [StencilPass<R>],
     n_axis: usize,
     /// First point each pass has not touched yet.
-    done: [usize; 3],
+    done: [usize; MAX_PASSES],
 }
 
 /// One step of a [`Wavefront`]: rotate the pair `at, at + 1` by `pass`, or
@@ -569,11 +620,11 @@ struct StencilUnit<'a, R> {
 }
 
 impl<'a, R> Wavefront<'a, R> {
-    fn new(passes: &'a [StencilPass<R>; 3], n_axis: usize) -> Self {
+    fn new(passes: &'a [StencilPass<R>], n_axis: usize) -> Self {
         Self {
             passes,
             n_axis,
-            done: [0; 3],
+            done: [0; MAX_PASSES],
         }
     }
 }
@@ -616,7 +667,7 @@ impl<'a, R> Iterator for Wavefront<'a, R> {
 unsafe fn stencil_lines_portable<R: Real>(
     ptr: *mut Complex<R>,
     set: &LineSet,
-    passes: &[StencilPass<R>; 3],
+    passes: &[StencilPass<R>],
 ) {
     for line in 0..set.n_lines {
         let base = set.first + line * set.line_step;
@@ -629,10 +680,12 @@ unsafe fn stencil_lines_portable<R: Real>(
                 std::slice::from_raw_parts_mut(ptr.add(base + nb + i * set.stride), len)
             };
             for unit in Wavefront::new(passes, set.n_axis) {
-                if unit.lone {
-                    scale_scalar(run(unit.at), unit.pass.lone);
-                } else {
-                    pair_update_scalar(run(unit.at), run(unit.at + 1), unit.pass.d, unit.pass.o);
+                let (pass, at) = (unit.pass, unit.at);
+                match (pass.rotation(), unit.lone) {
+                    (Some(_), true) => {}
+                    (Some((c, s)), false) => pair_rotate_scalar(run(at), run(at + 1), c, s),
+                    (None, true) => scale_scalar(run(at), pass.lone),
+                    (None, false) => pair_update_scalar(run(at), run(at + 1), pass.d, pass.o),
                 }
             }
             nb += len;
@@ -641,12 +694,13 @@ unsafe fn stencil_lines_portable<R: Real>(
 }
 
 /// The kinetic line kernel on an explicit backend, over raw storage: every
-/// line of `set`, one orbital block at a time, takes the three passes of a
-/// directional step as one wavefront, so a line's `n_axis x block`
-/// amplitudes are read from beyond L1 once per directional step instead of
-/// once per pass. The backend is resolved once per call; per element the
-/// arithmetic is that of [`pair_update_with`] / [`scale_with`] on a run of
-/// the block's length.
+/// line of `set`, one orbital block at a time, takes the passes of a sweep
+/// (at most [`MAX_PASSES`]) as one wavefront, so a line's `n_axis x block`
+/// amplitudes are read from beyond L1 once per sweep instead of once per
+/// pass. The backend is resolved once per call; per element the arithmetic
+/// is that of [`pair_rotate_with`] for a bare [`StencilPass::rotation`]
+/// (partnerless points untouched), of [`pair_update_with`] / [`scale_with`]
+/// for any other pass, on a run of the block's length.
 ///
 /// The raw form exists for callers that hand disjoint, *strided* line
 /// sets of one array to different threads (no `&mut` sub-slice can express
@@ -664,15 +718,17 @@ pub unsafe fn stencil_lines_raw<R: Real>(
     ptr: *mut Complex<R>,
     len: usize,
     set: &LineSet,
-    passes: &[StencilPass<R>; 3],
+    passes: &[StencilPass<R>],
 ) {
     // AUDIT: waiver(entry guard before the raw-pointer sweep; a bad line set must fail loudly)
     assert!(
         set.block >= 1
             && set.span() <= len
             && (set.n_axis <= 1 || set.stride >= set.run)
+            && passes.len() <= MAX_PASSES
             && passes.iter().all(|p| p.start <= 1),
-        "invalid line set {set:?} over {len} elements"
+        "invalid line set {set:?} of {} passes over {len} elements",
+        passes.len()
     );
     #[cfg(target_arch = "x86_64")]
     if use_avx2::<R>(backend) {
@@ -683,7 +739,7 @@ pub unsafe fn stencil_lines_raw<R: Real>(
             avx2::stencil_lines(
                 ptr as *mut Complex<f64>,
                 set,
-                &*(passes as *const [StencilPass<R>; 3] as *const [StencilPass<f64>; 3]),
+                &*(passes as *const [StencilPass<R>] as *const [StencilPass<f64>]),
             );
         }
         return;
@@ -698,7 +754,7 @@ pub fn stencil_lines_with<R: Real>(
     backend: Backend,
     data: &mut [Complex<R>],
     set: &LineSet,
-    passes: &[StencilPass<R>; 3],
+    passes: &[StencilPass<R>],
 ) {
     // SAFETY: the exclusive borrow covers every element of every line.
     unsafe { stencil_lines_raw(backend, data.as_mut_ptr(), data.len(), set, passes) };

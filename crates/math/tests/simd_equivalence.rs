@@ -197,6 +197,34 @@ proptest! {
     }
 
     #[test]
+    fn simd_pair_rotate_matches_scalar_and_pair_update(
+        // Every remainder lane count, several vector iterations deep.
+        len in 1usize..130,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let angle: f64 = rng.gen_range(-3.0..3.0);
+        let (c, s) = (angle.cos(), angle.sin());
+        let (a0, b0) = (random_vec(&mut rng, len), random_vec(&mut rng, len));
+        for backend in [Backend::Scalar, Backend::Avx2] {
+            let (mut a_r, mut b_r) = (a0.clone(), b0.clone());
+            let (mut a_u, mut b_u) = (a0.clone(), b0.clone());
+            simd::pair_rotate_with(backend, &mut a_r, &mut b_r, c, s);
+            simd::pair_update_with(backend, &mut a_u, &mut b_u, C64::new(c, 0.0), C64::new(0.0, -s));
+            // The products `pair_update` adds on top are exact zeros, and no
+            // operand here is one: the same bits, on either backend.
+            prop_assert!(a_r == a_u && b_r == b_u, "{backend:?} len={len}");
+        }
+        let (mut a_s, mut b_s) = (a0.clone(), b0.clone());
+        let (mut a_v, mut b_v) = (a0, b0);
+        simd::pair_rotate_with(Backend::Scalar, &mut a_s, &mut b_s, c, s);
+        simd::pair_rotate_with(Backend::Avx2, &mut a_v, &mut b_v, c, s);
+        for (s, v) in a_s.iter().zip(&a_v).chain(b_s.iter().zip(&b_v)) {
+            prop_assert!((*s - *v).abs() < tol(2), "len={len}: {s:?} vs {v:?}");
+        }
+    }
+
+    #[test]
     fn simd_scale_matches_scalar(
         len in 1usize..130,
         seed in 0u64..1_000_000,
@@ -213,60 +241,91 @@ proptest! {
     }
 }
 
-/// The line kernel's reference: three separate sweeps over every line of
-/// `set`, pairs and lone points through the pointwise kernels.
+/// The line kernel's reference: one sweep per pass over every line of
+/// `set`, pairs and lone points through the public pointwise kernel the
+/// line kernel picks for that pass.
 fn separate_sweeps<R: Real>(
     backend: Backend,
     data: &mut [Complex<R>],
     set: &LineSet,
-    passes: &[StencilPass<R>; 3],
+    passes: &[StencilPass<R>],
 ) {
     for pass in passes {
+        let lone = |data: &mut [Complex<R>], at: usize, len: usize| {
+            if pass.rotation().is_none() {
+                simd::scale_with(backend, &mut data[at..at + len], pass.lone);
+            }
+        };
         for line in 0..set.n_lines {
             for nb in (0..set.run).step_by(set.block) {
                 let len = set.block.min(set.run - nb);
                 let at = |i: usize| set.first + line * set.line_step + i * set.stride + nb;
                 if pass.start == 1 {
-                    simd::scale_with(backend, &mut data[at(0)..at(0) + len], pass.lone);
+                    lone(data, at(0), len);
                 }
                 let mut i = pass.start;
                 while i + 1 < set.n_axis {
                     let (head, tail) = data.split_at_mut(at(i + 1));
-                    simd::pair_update_with(
-                        backend,
-                        &mut head[at(i)..at(i) + len],
-                        &mut tail[..len],
-                        pass.d,
-                        pass.o,
-                    );
+                    let (a, b) = (&mut head[at(i)..at(i) + len], &mut tail[..len]);
+                    match pass.rotation() {
+                        Some((c, s)) => simd::pair_rotate_with(backend, a, b, c, s),
+                        None => simd::pair_update_with(backend, a, b, pass.d, pass.o),
+                    }
                     i += 2;
                 }
                 if i < set.n_axis {
-                    simd::scale_with(backend, &mut data[at(i)..at(i) + len], pass.lone);
+                    lone(data, at(i), len);
                 }
             }
         }
     }
 }
 
-fn stencil_case<R: Real>(rng: &mut StdRng, set: &LineSet, len: usize) {
+/// Fused wavefront == separate sweeps, bit for bit, on both backends, for
+/// a list of `n_passes` alternating passes of which the first `bare` are
+/// bare rotations (the kinetic tables: all but the last).
+fn stencil_case<R: Real>(
+    rng: &mut StdRng,
+    set: &LineSet,
+    len: usize,
+    n_passes: usize,
+    bare: usize,
+) {
     let mut unit = |lo: f64| {
         let z = C64::from_polar(rng.gen_range(lo..1.0), rng.gen_range(-3.0..3.0));
         Complex::new(R::from_f64(z.re), R::from_f64(z.im))
     };
-    let passes: [StencilPass<R>; 3] = [0, 1, 0].map(|start| StencilPass {
-        start,
-        d: unit(0.5),
-        o: unit(0.0),
-        lone: unit(0.999),
-    });
+    let passes: Vec<StencilPass<R>> = (0..n_passes)
+        .map(|q| {
+            let (d, o) = (unit(0.5), unit(0.0));
+            if q < bare {
+                StencilPass {
+                    start: q % 2,
+                    d: Complex::new(d.re, R::ZERO),
+                    o: Complex::new(R::ZERO, o.im),
+                    lone: Complex::one(),
+                }
+            } else {
+                StencilPass {
+                    start: q % 2,
+                    d,
+                    o,
+                    lone: unit(0.999),
+                }
+            }
+        })
+        .collect();
+    assert!(passes.iter().take(bare).all(|p| p.rotation().is_some()));
     let data: Vec<Complex<R>> = (0..len).map(|_| unit(0.0)).collect();
     for backend in [Backend::Scalar, Backend::Avx2] {
         let mut fused = data.clone();
         let mut want = data.clone();
         simd::stencil_lines_with(backend, &mut fused, set, &passes);
         separate_sweeps(backend, &mut want, set, &passes);
-        assert!(fused == want, "{backend:?} {set:?}");
+        assert!(
+            fused == want,
+            "{backend:?} {set:?} {n_passes} passes, {bare} bare"
+        );
     }
 }
 
@@ -346,6 +405,9 @@ proptest! {
         // 0: points adjacent (Z lines), 1: lines adjacent (X or Y lines).
         layout in 0usize..2,
         first in 0usize..5,
+        // Directional steps and merged half-steps, full passes throughout
+        // or bare rotations closed by one full pass (the kinetic tables).
+        shape in 0usize..4,
         seed in 0u64..1_000_000,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -355,8 +417,9 @@ proptest! {
             (run, n_lines * run + 2)
         };
         let set = LineSet { first, n_lines, line_step, n_axis, stride, run, block };
-        stencil_case::<f64>(&mut rng, &set, set.span() + 3);
-        stencil_case::<f32>(&mut rng, &set, set.span() + 3);
+        let (n_passes, bare) = [(3, 0), (3, 2), (5, 4), (5, 0)][shape];
+        stencil_case::<f64>(&mut rng, &set, set.span() + 3, n_passes, bare);
+        stencil_case::<f32>(&mut rng, &set, set.span() + 3, n_passes, bare);
     }
 
     #[test]
