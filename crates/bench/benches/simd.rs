@@ -1,9 +1,11 @@
 //! Criterion microbenchmarks of the split-complex SIMD layer: the packed
 //! AVX2 GEMM against the scalar blocked reference at the paper-relevant
 //! nonlocal shape (Table II: the overlap `S = dv * Psi0^H Psi` is a tall
-//! skinny `(norb, nu, ngrid)` contraction), and the kinetic stencil under the
-//! scalar vs AVX2 backend: the pair kernels on one L1-resident run, one
-//! directional step, each axis's merged sweep and the whole step.
+//! skinny `(norb, nu, ngrid)` contraction), the two projector kernels at that
+//! shape, and the kinetic stencil under the scalar vs AVX2 backend: the pair
+//! kernels on one L1-resident run, one directional step, each axis's merged
+//! sweep and the whole step. The projector, pair and sweep rows run in both
+//! precisions (`dp` = f64 x 4 lanes, `sp` = f32 x 8).
 //!
 //! Backend selection uses the process-global override; criterion runs the
 //! benchmark functions serially, so flipping it between groups is safe.
@@ -14,7 +16,7 @@ use dcmesh_grid::{Mesh3, WfAos};
 use dcmesh_lfd::kinetic::{Axis, KineticPropagator, StepFraction};
 use dcmesh_math::gemm::{gemm_blocked, gemm_with_backend, Matrix, Op};
 use dcmesh_math::simd::{self, Backend};
-use dcmesh_math::C64;
+use dcmesh_math::{Complex, Real, C64};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -61,33 +63,123 @@ fn bench_simd_gemm(c: &mut Criterion) {
     group.finish();
 }
 
-/// The two pair kernels over one 4 KiB run (16 orbitals x 16 z points, the
-/// unit of an X or Y sweep at the benchmark's shape): a full complex 2x2
-/// update against the bare rotation the kinetic tables hold.
-fn bench_simd_pair_kernels(c: &mut Criterion) {
+const BACKENDS: [(Backend, &str); 2] = [(Backend::Scalar, "scalar"), (Backend::Avx2, "avx2")];
+
+fn random_vec<R: Real>(rng: &mut StdRng, n: usize) -> Vec<Complex<R>> {
+    let mut unit = || R::from_f64(rng.gen_range(-1.0..1.0));
+    (0..n).map(|_| Complex::new(unit(), unit())).collect()
+}
+
+/// "dp" / "sp".
+fn prec<R: Real>() -> String {
+    R::PRECISION_LABEL.to_lowercase()
+}
+
+/// Row-name infix of the pair and sweep rows: the f64 rows keep the names
+/// they had before the f32 ones existed.
+fn sp_infix<R: Real>() -> &'static str {
+    if R::PRECISION_LABEL == "SP" {
+        "sp_"
+    } else {
+        ""
+    }
+}
+
+/// The two skinny GEMMs of the nonlocal correction at the shape above:
+/// `M = T T0^H` (64 orbitals x 16 references over 35,280 grid points) and
+/// `T += M T0` with its fused norms.
+fn bench_simd_projector_at<R: Real>(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(13);
+    let t0 = random_vec::<R>(&mut rng, N * K);
+    let init = random_vec::<R>(&mut rng, M * K);
+    // Small coefficients: repeated updates must not overflow the state.
+    let m: Vec<Complex<R>> = random_vec::<R>(&mut rng, M * N)
+        .iter()
+        .map(|z| *z * Complex::new(R::from_f64(1e-4), R::ZERO))
+        .collect();
+
+    let mut group = c.benchmark_group("simd_proj");
+    group.sample_size(20);
+    for (backend, tag) in BACKENDS {
+        let shape = format!("{}_{tag}_m{M}_n{N}_k{K}", prec::<R>());
+        group.bench_function(format!("overlap_{shape}").as_str(), |bch| {
+            let mut out = vec![Complex::zero(); M * N];
+            let (one, zero) = (Complex::one(), Complex::zero());
+            bch.iter(|| simd::proj_overlap_with(backend, one, &init, M, &t0, N, zero, &mut out));
+        });
+        group.bench_function(format!("update_{shape}").as_str(), |bch| {
+            let mut t = init.clone();
+            let mut norms = vec![R::ZERO; M];
+            bch.iter(|| simd::proj_update_with(backend, &m, &t0, N, &mut t, M, &mut norms));
+        });
+    }
+    group.finish();
+}
+
+fn bench_simd_projector(c: &mut Criterion) {
+    bench_simd_projector_at::<f64>(c);
+    bench_simd_projector_at::<f32>(c);
+}
+
+/// The two pair kernels over one run of 256 values (16 orbitals x 16 z
+/// points, the unit of an X or Y sweep at the benchmark's shape; 4 KiB in
+/// f64): a full complex 2x2 update against the bare rotation the kinetic
+/// tables hold.
+fn bench_simd_pair_kernels_at<R: Real>(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(12);
-    let mut run = |n| -> Vec<C64> {
-        (0..n)
-            .map(|_| C64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
-            .collect()
-    };
-    let (a0, b0) = (run(256), run(256));
-    let (cs, sn) = (0.3f64.cos(), 0.3f64.sin());
-    let (d, o) = (C64::new(cs, 0.0), C64::new(0.0, -sn));
+    let (a0, b0) = (
+        random_vec::<R>(&mut rng, 256),
+        random_vec::<R>(&mut rng, 256),
+    );
+    let (cs, sn) = (R::from_f64(0.3f64.cos()), R::from_f64(0.3f64.sin()));
+    let (d, o) = (Complex::new(cs, R::ZERO), Complex::new(R::ZERO, -sn));
+    let sp = sp_infix::<R>();
 
     let mut group = c.benchmark_group("simd_pair");
     group.sample_size(20);
-    for (backend, tag) in [(Backend::Scalar, "scalar"), (Backend::Avx2, "avx2")] {
-        group.bench_function(format!("pair_update_{tag}_256").as_str(), |bch| {
+    for (backend, tag) in BACKENDS {
+        group.bench_function(format!("pair_update_{sp}{tag}_256").as_str(), |bch| {
             let (mut a, mut b) = (a0.clone(), b0.clone());
             bch.iter(|| simd::pair_update_with(backend, &mut a, &mut b, d, o));
         });
-        group.bench_function(format!("pair_rotate_{tag}_256").as_str(), |bch| {
+        group.bench_function(format!("pair_rotate_{sp}{tag}_256").as_str(), |bch| {
             let (mut a, mut b) = (a0.clone(), b0.clone());
             bch.iter(|| simd::pair_rotate_with(backend, &mut a, &mut b, cs, sn));
         });
     }
     group.finish();
+}
+
+fn bench_simd_pair_kernels(c: &mut Criterion) {
+    bench_simd_pair_kernels_at::<f64>(c);
+    bench_simd_pair_kernels_at::<f32>(c);
+}
+
+/// Each axis's share of a whole step (five merged passes for X and Y, three
+/// for Z) and the whole step, both backends — the work one QD step
+/// performs. Per pass: divide by 5, 5, 3 and 13.
+fn bench_simd_step_sweeps<R: Real>(group: &mut criterion::BenchmarkGroup, mesh: &Mesh3) {
+    let norb = 16;
+    let prop = KineticPropagator::<R>::new(mesh.clone(), R::from_f64(0.04), R::ONE);
+    let mut init = WfAos::<R>::zeros(mesh.clone(), norb);
+    init.randomize(5);
+    let sp = sp_infix::<R>();
+    for (backend, tag) in BACKENDS {
+        simd::set_backend(backend);
+        for (axis, name) in [(Axis::X, "x"), (Axis::Y, "y"), (Axis::Z, "z")] {
+            group.bench_function(
+                format!("step_sweep_{name}_{sp}{tag}_norb16").as_str(),
+                |b| {
+                    let mut psi = init.to_soa();
+                    b.iter(|| prop.apply_axis_step(&mut psi, axis, 8, None));
+                },
+            );
+        }
+        group.bench_function(format!("strang_step_{sp}{tag}_norb16").as_str(), |b| {
+            let mut psi = init.to_soa();
+            b.iter(|| prop.step_optimized(&mut psi, 8, None));
+        });
+    }
 }
 
 fn bench_simd_stencil(c: &mut Criterion) {
@@ -110,22 +202,8 @@ fn bench_simd_stencil(c: &mut Criterion) {
         let mut psi = init.to_soa();
         b.iter(|| prop.apply_axis_alg5(&mut psi, Axis::X, StepFraction::Full, 8, None));
     });
-    // Each axis's share of a whole step (five merged passes for X and Y,
-    // three for Z) and the whole step, both backends — the work one QD step
-    // performs. Per pass: divide by 5, 5, 3 and 13.
-    for (backend, tag) in [(Backend::Scalar, "scalar"), (Backend::Avx2, "avx2")] {
-        simd::set_backend(backend);
-        for (axis, name) in [(Axis::X, "x"), (Axis::Y, "y"), (Axis::Z, "z")] {
-            group.bench_function(format!("step_sweep_{name}_{tag}_norb16").as_str(), |b| {
-                let mut psi = init.to_soa();
-                b.iter(|| prop.apply_axis_step(&mut psi, axis, 8, None));
-            });
-        }
-        group.bench_function(format!("strang_step_{tag}_norb16").as_str(), |b| {
-            let mut psi = init.to_soa();
-            b.iter(|| prop.step_optimized(&mut psi, 8, None));
-        });
-    }
+    bench_simd_step_sweeps::<f64>(&mut group, &mesh);
+    bench_simd_step_sweeps::<f32>(&mut group, &mesh);
     simd::clear_backend_override();
     group.finish();
 }
@@ -133,6 +211,7 @@ fn bench_simd_stencil(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_simd_gemm,
+    bench_simd_projector,
     bench_simd_pair_kernels,
     bench_simd_stencil
 );

@@ -1,5 +1,5 @@
 //! The QD loop must not touch the heap: an MD step allocates the same
-//! number of times whether it runs 2 QD steps or 12.
+//! number of times whether it runs 2 QD steps or 12, in either precision.
 //!
 //! One test in this file, so nothing else allocates while it counts (the
 //! pool's workers only run this test's kernels).
@@ -9,6 +9,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use dcmesh_grid::Mesh3;
 use dcmesh_lfd::{BuildKind, LaserPulse, LfdConfig, LfdEngine};
+use dcmesh_math::Real;
 
 struct Counting;
 
@@ -42,7 +43,7 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Heap allocations of one warmed-up `run_md_step` of `n_qd` QD steps.
-fn allocations_per_md_step(build: BuildKind, n_qd: usize) -> u64 {
+fn allocations_per_md_step<R: Real>(build: BuildKind, n_qd: usize) -> u64 {
     let mesh = Mesh3::cubic(10, 0.5);
     let v_loc: Vec<f64> = (0..mesh.len()).map(|i| (i as f64 * 0.01).sin()).collect();
     let cfg = LfdConfig {
@@ -62,7 +63,7 @@ fn allocations_per_md_step(build: BuildKind, n_qd: usize) -> u64 {
         }),
         seed: 7,
     };
-    let mut engine = LfdEngine::<f64>::new(cfg, v_loc);
+    let mut engine = LfdEngine::<R>::new(cfg, v_loc);
     // Warm-up: arenas grow to their high-water mark.
     engine.run_md_step();
     let before = ALLOCATIONS.load(Ordering::Relaxed);
@@ -77,11 +78,18 @@ fn qd_loop_allocates_nothing_after_warm_up() {
         return;
     }
     for build in [BuildKind::CpuBlas, BuildKind::GpuCublas] {
-        let short = allocations_per_md_step(build, 2);
-        let long = allocations_per_md_step(build, 12);
-        assert_eq!(
-            short, long,
-            "{build:?}: {short} allocations per MD step at 2 QD steps, {long} at 12"
-        );
+        assert_flat::<f64>(build);
+        assert_flat::<f32>(build);
     }
+}
+
+fn assert_flat<R: Real>(build: BuildKind) {
+    let short = allocations_per_md_step::<R>(build, 2);
+    let long = allocations_per_md_step::<R>(build, 12);
+    assert_eq!(
+        short,
+        long,
+        "{build:?} {}: {short} allocations per MD step at 2 QD steps, {long} at 12",
+        R::PRECISION_LABEL
+    );
 }

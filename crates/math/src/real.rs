@@ -36,6 +36,7 @@ pub trait Real:
     + DivAssign
     + Sum
     + dcmesh_pool::arena::Pod
+    + crate::simd::Vectorized
 {
     /// Additive identity.
     const ZERO: Self;

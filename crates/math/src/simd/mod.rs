@@ -6,16 +6,15 @@
 //! contraction. This module applies the same idea at register level:
 //!
 //! * **Split-complex packed GEMM** ([`try_gemm_packed`]) — operands are
-//!   repacked into separate re/im panels (SoA), and a 4×4 register-tiled
-//!   AVX2+FMA microkernel contracts them with 16 FMAs per k-step, the
-//!   textbook BLIS structure specialized to complex-as-two-reals.
+//!   repacked into separate re/im panels (SoA), and a register-tiled (4×4 in
+//!   `f64`, 8×4 in `f32`) AVX2+FMA microkernel contracts them with 16 FMAs
+//!   per k-step, the textbook BLIS structure for complex-as-two-reals.
 //! * **Pointwise kernels** ([`pair_update`], [`pair_rotate_with`], [`scale`])
 //!   — the kinetic stencil 2×2 pair update, its bare form `[[c, -is], [-is,
 //!   c]]` with real `c`, `s` (half the arithmetic) and the phase/potential
-//!   pointwise multiply. All work on the interleaved `Complex<f64>` lanes
-//!   directly (a complex product is a multiply and an FMA against the value
-//!   and its re/im swap), so every element rounds alike wherever it sits in
-//!   a run.
+//!   pointwise multiply. All work on the interleaved complex lanes directly
+//!   (a complex product is a multiply and an FMA against the value and its
+//!   re/im swap), so every element rounds alike wherever it sits in a run.
 //! * **Projector kernels** ([`proj_overlap_with`], [`proj_update`]) — the two
 //!   skinny complex GEMMs of the nonlocal correction, `M = T·T0ᴴ` (tiny
 //!   output, contraction over the grid) and `T += M·T0` (tiny inner
@@ -34,18 +33,25 @@
 //!
 //! The active backend resolves once from `DCMESH_SIMD`:
 //!
-//! * `auto` (default) — AVX2+FMA when the CPU has it, else scalar;
+//! * `auto` (default, also unset or empty, and what anything unknown is
+//!   read as after one line on stderr) — AVX2+FMA when the CPU has it, else
+//!   scalar;
 //! * `avx2` — force AVX2 (silently degrades to scalar when unsupported);
 //! * `scalar` — force the portable path: plain `Complex<R>` arithmetic, no
-//!   FMA contraction, also what every `f32` call runs. The pointwise and
-//!   line kernels then perform the arithmetic sequence of the pre-SIMD
-//!   code; the projector kernels sum their chunk partials in chunk order.
+//!   FMA contraction. The pointwise and line kernels then perform the
+//!   arithmetic sequence of the pre-SIMD code; the projector kernels sum
+//!   their chunk partials in chunk order.
+//!
+//! Each AVX2 kernel body is written once over the lane trait of `lanes.rs`;
+//! `f64` runs it in `__m256d` (two complex values per vector), `f32` in
+//! `__m256` (four), the instantiation chosen from `R` through [`Vectorized`].
 //!
 //! Every kernel also has a `*_with(backend, ..)` variant taking an explicit
 //! [`Backend`], used by the equivalence tests and benches so they never
 //! mutate process-global state. All raw `std::arch` use in the workspace
 //! lives in this directory — enforced by the `analyze` lint.
 
+use std::io::Write;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
@@ -57,6 +63,28 @@ use dcmesh_pool::{global as pool, SlicePtr};
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
+#[cfg(target_arch = "x86_64")]
+mod lanes;
+
+/// Names the 256-bit vector the AVX2 kernels run `Self` in, so that a kernel
+/// generic over `R` picks its instantiation from `R` alone. A supertrait of
+/// [`Real`]; implemented for `f32` and `f64`.
+pub trait Vectorized: Sized {
+    /// The vector of `Self` lanes (an implementation detail of this module).
+    #[cfg(target_arch = "x86_64")]
+    #[doc(hidden)]
+    type V: lanes::Lanes<R = Self>;
+}
+
+impl Vectorized for f64 {
+    #[cfg(target_arch = "x86_64")]
+    type V = core::arch::x86_64::__m256d;
+}
+
+impl Vectorized for f32 {
+    #[cfg(target_arch = "x86_64")]
+    type V = core::arch::x86_64::__m256;
+}
 
 // ---------------------------------------------------------------------------
 // Backend dispatch
@@ -65,45 +93,51 @@ mod avx2;
 /// Instruction-set backend for the complex kernels.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Backend {
-    /// AVX2 + FMA split-complex kernels (f64 only; other types fall back).
+    /// AVX2 + FMA kernels: `f64` four reals to a vector, `f32` eight.
     Avx2,
     /// Portable scalar kernels — bitwise identical to the pre-SIMD code.
     Scalar,
 }
 
-/// Does this CPU support the AVX2+FMA kernels? Cached after first query.
+/// Does this CPU support the AVX2+FMA kernels? (`std` caches the detection.)
 pub fn avx2_available() -> bool {
     #[cfg(target_arch = "x86_64")]
-    {
-        static AVAIL: OnceLock<bool> = OnceLock::new();
-        *AVAIL.get_or_init(|| {
-            std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
-        })
-    }
+    return std::arch::is_x86_feature_detected!("avx2")
+        && std::arch::is_x86_feature_detected!("fma");
     #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
+    false
 }
 
 /// 0 = no override, 1 = Avx2, 2 = Scalar.
 static OVERRIDE: AtomicU8 = AtomicU8::new(0);
 
+/// What a `DCMESH_SIMD` value asks for: `None` is `auto` (also the empty
+/// string, i.e. unset); anything unknown is an error naming the choices.
+fn parse_simd(value: &str) -> Result<Option<Backend>, String> {
+    match value.trim() {
+        "" | "auto" => Ok(None),
+        "avx2" => Ok(Some(Backend::Avx2)),
+        "scalar" => Ok(Some(Backend::Scalar)),
+        _ => Err(format!(
+            "DCMESH_SIMD={value:?}: expected auto|avx2|scalar, using auto"
+        )),
+    }
+}
+
 fn env_backend() -> Backend {
     static DEFAULT: OnceLock<Backend> = OnceLock::new();
     *DEFAULT.get_or_init(|| {
-        let want = std::env::var("DCMESH_SIMD").unwrap_or_default();
-        match want.trim() {
-            "scalar" => Backend::Scalar,
-            // "avx2" and "auto" (or unset) both take AVX2 when available.
-            _ => {
-                if avx2_available() {
-                    Backend::Avx2
-                } else {
-                    Backend::Scalar
-                }
-            }
+        let value = std::env::var("DCMESH_SIMD").unwrap_or_default();
+        let want = parse_simd(&value).unwrap_or_else(|msg| {
+            // A message, not an unwind: a closed stderr must not panic here.
+            let _ = writeln!(std::io::stderr(), "{msg}");
+            None
+        });
+        // "avx2" and "auto" both take AVX2 when available.
+        match want {
+            Some(Backend::Scalar) => Backend::Scalar,
+            _ if avx2_available() => Backend::Avx2,
+            _ => Backend::Scalar,
         }
     })
 }
@@ -134,61 +168,9 @@ pub fn clear_backend_override() {
     OVERRIDE.store(0, Ordering::Relaxed);
 }
 
-#[inline(always)]
-fn is_f64<R: Real>() -> bool {
-    std::any::TypeId::of::<R>() == std::any::TypeId::of::<f64>()
-}
-
-/// Reinterpret a `Complex<R>` slice as `Complex<f64>`.
-///
-/// # Safety
-///
-/// Caller must have proven `R == f64` (e.g. via [`is_f64`]); the layouts
-/// are then identical and the cast is the identity.
-// SAFETY: (bounds=identity cast; element layout and slice length are
-// unchanged, aliasing=borrow rules carry over from the input reference)
-#[inline(always)]
-unsafe fn cast_slice<R: Real>(s: &[Complex<R>]) -> &[Complex<f64>] {
-    // SAFETY: R == f64 per the caller contract, so element layout and
-    // slice length are unchanged.
-    unsafe { &*(s as *const [Complex<R>] as *const [Complex<f64>]) }
-}
-
-/// Mutable variant of [`cast_slice`].
-///
-/// # Safety
-///
-/// Same contract as [`cast_slice`].
-// SAFETY: (bounds=identity cast; element layout and slice length are
-// unchanged, aliasing=the exclusive borrow carries over from the input)
-#[inline(always)]
-unsafe fn cast_slice_mut<R: Real>(s: &mut [Complex<R>]) -> &mut [Complex<f64>] {
-    // SAFETY: R == f64 per the caller contract.
-    unsafe { &mut *(s as *mut [Complex<R>] as *mut [Complex<f64>]) }
-}
-
-/// Reinterpret an `R` slice as `f64`.
-///
-/// # Safety
-///
-/// Same contract as [`cast_slice`].
-// SAFETY: (bounds=identity cast; element layout and slice length are
-// unchanged, aliasing=the exclusive borrow carries over from the input)
-#[inline(always)]
-unsafe fn cast_reals_mut<R: Real>(s: &mut [R]) -> &mut [f64] {
-    // SAFETY: R == f64 per the caller contract.
-    unsafe { &mut *(s as *mut [R] as *mut [f64]) }
-}
-
-#[inline(always)]
-fn cast_c<R: Real>(z: Complex<R>) -> Complex<f64> {
-    Complex::new(z.re.to_f64(), z.im.to_f64())
-}
-
-/// Should the AVX2 path run for this call? (backend, element type, CPU.)
-#[inline(always)]
-fn use_avx2<R: Real>(backend: Backend) -> bool {
-    backend == Backend::Avx2 && is_f64::<R>() && avx2_available()
+/// Should the AVX2 path run for this call? (backend, CPU.)
+fn use_avx2(backend: Backend) -> bool {
+    backend == Backend::Avx2 && avx2_available()
 }
 
 // ---------------------------------------------------------------------------
@@ -208,8 +190,9 @@ pub fn scale_scalar<R: Real>(zs: &mut [Complex<R>], ph: Complex<R>) {
 /// scalar reference (the exact arithmetic of the sweep inner loop):
 /// `a' = d*a + o*b`, `b' = o*a + d*b`.
 // Out of line: the `noalias` of the two `&mut` runs only survives a call
-// boundary. Inlined into the line kernel, whose runs all derive from one
-// raw pointer, the loop no longer vectorizes (3.5x slower on f32, measured).
+// boundary. Inlined into the portable line kernel, whose runs all derive
+// from one raw pointer, the loop no longer auto-vectorizes (the forced-scalar
+// path 3.5x slower on f32, measured).
 #[inline(never)]
 pub fn pair_update_scalar<R: Real>(
     a: &mut [Complex<R>],
@@ -243,11 +226,9 @@ pub fn pair_rotate_scalar<R: Real>(a: &mut [Complex<R>], b: &mut [Complex<R>], c
 /// `z *= ph` over a slice on an explicit backend.
 pub fn scale_with<R: Real>(backend: Backend, zs: &mut [Complex<R>], ph: Complex<R>) {
     #[cfg(target_arch = "x86_64")]
-    if use_avx2::<R>(backend) {
-        // SAFETY: (bounds=R == f64 per use_avx2 so the casts are identity)
-        let z64 = unsafe { cast_slice_mut(zs) };
+    if use_avx2(backend) {
         // SAFETY: (cpu=avx2) `use_avx2` verified AVX2+FMA CPU support.
-        unsafe { avx2::scale(z64, cast_c(ph)) };
+        unsafe { avx2::scale::<R::V>(zs, ph) };
         return;
     }
     let _ = backend;
@@ -255,7 +236,6 @@ pub fn scale_with<R: Real>(backend: Backend, zs: &mut [Complex<R>], ph: Complex<
 }
 
 /// `z *= ph` over a slice on the [`active_backend`].
-#[inline]
 pub fn scale<R: Real>(zs: &mut [Complex<R>], ph: Complex<R>) {
     scale_with(active_backend(), zs, ph);
 }
@@ -269,11 +249,9 @@ pub fn pair_update_with<R: Real>(
     o: Complex<R>,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if use_avx2::<R>(backend) {
-        // SAFETY: (bounds=R == f64 per use_avx2 so the casts are identity)
-        let (a64, b64) = unsafe { (cast_slice_mut(a), cast_slice_mut(b)) };
+    if use_avx2(backend) {
         // SAFETY: (cpu=avx2) `use_avx2` verified AVX2+FMA CPU support.
-        unsafe { avx2::pair_update::<false>(a64, b64, cast_c(d), cast_c(o)) };
+        unsafe { avx2::pair_update::<R::V, false>(a, b, d, o) };
         return;
     }
     let _ = backend;
@@ -281,7 +259,6 @@ pub fn pair_update_with<R: Real>(
 }
 
 /// Stencil pair rotation on the [`active_backend`].
-#[inline]
 pub fn pair_update<R: Real>(
     a: &mut [Complex<R>],
     b: &mut [Complex<R>],
@@ -300,12 +277,10 @@ pub fn pair_rotate_with<R: Real>(
     s: R,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if use_avx2::<R>(backend) {
-        let d = Complex::new(c.to_f64(), 0.0);
-        let o = Complex::new(0.0, -s.to_f64());
-        // SAFETY: (cpu=avx2, bounds=R == f64 per use_avx2 so the casts are
-        // identity) `use_avx2` verified AVX2+FMA CPU support.
-        unsafe { avx2::pair_update::<true>(cast_slice_mut(a), cast_slice_mut(b), d, o) };
+    if use_avx2(backend) {
+        let (d, o) = (Complex::new(c, R::ZERO), Complex::new(R::ZERO, -s));
+        // SAFETY: (cpu=avx2) `use_avx2` verified AVX2+FMA CPU support.
+        unsafe { avx2::pair_update::<R::V, true>(a, b, d, o) };
         return;
     }
     let _ = backend;
@@ -372,7 +347,7 @@ pub fn proj_overlap_with<R: Real>(
     let ngrid = t.len() / norb;
     assert_eq!(t.len(), ngrid * norb, "T storage size mismatch");
     assert_eq!(t0.len(), ngrid * nref, "T0 storage size mismatch");
-    let avx2 = use_avx2::<R>(backend);
+    let avx2 = use_avx2(backend);
     let len = out.len();
     with_scratch::<Complex<R>, 1, ()>([ngrid.div_ceil(PROJ_CHUNK) * len], |[partials]| {
         pool().for_each_chunks_of_mut(partials, len, |ci, part| {
@@ -382,18 +357,8 @@ pub fn proj_overlap_with<R: Real>(
             let mut n_lo = 0;
             #[cfg(target_arch = "x86_64")]
             if avx2 {
-                // SAFETY: (cpu=avx2, bounds=R == f64 per use_avx2 so the
-                // casts are identity) `use_avx2` verified CPU support.
-                unsafe {
-                    avx2::proj_overlap(
-                        cast_slice(tc),
-                        norb,
-                        cast_slice(bc),
-                        nref,
-                        cast_slice_mut(part),
-                    );
-                }
-                n_lo = norb & !3;
+                // SAFETY: (cpu=avx2) `use_avx2` verified CPU support.
+                n_lo = unsafe { avx2::proj_overlap::<R::V>(tc, norb, bc, nref, part) };
             }
             let _ = avx2;
             proj_overlap_portable(tc, norb, bc, nref, n_lo, part);
@@ -441,9 +406,9 @@ fn proj_update_portable<R: Real>(
 
 /// The projector rank update `T += M * T0` on an explicit backend, with
 /// the squared norm of every updated row `norms[n] = sum_g |T[n][g]|^2`
-/// accumulated in the same pass: `m` is the small
-/// column-major `norb x nref` coefficient matrix, `t0` the `nref x ngrid`
-/// reference block, `t` the SoA array updated in place.
+/// accumulated in the same pass: `m` is the small column-major `norb x nref`
+/// coefficient matrix, `t0` the `nref x ngrid` reference block, `t` the SoA
+/// array updated in place.
 ///
 /// Chunks of [`PROJ_CHUNK`] grid points are spread over the pool (on AVX2
 /// the orbital run of one grid point stays in registers across all `nref`
@@ -466,7 +431,7 @@ pub fn proj_update_with<R: Real>(
     let ngrid = t.len() / norb;
     assert_eq!(t.len(), ngrid * norb, "T storage size mismatch");
     assert_eq!(t0.len(), ngrid * nref, "T0 storage size mismatch");
-    let avx2 = use_avx2::<R>(backend);
+    let avx2 = use_avx2(backend);
     let n_chunks = ngrid.div_ceil(PROJ_CHUNK);
     with_scratch::<Complex<R>, 1, ()>([if avx2 { m.len() } else { 0 }], |[im]| {
         for (d, z) in im.iter_mut().zip(m) {
@@ -486,21 +451,8 @@ pub fn proj_update_with<R: Real>(
                 let mut n_lo = 0;
                 #[cfg(target_arch = "x86_64")]
                 if avx2 {
-                    // SAFETY: (cpu=avx2, bounds=R == f64 per use_avx2 so
-                    // the casts are identity) `use_avx2` verified CPU
-                    // support.
-                    unsafe {
-                        avx2::proj_update(
-                            cast_slice(m),
-                            cast_slice(im),
-                            cast_slice(bc),
-                            nref,
-                            cast_slice_mut(tc),
-                            norb,
-                            cast_reals_mut(nrm),
-                        );
-                    }
-                    n_lo = norb & !3;
+                    // SAFETY: (cpu=avx2) `use_avx2` verified CPU support.
+                    n_lo = unsafe { avx2::proj_update::<R::V>(m, im, bc, nref, tc, norb, nrm) };
                 }
                 let _ = (avx2, im);
                 proj_update_portable(m, bc, nref, tc, norb, n_lo, nrm);
@@ -513,7 +465,6 @@ pub fn proj_update_with<R: Real>(
 }
 
 /// [`proj_update_with`] on the [`active_backend`].
-#[inline]
 pub fn proj_update<R: Real>(
     m: &[Complex<R>],
     t0: &[Complex<R>],
@@ -611,26 +562,10 @@ struct Wavefront<'a, R> {
     done: [usize; MAX_PASSES],
 }
 
-/// One step of a [`Wavefront`]: rotate the pair `at, at + 1` by `pass`, or
+/// One step is `(pass, at, lone)`: rotate the pair `at, at + 1` by `pass`, or
 /// (`lone`) multiply the partnerless point `at` by its phase.
-struct StencilUnit<'a, R> {
-    pass: &'a StencilPass<R>,
-    at: usize,
-    lone: bool,
-}
-
-impl<'a, R> Wavefront<'a, R> {
-    fn new(passes: &'a [StencilPass<R>], n_axis: usize) -> Self {
-        Self {
-            passes,
-            n_axis,
-            done: [0; MAX_PASSES],
-        }
-    }
-}
-
 impl<'a, R> Iterator for Wavefront<'a, R> {
-    type Item = StencilUnit<'a, R>;
+    type Item = (&'a StencilPass<R>, usize, bool);
 
     // AUDIT: no_panic
     #[inline(always)]
@@ -650,12 +585,14 @@ impl<'a, R> Iterator for Wavefront<'a, R> {
         }
         let (pass, done, at, lone, next) = pick?;
         *done = next;
-        Some(StencilUnit { pass, at, lone })
+        Some((pass, at, lone))
     }
 }
 
-/// Portable body of the line kernel: the loop nest of
-/// `avx2::stencil_lines` over the scalar reference kernels.
+/// The loop nest of the line kernel, one for both backends: every line of
+/// `set`, one orbital block at a time, hands the units of a [`Wavefront`]
+/// over `passes` to `on_unit` as the pass, the run it touches and that run's
+/// partner (none for a partnerless point).
 ///
 /// # Safety
 ///
@@ -664,10 +601,12 @@ impl<'a, R> Iterator for Wavefront<'a, R> {
 // with i < n_axis and nb + len <= run ends at or below set.span() which
 // the dispatcher checked against the allocation, aliasing=the caller owns
 // the set's lines; partner runs are stride >= run >= len apart)
-unsafe fn stencil_lines_portable<R: Real>(
+#[inline(always)]
+unsafe fn line_units<R: Real>(
     ptr: *mut Complex<R>,
     set: &LineSet,
     passes: &[StencilPass<R>],
+    on_unit: impl Fn(&StencilPass<R>, &mut [Complex<R>], Option<&mut [Complex<R>]>),
 ) {
     for line in 0..set.n_lines {
         let base = set.first + line * set.line_step;
@@ -679,14 +618,13 @@ unsafe fn stencil_lines_portable<R: Real>(
             let run = |i: usize| unsafe {
                 std::slice::from_raw_parts_mut(ptr.add(base + nb + i * set.stride), len)
             };
-            for unit in Wavefront::new(passes, set.n_axis) {
-                let (pass, at) = (unit.pass, unit.at);
-                match (pass.rotation(), unit.lone) {
-                    (Some(_), true) => {}
-                    (Some((c, s)), false) => pair_rotate_scalar(run(at), run(at + 1), c, s),
-                    (None, true) => scale_scalar(run(at), pass.lone),
-                    (None, false) => pair_update_scalar(run(at), run(at + 1), pass.d, pass.o),
-                }
+            let units = Wavefront {
+                passes,
+                n_axis: set.n_axis,
+                done: [0; MAX_PASSES],
+            };
+            for (pass, at, lone) in units {
+                on_unit(pass, run(at), (!lone).then(|| run(at + 1)));
             }
             nb += len;
         }
@@ -731,22 +669,22 @@ pub unsafe fn stencil_lines_raw<R: Real>(
         passes.len()
     );
     #[cfg(target_arch = "x86_64")]
-    if use_avx2::<R>(backend) {
-        // SAFETY: (cpu=avx2, bounds=R == f64 per use_avx2 so both pointer
-        // casts are identities; the checks above cover the kernel's
+    if use_avx2(backend) {
+        // SAFETY: (cpu=avx2, bounds=the checks above cover the kernel's
         // contract) `use_avx2` verified CPU support.
-        unsafe {
-            avx2::stencil_lines(
-                ptr as *mut Complex<f64>,
-                set,
-                &*(passes as *const [StencilPass<R>] as *const [StencilPass<f64>]),
-            );
-        }
+        unsafe { avx2::stencil_lines::<R::V>(ptr, set, passes) };
         return;
     }
     let _ = backend;
-    // SAFETY: the checks above cover the portable body's contract.
-    unsafe { stencil_lines_portable(ptr, set, passes) };
+    // SAFETY: the checks above cover the nest's contract.
+    unsafe {
+        line_units(ptr, set, passes, |pass, a, b| match (pass.rotation(), b) {
+            (Some(_), None) => {}
+            (Some((c, s)), Some(b)) => pair_rotate_scalar(a, b, c, s),
+            (None, None) => scale_scalar(a, pass.lone),
+            (None, Some(b)) => pair_update_scalar(a, b, pass.d, pass.o),
+        })
+    };
 }
 
 /// [`stencil_lines_raw`] over a slice the caller owns outright.
@@ -764,22 +702,23 @@ pub fn stencil_lines_with<R: Real>(
 // Split-complex packed GEMM
 // ---------------------------------------------------------------------------
 
-/// Microkernel register tile: rows of C per microkernel call.
+/// Microkernel register tile: rows of C per microkernel call at `f64`, one
+/// vector of reals (`f32` takes twice as many; the tile scratch fits those).
 pub const MR: usize = 4;
 /// Microkernel register tile: cols of C per microkernel call.
 pub const NR: usize = 4;
 
 /// Cache tiles of the packed GEMM: rows of the packed A block and
-/// contraction depth per packing pass (A-panel 2 × MC × KC × 8 B = 256 KiB,
-/// L2-resident; B sliver L1-resident), and columns per C panel — also the
-/// parallel work-distribution grain.
+/// contraction depth per packing pass (A-panel 2 × MC × KC × 8 B = 256 KiB
+/// in `f64`, L2-resident; B sliver L1-resident), and columns per C panel —
+/// also the parallel work-distribution grain.
 const MC: usize = 64;
 const KC: usize = 256;
 const NC: usize = 128;
 
 /// Element of `op(S)` at (r, c) for column-major storage with `rows` rows.
 #[inline(always)]
-fn op_at(s: &[Complex<f64>], rows: usize, op: Op, r: usize, c: usize) -> Complex<f64> {
+fn op_at<R: Real>(s: &[Complex<R>], rows: usize, op: Op, r: usize, c: usize) -> Complex<R> {
     match op {
         Op::None => s[c * rows + r],
         Op::Trans => s[r * rows + c],
@@ -787,97 +726,63 @@ fn op_at(s: &[Complex<f64>], rows: usize, op: Op, r: usize, c: usize) -> Complex
     }
 }
 
-/// Pack an `mw x kw` block of `op(A)` (top-left at `(ic, pc)`) into
-/// MR-row split-complex panels, zero-padding the ragged row tile.
-/// Layout: panel `t` (rows `t*MR..`) occupies `[t*kw*MR ..][p*MR + ii]`.
-#[allow(clippy::too_many_arguments)]
-fn pack_a_splitc(
-    a: &[Complex<f64>],
-    rows: usize,
-    op_a: Op,
-    ic: usize,
-    mw: usize,
-    pc: usize,
+/// Pack `w` rows of `op(A)` (or columns of `op(B)`) by `kw` contraction
+/// steps, element `(i, p)` read through `at`, into `tile`-wide split-complex
+/// panels, zero-padding the ragged last one.
+/// Layout: panel `t` (entries `t..t + tile`) occupies `[t*kw ..][p*tile + ii]`.
+#[inline(always)]
+fn pack_splitc<R: Real>(
+    tile: usize,
+    w: usize,
     kw: usize,
-    re: &mut [f64],
-    im: &mut [f64],
+    at: impl Fn(usize, usize) -> Complex<R>,
+    re: &mut [R],
+    im: &mut [R],
 ) {
-    let mp = mw.next_multiple_of(MR);
-    for t in (0..mp).step_by(MR) {
-        let base = t * kw; // == (t / MR) * (kw * MR)
+    for t in (0..w.next_multiple_of(tile)).step_by(tile) {
+        let base = t * kw; // == (t / tile) * (kw * tile)
         for p in 0..kw {
-            for ii in 0..MR {
-                let i = t + ii;
-                let z = if i < mw {
-                    op_at(a, rows, op_a, ic + i, pc + p)
+            for ii in 0..tile {
+                let z = if t + ii < w {
+                    at(t + ii, p)
                 } else {
                     Complex::zero()
                 };
-                re[base + p * MR + ii] = z.re;
-                im[base + p * MR + ii] = z.im;
+                re[base + p * tile + ii] = z.re;
+                im[base + p * tile + ii] = z.im;
             }
         }
     }
 }
 
-/// Pack a `kw x nw` block of `op(B)` (top-left at `(pc, jc)`) into
-/// NR-column split-complex panels, zero-padding the ragged column tile.
-#[allow(clippy::too_many_arguments)]
-fn pack_b_splitc(
-    b: &[Complex<f64>],
-    rows: usize,
-    op_b: Op,
-    pc: usize,
-    kw: usize,
-    jc: usize,
-    nw: usize,
-    re: &mut [f64],
-    im: &mut [f64],
-) {
-    let np = nw.next_multiple_of(NR);
-    for t in (0..np).step_by(NR) {
-        let base = t * kw; // == (t / NR) * (kw * NR)
-        for p in 0..kw {
-            for jj in 0..NR {
-                let j = t + jj;
-                let z = if j < nw {
-                    op_at(b, rows, op_b, pc + p, jc + j)
-                } else {
-                    Complex::zero()
-                };
-                re[base + p * NR + jj] = z.re;
-                im[base + p * NR + jj] = z.im;
-            }
-        }
-    }
-}
-
-/// Split-complex packed GEMM on raw column-major f64 storage:
-/// `C = alpha * op(A) * op(B) + beta * C`.
+/// The split-complex packed GEMM `C = alpha * op(A) * op(B) + beta * C` on
+/// raw column-major storage, behind its checked dispatch: `false` (and `C`
+/// untouched) when the backend or CPU has no SIMD path — the caller then
+/// runs its scalar fallback.
 ///
 /// Parallelizes over `NC`-column panels of C on the persistent pool (each
 /// panel is a disjoint output slice, and per-panel arithmetic order is
 /// fixed, so results are deterministic for any worker count). Panel scratch
 /// comes from the per-thread aligned arena — no allocation in steady state.
-///
-/// Callers must have verified AVX2+FMA support (see [`avx2_available`]);
-/// [`try_gemm_packed`] is the checked dispatch.
 #[allow(clippy::too_many_arguments)]
-#[cfg(target_arch = "x86_64")]
-fn gemm_packed_f64(
-    alpha: Complex<f64>,
-    a: &[Complex<f64>],
+pub fn try_gemm_packed<R: Real>(
+    backend: Backend,
+    alpha: Complex<R>,
+    a: &[Complex<R>],
     (ar, _ac): (usize, usize),
     op_a: Op,
-    b: &[Complex<f64>],
+    b: &[Complex<R>],
     (br, _bc): (usize, usize),
     op_b: Op,
-    beta: Complex<f64>,
-    c: &mut [Complex<f64>],
+    beta: Complex<R>,
+    c: &mut [Complex<R>],
     (m, _n): (usize, usize),
     k: usize,
-) {
-    assert!(avx2_available(), "gemm_packed_f64 requires AVX2+FMA");
+) -> bool {
+    if !use_avx2(backend) {
+        return false;
+    }
+    #[cfg(target_arch = "x86_64")]
     pool().for_each_chunks_of_mut(c, m * NC, |panel, cpanel| {
         let j0 = panel * NC;
         let ncols = cpanel.len() / m.max(1);
@@ -887,34 +792,40 @@ fn gemm_packed_f64(
             }
         }
         let np = ncols.next_multiple_of(NR);
-        with_scratch::<f64, 6, ()>(
-            [MC * KC, MC * KC, KC * np, KC * np, MR * NR, MR * NR],
+        with_scratch::<R, 6, ()>(
+            [MC * KC, MC * KC, KC * np, KC * np, 2 * MR * NR, 2 * MR * NR],
             |[are, aim, bre, bim, tre, tim]| {
+                // Rows per microkernel call: the reals of one vector.
+                let mr = 2 * <R::V as lanes::Lanes>::C;
                 for pc in (0..k).step_by(KC) {
                     let kw = (pc + KC).min(k) - pc;
-                    pack_b_splitc(b, br, op_b, pc, kw, j0, ncols, bre, bim);
+                    let b_at = move |j, p| op_at(b, br, op_b, pc + p, j0 + j);
+                    pack_splitc(NR, ncols, kw, b_at, bre, bim);
                     for ic in (0..m).step_by(MC) {
                         let mw = (ic + MC).min(m) - ic;
-                        pack_a_splitc(a, ar, op_a, ic, mw, pc, kw, are, aim);
+                        let a_at = move |i, p| op_at(a, ar, op_a, ic + i, pc + p);
+                        pack_splitc(mr, mw, kw, a_at, are, aim);
                         for jt in (0..ncols).step_by(NR) {
                             let jw = (ncols - jt).min(NR);
                             let bre_p = &bre[jt * kw..(jt + NR) * kw];
                             let bim_p = &bim[jt * kw..(jt + NR) * kw];
-                            for it in (0..mw).step_by(MR) {
-                                let iw = (mw - it).min(MR);
-                                let are_p = &are[it * kw..(it + MR) * kw];
-                                let aim_p = &aim[it * kw..(it + MR) * kw];
-                                // SAFETY: AVX2+FMA availability asserted at
-                                // function entry; slices are kw*MR / kw*NR
+                            for it in (0..mw).step_by(mr) {
+                                let iw = (mw - it).min(mr);
+                                let are_p = &are[it * kw..(it + mr) * kw];
+                                let aim_p = &aim[it * kw..(it + mr) * kw];
+                                // SAFETY: `use_avx2` verified AVX2+FMA at
+                                // function entry; slices are kw*mr / kw*NR
                                 // as the kernel requires.
                                 unsafe {
-                                    avx2::mk4x4(kw, are_p, aim_p, bre_p, bim_p, tre, tim);
+                                    avx2::microkernel::<R::V>(
+                                        kw, are_p, aim_p, bre_p, bim_p, tre, tim,
+                                    );
                                 }
                                 for jj in 0..jw {
                                     let col = &mut cpanel
                                         [(jt + jj) * m + ic + it..(jt + jj) * m + ic + it + iw];
                                     for (ii, cv) in col.iter_mut().enumerate() {
-                                        let z = Complex::new(tre[jj * MR + ii], tim[jj * MR + ii]);
+                                        let z = Complex::new(tre[jj * mr + ii], tim[jj * mr + ii]);
                                         *cv += alpha * z;
                                     }
                                 }
@@ -925,89 +836,25 @@ fn gemm_packed_f64(
             },
         );
     });
-}
-
-/// Checked dispatch into the split-complex packed GEMM. Returns `false`
-/// (without touching `C`) when the backend, element type, or CPU has no
-/// SIMD path — the caller then runs its scalar fallback.
-#[allow(clippy::too_many_arguments)]
-pub fn try_gemm_packed<R: Real>(
-    backend: Backend,
-    alpha: Complex<R>,
-    a: &[Complex<R>],
-    adims: (usize, usize),
-    op_a: Op,
-    b: &[Complex<R>],
-    bdims: (usize, usize),
-    op_b: Op,
-    beta: Complex<R>,
-    c: &mut [Complex<R>],
-    cdims: (usize, usize),
-    k: usize,
-) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2::<R>(backend) {
-        let (m, n) = cdims;
-        // SAFETY: `use_avx2` proved R == f64, so these casts are identities.
-        let (a64, b64, c64) = unsafe { (cast_slice(a), cast_slice(b), cast_slice_mut(c)) };
-        gemm_packed_f64(
-            cast_c(alpha),
-            a64,
-            adims,
-            op_a,
-            b64,
-            bdims,
-            op_b,
-            cast_c(beta),
-            c64,
-            (m, n),
-            k,
-        );
-        return true;
-    }
-    let _ = (
-        backend, alpha, a, adims, op_a, b, bdims, op_b, beta, c, cdims, k,
-    );
-    false
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (alpha, a, ar, op_a, b, br, op_b, beta, c, m, k);
+    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::C64;
-
-    fn seq(n: usize, salt: f64) -> Vec<C64> {
-        (0..n)
-            .map(|i| {
-                let x = (i as f64) * 0.37 + salt;
-                C64::new((x * 1.3).sin(), (x * 0.7).cos())
-            })
-            .collect()
-    }
 
     #[test]
-    fn pointwise_kernels_match_scalar_across_remainders() {
-        // Covers every remainder lane count (len % 4 in 0..4).
-        for len in [0usize, 1, 2, 3, 4, 5, 7, 8, 17, 64, 65] {
-            let alpha = C64::new(0.3, -0.8);
-            let d = C64::new(0.9, 0.1);
-            let o = C64::new(-0.2, 0.4);
-
-            let mut zs = seq(len, 0.3);
-            let mut zv = zs.clone();
-            scale_with(Backend::Scalar, &mut zs, alpha);
-            scale_with(Backend::Avx2, &mut zv, alpha);
-            for (s, v) in zs.iter().zip(&zv) {
-                assert!((*s - *v).abs() < 1e-14, "scale len={len}");
-            }
-
-            let (mut a_s, mut b_s) = (seq(len, 0.4), seq(len, 0.5));
-            let (mut a_v, mut b_v) = (a_s.clone(), b_s.clone());
-            pair_update_with(Backend::Scalar, &mut a_s, &mut b_s, d, o);
-            pair_update_with(Backend::Avx2, &mut a_v, &mut b_v, d, o);
-            for (s, v) in a_s.iter().zip(&a_v).chain(b_s.iter().zip(&b_v)) {
-                assert!((*s - *v).abs() < 1e-14, "pair_update len={len}");
-            }
+    fn simd_choice_parses_or_says_why_not() {
+        for auto in ["", "  ", "auto", " auto\n"] {
+            assert_eq!(parse_simd(auto), Ok(None), "{auto:?}");
+        }
+        assert_eq!(parse_simd("avx2"), Ok(Some(Backend::Avx2)));
+        assert_eq!(parse_simd(" scalar "), Ok(Some(Backend::Scalar)));
+        for bad in ["sclar", "Scalar", "0", "avx512"] {
+            let msg = parse_simd(bad).expect_err(bad);
+            assert!(msg.contains(&format!("{bad:?}")) && msg.contains("auto|avx2|scalar"));
         }
     }
 }

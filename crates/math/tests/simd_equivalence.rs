@@ -10,6 +10,10 @@
 //! `scale` the magnitude of the entries involved — a bound a couple of
 //! orders above the observed differences but far below any algorithmic
 //! error.
+//!
+//! Every kernel case is generic over the element type and runs at `f64`
+//! (four reals to a vector) and `f32` (eight): the two AVX2 instantiations
+//! of one body get one suite.
 
 use dcmesh_math::gemm::{
     gemm_blocked, gemm_colmajor_with_backend, gemm_naive, gemm_with_backend, Matrix, Op,
@@ -28,30 +32,39 @@ fn random_matrix(rng: &mut StdRng, rows: usize, cols: usize) -> Matrix<f64> {
     })
 }
 
-fn random_vec(rng: &mut StdRng, n: usize) -> Vec<C64> {
-    (0..n)
-        .map(|_| C64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
-        .collect()
+fn random_vec<R: Real>(rng: &mut StdRng, n: usize) -> Vec<Complex<R>> {
+    let mut unit = || R::from_f64(rng.gen_range(-1.0..1.0));
+    (0..n).map(|_| Complex::new(unit(), unit())).collect()
 }
 
 /// Accumulation-order tolerance for a depth-`k` contraction of O(1) data.
-fn tol(k: usize) -> f64 {
-    64.0 * f64::EPSILON * (k as f64 + 4.0)
+fn tol<R: Real>(k: usize) -> f64 {
+    64.0 * R::EPSILON.to_f64() * (k as f64 + 4.0)
+}
+
+/// `|a - b|`, in `f64` whatever the element type.
+fn dist<R: Real>(a: Complex<R>, b: Complex<R>) -> f64 {
+    (a - b).abs().to_f64()
 }
 
 /// The slice GEMM on the scalar and the AVX2 backend, one `(m, n, k)`
 /// problem with the operands stored as `op_a` / `op_b` need them.
-fn colmajor_backends_agree(rng: &mut StdRng, (m, n, k): (usize, usize, usize), op_a: Op, op_b: Op) {
+fn colmajor_backends_agree<R: Real>(
+    rng: &mut StdRng,
+    (m, n, k): (usize, usize, usize),
+    op_a: Op,
+    op_b: Op,
+) {
     let stored = |op, dims: (usize, usize)| match op {
         Op::None => dims,
         _ => (dims.1, dims.0),
     };
     let (adims, bdims) = (stored(op_a, (m, k)), stored(op_b, (k, n)));
-    let a = random_vec(rng, m * k);
+    let a = random_vec::<R>(rng, m * k);
     let b = random_vec(rng, k * n);
     let base = random_vec(rng, m * n);
-    let alpha = C64::new(0.9, 0.1);
-    let beta = C64::new(0.2, -0.4);
+    let alpha = Complex::new(R::from_f64(0.9), R::from_f64(0.1));
+    let beta = Complex::new(R::from_f64(0.2), R::from_f64(-0.4));
     let [c_s, c_v] = [Backend::Scalar, Backend::Avx2].map(|backend| {
         let mut c = base.clone();
         gemm_colmajor_with_backend(
@@ -71,8 +84,9 @@ fn colmajor_backends_agree(rng: &mut StdRng, (m, n, k): (usize, usize, usize), o
     });
     for (s, v) in c_s.iter().zip(&c_v) {
         assert!(
-            (*s - *v).abs() < tol(k),
-            "({m},{n},{k}) {op_a:?}x{op_b:?}: {s:?} vs {v:?}"
+            dist(*s, *v) < tol::<R>(k),
+            "{} ({m},{n},{k}) {op_a:?}x{op_b:?}: {s:?} vs {v:?}",
+            R::PRECISION_LABEL
         );
     }
 }
@@ -86,7 +100,8 @@ fn scalar_vs_avx2_agree_on_the_eigensolver_shapes() {
     for shape in [(16, 16, 4096), (4, 4, 512), (4096, 16, 16), (31, 33, 32)] {
         for op_a in OPS {
             for op_b in OPS {
-                colmajor_backends_agree(&mut rng, shape, op_a, op_b);
+                colmajor_backends_agree::<f64>(&mut rng, shape, op_a, op_b);
+                colmajor_backends_agree::<f32>(&mut rng, shape, op_a, op_b);
             }
         }
     }
@@ -140,7 +155,7 @@ proptest! {
                 }
                 for (g, w) in got.iter().zip(want.data()) {
                     prop_assert!(
-                        (*g - *w).abs() < tol(k),
+                        (*g - *w).abs() < tol::<f64>(k),
                         "({m},{n},{k}) {op_a:?}x{op_b:?}: {g:?} vs {w:?}"
                     );
                 }
@@ -174,70 +189,82 @@ proptest! {
         k in 1usize..80,
         seed in 0u64..1_000_000,
     ) {
-        colmajor_backends_agree(&mut StdRng::seed_from_u64(seed), (m, n, k), Op::None, Op::None);
-    }
-
-    #[test]
-    fn simd_stencil_pair_update_matches_scalar(
-        len in 1usize..130,
-        seed in 0u64..1_000_000,
-    ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        // Unit-magnitude pair coefficients, like the kinetic propagator's.
-        let d = C64::from_polar(rng.gen_range(0.5..1.0), rng.gen_range(-3.0..3.0));
-        let o = C64::from_polar(rng.gen_range(0.0..0.9), rng.gen_range(-3.0..3.0));
-        let (mut a_s, mut b_s) = (random_vec(&mut rng, len), random_vec(&mut rng, len));
-        let (mut a_v, mut b_v) = (a_s.clone(), b_s.clone());
-        simd::pair_update_with(Backend::Scalar, &mut a_s, &mut b_s, d, o);
-        simd::pair_update_with(Backend::Avx2, &mut a_v, &mut b_v, d, o);
-        for (s, v) in a_s.iter().zip(&a_v).chain(b_s.iter().zip(&b_v)) {
-            // Pointwise kernel: depth-2 contraction, a few ulps at most.
-            prop_assert!((*s - *v).abs() < tol(2), "len={len}: {s:?} vs {v:?}");
-        }
+        colmajor_backends_agree::<f64>(&mut rng, (m, n, k), Op::None, Op::None);
+        colmajor_backends_agree::<f32>(&mut rng, (m, n, k), Op::None, Op::None);
     }
 
     #[test]
-    fn simd_pair_rotate_matches_scalar_and_pair_update(
+    fn simd_pointwise_kernels_match_scalar(
         // Every remainder lane count, several vector iterations deep.
         len in 1usize..130,
         seed in 0u64..1_000_000,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let angle: f64 = rng.gen_range(-3.0..3.0);
-        let (c, s) = (angle.cos(), angle.sin());
-        let (a0, b0) = (random_vec(&mut rng, len), random_vec(&mut rng, len));
-        for backend in [Backend::Scalar, Backend::Avx2] {
-            let (mut a_r, mut b_r) = (a0.clone(), b0.clone());
-            let (mut a_u, mut b_u) = (a0.clone(), b0.clone());
-            simd::pair_rotate_with(backend, &mut a_r, &mut b_r, c, s);
-            simd::pair_update_with(backend, &mut a_u, &mut b_u, C64::new(c, 0.0), C64::new(0.0, -s));
-            // The products `pair_update` adds on top are exact zeros, and no
-            // operand here is one: the same bits, on either backend.
-            prop_assert!(a_r == a_u && b_r == b_u, "{backend:?} len={len}");
-        }
-        let (mut a_s, mut b_s) = (a0.clone(), b0.clone());
-        let (mut a_v, mut b_v) = (a0, b0);
-        simd::pair_rotate_with(Backend::Scalar, &mut a_s, &mut b_s, c, s);
-        simd::pair_rotate_with(Backend::Avx2, &mut a_v, &mut b_v, c, s);
-        for (s, v) in a_s.iter().zip(&a_v).chain(b_s.iter().zip(&b_v)) {
-            prop_assert!((*s - *v).abs() < tol(2), "len={len}: {s:?} vs {v:?}");
-        }
+        pointwise_case::<f64>(&mut rng, len);
+        pointwise_case::<f32>(&mut rng, len);
     }
+}
 
-    #[test]
-    fn simd_scale_matches_scalar(
-        len in 1usize..130,
-        seed in 0u64..1_000_000,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let ph = C64::from_polar(1.0, rng.gen_range(-3.0..3.0));
-        let mut z_s = random_vec(&mut rng, len);
-        let mut z_v = z_s.clone();
-        simd::scale_with(Backend::Scalar, &mut z_s, ph);
-        simd::scale_with(Backend::Avx2, &mut z_v, ph);
-        for (s, v) in z_s.iter().zip(&z_v) {
-            prop_assert!((*s - *v).abs() < tol(2));
+/// `scale`, `pair_update` and `pair_rotate` on runs of `len` values: AVX2
+/// against scalar within rounding, and `pair_rotate(c, s)` against
+/// `pair_update((c, 0), (0, -s))` bit for bit on either backend.
+fn pointwise_case<R: Real>(rng: &mut StdRng, len: usize) {
+    let tag = format!("{} len={len}", R::PRECISION_LABEL);
+    // Unit-magnitude pair coefficients, like the kinetic propagator's.
+    let (ph, d, o) = (polar::<R>(rng, 0.999), polar(rng, 0.5), polar(rng, 0.0));
+    let close = |s: &[Complex<R>], v: &[Complex<R>], what: &str| {
+        for (s, v) in s.iter().zip(v) {
+            // Pointwise kernel: depth-2 contraction, a few ulps at most.
+            assert!(dist(*s, *v) < tol::<R>(2), "{what} {tag}: {s:?} vs {v:?}");
         }
+    };
+    let (z0, a0, b0) = (
+        random_vec::<R>(rng, len),
+        random_vec::<R>(rng, len),
+        random_vec::<R>(rng, len),
+    );
+    let on = |backend| {
+        let mut z = z0.clone();
+        simd::scale_with(backend, &mut z, ph);
+        let (mut a_u, mut b_u) = (a0.clone(), b0.clone());
+        simd::pair_update_with(backend, &mut a_u, &mut b_u, d, o);
+        let (c, sn) = (d.re, -o.im);
+        let (mut a_r, mut b_r) = (a0.clone(), b0.clone());
+        simd::pair_rotate_with(backend, &mut a_r, &mut b_r, c, sn);
+        let (mut a_b, mut b_b) = (a0.clone(), b0.clone());
+        let (dc, os) = (Complex::new(c, R::ZERO), Complex::new(R::ZERO, -sn));
+        simd::pair_update_with(backend, &mut a_b, &mut b_b, dc, os);
+        // The products `pair_update` adds on top are exact zeros, and no
+        // operand here is one: the same bits, on either backend.
+        assert!(
+            a_r == a_b && b_r == b_b,
+            "rotate vs update {backend:?} {tag}"
+        );
+        [z, a_u, b_u, a_r, b_r]
+    };
+    let (scalar, avx2) = (on(Backend::Scalar), on(Backend::Avx2));
+    let names = [
+        "scale",
+        "pair_update a",
+        "pair_update b",
+        "pair_rotate a",
+        "pair_rotate b",
+    ];
+    for ((s, v), what) in scalar.iter().zip(&avx2).zip(names) {
+        close(s, v, what);
+    }
+}
+
+#[test]
+fn pointwise_kernels_at_every_ragged_end() {
+    // Every count of values in the last, part-filled vector of both lane
+    // widths (two and four values per vector), with and without full
+    // vectors before it.
+    let mut rng = StdRng::seed_from_u64(7);
+    for len in (0..=9).chain([17, 64, 65]) {
+        pointwise_case::<f64>(&mut rng, len);
+        pointwise_case::<f32>(&mut rng, len);
     }
 }
 
@@ -281,23 +308,18 @@ fn separate_sweeps<R: Real>(
     }
 }
 
-/// Fused wavefront == separate sweeps, bit for bit, on both backends, for
-/// a list of `n_passes` alternating passes of which the first `bare` are
-/// bare rotations (the kinetic tables: all but the last).
-fn stencil_case<R: Real>(
-    rng: &mut StdRng,
-    set: &LineSet,
-    len: usize,
-    n_passes: usize,
-    bare: usize,
-) {
-    let mut unit = |lo: f64| {
-        let z = C64::from_polar(rng.gen_range(lo..1.0), rng.gen_range(-3.0..3.0));
-        Complex::new(R::from_f64(z.re), R::from_f64(z.im))
-    };
+/// A complex value of modulus in `lo..1` and any phase.
+fn polar<R: Real>(rng: &mut StdRng, lo: f64) -> Complex<R> {
+    let z = C64::from_polar(rng.gen_range(lo..1.0), rng.gen_range(-3.0..3.0));
+    Complex::new(R::from_f64(z.re), R::from_f64(z.im))
+}
+
+/// `n_passes` alternating passes of which the first `bare` are bare
+/// rotations (the kinetic tables: all but the last).
+fn pass_list<R: Real>(rng: &mut StdRng, n_passes: usize, bare: usize) -> Vec<StencilPass<R>> {
     let passes: Vec<StencilPass<R>> = (0..n_passes)
         .map(|q| {
-            let (d, o) = (unit(0.5), unit(0.0));
+            let (d, o) = (polar::<R>(rng, 0.5), polar::<R>(rng, 0.0));
             if q < bare {
                 StencilPass {
                     start: q % 2,
@@ -310,13 +332,26 @@ fn stencil_case<R: Real>(
                     start: q % 2,
                     d,
                     o,
-                    lone: unit(0.999),
+                    lone: polar(rng, 0.999),
                 }
             }
         })
         .collect();
     assert!(passes.iter().take(bare).all(|p| p.rotation().is_some()));
-    let data: Vec<Complex<R>> = (0..len).map(|_| unit(0.0)).collect();
+    passes
+}
+
+/// Fused wavefront == separate sweeps, bit for bit, on both backends, for
+/// a [`pass_list`].
+fn stencil_case<R: Real>(
+    rng: &mut StdRng,
+    set: &LineSet,
+    len: usize,
+    n_passes: usize,
+    bare: usize,
+) {
+    let passes = pass_list::<R>(rng, n_passes, bare);
+    let data: Vec<Complex<R>> = (0..len).map(|_| polar(rng, 0.0)).collect();
     for backend in [Backend::Scalar, Backend::Avx2] {
         let mut fused = data.clone();
         let mut want = data.clone();
@@ -329,18 +364,25 @@ fn stencil_case<R: Real>(
     }
 }
 
-/// `(T * T0^H, T + M * T0, row norms)` by the textbook triple loops.
+/// `(T * T0^H, T + M * T0, row norms)` by the textbook triple loops, in
+/// `f64` whatever the element type.
 #[allow(clippy::type_complexity)]
-fn projector_reference(
-    t: &[C64],
+fn projector_reference<R: Real>(
+    t: &[Complex<R>],
     norb: usize,
-    t0: &[C64],
+    t0: &[Complex<R>],
     nref: usize,
-    m: &[C64],
+    m: &[Complex<R>],
 ) -> (Vec<C64>, Vec<C64>, Vec<f64>) {
+    let wide = |zs: &[Complex<R>]| -> Vec<C64> {
+        zs.iter()
+            .map(|z| C64::new(z.re.to_f64(), z.im.to_f64()))
+            .collect()
+    };
+    let (t, t0, m) = (wide(t), wide(t0), wide(m));
     let ngrid = t.len() / norb;
     let mut overlap = vec![C64::zero(); norb * nref];
-    let mut updated = t.to_vec();
+    let mut updated = t.clone();
     let mut norms = vec![0.0; norb];
     for g in 0..ngrid {
         for n in 0..norb {
@@ -355,38 +397,55 @@ fn projector_reference(
 }
 
 /// Both projector kernels on both backends against [`projector_reference`].
-fn projector_case(rng: &mut StdRng, norb: usize, nref: usize, ngrid: usize) {
-    let t = random_vec(rng, norb * ngrid);
-    let t0 = random_vec(rng, nref * ngrid);
-    let m = random_vec(rng, norb * nref);
-    let (alpha, beta) = (C64::new(0.3, -0.9), C64::new(1.0, 0.25));
-    let c0 = random_vec(rng, norb * nref);
+fn projector_case<R: Real>(rng: &mut StdRng, norb: usize, nref: usize, ngrid: usize) {
+    let t = random_vec::<R>(rng, norb * ngrid);
+    let t0 = random_vec::<R>(rng, nref * ngrid);
+    let m = random_vec::<R>(rng, norb * nref);
+    let c = |re, im| Complex::new(R::from_f64(re), R::from_f64(im));
+    let wide = |z: Complex<R>| C64::new(z.re.to_f64(), z.im.to_f64());
+    let (alpha, beta) = (c(0.3, -0.9), c(1.0, 0.25));
+    let c0 = random_vec::<R>(rng, norb * nref);
     let (overlap, updated, norms) = projector_reference(&t, norb, &t0, nref, &m);
     for backend in [Backend::Scalar, Backend::Avx2] {
-        let shape = format!("{backend:?} {norb}x{nref}x{ngrid}");
-        let mut c = c0.clone();
-        simd::proj_overlap_with(backend, alpha, &t, norb, &t0, nref, beta, &mut c);
-        for ((got, raw), old) in c.iter().zip(&overlap).zip(&c0) {
-            let want = alpha * *raw + beta * *old;
-            assert!((*got - want).abs() < tol(ngrid), "{shape} overlap");
+        let shape = format!("{} {backend:?} {norb}x{nref}x{ngrid}", R::PRECISION_LABEL);
+        let mut got = c0.clone();
+        simd::proj_overlap_with(backend, alpha, &t, norb, &t0, nref, beta, &mut got);
+        for ((got, raw), old) in got.iter().zip(&overlap).zip(&c0) {
+            let want = wide(alpha) * *raw + wide(beta) * wide(*old);
+            assert!(
+                (wide(*got) - want).abs() < tol::<R>(ngrid),
+                "{shape} overlap"
+            );
         }
         // beta == 0 must not read the output.
-        let mut fresh = vec![C64::new(f64::NAN, f64::NAN); norb * nref];
-        simd::proj_overlap_with(backend, alpha, &t, norb, &t0, nref, C64::zero(), &mut fresh);
+        let mut fresh = vec![c(f64::NAN, f64::NAN); norb * nref];
+        simd::proj_overlap_with(
+            backend,
+            alpha,
+            &t,
+            norb,
+            &t0,
+            nref,
+            Complex::zero(),
+            &mut fresh,
+        );
         assert!(
             fresh.iter().all(|z| z.re.is_finite() && z.im.is_finite()),
             "{shape}"
         );
 
         let mut tt = t.clone();
-        let mut nrm = vec![f64::NAN; norb];
+        let mut nrm = vec![R::from_f64(f64::NAN); norb];
         simd::proj_update_with(backend, &m, &t0, nref, &mut tt, norb, &mut nrm);
         for (got, want) in tt.iter().zip(&updated) {
-            assert!((*got - *want).abs() < tol(nref), "{shape} update");
+            assert!(
+                (wide(*got) - *want).abs() < tol::<R>(nref),
+                "{shape} update"
+            );
         }
         for (got, want) in nrm.iter().zip(&norms) {
             assert!(
-                (got - want).abs() < tol(ngrid) * want.max(1.0),
+                (got.to_f64() - want).abs() < tol::<R>(ngrid) * want.max(1.0),
                 "{shape} norms"
             );
         }
@@ -430,7 +489,33 @@ proptest! {
         ngrid in 1usize..1200,
         seed in 0u64..1_000_000,
     ) {
-        projector_case(&mut StdRng::seed_from_u64(seed), norb, nref, ngrid);
+        let mut rng = StdRng::seed_from_u64(seed);
+        projector_case::<f64>(&mut rng, norb, nref, ngrid);
+        projector_case::<f32>(&mut rng, norb, nref, ngrid);
+    }
+}
+
+#[test]
+fn stencil_wavefront_equals_sweeps_at_every_block_size() {
+    // Five passes (four bare, one full) over 19-element runs: blocks that
+    // are a lone value, that leave ragged ends of every width, that are
+    // whole vectors of either width, and the whole run.
+    let mut rng = StdRng::seed_from_u64(19);
+    let (n_lines, n_axis, run) = (3, 7, 19);
+    for block in [1, 3, 4, 8, run] {
+        for (line_step, stride) in [(n_axis * run + 3, run), (run, n_lines * run + 2)] {
+            let set = LineSet {
+                first: 2,
+                n_lines,
+                line_step,
+                n_axis,
+                stride,
+                run,
+                block,
+            };
+            stencil_case::<f64>(&mut rng, &set, set.span() + 3, 5, 4);
+            stencil_case::<f32>(&mut rng, &set, set.span() + 3, 5, 4);
+        }
     }
 }
 
@@ -438,7 +523,7 @@ proptest! {
 fn projector_kernels_on_even_chunks_of_wide_tiles() {
     // The benchmark's shape (16 orbitals, whole 512-point chunks) and its
     // neighbours: an even point count leaves the two-point body no lone
-    // last point, for the 8-orbital tile and the 4-orbital one.
+    // last point, for the four-vector tile and the two-vector one.
     let mut rng = StdRng::seed_from_u64(512);
     for (norb, nref, ngrid) in [
         (16, 8, 512),
@@ -447,36 +532,118 @@ fn projector_kernels_on_even_chunks_of_wide_tiles() {
         (12, 5, 514),
         (33, 8, 600),
     ] {
-        projector_case(&mut rng, norb, nref, ngrid);
+        projector_case::<f64>(&mut rng, norb, nref, ngrid);
+        projector_case::<f32>(&mut rng, norb, nref, ngrid);
     }
 }
 
 #[test]
-fn projector_results_do_not_depend_on_who_ran_the_chunks() {
-    // The partial-sum order is a function of the shape: a dispatch spread
-    // over the pool and one forced onto this thread agree to the last bit.
+fn projector_kernels_at_every_tile_and_chunk_edge() {
+    // Orbital counts on both sides of every tile width of both lane widths
+    // (4/8 orbitals in f64, 8/16 in f32, and the portable remainder), odd
+    // reference counts, and grid sizes that end in a lone point, a lone
+    // chunk, or a chunk edge.
+    let mut rng = StdRng::seed_from_u64(1025);
+    for norb in [1, 3, 4, 5, 8, 9, 15, 16, 17, 32, 33] {
+        for ngrid in [1, 511, 512, 513, 1025] {
+            let nref = 1 + 2 * ((norb + ngrid) % 3);
+            projector_case::<f64>(&mut rng, norb, nref, ngrid);
+            projector_case::<f32>(&mut rng, norb, nref, ngrid);
+        }
+    }
+}
+
+/// The partial-sum order is a function of the shape: a dispatch spread over
+/// the pool and one forced onto this thread agree to the last bit.
+fn chunk_owner_case<R: Real>() {
     let mut rng = StdRng::seed_from_u64(99);
     let (norb, nref, ngrid) = (8, 5, 3000);
-    let t = random_vec(&mut rng, norb * ngrid);
-    let t0 = random_vec(&mut rng, nref * ngrid);
-    let m = random_vec(&mut rng, norb * nref);
+    let t = random_vec::<R>(&mut rng, norb * ngrid);
+    let t0 = random_vec::<R>(&mut rng, nref * ngrid);
+    let m = random_vec::<R>(&mut rng, norb * nref);
     let run = || {
-        let mut c = vec![C64::zero(); norb * nref];
+        let mut c = vec![Complex::zero(); norb * nref];
         let backend = simd::active_backend();
-        simd::proj_overlap_with(
-            backend,
-            C64::one(),
-            &t,
-            norb,
-            &t0,
-            nref,
-            C64::zero(),
-            &mut c,
-        );
+        let (one, zero) = (Complex::one(), Complex::zero());
+        simd::proj_overlap_with(backend, one, &t, norb, &t0, nref, zero, &mut c);
         let mut tt = t.clone();
-        let mut nrm = vec![0.0; norb];
+        let mut nrm = vec![R::ZERO; norb];
         simd::proj_update(&m, &t0, nref, &mut tt, norb, &mut nrm);
         (c, tt, nrm)
     };
-    assert!(run() == dcmesh_pool::run_inline(run));
+    assert!(
+        run() == dcmesh_pool::run_inline(run),
+        "{}",
+        R::PRECISION_LABEL
+    );
+}
+
+#[test]
+fn projector_results_do_not_depend_on_who_ran_the_chunks() {
+    chunk_owner_case::<f64>();
+    chunk_owner_case::<f32>();
+}
+
+/// FNV-1a over the bits of a run of `f64` values.
+fn fnv1a(h: u64, zs: &[C64]) -> u64 {
+    zs.iter()
+        .flat_map(|z| [z.re.to_bits(), z.im.to_bits()])
+        .flat_map(u64::to_le_bytes)
+        .fold(h, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+#[test]
+fn f64_avx2_bits_are_those_of_the_hand_written_kernels() {
+    // The f64 instantiation of the lane-generic bodies issues, lane for
+    // lane, the instructions of the f64-only kernels it replaced (PR 18,
+    // commit 0b31463, where these constants were computed): three shapes per
+    // kernel, with ragged ends, a lone last point and a portable remainder.
+    if !simd::avx2_available() {
+        return;
+    }
+    const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut rng = StdRng::seed_from_u64(1919);
+    let (mut overlap, mut update, mut stencil) = (BASIS, BASIS, BASIS);
+    for (norb, nref, ngrid) in [(16, 8, 1025), (13, 5, 513), (32, 3, 64)] {
+        let t = random_vec::<f64>(&mut rng, norb * ngrid);
+        let t0 = random_vec::<f64>(&mut rng, nref * ngrid);
+        let m = random_vec::<f64>(&mut rng, norb * nref);
+        let mut c = random_vec::<f64>(&mut rng, norb * nref);
+        let (alpha, beta) = (C64::new(0.3, -0.9), C64::new(1.0, 0.25));
+        simd::proj_overlap_with(Backend::Avx2, alpha, &t, norb, &t0, nref, beta, &mut c);
+        overlap = fnv1a(overlap, &c);
+        let mut tt = t.clone();
+        let mut nrm = vec![0.0; norb];
+        simd::proj_update_with(Backend::Avx2, &m, &t0, nref, &mut tt, norb, &mut nrm);
+        update = fnv1a(update, &tt);
+        let nrm: Vec<C64> = nrm.iter().map(|&x| C64::new(x, 0.0)).collect();
+        update = fnv1a(update, &nrm);
+    }
+    for (n_lines, n_axis, run, block, pad) in [(3, 8, 16, 8, 0), (2, 7, 19, 4, 2), (1, 5, 9, 9, 5)]
+    {
+        let set = LineSet {
+            first: 1,
+            n_lines,
+            line_step: run,
+            n_axis,
+            stride: n_lines * run + pad,
+            run,
+            block,
+        };
+        let passes = pass_list::<f64>(&mut rng, 5, 4);
+        let mut data = random_vec::<f64>(&mut rng, set.span() + 2);
+        simd::stencil_lines_with(Backend::Avx2, &mut data, &set, &passes);
+        stencil = fnv1a(stencil, &data);
+    }
+    assert_eq!(
+        (overlap, update, stencil),
+        (
+            0x43bf_9358_e0a6_2296,
+            0x8111_0c5b_f048_6337,
+            0xa15c_d0a4_c287_6a4a
+        ),
+        "proj_overlap_with / proj_update_with / stencil_lines_with"
+    );
 }

@@ -60,6 +60,7 @@
 
 use std::any::Any;
 use std::cell::Cell;
+use std::io::Write;
 use std::mem::{ManuallyDrop, MaybeUninit};
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -86,19 +87,39 @@ pub fn set_thread_override(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::SeqCst);
 }
 
+/// What a `DCMESH_THREADS` value asks for: `None` is the default (also the
+/// empty string, i.e. unset); anything but a positive integer is an error.
+fn parse_threads(value: &str) -> Result<Option<usize>, String> {
+    match value.trim() {
+        "" => Ok(None),
+        v => match v.parse::<usize>() {
+            Ok(n) if n >= 1 => Ok(Some(n)),
+            _ => Err(format!(
+                "DCMESH_THREADS={value:?}: expected a positive integer, using the default"
+            )),
+        },
+    }
+}
+
 /// Resolve the configured pool size: override > `DCMESH_THREADS` >
-/// `available_parallelism()`, clamped to at least 1.
+/// `available_parallelism()`, clamped to at least 1. A `DCMESH_THREADS` that
+/// does not parse is reported on stderr once and ignored.
 pub fn configured_threads() -> usize {
     let o = THREAD_OVERRIDE.load(Ordering::SeqCst);
     if o > 0 {
         return o;
     }
-    if let Ok(v) = std::env::var("DCMESH_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
+    static FROM_ENV: OnceLock<Option<usize>> = OnceLock::new();
+    let from_env = FROM_ENV.get_or_init(|| {
+        let value = std::env::var("DCMESH_THREADS").unwrap_or_default();
+        parse_threads(&value).unwrap_or_else(|msg| {
+            // A message, not an unwind: a closed stderr must not panic here.
+            let _ = writeln!(std::io::stderr(), "{msg}");
+            None
+        })
+    });
+    if let Some(n) = *from_env {
+        return n;
     }
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -803,6 +824,18 @@ fn worker_loop(shared: Arc<Shared>, participant: usize) {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+
+    #[test]
+    fn thread_count_parses_or_says_why_not() {
+        assert_eq!(parse_threads(""), Ok(None));
+        assert_eq!(parse_threads("  "), Ok(None));
+        assert_eq!(parse_threads("3"), Ok(Some(3)));
+        assert_eq!(parse_threads(" 12\n"), Ok(Some(12)));
+        for bad in ["0", "-1", "two", "2.0", "1,2"] {
+            let msg = parse_threads(bad).expect_err(bad);
+            assert!(msg.contains(&format!("{bad:?}")) && msg.contains("positive integer"));
+        }
+    }
 
     #[test]
     fn for_each_index_covers_range_once() {

@@ -132,7 +132,7 @@ fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
 /// stand-alone engine of each, plus the atom positions of a run with
 /// Ehrenfest feedback.
 fn physics_digest() -> u64 {
-    use dcmesh::lfd::{BuildKind, LfdConfig, LfdEngine};
+    use dcmesh::lfd::{BuildKind, LfdEngine};
     let mut words = Vec::new();
     for build in [BuildKind::CpuBlas, BuildKind::GpuCublas] {
         let mut cfg = base_cfg();
@@ -152,25 +152,8 @@ fn physics_digest() -> u64 {
                 r.hops as u64,
             ]);
         }
-        // 24^3 x 8: 27 chunks of the projector's grid contraction, more
-        // than any pool here has threads.
-        let mesh = dcmesh::grid::Mesh3::cubic(24, 0.4);
-        let v_loc = vec![0.0; mesh.len()];
-        let mut engine = LfdEngine::<f64>::new(
-            LfdConfig {
-                mesh,
-                norb: 8,
-                lumo: 4,
-                dt: 0.02,
-                n_qd: 2,
-                block_size: 4,
-                build,
-                delta_sci: 0.05,
-                laser: None,
-                seed: 11,
-            },
-            v_loc,
-        );
+        let (cfg, v_loc) = standalone_engine(build);
+        let mut engine = LfdEngine::<f64>::new(cfg, v_loc);
         engine.run_md_step();
         words.extend(
             engine
@@ -203,10 +186,46 @@ fn physics_digest() -> u64 {
     fnv1a(words)
 }
 
-/// Prints the digest `scripts/check.sh quick` compares across
+/// The stand-alone engine of the digests: 24^3 x 8 is 27 chunks of the
+/// projector's grid contraction, more than any pool here has threads.
+fn standalone_engine(build: dcmesh::lfd::BuildKind) -> (dcmesh::lfd::LfdConfig, Vec<f64>) {
+    let mesh = dcmesh::grid::Mesh3::cubic(24, 0.4);
+    let v_loc = vec![0.0; mesh.len()];
+    let cfg = dcmesh::lfd::LfdConfig {
+        mesh,
+        norb: 8,
+        lumo: 4,
+        dt: 0.02,
+        n_qd: 2,
+        block_size: 4,
+        build,
+        delta_sci: 0.05,
+        laser: None,
+        seed: 11,
+    };
+    (cfg, v_loc)
+}
+
+/// Bits of a single-precision engine after one MD step (the projector's
+/// chunk partials on the f32 lanes).
+fn sp_digest() -> u64 {
+    use dcmesh::lfd::{BuildKind, LfdEngine};
+    let (cfg, v_loc) = standalone_engine(BuildKind::CpuBlas);
+    let mut engine = LfdEngine::<f32>::new(cfg, v_loc);
+    engine.run_md_step();
+    let state = engine.state_data().iter().flat_map(|z| [z.re, z.im]);
+    fnv1a(
+        state
+            .chain(engine.occupations.iter().copied())
+            .map(|x| u64::from(x.to_bits())),
+    )
+}
+
+/// Prints the digests `scripts/check.sh quick` compares across
 /// `DCMESH_THREADS=1,2,4` (the pool's size is fixed per process, so each
 /// thread count is a run of its own).
 #[test]
 fn prints_physics_digest() {
     println!("physics-digest {:016x}", physics_digest());
+    println!("sp-digest {:016x}", sp_digest());
 }
