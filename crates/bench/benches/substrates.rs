@@ -1,10 +1,11 @@
 //! Criterion microbenchmarks of the substrate layers: the from-scratch
 //! complex GEMM (BLASification backend), the multigrid Hartree solver
-//! (global O(N) solver), FFTs, the simulated-MPI collectives, and the
-//! classical force field.
+//! (global O(N) solver), FFTs, the simulated-MPI collectives, the
+//! classical force field, and the set-up eigensolve.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dcmesh_comm::{NetworkModel, World};
+use dcmesh_core::{DcMeshConfig, DcMeshSim};
 use dcmesh_math::fft::{fft, Direction};
 use dcmesh_math::gemm::{gemm, gemm_blocked, gemm_naive, Op};
 use dcmesh_math::multigrid::{MgParams, Multigrid};
@@ -12,6 +13,7 @@ use dcmesh_math::{Complex, Matrix};
 use dcmesh_qxmd::forcefield::{PerovskiteFF, SimBox};
 use dcmesh_qxmd::md::ForceProvider;
 use dcmesh_qxmd::pbtio3::{PbTiO3Cell, Supercell};
+use dcmesh_tddft::eigensolver::lowest_states;
 
 fn random_matrix(seed: u64, rows: usize, cols: usize) -> Matrix<f64> {
     let mut x = seed;
@@ -150,12 +152,33 @@ fn bench_forcefield(c: &mut Criterion) {
     });
 }
 
+/// `DcMeshSim::new`'s solve for domain 0 of the default cell, at the
+/// served-job shape and at `traj_lfd`'s.
+fn bench_eigensolver(c: &mut Criterion) {
+    let mut group = c.benchmark_group("eigensolver");
+    for (points, norb) in [(8, 4), (16, 16)] {
+        let sim = DcMeshSim::new(DcMeshConfig {
+            domain_mesh_points: points,
+            norb,
+            lumo: norb / 2,
+            ..DcMeshConfig::default()
+        });
+        let h = sim.domain_hamiltonian(0);
+        let id = BenchmarkId::new("lowest_states", format!("{points}^3x{norb}"));
+        group.bench_function(id, |b| {
+            b.iter(|| lowest_states(&h, norb, 200, 1).iterations)
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_gemm,
     bench_multigrid,
     bench_fft,
     bench_comm_allreduce,
-    bench_forcefield
+    bench_forcefield,
+    bench_eigensolver
 );
 criterion_main!(benches);

@@ -89,13 +89,13 @@ fn main() {
     println!(
         "running coupled DC-MESH: {total_steps} MD steps x 40 QD steps, fs pulse on a vortex..."
     );
-    println!("step  t(fs)    excited   G_y        <Pz>      hops");
+    println!("step  t(fs)    excited    G_y        <Pz>      hops");
     while runner.md_steps() < total_steps {
         let r = runner
             .step()
             .unwrap_or_else(|e| panic!("fig7 run cannot continue: {e}"));
         println!(
-            "{:>4}  {:>6.3}  {:>8.4}  {:>9.5}  {:>8.5}  {:>4}",
+            "{:>4}  {:>6.3}  {:>9.2e}  {:>9.5}  {:>8.5}  {:>4}",
             runner.md_steps(),
             r.time_fs,
             r.excited_population,

@@ -259,9 +259,12 @@ impl DcMeshSim {
                 let scf = dcmesh_tddft::scf::run_scf(&mesh, &domain_atoms, &scf_cfg);
                 LfdEngine::with_initial_state(lfd_cfg, scf.v_eff.clone(), scf.orbitals)
             } else {
-                // Seed with eigenstates of the bare local potential so the
-                // dark dynamics is stationary (the reference basis of the
-                // shadow nonlocal correction must be adiabatic states).
+                // Seed with eigenstates of the bare local potential,
+                // converged to a residual of 1e-4 Ha
+                // (`eigensolver::TOLERANCE`; the 200 only caps the
+                // iterations), so the dark dynamics is stationary (the
+                // reference basis of the shadow nonlocal correction must be
+                // adiabatic states): `excited_population` stays below 1e-12.
                 let h = dcmesh_tddft::Hamiltonian::with_potential(mesh.clone(), v_loc.clone());
                 let eig = dcmesh_tddft::eigensolver::lowest_states(
                     &h,
@@ -321,6 +324,17 @@ impl DcMeshSim {
     /// Access a domain engine.
     pub fn engine(&self, d: usize) -> &LfdEngine<f64> {
         &self.engines[d]
+    }
+
+    /// The bare local Hamiltonian of domain `d` at the present atom
+    /// positions: at construction, the one whose lowest states seed it.
+    pub fn domain_hamiltonian(&self, d: usize) -> dcmesh_tddft::Hamiltonian {
+        let mesh = self.engines[d].config().mesh.clone();
+        let slab_len = self.supercell.box_lengths[0] / self.cfg.domains_x as f64;
+        let sim_box = &self.md.forces.classical.sim_box;
+        let (slab, _) = atoms_in_slab(&self.md.atoms, sim_box, d as f64 * slab_len, slab_len);
+        let v_loc = dcmesh_tddft::hamiltonian::local_pseudopotential(&mesh, &slab);
+        dcmesh_tddft::Hamiltonian::with_potential(mesh, v_loc)
     }
 
     /// Run one full multiscale MD step.

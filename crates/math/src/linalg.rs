@@ -109,111 +109,159 @@ pub fn eigh<R: Real>(a: &Matrix<R>) -> Eigh<R> {
     let n = a.rows();
     assert_eq!(n, a.cols(), "eigh requires a square matrix");
     let mut m = a.clone();
-    let mut v = Matrix::identity(n);
+    let mut vectors = Matrix::zeros(n, n);
+    let mut values = vec![R::ZERO; n];
+    eigh_in_place(n, m.data_mut(), vectors.data_mut(), &mut values);
+    Eigh { values, vectors }
+}
+
+/// [`eigh`] without allocation, for a caller that solves many small
+/// problems: `a` is the column-major `n x n` Hermitian matrix (destroyed),
+/// `v` receives the eigenvectors as columns and `values` the eigenvalues,
+/// ascending. NaN entries (a poisoned input) propagate into `values`
+/// instead of panicking, so the caller's non-finite guards see them.
+pub fn eigh_in_place<R: Real>(
+    n: usize,
+    a: &mut [Complex<R>],
+    v: &mut [Complex<R>],
+    values: &mut [R],
+) {
+    assert!(a.len() == n * n && v.len() == n * n && values.len() == n);
+    v.fill(Complex::zero());
+    for i in 0..n {
+        v[i + n * i] = Complex::one();
+    }
     let tol = R::EPSILON.sqrt() * R::EPSILON.sqrt(); // eps^1 for off-norm ratio
-    let max_sweeps = 60;
-    for _ in 0..max_sweeps {
-        let off = off_diagonal_norm(&m);
-        let dia = diagonal_norm(&m).max(R::EPSILON);
-        if off / dia < tol {
+    for _sweep in 0..60 {
+        let (mut off, mut dia) = (R::ZERO, R::ZERO);
+        for (idx, z) in a.iter().enumerate() {
+            if idx % (n + 1) == 0 {
+                dia += z.norm_sqr();
+            } else {
+                off += z.norm_sqr();
+            }
+        }
+        if off.sqrt() / dia.sqrt().max(R::EPSILON) < tol {
             break;
         }
         for p in 0..n {
             for q in p + 1..n {
-                jacobi_rotate(&mut m, &mut v, p, q);
+                jacobi_rotate(n, a, v, p, q);
             }
         }
     }
-    let mut order: Vec<usize> = (0..n).collect();
-    // NaN diagonals (a poisoned input matrix) sort arbitrarily rather than
-    // panic: the NaNs propagate into `values`, where the caller's
-    // non-finite guards can detect and recover from them.
-    order.sort_by(|&i, &j| {
-        m[(i, i)]
-            .re
-            .partial_cmp(&m[(j, j)].re)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let values: Vec<R> = order.iter().map(|&i| m[(i, i)].re).collect();
-    let mut vectors = Matrix::zeros(n, n);
-    for (newc, &oldc) in order.iter().enumerate() {
-        for r in 0..n {
-            vectors[(r, newc)] = v[(r, oldc)];
+    // Stable insertion sort of the eigenpairs by value; a NaN never
+    // compares greater, so it stays where it is.
+    for i in 0..n {
+        values[i] = a[i + n * i].re;
+        let mut j = i;
+        while j > 0 && values[j - 1] > values[j] {
+            values.swap(j - 1, j);
+            let (lo, hi) = v.split_at_mut(n * j);
+            lo[n * (j - 1)..].swap_with_slice(&mut hi[..n]);
+            j -= 1;
         }
     }
-    Eigh { values, vectors }
 }
 
-fn off_diagonal_norm<R: Real>(m: &Matrix<R>) -> R {
-    let n = m.rows();
-    let mut acc = R::ZERO;
-    for p in 0..n {
-        for q in 0..n {
-            if p != q {
-                acc += m[(p, q)].norm_sqr();
-            }
-        }
-    }
-    acc.sqrt()
-}
-
-fn diagonal_norm<R: Real>(m: &Matrix<R>) -> R {
-    let n = m.rows();
-    (0..n).map(|i| m[(i, i)].norm_sqr()).sum::<R>().sqrt()
-}
-
-/// One complex Jacobi rotation annihilating `m[(p, q)]`, accumulating the
-/// rotation into `v`.
-fn jacobi_rotate<R: Real>(m: &mut Matrix<R>, v: &mut Matrix<R>, p: usize, q: usize) {
-    let apq = m[(p, q)];
+/// One complex Jacobi rotation annihilating `m[(p, q)]` of the column-major
+/// `n x n` matrix `m`, accumulating the rotation into `v`.
+fn jacobi_rotate<R: Real>(
+    n: usize,
+    m: &mut [Complex<R>],
+    v: &mut [Complex<R>],
+    p: usize,
+    q: usize,
+) {
+    let apq = m[p + n * q];
     let mag = apq.abs();
     if mag <= R::EPSILON {
         return;
     }
     let phase = apq.scale(R::ONE / mag); // e^{i phi}
-    let app = m[(p, p)].re;
-    let aqq = m[(q, q)].re;
+    let app = m[p + n * p].re;
+    let aqq = m[q + n * q].re;
     let tau = (aqq - app) / (R::TWO * mag);
-    let t = {
-        let denom = tau.abs() + (R::ONE + tau * tau).sqrt();
-        let tt = R::ONE / denom;
-        if tau < R::ZERO {
-            -tt
-        } else {
-            tt
-        }
-    };
+    let tt = R::ONE / (tau.abs() + (R::ONE + tau * tau).sqrt());
+    let t = if tau < R::ZERO { -tt } else { tt };
     let c = R::ONE / (R::ONE + t * t).sqrt();
     let s = t * c;
-    let n = m.rows();
     // Rotation columns: |p'> = c|p> - s e^{-i phi} |q>, |q'> = s e^{i phi}|p> + c|q>.
-    let upp = Complex::from_real(c);
     let upq = phase.scale(s);
     let uqp = -(phase.conj().scale(s));
-    let uqq = Complex::from_real(c);
-    // A <- U^dagger A U: first A <- A U (columns), then A <- U^dagger A (rows).
+    // A <- U^dagger A U: first A <- A U (columns p and q) ...
     for r in 0..n {
-        let arp = m[(r, p)];
-        let arq = m[(r, q)];
-        m[(r, p)] = arp * upp + arq * uqp;
-        m[(r, q)] = arp * upq + arq * uqq;
+        let arp = m[r + n * p];
+        let arq = m[r + n * q];
+        m[r + n * p] = arp.scale(c) + arq * uqp;
+        m[r + n * q] = arp * upq + arq.scale(c);
     }
-    for cidx in 0..n {
-        let apc = m[(p, cidx)];
-        let aqc = m[(q, cidx)];
-        m[(p, cidx)] = upp.conj() * apc + uqp.conj() * aqc;
-        m[(q, cidx)] = upq.conj() * apc + uqq.conj() * aqc;
+    // ... then A <- U^dagger A (rows p and q): the 2x2 block is computed,
+    // the rest of the two rows is the adjoint of the columns just made.
+    for col in [p, q] {
+        let apc = m[p + n * col];
+        let aqc = m[q + n * col];
+        m[p + n * col] = apc.scale(c) + uqp.conj() * aqc;
+        m[q + n * col] = upq.conj() * apc + aqc.scale(c);
+    }
+    for col in (0..n).filter(|&col| col != p && col != q) {
+        m[p + n * col] = m[col + n * p].conj();
+        m[q + n * col] = m[col + n * q].conj();
     }
     // Clean the annihilated pair against roundoff drift.
-    let hermitized = (m[(p, q)] + m[(q, p)].conj()).scale(R::HALF);
-    m[(p, q)] = hermitized;
-    m[(q, p)] = hermitized.conj();
+    let hermitized = (m[p + n * q] + m[q + n * p].conj()).scale(R::HALF);
+    m[p + n * q] = hermitized;
+    m[q + n * p] = hermitized.conj();
     // V <- V U.
     for r in 0..n {
-        let vrp = v[(r, p)];
-        let vrq = v[(r, q)];
-        v[(r, p)] = vrp * upp + vrq * uqp;
-        v[(r, q)] = vrp * upq + vrq * uqq;
+        let vrp = v[r + n * p];
+        let vrq = v[r + n * q];
+        v[r + n * p] = vrp.scale(c) + vrq * uqp;
+        v[r + n * q] = vrp * upq + vrq.scale(c);
+    }
+}
+
+/// In-place Cholesky factorisation `A = L L^H` of the column-major `n x n`
+/// Hermitian matrix `a` (its lower triangle is read and overwritten by `L`;
+/// the strict upper triangle is left alone). Returns `false`, with `a` in
+/// an unspecified state, when a pivot is not positive and finite: the
+/// matrix is not numerically positive definite, or holds a NaN.
+pub fn cholesky<R: Real>(n: usize, a: &mut [Complex<R>]) -> bool {
+    assert_eq!(a.len(), n * n);
+    for j in 0..n {
+        let mut d = a[j + n * j].re;
+        for k in 0..j {
+            d -= a[j + n * k].norm_sqr();
+        }
+        if !(d > R::ZERO && d.is_finite()) {
+            return false;
+        }
+        let d = d.sqrt();
+        a[j + n * j] = Complex::from_real(d);
+        for i in j + 1..n {
+            let mut acc = a[i + n * j];
+            for k in 0..j {
+                acc -= a[i + n * k] * a[j + n * k].conj();
+            }
+            a[i + n * j] = acc.scale(R::ONE / d);
+        }
+    }
+    true
+}
+
+/// `w <- w L^{-T}` for every length-`n` row `w` of `rows` (a point-major
+/// block), `l` being a [`cholesky`] factor: with `l` from the Gram matrix
+/// `sum_p w_p[i] conj(w_p[j])` of the rows, the columns come out orthonormal.
+pub fn solve_rows_lower_transposed<R: Real>(n: usize, l: &[Complex<R>], rows: &mut [Complex<R>]) {
+    assert_eq!(l.len(), n * n);
+    for w in rows.chunks_exact_mut(n.max(1)) {
+        for j in 0..n {
+            let mut acc = w[j];
+            for c in 0..j {
+                acc -= w[c] * l[j + n * c];
+            }
+            w[j] = acc.scale(R::ONE / l[j + n * j].re);
+        }
     }
 }
 
@@ -371,6 +419,56 @@ mod tests {
         }
         let sum: f64 = e.values.iter().sum();
         assert!((sum - tr).abs() < 1e-9);
+    }
+
+    #[test]
+    fn eigh_of_a_poisoned_matrix_returns_nan_values_without_unwinding() {
+        let mut rng = StdRng::seed_from_u64(45);
+        let mut a = random_hermitian(&mut rng, 6);
+        a[(2, 3)] = C64::new(f64::NAN, 0.0);
+        a[(3, 2)] = C64::new(f64::NAN, 0.0);
+        assert!(eigh(&a).values.iter().any(|v| v.is_nan()));
+    }
+
+    #[test]
+    fn cholesky_factors_a_gram_matrix_and_the_row_solve_orthonormalises() {
+        let mut rng = StdRng::seed_from_u64(46);
+        let (npts, n) = (40, 5);
+        // Point-major block: row p holds the n column values of point p.
+        let mut rows: Vec<C64> = (0..npts * n)
+            .map(|_| C64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+            .collect();
+        let gram = |rows: &[C64]| {
+            Matrix::from_fn(n, n, |i, j| {
+                rows.chunks_exact(n)
+                    .fold(C64::zero(), |acc, w| acc + w[i] * w[j].conj())
+            })
+        };
+        let g = gram(&rows);
+        let mut l = g.clone();
+        assert!(cholesky(n, l.data_mut()));
+        // L L^H reproduces the matrix from the lower triangle alone.
+        for i in 0..n {
+            for j in 0..=i {
+                let llh = (0..=j).fold(C64::zero(), |acc, k| acc + l[(i, k)] * l[(j, k)].conj());
+                assert!((llh - g[(i, j)]).abs() < 1e-12, "({i},{j})");
+            }
+        }
+        solve_rows_lower_transposed(n, l.data(), &mut rows);
+        assert!(gram(&rows).max_abs_diff(&Matrix::identity(n)) < 1e-12);
+    }
+
+    #[test]
+    fn cholesky_refuses_what_is_not_positive_definite() {
+        let mut indefinite: Matrix<f64> = Matrix::identity(3);
+        indefinite[(2, 2)] = C64::from_real(-1.0);
+        assert!(!cholesky(3, indefinite.data_mut()));
+        let mut dependent = Matrix::from_fn(2, 2, |_, _| C64::one());
+        assert!(!cholesky(2, dependent.data_mut()));
+        let mut poisoned: Matrix<f64> = Matrix::identity(2);
+        poisoned[(1, 1)] = C64::from_real(f64::NAN);
+        assert!(!cholesky(2, poisoned.data_mut()));
+        assert!(cholesky::<f64>(0, &mut []));
     }
 
     #[test]

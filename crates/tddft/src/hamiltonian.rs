@@ -29,19 +29,20 @@ pub struct NonlocalProjector {
 }
 
 impl NonlocalProjector {
-    /// `<chi | psi> * dv` for a complex field.
-    pub fn overlap(&self, psi: &[C64], dv: f64) -> C64 {
+    /// `<chi | psi_n> * dv` for orbital `n` of the `ncols` in the point-major
+    /// block `psi` (`(1, 0)` for a single field).
+    pub fn overlap(&self, psi: &[C64], (ncols, n): (usize, usize), dv: f64) -> C64 {
         let mut acc = C64::zero();
         for &(idx, p) in &self.entries {
-            acc += psi[idx].scale(p);
+            acc += psi[idx * ncols + n].scale(p);
         }
         acc.scale(dv)
     }
 
-    /// `out += coeff * |chi>`.
-    pub fn accumulate(&self, coeff: C64, out: &mut [C64]) {
+    /// `out_n += coeff * |chi>` for orbital `n` of the `ncols` in `out`.
+    pub fn accumulate(&self, coeff: C64, out: &mut [C64], (ncols, n): (usize, usize)) {
         for &(idx, p) in &self.entries {
-            out[idx] += coeff.scale(p);
+            out[idx * ncols + n] += coeff.scale(p);
         }
     }
 }
@@ -96,39 +97,50 @@ impl Hamiltonian {
         &self.mesh
     }
 
-    /// `out = -(1/2m) lap psi` (Dirichlet boundaries), overwriting `out`.
-    pub fn apply_kinetic(&self, psi: &[C64], out: &mut [C64]) {
+    /// Finite-difference kinetic couplings `1 / (2 m d^2)` per axis.
+    fn kinetic_couplings(&self) -> [f64; 3] {
         let m = &self.mesh;
-        assert_eq!(psi.len(), m.len());
-        assert_eq!(out.len(), m.len());
-        let cx = 1.0 / (2.0 * self.mass * m.dx * m.dx);
-        let cy = 1.0 / (2.0 * self.mass * m.dy * m.dy);
-        let cz = 1.0 / (2.0 * self.mass * m.dz * m.dz);
+        [m.dx, m.dy, m.dz].map(|d| 1.0 / (2.0 * self.mass * d * d))
+    }
+
+    /// Orbitals in `psi`: the `apply*` methods take one orbital or a block of
+    /// them stored point-major (`psi[point * ncols + orbital]`, the SoA layout
+    /// of the LFD engine), which costs one sweep over the mesh for all.
+    fn columns(&self, psi: &[C64], out: &[C64]) -> usize {
+        let ncols = psi.len() / self.mesh.len();
+        assert_eq!(psi.len(), self.mesh.len() * ncols);
+        assert_eq!(out.len(), psi.len());
+        ncols
+    }
+
+    /// `out = -(1/2m) lap psi` (Dirichlet boundaries), overwriting `out`:
+    /// the boundary tests are per mesh point, the orbital runs branch-free.
+    pub fn apply_kinetic(&self, psi: &[C64], out: &mut [C64]) {
+        let (m, ncols) = (&self.mesh, self.columns(psi, out));
+        let [cx, cy, cz] = self.kinetic_couplings();
         let diag = 2.0 * (cx + cy + cz);
+        let (sx, sy, sz) = (m.ny * m.nz * ncols, m.nz * ncols, ncols);
         for i in 0..m.nx {
             for j in 0..m.ny {
                 for k in 0..m.nz {
-                    let c = m.idx(i, j, k);
-                    let mut acc = psi[c].scale(diag);
-                    if i > 0 {
-                        acc -= psi[m.idx(i - 1, j, k)].scale(cx);
+                    let c = m.idx(i, j, k) * ncols;
+                    let acc = &mut out[c..c + ncols];
+                    for (a, p) in acc.iter_mut().zip(&psi[c..c + ncols]) {
+                        *a = p.scale(diag);
                     }
-                    if i + 1 < m.nx {
-                        acc -= psi[m.idx(i + 1, j, k)].scale(cx);
-                    }
-                    if j > 0 {
-                        acc -= psi[m.idx(i, j - 1, k)].scale(cy);
-                    }
-                    if j + 1 < m.ny {
-                        acc -= psi[m.idx(i, j + 1, k)].scale(cy);
-                    }
-                    if k > 0 {
-                        acc -= psi[m.idx(i, j, k - 1)].scale(cz);
-                    }
-                    if k + 1 < m.nz {
-                        acc -= psi[m.idx(i, j, k + 1)].scale(cz);
-                    }
-                    out[c] = acc;
+                    let mut sub = |has: bool, at: usize, coupling: f64| {
+                        if has {
+                            for (a, p) in acc.iter_mut().zip(&psi[at..at + ncols]) {
+                                *a -= p.scale(coupling);
+                            }
+                        }
+                    };
+                    sub(i > 0, c.wrapping_sub(sx), cx);
+                    sub(i + 1 < m.nx, c + sx, cx);
+                    sub(j > 0, c.wrapping_sub(sy), cy);
+                    sub(j + 1 < m.ny, c + sy, cy);
+                    sub(k > 0, c.wrapping_sub(sz), cz);
+                    sub(k + 1 < m.nz, c + sz, cz);
                 }
             }
         }
@@ -136,17 +148,23 @@ impl Hamiltonian {
 
     /// `out += v_loc * psi`.
     pub fn apply_local_potential(&self, psi: &[C64], out: &mut [C64]) {
-        for ((o, p), &v) in out.iter_mut().zip(psi).zip(&self.v_loc) {
-            *o += p.scale(v);
+        let ncols = self.columns(psi, out).max(1);
+        let points = out.chunks_exact_mut(ncols).zip(psi.chunks_exact(ncols));
+        for ((o, p), &v) in points.zip(&self.v_loc) {
+            for (o, p) in o.iter_mut().zip(p) {
+                *o += p.scale(v);
+            }
         }
     }
 
     /// `out += v_nl psi = sum_a E_a <chi_a|psi> |chi_a>`.
     pub fn apply_nonlocal(&self, psi: &[C64], out: &mut [C64]) {
-        let dv = self.mesh.dv();
+        let (dv, ncols) = (self.mesh.dv(), self.columns(psi, out));
         for proj in &self.projectors {
-            let c = proj.overlap(psi, dv).scale(proj.e_kb);
-            proj.accumulate(c, out);
+            for n in 0..ncols {
+                let c = proj.overlap(psi, (ncols, n), dv).scale(proj.e_kb);
+                proj.accumulate(c, out, (ncols, n));
+            }
         }
     }
 
@@ -160,6 +178,20 @@ impl Hamiltonian {
         }
     }
 
+    /// The diagonal of `h` as a matrix over mesh points (kinetic, `v_loc`, each
+    /// KB channel's `E_a p^2 dv`): what the eigensolver's preconditioner inverts.
+    pub fn diagonal(&self) -> Vec<f64> {
+        let kin = 2.0 * self.kinetic_couplings().iter().sum::<f64>();
+        let mut d: Vec<f64> = self.v_loc.iter().map(|v| v + kin).collect();
+        let dv = self.mesh.dv();
+        for proj in &self.projectors {
+            for &(idx, p) in &proj.entries {
+                d[idx] += proj.e_kb * p * p * dv;
+            }
+        }
+        d
+    }
+
     /// Expectation `<psi|h|psi> dv / <psi|psi> dv` (real for Hermitian h).
     pub fn expectation(&self, psi: &[C64], include_nonlocal: bool) -> f64 {
         let mut hpsi = vec![C64::zero(); psi.len()];
@@ -169,8 +201,9 @@ impl Hamiltonian {
         num / den
     }
 
-    /// Upper-bound estimate of the largest eigenvalue (Gershgorin-style),
-    /// used as the gradient step scale in the eigensolver.
+    /// Gershgorin-style upper bound of the spectrum: kinetic row sum plus the
+    /// largest repulsive `v_loc` and `|E_kb|`. It ignores attractive potential,
+    /// so it says nothing of the spectrum's width and is no step length.
     pub fn spectral_bound(&self) -> f64 {
         let m = &self.mesh;
         let kin =
@@ -237,12 +270,79 @@ pub fn build_projectors(mesh: &Mesh3, atoms: &AtomSet) -> Vec<NonlocalProjector>
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::atoms::Species;
-    use dcmesh_math::linalg;
+    use dcmesh_math::{linalg, Matrix};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// `h` as a dense matrix, built column by column from unit vectors.
+    fn dense_matrix(h: &Hamiltonian) -> Matrix<f64> {
+        let g = h.mesh().len();
+        let mut dense = Matrix::zeros(g, g);
+        let mut unit = vec![C64::zero(); g];
+        for c in 0..g {
+            unit[c] = C64::one();
+            h.apply(&unit, dense.col_mut(c), true);
+            unit[c] = C64::zero();
+        }
+        dense
+    }
+
+    /// The dense spectrum of `h`: the oracle of the eigensolver's tests
+    /// (small meshes only).
+    pub(crate) fn dense_spectrum(h: &Hamiltonian) -> linalg::Eigh<f64> {
+        linalg::eigh(&dense_matrix(h))
+    }
+
+    /// One attractive KB atom on a mesh small enough for the dense oracle.
+    pub(crate) fn small_atom_hamiltonian(n: usize) -> Hamiltonian {
+        let mesh = Mesh3::cubic(n, 0.6);
+        let mut atoms = AtomSet::new(vec![Species::oxygen()]);
+        atoms.push(0, mesh.center());
+        Hamiltonian::from_atoms(mesh, &atoms, None)
+    }
+
+    #[test]
+    fn spectral_bound_is_above_the_dense_spectrum() {
+        let h = small_atom_hamiltonian(5);
+        assert!(h.v_loc.iter().all(|&v| v < 0.0), "the atom is attractive");
+        let eig = dense_spectrum(&h);
+        let (lo, hi) = (eig.values[0], eig.values[h.mesh().len() - 1]);
+        assert!(hi <= h.spectral_bound(), "{hi} vs {}", h.spectral_bound());
+        // It bounds the top only: the bottom lies below zero, where it looks
+        // at nothing (why it was wrong as the old solver's step length).
+        assert!(lo < 0.0, "lowest level {lo}");
+    }
+
+    #[test]
+    fn diagonal_matches_the_dense_matrix() {
+        let h = small_atom_hamiltonian(5);
+        assert!(!h.projectors.is_empty());
+        let dense = dense_matrix(&h);
+        for (i, d) in h.diagonal().iter().enumerate() {
+            assert!((dense[(i, i)].re - d).abs() < 1e-12, "point {i}");
+        }
+    }
+
+    #[test]
+    fn block_application_is_the_column_application_bit_for_bit() {
+        let h = test_hamiltonian();
+        let (g, ncols) = (h.mesh().len(), 5);
+        let mut rng = StdRng::seed_from_u64(54);
+        let soa = random_field(&mut rng, g * ncols);
+        for nl in [false, true] {
+            let mut out = vec![C64::zero(); g * ncols];
+            h.apply(&soa, &mut out, nl);
+            for n in 0..ncols {
+                let col: Vec<C64> = (0..g).map(|p| soa[p * ncols + n]).collect();
+                let mut want = vec![C64::zero(); g];
+                h.apply(&col, &mut want, nl);
+                assert!((0..g).all(|p| out[p * ncols + n] == want[p]), "column {n}");
+            }
+        }
+    }
 
     fn random_field(rng: &mut StdRng, n: usize) -> Vec<C64> {
         (0..n)

@@ -16,8 +16,8 @@
 //!   solver (paper §II "globally scalable" solver),
 //! * [`hamiltonian`] — KS Hamiltonian application split into local and
 //!   nonlocal parts exactly as paper Eq. (5) requires,
-//! * [`eigensolver`] — preconditioned block steepest descent with
-//!   Rayleigh–Ritz subspace rotation (the "locally fast" dense solve),
+//! * [`eigensolver`] — preconditioned block conjugate gradient (LOBPCG)
+//!   to a residual tolerance (the "locally fast" dense solve),
 //! * [`scf`] — the global-local self-consistent-field loop with linear
 //!   density mixing (3 SCF x 3 CG iterations in the paper's benchmarks).
 

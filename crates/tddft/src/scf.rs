@@ -98,6 +98,8 @@ pub struct ScfResult {
     pub energies: EnergyBreakdown,
     /// Final eigensolver residual norms.
     pub eigen_residuals: Vec<f64>,
+    /// Eigensolver iterations of the cold start, then of each SCF cycle.
+    pub eigen_iterations: Vec<usize>,
 }
 
 /// Fermi–Dirac occupations at electronic temperature `kt` (Hartree):
@@ -188,6 +190,7 @@ pub fn run_scf(mesh: &Mesh3, atoms: &AtomSet, cfg: &ScfConfig) -> ScfResult {
     let mut h = Hamiltonian::with_potential(mesh.clone(), v_bare);
     h.projectors = projectors.clone();
     let mut eig: EigenResult = eigensolver::refine_states(&h, &mut orbitals, cfg.init_eig_iters);
+    let mut eigen_iterations = vec![eig.iterations];
 
     let mut occupations = fermi_occupations(&eig.values, nelec, cfg.smearing);
     // rho_in: the mixed input density driving the potential.
@@ -209,6 +212,7 @@ pub fn run_scf(mesh: &Mesh3, atoms: &AtomSet, cfg: &ScfConfig) -> ScfResult {
         let mut h = Hamiltonian::with_potential(mesh.clone(), v_eff.clone());
         h.projectors = projectors.clone();
         eig = eigensolver::refine_states(&h, &mut orbitals, cfg.eig_iters);
+        eigen_iterations.push(eig.iterations);
         occupations = fermi_occupations(&eig.values, nelec, cfg.smearing);
         let rho_out = orbitals.density(&occupations);
         let res = rho
@@ -272,6 +276,7 @@ pub fn run_scf(mesh: &Mesh3, atoms: &AtomSet, cfg: &ScfConfig) -> ScfResult {
         residual_history,
         energies,
         eigen_residuals: eig.residuals,
+        eigen_iterations,
     }
 }
 
@@ -344,6 +349,23 @@ mod tests {
             "loop ran past the poisoned iteration"
         );
         assert!(!res.residual_history[0].is_finite());
+    }
+
+    #[test]
+    fn warm_started_cycles_take_fewer_eigensolver_iterations() {
+        let (mesh, atoms) = oxygen_on_mesh();
+        let cfg = ScfConfig {
+            scf_iters: 4,
+            eig_iters: 200,
+            init_eig_iters: 200,
+            ..ScfConfig::default()
+        };
+        let its = run_scf(&mesh, &atoms, &cfg).eigen_iterations;
+        assert_eq!(its.len(), 5);
+        // The cold start from plane waves; the first cycle, whose potential
+        // gained Hartree + XC; the second, which only mixes the density on.
+        assert!(its[2] < its[1] && its[2] < its[0], "{its:?}");
+        assert!(its.iter().all(|&i| i < 200), "a solve hit its cap: {its:?}");
     }
 
     #[test]

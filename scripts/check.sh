@@ -4,7 +4,8 @@
 #
 #   check.sh quick   fast lane — fmt, clippy -D warnings, workspace tests,
 #                    root integration tests at 1, 2 and 4 pool threads
-#   check.sh gates   heavy gates — lines per crate, audit, racecheck, fault
+#   check.sh gates   heavy gates — lines per crate, eigensolver counts at the
+#                    benchmark's shapes, audit, racecheck, fault
 #                    matrix, model check, overlap ablation, serve p95
 #                    latency gate, Table I nowait ablation, Table II modeled
 #                    rows, frozen-benchmark build + smoke, ...
@@ -102,6 +103,28 @@ tier_gates() {
   # file's `#[cfg(test)]`.
   printf '%7d  crates/math/src/simd, non-test\n' \
     "$(for f in crates/math/src/simd/*.rs; do awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$f"; done | wc -l)"
+
+  echo "== set-up eigensolver at the benchmark's three shapes =="
+  # One `eig <shape>: iterations, h_applications, max residual, lowest
+  # values` line each, from crates/core/tests/eigensolver_setup.rs; the
+  # tests fail on a residual above the solver's tolerance or on an
+  # iteration count near the cap. Release build: two of them take minutes in
+  # a debug one and are ignored there.
+  local eig_out
+  eig_out=$(mktemp /tmp/dcmesh_eig_XXXXXX.log)
+  SCRATCH+=("$eig_out")
+  cargo test --release -p dcmesh-core --test eigensolver_setup --no-run -q
+  capped cargo test --release -p dcmesh-core --test eigensolver_setup -- \
+    --nocapture --test-threads=1 > "$eig_out" 2>&1 || {
+    cat "$eig_out" >&2
+    exit 1
+  }
+  # -o: under --nocapture a line shares its row with the harness's "test ... ".
+  grep -o 'eig [0-9].*' "$eig_out"
+  if [ "$(grep -c -o 'eig [0-9].*' "$eig_out")" -ne 3 ]; then
+    echo "want three 'eig <shape>:' lines" >&2
+    exit 1
+  fi
 
   echo "== cargo bench --workspace --no-run =="
   cargo bench --workspace --no-run
