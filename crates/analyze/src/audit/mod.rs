@@ -14,7 +14,7 @@
 //!    cpu=avx2)` claims are cross-checked against the arena alignment
 //!    constant, `#[target_feature]` attributes, and every call site.
 //!
-//! Analyzer cost is visible in telemetry: [`Corpus::load`] records
+//! Analyzer cost is visible in the metrics: [`Corpus::load`] records
 //! `audit.files` and `audit.lex_ns` through `dcmesh-obs`.
 
 pub mod callgraph;
@@ -154,9 +154,9 @@ impl AuditReport {
         self.findings.iter().filter(|f| f.rule == rule).collect()
     }
 
-    /// JSON form for downstream tooling (telemetry compare). With
-    /// `include_timings` false the non-deterministic `lex_ns` is
-    /// omitted so the output is golden-file stable.
+    /// JSON form for downstream tooling. With `include_timings` false the
+    /// non-deterministic `lex_ns` is omitted so the output is golden-file
+    /// stable.
     pub fn to_json(&self, include_timings: bool) -> Json {
         let findings = self
             .findings

@@ -30,9 +30,9 @@
 //! 4. **static-mut** — `static mut` is banned everywhere; use atomics,
 //!    `OnceLock`, or interior mutability.
 //! 5. **println-metrics** — `println!`/`eprintln!` are banned in kernel
-//!    crates: ad-hoc printed "metrics" bypass the structured telemetry
-//!    path (`dcmesh-obs` counters/gauges/histograms feeding the flight
-//!    recorder and RunRecords) and cannot be compared across runs.
+//!    crates: ad-hoc printed "metrics" bypass the structured path
+//!    (`dcmesh-obs` counters/gauges/histograms feeding the flight
+//!    recorder and `--report`) and cannot be compared across runs.
 //!    Driver and bench layers own stdout.
 //! 6. **raw-arch** — `std::arch` / `core::arch` intrinsics are allowed
 //!    only inside `crates/math/src/simd/`, the one audited home for

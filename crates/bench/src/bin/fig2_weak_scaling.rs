@@ -3,9 +3,7 @@
 //!
 //! `--no-overlap` runs the paper's "disable nowait" ablation (halo
 //! exchanges blocking instead of posted before the compute slice), and
-//! `--ranks 4,8,16` overrides the sweep. With `--record`, the modeled
-//! per-step times land in the RunRecord as `scaling.modeled_step_s.p{P}`
-//! gauges so the `compare` bin can gate overlap regressions exactly.
+//! `--ranks 4,8,16` overrides the sweep.
 
 use dcmesh_bench::{paper, BenchArgs};
 use dcmesh_core::metrics::Table;
@@ -54,10 +52,6 @@ fn main() {
             format!("{:.3}", p.overlap_ratio),
             format!("{:.4}", analytic.weak(cfg.atoms_per_rank as f64, p.ranks)),
         ]);
-        dcmesh_obs::metrics::gauge_set(
-            &format!("scaling.modeled_step_s.p{}", p.ranks),
-            p.sim_seconds,
-        );
     }
     if let Some(last) = points.last() {
         dcmesh_obs::metrics::gauge_set("comm.overlap_ratio", last.overlap_ratio);

@@ -2,9 +2,7 @@
 //! PbTiO3 systems (constant total problem, rank sweep).
 //!
 //! `--no-overlap` runs the paper's "disable nowait" ablation (blocking
-//! halo exchanges), and `--ranks 64,128,256` overrides both sweeps. With
-//! `--record`, modeled per-step times are published as
-//! `scaling.modeled_step_s.a{atoms}.p{P}` gauges for the compare gate.
+//! halo exchanges), and `--ranks 64,128,256` overrides both sweeps.
 
 use dcmesh_bench::{paper, BenchArgs};
 use dcmesh_core::metrics::Table;
@@ -68,10 +66,6 @@ fn main() {
                         / analytic.strong(atoms as f64, ranks[0])
                 ),
             ]);
-            dcmesh_obs::metrics::gauge_set(
-                &format!("scaling.modeled_step_s.a{atoms}.p{}", p.ranks),
-                p.sim_seconds,
-            );
         }
         println!("{}", table.render());
         let last = points.last().unwrap();

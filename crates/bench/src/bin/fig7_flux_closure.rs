@@ -112,6 +112,9 @@ fn main() {
             }
         }
     }
+    if let Some(summary) = runner.summary() {
+        println!("invariants: {}", summary.to_json());
+    }
 
     // --- The switching mechanism in isolation (LK + excitation). ---
     println!("\nswitching mechanism (LK dynamics, paper's light-induced barrier softening):");
@@ -146,5 +149,5 @@ fn main() {
     println!("\nshape check: the same sub-coercive pulse leaves the dark vortex intact but");
     println!("switches the photo-excited one — the paper's ultralow-power switching pathway.");
 
-    args.finish_obs_with(Some(&runner));
+    args.finish_obs();
 }

@@ -10,11 +10,9 @@
 //! `--concurrency` until the worker count reaches the machine's cores
 //! (pool saturation), which is the curve EXPERIMENTS.md tabulates.
 //!
-//! With `--record`, the per-sweep throughput lands as
-//! `serve.throughput_jobs_per_s.c{C}` gauges and the service's
-//! `serve.queue_seconds` / `serve.run_seconds` histograms ride along in
-//! the RunRecord, so the `compare` bin's `--p95-ratio` gate can hold the
-//! tail-latency line.
+//! The queue holds the whole batch, so without `--deadline-ms` nothing may
+//! be shed: the driver fails unless every job completes at every
+//! concurrency level.
 
 use std::time::Duration;
 
@@ -54,6 +52,7 @@ fn main() {
     ]);
     let mut saturation = 0.0f64;
     let mut digest = None;
+    let mut lost = Vec::new();
     for &c in &sweep {
         let report = run_load(&LoadConfig {
             jobs,
@@ -77,11 +76,6 @@ fn main() {
             format!("{:.4}", report.run_p50_s),
             format!("{:.4}", report.run_p95_s),
         ]);
-        dcmesh_obs::metrics::gauge_set(
-            &format!("serve.throughput_jobs_per_s.c{c}"),
-            report.throughput_jobs_per_s,
-        );
-        dcmesh_obs::metrics::gauge_set(&format!("serve.run_p95_s.c{c}"), report.run_p95_s);
         saturation = saturation.max(report.throughput_jobs_per_s);
         // The physics digest must not depend on the concurrency level (same
         // jobs, same seeds) as long as nothing was shed or cut short.
@@ -93,6 +87,9 @@ fn main() {
                     "completed-job digest drifted across concurrency levels"
                 ),
             }
+        } else {
+            // Rejected, past its deadline, evicted, cancelled or failed.
+            lost.push((c, jobs - report.completed));
         }
     }
     println!("{}", table.render());
@@ -100,6 +97,9 @@ fn main() {
         println!("physics digest over completed jobs: {d:016x} (concurrency-invariant)");
     }
     println!("saturation throughput: {saturation:.2} jobs/s");
-    dcmesh_obs::metrics::gauge_set("serve.saturation_jobs_per_s", saturation);
     args.finish_obs();
+    assert!(
+        deadline.is_some() || lost.is_empty(),
+        "jobs lost with no deadline and a queue that holds them all, (concurrency, jobs): {lost:?}"
+    );
 }

@@ -19,12 +19,14 @@
 //! workloads are scaled down so every binary finishes in seconds; pass
 //! `--full` for the paper-size workload (70x70x72 mesh, 64 orbitals,
 //! 1,000 QD steps) and `--scale X` for anything in between.
+//!
+//! The drivers print their tables (plus `--trace` / `--report`); they write
+//! no record. Speed claims are measured by the frozen benchmark under
+//! `benchmark/`, and what is deterministic here is gated by `cargo test`.
 
 use dcmesh_core::metrics::Table;
-use dcmesh_core::{config_fingerprint, step_series_jsonl, ResilientRunner};
 use dcmesh_grid::Mesh3;
 use dcmesh_obs::Event;
-use dcmesh_telemetry::RunRecord;
 use std::path::PathBuf;
 
 /// Workload scale and observability options parsed from the command line.
@@ -49,12 +51,6 @@ pub struct BenchArgs {
     pub checkpoint: Option<PathBuf>,
     /// Resume from this checkpoint file before stepping (`--restore PATH`).
     pub restore: Option<PathBuf>,
-    /// Emit a RunRecord (+ step-series JSONL) at exit (`--telemetry`).
-    /// Implies the collector is on.
-    pub telemetry: bool,
-    /// RunRecord output path (`--record PATH`); defaults to
-    /// `bench_results/<bin>.runrecord.json`.
-    pub record: Option<PathBuf>,
     /// Disable halo/compute overlap in the scaling benches
     /// (`--no-overlap`) — the paper's "disable nowait" ablation. Halo
     /// exchanges run blocking (send, then receive, then compute) instead
@@ -71,15 +67,13 @@ pub struct BenchArgs {
     /// Mean open-loop interarrival gap for `serve_load`
     /// (`--arrival-ms MS`, 0 = burst).
     pub arrival_ms: Option<f64>,
-    /// Binary name (from `argv[0]`), used in records and default paths.
-    pub bin: String,
 }
 
 impl BenchArgs {
     /// Parse `--full`, `--scale X`, `--quick`, `--trace PATH`, `--report`,
     /// `--deterministic`, `--threads N`, `--checkpoint-every N`,
-    /// `--checkpoint PATH`, `--restore PATH`, `--telemetry`,
-    /// `--record PATH`, `--no-overlap`, `--ranks P1,P2,...`,
+    /// `--checkpoint PATH`, `--restore PATH`, `--no-overlap`,
+    /// `--ranks P1,P2,...`,
     /// `--jobs N`, `--concurrency C1,C2,...`, `--deadline-ms MS`,
     /// `--arrival-ms MS` from `std::env::args`, and install the
     /// `DCMESH_FAULT_PLAN` fault plan if one is set (exit 2 on a bad one).
@@ -90,15 +84,6 @@ impl BenchArgs {
     /// Parse with a benchmark-specific default scale.
     pub fn parse_with_default(default_scale: f64) -> Self {
         let args: Vec<String> = std::env::args().collect();
-        let bin = args
-            .first()
-            .map(|a| {
-                PathBuf::from(a)
-                    .file_stem()
-                    .map(|s| s.to_string_lossy().into_owned())
-                    .unwrap_or_else(|| a.clone())
-            })
-            .unwrap_or_else(|| "bench".into());
         let mut parsed = Self {
             scale: default_scale,
             trace: None,
@@ -108,15 +93,12 @@ impl BenchArgs {
             checkpoint_every: 0,
             checkpoint: None,
             restore: None,
-            telemetry: false,
-            record: None,
             no_overlap: false,
             ranks: None,
             jobs: None,
             concurrency: None,
             deadline_ms: None,
             arrival_ms: None,
-            bin,
         };
         let mut it = args.iter().skip(1);
         while let Some(a) = it.next() {
@@ -155,12 +137,6 @@ impl BenchArgs {
                 "--restore" => {
                     parsed.restore =
                         Some(PathBuf::from(it.next().expect("--restore requires a path")));
-                }
-                "--telemetry" => parsed.telemetry = true,
-                "--record" => {
-                    parsed.record =
-                        Some(PathBuf::from(it.next().expect("--record requires a path")));
-                    parsed.telemetry = true;
                 }
                 "--no-overlap" => parsed.no_overlap = true,
                 "--ranks" => {
@@ -219,7 +195,7 @@ impl BenchArgs {
                     "unknown argument: {other} (use --full | --quick | --scale X | \
                      --trace PATH | --report | --deterministic | --threads N | \
                      --checkpoint-every N | --checkpoint PATH | --restore PATH | \
-                     --telemetry | --record PATH | --no-overlap | --ranks P1,P2,... | \
+                     --no-overlap | --ranks P1,P2,... | \
                      --jobs N | --concurrency C1,C2,... | --deadline-ms MS | \
                      --arrival-ms MS)"
                 ),
@@ -240,11 +216,11 @@ impl BenchArgs {
 
     /// Whether any observability output was requested.
     pub fn obs_active(&self) -> bool {
-        self.trace.is_some() || self.report || self.telemetry
+        self.trace.is_some() || self.report
     }
 
-    /// Turn the global collector on if `--trace`/`--report`/`--telemetry`
-    /// was given. Call once, before the instrumented work starts.
+    /// Turn the global collector on if `--trace`/`--report` was given.
+    /// Call once, before the instrumented work starts.
     pub fn init_obs(&self) {
         if !self.obs_active() {
             return;
@@ -255,34 +231,10 @@ impl BenchArgs {
         dcmesh_obs::enable();
     }
 
-    /// Where the RunRecord goes when `--telemetry` is on.
-    pub fn record_path(&self) -> Option<PathBuf> {
-        if !self.telemetry {
-            return None;
-        }
-        Some(self.record.clone().unwrap_or_else(|| {
-            PathBuf::from("bench_results").join(format!("{}.runrecord.json", self.bin))
-        }))
-    }
-
     /// Drain the collector, write the trace file and/or print the report
     /// as requested, and hand back the drained events for further checks.
     /// Returns `None` (and does nothing) when observability is off.
-    ///
-    /// Drivers that stepped a simulation through a [`ResilientRunner`]
-    /// should call [`BenchArgs::finish_obs_with`] instead, so the
-    /// RunRecord carries the config fingerprint and the runner's invariant
-    /// summary.
     pub fn finish_obs(&self) -> Option<Vec<Event>> {
-        self.finish_obs_with(None)
-    }
-
-    /// [`BenchArgs::finish_obs`] plus RunRecord emission: with
-    /// `--telemetry`, writes the schema-versioned RunRecord JSON to
-    /// [`BenchArgs::record_path`] and the per-step JSONL series next to it
-    /// (`<record>.steps.jsonl`) — the runner's samples when one ran,
-    /// otherwise synthesized from the `md_step` spans in the trace.
-    pub fn finish_obs_with(&self, runner: Option<&ResilientRunner>) -> Option<Vec<Event>> {
         if !self.obs_active() {
             return None;
         }
@@ -300,29 +252,6 @@ impl BenchArgs {
         if self.report {
             println!("\nPer-phase aggregate report");
             println!("{}", obs_report(&events));
-        }
-        if let Some(record_path) = self.record_path() {
-            let metrics = dcmesh_obs::metrics::snapshot();
-            let record = RunRecord::collect(
-                &self.bin,
-                &self.describe(),
-                runner.map(|r| config_fingerprint(r.sim().config())),
-                &events,
-                &metrics,
-                runner.and_then(ResilientRunner::summary),
-            );
-            record.write(&record_path).unwrap_or_else(|e| {
-                panic!("cannot write record to {}: {e}", record_path.display())
-            });
-            println!("wrote RunRecord to {}", record_path.display());
-            let steps_path = record_path.with_extension("steps.jsonl");
-            let jsonl = match runner {
-                Some(r) => step_series_jsonl(r.samples()),
-                None => steps_jsonl_from_events(&events),
-            };
-            std::fs::write(&steps_path, jsonl)
-                .unwrap_or_else(|e| panic!("cannot write steps to {}: {e}", steps_path.display()));
-            println!("wrote step series to {}", steps_path.display());
         }
         Some(events)
     }
@@ -495,35 +424,6 @@ pub fn obs_report(events: &[Event]) -> String {
     out
 }
 
-/// Fallback step series for drivers without a [`ResilientRunner`]: one
-/// JSONL line per completed `sim.md_step` span in the trace (or
-/// `lfd.md_step` for engine-only benches), carrying the span duration as
-/// `wall_s`.
-pub fn steps_jsonl_from_events(events: &[Event]) -> String {
-    let tree = dcmesh_obs::report::SpanTree::build(events);
-    let spans = {
-        let sim = tree.named("sim.md_step");
-        if sim.is_empty() {
-            tree.named("lfd.md_step")
-        } else {
-            sim
-        }
-    };
-    let mut out = String::new();
-    for (i, node) in spans.iter().enumerate() {
-        let line = dcmesh_obs::json::Json::Obj(vec![
-            ("step".into(), dcmesh_obs::json::Json::Num(i as f64)),
-            (
-                "wall_s".into(),
-                dcmesh_obs::json::Json::Num(node.dur_us * 1e-6),
-            ),
-        ]);
-        out.push_str(&line.to_string());
-        out.push('\n');
-    }
-    out
-}
-
 /// Total host-track seconds recorded for one phase name.
 pub fn host_phase_seconds(events: &[Event], name: &str) -> f64 {
     dcmesh_obs::report::aggregate(events)
@@ -567,15 +467,12 @@ mod tests {
             checkpoint_every: 0,
             checkpoint: None,
             restore: None,
-            telemetry: false,
-            record: None,
             no_overlap: false,
             ranks: None,
             jobs: None,
             concurrency: None,
             deadline_ms: None,
             arrival_ms: None,
-            bin: "test_bench".into(),
         }
     }
 
@@ -624,41 +521,6 @@ mod tests {
         });
         assert_eq!(a, b);
         assert!(a.iter().all(|&x| x > 0));
-    }
-
-    #[test]
-    fn record_path_defaults_under_bench_results() {
-        let mut a = args_at(0.25);
-        assert_eq!(a.record_path(), None, "no --telemetry, no record");
-        a.telemetry = true;
-        assert_eq!(
-            a.record_path(),
-            Some(PathBuf::from("bench_results/test_bench.runrecord.json"))
-        );
-        a.record = Some(PathBuf::from("/tmp/x.json"));
-        assert_eq!(a.record_path(), Some(PathBuf::from("/tmp/x.json")));
-        assert!(a.obs_active(), "--telemetry turns the collector on");
-    }
-
-    #[test]
-    fn step_series_falls_back_to_md_step_spans() {
-        use dcmesh_obs::trace::{EventKind, Track};
-        let mk = |name: &'static str, id, ts, kind| {
-            dcmesh_obs::trace::Event::complete(name, Track::Host, ts, 0.0)
-                .with_ids(id, 0)
-                .with_kind(kind)
-        };
-        let events = vec![
-            mk("lfd.md_step", 1, 0.0, EventKind::Begin),
-            mk("lfd.md_step", 1, 1500.0, EventKind::End),
-            mk("lfd.md_step", 2, 2000.0, EventKind::Begin),
-            mk("lfd.md_step", 2, 2500.0, EventKind::End),
-        ];
-        let jsonl = steps_jsonl_from_events(&events);
-        let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 2);
-        let first = dcmesh_obs::json::Json::parse(lines[0]).unwrap();
-        assert_eq!(first.get("wall_s").and_then(|v| v.as_num()), Some(0.0015));
     }
 
     #[test]

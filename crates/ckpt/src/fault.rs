@@ -158,8 +158,7 @@ impl FaultPlan {
 
     /// Render the plan back into the `DCMESH_FAULT_PLAN` spec syntax
     /// (the inverse of [`FaultPlan::parse`]); empty for a no-op plan with
-    /// the default seed. Run records embed this so a telemetry diff can
-    /// tell a faulted run from a clean one.
+    /// the default seed.
     pub fn spec(&self) -> String {
         let mut parts = Vec::new();
         if self.seed != 0 {
@@ -242,8 +241,7 @@ fn install_spec(spec: Option<&str>) -> Result<bool, String> {
 }
 
 /// A clone of the installed plan, if any — one relaxed load when
-/// disarmed. Telemetry records this in the run record so faulted runs
-/// are distinguishable from clean ones.
+/// disarmed.
 pub fn current() -> Option<FaultPlan> {
     with_plan(FaultPlan::clone)
 }

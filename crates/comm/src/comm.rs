@@ -1,8 +1,7 @@
 //! Rank-per-thread message passing with simulated clocks.
 //!
 //! QXMD's global-local SCF needs: point-to-point exchange of domain
-//! boundaries, allreduce of the global density/energy, and broadcast of
-//! the global potential. Each rank carries a
+//! boundaries and allreduce of the global density/energy. Each rank carries a
 //! simulated clock: `advance()` adds *measured* local compute time, and
 //! every communication operation adds *modeled* network time from
 //! [`NetworkModel`], so a laptop reproduces full-machine timing structure.
@@ -72,9 +71,10 @@ use dcmesh_ckpt::fault::{self, MessageAction};
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::fmt;
+use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// A message between ranks: payload of f64 words plus the sender's clock.
@@ -292,11 +292,32 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// What a `DCMESH_COMM_DEADLINE_MS` value asks for: the empty string (i.e.
+/// unset) is the default; anything but a millisecond count is an error.
+fn parse_deadline_ms(value: &str) -> Result<u64, String> {
+    match value.trim() {
+        "" => Ok(DEFAULT_DEADLINE_MS),
+        v => v.parse().map_err(|_| {
+            format!(
+                "DCMESH_COMM_DEADLINE_MS={value:?}: expected a millisecond count, \
+                 using {DEFAULT_DEADLINE_MS}"
+            )
+        }),
+    }
+}
+
+/// The receive deadline of new worlds. A `DCMESH_COMM_DEADLINE_MS` that does
+/// not parse is reported on stderr once and ignored.
 fn deadline_from_env() -> u64 {
-    std::env::var("DCMESH_COMM_DEADLINE_MS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_DEADLINE_MS)
+    static FROM_ENV: OnceLock<u64> = OnceLock::new();
+    *FROM_ENV.get_or_init(|| {
+        let value = std::env::var("DCMESH_COMM_DEADLINE_MS").unwrap_or_default();
+        parse_deadline_ms(&value).unwrap_or_else(|msg| {
+            // A message, not an unwind: a closed stderr must not panic here.
+            let _ = writeln!(std::io::stderr(), "{msg}");
+            DEFAULT_DEADLINE_MS
+        })
+    })
 }
 
 /// The communicator world; spawns one OS thread per rank.
@@ -310,7 +331,9 @@ impl World {
     /// ```
     /// use dcmesh_comm::{NetworkModel, World};
     /// let sums = World::run(4, NetworkModel::ideal(), |rank| {
-    ///     rank.allreduce_sum_scalar(rank.id() as f64)
+    ///     let mut sum = [rank.id() as f64];
+    ///     rank.allreduce_sum(&mut sum);
+    ///     sum[0]
     /// });
     /// assert_eq!(sums, vec![6.0; 4]); // 0+1+2+3 on every rank
     /// ```
@@ -1091,54 +1114,9 @@ impl Rank {
         self.allreduce_with(data, |a, b| a + b);
     }
 
-    /// Elementwise max allreduce.
-    pub fn allreduce_max(&mut self, data: &mut [f64]) {
-        self.allreduce_with(data, f64::max);
-    }
-
-    /// Scalar sum allreduce convenience.
-    pub fn allreduce_sum_scalar(&mut self, x: f64) -> f64 {
-        let mut buf = [x];
-        self.allreduce_sum(&mut buf);
-        buf[0]
-    }
-
     /// Barrier: zero-byte allreduce.
     pub fn barrier(&mut self) {
         self.allreduce_with(&mut [], |a, _| a);
-    }
-
-    /// Broadcast `data` from `root` to all ranks. Panics (structured) on
-    /// rank failure or deadline expiry.
-    pub fn broadcast(&mut self, root: usize, data: &mut Vec<f64>) {
-        if let Err(e) = self.try_broadcast(root, data) {
-            self.escalate(e);
-        }
-    }
-
-    /// Fallible form of [`Rank::broadcast`].
-    pub fn try_broadcast(&mut self, root: usize, data: &mut Vec<f64>) -> Result<(), CommError> {
-        let tag = self.next_collective_tag();
-        if self.size == 1 {
-            return Ok(());
-        }
-        self.fault_op();
-        let bytes = data.len() * 8;
-        if self.id == root {
-            let done = self.clock + self.net.tree_collective_time(bytes, self.size);
-            self.clock = done;
-            for to in 0..self.size {
-                if to != root {
-                    let msg = self.make_msg(tag, data.clone(), done, None);
-                    self.post(to, msg)?;
-                }
-            }
-        } else {
-            let msg = self.recv_raw(root, tag)?;
-            *data = msg.payload;
-            self.clock = self.clock.max(msg.clock);
-        }
-        Ok(())
     }
 }
 
@@ -1147,11 +1125,23 @@ mod tests {
     use super::*;
 
     #[test]
+    fn deadline_values_parse_or_say_why_not() {
+        assert_eq!(parse_deadline_ms(""), Ok(DEFAULT_DEADLINE_MS));
+        assert_eq!(parse_deadline_ms("60000"), Ok(60000));
+        assert_eq!(parse_deadline_ms(" 250\n"), Ok(250));
+        for bad in ["abc", "-1", "1.5"] {
+            let msg = parse_deadline_ms(bad).expect_err(bad);
+            assert!(msg.contains(bad) && msg.contains("5000"), "{msg}");
+        }
+    }
+
+    #[test]
     fn single_rank_world() {
         let out = World::run(1, NetworkModel::ideal(), |r| {
             r.barrier();
-            let s = r.allreduce_sum_scalar(5.0);
-            (r.id(), s)
+            let mut s = [5.0];
+            r.allreduce_sum(&mut s);
+            (r.id(), s[0])
         });
         assert_eq!(out, vec![(0, 5.0)]);
     }
@@ -1186,18 +1176,6 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_max_correct() {
-        let out = World::run(5, NetworkModel::ideal(), |r| {
-            let mut v = vec![-(r.id() as f64), r.id() as f64];
-            r.allreduce_max(&mut v);
-            v
-        });
-        for v in out {
-            assert_eq!(v, vec![0.0, 4.0]);
-        }
-    }
-
-    #[test]
     fn collective_synchronizes_clocks() {
         let out = World::run(4, NetworkModel::slingshot11(), |r| {
             // Rank 2 is slow.
@@ -1210,22 +1188,6 @@ mod tests {
         assert!(t0 >= 1.0);
         for t in &out {
             assert!((t - t0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn broadcast_delivers_root_data() {
-        let out = World::run(4, NetworkModel::slingshot11(), |r| {
-            let mut v = if r.id() == 1 {
-                vec![3.5, -2.0]
-            } else {
-                vec![0.0, 0.0]
-            };
-            r.broadcast(1, &mut v);
-            v
-        });
-        for v in out {
-            assert_eq!(v, vec![3.5, -2.0]);
         }
     }
 

@@ -6,7 +6,7 @@
 //! dragonfly fabric. This crate substitutes (DESIGN.md):
 //!
 //! * [`comm::World`] — ranks as OS threads with selective point-to-point
-//!   receive, barriers, reductions and broadcasts (the collective set
+//!   receive, barriers and reductions (the collective set
 //!   QXMD's global-local SCF actually uses), and
 //! * [`network::NetworkModel`] — an analytic latency/bandwidth model of the
 //!   Slingshot dragonfly (tree collectives cost `ceil(log2 P)` rounds,

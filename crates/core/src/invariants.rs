@@ -273,9 +273,9 @@ pub fn step_series_jsonl<'a>(samples: impl IntoIterator<Item = &'a StepSample>) 
     out
 }
 
-/// Whole-run invariant summary, embedded in a telemetry `RunRecord`. The
-/// extremes are accumulated over every sample of the run, so they stay
-/// exact after old samples have left the runner's bounded buffer.
+/// Whole-run invariant summary. The extremes are accumulated over every
+/// sample of the run, so they stay exact after old samples have left the
+/// runner's bounded buffer.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct InvariantSummary {
     /// Steps sampled.
@@ -326,7 +326,7 @@ impl InvariantSummary {
         }
     }
 
-    /// JSON object for embedding in a run record.
+    /// The summary as one JSON object.
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("samples".into(), Json::Num(self.samples as f64)),

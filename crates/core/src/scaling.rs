@@ -126,8 +126,7 @@ pub struct ScalingPoint {
     pub sim_seconds: f64,
     /// Parallel efficiency relative to the curve's reference point.
     pub efficiency: f64,
-    /// Total exposed halo-exchange stall time across all ranks (seconds;
-    /// the `comm.wait_ns` series in RunRecords divides this by receives).
+    /// Total exposed halo-exchange stall time across all ranks (seconds).
     pub comm_wait_s: f64,
     /// Fraction of the modeled halo-transfer window hidden behind the SCF
     /// compute slice, aggregated over ranks (0 with `overlap: false`).

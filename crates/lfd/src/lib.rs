@@ -16,8 +16,8 @@
 //!   GEMM form (`nlp_prop`, `calc_energy`, `remap_occ`, §III-D), applied as
 //!   the projector's exact exponential rather than Eq. (7)'s first order.
 //! * [`maxwell`] — 1D FDTD vector-potential propagation across DC domains
-//!   plus the analytic laser pulse; [`scalar`] — the auxiliary damped wave
-//!   equation for the scalar potential (refs [27, 28]).
+//!   plus the analytic laser pulse. The scalar potential `φ_α` of refs
+//!   [27, 28] is not propagated: `v_eff` stays frozen.
 //! * [`shadow`] — device-resident wavefunction state whose only host
 //!   handshake is occupation numbers (§II "shadow dynamics").
 //! * [`engine`] — the multiple-time-scale QD loop (N_QD steps per MD step,
@@ -28,7 +28,6 @@ pub mod kinetic;
 pub mod maxwell;
 pub mod nonlocal;
 pub mod potential;
-pub mod scalar;
 pub mod shadow;
 pub mod spectrum;
 

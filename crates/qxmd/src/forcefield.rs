@@ -1,9 +1,8 @@
 //! Classical reference force field for perovskite oxides.
 //!
 //! The paper's application workflow (Fig. 7, ref. [35]) trains a neural
-//! network against ground-state quantum MD. Our substitution chain is:
-//! this classical polarizable-perovskite field is the "ground truth" the
-//! [`crate::nnff`] MLP trains on. It combines:
+//! network against ground-state quantum MD. This classical
+//! polarizable-perovskite field stands in for it. It combines:
 //!
 //! * Buckingham short-range repulsion/dispersion `A exp(-r/rho) - C/r^6`
 //!   per species pair (energy-shifted at the cutoff),

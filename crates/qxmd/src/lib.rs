@@ -9,11 +9,9 @@
 //!   Berendsen thermostat.
 //! * [`forcefield`] — a classical polarizable-perovskite reference force
 //!   field (Buckingham short range + Wolf-summed Coulomb + on-site
-//!   anharmonic double well) standing in for the paper's ground-truth QMD.
-//! * [`nnff`] — a from-scratch multilayer-perceptron force field with Adam
-//!   training against the reference (the paper's application workflow uses
-//!   "molecular dynamics simulations with a neural-network force field
-//!   trained with ground-state quantum MD", ref. [35]).
+//!   anharmonic double well) standing in for the paper's neural-network
+//!   force field trained with ground-state quantum MD (ref. [35]), which is
+//!   not reproduced.
 //! * [`fssh`] — Tully fewest-switches surface hopping: the
 //!   `U_SH(Rdot, Delta_MD)` occupation-update of paper Eq. (3).
 //! * [`pbtio3`] — PbTiO3 perovskite lattice/supercell builders with
@@ -23,19 +21,14 @@
 //!   vorticity) and Landau–Khalatnikov switching dynamics driven by the
 //!   laser-induced excitation LFD reports.
 
-pub mod analysis;
 pub mod forcefield;
 pub mod fssh;
 pub mod md;
-pub mod nnff;
 pub mod pbtio3;
 pub mod polarization;
-pub mod qmd;
 
 pub use forcefield::{ForceField, PerovskiteFF};
 pub use fssh::{FsshConfig, FsshState};
 pub use md::{MdConfig, MdIntegrator};
-pub use nnff::{Mlp, NnForceField, TrainConfig};
 pub use pbtio3::{PbTiO3Cell, Supercell};
 pub use polarization::{LkDynamics, PolarizationField};
-pub use qmd::QmdForces;

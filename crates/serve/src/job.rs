@@ -12,8 +12,6 @@ use std::time::Duration;
 
 use dcmesh_analyze::sync::{AtomicBool, Condvar, Mutex};
 use dcmesh_core::{DcMeshConfig, InvariantSummary, StepSample};
-use dcmesh_obs::metrics::{Histogram, MetricsSnapshot};
-use dcmesh_telemetry::RunRecord;
 
 /// How a job shares the process-wide compute pool while it runs.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -136,27 +134,6 @@ impl JobOutcome {
     /// The step samples as JSONL (one object per line).
     pub fn step_series_jsonl(&self) -> String {
         dcmesh_core::step_series_jsonl(&self.samples)
-    }
-
-    /// The job as a [`RunRecord`] labelled `workload`, so a tenant's
-    /// regression gating works unchanged: steps, rollbacks and attempts as
-    /// counters, the `md_step` wall times as a histogram, the invariant
-    /// summary. Built when asked for; thread count, fault plan and git
-    /// metadata are those of the calling process at that moment.
-    pub fn record(&self, workload: &str) -> RunRecord {
-        let mut m = MetricsSnapshot::default();
-        m.counters.insert("serve.job.steps".into(), self.steps_done);
-        m.counters
-            .insert("serve.job.rollbacks".into(), u64::from(self.rollbacks));
-        m.counters
-            .insert("serve.job.attempts".into(), u64::from(self.attempts));
-        let mut step_hist = Histogram::default();
-        for s in &self.samples {
-            step_hist.record(s.wall_s);
-        }
-        m.histograms
-            .insert("serve.job.step_seconds".into(), step_hist);
-        RunRecord::collect("serve", workload, None, &[], &m, self.summary)
     }
 }
 

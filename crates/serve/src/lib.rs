@@ -21,11 +21,10 @@
 //!   then evicted ([`JobStatus::Evicted`]) if the retry budget runs out.
 //!   Panics become [`JobStatus::Failed`]. The service itself never goes
 //!   down with a tenant.
-//! - **Per-job telemetry** — a job is stepped by one
+//! - **Per-job samples** — a job is stepped by one
 //!   `dcmesh_core::ResilientRunner`; its [`JobOutcome`] carries that
 //!   runner's step samples and invariant summary as data and formats the
-//!   JSONL series or a [`RunRecord`](dcmesh_telemetry::RunRecord) when
-//!   asked, so a tenant's regression gating works unchanged.
+//!   JSONL series when asked.
 //!
 //! [`load`] is the open-loop load harness behind the `serve_load` bench
 //! driver and the deterministic-replay test.

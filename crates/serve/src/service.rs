@@ -385,9 +385,6 @@ mod tests {
             direct.to_bits(),
             "serving must not perturb the physics"
         );
-        let record = outcome.record("direct-equiv");
-        assert_eq!(record.counters.get("serve.job.steps"), Some(&3));
-        assert_eq!(record.invariants, outcome.summary);
         assert_eq!(outcome.step_series_jsonl().lines().count(), 3);
     }
 

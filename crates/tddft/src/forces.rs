@@ -229,27 +229,6 @@ pub fn periodic_es_forces(mesh: &Mesh3, atoms: &mut AtomSet, v_es: &[f64]) {
     }
 }
 
-/// SCF-consistent Born–Oppenheimer forces: periodic electrostatics (from a
-/// fresh multigrid solve on `rho_e - rho_ion`) plus the nonlocal channel.
-/// Clears the accumulators first; returns the electrostatic energy.
-pub fn scf_consistent_forces(
-    mesh: &Mesh3,
-    atoms: &mut AtomSet,
-    rho_e: &[f64],
-    orbitals: &WfAos<f64>,
-    occupations: &[f64],
-) -> f64 {
-    use crate::hartree::{ionic_density, HartreeSolver};
-    atoms.clear_forces();
-    let rho_ion = ionic_density(mesh, atoms);
-    let rho_tot: Vec<f64> = rho_e.iter().zip(&rho_ion).map(|(e, i)| e - i).collect();
-    let hartree = HartreeSolver::new(mesh.clone());
-    let v_es = hartree.solve(&rho_tot);
-    periodic_es_forces(mesh, atoms, &v_es);
-    nonlocal_forces(mesh, atoms, orbitals, occupations);
-    hartree.energy(&rho_tot, &v_es)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

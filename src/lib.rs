@@ -10,4 +10,3 @@ pub use dcmesh_obs as obs;
 pub use dcmesh_qxmd as qxmd;
 pub use dcmesh_serve as serve;
 pub use dcmesh_tddft as tddft;
-pub use dcmesh_telemetry as telemetry;

@@ -29,6 +29,26 @@ fn weak_scaling_stays_in_the_paper_band() {
 }
 
 #[test]
+fn default_weak_scaling_step_times_are_the_pinned_ones() {
+    // The scaling clocks are modeled, hence machine-independent: these are
+    // the Fig. 2 driver's t/MD step at its first four rank counts. Printed
+    // so that a deliberate change to the model re-blesses them from the
+    // output.
+    let want = [20.1951, 20.3540, 20.4080, 20.4620];
+    let pts = weak_scaling(&ScalingConfig::default(), &[4, 8, 16, 32]);
+    assert_eq!(pts.len(), want.len());
+    for (p, t) in pts.iter().zip(want) {
+        println!("weak-scaling P = {}: {} s", p.ranks, p.sim_seconds);
+        assert!(
+            (p.sim_seconds / t - 1.0).abs() < 0.01,
+            "P = {}: modeled step {} s left 1 % of {t}",
+            p.ranks,
+            p.sim_seconds
+        );
+    }
+}
+
+#[test]
 fn strong_scaling_bands_match_figure3() {
     let cfg = quick_cfg();
     let s5120 = strong_scaling(&cfg, 5120, &[64, 128, 256]);
