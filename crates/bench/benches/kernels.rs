@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dcmesh_grid::{Mesh3, WfAos};
 use dcmesh_lfd::kinetic::{Axis, KineticPropagator, StepFraction};
-use dcmesh_lfd::nonlocal::{GemmPath, NonlocalCorrection};
+use dcmesh_lfd::nonlocal::NonlocalCorrection;
 use dcmesh_lfd::PotentialPropagator;
 
 fn bench_mesh() -> Mesh3 {
@@ -54,11 +54,7 @@ fn bench_nonlocal(c: &mut Criterion) {
 
     group.bench_function("nlp_prop_loops", |b| {
         let mut state = psi0.to_matrix();
-        b.iter(|| nl.nlp_prop(&mut state, GemmPath::Loops));
-    });
-    group.bench_function("nlp_prop_blas", |b| {
-        let mut state = psi0.to_matrix();
-        b.iter(|| nl.nlp_prop(&mut state, GemmPath::Blas));
+        b.iter(|| nl.nlp_prop(&mut state));
     });
     group.bench_function("nlp_prop_soa_zero_copy", |b| {
         let mut state = psi0.to_soa();
@@ -109,36 +105,11 @@ fn bench_obs_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_pool_overhead(c: &mut Criterion) {
-    // The acceptance bar for the persistent executor: dispatching an empty
-    // 64-team grid must be >= 10x cheaper than the spawn-per-call strategy
-    // it replaced. Fixed at 4 threads so the comparison is meaningful on
-    // any host (the old strategy spawns 4 threads per call; the pool parks
-    // 3 workers on a condvar and reuses them).
-    let teams = 64usize;
-    let threads = 4usize;
-    let mut data = vec![0u8; teams];
-    let pool = dcmesh_pool::ThreadPool::new(threads);
-    let mut group = c.benchmark_group("pool_overhead");
-    group.sample_size(20);
-
-    group.bench_function("spawn_per_call_empty_64_teams", |b| {
-        b.iter(|| {
-            dcmesh_bench::spawn_per_call_distribute_mut(&mut data, teams, threads, |_, _| {});
-        });
-    });
-    group.bench_function("persistent_pool_empty_64_teams", |b| {
-        b.iter(|| pool.for_each_chunk_mut(&mut data, teams, |_, _| {}));
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_kin_prop,
     bench_nonlocal,
     bench_pot_prop,
-    bench_obs_overhead,
-    bench_pool_overhead
+    bench_obs_overhead
 );
 criterion_main!(benches);

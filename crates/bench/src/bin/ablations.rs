@@ -3,9 +3,10 @@
 //! 1. orbital block size in the blocked stencil (paper Alg. 4),
 //! 2. loops vs BLAS nonlocal correction across problem sizes (§III-D),
 //! 3. LDC buffer width: embedding accuracy vs cost (paper §II),
-//! 4. load imbalance vs weak-scaling efficiency (Fig. 2 sensitivity),
-//! 5. parallel dispatch cost: spawn-per-call threads vs the persistent
-//!    `dcmesh-pool` executor (the PR that killed spawn-per-call).
+//! 4. load imbalance vs weak-scaling efficiency (Fig. 2 sensitivity).
+//!
+//! (A fifth sweep timed the spawn-per-call dispatch the persistent pool
+//! replaced in PR 2; its 10-28x is recorded in EXPERIMENTS.md.)
 //!
 //! Run: `cargo run --release -p dcmesh-bench --bin ablations`
 
@@ -16,7 +17,7 @@ use dcmesh_core::metrics::Table;
 use dcmesh_core::scaling::{weak_scaling, ScalingConfig};
 use dcmesh_grid::{Mesh3, WfAos};
 use dcmesh_lfd::kinetic::{Axis, KineticPropagator, StepFraction};
-use dcmesh_lfd::nonlocal::{GemmPath, NonlocalCorrection};
+use dcmesh_lfd::nonlocal::NonlocalCorrection;
 use dcmesh_tddft::dcscf::{run_dc_scf, DcScfConfig};
 use dcmesh_tddft::{AtomSet, Species};
 
@@ -29,7 +30,6 @@ fn main() {
     gemm_path_sweep();
     buffer_width_sweep();
     imbalance_sweep();
-    pool_dispatch_sweep();
     args.finish_obs();
 }
 
@@ -82,7 +82,7 @@ fn gemm_path_sweep() {
         let mut m = psi0.to_matrix();
         let t0 = Instant::now();
         for _ in 0..reps {
-            nl.nlp_prop(&mut m, GemmPath::Loops);
+            nl.nlp_prop(&mut m);
         }
         let t_loops = t0.elapsed().as_secs_f64() * 1e3 / reps as f64;
         let mut s = psi0.to_soa();
@@ -178,53 +178,4 @@ fn imbalance_sweep() {
     }
     println!("{}", table.render());
     println!("(the Fig. 2 plateau is set almost entirely by per-domain load spread)\n");
-}
-
-fn pool_dispatch_sweep() {
-    println!("=== ablation 5: dispatch cost, spawn-per-call vs persistent pool ===");
-    // Empty team bodies over a 64-team grid: everything measured here is
-    // pure dispatch overhead — thread spawn/join for the old strategy,
-    // atomics + one condvar broadcast for the persistent executor.
-    let teams = 64usize;
-    let reps = 2000usize;
-    let mut data = vec![0u8; teams];
-    let mut table = Table::new(&[
-        "threads",
-        "spawn-per-call (us)",
-        "persistent pool (us)",
-        "reduction",
-    ]);
-    let mut best: Option<(usize, f64)> = None;
-    for threads in [1usize, 2, 4, 8] {
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            dcmesh_bench::spawn_per_call_distribute_mut(&mut data, teams, threads, |_, _| {});
-        }
-        let t_spawn = t0.elapsed().as_secs_f64() * 1e6 / reps as f64;
-
-        let pool = dcmesh_pool::ThreadPool::new(threads);
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            pool.for_each_chunk_mut(&mut data, teams, |_, _| {});
-        }
-        let t_pool = t0.elapsed().as_secs_f64() * 1e6 / reps as f64;
-
-        table.row(&[
-            threads.to_string(),
-            format!("{t_spawn:.2}"),
-            format!("{t_pool:.2}"),
-            format!("{:.1}x", t_spawn / t_pool),
-        ]);
-        if best.is_none_or(|(_, b)| t_spawn / t_pool > b) {
-            best = Some((threads, t_spawn / t_pool));
-        }
-        dcmesh_obs::metrics::gauge_set(&format!("ablation.dispatch_us.pool.t{threads}"), t_pool);
-        dcmesh_obs::metrics::gauge_set(&format!("ablation.dispatch_us.spawn.t{threads}"), t_spawn);
-    }
-    println!("{}", table.render());
-    if let Some((threads, ratio)) = best {
-        println!(
-            "(persistent executor cuts per-call dispatch cost {ratio:.1}x at {threads} threads;\n workers park on a condvar between launches instead of being respawned)"
-        );
-    }
 }

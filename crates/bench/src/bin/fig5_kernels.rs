@@ -92,8 +92,8 @@ fn main() {
 
     if let Some(events) = args.finish_obs() {
         // Cross-check: the host-track phase totals in the trace must agree
-        // with the legacy KernelTimings view (both are derived from the
-        // same per-step slices, so any mismatch means lost events).
+        // with the KernelTimings the steps returned (each slice is summed
+        // and traced with one duration, so any mismatch means lost events).
         let kin = dcmesh_bench::host_phase_seconds(&events, "lfd.kinetic");
         let pot = dcmesh_bench::host_phase_seconds(&events, "lfd.potential");
         let nonl = dcmesh_bench::host_phase_seconds(&events, "lfd.nonlocal");

@@ -65,7 +65,7 @@ fn main() {
     // stepped by the one supervised runner.
     let sim = match &args.restore {
         Some(path) => {
-            let sim = DcMeshSim::restore_from_checkpoint(cfg.clone(), path)
+            let sim = DcMeshSim::restore_from_checkpoint(cfg, path)
                 .unwrap_or_else(|e| panic!("cannot restore from {}: {e}", path.display()));
             println!(
                 "restored checkpoint {} at MD step {}",
@@ -74,10 +74,10 @@ fn main() {
             );
             sim
         }
-        None => DcMeshSim::new(cfg.clone()),
+        None => DcMeshSim::new(cfg),
     };
     let every = args.checkpoint_every.max(1);
-    let mut runner = ResilientRunner::from_sim(sim, cfg, every);
+    let mut runner = ResilientRunner::from_sim(sim, every);
     if let Some(path) = &args.checkpoint {
         runner = runner.with_checkpoint_path(path.clone());
         println!(

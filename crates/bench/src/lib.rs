@@ -288,51 +288,6 @@ impl BenchArgs {
     }
 }
 
-/// The pre-pool dispatch strategy, kept as the `pool_overhead` ablation
-/// baseline: split `data` into `n_teams` OpenMP-style chunks and run the
-/// team bodies on **freshly spawned** scoped threads — one spawn/join
-/// cycle per call, which is exactly the per-dispatch cost the persistent
-/// `dcmesh-pool` executor eliminates.
-pub fn spawn_per_call_distribute_mut<T, F>(
-    data: &mut [T],
-    n_teams: usize,
-    n_threads: usize,
-    body: F,
-) where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    if n_teams == 0 {
-        return;
-    }
-    let n = data.len();
-    let chunk = n.div_ceil(n_teams).max(1);
-    let base = dcmesh_pool::SlicePtr::new(data);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let claim = |_w: usize| loop {
-        let t = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        if t >= n_teams {
-            break;
-        }
-        let lo = (t * chunk).min(n);
-        let hi = ((t + 1) * chunk).min(n);
-        // SAFETY: each team index is claimed exactly once, and teams own
-        // disjoint `[lo, hi)` ranges of the slice.
-        body(t, unsafe { base.subslice_mut(lo, hi) });
-    };
-    let workers = n_threads.clamp(1, n_teams);
-    if workers == 1 {
-        claim(0);
-        return;
-    }
-    std::thread::scope(|s| {
-        for w in 1..workers {
-            s.spawn(move || claim(w));
-        }
-        claim(0);
-    });
-}
-
 /// Paper reference numbers, quoted verbatim for side-by-side reporting.
 pub mod paper {
     /// Table I: (implementation, target, runtime seconds, speedup).
@@ -499,28 +454,6 @@ mod tests {
         assert_eq!(paper::TABLE1.len(), 5);
         assert!(paper::TABLE1[3].3 > 300.0);
         const { assert!(paper::FIG6_TOTAL > 600.0) };
-    }
-
-    #[test]
-    fn spawn_per_call_baseline_partitions_like_the_pool() {
-        // The ablation baseline must compute the same answer as the
-        // persistent executor so the comparison times identical work.
-        let n = 1003;
-        let teams = 64;
-        let mut a: Vec<usize> = vec![0; n];
-        let mut b: Vec<usize> = vec![0; n];
-        spawn_per_call_distribute_mut(&mut a, teams, 4, |t, chunk| {
-            for x in chunk {
-                *x += t + 1;
-            }
-        });
-        dcmesh_pool::global().for_each_chunk_mut(&mut b, teams, |t, chunk| {
-            for x in chunk {
-                *x += t + 1;
-            }
-        });
-        assert_eq!(a, b);
-        assert!(a.iter().all(|&x| x > 0));
     }
 
     #[test]

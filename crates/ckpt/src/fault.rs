@@ -155,36 +155,6 @@ impl FaultPlan {
         }
         Ok(plan)
     }
-
-    /// Render the plan back into the `DCMESH_FAULT_PLAN` spec syntax
-    /// (the inverse of [`FaultPlan::parse`]); empty for a no-op plan with
-    /// the default seed.
-    pub fn spec(&self) -> String {
-        let mut parts = Vec::new();
-        if self.seed != 0 {
-            parts.push(format!("seed={}", self.seed));
-        }
-        if self.drop_prob > 0.0 {
-            parts.push(format!("drop={}", self.drop_prob));
-        }
-        if self.delay_prob > 0.0 {
-            parts.push(format!("delay={}@{}", self.delay_prob, self.delay_s));
-        }
-        if self.dup_prob > 0.0 {
-            if self.dup_defer_msgs > 0 {
-                parts.push(format!("dup={}@{}", self.dup_prob, self.dup_defer_msgs));
-            } else {
-                parts.push(format!("dup={}", self.dup_prob));
-            }
-        }
-        if let Some((r, op)) = self.kill_rank {
-            parts.push(format!("kill={r}@{op}"));
-        }
-        if let Some(step) = self.nan_at_step {
-            parts.push(format!("nan@{step}"));
-        }
-        parts.join(",")
-    }
 }
 
 fn parse_prob(v: &str, part: &str) -> Result<f64, String> {
@@ -238,12 +208,6 @@ fn install_spec(spec: Option<&str>) -> Result<bool, String> {
         }),
         None => Ok(false),
     }
-}
-
-/// A clone of the installed plan, if any — one relaxed load when
-/// disarmed.
-pub fn current() -> Option<FaultPlan> {
-    with_plan(FaultPlan::clone)
 }
 
 fn with_plan<T>(f: impl FnOnce(&FaultPlan) -> T) -> Option<T> {
@@ -452,27 +416,6 @@ mod tests {
         assert_eq!(plan.nan_at_step, Some(2));
         // Bare `dup=P` keeps the immediate-replay default.
         assert_eq!(FaultPlan::parse("dup=0.5").unwrap().dup_defer_msgs, 0);
-    }
-
-    #[test]
-    fn spec_roundtrips_through_parse() {
-        let plan = FaultPlan {
-            seed: 42,
-            drop_prob: 0.1,
-            delay_prob: 0.5,
-            delay_s: 0.25,
-            dup_prob: 0.2,
-            dup_defer_msgs: 100,
-            kill_rank: Some((1, 3)),
-            nan_at_step: Some(2),
-        };
-        assert_eq!(FaultPlan::parse(&plan.spec()).unwrap(), plan);
-        let immediate = FaultPlan {
-            dup_defer_msgs: 0,
-            ..plan
-        };
-        assert_eq!(FaultPlan::parse(&immediate.spec()).unwrap(), immediate);
-        assert_eq!(FaultPlan::none().spec(), "");
         assert_eq!(FaultPlan::parse("").unwrap(), FaultPlan::none());
     }
 
@@ -490,25 +433,16 @@ mod tests {
     }
 
     #[test]
-    fn current_reflects_the_installed_plan() {
-        let plan = FaultPlan {
-            nan_at_step: Some(7),
-            ..FaultPlan::none()
-        };
-        with_installed(plan.clone(), || {
-            assert_eq!(current(), Some(plan.clone()));
-        });
-        let _guard = test_lock();
-        clear();
-        assert_eq!(current(), None);
-    }
-
-    #[test]
     fn env_spec_installs_a_good_plan_skips_a_blank_one_and_reports_a_bad_one() {
         let _guard = test_lock();
         clear();
         assert_eq!(install_spec(Some("seed=3,nan@2")), Ok(true));
-        assert_eq!(current().map(|p| p.spec()).as_deref(), Some("seed=3,nan@2"));
+        let want = FaultPlan {
+            seed: 3,
+            nan_at_step: Some(2),
+            ..FaultPlan::none()
+        };
+        assert_eq!(with_plan(FaultPlan::clone), Some(want));
         clear();
         for blank in [None, Some(""), Some("  ")] {
             assert_eq!(install_spec(blank), Ok(false));

@@ -105,8 +105,8 @@ impl DcMeshSim {
             .map(|e| std::mem::size_of_val(e.state_data()))
             .sum();
         let atoms = self.md.atoms.atoms.len() * std::mem::size_of::<[f64; 3]>() * 3;
-        let mx = self.maxwell.export_state();
-        let maxwell = (mx.a.len() + mx.a_prev.len() + mx.j.len()) * 8;
+        // Two time levels of the vector potential and the current.
+        let maxwell = 3 * self.maxwell.len() * 8;
         let lk = (self.lk.field.px.len() + self.lk.field.pz.len()) * 8;
         let fssh: usize = self.fssh.iter().map(|f| f.c.len() * 16).sum();
         (wf + atoms + maxwell + lk + fssh) as u64
@@ -349,27 +349,6 @@ impl InvariantSummary {
                 Json::Num(self.max_occupation_drift),
             ),
         ])
-    }
-
-    /// Parse back from [`InvariantSummary::to_json`] output. Non-finite
-    /// values were serialized as `null` and come back as NaN.
-    pub fn from_json(json: &Json) -> Result<Self, String> {
-        let num = |key: &str| -> Result<f64, String> {
-            match json.get(key) {
-                Some(Json::Num(n)) => Ok(*n),
-                Some(Json::Null) => Ok(f64::NAN),
-                _ => Err(format!("invariants: missing number '{key}'")),
-            }
-        };
-        Ok(Self {
-            samples: num("samples")? as u64,
-            initial_total_energy: num("initial_total_energy")?,
-            final_total_energy: num("final_total_energy")?,
-            max_energy_drift: num("max_energy_drift")?,
-            max_norm_error: num("max_norm_error")?,
-            max_population_error: num("max_population_error")?,
-            max_occupation_drift: num("max_occupation_drift")?,
-        })
     }
 }
 

@@ -93,7 +93,6 @@ fn push_bounded(ring: &mut VecDeque<StepSample>, sample: StepSample) {
 /// with a smaller electronic time step.
 pub struct ResilientRunner {
     sim: DcMeshSim,
-    cfg: DcMeshConfig,
     checkpoint_every: u64,
     checkpoint_path: Option<PathBuf>,
     steps_since_ckpt: u64,
@@ -122,15 +121,14 @@ impl ResilientRunner {
     /// `checkpoint_every` successful steps (0 disables periodic
     /// snapshots beyond the initial one).
     pub fn new(cfg: DcMeshConfig, checkpoint_every: u64) -> Self {
-        Self::from_sim(DcMeshSim::new(cfg.clone()), cfg, checkpoint_every)
+        Self::from_sim(DcMeshSim::new(cfg), checkpoint_every)
     }
 
     /// Wrap an existing simulation (e.g. one restored from disk).
-    pub fn from_sim(sim: DcMeshSim, cfg: DcMeshConfig, checkpoint_every: u64) -> Self {
+    pub fn from_sim(sim: DcMeshSim, checkpoint_every: u64) -> Self {
         let last_snapshot = sim.snapshot_bytes();
         Self {
             sim,
-            cfg,
             checkpoint_every,
             checkpoint_path: None,
             steps_since_ckpt: 0,
@@ -152,8 +150,8 @@ impl ResilientRunner {
         snapshot: &[u8],
         checkpoint_every: u64,
     ) -> Result<Self, ResilienceError> {
-        let sim = DcMeshSim::restore_from_bytes(cfg.clone(), snapshot, false)?;
-        Ok(Self::from_sim(sim, cfg, checkpoint_every))
+        let sim = DcMeshSim::restore_from_bytes(cfg, snapshot, false)?;
+        Ok(Self::from_sim(sim, checkpoint_every))
     }
 
     /// Mirror every periodic snapshot to `path` (atomic write).
@@ -189,7 +187,7 @@ impl ResilientRunner {
     /// `n_qd` doubled) — a retry from [`ResilientRunner::last_snapshot`]
     /// should carry it forward.
     pub fn config(&self) -> &DcMeshConfig {
-        &self.cfg
+        self.sim.config()
     }
 
     /// The last good in-memory snapshot (taken at construction and every
@@ -241,9 +239,10 @@ impl ResilientRunner {
             // step length), restore the last good snapshot, and replay. The
             // changed dt_qd shifts the fingerprint, so the restore bypasses
             // the fingerprint check — structural checks still apply.
-            self.cfg.dt_qd *= 0.5;
-            self.cfg.n_qd *= 2;
-            self.sim = DcMeshSim::restore_from_bytes(self.cfg.clone(), &self.last_snapshot, false)?;
+            let mut cfg = self.sim.config().clone();
+            cfg.dt_qd *= 0.5;
+            cfg.n_qd *= 2;
+            self.sim = DcMeshSim::restore_from_bytes(cfg, &self.last_snapshot, false)?;
             self.events.push(RunEvent::Rollback {
                 step: self.sim.md_steps(),
                 rollbacks: self.rollbacks,

@@ -5,11 +5,11 @@
 //! collapse(3)` and fine parallelism over orbitals via `parallel for simd`.
 //! Here teams map to claim-loop tasks on the persistent `dcmesh-pool`
 //! executor (each owning a disjoint chunk of the output — data-race freedom
-//! by construction) and the inner level maps to a plain vectorizable loop,
-//! which is exactly what `simd` asks of the compiler. Dispatch is
-//! zero-allocation: launching a team grid costs a couple of atomic ops and
-//! a condvar broadcast, the host-side analogue of the paper's cheap
-//! repeated kernel launches over a resident device (§III-C).
+//! by construction) and the inner level is the plain vectorizable loop each
+//! kernel body writes, which is exactly what `simd` asks of the compiler.
+//! Dispatch is zero-allocation: launching a team grid costs a couple of
+//! atomic ops and a condvar broadcast, the host-side analogue of the paper's
+//! cheap repeated kernel launches over a resident device (§III-C).
 
 /// `#pragma omp target teams distribute`: run `body(team_index)` for every
 /// index in `0..num_teams`, in parallel on the persistent pool. One team
@@ -31,29 +31,6 @@ where
     F: Fn(usize, &mut [T]) + Sync + Send,
 {
     dcmesh_pool::global().for_each_chunk_mut(data, num_teams, body);
-}
-
-/// `#pragma omp parallel for simd` inside a team: a plain sequential loop
-/// the compiler can vectorize. Kept as a named function so kernels written
-/// against the hierarchy read like the paper's Algorithm 5.
-#[inline(always)]
-pub fn parallel_for<F>(range: std::ops::Range<usize>, mut body: F)
-where
-    F: FnMut(usize),
-{
-    for i in range {
-        body(i);
-    }
-}
-
-/// 3-way collapsed team index decoding, mirroring
-/// `teams distribute collapse(3)` over loops of extent `(n0, n1, n2)`.
-#[inline(always)]
-pub fn decollapse3(t: usize, n1: usize, n2: usize) -> (usize, usize, usize) {
-    let i2 = t % n2;
-    let i1 = (t / n2) % n1;
-    let i0 = t / (n1 * n2);
-    (i0, i1, i2)
 }
 
 #[cfg(test)]
@@ -99,27 +76,6 @@ mod tests {
             }
         });
         assert_eq!(tiny, vec![1, 1]);
-    }
-
-    #[test]
-    fn parallel_for_is_sequentially_consistent() {
-        let mut acc = 0usize;
-        parallel_for(0..10, |i| acc += i);
-        assert_eq!(acc, 45);
-    }
-
-    #[test]
-    fn decollapse_roundtrip() {
-        let (n0, n1, n2) = (3, 5, 7);
-        let mut seen = vec![false; n0 * n1 * n2];
-        for t in 0..n0 * n1 * n2 {
-            let (i0, i1, i2) = decollapse3(t, n1, n2);
-            assert!(i0 < n0 && i1 < n1 && i2 < n2);
-            let flat = i2 + n2 * (i1 + n1 * i0);
-            assert_eq!(flat, t);
-            seen[flat] = true;
-        }
-        assert!(seen.iter().all(|&s| s));
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //!    between launches, so a team-grid dispatch costs atomics + a condvar
 //!    broadcast instead of thread spawns.
 //! 2. **Persistent device data** — `OMPallocator` RAII mapping (paper
-//!    Alg. 6). [`alloc::DeviceVec`] calls `enter_data`/`exit_data` on
+//!    Alg. 6). [`Device::enter_data`] / [`Device::exit_data`] are the
+//!    `map(alloc)` / `map(delete)` pair; the RAII owner that calls them on
 //!    construction/drop and keeps wavefunctions device-resident across the
-//!    N_QD inner steps (shadow dynamics, §II).
+//!    N_QD inner steps (shadow dynamics, §II) is `dcmesh_lfd::ShadowState`.
 //! 3. **Asynchronous streams** — `nowait` offload and CUDA streams with
 //!    pinned-memory transfers (§III-E, Table I/II ablations). [`stream`]
 //!    models per-stream timelines with a host clock, so synchronous and
@@ -26,12 +27,10 @@
 //!    model only supplies the *timeline*, clearly labeled "modeled" in every
 //!    benchmark report.
 
-pub mod alloc;
 pub mod exec;
 pub mod perf;
 pub mod stream;
 
-pub use alloc::DeviceVec;
-pub use exec::{parallel_for, teams_distribute, teams_distribute_mut};
+pub use exec::{teams_distribute, teams_distribute_mut};
 pub use perf::{HardwareSpec, KernelWork, Precision, TransferKind};
 pub use stream::{Device, LaunchPolicy, StreamId};

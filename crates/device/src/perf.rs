@@ -111,24 +111,6 @@ impl HardwareSpec {
         }
     }
 
-    /// One core of the AMD EPYC Milan 7543P host CPU (2.8 GHz, AVX2):
-    /// the paper's single-thread CPU baseline (Tables I-II use one
-    /// OpenMP thread / one CPU core).
-    pub fn epyc_7543_core() -> Self {
-        Self {
-            name: "AMD EPYC 7543P (1 core)",
-            mem_bw: 20e9,          // per-core sustainable share of DDR4-3200 x8
-            peak_sp: 2.8e9 * 16.0, // 2x AVX2 FMA units x 8 SP lanes
-            peak_dp: 2.8e9 * 8.0,
-            launch_overhead: 0.0,
-            pcie_pageable_bw: f64::INFINITY,
-            pcie_pinned_bw: f64::INFINITY,
-            nvlink_bw: f64::INFINITY,
-            transfer_latency: 0.0,
-            efficiency: 0.35, // scalar-ish compiled stencil code
-        }
-    }
-
     /// The whole 32-core EPYC 7543P socket (used by the Fig. 4 throughput
     /// comparison where the CPU baseline runs fully threaded).
     pub fn epyc_7543_socket() -> Self {
@@ -171,16 +153,6 @@ impl HardwareSpec {
         }
         bytes as f64 / bw + self.transfer_latency
     }
-
-    /// Arithmetic intensity (flops/byte) at which this machine transitions
-    /// from bandwidth- to compute-bound.
-    pub fn ridge_point(&self, precision: Precision) -> f64 {
-        let peak = match precision {
-            Precision::Sp => self.peak_sp,
-            Precision::Dp => self.peak_dp,
-        };
-        peak / self.mem_bw
-    }
 }
 
 #[cfg(test)]
@@ -188,14 +160,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn a100_beats_cpu_core_on_streaming_kernel() {
+    fn a100_beats_cpu_socket_on_streaming_kernel() {
         let a100 = HardwareSpec::a100();
-        let core = HardwareSpec::epyc_7543_core();
+        let socket = HardwareSpec::epyc_7543_socket();
         // A big bandwidth-bound kernel: 1 GiB traffic, low intensity.
         let w = KernelWork::new(1 << 30, 1 << 28, Precision::Dp);
         let ta = a100.kernel_time(&w);
-        let tc = core.kernel_time(&w);
-        assert!(tc / ta > 50.0, "speedup {}", tc / ta);
+        let tc = socket.kernel_time(&w);
+        assert!(tc / ta > 5.0, "speedup {}", tc / ta);
     }
 
     #[test]
@@ -232,14 +204,8 @@ mod tests {
 
     #[test]
     fn cpu_transfers_are_free() {
-        let core = HardwareSpec::epyc_7543_core();
-        assert_eq!(core.transfer_time(1 << 30, TransferKind::Pinned), 0.0);
-    }
-
-    #[test]
-    fn ridge_point_orders_precisions() {
-        let a100 = HardwareSpec::a100();
-        assert!(a100.ridge_point(Precision::Sp) > a100.ridge_point(Precision::Dp));
+        let socket = HardwareSpec::epyc_7543_socket();
+        assert_eq!(socket.transfer_time(1 << 30, TransferKind::Pinned), 0.0);
     }
 
     #[test]

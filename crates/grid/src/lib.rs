@@ -23,4 +23,4 @@ pub mod wavefunction;
 
 pub use domain::{DcDecomposition, Domain};
 pub use mesh::Mesh3;
-pub use wavefunction::{Layout, WfAos, WfSoa};
+pub use wavefunction::{WfAos, WfSoa};

@@ -10,15 +10,6 @@ use dcmesh_math::{linalg, Complex, Matrix, Real};
 
 use crate::mesh::Mesh3;
 
-/// Which memory layout a kernel operates on.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum Layout {
-    /// `psi[n][i][j][k]`: each orbital is a contiguous 3D field.
-    Aos,
-    /// `psi[i][j][k][n]`: each grid point stores all orbitals contiguously.
-    Soa,
-}
-
 /// Orbital-major wavefunction set: orbital `n` occupies the contiguous slice
 /// `[n * ngrid, (n+1) * ngrid)`, with mesh points in z-fastest order.
 ///
@@ -287,13 +278,6 @@ impl<R: Real> WfSoa<R> {
     pub fn point(&self, i: usize, j: usize, k: usize) -> &[Complex<R>] {
         let base = self.mesh.idx(i, j, k) * self.norb;
         &self.data[base..base + self.norb]
-    }
-
-    /// Mutable orbital amplitudes at one grid point.
-    #[inline]
-    pub fn point_mut(&mut self, i: usize, j: usize, k: usize) -> &mut [Complex<R>] {
-        let base = self.mesh.idx(i, j, k) * self.norb;
-        &mut self.data[base..base + self.norb]
     }
 
     /// Electron number density `rho(r) = sum_n f_n |psi_n(r)|^2`, read in

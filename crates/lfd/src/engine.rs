@@ -32,10 +32,11 @@ use std::time::Instant;
 use dcmesh_device::{Device, LaunchPolicy, StreamId, TransferKind};
 use dcmesh_grid::{Mesh3, WfAos, WfSoa};
 use dcmesh_math::Real;
+use dcmesh_obs::{Event, Track};
 
 use crate::kinetic::{KineticPropagator, StepFraction};
 use crate::maxwell::LaserPulse;
-use crate::nonlocal::{GemmPath, NonlocalCorrection};
+use crate::nonlocal::NonlocalCorrection;
 use crate::potential::PotentialPropagator;
 use crate::shadow::ShadowState;
 
@@ -95,12 +96,10 @@ impl BuildKind {
     }
 }
 
-/// Accumulated kernel timings for one measurement window.
-///
-/// Since the observability refactor these numbers are a thin view over
-/// the phase slices an MD step records (see [`LfdEngine::run_md_step`]):
-/// `electron = kinetic + potential`, and H2D/D2H time — previously folded
-/// into `nonlocal`/`total` — is now reported separately as `transfer`.
+/// Accumulated kernel timings for one measurement window: the per-phase
+/// sums of the slices an MD step times (see [`LfdEngine::run_md_step`]).
+/// `electron = kinetic + potential`; H2D/D2H time is reported separately as
+/// `transfer`.
 #[derive(Copy, Clone, Debug, Default)]
 pub struct KernelTimings {
     /// Electron propagation (kinetic + potential), seconds.
@@ -117,27 +116,58 @@ pub struct KernelTimings {
     pub modeled: bool,
 }
 
-impl KernelTimings {
-    /// Derive the legacy view from recorded phase slices.
-    pub fn from_recorder(rec: &dcmesh_obs::StepRecorder, total: f64, modeled: bool) -> Self {
-        Self {
-            electron: rec.total_seconds(PHASE_KINETIC) + rec.total_seconds(PHASE_POTENTIAL),
-            nonlocal: rec.total_seconds(PHASE_NONLOCAL),
-            transfer: rec.total_seconds(PHASE_TRANSFER),
+/// The phases a QD step is timed in; the discriminant indexes [`PhaseSums`].
+#[derive(Copy, Clone)]
+enum Phase {
+    Kinetic,
+    Potential,
+    Nonlocal,
+    Transfer,
+}
+
+impl Phase {
+    /// Name of the phase's slices on the trace's host track.
+    const fn name(self) -> &'static str {
+        [
+            "lfd.kinetic",
+            "lfd.potential",
+            "lfd.nonlocal",
+            "lfd.transfer",
+        ][self as usize]
+    }
+}
+
+/// Microseconds per [`Phase`] of the MD step being run: what
+/// [`KernelTimings`] reports. A slice is summed here first and, when the
+/// collector is on, handed to the trace with the same duration, so the two
+/// agree by name (`tests/trace_agreement.rs`).
+#[derive(Default)]
+struct PhaseSums([f64; 4]);
+
+impl PhaseSums {
+    /// Account a slice of `dur_s` seconds that ends now.
+    fn add(&mut self, phase: Phase, dur_s: f64, bytes: u64) {
+        let dur_us = dur_s * 1e6;
+        self.0[phase as usize] += dur_us;
+        if dcmesh_obs::enabled() {
+            let start_us = (dcmesh_obs::clock::now_us() - dur_us).max(0.0);
+            dcmesh_obs::trace::record(
+                Event::complete(phase.name(), Track::Host, start_us, dur_us).with_bytes(bytes),
+            );
+        }
+    }
+
+    fn timings(&self, total: f64, modeled: bool) -> KernelTimings {
+        let [kinetic, potential, nonlocal, transfer] = self.0.map(|us| us * 1e-6);
+        KernelTimings {
+            electron: kinetic + potential,
+            nonlocal,
+            transfer,
             total,
             modeled,
         }
     }
 }
-
-/// Host-track phase names the engine records each QD step.
-pub const PHASE_KINETIC: &str = "lfd.kinetic";
-/// See [`PHASE_KINETIC`].
-pub const PHASE_POTENTIAL: &str = "lfd.potential";
-/// See [`PHASE_KINETIC`].
-pub const PHASE_NONLOCAL: &str = "lfd.nonlocal";
-/// See [`PHASE_KINETIC`].
-pub const PHASE_TRANSFER: &str = "lfd.transfer";
 
 /// LFD engine configuration.
 #[derive(Clone, Debug)]
@@ -345,21 +375,16 @@ impl<R: Real> LfdEngine<R> {
     /// Run one MD step = `N_QD` QD steps; returns kernel timings for the
     /// window (wall-clock for CPU builds, modeled for device builds).
     ///
-    /// Each QD step records phase slices — [`PHASE_NONLOCAL`],
-    /// [`PHASE_POTENTIAL`], [`PHASE_KINETIC`], [`PHASE_TRANSFER`] — into a
-    /// [`dcmesh_obs::StepRecorder`]; the returned [`KernelTimings`] is a
-    /// view over those slices, and the slices are forwarded to the global
-    /// trace when the collector is enabled.
+    /// Each QD step times its phases — `lfd.nonlocal`, `lfd.potential`,
+    /// `lfd.kinetic`, `lfd.transfer` — as slices; the returned
+    /// [`KernelTimings`] holds their per-phase sums, and each slice is also
+    /// a host-track event of the global trace when the collector is enabled.
     pub fn run_md_step(&mut self) -> KernelTimings {
         let _step_span = dcmesh_obs::span!("lfd.md_step");
         let n_qd = self.cfg.n_qd;
         let build = self.cfg.build;
         let policy = build.policy();
-        // A QD step records at most eight slices (coefficient upload, two
-        // nonlocal slots each with a PCIe round-trip on the host-BLAS
-        // build, two potential half-steps, one kinetic step): reserve them
-        // so the QD loop never allocates.
-        let mut rec = dcmesh_obs::StepRecorder::with_capacity(8 * n_qd);
+        let mut sums = PhaseSums::default();
         let wall0 = Instant::now();
         if let Some(dev) = &self.device {
             dev.reset_clock();
@@ -396,8 +421,7 @@ impl<R: Real> LfdEngine<R> {
                 let x0 = self.dev_clocks().1;
                 dev.transfer_h2d(StreamId(0), coeff_bytes, kind);
                 let dur = self.dev_clocks().1 - x0;
-                rec.record_host_seconds(PHASE_TRANSFER, dur);
-                rec.tag_bytes(coeff_bytes);
+                sums.add(Phase::Transfer, dur, coeff_bytes);
             }
 
             // --- nonlocal, leading slot: the opening Nl(dt/2). Later QD
@@ -407,11 +431,11 @@ impl<R: Real> LfdEngine<R> {
             if first || self.device.is_some() {
                 let lead = first.then_some(StepFraction::Half);
                 let nl = |e: &mut Self, p| e.apply_nonlocal(lead, false, p);
-                self.timed_phase(&mut rec, PHASE_NONLOCAL, nl, policy);
+                self.timed_phase(&mut sums, Phase::Nonlocal, nl, policy);
             }
 
             // --- electron propagation: Pot(dt/2) Kin(dt) Pot(dt/2) ---
-            self.apply_electron_propagation(policy, &mut rec);
+            self.apply_electron_propagation(policy, &mut sums);
 
             // --- nonlocal, trailing slot: Nl(dt), or the closing Nl(dt/2)
             // and the MD step's one renormalization. ---
@@ -421,7 +445,7 @@ impl<R: Real> LfdEngine<R> {
                 StepFraction::Full
             };
             let nl = |e: &mut Self, p| e.apply_nonlocal(Some(trail), last, p);
-            self.timed_phase(&mut rec, PHASE_NONLOCAL, nl, policy);
+            self.timed_phase(&mut sums, Phase::Nonlocal, nl, policy);
 
             self.time += self.cfg.dt;
         }
@@ -434,10 +458,7 @@ impl<R: Real> LfdEngine<R> {
         let total_before = self.total_occupation();
         let mut new_occ = match &self.psi {
             State::Soa(soa) => self.nl.remap_occ_soa(soa, &self.occupations),
-            State::Aos(aos) => {
-                self.nl
-                    .remap_occ(&aos.to_matrix(), &self.occupations, GemmPath::Loops)
-            }
+            State::Aos(aos) => self.nl.remap_occ(&aos.to_matrix(), &self.occupations),
         };
         let total_after: R = new_occ.iter().copied().sum();
         if total_after > R::ZERO {
@@ -463,9 +484,7 @@ impl<R: Real> LfdEngine<R> {
             Some(dev) => dev.synchronize(),
             None => wall0.elapsed().as_secs_f64(),
         };
-        let timings = KernelTimings::from_recorder(&rec, total, build.uses_device());
-        rec.flush();
-        timings
+        sums.timings(total, build.uses_device())
     }
 
     /// Modeled (kernel-busy, transfer) seconds so far (0 for CPU builds).
@@ -476,14 +495,14 @@ impl<R: Real> LfdEngine<R> {
         })
     }
 
-    /// Run `f` and record its duration under `name`: modeled kernel-busy
+    /// Run `f` and account its duration to `phase`: modeled kernel-busy
     /// delta for device builds, wall clock for CPU builds. Any transfer
-    /// time the body incurs (e.g. the GpuBlas PCIe round-trip) is recorded
-    /// separately under [`PHASE_TRANSFER`].
+    /// time the body incurs (e.g. the GpuBlas PCIe round-trip) is accounted
+    /// separately to [`Phase::Transfer`].
     fn timed_phase(
         &mut self,
-        rec: &mut dcmesh_obs::StepRecorder,
-        name: &'static str,
+        sums: &mut PhaseSums,
+        phase: Phase,
         f: impl FnOnce(&mut Self, LaunchPolicy),
         policy: LaunchPolicy,
     ) {
@@ -497,23 +516,19 @@ impl<R: Real> LfdEngine<R> {
         } else {
             t0.elapsed().as_secs_f64()
         };
-        rec.record_host_seconds(name, dur);
+        sums.add(phase, dur, 0);
         if modeled {
             let xfer = x1 - x0;
             if xfer > 0.0 {
-                rec.record_host_seconds(PHASE_TRANSFER, xfer);
+                sums.add(Phase::Transfer, xfer, 0);
             }
         }
     }
 
-    fn apply_electron_propagation(
-        &mut self,
-        policy: LaunchPolicy,
-        rec: &mut dcmesh_obs::StepRecorder,
-    ) {
-        self.timed_phase(rec, PHASE_POTENTIAL, |e, p| e.apply_potential(p), policy);
-        self.timed_phase(rec, PHASE_KINETIC, |e, p| e.apply_kinetic(p), policy);
-        self.timed_phase(rec, PHASE_POTENTIAL, |e, p| e.apply_potential(p), policy);
+    fn apply_electron_propagation(&mut self, policy: LaunchPolicy, sums: &mut PhaseSums) {
+        self.timed_phase(sums, Phase::Potential, |e, p| e.apply_potential(p), policy);
+        self.timed_phase(sums, Phase::Kinetic, |e, p| e.apply_kinetic(p), policy);
+        self.timed_phase(sums, Phase::Potential, |e, p| e.apply_potential(p), policy);
     }
 
     fn apply_potential(&mut self, policy: LaunchPolicy) {
@@ -554,7 +569,7 @@ impl<R: Real> LfdEngine<R> {
             State::Aos(psi) => {
                 let Some(frac) = frac else { return };
                 let mut m = psi.to_matrix();
-                nl.apply(&mut m, frac, GemmPath::Loops);
+                nl.apply(&mut m, frac);
                 *psi = WfAos::from_matrix(psi.mesh().clone(), m);
                 if renormalize {
                     #[cfg(test)]
@@ -581,9 +596,13 @@ impl<R: Real> LfdEngine<R> {
                 body();
                 dev.transfer_h2d(StreamId(0), bytes, TransferKind::Pageable);
             }
-            Some(dev) => {
-                dev.launch_named(PHASE_NONLOCAL, StreamId(0), policy, nl.nlp_work(norb), body)
-            }
+            Some(dev) => dev.launch_named(
+                Phase::Nonlocal.name(),
+                StreamId(0),
+                policy,
+                nl.nlp_work(norb),
+                body,
+            ),
         }
     }
 
@@ -617,7 +636,7 @@ impl<R: Real> LfdEngine<R> {
     pub fn scissor_energies(&self) -> Vec<R> {
         match &self.psi {
             State::Soa(s) => self.nl.scissor_energies_soa(s),
-            State::Aos(a) => self.nl.scissor_energies(&a.to_matrix(), GemmPath::Loops),
+            State::Aos(a) => self.nl.scissor_energies(&a.to_matrix()),
         }
     }
 
@@ -856,10 +875,9 @@ mod tests {
         assert!(e.cfg.laser.is_none());
         let n_qd = e.cfg.n_qd;
         let sync = LaunchPolicy::Sync;
-        let mut rec = dcmesh_obs::StepRecorder::with_capacity(8 * n_qd);
         for q in 0..n_qd {
             e.apply_nonlocal(Some(StepFraction::Half), false, sync);
-            e.apply_electron_propagation(sync, &mut rec);
+            e.apply_electron_propagation(sync, &mut PhaseSums::default());
             let close = renormalize && q + 1 == n_qd;
             e.apply_nonlocal(Some(StepFraction::Half), close, sync);
             e.time += e.cfg.dt;

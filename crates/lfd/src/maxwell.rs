@@ -58,16 +58,6 @@ impl LaserPulse {
     pub fn vector_potential(&self, t: f64) -> f64 {
         -SPEED_OF_LIGHT_AU * self.e0 / self.omega * self.envelope(t) * (self.omega * t).sin()
     }
-
-    /// Pulse fluence proxy `integral E^2 dt` (a.u.), for absorbed-energy
-    /// normalizations in the application benchmarks.
-    pub fn fluence(&self, steps: usize) -> f64 {
-        let dt = self.duration / steps as f64;
-        (0..steps)
-            .map(|n| self.e_field((n as f64 + 0.5) * dt).powi(2))
-            .sum::<f64>()
-            * dt
-    }
 }
 
 /// 1D FDTD propagation of the vector potential across the domain slabs.
@@ -167,11 +157,6 @@ impl Maxwell1d {
         let i1 = (i0 + 1).min(self.n - 1);
         let w = xf - i0 as f64;
         self.a[i0] * (1.0 - w) + self.a[i1] * w
-    }
-
-    /// Electric field at a cell: `E = -(1/c) dA/dt` by backward difference.
-    pub fn e_field_at(&self, cell: usize) -> f64 {
-        -(self.a[cell] - self.a_prev[cell]) / (self.c * self.dt)
     }
 
     /// Field energy proxy `sum (dA/dt / c)^2 + (dA/dx)^2` (a.u., unnormalized).

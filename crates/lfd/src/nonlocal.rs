@@ -29,25 +29,17 @@
 //! `Ngrid x Norb` wavefunction matrix: `O = Psi_u(0)^H Psi(t)` then
 //! `Psi(t) += c Psi_u(0) O`. Three LFD functions share the pattern —
 //! `nlp_prop()`, `calc_energy()`, `remap_occ()` — and all three are
-//! implemented here in both loop form (the pre-BLAS build of Table II) and
-//! GEMM form.
+//! implemented here in both loop form on the `Ngrid x Norb` matrix (the
+//! pre-BLAS build of Table II, and the oracle of the tests) and GEMM form on
+//! the SoA storage (every other build).
 
 use dcmesh_device::{KernelWork, Precision};
 use dcmesh_grid::WfSoa;
-use dcmesh_math::gemm::{gemm, gemm_cfmas, Op};
+use dcmesh_math::gemm::{gemm_cfmas, Op};
 use dcmesh_math::{simd, Complex, Matrix, Real};
 use dcmesh_pool::arena::with_scratch;
 
 use crate::kinetic::StepFraction;
-
-/// Which implementation the nonlocal kernels use (Table II rows).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum GemmPath {
-    /// Naive nested loops (the "CPU OpenMP Parallel" non-BLAS build).
-    Loops,
-    /// Blocked, parallel GEMM (the "+BLAS" / cuBLAS-modeled builds).
-    Blas,
-}
 
 /// Scissor-shifted nonlocal corrector bound to a t = 0 reference basis.
 #[derive(Clone, Debug)]
@@ -57,11 +49,8 @@ pub struct NonlocalCorrection<R> {
     /// Transposed reference `Psi(0)^T` (`Norb x Ngrid`) — the SoA layout,
     /// so SoA-resident propagation needs no layout conversion.
     psi0_t: Matrix<R>,
-    /// Unoccupied reference block `Psi_u(0)` (`Ngrid x Nu`), precomputed so
-    /// the per-QD-step GEMMs borrow it instead of re-materializing (or
-    /// cloning the full `Psi(0)`) on every call.
-    psi0u: Matrix<R>,
-    /// Transposed unoccupied block (`Nu x Ngrid`).
+    /// Transposed unoccupied block `Psi_u(0)^T` (`Nu x Ngrid`), precomputed
+    /// so the per-QD-step GEMMs borrow it.
     psi0u_t: Matrix<R>,
     /// Index of the first unoccupied reference column (LUMO).
     lumo: usize,
@@ -80,12 +69,10 @@ impl<R: Real> NonlocalCorrection<R> {
         assert!(lumo <= psi0.cols(), "LUMO index beyond reference basis");
         let psi0_t = Matrix::from_fn(psi0.cols(), psi0.rows(), |n, g| psi0[(g, n)]);
         let nu = psi0.cols() - lumo;
-        let psi0u = Matrix::from_fn(psi0.rows(), nu, |g, u| psi0[(g, lumo + u)]);
         let psi0u_t = Matrix::from_fn(nu, psi0.rows(), |u, g| psi0[(g, lumo + u)]);
         Self {
             psi0,
             psi0_t,
-            psi0u,
             psi0u_t,
             lumo,
             delta_sci,
@@ -105,46 +92,26 @@ impl<R: Real> NonlocalCorrection<R> {
     }
 
     /// Overlap `O = Psi_ref^H Psi(t) * dv` restricted to columns
-    /// `[col0, cols)` of the reference set.
-    fn overlap(&self, psi_t: &Matrix<R>, col0: usize, path: GemmPath) -> Matrix<R> {
-        debug_assert!(
-            col0 == 0 || col0 == self.lumo,
-            "only full-basis or unoccupied-block overlaps are precomputed"
-        );
+    /// `[col0, cols)` of the reference set, in loop form.
+    fn overlap(&self, psi_t: &Matrix<R>, col0: usize) -> Matrix<R> {
         let nref = self.psi0.cols() - col0;
         let n = psi_t.cols();
         let mut o = Matrix::zeros(nref, n);
-        match path {
-            GemmPath::Blas => {
-                let refblock = if col0 == 0 { &self.psi0 } else { &self.psi0u };
-                gemm(
-                    Complex::from_real(self.dv),
-                    refblock,
-                    Op::ConjTrans,
-                    psi_t,
-                    Op::None,
-                    Complex::zero(),
-                    &mut o,
-                );
-            }
-            GemmPath::Loops => {
-                // The paper's pre-BLAS formulation applies the projector
-                // point by point: the grid loop is OUTERMOST, so every
-                // mesh point touches one strided element of every reference
-                // orbital — the poor-locality pattern BLASification removes.
-                let g = self.psi0.rows();
-                for r in 0..g {
-                    for t in 0..n {
-                        let pt = psi_t[(r, t)];
-                        for u in 0..nref {
-                            o[(u, t)] += self.psi0[(r, col0 + u)].conj() * pt;
-                        }
-                    }
-                }
-                for z in o.data_mut() {
-                    *z = z.scale(self.dv);
+        // The paper's pre-BLAS formulation applies the projector point by
+        // point: the grid loop is OUTERMOST, so every mesh point touches one
+        // strided element of every reference orbital — the poor-locality
+        // pattern BLASification removes.
+        let g = self.psi0.rows();
+        for r in 0..g {
+            for t in 0..n {
+                let pt = psi_t[(r, t)];
+                for u in 0..nref {
+                    o[(u, t)] += self.psi0[(r, col0 + u)].conj() * pt;
                 }
             }
+        }
+        for z in o.data_mut() {
+            *z = z.scale(self.dv);
         }
         o
     }
@@ -161,38 +128,25 @@ impl<R: Real> NonlocalCorrection<R> {
     /// The nonlocal step `psi <- exp(-i theta P) psi`, that is
     /// `psi += (e^{-i theta} - 1) Psi_u (Psi_u^H psi dv)` with
     /// `theta = D_sci dt frac`, in place and unitary: nothing is renormalized.
-    pub fn apply(&self, psi_t: &mut Matrix<R>, frac: StepFraction, path: GemmPath) {
+    /// Loop form on the `Ngrid x Norb` matrix (the pre-BLAS build);
+    /// [`NonlocalCorrection::apply_soa`] is the GEMM form.
+    pub fn apply(&self, psi_t: &mut Matrix<R>, frac: StepFraction) {
         assert_eq!(psi_t.rows(), self.psi0.rows());
         #[cfg(test)]
         counts::bump(1, 0);
         let c = self.phase_minus_one(frac);
-        let o = self.overlap(psi_t, self.lumo, path);
-        match path {
-            GemmPath::Blas => {
-                gemm(
-                    c,
-                    &self.psi0u,
-                    Op::None,
-                    &o,
-                    Op::None,
-                    Complex::one(),
-                    psi_t,
-                );
-            }
-            GemmPath::Loops => {
-                // Point-by-point accumulation (grid loop outermost), the
-                // mirror image of the overlap pass above.
-                let g = self.psi0.rows();
-                let nu = self.psi0.cols() - self.lumo;
-                for r in 0..g {
-                    for t in 0..psi_t.cols() {
-                        let mut acc = Complex::zero();
-                        for u in 0..nu {
-                            acc += self.psi0[(r, self.lumo + u)] * o[(u, t)];
-                        }
-                        psi_t[(r, t)] += c * acc;
-                    }
+        let o = self.overlap(psi_t, self.lumo);
+        // Point-by-point accumulation (grid loop outermost), the mirror
+        // image of the overlap pass.
+        let g = self.psi0.rows();
+        let nu = self.psi0.cols() - self.lumo;
+        for r in 0..g {
+            for t in 0..psi_t.cols() {
+                let mut acc = Complex::zero();
+                for u in 0..nu {
+                    acc += self.psi0[(r, self.lumo + u)] * o[(u, t)];
                 }
+                psi_t[(r, t)] += c * acc;
             }
         }
     }
@@ -200,14 +154,14 @@ impl<R: Real> NonlocalCorrection<R> {
     /// `nlp_prop()`: the nonlocal half-step `exp(-i (D_sci dt / 2) P)` in
     /// place — [`NonlocalCorrection::apply`] at [`StepFraction::Half`], the
     /// step that opens and closes the engine's MD step.
-    pub fn nlp_prop(&self, psi_t: &mut Matrix<R>, path: GemmPath) {
-        self.apply(psi_t, StepFraction::Half, path);
+    pub fn nlp_prop(&self, psi_t: &mut Matrix<R>) {
+        self.apply(psi_t, StepFraction::Half);
     }
 
     /// `calc_energy()`: the scissor (nonlocal) energy correction per
     /// propagated orbital, `D_sci * sum_u |<psi_u(0)|psi_n(t)>|^2`.
-    pub fn scissor_energies(&self, psi_t: &Matrix<R>, path: GemmPath) -> Vec<R> {
-        let o = self.overlap(psi_t, self.lumo, path);
+    pub fn scissor_energies(&self, psi_t: &Matrix<R>) -> Vec<R> {
+        let o = self.overlap(psi_t, self.lumo);
         (0..psi_t.cols())
             .map(|t| {
                 let mut s = R::ZERO;
@@ -222,9 +176,9 @@ impl<R: Real> NonlocalCorrection<R> {
     /// `remap_occ()`: project the propagated orbitals back on the full
     /// adiabatic reference basis and redistribute the occupations:
     /// `f_s(t) = sum_n f_n(0) |<psi_s(0)|psi_n(t)>|^2`.
-    pub fn remap_occ(&self, psi_t: &Matrix<R>, occ0: &[R], path: GemmPath) -> Vec<R> {
+    pub fn remap_occ(&self, psi_t: &Matrix<R>, occ0: &[R]) -> Vec<R> {
         assert_eq!(occ0.len(), psi_t.cols());
-        let o = self.overlap(psi_t, 0, path);
+        let o = self.overlap(psi_t, 0);
         let mut f = vec![R::ZERO; self.psi0.cols()];
         for (s, fs) in f.iter_mut().enumerate() {
             for (n, f0) in occ0.iter().enumerate() {
@@ -295,7 +249,7 @@ impl<R: Real> NonlocalCorrection<R> {
     }
 
     /// [`NonlocalCorrection::apply`] on an SoA-resident wavefunction set:
-    /// identical math, the two skinny GEMMs on the transposed layout,
+    /// identical math as two skinny GEMMs on the transposed layout,
     /// operating in place on the SoA storage (no layout conversion — this
     /// is why the SoA data structure "BLASifies" for free). Scratch comes
     /// from the thread's arena: no heap traffic. `norms2[n]` receives the
@@ -415,6 +369,7 @@ pub(crate) mod counts {
 mod tests {
     use super::*;
     use dcmesh_grid::{Mesh3, WfAos};
+    use dcmesh_math::gemm::gemm;
     use dcmesh_math::C64;
 
     /// Orthonormal (dv-weighted) reference set on a small mesh.
@@ -432,28 +387,13 @@ mod tests {
     }
 
     #[test]
-    fn loops_and_blas_agree() {
-        let (_, nl) = setup();
-        let mut a = nl.psi0.clone();
-        let mut b = nl.psi0.clone();
-        nl.nlp_prop(&mut a, GemmPath::Loops);
-        nl.nlp_prop(&mut b, GemmPath::Blas);
-        assert!(a.max_abs_diff(&b) < 1e-12);
-        let ea = nl.scissor_energies(&a, GemmPath::Loops);
-        let eb = nl.scissor_energies(&b, GemmPath::Blas);
-        for (x, y) in ea.iter().zip(&eb) {
-            assert!((x - y).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn occupied_references_pass_through_unchanged() {
         // Occupied reference columns are orthogonal to the unoccupied
         // projector: nlp_prop must leave them invariant.
         let (_, nl) = setup();
         let occ_only = Matrix::from_fn(nl.ngrid(), 3, |r, c| nl.psi0[(r, c)]);
         let mut out = occ_only.clone();
-        nl.nlp_prop(&mut out, GemmPath::Blas);
+        nl.nlp_prop(&mut out);
         assert!(out.max_abs_diff(&occ_only) < 1e-10);
     }
 
@@ -462,7 +402,7 @@ mod tests {
         let (_, nl) = setup();
         // psi = psi_u(0) for u = LUMO: scissor energy = D_sci exactly.
         let lumo_col = Matrix::from_fn(nl.ngrid(), 1, |r, _| nl.psi0[(r, 3)]);
-        let e = nl.scissor_energies(&lumo_col, GemmPath::Blas);
+        let e = nl.scissor_energies(&lumo_col);
         assert!((e[0] - 0.25).abs() < 1e-10, "scissor {e:?}");
     }
 
@@ -471,7 +411,7 @@ mod tests {
         let (mesh, nl) = setup();
         let mut psi = reference(&mesh, 6); // orthonormal start
         for _ in 0..25 {
-            nl.nlp_prop(&mut psi, GemmPath::Blas);
+            nl.nlp_prop(&mut psi);
         }
         let dv = mesh.dv();
         for t in 0..psi.cols() {
@@ -496,7 +436,7 @@ mod tests {
             psi[(r, 0)] = a.scale(c) + b.scale(s);
             psi[(r, 3)] = a.scale(-s) + b.scale(c);
         }
-        let f = nl.remap_occ(&psi, &occ0, GemmPath::Blas);
+        let f = nl.remap_occ(&psi, &occ0);
         let total: f64 = f.iter().sum();
         assert!((total - 5.0).abs() < 1e-10, "total {total}");
         // State 3 (LUMO) picked up population from the rotated state 0.
@@ -509,7 +449,7 @@ mod tests {
     fn remap_identity_when_unpropagated() {
         let (_, nl) = setup();
         let occ0 = vec![2.0, 2.0, 2.0, 0.0, 0.0, 0.0];
-        let f = nl.remap_occ(&nl.psi0.clone(), &occ0, GemmPath::Loops);
+        let f = nl.remap_occ(&nl.psi0, &occ0);
         for (a, b) in f.iter().zip(&occ0) {
             assert!((a - b).abs() < 1e-10);
         }
@@ -521,23 +461,22 @@ mod tests {
         let nl = NonlocalCorrection::new(nl0.psi0.clone(), 3, 0.0, 0.02, mesh.dv());
         let mut psi = nl.psi0.clone();
         let before = psi.clone();
-        nl.nlp_prop(&mut psi, GemmPath::Blas);
+        nl.nlp_prop(&mut psi);
         assert!(psi.max_abs_diff(&before) < 1e-12);
     }
 
-    /// One step on every path — loop form, matrix GEMM, SoA — from the
-    /// same AoS start.
+    /// One step on both paths — loop form, SoA GEMMs — from the same AoS
+    /// start.
     fn apply_on_every_path<R: Real>(
         nl: &NonlocalCorrection<R>,
         state: &WfAos<R>,
         frac: StepFraction,
-    ) -> [Matrix<R>; 3] {
-        let [mut loops, mut blas] = [state.to_matrix(), state.to_matrix()];
-        nl.apply(&mut loops, frac, GemmPath::Loops);
-        nl.apply(&mut blas, frac, GemmPath::Blas);
+    ) -> [Matrix<R>; 2] {
+        let mut loops = state.to_matrix();
+        nl.apply(&mut loops, frac);
         let mut soa = state.to_soa();
         nl.apply_soa(&mut soa, frac, &mut vec![R::ZERO; state.norb()]);
-        [loops, blas, soa.to_aos().to_matrix()]
+        [loops, soa.to_aos().to_matrix()]
     }
 
     /// `<ref_col | psi_col> dv`, summed in f64.
@@ -645,9 +584,12 @@ mod tests {
     /// The paper's Eq. (7) as this crate applied it until PR 17: the
     /// first-order step `1 - i theta P`, then every column renormalized.
     fn first_order_step(nl: &NonlocalCorrection<f64>, psi_t: &mut Matrix<f64>, theta: f64) {
-        let o = nl.overlap(psi_t, nl.lumo, GemmPath::Blas);
+        let o = nl.overlap(psi_t, nl.lumo);
         let c = C64::new(0.0, -theta);
-        gemm(c, &nl.psi0u, Op::None, &o, Op::None, C64::one(), psi_t);
+        let psi0u = Matrix::from_fn(nl.ngrid(), nl.norb() - nl.lumo, |g, u| {
+            nl.psi0[(g, nl.lumo + u)]
+        });
+        gemm(c, &psi0u, Op::None, &o, Op::None, C64::one(), psi_t);
         for t in 0..psi_t.cols() {
             let n2: f64 = psi_t.col(t).iter().map(|z| z.norm_sqr()).sum();
             let inv = 1.0 / (n2 * nl.dv).sqrt();
@@ -675,7 +617,7 @@ mod tests {
                 _ => reference[(r, 1)],
             });
             let (mut exact, mut first) = (start.clone(), start.clone());
-            nl.apply(&mut exact, StepFraction::Full, GemmPath::Blas);
+            nl.apply(&mut exact, StepFraction::Full);
             first_order_step(&nl, &mut first, theta);
             let col_diff = |col: usize| {
                 let (x, y) = (exact.col(col), first.col(col));
@@ -718,7 +660,7 @@ mod tests {
         state.randomize(34);
         let mut mat = state.to_matrix();
         let mut soa = state.to_soa();
-        nl.nlp_prop(&mut mat, GemmPath::Blas);
+        nl.nlp_prop(&mut mat);
         nl.nlp_prop_soa(&mut soa);
         let back = soa.to_aos().to_matrix();
         assert!(
@@ -727,13 +669,13 @@ mod tests {
             mat.max_abs_diff(&back)
         );
         // Energies and occupations agree too.
-        let ea = nl.scissor_energies(&mat, GemmPath::Blas);
+        let ea = nl.scissor_energies(&mat);
         let eb = nl.scissor_energies_soa(&soa);
         for (a, b) in ea.iter().zip(&eb) {
             assert!((a - b).abs() < 1e-11);
         }
         let occ0 = vec![2.0, 2.0, 0.0, 0.0, 0.0];
-        let fa = nl.remap_occ(&mat, &occ0, GemmPath::Blas);
+        let fa = nl.remap_occ(&mat, &occ0);
         let fb = nl.remap_occ_soa(&soa, &occ0);
         for (a, b) in fa.iter().zip(&fb) {
             assert!((a - b).abs() < 1e-11);
@@ -762,21 +704,15 @@ mod tests {
                 let mut mat = state.to_matrix();
                 let mut soa = state.to_soa();
                 for _ in 0..2 {
-                    nl.nlp_prop(&mut mat, GemmPath::Loops);
+                    nl.nlp_prop(&mut mat);
                     nl.nlp_prop_soa(&mut soa);
                 }
                 let diff = mat.max_abs_diff(&soa.to_aos().to_matrix()).to_f64();
                 assert!(diff < tol, "norb {norb}: nlp_prop differs by {diff}");
                 let occ0: Vec<R> = (0..norb).map(|n| R::from_usize(n % 3)).collect();
                 let pairs = [
-                    (
-                        nl.scissor_energies(&mat, GemmPath::Loops),
-                        nl.scissor_energies_soa(&soa),
-                    ),
-                    (
-                        nl.remap_occ(&mat, &occ0, GemmPath::Loops),
-                        nl.remap_occ_soa(&soa, &occ0),
-                    ),
+                    (nl.scissor_energies(&mat), nl.scissor_energies_soa(&soa)),
+                    (nl.remap_occ(&mat, &occ0), nl.remap_occ_soa(&soa, &occ0)),
                 ];
                 for (want, got) in pairs {
                     for (a, b) in want.iter().zip(&got) {

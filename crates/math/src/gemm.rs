@@ -136,11 +136,6 @@ impl<R: Real> Matrix<R> {
         Self::from_fn(self.cols, self.rows, |r, c| self[(c, r)].conj())
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> R {
-        self.data.iter().map(|z| z.norm_sqr()).sum::<R>().sqrt()
-    }
-
     /// Maximum absolute entry difference against another matrix.
     pub fn max_abs_diff(&self, other: &Self) -> R {
         assert_eq!(self.rows, other.rows);

@@ -18,8 +18,8 @@
 //! * [`linalg`] — vector kernels, Gram–Schmidt, and a complex Hermitian
 //!   Jacobi eigensolver for Rayleigh–Ritz subspace diagonalization.
 //! * [`simd`] — split-complex (SoA) AVX2+FMA microkernels with runtime
-//!   dispatch (`DCMESH_SIMD`) and the autotuned tile registry consulted by
-//!   the packed GEMM path.
+//!   dispatch (`DCMESH_SIMD`): pointwise, line and projector kernels and the
+//!   packed GEMM microkernel with its fixed register and cache tiles.
 //! * [`phys`] — Hartree atomic-unit constants and conversions.
 
 pub mod complex;

@@ -9,8 +9,6 @@
 //! Periodic boundary conditions have a constant null space; the solver works
 //! with mean-free right-hand sides and returns a mean-free potential.
 
-use crate::real::Real;
-
 /// Parameters of the multigrid cycle.
 #[derive(Clone, Debug)]
 pub struct MgParams {
@@ -320,12 +318,6 @@ pub fn vcycle_work_estimate(nx: usize, ny: usize, nz: usize, params: &MgParams) 
     let n = (nx * ny * nz) as u64;
     let sweeps = (params.pre_sweeps + params.post_sweeps + 2) as u64; // +residual/restrict
     n * sweeps * 8 / 7
-}
-
-/// Generic helper exposed for precision-parametrized callers: cast a real
-/// field between precisions.
-pub fn cast_field<A: Real, B: Real>(src: &[A]) -> Vec<B> {
-    src.iter().map(|&x| B::from_f64(x.to_f64())).collect()
 }
 
 #[cfg(test)]

@@ -11,9 +11,6 @@ pub const SPEED_OF_LIGHT_AU: f64 = 137.035_999_084;
 /// One atomic time unit in attoseconds (hbar / Hartree).
 pub const ATOMIC_TIME_AS: f64 = 24.188_843_265_857;
 
-/// One atomic time unit in femtoseconds.
-pub const ATOMIC_TIME_FS: f64 = ATOMIC_TIME_AS * 1e-3;
-
 /// One Bohr radius in angstroms.
 pub const BOHR_ANGSTROM: f64 = 0.529_177_210_903;
 

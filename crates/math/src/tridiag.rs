@@ -118,40 +118,6 @@ pub fn kinetic_step_1d<R: Real>(line: &mut [Complex<R>], dt: R, t: &KineticTridi
     apply_split_exp(line, half, t.diag, t.offdiag, false);
 }
 
-/// Thomas algorithm: solve the tridiagonal system
-/// `lower[i-1]*x[i-1] + diag[i]*x[i] + upper[i]*x[i+1] = rhs[i]`.
-///
-/// Used by the implicit Crank–Nicolson reference propagator in tests; the
-/// production propagator is the explicit split-exponential above.
-pub fn thomas_solve<R: Real>(
-    lower: &[Complex<R>],
-    diag: &[Complex<R>],
-    upper: &[Complex<R>],
-    rhs: &[Complex<R>],
-) -> Vec<Complex<R>> {
-    let n = diag.len();
-    assert_eq!(lower.len(), n - 1);
-    assert_eq!(upper.len(), n - 1);
-    assert_eq!(rhs.len(), n);
-    let mut cp = vec![Complex::zero(); n - 1];
-    let mut dp = vec![Complex::zero(); n];
-    cp[0] = upper[0] / diag[0];
-    dp[0] = rhs[0] / diag[0];
-    for i in 1..n {
-        let m = diag[i] - lower[i - 1] * cp[i - 1];
-        if i < n - 1 {
-            cp[i] = upper[i] / m;
-        }
-        dp[i] = (rhs[i] - lower[i - 1] * dp[i - 1]) / m;
-    }
-    let mut x = vec![Complex::zero(); n];
-    x[n - 1] = dp[n - 1];
-    for i in (0..n - 1).rev() {
-        x[i] = dp[i] - cp[i] * x[i + 1];
-    }
-    x
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,35 +239,6 @@ mod tests {
             (shift - expected_shift).abs() / expected_shift < 0.08,
             "shift={shift} expected={expected_shift}"
         );
-    }
-
-    #[test]
-    fn thomas_solves_random_system() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(11);
-        let n = 40;
-        let mut c = |bias: f64| C64::new(rng.gen_range(-1.0..1.0) + bias, rng.gen_range(-0.3..0.3));
-        let lower: Vec<C64> = (0..n - 1).map(|_| c(0.0)).collect();
-        let upper: Vec<C64> = (0..n - 1).map(|_| c(0.0)).collect();
-        let diag: Vec<C64> = (0..n).map(|_| c(5.0)).collect(); // diagonally dominant
-        let x_true: Vec<C64> = (0..n).map(|_| c(0.0)).collect();
-        // rhs = T x_true
-        let mut rhs = vec![C64::zero(); n];
-        for i in 0..n {
-            let mut acc = diag[i] * x_true[i];
-            if i > 0 {
-                acc += lower[i - 1] * x_true[i - 1];
-            }
-            if i + 1 < n {
-                acc += upper[i] * x_true[i + 1];
-            }
-            rhs[i] = acc;
-        }
-        let x = thomas_solve(&lower, &diag, &upper, &rhs);
-        for i in 0..n {
-            assert!((x[i] - x_true[i]).abs() < 1e-10);
-        }
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //!    thread-local buffers that are merged at flush, so instrumentation
 //!    composes with the pool without lock contention. When the collector is
 //!    disabled (the default) every instrumentation point reduces to one
-//!    relaxed atomic load.
+//!    relaxed atomic load. Code that times a phase itself (the LFD engine's
+//!    `lfd.*` slices) hands an [`Event::complete`] to [`trace::record`]
+//!    behind the same [`enabled`] check; no caller-owned buffer sits between.
 //! 2. **Metrics registry** — [`metrics`]: counters, gauges, and
 //!    log₂-bucketed histograms (per-step latency distributions, comm
 //!    bytes, SCF residuals, multigrid V-cycle counts).
@@ -27,13 +29,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 pub mod chrome;
 pub mod clock;
 pub mod json;
-pub mod local;
 pub mod metrics;
 pub mod report;
 pub mod span;
 pub mod trace;
 
-pub use local::StepRecorder;
 pub use span::SpanGuard;
 pub use trace::{Event, EventKind, Track};
 

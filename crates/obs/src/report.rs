@@ -66,15 +66,6 @@ pub fn aggregate(events: &[Event]) -> Vec<PhaseAgg> {
         .collect()
 }
 
-/// Total seconds recorded for one phase name (any track).
-pub fn total_seconds(events: &[Event], name: &str) -> f64 {
-    aggregate(events)
-        .iter()
-        .filter(|a| a.name == name)
-        .map(|a| a.total_s)
-        .sum()
-}
-
 /// One reconstructed span.
 #[derive(Clone, Debug)]
 pub struct SpanNode {

@@ -134,8 +134,7 @@ pub fn current_thread_ordinal() -> u32 {
 
 /// Record one event into the calling thread's buffer. Callers are
 /// expected to check [`crate::enabled`] first; this function records
-/// unconditionally (that is what [`crate::local::StepRecorder`] relies on
-/// when it flushes).
+/// unconditionally.
 pub fn record(mut ev: Event) {
     ev.seq = NEXT_SEQ.fetch_add(1, Ordering::Relaxed);
     LOCAL.with(|(buf, _)| buf.lock().unwrap_or_else(|e| e.into_inner()).push(ev));

@@ -8,7 +8,7 @@ use dcmesh_obs::clock::{self, ClockMode};
 use dcmesh_obs::json::Json;
 use dcmesh_obs::metrics::{self, bucket_exponent, Histogram};
 use dcmesh_obs::report::{aggregate, SpanTree};
-use dcmesh_obs::{chrome, span, trace, StepRecorder, Track};
+use dcmesh_obs::{chrome, span, trace, Event, Track};
 
 /// The collector is global state; serialize the tests that touch it.
 fn collector_lock() -> MutexGuard<'static, ()> {
@@ -107,7 +107,6 @@ fn disabled_collector_emits_nothing() {
     metrics::counter_add("dead.counter", 5);
     metrics::gauge_set("dead.gauge", 1.0);
     metrics::histogram_record("dead.histogram", 2.0);
-    StepRecorder::new().flush(); // flush is also gated
 
     assert!(
         trace::drain().is_empty(),
@@ -131,11 +130,15 @@ fn chrome_trace_roundtrips_with_monotonic_timestamps() {
     }
     // Device-track slices with modeled timestamps, deliberately recorded
     // out of order: drain() must still produce an ordered timeline.
-    let mut rec = StepRecorder::new();
-    rec.record("device.kernel", Track::Device { stream: 1 }, 500.0, 120.0);
-    rec.record("device.h2d", Track::Device { stream: 0 }, 10.0, 40.0);
-    rec.tag_bytes(1 << 20);
-    rec.flush();
+    trace::record(Event::complete(
+        "device.kernel",
+        Track::Device { stream: 1 },
+        500.0,
+        120.0,
+    ));
+    trace::record(
+        Event::complete("device.h2d", Track::Device { stream: 0 }, 10.0, 40.0).with_bytes(1 << 20),
+    );
     dcmesh_obs::disable();
 
     let events = trace::drain();

@@ -32,7 +32,7 @@ pub struct LoadConfig {
     pub queue_capacity: usize,
     /// MD steps per job.
     pub steps_per_job: u64,
-    /// Quantum dots per job (problem size).
+    /// QD steps per MD step (`DcMeshConfig::n_qd`; the job's cost per step).
     pub n_qd: usize,
     /// Seed for both the arrival process and the per-job physics seeds.
     pub seed: u64,

@@ -115,11 +115,6 @@ impl Service {
         }
     }
 
-    /// Jobs waiting for a worker (excludes running jobs).
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Worker threads.
     pub fn concurrency(&self) -> usize {
         self.workers.len()
@@ -321,7 +316,11 @@ fn finish(job: Job, status: JobStatus, stats: Option<AttemptStats>) {
         JobStatus::Queued | JobStatus::Running => unreachable!("finish() takes terminal statuses"),
     };
     metrics::counter_add(counter, 1);
-    metrics::histogram_record("serve.run_seconds", job.run_s);
+    // A job resolved by `process`'s pre-flight checks never ran: a 0.0 for
+    // it would only drag the histogram's low buckets.
+    if job.attempts > 0 {
+        metrics::histogram_record("serve.run_seconds", job.run_s);
+    }
 
     let stats = stats.unwrap_or_else(AttemptStats::empty);
     job.shared.finish(JobOutcome {

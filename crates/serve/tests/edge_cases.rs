@@ -68,6 +68,38 @@ fn cancellation_mid_run_releases_the_worker_for_the_next_job() {
 }
 
 #[test]
+fn run_seconds_counts_only_jobs_that_started() {
+    let _guard = fault::test_lock();
+    dcmesh_obs::reset();
+    dcmesh_obs::enable();
+    let service = Service::start(ServeConfig {
+        concurrency: 1,
+        ..ServeConfig::default()
+    });
+    let blocker = service.submit(spec("blocker", 100_000)).unwrap();
+    wait_running(&blocker);
+    // Cancelled while queued behind the blocker: resolved by the worker's
+    // pre-flight check, with no attempt.
+    let queued = service.submit(spec("queued", 2)).unwrap();
+    queued.cancel();
+    blocker.cancel();
+    assert_eq!(blocker.wait().attempts, 1);
+    let queued_out = queued.wait();
+    assert_eq!(
+        (queued_out.status, queued_out.attempts),
+        (JobStatus::Cancelled, 0)
+    );
+    service.shutdown(true);
+    let snapshot = dcmesh_obs::metrics::snapshot();
+    dcmesh_obs::reset();
+    assert_eq!(snapshot.counters["serve.cancelled"], 2);
+    assert_eq!(
+        snapshot.histograms["serve.run_seconds"].count, 1,
+        "one job started, so one run time"
+    );
+}
+
+#[test]
 fn burst_arrivals_beyond_the_queue_bound_are_rejected_typed() {
     let _guard = fault::test_lock();
     let service = Service::start(ServeConfig {

@@ -274,61 +274,6 @@ impl AtomSet {
         (self.electron_count() / 2.0).ceil() as usize
     }
 
-    /// Species of atom `i`.
-    pub fn species_of(&self, i: usize) -> &Species {
-        &self.species[self.atoms[i].species]
-    }
-
-    /// Ion-ion repulsion energy with smeared charges matching `v_local`:
-    /// `sum_{a<b} Za Zb erf(r / sqrt(rca^2 + rcb^2)) / r` (open boundaries —
-    /// DC domains are finite; the global Madelung part lives in the
-    /// recombine phase's global potential).
-    pub fn ion_ion_energy(&self) -> f64 {
-        let mut e = 0.0;
-        for a in 0..self.atoms.len() {
-            for b in a + 1..self.atoms.len() {
-                let sa = self.species_of(a);
-                let sb = self.species_of(b);
-                let d = distance(self.atoms[a].pos, self.atoms[b].pos);
-                if d < 1e-10 {
-                    continue;
-                }
-                let rc = (sa.rc_loc.powi(2) + sb.rc_loc.powi(2)).sqrt();
-                e += sa.z_val * sb.z_val * erf(d / rc) / d;
-            }
-        }
-        e
-    }
-
-    /// Analytic ion-ion forces matching [`AtomSet::ion_ion_energy`];
-    /// accumulates into each atom's force field.
-    pub fn accumulate_ion_ion_forces(&mut self) {
-        let n = self.atoms.len();
-        for a in 0..n {
-            for b in a + 1..n {
-                let sa = self.species[self.atoms[a].species].clone();
-                let sb = self.species[self.atoms[b].species].clone();
-                let pa = self.atoms[a].pos;
-                let pb = self.atoms[b].pos;
-                let d = distance(pa, pb);
-                if d < 1e-10 {
-                    continue;
-                }
-                let rc = (sa.rc_loc.powi(2) + sb.rc_loc.powi(2)).sqrt();
-                let x = d / rc;
-                // dE/dr of Z Z erf(r/rc)/r.
-                let derf = 2.0 / std::f64::consts::PI.sqrt() * (-x * x).exp() / rc;
-                let de_dr = sa.z_val * sb.z_val * (derf / d - erf(x) / (d * d));
-                for ax in 0..3 {
-                    let dir = (pa[ax] - pb[ax]) / d;
-                    // F = -dE/dr * dir on atom a.
-                    self.atoms[a].force[ax] -= de_dr * dir;
-                    self.atoms[b].force[ax] += de_dr * dir;
-                }
-            }
-        }
-    }
-
     /// Zero every atom's force accumulator.
     pub fn clear_forces(&mut self) {
         for a in &mut self.atoms {
@@ -425,58 +370,6 @@ mod tests {
         // Pb(4) + Ti(4) + 3 O(6) = 26 electrons, 13 doubly occupied orbitals.
         assert_eq!(set.electron_count(), 26.0);
         assert_eq!(set.occupied_orbitals(), 13);
-    }
-
-    #[test]
-    fn ion_ion_energy_positive_and_decaying() {
-        let mut set = AtomSet::new(vec![Species::hydrogen()]);
-        set.push(0, [0.0; 3]);
-        set.push(0, [2.0, 0.0, 0.0]);
-        let e2 = set.ion_ion_energy();
-        set.atoms[1].pos = [4.0, 0.0, 0.0];
-        let e4 = set.ion_ion_energy();
-        assert!(e2 > e4 && e4 > 0.0);
-        // Long range: Z^2/r.
-        assert!((e4 - 1.0 / 4.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn ion_ion_forces_match_energy_gradient() {
-        let mut set = AtomSet::new(vec![Species::lead(), Species::oxygen()]);
-        set.push(0, [0.0, 0.0, 0.0]);
-        set.push(1, [1.7, 0.4, -0.2]);
-        set.clear_forces();
-        set.accumulate_ion_ion_forces();
-        let f_analytic = set.atoms[0].force;
-        // Central finite difference along each axis.
-        let h = 1e-5;
-        #[allow(clippy::needless_range_loop)]
-        for ax in 0..3 {
-            let mut plus = set.clone();
-            plus.atoms[0].pos[ax] += h;
-            let mut minus = set.clone();
-            minus.atoms[0].pos[ax] -= h;
-            let fd = -(plus.ion_ion_energy() - minus.ion_ion_energy()) / (2.0 * h);
-            assert!(
-                (fd - f_analytic[ax]).abs() < 1e-6,
-                "axis {ax}: fd {fd} vs analytic {}",
-                f_analytic[ax]
-            );
-        }
-    }
-
-    #[test]
-    fn newtons_third_law() {
-        let mut set = AtomSet::new(vec![Species::titanium()]);
-        set.push(0, [0.0; 3]);
-        set.push(0, [1.1, -0.3, 0.8]);
-        set.push(0, [-0.4, 0.9, 0.1]);
-        set.clear_forces();
-        set.accumulate_ion_ion_forces();
-        for ax in 0..3 {
-            let total: f64 = set.atoms.iter().map(|a| a.force[ax]).sum();
-            assert!(total.abs() < 1e-12);
-        }
     }
 
     #[test]

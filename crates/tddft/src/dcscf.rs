@@ -153,35 +153,6 @@ fn atoms_in_domain(global: &Mesh3, dom: &Domain, atoms: &AtomSet) -> AtomSet {
     out
 }
 
-/// Electron count owned by a domain = valence charge of atoms whose
-/// positions fall inside its *core* region.
-#[cfg_attr(not(test), allow(dead_code))]
-fn core_electrons(global: &Mesh3, dom: &Domain, atoms: &AtomSet) -> f64 {
-    let cell = global.lengths();
-    let core_lo = [
-        dom.mesh.origin[0] + dom.buffer as f64 * dom.mesh.dx,
-        dom.mesh.origin[1] + dom.buffer as f64 * dom.mesh.dy,
-        dom.mesh.origin[2] + dom.buffer as f64 * dom.mesh.dz,
-    ];
-    let core_len = [
-        dom.core[0] as f64 * dom.mesh.dx,
-        dom.core[1] as f64 * dom.mesh.dy,
-        dom.core[2] as f64 * dom.mesh.dz,
-    ];
-    atoms
-        .atoms
-        .iter()
-        .filter(|a| {
-            (0..3).all(|ax| {
-                let mut x = a.pos[ax] - core_lo[ax];
-                x -= cell[ax] * (x / cell[ax]).floor();
-                x < core_len[ax]
-            })
-        })
-        .map(|a| atoms.species[a.species].z_val)
-        .sum()
-}
-
 /// Run the divide-and-conquer global-local SCF.
 pub fn run_dc_scf(global: &Mesh3, atoms: &AtomSet, cfg: &DcScfConfig) -> DcScfResult {
     let decomposition = DcDecomposition::new(global.clone(), cfg.parts, cfg.buffer);
@@ -522,7 +493,6 @@ mod tests {
         for dom in &d.domains {
             let local = atoms_in_domain(&global, dom, &atoms);
             assert!(!local.is_empty(), "domain {} found no atoms", dom.id);
-            assert_eq!(core_electrons(&global, dom, &atoms), 1.0);
         }
     }
 }

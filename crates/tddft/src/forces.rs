@@ -3,21 +3,19 @@
 //! DC-MESH, paper Eq. (3): the time-dependent electronic state "dictates
 //! interatomic interaction for molecular dynamics").
 //!
-//! At fixed wavefunctions the force on atom `a` is
+//! At fixed wavefunctions the local-channel force on atom `a` is
 //!
 //! ```text
-//! F_a = - d/dR_a [ integral rho(r) v_loc(|r - R_a|) dV
-//!                  + sum_n f_n E_kb |<chi_a | psi_n>|^2 ]
+//! F_a = - d/dR_a integral rho(r) v_loc(|r - R_a|) dV
 //! ```
 //!
-//! evaluated on the mesh: the local part integrates the density against the
-//! analytic gradient of the smooth pseudopotential; the nonlocal part uses
-//! the analytic gradient of the Gaussian KB projector.
+//! evaluated on the mesh: the density integrated against the analytic
+//! gradient of the smooth pseudopotential. It is the one channel `md_step`
+//! feeds back; the ion-ion part comes from the force field.
 
-use dcmesh_grid::{Mesh3, WfAos};
+use dcmesh_grid::Mesh3;
 
 use crate::atoms::{distance, erf, AtomSet};
-use crate::hamiltonian::build_projectors;
 
 /// Forces on every atom from the electron density interacting with the
 /// *local* pseudopotentials (Hellmann–Feynman, local channel). Adds into
@@ -71,162 +69,6 @@ pub fn local_pseudo_forces(mesh: &Mesh3, atoms: &mut AtomSet, rho: &[f64]) -> f6
         }
     }
     energy
-}
-
-/// Forces from the nonlocal KB channel at fixed orbitals: analytic gradient
-/// of `sum_n f_n E_kb |<chi_a|psi_n>|^2` with the Gaussian projector
-/// `chi(r - R_a)`. Adds into the force accumulators; returns the nonlocal
-/// energy.
-pub fn nonlocal_forces(
-    mesh: &Mesh3,
-    atoms: &mut AtomSet,
-    orbitals: &WfAos<f64>,
-    occupations: &[f64],
-) -> f64 {
-    assert_eq!(orbitals.norb(), occupations.len());
-    let dv = mesh.dv();
-    let mut energy = 0.0;
-    // build_projectors yields one projector per atom with e_kb != 0, in
-    // atom order; track which atom each belongs to.
-    let owners: Vec<usize> = atoms
-        .atoms
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| atoms.species[a.species].e_kb != 0.0)
-        .map(|(i, _)| i)
-        .collect();
-    let projectors = build_projectors(mesh, atoms);
-    // Projectors can be dropped for atoms outside the mesh; match by count.
-    for (proj, &owner) in projectors.iter().zip(&owners) {
-        let sp = &atoms.species[atoms.atoms[owner].species];
-        let ra = atoms.atoms[owner].pos;
-        let inv_w2 = 1.0 / (sp.r_nl * sp.r_nl);
-        let mut f = [0.0; 3];
-        for (n, &fn_occ) in occupations.iter().enumerate().take(orbitals.norb()) {
-            if fn_occ == 0.0 {
-                continue;
-            }
-            let psi = orbitals.orbital(n);
-            // c = <chi|psi> dv ; grad_a c = <d chi/d R_a | psi> dv with
-            // d chi/d R_a = (r - R_a)/w^2 * chi.
-            let mut c = dcmesh_math::C64::zero();
-            let mut gc = [dcmesh_math::C64::zero(); 3];
-            for &(idx, amp) in &proj.entries {
-                let (i, j, k) = mesh.coords(idx);
-                let p = mesh.position(i, j, k);
-                let val = psi[idx].scale(amp);
-                c += val;
-                for ax in 0..3 {
-                    gc[ax] += val.scale((p[ax] - ra[ax]) * inv_w2);
-                }
-            }
-            c = c.scale(dv);
-            for g in gc.iter_mut() {
-                *g = g.scale(dv);
-            }
-            energy += fn_occ * proj.e_kb * c.norm_sqr();
-            // F = - f E_kb * 2 Re(conj(c) grad c).
-            for (fa, g) in f.iter_mut().zip(&gc) {
-                *fa -= fn_occ * proj.e_kb * 2.0 * (c.conj() * *g).re;
-            }
-        }
-        for (ax, &fa) in f.iter().enumerate() {
-            atoms.atoms[owner].force[ax] += fa;
-        }
-    }
-    energy
-}
-
-/// Full Ehrenfest/Hellmann–Feynman force evaluation: electron-local,
-/// electron-nonlocal, and ion-ion contributions. Clears the accumulators
-/// first; returns the total interaction energy (electron-ion + ion-ion).
-pub fn ehrenfest_forces(
-    mesh: &Mesh3,
-    atoms: &mut AtomSet,
-    rho: &[f64],
-    orbitals: &WfAos<f64>,
-    occupations: &[f64],
-) -> f64 {
-    atoms.clear_forces();
-    let e_loc = local_pseudo_forces(mesh, atoms, rho);
-    let e_nl = nonlocal_forces(mesh, atoms, orbitals, occupations);
-    let e_ii = atoms.ion_ion_energy();
-    atoms.accumulate_ion_ion_forces();
-    e_loc + e_nl + e_ii
-}
-
-/// Central-difference gradient of a periodic scalar field along `ax`.
-fn grad_periodic(mesh: &Mesh3, field: &[f64], i: usize, j: usize, k: usize, ax: usize) -> f64 {
-    let (n, h) = match ax {
-        0 => (mesh.nx, mesh.dx),
-        1 => (mesh.ny, mesh.dy),
-        _ => (mesh.nz, mesh.dz),
-    };
-    let wrap = |p: isize| -> usize {
-        let n = n as isize;
-        (((p % n) + n) % n) as usize
-    };
-    let (ip, im) = match ax {
-        0 => (
-            mesh.idx(wrap(i as isize + 1), j, k),
-            mesh.idx(wrap(i as isize - 1), j, k),
-        ),
-        1 => (
-            mesh.idx(i, wrap(j as isize + 1), k),
-            mesh.idx(i, wrap(j as isize - 1), k),
-        ),
-        _ => (
-            mesh.idx(i, j, wrap(k as isize + 1)),
-            mesh.idx(i, j, wrap(k as isize - 1)),
-        ),
-    };
-    (field[ip] - field[im]) / (2.0 * h)
-}
-
-/// Electrostatic forces on the smeared ions in the *periodic* field
-/// `v_es` (the electron-energy convention of the SCF: electrons feel
-/// `+v_es`, so a unit positive ion charge feels `-v_es`):
-///
-/// ```text
-/// F_a = integral rho_ion_a(r) grad v_es(r) dV
-/// ```
-///
-/// This single term carries electron-ion attraction AND ion-ion repulsion
-/// (both are sources of `v_es`), with the periodic images the SCF's
-/// multigrid sees — the self-force vanishes by symmetry. Adds into the
-/// accumulators.
-pub fn periodic_es_forces(mesh: &Mesh3, atoms: &mut AtomSet, v_es: &[f64]) {
-    assert_eq!(v_es.len(), mesh.len());
-    let dv = mesh.dv();
-    let cell = mesh.lengths();
-    for ai in 0..atoms.len() {
-        let sp = atoms.species[atoms.atoms[ai].species].clone();
-        let ra = atoms.atoms[ai].pos;
-        let rc = sp.rc_loc;
-        let norm = sp.z_val / (std::f64::consts::PI * rc * rc).powf(1.5);
-        let cutoff = 5.0 * rc;
-        let mut f = [0.0; 3];
-        for (i, j, k) in mesh.iter_points() {
-            let p = mesh.position(i, j, k);
-            // Minimum-image distance to the (possibly wrapped) ion.
-            let mut r2 = 0.0;
-            for ax in 0..3 {
-                let mut d = p[ax] - ra[ax];
-                d -= cell[ax] * (d / cell[ax]).round();
-                r2 += d * d;
-            }
-            if r2 > cutoff * cutoff {
-                continue;
-            }
-            let w = norm * (-r2 / (rc * rc)).exp() * dv;
-            for (ax, fa) in f.iter_mut().enumerate() {
-                *fa += w * grad_periodic(mesh, v_es, i, j, k, ax);
-            }
-        }
-        for (ax, &fa) in f.iter().enumerate() {
-            atoms.atoms[ai].force[ax] += fa;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -383,41 +225,6 @@ mod tests {
     }
 
     #[test]
-    fn nonlocal_force_matches_energy_finite_difference() {
-        let mesh = Mesh3::cubic(12, 0.5);
-        let c = mesh.center();
-        let mut atoms = AtomSet::new(vec![Species::titanium()]);
-        atoms.push(0, [c[0] + 0.3, c[1] - 0.2, c[2] + 0.1]);
-        // A fixed orbital: normalized blob offset from the atom.
-        let mut orbitals = WfAos::<f64>::zeros(mesh.clone(), 1);
-        let rho = blob_density(&mesh, [c[0] - 0.4, c[1], c[2]], 1.0, 1.0);
-        for (z, &r) in orbitals.orbital_mut(0).iter_mut().zip(&rho) {
-            *z = dcmesh_math::C64::from_real(r.sqrt());
-        }
-        orbitals.normalize_orbitals();
-        let occ = vec![2.0];
-        atoms.clear_forces();
-        nonlocal_forces(&mesh, &mut atoms, &orbitals, &occ);
-        let f = atoms.atoms[0].force;
-        let h = 1e-4;
-        #[allow(clippy::needless_range_loop)]
-        for ax in 0..3 {
-            let energy_at = |shift: f64| -> f64 {
-                let mut a2 = atoms.clone();
-                a2.atoms[0].pos[ax] += shift;
-                a2.clear_forces();
-                nonlocal_forces(&mesh, &mut a2, &orbitals, &occ)
-            };
-            let fd = -(energy_at(h) - energy_at(-h)) / (2.0 * h);
-            assert!(
-                (fd - f[ax]).abs() < 5e-3 * f[ax].abs().max(0.1),
-                "axis {ax}: fd {fd} vs analytic {}",
-                f[ax]
-            );
-        }
-    }
-
-    #[test]
     fn symmetric_density_gives_zero_force() {
         let mesh = Mesh3::cubic(13, 0.5);
         let c = mesh.center();
@@ -428,29 +235,6 @@ mod tests {
         local_pseudo_forces(&mesh, &mut atoms, &rho);
         for ax in 0..3 {
             assert!(atoms.atoms[0].force[ax].abs() < 1e-8, "axis {ax}");
-        }
-    }
-
-    #[test]
-    fn ehrenfest_total_includes_all_channels() {
-        let mesh = Mesh3::cubic(12, 0.5);
-        let c = mesh.center();
-        let mut atoms = AtomSet::new(vec![Species::titanium(), Species::oxygen()]);
-        atoms.push(0, [c[0] - 1.5, c[1], c[2]]);
-        atoms.push(1, [c[0] + 1.5, c[1], c[2]]);
-        let rho = blob_density(&mesh, c, 1.2, 10.0);
-        let mut orbitals = WfAos::<f64>::zeros(mesh.clone(), 2);
-        orbitals.randomize(3);
-        let occ = vec![2.0, 2.0];
-        let e = ehrenfest_forces(&mesh, &mut atoms, &rho, &orbitals, &occ);
-        assert!(e.is_finite());
-        // Electron cloud between the ions screens the ion-ion repulsion:
-        // net force magnitudes are finite and the energy has both signs'
-        // contributions (smoke-level sanity).
-        for a in &atoms.atoms {
-            for ax in 0..3 {
-                assert!(a.force[ax].is_finite());
-            }
         }
     }
 }

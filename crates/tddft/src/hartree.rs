@@ -39,13 +39,6 @@ impl HartreeSolver {
         Self { mesh, mg }
     }
 
-    /// Build with custom multigrid parameters.
-    pub fn with_params(mesh: Mesh3, params: MgParams) -> Self {
-        let l = mesh.lengths();
-        let mg = Multigrid::new(mesh.nx, mesh.ny, mesh.nz, l[0], l[1], l[2], params);
-        Self { mesh, mg }
-    }
-
     /// Solve `-lap(v) = 4 pi rho` for a (possibly non-neutral) density;
     /// the k=0 (mean) component is projected out, which physically amounts
     /// to a neutralizing background.

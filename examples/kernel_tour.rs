@@ -8,7 +8,7 @@ use std::time::Instant;
 use dcmesh::device::{Device, LaunchPolicy};
 use dcmesh::grid::{Mesh3, WfAos};
 use dcmesh::lfd::kinetic::{Axis, KineticPropagator, StepFraction};
-use dcmesh::lfd::nonlocal::{GemmPath, NonlocalCorrection};
+use dcmesh::lfd::nonlocal::NonlocalCorrection;
 
 fn time(label: &str, mut f: impl FnMut()) -> f64 {
     let t0 = Instant::now();
@@ -99,7 +99,7 @@ fn main() {
         let mut state = init.to_matrix();
         time("point-by-point loops (pre-BLAS formulation)", || {
             for _ in 0..reps {
-                nl.nlp_prop(&mut state, GemmPath::Loops);
+                nl.nlp_prop(&mut state);
             }
         })
     };

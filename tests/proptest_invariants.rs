@@ -6,7 +6,7 @@
 use dcmesh::comm::{NetworkModel, World};
 use dcmesh::grid::{DcDecomposition, Mesh3, WfAos};
 use dcmesh::lfd::kinetic::{Axis, KineticPropagator, StepFraction};
-use dcmesh::lfd::nonlocal::{GemmPath, NonlocalCorrection};
+use dcmesh::lfd::nonlocal::NonlocalCorrection;
 use dcmesh::math::fft::{fft, Direction};
 use dcmesh::math::gemm::{gemm, gemm_naive, Matrix, Op};
 use dcmesh::math::{Complex, C64};
@@ -130,7 +130,7 @@ proptest! {
             psi[(r, 0)] = a.scale(c) + b.scale(s);
             psi[(r, norb - 1)] = a.scale(-s) + b.scale(c);
         }
-        let f = nl.remap_occ(&psi, &occ0, GemmPath::Blas);
+        let f = nl.remap_occ_soa(&WfAos::from_matrix(mesh, psi).to_soa(), &occ0);
         let total: f64 = f.iter().sum();
         let want: f64 = occ0.iter().sum();
         prop_assert!((total - want).abs() < 1e-9);

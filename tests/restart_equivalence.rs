@@ -173,10 +173,10 @@ fn a_file_the_runner_mirrored_restores_bitwise_identical() {
         .with_checkpoint_path(path.clone())
         .run_to(k)
         .unwrap();
-    let restored = DcMeshSim::restore_from_checkpoint(cfg.clone(), &path).unwrap();
+    let restored = DcMeshSim::restore_from_checkpoint(cfg, &path).unwrap();
     std::fs::remove_file(&path).ok();
     assert_eq!(restored.md_steps(), k, "the file holds the step-k snapshot");
-    let mut resumed = ResilientRunner::from_sim(restored, cfg, k);
+    let mut resumed = ResilientRunner::from_sim(restored, k);
     resumed.run_to(total).unwrap();
     assert_eq!(resumed.rollbacks(), 0);
     assert_bitwise_identical(&uninterrupted, resumed.sim());
