@@ -55,7 +55,6 @@ fn main() {
             duration: 8.0,
         }),
         flux_closure_amplitude: Some(0.3),
-        scf_initial_state: false,
         ehrenfest_feedback: false,
         seed: 7,
     };

@@ -18,6 +18,7 @@
 
 use crate::simulation::{DcMeshConfig, DcMeshSim};
 use dcmesh_ckpt::{read_checkpoint, write_checkpoint_atomic, CkptError, Decoder, Encoder};
+use dcmesh_math::C64;
 use rand::rngs::SplitMix64;
 use std::path::Path;
 
@@ -53,7 +54,6 @@ pub fn config_fingerprint(cfg: &DcMeshConfig) -> u64 {
             e.put_f64(a);
         }
     }
-    e.put_bool(cfg.scf_initial_state);
     e.put_bool(cfg.ehrenfest_feedback);
     e.put_u64(cfg.seed);
     dcmesh_ckpt::codec::checksum64(&e.finish())
@@ -67,15 +67,52 @@ fn flatten3(rows: impl Iterator<Item = [f64; 3]>) -> Vec<f64> {
     out
 }
 
-fn unflatten3(flat: &[f64], n: usize, what: &str) -> Result<Vec<[f64; 3]>, CkptError> {
-    if flat.len() != 3 * n {
+/// Read the next f64 slice into `rows`, three values each.
+fn take_rows<'a>(
+    d: &mut Decoder,
+    rows: impl ExactSizeIterator<Item = &'a mut [f64; 3]>,
+    what: &str,
+) -> Result<(), CkptError> {
+    let flat = d.take_f64_vec()?;
+    if flat.len() != 3 * rows.len() {
         return Err(CkptError::Corrupt(format!(
             "{what}: expected {} values, found {}",
-            3 * n,
+            3 * rows.len(),
             flat.len()
         )));
     }
-    Ok(flat.chunks_exact(3).map(|c| [c[0], c[1], c[2]]).collect())
+    for (row, c) in rows.zip(flat.chunks_exact(3)) {
+        row.copy_from_slice(c);
+    }
+    Ok(())
+}
+
+/// Append complex amplitudes as interleaved `(re, im)` pairs.
+fn put_complex(e: &mut Encoder, z: &[C64]) {
+    e.put_f64_slice(&z.iter().flat_map(|z| [z.re, z.im]).collect::<Vec<_>>());
+}
+
+/// Read the next f64 slice into `out`. A slice of another length was taken
+/// under another configuration.
+fn take_into(d: &mut Decoder, out: &mut [f64]) -> Result<(), CkptError> {
+    let v = d.take_f64_vec()?;
+    if v.len() != out.len() {
+        return Err(CkptError::ConfigMismatch);
+    }
+    out.copy_from_slice(&v);
+    Ok(())
+}
+
+/// [`take_into`] for what [`put_complex`] wrote.
+fn take_complex_into(d: &mut Decoder, out: &mut [C64]) -> Result<(), CkptError> {
+    let v = d.take_f64_vec()?;
+    if v.len() != 2 * out.len() {
+        return Err(CkptError::ConfigMismatch);
+    }
+    for (z, p) in out.iter_mut().zip(v.chunks_exact(2)) {
+        *z = C64::new(p[0], p[1]);
+    }
+    Ok(())
 }
 
 impl DcMeshSim {
@@ -92,21 +129,11 @@ impl DcMeshSim {
     /// True when every piece of evolving state is finite — the cheap
     /// health check the resilience layer polls after each step.
     pub fn is_finite(&self) -> bool {
-        let atoms_ok = self.md.atoms.atoms.iter().all(|a| {
-            a.pos.iter().all(|x| x.is_finite())
-                && a.vel.iter().all(|x| x.is_finite())
-                && a.force.iter().all(|x| x.is_finite())
-        });
-        atoms_ok
-            && self.md.potential_energy().is_finite()
+        self.md.is_finite()
             && self.engines.iter().all(|e| e.state_is_finite())
-            && self.lk.field.px.iter().all(|x| x.is_finite())
-            && self.lk.field.pz.iter().all(|x| x.is_finite())
-            && self.maxwell.export_state().a.iter().all(|x| x.is_finite())
-            && self
-                .fssh
-                .iter()
-                .all(|f| f.c.iter().all(|z| z.re.is_finite() && z.im.is_finite()))
+            && self.lk.field.is_finite()
+            && self.maxwell.is_finite()
+            && self.fssh.iter().all(|f| f.is_finite())
     }
 
     /// Serialize the full mutable state into a checkpoint payload.
@@ -127,14 +154,13 @@ impl DcMeshSim {
         e.put_u64(self.md.steps());
 
         // Ehrenfest external forces held constant over the MD step.
-        e.put_f64_slice(&flatten3(self.md.forces.external().into_iter()));
+        e.put_f64_slice(&flatten3(self.md.forces.external.iter().copied()));
 
         // Maxwell field history.
-        let mx = self.maxwell.export_state();
-        e.put_f64_slice(&mx.a_prev);
-        e.put_f64_slice(&mx.a);
-        e.put_f64_slice(&mx.j);
-        e.put_f64(mx.time);
+        for level in self.maxwell.field() {
+            e.put_f64_slice(level);
+        }
+        e.put_f64(self.maxwell.time);
 
         // Polarization dynamics.
         e.put_f64_slice(&self.lk.field.px);
@@ -148,12 +174,7 @@ impl DcMeshSim {
         e.put_usize(self.fssh.len());
         for f in &self.fssh {
             e.put_usize(f.surface);
-            let mut c = Vec::with_capacity(2 * f.c.len());
-            for z in &f.c {
-                c.push(z.re);
-                c.push(z.im);
-            }
-            e.put_f64_slice(&c);
+            put_complex(&mut e, &f.c);
         }
 
         // Per-domain LFD engines: wavefunctions in native layout.
@@ -162,13 +183,7 @@ impl DcMeshSim {
             e.put_f64(eng.time);
             e.put_u64(eng.md_steps());
             e.put_f64_slice(&eng.occupations);
-            let data = eng.state_data();
-            let mut flat = Vec::with_capacity(2 * data.len());
-            for z in data {
-                flat.push(z.re);
-                flat.push(z.im);
-            }
-            e.put_f64_slice(&flat);
+            put_complex(&mut e, eng.state_data());
         }
         e.finish()
     }
@@ -195,97 +210,51 @@ impl DcMeshSim {
         sim.rng = SplitMix64::from_state(d.take_u64()?);
 
         // Atoms + integrator internals.
-        let natoms = d.take_usize()?;
-        if natoms != sim.md.atoms.len() {
+        let atoms = &mut sim.md.atoms.atoms;
+        if d.take_usize()? != atoms.len() {
             return Err(CkptError::ConfigMismatch);
         }
-        let pos = unflatten3(&d.take_f64_vec()?, natoms, "atom positions")?;
-        let vel = unflatten3(&d.take_f64_vec()?, natoms, "atom velocities")?;
-        let force = unflatten3(&d.take_f64_vec()?, natoms, "atom forces")?;
-        let potential = d.take_f64()?;
-        let md_step_count = d.take_u64()?;
-        let mut atoms = sim.md.atoms.clone();
-        for (i, a) in atoms.atoms.iter_mut().enumerate() {
-            a.pos = pos[i];
-            a.vel = vel[i];
-            a.force = force[i];
-        }
-        sim.md.import_state(atoms, potential, md_step_count);
+        take_rows(&mut d, atoms.iter_mut().map(|a| &mut a.pos), "positions")?;
+        take_rows(&mut d, atoms.iter_mut().map(|a| &mut a.vel), "velocities")?;
+        take_rows(&mut d, atoms.iter_mut().map(|a| &mut a.force), "forces")?;
+        sim.md.import_state(d.take_f64()?, d.take_u64()?);
         sim.supercell.atoms = sim.md.atoms.clone();
-
-        let external = unflatten3(&d.take_f64_vec()?, natoms, "external forces")?;
-        sim.md.forces.set_external(external.into_iter().enumerate());
+        take_rows(&mut d, sim.md.forces.external.iter_mut(), "external forces")?;
 
         // Maxwell field history.
-        let mut mx = sim.maxwell.export_state();
-        let a_prev = d.take_f64_vec()?;
-        let a = d.take_f64_vec()?;
-        let j = d.take_f64_vec()?;
-        if a_prev.len() != mx.a_prev.len() || a.len() != mx.a.len() || j.len() != mx.j.len() {
-            return Err(CkptError::ConfigMismatch);
-        }
-        mx.a_prev = a_prev;
-        mx.a = a;
-        mx.j = j;
-        mx.time = d.take_f64()?;
-        sim.maxwell.import_state(mx);
+        let (a_prev, a, j) = (d.take_f64_vec()?, d.take_f64_vec()?, d.take_f64_vec()?);
+        sim.maxwell.restore([&a_prev, &a, &j], d.take_f64()?)?;
 
         // Polarization dynamics.
-        let px = d.take_f64_vec()?;
-        let pz = d.take_f64_vec()?;
-        if px.len() != sim.lk.field.px.len() || pz.len() != sim.lk.field.pz.len() {
-            return Err(CkptError::ConfigMismatch);
-        }
-        sim.lk.field.px = px;
-        sim.lk.field.pz = pz;
+        take_into(&mut d, &mut sim.lk.field.px)?;
+        take_into(&mut d, &mut sim.lk.field.pz)?;
         sim.lk.time = d.take_f64()?;
 
         // Dipole history.
-        let prev_dipole = d.take_f64_vec()?;
-        if prev_dipole.len() != sim.prev_dipole.len() {
-            return Err(CkptError::ConfigMismatch);
-        }
-        sim.prev_dipole = prev_dipole;
+        take_into(&mut d, &mut sim.prev_dipole)?;
 
         // Per-domain FSSH state.
-        let nfssh = d.take_usize()?;
-        if nfssh != sim.fssh.len() {
+        if d.take_usize()? != sim.fssh.len() {
             return Err(CkptError::ConfigMismatch);
         }
         for f in sim.fssh.iter_mut() {
             let surface = d.take_usize()?;
-            let flat = d.take_f64_vec()?;
-            if flat.len() != 2 * f.nstates() || surface >= f.nstates() {
+            if surface >= f.nstates() {
                 return Err(CkptError::ConfigMismatch);
             }
-            let c = flat
-                .chunks_exact(2)
-                .map(|p| dcmesh_math::C64::new(p[0], p[1]))
-                .collect();
-            f.import_state(c, surface);
+            f.surface = surface;
+            take_complex_into(&mut d, &mut f.c)?;
         }
 
         // Per-domain LFD engines.
-        let nengines = d.take_usize()?;
-        if nengines != sim.engines.len() {
+        if d.take_usize()? != sim.engines.len() {
             return Err(CkptError::ConfigMismatch);
         }
         for eng in sim.engines.iter_mut() {
             eng.time = d.take_f64()?;
             eng.set_md_steps(d.take_u64()?);
-            let occ = d.take_f64_vec()?;
-            if occ.len() != eng.occupations.len() {
-                return Err(CkptError::ConfigMismatch);
-            }
-            eng.occupations = occ;
-            let flat = d.take_f64_vec()?;
-            let data = eng.state_data_mut();
-            if flat.len() != 2 * data.len() {
-                return Err(CkptError::ConfigMismatch);
-            }
-            for (z, p) in data.iter_mut().zip(flat.chunks_exact(2)) {
-                *z = dcmesh_math::C64::new(p[0], p[1]);
-            }
+            take_into(&mut d, &mut eng.occupations)?;
+            take_complex_into(&mut d, eng.state_data_mut())?;
         }
 
         if !d.is_done() {
@@ -309,13 +278,7 @@ impl DcMeshSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn quick_cfg() -> DcMeshConfig {
-        DcMeshConfig {
-            n_qd: 5,
-            ..DcMeshConfig::default()
-        }
-    }
+    use crate::simulation::tests::quick_cfg;
 
     #[test]
     fn fingerprint_distinguishes_configs() {
@@ -377,5 +340,58 @@ mod tests {
         let bytes = sim.snapshot_bytes();
         let cut = &bytes[..bytes.len() / 2];
         assert!(DcMeshSim::restore_from_bytes(quick_cfg(), cut, true).is_err());
+    }
+
+    #[test]
+    fn a_nan_in_any_component_fails_the_health_check() {
+        type Plant = fn(&mut DcMeshSim);
+        let plants: [(&str, Plant); 5] = [
+            ("maxwell a", |sim| {
+                let [a_prev, a, j] = sim.maxwell.field().map(<[f64]>::to_vec);
+                let mut a = a;
+                a[3] = f64::NAN;
+                sim.maxwell.restore([&a_prev, &a, &j], 0.0).unwrap();
+            }),
+            ("lk px", |sim| sim.lk.field.px[0] = f64::NAN),
+            ("fssh amplitude", |sim| sim.fssh[1].c[0].im = f64::NAN),
+            ("atom velocity", |sim| {
+                sim.md.atoms.atoms[5].vel[2] = f64::NAN
+            }),
+            ("engine amplitude", |sim| {
+                sim.engines[1].state_data_mut()[7].re = f64::NAN
+            }),
+        ];
+        let mut sim = DcMeshSim::new(quick_cfg());
+        let clean = sim.snapshot_bytes();
+        for (what, plant) in plants {
+            assert!(sim.is_finite(), "before {what}");
+            plant(&mut sim);
+            assert!(!sim.is_finite(), "a NaN in {what} went unseen");
+            sim = DcMeshSim::restore_from_bytes(quick_cfg(), &clean, true).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_field_vector_of_the_wrong_length_is_a_mismatch_not_a_panic() {
+        // Same atoms, so each payload decodes up to the one vector whose
+        // length its shape changes: the Maxwell grid (32 cells for 16), the
+        // LK field (4 x 4 cells for 4 x 2), the dipole history (1 for 2).
+        let other = |domains_x, supercell_dims| DcMeshConfig {
+            domains_x,
+            supercell_dims,
+            ..quick_cfg()
+        };
+        for (what, cfg) in [
+            ("maxwell", other(4, [4, 2, 2])),
+            ("lk", other(2, [4, 1, 4])),
+            ("dipoles", other(1, [4, 2, 2])),
+        ] {
+            let bytes = DcMeshSim::new(cfg).snapshot_bytes();
+            assert_eq!(
+                DcMeshSim::restore_from_bytes(quick_cfg(), &bytes, false).unwrap_err(),
+                CkptError::ConfigMismatch,
+                "{what}"
+            );
+        }
     }
 }

@@ -13,7 +13,7 @@
 //! The electronic energy evaluation is the expensive part
 //! (`LfdEngine::band_energies` runs full Hamiltonian expectations).
 
-use crate::simulation::DcMeshSim;
+use crate::simulation::{DcMeshSim, StepReport};
 use dcmesh_obs::json::Json;
 
 /// One snapshot of the simulation's physics invariants.
@@ -92,24 +92,6 @@ impl DcMeshSim {
             max_population_error,
             total_occupation: self.total_occupation(),
         }
-    }
-
-    /// Bytes of resident simulation state: wavefunctions (the dominant
-    /// term), atoms, Maxwell history, and the polarization field. This is
-    /// the footprint a checkpoint captures and the number the flight
-    /// recorder reports as `resident_bytes`.
-    pub fn resident_bytes(&self) -> u64 {
-        let wf: usize = self
-            .engines
-            .iter()
-            .map(|e| std::mem::size_of_val(e.state_data()))
-            .sum();
-        let atoms = self.md.atoms.atoms.len() * std::mem::size_of::<[f64; 3]>() * 3;
-        // Two time levels of the vector potential and the current.
-        let maxwell = 3 * self.maxwell.len() * 8;
-        let lk = (self.lk.field.px.len() + self.lk.field.pz.len()) * 8;
-        let fssh: usize = self.fssh.iter().map(|f| f.c.len() * 16).sum();
-        (wf + atoms + maxwell + lk + fssh) as u64
     }
 }
 
@@ -201,25 +183,13 @@ pub struct StepSample {
     /// series visibly moves backwards — that is the point of a flight
     /// recorder.
     pub step: u64,
-    /// Simulation time (fs).
-    pub time_fs: f64,
     /// Wall-clock seconds the `md_step` call that produced this sample
     /// took (not the snapshot or the invariant evaluation after it).
     pub wall_s: f64,
-    /// LFD electron-propagation seconds this step (modeled for device
-    /// builds), summed over domains.
-    pub lfd_electron_s: f64,
-    /// LFD nonlocal-correction seconds this step.
-    pub lfd_nonlocal_s: f64,
-    /// LFD transfer seconds this step.
-    pub lfd_transfer_s: f64,
-    /// Total excited population.
-    pub excited_population: f64,
-    /// Surface hops this step.
-    pub hops: u64,
-    /// Instantaneous MD temperature (K).
-    pub temperature_k: f64,
-    /// Resident simulation-state bytes.
+    /// What that `md_step` call reported.
+    pub report: StepReport,
+    /// Bytes of evolving state: the length of the runner's last snapshot,
+    /// the footprint a checkpoint captures.
     pub resident_bytes: u64,
     /// Physics invariants after the step.
     pub invariants: SimInvariants,
@@ -230,20 +200,20 @@ pub struct StepSample {
 impl StepSample {
     /// One JSONL line for this sample.
     pub fn to_json(&self) -> Json {
-        let inv = &self.invariants;
+        let (inv, report) = (&self.invariants, &self.report);
         Json::Obj(vec![
             ("step".into(), Json::Num(self.step as f64)),
-            ("time_fs".into(), Json::Num(self.time_fs)),
+            ("time_fs".into(), Json::Num(report.time_fs)),
             ("wall_s".into(), Json::Num(self.wall_s)),
-            ("lfd_electron_s".into(), Json::Num(self.lfd_electron_s)),
-            ("lfd_nonlocal_s".into(), Json::Num(self.lfd_nonlocal_s)),
-            ("lfd_transfer_s".into(), Json::Num(self.lfd_transfer_s)),
+            ("lfd_electron_s".into(), Json::Num(report.lfd_electron_s)),
+            ("lfd_nonlocal_s".into(), Json::Num(report.lfd_nonlocal_s)),
+            ("lfd_transfer_s".into(), Json::Num(report.lfd_transfer_s)),
             (
                 "excited_population".into(),
-                Json::Num(self.excited_population),
+                Json::Num(report.excited_population),
             ),
-            ("hops".into(), Json::Num(self.hops as f64)),
-            ("temperature_k".into(), Json::Num(self.temperature_k)),
+            ("hops".into(), Json::Num(report.hops as f64)),
+            ("temperature_k".into(), Json::Num(report.temperature_k)),
             (
                 "resident_bytes".into(),
                 Json::Num(self.resident_bytes as f64),
@@ -355,14 +325,7 @@ impl InvariantSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simulation::DcMeshConfig;
-
-    fn quick_cfg() -> DcMeshConfig {
-        DcMeshConfig {
-            n_qd: 5,
-            ..DcMeshConfig::default()
-        }
-    }
+    use crate::simulation::tests::quick_cfg;
 
     fn healthy() -> SimInvariants {
         SimInvariants {
@@ -441,7 +404,6 @@ mod tests {
             inv.total_energy,
             inv.md_total_energy + inv.electronic_energy + inv.field_energy
         );
-        assert!(sim.resident_bytes() > 0);
     }
 
     #[test]

@@ -267,15 +267,9 @@ impl ResilientRunner {
         let [(_, energy_drift, _), ..] = watched;
         let sample = StepSample {
             step: self.sim.md_steps(),
-            time_fs: report.time_fs,
             wall_s,
-            lfd_electron_s: report.lfd_electron_s,
-            lfd_nonlocal_s: report.lfd_nonlocal_s,
-            lfd_transfer_s: report.lfd_transfer_s,
-            excited_population: report.excited_population,
-            hops: report.hops as u64,
-            temperature_k: report.temperature_k,
-            resident_bytes: self.sim.resident_bytes(),
+            report: report.clone(),
+            resident_bytes: self.last_snapshot.len() as u64,
             invariants: inv,
             energy_drift,
         };
@@ -305,14 +299,8 @@ impl ResilientRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simulation::tests::quick_cfg;
     use dcmesh_ckpt::fault::{self, FaultPlan};
-
-    fn quick_cfg() -> DcMeshConfig {
-        DcMeshConfig {
-            n_qd: 5,
-            ..DcMeshConfig::default()
-        }
-    }
 
     #[test]
     fn clean_run_records_every_step_without_events() {
@@ -384,12 +372,23 @@ mod tests {
         let jsonl = crate::invariants::step_series_jsonl(runner.samples());
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 2);
+        // The 18 keys of a line, in order, as consumers have read them
+        // since PR 21.
+        let want = "step time_fs wall_s lfd_electron_s lfd_nonlocal_s lfd_transfer_s \
+                    excited_population hops temperature_k resident_bytes total_energy \
+                    md_total_energy electronic_energy field_energy max_norm_error \
+                    max_population_error total_occupation energy_drift";
         for line in lines {
-            let v = dcmesh_obs::json::Json::parse(line).expect("valid JSON");
-            assert!(v.get("step").is_some());
-            assert!(v.get("total_energy").is_some());
-            assert!(v.get("energy_drift").is_some());
+            let dcmesh_obs::json::Json::Obj(fields) =
+                dcmesh_obs::json::Json::parse(line).expect("valid JSON")
+            else {
+                panic!("a sample is an object: {line}");
+            };
+            let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(keys.join(" "), want);
         }
+        let snapshot = runner.last_snapshot().len() as u64;
+        assert!(runner.samples().all(|s| s.resident_bytes == snapshot));
     }
 
     #[test]

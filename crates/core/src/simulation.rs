@@ -4,9 +4,10 @@
 //!
 //! * a PbTiO3 supercell, decomposed into DC domains along x,
 //! * one [`LfdEngine`] per domain (electrons, device-resident via shadow
-//!   dynamics), seeded either with a real per-domain SCF ground state or a
-//!   synthetic orthonormal set,
-//! * the 1D FDTD [`Maxwell1d`] field threading the domains,
+//!   dynamics), seeded with the lowest eigenstates of its slab's bare local
+//!   potential,
+//! * the 1D FDTD [`Maxwell1d`] field threading the domains (reported and
+//!   checkpointed; the engines take `E(t)` from the pulse analytically),
 //! * classical MD for the atoms ([`PerovskiteFF`]),
 //! * per-domain FSSH surface hopping fed by the LFD excitation, and
 //! * Landau–Khalatnikov polarization dynamics for the Fig. 7 application.
@@ -27,15 +28,13 @@ use dcmesh_tddft::AtomSet;
 use rand::rngs::SplitMix64;
 use rand::SeedableRng;
 
-use std::cell::RefCell;
-
 /// Classical perovskite field plus per-atom external (Ehrenfest) forces
 /// that are held constant across one MD step — the multiscale contract:
 /// the electrons update the force field once per Delta_MD.
 pub struct EhrenfestFF {
     /// The classical backbone.
     pub classical: PerovskiteFF,
-    external: RefCell<Vec<[f64; 3]>>,
+    pub(crate) external: Vec<[f64; 3]>,
 }
 
 impl std::fmt::Debug for EhrenfestFF {
@@ -49,32 +48,30 @@ impl EhrenfestFF {
     pub fn new(classical: PerovskiteFF, natoms: usize) -> Self {
         Self {
             classical,
-            external: RefCell::new(vec![[0.0; 3]; natoms]),
+            external: vec![[0.0; 3]; natoms],
         }
     }
 
     /// Replace the external (electronic) forces for the coming MD step:
     /// every atom named in `forces` gets its force, every other atom zero.
     /// Scatters into the buffer held since construction.
-    pub fn set_external(&self, forces: impl IntoIterator<Item = (usize, [f64; 3])>) {
-        let mut external = self.external.borrow_mut();
-        external.fill([0.0; 3]);
+    pub fn set_external(&mut self, forces: impl IntoIterator<Item = (usize, [f64; 3])>) {
+        self.external.fill([0.0; 3]);
         for (atom, f) in forces {
-            external[atom] = f;
+            self.external[atom] = f;
         }
     }
 
-    /// Current external forces (for diagnostics).
-    pub fn external(&self) -> Vec<[f64; 3]> {
-        self.external.borrow().clone()
+    /// Current external forces, one per atom.
+    pub fn external(&self) -> &[[f64; 3]] {
+        &self.external
     }
 }
 
 impl dcmesh_qxmd::md::ForceProvider for EhrenfestFF {
     fn compute(&self, atoms: &mut AtomSet) -> f64 {
         let e = self.classical.compute(atoms);
-        let ext = self.external.borrow();
-        for (a, f) in atoms.atoms.iter_mut().zip(ext.iter()) {
+        for (a, f) in atoms.atoms.iter_mut().zip(&self.external) {
             for (fa, &fe) in a.force.iter_mut().zip(f) {
                 *fa += fe;
             }
@@ -108,8 +105,6 @@ pub struct DcMeshConfig {
     pub laser: Option<LaserPulse>,
     /// Imprint a flux-closure vortex of this Ti amplitude (Bohr) at start.
     pub flux_closure_amplitude: Option<f64>,
-    /// Seed per-domain LFD states from a real SCF ground state (slower).
-    pub scf_initial_state: bool,
     /// Feed the time-dependent LFD electron density back into the forces
     /// on the ions (Ehrenfest electron-atom coupling, paper Eq. (3)).
     pub ehrenfest_feedback: bool,
@@ -131,7 +126,6 @@ impl Default for DcMeshConfig {
             build: BuildKind::GpuCublasPinned,
             laser: None,
             flux_closure_amplitude: None,
-            scf_initial_state: false,
             ehrenfest_feedback: false,
             seed: 2024,
         }
@@ -168,6 +162,56 @@ pub struct StepReport {
     pub boundary_mismatch: f64,
 }
 
+/// One DC domain's share of the x-decomposition: derived once, in
+/// [`DcMeshSim::new`], and read everywhere else.
+#[derive(Clone)]
+struct Slab {
+    /// Low x edge and length (Bohr).
+    x0: f64,
+    len: f64,
+    /// Centre, where the domain's vector potential is sampled.
+    center: f64,
+    /// Maxwell cell holding the centre: where the domain radiates.
+    cell: usize,
+    /// Scratch, refilled by [`Slab::local_potential`] and the Ehrenfest
+    /// phase: the slab's atoms at their wrapped x, and their indices in the
+    /// full atom set.
+    atoms: AtomSet,
+    indices: Vec<usize>,
+}
+
+impl Slab {
+    /// Collect the atoms of `all` whose periodic-wrapped x coordinate falls
+    /// in `[x0, x0 + len)`. The copies sit at the wrapped x: a domain mesh
+    /// is not periodic, so an atom that drifted out of `[0, Lx)` must be
+    /// seen where its image inside the box is.
+    fn refill(&mut self, all: &AtomSet, sim_box: &SimBox) {
+        self.atoms.atoms.clear();
+        self.indices.clear();
+        for (i, a) in all.atoms.iter().enumerate() {
+            let x = sim_box.wrap(a.pos)[0];
+            if x >= self.x0 && x < self.x0 + self.len {
+                let mut copy = a.clone();
+                copy.pos[0] = x;
+                self.atoms.atoms.push(copy);
+                self.indices.push(i);
+            }
+        }
+    }
+
+    /// Refill from `all` and sum the slab's bare local pseudopotential on
+    /// the domain's `mesh`: the potential a domain is solved and propagated
+    /// in.
+    fn local_potential(&mut self, all: &AtomSet, sim_box: &SimBox, mesh: &Mesh3) -> Vec<f64> {
+        self.refill(all, sim_box);
+        dcmesh_tddft::hamiltonian::local_pseudopotential(mesh, &self.atoms)
+    }
+}
+
+/// Adiabatic energies of the two-level hop model (Hartree): `|ground>` and
+/// `|excited>` a model gap apart.
+const HOP_LEVELS: [f64; 2] = [0.0, 0.1];
+
 /// The coupled simulation.
 pub struct DcMeshSim {
     pub(crate) cfg: DcMeshConfig,
@@ -176,8 +220,17 @@ pub struct DcMeshSim {
     /// Supercell bookkeeping (dims, polarization extraction).
     pub supercell: Supercell,
     pub(crate) engines: Vec<LfdEngine<f64>>,
+    slabs: Vec<Slab>,
+    /// Volume of one slab (Bohr^3).
+    slab_volume: f64,
+    /// Maxwell steps per QD step (the field grid's Courant limit is below
+    /// `dt_qd`).
+    field_substeps: usize,
     pub(crate) maxwell: Maxwell1d,
     pub(crate) fssh: Vec<FsshState>,
+    /// Nonadiabatic coupling matrix of the hop model; its off-diagonals
+    /// are rewritten every step.
+    hop_nac: [Vec<f64>; 2],
     /// Polarization dynamics (Fig. 7 application).
     pub lk: LkDynamics,
     pub(crate) rng: SplitMix64,
@@ -220,20 +273,33 @@ impl DcMeshSim {
             },
         );
 
-        // Domain meshes: cubic boxes spanning each x-slab of the supercell.
+        // Maxwell grid: a few cells per domain along x, stepped at the
+        // largest divisor of the QD step its Courant limit allows.
+        let mx_cells = (cfg.domains_x * 8).max(16);
+        let mx_dx = supercell.box_lengths[0] / mx_cells as f64;
+        let substeps = (cfg.dt_qd / Maxwell1d::max_dt(mx_dx)).ceil().max(1.0);
+        let maxwell = Maxwell1d::new(mx_cells, mx_dx, cfg.dt_qd / substeps, 1);
+
+        // Domains: cubic boxes spanning each x-slab of the supercell.
         let slab_len = supercell.box_lengths[0] / cfg.domains_x as f64;
-        let h = slab_len / cfg.domain_mesh_points as f64;
+        let slab_volume = slab_len * supercell.box_lengths[1] * supercell.box_lengths[2];
+        let mut slabs = Vec::with_capacity(cfg.domains_x);
+        let spacing = slab_len / cfg.domain_mesh_points as f64;
         let mut engines = Vec::with_capacity(cfg.domains_x);
         for d in 0..cfg.domains_x {
-            let mut mesh = Mesh3::cubic(cfg.domain_mesh_points, h);
-            mesh.origin = [d as f64 * slab_len, 0.0, 0.0];
-            let (domain_atoms, _) =
-                atoms_in_slab(&supercell.atoms, &sim_box, d as f64 * slab_len, slab_len);
-            let v_loc = if domain_atoms.is_empty() {
-                vec![0.0; mesh.len()]
-            } else {
-                dcmesh_tddft::hamiltonian::local_pseudopotential(&mesh, &domain_atoms)
+            let center = (d as f64 + 0.5) * slab_len;
+            let mut slab = Slab {
+                x0: d as f64 * slab_len,
+                len: slab_len,
+                center,
+                cell: ((center / mx_dx) as usize).min(mx_cells - 1),
+                atoms: AtomSet::new(supercell.atoms.species.clone()),
+                indices: Vec::new(),
             };
+            let mut mesh = Mesh3::cubic(cfg.domain_mesh_points, spacing);
+            mesh.origin = [slab.x0, 0.0, 0.0];
+            let v_loc = slab.local_potential(&supercell.atoms, &sim_box, &mesh);
+            slabs.push(slab);
             let lfd_cfg = LfdConfig {
                 mesh: mesh.clone(),
                 norb: cfg.norb,
@@ -246,45 +312,24 @@ impl DcMeshSim {
                 laser: cfg.laser.clone(),
                 seed: cfg.seed.wrapping_add(d as u64),
             };
-            let engine = if cfg.scf_initial_state && !domain_atoms.is_empty() {
-                let scf_cfg = dcmesh_tddft::ScfConfig {
-                    norb: cfg.norb,
-                    scf_iters: 3,
-                    eig_iters: 10,
-                    init_eig_iters: 60,
-                    mixing: 0.4,
-                    smearing: 0.05,
-                    seed: cfg.seed,
-                };
-                let scf = dcmesh_tddft::scf::run_scf(&mesh, &domain_atoms, &scf_cfg);
-                LfdEngine::with_initial_state(lfd_cfg, scf.v_eff.clone(), scf.orbitals)
-            } else {
-                // Seed with eigenstates of the bare local potential,
-                // converged to a residual of 1e-4 Ha
-                // (`eigensolver::TOLERANCE`; the 200 only caps the
-                // iterations), so the dark dynamics is stationary (the
-                // reference basis of the shadow nonlocal correction must be
-                // adiabatic states): `excited_population` stays below 1e-12.
-                let h = dcmesh_tddft::Hamiltonian::with_potential(mesh.clone(), v_loc.clone());
-                let eig = dcmesh_tddft::eigensolver::lowest_states(
-                    &h,
-                    cfg.norb,
-                    200,
-                    cfg.seed.wrapping_add(d as u64),
-                );
-                LfdEngine::with_initial_state(lfd_cfg, v_loc, eig.orbitals)
-            };
-            engines.push(engine);
+            // Seed with eigenstates of the bare local potential, converged
+            // to a residual of 1e-4 Ha (`eigensolver::TOLERANCE`; the 200
+            // only caps the iterations), so the dark dynamics is stationary
+            // (the reference basis of the shadow nonlocal correction must be
+            // adiabatic states): `excited_population` stays below 1e-12.
+            let h = dcmesh_tddft::Hamiltonian::with_potential(mesh, v_loc);
+            let eig = dcmesh_tddft::eigensolver::lowest_states(
+                &h,
+                cfg.norb,
+                200,
+                cfg.seed.wrapping_add(d as u64),
+            );
+            engines.push(LfdEngine::with_initial_state(
+                lfd_cfg,
+                h.v_loc,
+                eig.orbitals,
+            ));
         }
-
-        // Maxwell grid: a few cells per domain along x.
-        let mx_cells = (cfg.domains_x * 8).max(16);
-        let mx_dx = supercell.box_lengths[0] / mx_cells as f64;
-        let mx_dt_max = Maxwell1d::max_dt(mx_dx);
-        // The Maxwell sub-step divides the QD step.
-        let substeps = (cfg.dt_qd / mx_dt_max).ceil().max(1.0);
-        let mx_dt = cfg.dt_qd / substeps;
-        let maxwell = Maxwell1d::new(mx_cells, mx_dx, mx_dt, 1);
 
         let fssh = (0..cfg.domains_x)
             .map(|_| FsshState::new(2, 0, FsshConfig::default()))
@@ -301,8 +346,12 @@ impl DcMeshSim {
             md,
             supercell,
             engines,
+            slabs,
+            slab_volume,
+            field_substeps: substeps as usize,
             maxwell,
             fssh,
+            hop_nac: [vec![0.0; 2], vec![0.0; 2]],
             lk,
             rng,
             time: 0.0,
@@ -330,10 +379,9 @@ impl DcMeshSim {
     /// positions: at construction, the one whose lowest states seed it.
     pub fn domain_hamiltonian(&self, d: usize) -> dcmesh_tddft::Hamiltonian {
         let mesh = self.engines[d].config().mesh.clone();
-        let slab_len = self.supercell.box_lengths[0] / self.cfg.domains_x as f64;
         let sim_box = &self.md.forces.classical.sim_box;
-        let (slab, _) = atoms_in_slab(&self.md.atoms, sim_box, d as f64 * slab_len, slab_len);
-        let v_loc = dcmesh_tddft::hamiltonian::local_pseudopotential(&mesh, &slab);
+        let mut slab = self.slabs[d].clone();
+        let v_loc = slab.local_potential(&self.md.atoms, sim_box, &mesh);
         dcmesh_tddft::Hamiltonian::with_potential(mesh, v_loc)
     }
 
@@ -356,32 +404,29 @@ impl DcMeshSim {
             omega: 1.0,
             duration: 1.0,
         });
-        let n_field_steps = cfg.n_qd;
-        let mut a_at_domains = vec![0.0; self.engines.len()];
-        let slab_len = self.supercell.box_lengths[0] / cfg.domains_x as f64;
         // Polarization-current feedback: each domain radiates the change of
         // its dipole moment (matter -> field coupling of the Maxwell-TDDFT
         // loop). The current from the previous MD window drives this one.
         let dipoles: Vec<f64> = self.engines.iter().map(domain_dipole).collect();
-        let slab_volume = slab_len * self.supercell.box_lengths[1] * self.supercell.box_lengths[2];
         let currents: Vec<f64> = dipoles
             .iter()
             .zip(&self.prev_dipole)
-            .map(|(mu, mu0)| (mu - mu0) / cfg.dt_md.max(1e-12) / slab_volume)
+            .map(|(mu, mu0)| (mu - mu0) / cfg.dt_md.max(1e-12) / self.slab_volume)
             .collect();
         self.prev_dipole = dipoles;
-        let mx_dx = self.supercell.box_lengths[0] / self.maxwell.len() as f64;
-        for _ in 0..n_field_steps {
-            for (d, j) in currents.iter().enumerate() {
-                let cell =
-                    (((d as f64 + 0.5) * slab_len / mx_dx) as usize).min(self.maxwell.len() - 1);
-                self.maxwell.deposit_current(cell, *j);
+        // The field's clock runs with the electrons': `n_qd` QD steps of
+        // `substeps` field steps each.
+        for _ in 0..cfg.n_qd * self.field_substeps {
+            for (slab, j) in self.slabs.iter().zip(&currents) {
+                self.maxwell.deposit_current(slab.cell, *j);
             }
             self.maxwell.step(&pulse);
         }
-        for (d, a) in a_at_domains.iter_mut().enumerate() {
-            *a = self.maxwell.sample((d as f64 + 0.5) * slab_len);
-        }
+        let a_at_domains: Vec<f64> = self
+            .slabs
+            .iter()
+            .map(|slab| self.maxwell.sample(slab.center))
+            .collect();
         drop(maxwell_span);
 
         // --- LFD: N_QD electronic steps per domain, in parallel on the
@@ -413,8 +458,7 @@ impl DcMeshSim {
 
         // --- Surface hopping: one FSSH step per domain. ---
         let fssh_span = dcmesh_obs::span!("sim.fssh_hop", parent = step_id);
-        // Two-level model: |ground>, |excited> separated by the domain's
-        // scissor-corrected gap; NAC scales with atomic velocity.
+        // Two-level model ([`HOP_LEVELS`]); NAC scales with atomic velocity.
         let v_rms = {
             let n = self.md.atoms.len().max(1);
             (self
@@ -429,14 +473,17 @@ impl DcMeshSim {
         };
         let mut hops = 0;
         let mut kinetic = self.md.kinetic_energy().max(1e-6);
+        let nac = 5.0 * v_rms; // velocity-proportional coupling
+        self.hop_nac[0][1] = nac;
+        self.hop_nac[1][0] = -nac;
         for f in self.fssh.iter_mut() {
-            let gap = 0.1; // model gap (Hartree)
-            let nac = 5.0 * v_rms; // velocity-proportional coupling
-            let e = vec![0.0, gap];
-            let d = vec![vec![0.0, nac], vec![-nac, 0.0]];
-            if let dcmesh_qxmd::fssh::HopEvent::Hopped(_) =
-                f.step(&e, &d, cfg.dt_md, &mut kinetic, &mut self.rng)
-            {
+            if let dcmesh_qxmd::fssh::HopEvent::Hopped(_) = f.step(
+                &HOP_LEVELS,
+                &self.hop_nac,
+                cfg.dt_md,
+                &mut kinetic,
+                &mut self.rng,
+            ) {
                 hops += 1;
             }
         }
@@ -447,28 +494,26 @@ impl DcMeshSim {
         let ehrenfest_span = dcmesh_obs::span!("sim.ehrenfest_feedback", parent = step_id);
         if cfg.ehrenfest_feedback {
             let (atoms, sim_box) = (&self.md.atoms, &self.md.forces.classical.sim_box);
-            // Per domain, one pool claim each: the atoms of its slab with
-            // their global indices, their forces from the domain's density.
-            let slabs: Vec<(AtomSet, Vec<usize>)> =
-                dcmesh_pool::global().map_mut(&mut self.engines, |d, engine| {
-                    let (mut slab, idx_map) =
-                        atoms_in_slab(atoms, sim_box, d as f64 * slab_len, slab_len);
-                    slab.clear_forces();
-                    dcmesh_tddft::forces::local_pseudo_forces(
-                        &engine.config().mesh,
-                        &mut slab,
-                        &densities[d],
-                    );
-                    (slab, idx_map)
-                });
+            let engines = &self.engines;
+            // Per domain, one pool claim each: the atoms of its slab, their
+            // forces from the domain's density.
+            dcmesh_pool::global().map_mut(&mut self.slabs, |d, slab| {
+                slab.refill(atoms, sim_box);
+                slab.atoms.clear_forces();
+                dcmesh_tddft::forces::local_pseudo_forces(
+                    &engines[d].config().mesh,
+                    &mut slab.atoms,
+                    &densities[d],
+                );
+            });
             // Scattered in domain order.
             self.md
                 .forces
-                .set_external(slabs.iter().flat_map(|(slab, idx_map)| {
-                    idx_map
+                .set_external(self.slabs.iter().flat_map(|slab| {
+                    slab.indices
                         .iter()
                         .copied()
-                        .zip(slab.atoms.iter().map(|a| a.force))
+                        .zip(slab.atoms.atoms.iter().map(|a| a.force))
                 }));
         }
         drop(ehrenfest_span);
@@ -494,7 +539,7 @@ impl DcMeshSim {
         // to the coercive scale so the relaxational dynamics stays in its
         // validity regime.
         let e_c = 2.0 * self.lk.alpha * self.lk.p_spontaneous(0.0) / (3.0 * 3.0f64.sqrt());
-        let drive = e_c * (e_pulse / 1.0).clamp(-1.0, 1.0);
+        let drive = e_c * e_pulse.clamp(-1.0, 1.0);
         // Sub-cycle the explicit LK integrator at its stable step.
         let dt_lk = 0.01;
         let substeps = ((cfg.dt_md * 0.1) / dt_lk).ceil().max(1.0) as usize;
@@ -594,30 +639,13 @@ fn domain_dipole(e: &LfdEngine<f64>) -> f64 {
     dcmesh_lfd::spectrum::density_dipole(&e.config().mesh, &e.density_f64(), 0)
 }
 
-/// Atoms whose periodic-wrapped x coordinate falls in `[x0, x0 + len)`,
-/// with their indices in `atoms`. The copies sit at the wrapped x: a domain
-/// mesh is not periodic, so an atom that drifted out of `[0, Lx)` must be
-/// seen where its image inside the box is.
-fn atoms_in_slab(atoms: &AtomSet, sim_box: &SimBox, x0: f64, len: f64) -> (AtomSet, Vec<usize>) {
-    let mut out = AtomSet::new(atoms.species.clone());
-    let mut indices = Vec::new();
-    for (i, a) in atoms.atoms.iter().enumerate() {
-        let x = sim_box.wrap(a.pos)[0];
-        if x >= x0 && x < x0 + len {
-            let mut copy = a.clone();
-            copy.pos[0] = x;
-            out.atoms.push(copy);
-            indices.push(i);
-        }
-    }
-    (out, indices)
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn quick_cfg() -> DcMeshConfig {
+    /// The default shape at a quarter of its QD steps: what every test
+    /// of this crate builds.
+    pub(crate) fn quick_cfg() -> DcMeshConfig {
         DcMeshConfig {
             n_qd: 5,
             ..DcMeshConfig::default()
@@ -839,16 +867,43 @@ mod tests {
     }
 
     #[test]
-    fn scf_seeded_simulation_runs() {
-        let mut cfg = quick_cfg();
-        cfg.supercell_dims = [2, 1, 1];
-        cfg.domains_x = 2;
-        cfg.scf_initial_state = true;
-        cfg.domain_mesh_points = 8;
-        cfg.norb = 16; // one PbTiO3 cell per slab: 26 electrons
-        cfg.lumo = 13;
-        let mut sim = DcMeshSim::new(cfg);
-        let r = sim.md_step();
-        assert!(r.excited_population.is_finite());
+    fn domain_hamiltonian_at_construction_is_the_potential_new_solved_in() {
+        for domains_x in [2, 4] {
+            let sim = DcMeshSim::new(DcMeshConfig {
+                domains_x,
+                ..quick_cfg()
+            });
+            for d in 0..domains_x {
+                let (now, solved) = (
+                    sim.domain_hamiltonian(d).v_loc,
+                    &sim.engine(d).local_hamiltonian().v_loc,
+                );
+                assert!(solved.iter().any(|v| *v != 0.0));
+                assert!(
+                    now.iter()
+                        .zip(solved)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "{domains_x} domains, domain {d}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn field_clock_keeps_the_electrons_time() {
+        // This shape's field grid needs two steps per QD step.
+        let cfg = quick_cfg();
+        let mut sim = DcMeshSim::new(cfg.clone());
+        assert_eq!(sim.field_substeps, 2);
+        for k in 1..=3 {
+            sim.md_step();
+            let want = k as f64 * cfg.n_qd as f64 * cfg.dt_qd;
+            assert!(
+                (sim.maxwell.time - want).abs() < 1e-12 * want,
+                "step {k}: field at {}, electrons at {want}",
+                sim.maxwell.time
+            );
+            assert!((sim.engine(0).time - want).abs() < 1e-12 * want);
+        }
     }
 }

@@ -17,6 +17,15 @@ pub enum Precision {
 }
 
 impl Precision {
+    /// The precision of scalar type `R` (`f32` or `f64`).
+    pub fn of<R>() -> Self {
+        if std::mem::size_of::<R>() == 4 {
+            Precision::Sp
+        } else {
+            Precision::Dp
+        }
+    }
+
     /// Bytes per real scalar.
     pub fn bytes(self) -> u64 {
         match self {

@@ -230,7 +230,8 @@ pub struct LfdEngine<R: Real> {
     cfg: LfdConfig,
     kin: KineticPropagator<R>,
     pot_half: PotentialPropagator<R>,
-    v_loc: Vec<f64>,
+    /// The local Hamiltonian the energy meter takes expectations of.
+    h_loc: dcmesh_tddft::Hamiltonian,
     nl: NonlocalCorrection<R>,
     /// Squared orbital norms the last nonlocal application handed back.
     norms2: Vec<R>,
@@ -294,6 +295,7 @@ impl<R: Real> LfdEngine<R> {
                 s
             }
         });
+        let h_loc = dcmesh_tddft::Hamiltonian::with_potential(cfg.mesh.clone(), v_loc);
         let psi = match cfg.build {
             BuildKind::CpuLoops => State::Aos(init),
             _ => State::Soa(init.to_soa()),
@@ -302,7 +304,7 @@ impl<R: Real> LfdEngine<R> {
             cfg,
             kin,
             pot_half,
-            v_loc,
+            h_loc,
             nl,
             norms2: vec![R::ZERO; occupations.len()],
             psi,
@@ -610,16 +612,27 @@ impl<R: Real> LfdEngine<R> {
     /// kinetic + local potential expectation plus the scissor (nonlocal)
     /// correction of Eq. (8). The expensive expectation runs at f64.
     pub fn band_energies(&self) -> Vec<f64> {
-        let aos = self.state_aos();
-        let h =
-            dcmesh_tddft::Hamiltonian::with_potential(self.cfg.mesh.clone(), self.v_loc.clone());
         let scissor = self.scissor_energies();
+        let mut psi = vec![dcmesh_math::C64::zero(); self.cfg.mesh.len()];
         (0..self.cfg.norb)
             .map(|n| {
-                let psi: Vec<dcmesh_math::C64> = aos.orbital(n).iter().map(|z| z.cast()).collect();
-                h.expectation(&psi, false) + scissor[n].to_f64()
+                for (o, z) in psi.iter_mut().zip(self.orbital(n)) {
+                    *o = z.cast();
+                }
+                self.h_loc.expectation(&psi, false) + scissor[n].to_f64()
             })
             .collect()
+    }
+
+    /// Orbital `n` in grid order, read out of the native storage in place
+    /// (what `state_aos().orbital(n)` holds).
+    fn orbital(&self, n: usize) -> impl Iterator<Item = &dcmesh_math::Complex<R>> {
+        let g = self.cfg.mesh.len();
+        let (first, stride) = match &self.psi {
+            State::Aos(_) => (n * g, 1),
+            State::Soa(_) => (n, self.cfg.norb),
+        };
+        self.state_data()[first..].iter().step_by(stride).take(g)
     }
 
     /// Total electronic energy `sum_n f_n E_n` (Hartree) — the quantity a
@@ -630,6 +643,11 @@ impl<R: Real> LfdEngine<R> {
             .zip(&self.occupations)
             .map(|(e, f)| e * f.to_f64())
             .sum()
+    }
+
+    /// The local Hamiltonian (kinetic + `v_loc`) this engine was built in.
+    pub fn local_hamiltonian(&self) -> &dcmesh_tddft::Hamiltonian {
+        &self.h_loc
     }
 
     /// Scissor (excited-state) energy of each orbital right now.
@@ -663,11 +681,10 @@ impl<R: Real> LfdEngine<R> {
     /// f32, 10^4 terms carry an error of up to 1e-5 of their own, which
     /// would be the meter's and not the state's.
     pub fn max_norm_error(&self) -> f64 {
-        let aos = self.state_aos();
         let dv = self.cfg.mesh.dv();
         (0..self.cfg.norb)
             .map(|n| {
-                let n2: f64 = aos.orbital(n).iter().map(|z| z.norm_sqr().to_f64()).sum();
+                let n2: f64 = self.orbital(n).map(|z| z.norm_sqr().to_f64()).sum();
                 let nv = (n2.sqrt().powi(2) * dv).sqrt();
                 if nv.is_finite() {
                     (nv - 1.0).abs()
@@ -997,6 +1014,13 @@ mod tests {
                 let mu_aos = crate::spectrum::dipole_moment(&aos, &e.occupations, 0);
                 assert_eq!(mu.to_bits(), mu_aos.to_bits(), "{build:?}, step {step}");
                 dipoles.push(mu);
+                // The energy meter too: orbital by orbital through one
+                // buffer, what it read out of the copy.
+                let scissor = e.scissor_energies();
+                for (n, got) in e.band_energies().into_iter().enumerate() {
+                    let want = e.h_loc.expectation(aos.orbital(n), false) + scissor[n];
+                    assert_eq!(got.to_bits(), want.to_bits(), "{build:?}, E[{n}]");
+                }
             }
             assert!(
                 dipoles[0] != dipoles[2],
@@ -1095,7 +1119,11 @@ mod tests {
     fn norm_meter_of_an_f64_engine_reads_orbital_norm_to_the_bit() {
         // Carrying the grid sum in f64 changed the meter for f32 engines
         // only: for f64 it is `WfAos::orbital_norm`, bit for bit.
-        for build in [BuildKind::CpuBlas, BuildKind::GpuCublas] {
+        for build in [
+            BuildKind::CpuLoops,
+            BuildKind::CpuBlas,
+            BuildKind::GpuCublas,
+        ] {
             let mut e = LfdEngine::<f64>::new(small_cfg(build), vec![0.0; 512]);
             e.run_md_step();
             let aos = e.state_aos();

@@ -289,15 +289,10 @@ impl<R: Real> KineticPropagator<R> {
     fn pass_work(&self, norb: usize) -> KernelWork {
         let elems = (self.mesh.len() * norb) as u64;
         let csize = 2 * std::mem::size_of::<R>() as u64;
-        let precision = if std::mem::size_of::<R>() == 4 {
-            Precision::Sp
-        } else {
-            Precision::Dp
-        };
         KernelWork {
             bytes: 2 * elems * csize, // read + write every amplitude
             flops: 16 * elems,        // 2 complex mul + 1 add per amplitude
-            precision: Some(precision),
+            precision: Some(Precision::of::<R>()),
         }
     }
 

@@ -33,7 +33,7 @@ pub mod spectrum;
 
 pub use engine::{BuildKind, KernelTimings, LfdConfig, LfdEngine};
 pub use kinetic::{Axis, KineticPropagator, StepFraction};
-pub use maxwell::{LaserPulse, Maxwell1d, MaxwellState};
+pub use maxwell::{LaserPulse, Maxwell1d};
 pub use nonlocal::NonlocalCorrection;
 pub use potential::PotentialPropagator;
 pub use spectrum::{delta_kick_spectrum, Spectrum};

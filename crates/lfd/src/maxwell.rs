@@ -16,6 +16,7 @@
 //! length-gauge electric field `E = -(1/c) dA/dt` used by the potential
 //! propagator.
 
+use dcmesh_ckpt::CkptError;
 use dcmesh_math::phys::SPEED_OF_LIGHT_AU;
 
 /// A sin^2-envelope laser pulse (atomic units).
@@ -73,6 +74,8 @@ pub struct Maxwell1d {
     c: f64,
     a_prev: Vec<f64>,
     a: Vec<f64>,
+    /// Scratch for the level [`Maxwell1d::step`] computes; not state.
+    a_next: Vec<f64>,
     /// Polarization current deposited for the upcoming step.
     j: Vec<f64>,
     /// Source cell index for the injected pulse.
@@ -103,6 +106,7 @@ impl Maxwell1d {
             c,
             a_prev: vec![0.0; n],
             a: vec![0.0; n],
+            a_next: vec![0.0; n],
             j: vec![0.0; n],
             source_cell,
             time: 0.0,
@@ -124,14 +128,16 @@ impl Maxwell1d {
         self.j[cell] += j;
     }
 
-    /// Advance one FDTD step, injecting the pulse at the source cell.
+    /// Advance one FDTD step, injecting the pulse at the source cell. The
+    /// three time levels rotate through the buffers held since
+    /// construction: every cell of the new level is written below.
     pub fn step(&mut self, pulse: &LaserPulse) {
         let (c, dt, dx) = (self.c, self.dt, self.dx);
         let c2dt2 = (c * dt / dx).powi(2);
-        let mut a_next = vec![0.0; self.n];
+        let (a, a_prev, a_next) = (&self.a, &self.a_prev, &mut self.a_next);
         for (i, an) in a_next.iter_mut().enumerate().take(self.n - 1).skip(1) {
-            let lap = self.a[i + 1] - 2.0 * self.a[i] + self.a[i - 1];
-            *an = 2.0 * self.a[i] - self.a_prev[i] + c2dt2 * lap
+            let lap = a[i + 1] - 2.0 * a[i] + a[i - 1];
+            *an = 2.0 * a[i] - a_prev[i] + c2dt2 * lap
                 - 4.0 * std::f64::consts::PI * c * self.j[i] * dt * dt;
         }
         // Soft source: add the pulse's vector potential increment.
@@ -140,11 +146,11 @@ impl Maxwell1d {
             pulse.vector_potential(t_new) - pulse.vector_potential(self.time);
         // First-order Mur absorbing boundaries.
         let k = (c * dt - dx) / (c * dt + dx);
-        a_next[0] = self.a[1] + k * (a_next[1] - self.a[0]);
+        a_next[0] = a[1] + k * (a_next[1] - a[0]);
         let n = self.n;
-        a_next[n - 1] = self.a[n - 2] + k * (a_next[n - 2] - self.a[n - 1]);
-        self.a_prev = std::mem::take(&mut self.a);
-        self.a = a_next;
+        a_next[n - 1] = a[n - 2] + k * (a_next[n - 2] - a[n - 1]);
+        std::mem::swap(&mut self.a_prev, &mut self.a);
+        std::mem::swap(&mut self.a, &mut self.a_next);
         self.j.iter_mut().for_each(|x| *x = 0.0);
         self.time = t_new;
     }
@@ -178,44 +184,32 @@ impl Maxwell1d {
         dx / SPEED_OF_LIGHT_AU
     }
 
-    /// Snapshot the mutable field state for a checkpoint. The static
-    /// parameters (`n`, `dx`, `dt`, `source_cell`) come back from the
-    /// simulation configuration on restore.
-    pub fn export_state(&self) -> MaxwellState {
-        MaxwellState {
-            a_prev: self.a_prev.clone(),
-            a: self.a.clone(),
-            j: self.j.clone(),
-            time: self.time,
+    /// The evolving field, borrowed: the previous and the current level of
+    /// the vector potential and the current deposited for the next step
+    /// (with [`Maxwell1d::time`], all a checkpoint captures; `n`, `dx`, `dt`
+    /// and the source cell come back from the configuration).
+    pub fn field(&self) -> [&[f64]; 3] {
+        [&self.a_prev, &self.a, &self.j]
+    }
+
+    /// Restore what [`Maxwell1d::field`] and [`Maxwell1d::time`] handed out.
+    /// A level of another grid size is a [`CkptError::ConfigMismatch`] and
+    /// leaves the field as it was.
+    pub fn restore(&mut self, [a_prev, a, j]: [&[f64]; 3], time: f64) -> Result<(), CkptError> {
+        if [a_prev, a, j].iter().any(|level| level.len() != self.n) {
+            return Err(CkptError::ConfigMismatch);
         }
+        self.a_prev.copy_from_slice(a_prev);
+        self.a.copy_from_slice(a);
+        self.j.copy_from_slice(j);
+        self.time = time;
+        Ok(())
     }
 
-    /// Restore field state captured by [`Maxwell1d::export_state`]. Panics
-    /// if the snapshot's grid size does not match this solver.
-    pub fn import_state(&mut self, state: MaxwellState) {
-        assert_eq!(state.a.len(), self.n, "Maxwell grid size mismatch");
-        assert_eq!(state.a_prev.len(), self.n, "Maxwell grid size mismatch");
-        assert_eq!(state.j.len(), self.n, "Maxwell grid size mismatch");
-        self.a_prev = state.a_prev;
-        self.a = state.a;
-        self.j = state.j;
-        self.time = state.time;
+    /// True when both levels and the deposited current are finite.
+    pub fn is_finite(&self) -> bool {
+        self.field().iter().all(|v| v.iter().all(|x| x.is_finite()))
     }
-}
-
-/// The mutable state of a [`Maxwell1d`], as captured by
-/// [`Maxwell1d::export_state`]: the two vector-potential time levels, any
-/// deposited-but-unconsumed polarization current, and the elapsed time.
-#[derive(Clone, Debug, PartialEq)]
-pub struct MaxwellState {
-    /// Vector potential at the previous time level.
-    pub a_prev: Vec<f64>,
-    /// Vector potential at the current time level.
-    pub a: Vec<f64>,
-    /// Polarization current deposited for the upcoming step.
-    pub j: Vec<f64>,
-    /// Elapsed time (a.u.).
-    pub time: f64,
 }
 
 #[cfg(test)]
@@ -337,6 +331,33 @@ mod tests {
             m.step(&silent);
         }
         assert!(m.energy() > 0.0, "current produced no field");
+    }
+
+    #[test]
+    fn restore_checks_every_length_and_hands_back_the_bits() {
+        let fresh = || Maxwell1d::new(12, 5.0, Maxwell1d::max_dt(5.0) * 0.9, 1);
+        let (mut m, mut restored) = (fresh(), fresh());
+        for _ in 0..7 {
+            m.deposit_current(6, 1e-3);
+            m.step(&test_pulse());
+        }
+        m.deposit_current(4, 2e-3);
+        let levels = m.field();
+        for short in 0..3 {
+            let mut bad = levels;
+            bad[short] = &bad[short][..11];
+            assert_eq!(
+                restored.restore(bad, m.time),
+                Err(CkptError::ConfigMismatch)
+            );
+            assert_eq!(restored.field(), fresh().field(), "a refused restore wrote");
+        }
+        restored.restore(levels, m.time).unwrap();
+        m.step(&test_pulse());
+        restored.step(&test_pulse());
+        assert!(m.is_finite());
+        assert_eq!(m.field(), restored.field());
+        assert_eq!(m.time.to_bits(), restored.time.to_bits());
     }
 
     #[test]

@@ -198,15 +198,10 @@ impl<R: Real> NonlocalCorrection<R> {
         let cfmas = gemm_cfmas(nu as usize, n as usize, g as usize) as u64
             + gemm_cfmas(g as usize, n as usize, nu as usize) as u64;
         let csize = 2 * std::mem::size_of::<R>() as u64;
-        let precision = if std::mem::size_of::<R>() == 4 {
-            Precision::Sp
-        } else {
-            Precision::Dp
-        };
         KernelWork {
             bytes: csize * (2 * g * n + 2 * g * nu + 2 * nu * n),
             flops: 8 * cfmas + 8 * g * n,
-            precision: Some(precision),
+            precision: Some(Precision::of::<R>()),
         }
     }
 

@@ -140,15 +140,10 @@ impl<R: Real> PotentialPropagator<R> {
     fn work(&self, norb: usize) -> KernelWork {
         let elems = (self.mesh.len() * norb) as u64;
         let csize = 2 * std::mem::size_of::<R>() as u64;
-        let precision = if std::mem::size_of::<R>() == 4 {
-            Precision::Sp
-        } else {
-            Precision::Dp
-        };
         KernelWork {
             bytes: 2 * elems * csize + self.mesh.len() as u64 * csize,
             flops: 6 * elems,
-            precision: Some(precision),
+            precision: Some(Precision::of::<R>()),
         }
     }
 }

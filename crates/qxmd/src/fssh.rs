@@ -71,13 +71,9 @@ impl FsshState {
         self.c.len()
     }
 
-    /// Restore amplitudes and active surface from a checkpoint. The state
-    /// count must match this trajectory's.
-    pub fn import_state(&mut self, c: Vec<C64>, surface: usize) {
-        assert_eq!(c.len(), self.nstates(), "FSSH state count mismatch");
-        assert!(surface < c.len(), "FSSH surface out of range");
-        self.c = c;
-        self.surface = surface;
+    /// True when every amplitude is finite.
+    pub fn is_finite(&self) -> bool {
+        self.c.iter().all(|z| z.re.is_finite() && z.im.is_finite())
     }
 
     /// Populations `|c_k|^2`.

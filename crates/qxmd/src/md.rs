@@ -102,19 +102,28 @@ impl<F: ForceProvider> MdIntegrator<F> {
         2.0 * self.kinetic_energy() / (3.0 * n as f64 * KB_HARTREE_PER_K)
     }
 
+    /// True when every position, velocity and force and the cached
+    /// potential energy are finite.
+    pub fn is_finite(&self) -> bool {
+        self.potential.is_finite()
+            && self.atoms.atoms.iter().all(|a| {
+                [a.pos, a.vel, a.force]
+                    .iter()
+                    .all(|v| v.iter().all(|x| x.is_finite()))
+            })
+    }
+
     /// Number of completed MD steps.
     pub fn steps(&self) -> u64 {
         self.steps
     }
 
-    /// Restore integrator state from a checkpoint: the full atom set
-    /// (positions, velocities, *and* the force accumulators — the first
-    /// half-kick of the next step uses the stored forces, so they must be
-    /// bitwise what the interrupted run held), the cached potential energy,
-    /// and the step counter.
-    pub fn import_state(&mut self, atoms: AtomSet, potential: f64, steps: u64) {
-        assert_eq!(atoms.len(), self.atoms.len(), "atom count mismatch");
-        self.atoms = atoms;
+    /// Restore the integrator's private state from a checkpoint: the cached
+    /// potential energy and the step counter. The caller writes the atoms
+    /// (`atoms` is public) — positions, velocities *and* the force
+    /// accumulators: the first half-kick of the next step uses the stored
+    /// forces, so they must be bitwise what the interrupted run held.
+    pub fn import_state(&mut self, potential: f64, steps: u64) {
         self.potential = potential;
         self.steps = steps;
     }

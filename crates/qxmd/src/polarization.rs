@@ -76,6 +76,11 @@ impl PolarizationField {
         }
     }
 
+    /// True when both components are finite in every cell.
+    pub fn is_finite(&self) -> bool {
+        self.px.iter().chain(&self.pz).all(|p| p.is_finite())
+    }
+
     /// Mean polarization vector `(Px, Pz)`.
     pub fn mean(&self) -> [f64; 2] {
         let n = (self.nx * self.nz) as f64;

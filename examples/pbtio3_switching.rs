@@ -43,7 +43,6 @@ fn main() {
             duration: 10.0,
         }),
         flux_closure_amplitude: Some(0.3),
-        scf_initial_state: false,
         ehrenfest_feedback: true,
         seed: 7,
     };

@@ -5,8 +5,10 @@
 #   check.sh quick   fast lane — fmt, clippy -D warnings, workspace tests,
 #                    root integration tests at 1, 2 and 4 pool threads
 #   check.sh gates   heavy gates — frozen-benchmark build + smoke first,
-#                    then lines per crate, eigensolver counts at the
-#                    benchmark's shapes, audit, racecheck, fault matrix,
+#                    then lines per crate under a ceiling (37,200), a grep
+#                    that keeps scf_initial_state / MaxwellState /
+#                    export_state from coming back, eigensolver counts at
+#                    the benchmark's shapes, audit, racecheck, fault matrix,
 #                    model check, serve_load losing no job, Table I nowait
 #                    ablation, Table II modeled rows, ...
 #   check.sh all     quick + gates (default)
@@ -110,11 +112,18 @@ tier_gates() {
   done
   total=$(find crates vendor src tests examples -name '*.rs' -print0 | xargs -0 cat | wc -l)
   printf '%7d  total\n' "$total"
-  # PR 22's count (37,084) rounded up to the next hundred. A PR that must
-  # raise it says why in EXPERIMENTS.md.
-  local ceiling=37100
+  # PR 23's count (37,166) rounded up to the next hundred: 82 more than
+  # PR 22's — tests +111, everything else -29 (EXPERIMENTS.md "Each thing
+  # once"); ROADMAP item 9's 37,000 is still open. A PR that must raise it
+  # says why in EXPERIMENTS.md.
+  local ceiling=37200
   if [ "$total" -gt "$ceiling" ]; then
     echo "the tree grew past $ceiling .rs lines" >&2
+    exit 1
+  fi
+  # PR 23 removed the second set-up arm and the Maxwell state clone pair.
+  if grep -rn --include='*.rs' -E 'scf_initial_state|MaxwellState|export_state' crates src tests examples; then
+    echo "a name PR 23 deleted is back (lines above)" >&2
     exit 1
   fi
   # The SIMD directory has a budget of its own (ISSUE 19: no larger than the

@@ -17,7 +17,6 @@ fn base_cfg() -> DcMeshConfig {
         build: dcmesh::lfd::BuildKind::GpuCublasPinned,
         laser: None,
         flux_closure_amplitude: None,
-        scf_initial_state: false,
         ehrenfest_feedback: false,
         seed: 4242,
     }
