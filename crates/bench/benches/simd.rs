@@ -2,7 +2,8 @@
 //! AVX2 GEMM against the scalar blocked reference at the paper-relevant
 //! nonlocal shape (Table II: the overlap `S = dv * Psi0^H Psi` is a tall
 //! skinny `(norb, nu, ngrid)` contraction), the two projector kernels at that
-//! shape, and the kinetic stencil under the scalar vs AVX2 backend: the pair
+//! shape, the set-up eigensolver's real block kernels beside their complex
+//! counterparts, and the kinetic stencil under the scalar vs AVX2 backend: the pair
 //! kernels on one L1-resident run, one directional step, each axis's merged
 //! sweep and the whole step. The projector, pair and sweep rows run in both
 //! precisions (`dp` = f64 x 4 lanes, `sp` = f32 x 8).
@@ -121,6 +122,50 @@ fn bench_simd_projector(c: &mut Criterion) {
     bench_simd_projector_at::<f32>(c);
 }
 
+/// The set-up eigensolver's two block kernels at its two benchmark shapes
+/// (8^3 x 4 and 16^3 x 16), real (`dp` only: the solver is `f64`) beside the
+/// complex projector kernels they replaced there: a real row is 2 flops a
+/// multiply-add, a complex one 8.
+fn bench_simd_real_blocks(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(14);
+    let mut group = c.benchmark_group("simd_block");
+    group.sample_size(20);
+    for (g, n) in [(512, 4), (4096, 16)] {
+        let (zl, zr) = (
+            random_vec::<f64>(&mut rng, g * n),
+            random_vec::<f64>(&mut rng, g * n),
+        );
+        let small = |z: &C64| *z * C64::from_real(1e-4);
+        let zc: Vec<C64> = random_vec::<f64>(&mut rng, n * n)
+            .iter()
+            .map(small)
+            .collect();
+        let re = |zs: &[C64]| zs.iter().map(|z| z.re).collect::<Vec<f64>>();
+        let (l, r, coeff) = (re(&zl), re(&zr), re(&zc));
+        for (backend, tag) in BACKENDS {
+            let shape = format!("{tag}_g{g}_n{n}");
+            group.bench_function(format!("real_overlap_{shape}").as_str(), |bch| {
+                let mut out = vec![0.0; n * n];
+                bch.iter(|| simd::real_overlap_with(backend, 1.0, &l, (n, n), &r, &mut out));
+            });
+            group.bench_function(format!("real_update_{shape}").as_str(), |bch| {
+                let mut t = r.clone();
+                bch.iter(|| simd::real_update_with(backend, &coeff, &l, (n, n), &mut t));
+            });
+            group.bench_function(format!("complex_overlap_{shape}").as_str(), |bch| {
+                let mut out = vec![C64::zero(); n * n];
+                let (one, zero) = (C64::one(), C64::zero());
+                bch.iter(|| simd::proj_overlap_with(backend, one, &zr, n, &zl, n, zero, &mut out));
+            });
+            group.bench_function(format!("complex_update_{shape}").as_str(), |bch| {
+                let (mut t, mut norms) = (zr.clone(), vec![0.0; n]);
+                bch.iter(|| simd::proj_update_with(backend, &zc, &zl, n, &mut t, n, &mut norms));
+            });
+        }
+    }
+    group.finish();
+}
+
 /// The two pair kernels over one run of 256 values (16 orbitals x 16 z
 /// points, the unit of an X or Y sweep at the benchmark's shape; 4 KiB in
 /// f64): a full complex 2x2 update against the bare rotation the kinetic
@@ -212,6 +257,7 @@ criterion_group!(
     benches,
     bench_simd_gemm,
     bench_simd_projector,
+    bench_simd_real_blocks,
     bench_simd_pair_kernels,
     bench_simd_stencil
 );

@@ -39,4 +39,4 @@ pub use invariants::{
 pub use metrics::{parallel_efficiency_strong, parallel_efficiency_weak, Speed};
 pub use resilience::{ResilienceError, ResilientRunner, RunEvent};
 pub use scaling::{AnalyticEfficiency, ScalingConfig, ScalingPoint};
-pub use simulation::{DcMeshConfig, DcMeshSim, StepReport};
+pub use simulation::{DcMeshConfig, DcMeshSim, SetupSolve, StepReport};

@@ -124,9 +124,22 @@ impl ResilientRunner {
         Self::from_sim(DcMeshSim::new(cfg), checkpoint_every)
     }
 
-    /// Wrap an existing simulation (e.g. one restored from disk).
+    /// Wrap an existing simulation (e.g. one restored from disk). A domain
+    /// whose set-up eigensolve did not converge opens the event list with a
+    /// `setup_residual` warning at step 0.
     pub fn from_sim(sim: DcMeshSim, checkpoint_every: u64) -> Self {
         let last_snapshot = sim.snapshot_bytes();
+        let unconverged = sim.setup_solves().iter().filter(|s| !s.converged());
+        let warn = |solve: &crate::simulation::SetupSolve| {
+            dcmesh_obs::metrics::counter_add("telemetry.watchdog_warnings", 1);
+            RunEvent::Warning(DriftWarning {
+                step: 0,
+                what: "setup_residual",
+                value: solve.max_residual,
+                threshold: dcmesh_tddft::eigensolver::TOLERANCE,
+            })
+        };
+        let events = unconverged.map(warn).collect();
         Self {
             sim,
             checkpoint_every,
@@ -137,7 +150,7 @@ impl ResilientRunner {
             max_rollbacks: 3,
             summary: None,
             samples: VecDeque::new(),
-            events: Vec::new(),
+            events,
         }
     }
 
@@ -300,6 +313,7 @@ impl ResilientRunner {
 mod tests {
     use super::*;
     use crate::simulation::tests::quick_cfg;
+    use crate::simulation::DcMeshConfig;
     use dcmesh_ckpt::fault::{self, FaultPlan};
 
     #[test]
@@ -320,6 +334,31 @@ mod tests {
             runner.samples().all(|s| s.wall_s > 0.0),
             "wall_s is the md_step call's own duration, first sample included"
         );
+    }
+
+    #[test]
+    fn an_unconverged_set_up_opens_the_events_with_a_warning() {
+        let _guard = fault::test_lock();
+        // 40 orbitals on 4^3 points: not even [X W] fits, the solve stops at
+        // the Rayleigh–Ritz of its start block and the run starts from
+        // states that beat. Before, only `excited_population` showed it.
+        let wide = DcMeshConfig {
+            domain_mesh_points: 4,
+            norb: 40,
+            lumo: 20,
+            ..quick_cfg()
+        };
+        let runner = ResilientRunner::new(wide, 1);
+        assert_eq!(runner.events().len(), runner.sim().num_domains());
+        for (event, solve) in runner.events().iter().zip(runner.sim().setup_solves()) {
+            let RunEvent::Warning(warning) = event else {
+                panic!("{event:?}");
+            };
+            assert_eq!((warning.step, warning.what), (0, "setup_residual"));
+            assert_eq!(warning.threshold, dcmesh_tddft::eigensolver::TOLERANCE);
+            assert!(warning.value == solve.max_residual && warning.value > warning.threshold);
+            assert_eq!((solve.iterations, solve.h_applications), (0, 40));
+        }
     }
 
     #[test]

@@ -208,6 +208,39 @@ impl Slab {
     }
 }
 
+/// What the set-up eigensolve of one domain reported. Not evolving state:
+/// a restored simulation solves again, and no checkpoint holds it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct SetupSolve {
+    /// Outer iterations taken (the cap is 200).
+    pub iterations: usize,
+    /// Applications of `H` to one orbital.
+    pub h_applications: usize,
+    /// Largest residual norm at exit (Ha); NaN when any is.
+    pub max_residual: f64,
+}
+
+impl SetupSolve {
+    /// Did every seed state reach the solver's tolerance? `false` when the
+    /// solve hit its cap, lost its `[X W P]` room or met a non-finite `v_loc`:
+    /// the run then starts from non-stationary states, whose beating a job
+    /// would report as `excited_population`.
+    pub fn converged(&self) -> bool {
+        self.max_residual <= dcmesh_tddft::eigensolver::TOLERANCE
+    }
+}
+
+impl From<&dcmesh_tddft::eigensolver::EigenResult> for SetupSolve {
+    fn from(eig: &dcmesh_tddft::eigensolver::EigenResult) -> Self {
+        let worst = |a: f64, &r: &f64| if a.is_nan() || r <= a { a } else { r };
+        Self {
+            iterations: eig.iterations,
+            h_applications: eig.h_applications,
+            max_residual: eig.residuals.iter().fold(0.0, worst),
+        }
+    }
+}
+
 /// Adiabatic energies of the two-level hop model (Hartree): `|ground>` and
 /// `|excited>` a model gap apart.
 const HOP_LEVELS: [f64; 2] = [0.0, 0.1];
@@ -220,6 +253,7 @@ pub struct DcMeshSim {
     /// Supercell bookkeeping (dims, polarization extraction).
     pub supercell: Supercell,
     pub(crate) engines: Vec<LfdEngine<f64>>,
+    setup_solves: Vec<SetupSolve>,
     slabs: Vec<Slab>,
     /// Volume of one slab (Bohr^3).
     slab_volume: f64,
@@ -286,6 +320,7 @@ impl DcMeshSim {
         let mut slabs = Vec::with_capacity(cfg.domains_x);
         let spacing = slab_len / cfg.domain_mesh_points as f64;
         let mut engines = Vec::with_capacity(cfg.domains_x);
+        let mut setup_solves = Vec::with_capacity(cfg.domains_x);
         for d in 0..cfg.domains_x {
             let center = (d as f64 + 0.5) * slab_len;
             let mut slab = Slab {
@@ -324,6 +359,7 @@ impl DcMeshSim {
                 200,
                 cfg.seed.wrapping_add(d as u64),
             );
+            setup_solves.push(SetupSolve::from(&eig));
             engines.push(LfdEngine::with_initial_state(
                 lfd_cfg,
                 h.v_loc,
@@ -346,6 +382,7 @@ impl DcMeshSim {
             md,
             supercell,
             engines,
+            setup_solves,
             slabs,
             slab_volume,
             field_substeps: substeps as usize,
@@ -373,6 +410,11 @@ impl DcMeshSim {
     /// Access a domain engine.
     pub fn engine(&self, d: usize) -> &LfdEngine<f64> {
         &self.engines[d]
+    }
+
+    /// What each domain's set-up eigensolve reported, in domain order.
+    pub fn setup_solves(&self) -> &[SetupSolve] {
+        &self.setup_solves
     }
 
     /// The bare local Hamiltonian of domain `d` at the present atom
@@ -650,6 +692,20 @@ pub(crate) mod tests {
             n_qd: 5,
             ..DcMeshConfig::default()
         }
+    }
+
+    #[test]
+    fn a_poisoned_set_up_solve_is_not_converged() {
+        let sim = DcMeshSim::new(quick_cfg());
+        assert!(sim.setup_solves().iter().all(|s| s.converged()));
+        assert!(sim.setup_solves().iter().all(|s| s.iterations > 0));
+        // One NaN in `v_loc` and every residual is non-finite: the summary
+        // keeps the NaN, which no `f64::max` fold would.
+        let mut h = sim.domain_hamiltonian(0);
+        h.v_loc[17] = f64::NAN;
+        let eig = dcmesh_tddft::eigensolver::lowest_states(&h, 4, 200, 1);
+        let solve = SetupSolve::from(&eig);
+        assert!(solve.max_residual.is_nan() && !solve.converged());
     }
 
     #[test]

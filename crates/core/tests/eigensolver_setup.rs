@@ -6,7 +6,7 @@
 //! `scripts/check.sh gates` runs this file in release mode and prints its
 //! `eig <shape>: ...` lines.
 
-use dcmesh_core::{DcMeshConfig, DcMeshSim};
+use dcmesh_core::{DcMeshConfig, DcMeshSim, ResilientRunner};
 use dcmesh_lfd::{BuildKind, LaserPulse};
 use dcmesh_tddft::eigensolver::{lowest_states, EigenResult, TOLERANCE};
 use dcmesh_tddft::Hamiltonian;
@@ -109,8 +109,9 @@ fn trajectory_shapes_converge_within_the_iteration_budget() {
 
 #[test]
 fn results_do_not_depend_on_who_ran_the_kernels() {
-    // 12^3 points are four chunks of the projector kernels: spread over
-    // the pool (whatever DCMESH_THREADS makes it) or kept on this thread,
+    // The solver's block kernels run on the calling thread and sum in an
+    // order the shapes alone fix: inside a pool of whatever size
+    // DCMESH_THREADS makes it or under `run_inline`, as a served job runs,
     // the served == direct check of the benchmark needs the same bits.
     let h = domain0_hamiltonian([4, 2, 2], 2, 12);
     let bits = |r: &EigenResult| {
@@ -122,6 +123,42 @@ fn results_do_not_depend_on_who_ran_the_kernels() {
     let inline = dcmesh_pool::run_inline(|| lowest_states(&h, 4, 200, 7));
     assert_eq!(spread.iterations, inline.iterations);
     assert!(bits(&spread) == bits(&inline));
+    // `check.sh quick` wants this line equal at DCMESH_THREADS=1,2,4.
+    let fnv = |h: u64, b: &u64| (h ^ b).wrapping_mul(0x0000_0100_0000_01b3);
+    println!(
+        "eig-digest {:016x}",
+        bits(&spread).iter().fold(0xcbf2_9ce4_8422_2325, fnv)
+    );
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "a minute in a debug build; check.sh gates runs it in release"
+)]
+fn benchmark_shapes_set_up_without_a_warning() {
+    // `serve_burst`'s, `traj_coupled`'s and `traj_lfd`'s simulations: every
+    // domain's solve converges, so the runner has nothing to say at step 0.
+    let shapes = [
+        DcMeshConfig::default(),
+        DcMeshConfig {
+            supercell_dims: [8, 4, 4],
+            domains_x: 4,
+            ..DcMeshConfig::default()
+        },
+        DcMeshConfig {
+            domain_mesh_points: 16,
+            norb: 16,
+            lumo: 8,
+            ..DcMeshConfig::default()
+        },
+    ];
+    for cfg in shapes {
+        let runner = ResilientRunner::new(cfg, 1);
+        assert!(runner.events().is_empty(), "{:?}", runner.events());
+        let solves = runner.sim().setup_solves();
+        assert!(solves.iter().all(|s| s.converged() && s.iterations < 120));
+    }
 }
 
 #[test]

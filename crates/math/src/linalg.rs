@@ -1,9 +1,12 @@
-//! Vector kernels, Gram–Schmidt orthonormalization, and a complex Hermitian
-//! Jacobi eigensolver.
+//! Vector kernels, Gram–Schmidt orthonormalization, and the dense pieces of
+//! the set-up eigensolver: a real symmetric Jacobi solver, Cholesky and the
+//! triangular solve that orthonormalises a block.
 //!
 //! These back the QXMD substrate's Rayleigh–Ritz subspace diagonalization
-//! (local Kohn–Sham solves per DC domain) and the HOMO/LUMO eigenvalue
-//! extraction feeding the scissor shift of paper Eq. (8).
+//! (local Kohn–Sham solves per DC domain, whose Hamiltonian is real
+//! symmetric) and the HOMO/LUMO eigenvalue extraction feeding the scissor
+//! shift of paper Eq. (8). The complex Hermitian Jacobi solver is [`eigh`],
+//! the tests' dense oracle.
 
 use crate::complex::Complex;
 use crate::gemm::Matrix;
@@ -100,45 +103,57 @@ pub struct Eigh<R> {
     pub vectors: Matrix<R>,
 }
 
-/// Cyclic complex Jacobi eigensolver for a Hermitian matrix.
-///
-/// Small dense problems only (subspace dimension = number of orbitals per DC
-/// domain, at most a few hundred); O(n^3) per sweep with quadratic
-/// convergence once nearly diagonal.
+/// Cyclic complex Jacobi eigensolver for a Hermitian matrix: the dense
+/// oracle the tests hold the real-symmetric solvers to, and nothing's hot
+/// path. NaN entries propagate into `values` instead of panicking.
 pub fn eigh<R: Real>(a: &Matrix<R>) -> Eigh<R> {
     let n = a.rows();
     assert_eq!(n, a.cols(), "eigh requires a square matrix");
     let mut m = a.clone();
-    let mut vectors = Matrix::zeros(n, n);
+    let mut vectors = Matrix::identity(n);
     let mut values = vec![R::ZERO; n];
-    eigh_in_place(n, m.data_mut(), vectors.data_mut(), &mut values);
+    jacobi_sweeps(
+        n,
+        (m.data_mut(), vectors.data_mut(), &mut values),
+        |z| (z.re, z.norm_sqr()),
+        jacobi_rotate,
+    );
     Eigh { values, vectors }
 }
 
-/// [`eigh`] without allocation, for a caller that solves many small
-/// problems: `a` is the column-major `n x n` Hermitian matrix (destroyed),
-/// `v` receives the eigenvectors as columns and `values` the eigenvalues,
-/// ascending. NaN entries (a poisoned input) propagate into `values`
-/// instead of panicking, so the caller's non-finite guards see them.
-pub fn eigh_in_place<R: Real>(
+/// Cyclic Jacobi eigensolver for a real symmetric matrix, without
+/// allocation, for a caller that solves many small problems (the subspace
+/// problem of the set-up eigensolver, at most a few dozen wide): `a` is the
+/// `n x n` matrix (destroyed), `v` receives the eigenvectors as columns and
+/// `values` the eigenvalues, ascending. NaN entries (a poisoned input)
+/// propagate into `values` instead of panicking, so the caller's non-finite
+/// guards see them.
+pub fn eigh_in_place<R: Real>(n: usize, a: &mut [R], v: &mut [R], values: &mut [R]) {
+    v.fill(R::ZERO);
+    v.iter_mut().step_by(n + 1).for_each(|d| *d = R::ONE);
+    jacobi_sweeps(n, (a, v, values), |x| (x, x * x), jacobi_rotate_real);
+}
+
+/// The driver of both Jacobi solvers: sweeps of `rotate` over every pair
+/// `p < q` of the column-major `n x n` matrix `a`, accumulated into `v`
+/// (the identity on entry), until the off-diagonal norm is `eps` of the
+/// diagonal's — O(n^3) per sweep, quadratic convergence once nearly
+/// diagonal — then the eigenpairs sorted ascending. `parts` is `(Re z, |z|^2)`.
+fn jacobi_sweeps<R: Real, T: Copy>(
     n: usize,
-    a: &mut [Complex<R>],
-    v: &mut [Complex<R>],
-    values: &mut [R],
+    (a, v, values): (&mut [T], &mut [T], &mut [R]),
+    parts: impl Fn(T) -> (R, R),
+    rotate: impl Fn(usize, &mut [T], &mut [T], usize, usize),
 ) {
     assert!(a.len() == n * n && v.len() == n * n && values.len() == n);
-    v.fill(Complex::zero());
-    for i in 0..n {
-        v[i + n * i] = Complex::one();
-    }
     let tol = R::EPSILON.sqrt() * R::EPSILON.sqrt(); // eps^1 for off-norm ratio
     for _sweep in 0..60 {
         let (mut off, mut dia) = (R::ZERO, R::ZERO);
         for (idx, z) in a.iter().enumerate() {
             if idx % (n + 1) == 0 {
-                dia += z.norm_sqr();
+                dia += parts(*z).1;
             } else {
-                off += z.norm_sqr();
+                off += parts(*z).1;
             }
         }
         if off.sqrt() / dia.sqrt().max(R::EPSILON) < tol {
@@ -146,14 +161,14 @@ pub fn eigh_in_place<R: Real>(
         }
         for p in 0..n {
             for q in p + 1..n {
-                jacobi_rotate(n, a, v, p, q);
+                rotate(n, a, v, p, q);
             }
         }
     }
     // Stable insertion sort of the eigenpairs by value; a NaN never
     // compares greater, so it stays where it is.
     for i in 0..n {
-        values[i] = a[i + n * i].re;
+        values[i] = parts(a[i + n * i]).0;
         let mut j = i;
         while j > 0 && values[j - 1] > values[j] {
             values.swap(j - 1, j);
@@ -162,6 +177,45 @@ pub fn eigh_in_place<R: Real>(
             j -= 1;
         }
     }
+}
+
+/// The Jacobi angle annihilating the pair `(p, q)` of a matrix with diagonal
+/// entries `app`, `aqq` and `|a_pq| = mag`: `(t, c, s)`, tangent, cosine, sine.
+fn jacobi_angle<R: Real>(app: R, aqq: R, mag: R) -> (R, R, R) {
+    let tau = (aqq - app) / (R::TWO * mag);
+    let tt = R::ONE / (tau.abs() + (R::ONE + tau * tau).sqrt());
+    let t = if tau < R::ZERO { -tt } else { tt };
+    let c = R::ONE / (R::ONE + t * t).sqrt();
+    (t, c, t * c)
+}
+
+/// One real Jacobi rotation annihilating `m[(p, q)]` of the column-major
+/// symmetric `n x n` matrix `m`, accumulating the rotation into `v`.
+fn jacobi_rotate_real<R: Real>(n: usize, m: &mut [R], v: &mut [R], p: usize, q: usize) {
+    let (app, aqq, apq) = (m[p + n * p], m[q + n * q], m[p + n * q]);
+    if apq.abs() <= R::EPSILON {
+        return;
+    }
+    let (t, c, s) = jacobi_angle(app, aqq, apq);
+    // Columns p and q (p < q) of x: |p'> = c|p> - s|q>, |q'> = s|p> + c|q>.
+    let rotate_columns = |x: &mut [R]| {
+        let (lo, hi) = x.split_at_mut(n * q);
+        for (xp, xq) in lo[n * p..n * (p + 1)].iter_mut().zip(&mut hi[..n]) {
+            (*xp, *xq) = (c * *xp - s * *xq, s * *xp + c * *xq);
+        }
+    };
+    // A <- U^T A U: the columns, then rows p and q as their transposes,
+    // then the 2x2 block in closed form with the pair exactly zero.
+    rotate_columns(m);
+    for col in 0..n {
+        m[p + n * col] = m[col + n * p];
+        m[q + n * col] = m[col + n * q];
+    }
+    m[p + n * p] = app - t * apq;
+    m[q + n * q] = aqq + t * apq;
+    m[p + n * q] = R::ZERO;
+    m[q + n * p] = R::ZERO;
+    rotate_columns(v);
 }
 
 /// One complex Jacobi rotation annihilating `m[(p, q)]` of the column-major
@@ -179,13 +233,7 @@ fn jacobi_rotate<R: Real>(
         return;
     }
     let phase = apq.scale(R::ONE / mag); // e^{i phi}
-    let app = m[p + n * p].re;
-    let aqq = m[q + n * q].re;
-    let tau = (aqq - app) / (R::TWO * mag);
-    let tt = R::ONE / (tau.abs() + (R::ONE + tau * tau).sqrt());
-    let t = if tau < R::ZERO { -tt } else { tt };
-    let c = R::ONE / (R::ONE + t * t).sqrt();
-    let s = t * c;
+    let (_, c, s) = jacobi_angle(m[p + n * p].re, m[q + n * q].re, mag);
     // Rotation columns: |p'> = c|p> - s e^{-i phi} |q>, |q'> = s e^{i phi}|p> + c|q>.
     let upq = phase.scale(s);
     let uqp = -(phase.conj().scale(s));
@@ -221,29 +269,29 @@ fn jacobi_rotate<R: Real>(
     }
 }
 
-/// In-place Cholesky factorisation `A = L L^H` of the column-major `n x n`
-/// Hermitian matrix `a` (its lower triangle is read and overwritten by `L`;
-/// the strict upper triangle is left alone). Returns `false`, with `a` in
-/// an unspecified state, when a pivot is not positive and finite: the
-/// matrix is not numerically positive definite, or holds a NaN.
-pub fn cholesky<R: Real>(n: usize, a: &mut [Complex<R>]) -> bool {
+/// In-place Cholesky factorisation `A = L L^T` of the `n x n` symmetric
+/// matrix `a` (`a[j + n * k]`, `k <= j`, is read and overwritten by `L`;
+/// the other triangle is left alone). Returns `false`, with `a` in an
+/// unspecified state, when a pivot is not positive and finite: the matrix
+/// is not numerically positive definite, or holds a NaN.
+pub fn cholesky<R: Real>(n: usize, a: &mut [R]) -> bool {
     assert_eq!(a.len(), n * n);
     for j in 0..n {
-        let mut d = a[j + n * j].re;
+        let mut d = a[j + n * j];
         for k in 0..j {
-            d -= a[j + n * k].norm_sqr();
+            d -= a[j + n * k] * a[j + n * k];
         }
         if !(d > R::ZERO && d.is_finite()) {
             return false;
         }
         let d = d.sqrt();
-        a[j + n * j] = Complex::from_real(d);
+        a[j + n * j] = d;
         for i in j + 1..n {
             let mut acc = a[i + n * j];
             for k in 0..j {
-                acc -= a[i + n * k] * a[j + n * k].conj();
+                acc -= a[i + n * k] * a[j + n * k];
             }
-            a[i + n * j] = acc.scale(R::ONE / d);
+            a[i + n * j] = acc / d;
         }
     }
     true
@@ -251,8 +299,8 @@ pub fn cholesky<R: Real>(n: usize, a: &mut [Complex<R>]) -> bool {
 
 /// `w <- w L^{-T}` for every length-`n` row `w` of `rows` (a point-major
 /// block), `l` being a [`cholesky`] factor: with `l` from the Gram matrix
-/// `sum_p w_p[i] conj(w_p[j])` of the rows, the columns come out orthonormal.
-pub fn solve_rows_lower_transposed<R: Real>(n: usize, l: &[Complex<R>], rows: &mut [Complex<R>]) {
+/// `sum_p w_p[i] w_p[j]` of the rows, the columns come out orthonormal.
+pub fn solve_rows_lower_transposed<R: Real>(n: usize, l: &[R], rows: &mut [R]) {
     assert_eq!(l.len(), n * n);
     for w in rows.chunks_exact_mut(n.max(1)) {
         for j in 0..n {
@@ -260,7 +308,7 @@ pub fn solve_rows_lower_transposed<R: Real>(n: usize, l: &[Complex<R>], rows: &m
             for c in 0..j {
                 acc -= w[c] * l[j + n * c];
             }
-            w[j] = acc.scale(R::ONE / l[j + n * j].re);
+            w[j] = acc / l[j + n * j];
         }
     }
 }
@@ -431,43 +479,79 @@ mod tests {
     }
 
     #[test]
+    fn eigh_in_place_of_a_symmetric_matrix_agrees_with_the_hermitian_oracle() {
+        let mut rng = StdRng::seed_from_u64(47);
+        for n in [1usize, 2, 7, 24] {
+            // The real part of a Hermitian matrix is symmetric.
+            let sym: Vec<f64> = (random_hermitian(&mut rng, n).data().iter())
+                .map(|z| z.re)
+                .collect();
+            let oracle = eigh(&Matrix::from_vec(
+                n,
+                n,
+                sym.iter().map(|&x| C64::from_real(x)).collect(),
+            ));
+            let (mut a, mut v, mut values) = (sym.clone(), vec![0.0; n * n], vec![0.0; n]);
+            eigh_in_place(n, &mut a, &mut v, &mut values);
+            for (k, (got, want)) in values.iter().zip(&oracle.values).enumerate() {
+                assert!((got - want).abs() < 1e-12, "n={n} value {k}");
+                // A v_k = lambda_k v_k, and V is orthogonal.
+                let vk = &v[n * k..n * (k + 1)];
+                for i in 0..n {
+                    let av: f64 = (0..n).map(|j| sym[i + n * j] * vk[j]).sum();
+                    assert!((av - got * vk[i]).abs() < 1e-10, "n={n} pair {k}");
+                }
+                for (j, vj) in v.chunks_exact(n).enumerate() {
+                    let dot: f64 = vk.iter().zip(vj).map(|(x, y)| x * y).sum();
+                    assert!((dot - f64::from(u8::from(j == k))).abs() < 1e-12);
+                }
+            }
+        }
+        // A poisoned matrix yields NaN values, not an unwind.
+        let (mut a, mut v, mut values) = (
+            vec![1.0, f64::NAN, f64::NAN, 2.0],
+            vec![0.0; 4],
+            vec![0.0; 2],
+        );
+        eigh_in_place(2, &mut a, &mut v, &mut values);
+        assert!(values.iter().any(|x| x.is_nan()));
+    }
+
+    #[test]
     fn cholesky_factors_a_gram_matrix_and_the_row_solve_orthonormalises() {
         let mut rng = StdRng::seed_from_u64(46);
         let (npts, n) = (40, 5);
         // Point-major block: row p holds the n column values of point p.
-        let mut rows: Vec<C64> = (0..npts * n)
-            .map(|_| C64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
-            .collect();
-        let gram = |rows: &[C64]| {
-            Matrix::from_fn(n, n, |i, j| {
-                rows.chunks_exact(n)
-                    .fold(C64::zero(), |acc, w| acc + w[i] * w[j].conj())
-            })
+        let mut rows: Vec<f64> = (0..npts * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let gram = |rows: &[f64]| -> Vec<f64> {
+            let entry = |i, j| rows.chunks_exact(n).map(|w| w[i] * w[j]).sum();
+            (0..n * n).map(|at| entry(at % n, at / n)).collect()
         };
         let g = gram(&rows);
         let mut l = g.clone();
-        assert!(cholesky(n, l.data_mut()));
-        // L L^H reproduces the matrix from the lower triangle alone.
+        assert!(cholesky(n, &mut l));
+        // L L^T reproduces the matrix from the lower triangle alone.
         for i in 0..n {
             for j in 0..=i {
-                let llh = (0..=j).fold(C64::zero(), |acc, k| acc + l[(i, k)] * l[(j, k)].conj());
-                assert!((llh - g[(i, j)]).abs() < 1e-12, "({i},{j})");
+                let llt: f64 = (0..=j).map(|k| l[i + n * k] * l[j + n * k]).sum();
+                assert!((llt - g[i + n * j]).abs() < 1e-12, "({i},{j})");
             }
         }
-        solve_rows_lower_transposed(n, l.data(), &mut rows);
-        assert!(gram(&rows).max_abs_diff(&Matrix::identity(n)) < 1e-12);
+        solve_rows_lower_transposed(n, &l, &mut rows);
+        for (at, got) in gram(&rows).iter().enumerate() {
+            let want = f64::from(u8::from(at % n == at / n));
+            assert!((got - want).abs() < 1e-12, "entry {at}");
+        }
     }
 
     #[test]
     fn cholesky_refuses_what_is_not_positive_definite() {
-        let mut indefinite: Matrix<f64> = Matrix::identity(3);
-        indefinite[(2, 2)] = C64::from_real(-1.0);
-        assert!(!cholesky(3, indefinite.data_mut()));
-        let mut dependent = Matrix::from_fn(2, 2, |_, _| C64::one());
-        assert!(!cholesky(2, dependent.data_mut()));
-        let mut poisoned: Matrix<f64> = Matrix::identity(2);
-        poisoned[(1, 1)] = C64::from_real(f64::NAN);
-        assert!(!cholesky(2, poisoned.data_mut()));
+        assert!(!cholesky(
+            3,
+            &mut [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -1.0]
+        ));
+        assert!(!cholesky(2, &mut [1.0; 4]), "dependent");
+        assert!(!cholesky(2, &mut [1.0, 0.0, 0.0, f64::NAN]), "poisoned");
         assert!(cholesky::<f64>(0, &mut []));
     }
 

@@ -24,6 +24,8 @@
 //! unaligned — operands come from caller-owned slices (arena panels are
 //! 64-byte aligned at the start, microkernel offsets within them are not).
 
+use core::array::from_fn;
+
 use super::lanes::Lanes;
 use crate::complex::Complex;
 use crate::real::Real;
@@ -515,4 +517,121 @@ pub unsafe fn stencil_lines<L: Lanes>(
             (None, Some(b)) => pair_update::<L, false>(a, b, pass.d, pass.o),
         })
     };
+}
+
+/// One register tile of [`real_gemm`]: `c[a][col..] += sum_q x(a, q) *
+/// b[q][col..]` for the `W` vectors of columns at `cols` (`part` reals wide:
+/// fewer than a vector's are one masked vector), `P` rows at a time from row
+/// `a` while `P` are left below `rows` (the first row left is returned),
+/// their `P * W` accumulators in registers across all `nq` terms; `x(a, q)`
+/// is `x[a * sa + q * sq]`, and `b`, `c` have `ld` reals to a row. The
+/// vectors of a row are all loaded before any is stored, so two of them may
+/// overlap.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+// AUDIT: no_panic
+// SAFETY: (cpu=avx2, bounds=the caller keeps the part reals at every one of
+// cols inside the ld reals of each of the nq rows of b and rows rows of c
+// and the entry of x the strides reach inside x for a < rows and q < nq,
+// aliasing=x and b are only read; c is the caller's exclusive block)
+#[allow(clippy::too_many_arguments)]
+unsafe fn real_gemm_tile<L: Lanes, const W: usize, const P: usize>(
+    x: *const L::R,
+    (sa, sq): (usize, usize),
+    nq: usize,
+    b: *const L::R,
+    c: *mut L::R,
+    ld: usize,
+    (cols, part): ([usize; W], usize),
+    (mut a, rows): (usize, usize),
+) -> usize {
+    let zero = L::splat(L::R::ZERO);
+    while a + P <= rows {
+        let mut acc = [[zero; W]; P];
+        for (k, run) in acc.iter_mut().enumerate() {
+            for (z, col) in run.iter_mut().zip(cols) {
+                // SAFETY: row a + k < rows of c; part reals at col are inside it.
+                *z = unsafe { L::load_reals(c.add((a + k) * ld + col), part) };
+            }
+        }
+        for q in 0..nq {
+            let mut bv = [zero; W];
+            for (v, col) in bv.iter_mut().zip(cols) {
+                // SAFETY: row q < nq of b; part reals at col are inside it.
+                *v = unsafe { L::load_reals(b.add(q * ld + col), part) };
+            }
+            for (k, run) in acc.iter_mut().enumerate() {
+                // SAFETY: a + k < rows and q < nq (contract).
+                let xv = L::splat(unsafe { *x.add((a + k) * sa + q * sq) });
+                for (z, bv) in run.iter_mut().zip(&bv) {
+                    *z = xv.fmadd(*bv, *z);
+                }
+            }
+        }
+        for (k, run) in acc.iter().enumerate() {
+            for (z, col) in run.iter().zip(cols) {
+                // SAFETY: as for the load above.
+                unsafe { z.store_reals(c.add((a + k) * ld + col), part) };
+            }
+        }
+        a += P;
+    }
+    a
+}
+
+/// The real block product `c[a][j] += sum_q x[a * sa + q * sq] * b[q][j]`
+/// (`c` of `ncols` reals to a row, `b` of `nq` such rows). Columns go in
+/// groups of up to four vectors; where `ncols` is no multiple of the vector,
+/// the last vector of the last group starts early and overlaps its neighbour
+/// (both hold the same sums); a width below one vector — the solver's active
+/// set at the served-job shape, a quarter of its kernel work — and the few
+/// columns past a multiple of four vectors are one masked vector. Rows go as
+/// many at a time as give a group eight accumulators (what two FMA ports of
+/// latency four need), then four, two, one.
+///
+/// # Safety
+///
+/// Caller must have verified AVX2 and FMA support on this CPU, that `c` is
+/// `rows` whole rows of `ncols` and `b` `nq` of them, and that `x` holds
+/// entry `(rows - 1) * sa + (nq - 1) * sq`.
+#[target_feature(enable = "avx2", enable = "fma")]
+// AUDIT: no_panic
+// SAFETY: (cpu=avx2, bounds=the dispatcher asserted that c and b are whole
+// rows of ncols and that the strides stay inside x; every vector ends at
+// or below ncols, aliasing=x and b are shared borrows and c an exclusive one)
+pub unsafe fn real_gemm<L: Lanes>(
+    x: &[L::R],
+    (sa, sq): (usize, usize),
+    nq: usize,
+    b: &[L::R],
+    c: &mut [L::R],
+    ncols: usize,
+) {
+    let (w, rows) = (2 * L::C, c.len().checked_div(ncols).unwrap_or(0));
+    let (x, b, c, st) = (x.as_ptr(), b.as_ptr(), c.as_mut_ptr(), (sa, sq));
+    let mut done = 0;
+    while done < ncols {
+        let part = (ncols - done).min(w);
+        let vectors = (ncols - done).div_ceil(w).min(4);
+        let at = |v: usize| (done + v * w).min(ncols - part);
+        // All rows of a group of `$w` vectors, `$p` at a time, largest first.
+        macro_rules! rows_by {
+            ($w:literal: $($p:literal),+) => {{
+                let (mut a, cols) = (0, (from_fn(at), part));
+                // SAFETY: at(v) + part <= ncols; rows, nq and the strides
+                // are those the dispatcher asserted.
+                $(a = unsafe {
+                    real_gemm_tile::<L, $w, $p>(x, st, nq, b, c, ncols, cols, (a, rows))
+                };)+
+                debug_assert_eq!(a, rows);
+            }};
+        }
+        match vectors {
+            4 => rows_by!(4: 2, 1),
+            3 => rows_by!(3: 2, 1),
+            2 => rows_by!(2: 4, 2, 1),
+            _ => rows_by!(1: 8, 4, 2, 1),
+        }
+        done = (done + vectors * w).min(ncols);
+    }
 }

@@ -13,14 +13,15 @@
 //! last one.
 
 use core::arch::x86_64::{
-    __m256, __m256d, _mm256_add_pd, _mm256_add_ps, _mm256_castpd256_pd128, _mm256_castps256_ps128,
-    _mm256_extractf128_pd, _mm256_extractf128_ps, _mm256_fmadd_pd, _mm256_fmadd_ps,
-    _mm256_fnmadd_pd, _mm256_fnmadd_ps, _mm256_loadu_pd, _mm256_loadu_ps, _mm256_movedup_pd,
-    _mm256_movehdup_ps, _mm256_moveldup_ps, _mm256_mul_pd, _mm256_mul_ps, _mm256_permute_pd,
-    _mm256_permute_ps, _mm256_setr_pd, _mm256_setr_ps, _mm256_shuffle_ps, _mm256_storeu_pd,
-    _mm256_storeu_ps, _mm256_unpackhi_pd, _mm256_unpackhi_ps, _mm256_unpacklo_pd,
-    _mm256_unpacklo_ps, _mm_add_pd, _mm_add_ps, _mm_hadd_pd, _mm_hadd_ps, _mm_loadu_pd,
-    _mm_loadu_ps, _mm_storeu_pd, _mm_storeu_ps,
+    __m256, __m256d, __m256i, _mm256_add_pd, _mm256_add_ps, _mm256_castpd256_pd128,
+    _mm256_castps256_ps128, _mm256_extractf128_pd, _mm256_extractf128_ps, _mm256_fmadd_pd,
+    _mm256_fmadd_ps, _mm256_fnmadd_pd, _mm256_fnmadd_ps, _mm256_loadu_pd, _mm256_loadu_ps,
+    _mm256_loadu_si256, _mm256_maskload_pd, _mm256_maskload_ps, _mm256_maskstore_pd,
+    _mm256_maskstore_ps, _mm256_movedup_pd, _mm256_movehdup_ps, _mm256_moveldup_ps, _mm256_mul_pd,
+    _mm256_mul_ps, _mm256_permute_pd, _mm256_permute_ps, _mm256_setr_pd, _mm256_setr_ps,
+    _mm256_shuffle_ps, _mm256_storeu_pd, _mm256_storeu_ps, _mm256_unpackhi_pd, _mm256_unpackhi_ps,
+    _mm256_unpacklo_pd, _mm256_unpacklo_ps, _mm_add_pd, _mm_add_ps, _mm_hadd_pd, _mm_hadd_ps,
+    _mm_loadu_pd, _mm_loadu_ps, _mm_storeu_pd, _mm_storeu_ps,
 };
 
 use crate::real::Real;
@@ -80,11 +81,58 @@ pub trait Lanes: Copy {
     ///
     /// `C` reals must be readable and writable at `nrm`.
     unsafe fn add_norms(self, nrm: *mut Self::R);
+    /// The first `n <= 2 * C` reals at `p`, zeros behind them: a masked load,
+    /// which touches nothing past them.
+    ///
+    /// # Safety
+    ///
+    /// `n` reals must be readable at `p`.
+    unsafe fn load_masked(p: *const Self::R, n: usize) -> Self;
+    /// Store the first `n <= 2 * C` reals of `self` to `p`, nothing past them.
+    ///
+    /// # Safety
+    ///
+    /// `n` reals must be writable at `p`.
+    unsafe fn store_masked(self, p: *mut Self::R, n: usize);
 
     /// `[x, x, ..]`.
     #[inline(always)]
     fn splat(x: Self::R) -> Self {
         Self::pattern(x, x)
+    }
+    /// The first `n <= 2 * C` reals at `p`: [`Self::load`] of a whole vector,
+    /// [`Self::load_masked`] of less.
+    ///
+    /// # Safety
+    ///
+    /// `n` reals must be readable at `p`.
+    #[inline(always)]
+    unsafe fn load_reals(p: *const Self::R, n: usize) -> Self {
+        // SAFETY: the n reals the caller vouches for, a whole vector or less.
+        unsafe {
+            if n == 2 * Self::C {
+                Self::load(p)
+            } else {
+                Self::load_masked(p, n)
+            }
+        }
+    }
+    /// Store the first `n <= 2 * C` reals of `self` to `p`, as
+    /// [`Self::load_reals`] loads them.
+    ///
+    /// # Safety
+    ///
+    /// `n` reals must be writable at `p`.
+    #[inline(always)]
+    unsafe fn store_reals(self, p: *mut Self::R, n: usize) {
+        // SAFETY: the n reals the caller vouches for, a whole vector or less.
+        unsafe {
+            if n == 2 * Self::C {
+                self.store(p)
+            } else {
+                self.store_masked(p, n)
+            }
+        }
     }
     /// The first `n < C` values at `p`, zeros behind them: the ragged end of
     /// a run goes through the same vector operations as the rest of it.
@@ -126,6 +174,16 @@ pub trait Lanes: Copy {
         }
     }
 }
+
+/// The mask of the first `n <= 8` lanes of `T` (`i64` for `f64` lanes, `i32`
+/// for `f32`): a window into eight ones followed by eight zeros.
+#[inline(always)]
+fn head_mask<T>(ones_then_zeros: &[T; 16], n: usize) -> __m256i {
+    // SAFETY: a vector from entry 8 - n <= 8 on lies inside the 16 entries.
+    unsafe { _mm256_loadu_si256(ones_then_zeros.as_ptr().add(8 - n.min(8)).cast()) }
+}
+const MASK_64: [i64; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+const MASK_32: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
 
 /// The lane-local methods that are one intrinsic each:
 /// `name(args) => intrinsic` is `fn name(args) -> Self { intrinsic(args) }`.
@@ -193,6 +251,18 @@ impl Lanes for __m256d {
             _mm_storeu_pd(nrm, _mm_add_pd(_mm_loadu_pd(nrm), sums));
         }
     }
+    // SAFETY: the contract of `Lanes::load_masked`.
+    #[inline(always)]
+    unsafe fn load_masked(p: *const f64, n: usize) -> Self {
+        // SAFETY: the mask admits the n reals at p the caller vouches for; AVX.
+        unsafe { _mm256_maskload_pd(p, head_mask(&MASK_64, n)) }
+    }
+    // SAFETY: the contract of `Lanes::store_masked`.
+    #[inline(always)]
+    unsafe fn store_masked(self, p: *mut f64, n: usize) {
+        // SAFETY: the mask admits the n reals at p the caller vouches for; AVX.
+        unsafe { _mm256_maskstore_pd(p, head_mask(&MASK_64, n), self) }
+    }
 }
 
 impl Lanes for __m256 {
@@ -254,5 +324,17 @@ impl Lanes for __m256 {
             );
             _mm_storeu_ps(nrm, _mm_add_ps(_mm_loadu_ps(nrm), sums));
         }
+    }
+    // SAFETY: the contract of `Lanes::load_masked`.
+    #[inline(always)]
+    unsafe fn load_masked(p: *const f32, n: usize) -> Self {
+        // SAFETY: the mask admits the n reals at p the caller vouches for; AVX.
+        unsafe { _mm256_maskload_ps(p, head_mask(&MASK_32, n)) }
+    }
+    // SAFETY: the contract of `Lanes::store_masked`.
+    #[inline(always)]
+    unsafe fn store_masked(self, p: *mut f32, n: usize) {
+        // SAFETY: the mask admits the n reals at p the caller vouches for; AVX.
+        unsafe { _mm256_maskstore_ps(p, head_mask(&MASK_32, n), self) }
     }
 }

@@ -22,6 +22,11 @@
 //!   accumulator tile, respectively the orbital run of a grid point, stays
 //!   in registers; grid chunks are spread over the pool and their partials
 //!   added in an order that depends on the shape alone.
+//! * **Real block kernels** ([`real_overlap_with`], [`real_update_with`]) —
+//!   the same two shapes in real arithmetic, `Lᵀ·R` and `T += S·C`, for the
+//!   set-up eigensolver, whose Hamiltonian is real symmetric: one
+//!   register-tiled body `C += X·B` on the calling thread, every element one
+//!   chain of sums, a ragged width an overlapping or a masked vector.
 //! * **Kinetic line kernel** ([`stencil_lines_with`]) — paper Algorithms 3–5 as
 //!   one loop nest: the passes of a sweep (up to [`MAX_PASSES`]) applied to
 //!   a line (or a bundle of adjacent lines) as a wavefront, so the live
@@ -474,6 +479,94 @@ pub fn proj_update<R: Real>(
     norms: &mut [R],
 ) {
     proj_update_with(active_backend(), m, t0, nref, t, norb, norms);
+}
+
+// ---------------------------------------------------------------------------
+// Real block kernels (the set-up eigensolver's two GEMM shapes)
+// ---------------------------------------------------------------------------
+
+/// Mesh points per pass of [`real_overlap_with`]: both blocks of a pass stay
+/// in L1 while every tile of the output re-reads them.
+const REAL_BLOCK: usize = 64;
+
+/// `c[a][j] += sum_q x[a * sa + q * sq] * b[q][j]` for real row-major `c`
+/// (`ncols` to a row) and `b` (`nq` rows): the one body of both real block
+/// kernels. It runs on the calling thread, and every element is one chain of
+/// sums in `q` order, so the bits depend on the shapes alone.
+fn real_gemm<R: Real>(
+    backend: Backend,
+    x: &[R],
+    (sa, sq): (usize, usize),
+    nq: usize,
+    b: &[R],
+    c: &mut [R],
+    ncols: usize,
+) {
+    let rows = c.len() / ncols;
+    assert!(
+        c.len() == rows * ncols
+            && b.len() == nq * ncols
+            && (rows == 0 || nq == 0 || (rows - 1) * sa + (nq - 1) * sq < x.len()),
+        "block product shape mismatch"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if use_avx2(backend) {
+        // SAFETY: (cpu=avx2, bounds=the assert above is the kernel's
+        // contract) `use_avx2` verified AVX2+FMA CPU support.
+        unsafe { avx2::real_gemm::<R::V>(x, (sa, sq), nq, b, c, ncols) };
+        return;
+    }
+    let _ = backend;
+    for (a, row) in c.chunks_exact_mut(ncols).enumerate() {
+        for (q, brow) in b.chunks_exact(ncols).enumerate() {
+            let xv = x[a * sa + q * sq];
+            for (z, bv) in row.iter_mut().zip(brow) {
+                *z += xv * *bv;
+            }
+        }
+    }
+}
+
+/// The real block overlap `out[i * nr + c] = alpha * sum_p l[p * nl + i] *
+/// r[p * nr + c]` of two point-major blocks (`nl`, `nr` columns) on an
+/// explicit backend. An empty shape leaves `out` alone.
+pub fn real_overlap_with<R: Real>(
+    backend: Backend,
+    alpha: R,
+    l: &[R],
+    (nl, nr): (usize, usize),
+    r: &[R],
+    out: &mut [R],
+) {
+    if nl == 0 || nr == 0 {
+        return;
+    }
+    let npts = l.len() / nl;
+    assert!(
+        l.len() == npts * nl && r.len() == npts * nr && out.len() == nl * nr,
+        "overlap shape mismatch"
+    );
+    out.fill(R::ZERO);
+    for (lb, rb) in l.chunks(REAL_BLOCK * nl).zip(r.chunks(REAL_BLOCK * nr)) {
+        real_gemm(backend, lb, (1, nl), lb.len() / nl, rb, out, nr);
+    }
+    out.iter_mut().for_each(|z| *z = alpha * *z);
+}
+
+/// The real block update `t[p * nt + j] += sum_k s[p * ns + k] * c[k * nt +
+/// j]` of the point-major block `t` (`nt` columns) by the block `s` (`ns`
+/// columns) on an explicit backend. An empty shape leaves `t` alone.
+pub fn real_update_with<R: Real>(
+    backend: Backend,
+    c: &[R],
+    s: &[R],
+    (ns, nt): (usize, usize),
+    t: &mut [R],
+) {
+    if ns == 0 || nt == 0 {
+        return;
+    }
+    real_gemm(backend, s, (ns, 1), ns, c, t, nt);
 }
 
 // ---------------------------------------------------------------------------

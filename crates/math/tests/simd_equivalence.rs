@@ -553,6 +553,81 @@ fn projector_kernels_at_every_tile_and_chunk_edge() {
     }
 }
 
+/// Both real block kernels on both backends against triple loops in `f64`,
+/// to `450 eps` (1e-13 in `f64`) of the sum of the terms' magnitudes.
+fn real_block_case<R: Real>(rng: &mut StdRng, (nl, nr): (usize, usize), npts: usize) {
+    let mut reals = |n: usize| -> Vec<R> {
+        (0..n)
+            .map(|_| R::from_f64(rng.gen_range(-1.0..1.0)))
+            .collect()
+    };
+    let (l, r, coeff, alpha) = (reals(npts * nl), reals(npts * nr), reals(nl * nr), -0.7);
+    let wide = |x: &R| x.to_f64();
+    let close = 450.0 * R::EPSILON.to_f64();
+    for backend in [Backend::Scalar, Backend::Avx2] {
+        let shape = format!("{} {backend:?} {nl}x{nr}x{npts}", R::PRECISION_LABEL);
+        // out = alpha L^T R must not read what out held.
+        let mut out = vec![R::from_f64(f64::NAN); nl * nr];
+        simd::real_overlap_with(backend, R::from_f64(alpha), &l, (nl, nr), &r, &mut out);
+        for (i, row) in out.chunks_exact(nr).enumerate() {
+            for (c, got) in row.iter().enumerate() {
+                let terms = (0..npts).map(|p| wide(&l[p * nl + i]) * wide(&r[p * nr + c]));
+                let (sum, size) = terms.fold((0.0, 0.0), |(s, m), t| (s + t, m + t.abs()));
+                assert!(
+                    (wide(got) - alpha * sum).abs() <= close * size,
+                    "{shape} overlap"
+                );
+            }
+        }
+        // t += S C with the nl-wide block as S and the nr-wide one as t.
+        let mut t = r.clone();
+        simd::real_update_with(backend, &coeff, &l, (nl, nr), &mut t);
+        for (p, row) in t.chunks_exact(nr).enumerate() {
+            for (j, got) in row.iter().enumerate() {
+                let terms = (0..nl).map(|k| wide(&l[p * nl + k]) * wide(&coeff[k * nr + j]));
+                let start = wide(&r[p * nr + j]);
+                let (sum, size) =
+                    terms.fold((start, start.abs()), |(s, m), t| (s + t, m + t.abs()));
+                assert!((wide(got) - sum).abs() <= close * size, "{shape} update");
+            }
+        }
+    }
+}
+
+#[test]
+fn real_block_kernels_match_triple_loops_at_every_width_pair() {
+    // Widths on both sides of one, two, three and four vectors of either lane
+    // width, the overlapped last vector, the portable rest past a multiple
+    // of four vectors (17) and below one vector; point counts around the
+    // overlap's 64-point passes and the update's odd last row.
+    let mut rng = StdRng::seed_from_u64(2424);
+    for npts in [1, 127, 128, 129, 512] {
+        for nl in 1..=17 {
+            for nr in 1..=17 {
+                real_block_case::<f64>(&mut rng, (nl, nr), npts);
+            }
+            real_block_case::<f32>(&mut rng, (nl, 1 + (3 * nl + npts) % 37), npts);
+        }
+    }
+}
+
+#[test]
+fn real_block_kernels_leave_their_output_alone_on_an_empty_shape() {
+    // The solver's P block is empty on its first iteration, and its W block
+    // can be: no shape is asserted before the width is known to be positive.
+    let (block, sentinel) = (vec![0.5; 12], vec![7.0; 6]);
+    for backend in [Backend::Scalar, Backend::Avx2] {
+        for (nl, nr) in [(0, 3), (3, 0), (0, 0)] {
+            let mut out = sentinel.clone();
+            simd::real_overlap_with(backend, 2.0, &block, (nl, nr), &block, &mut out);
+            assert_eq!(out, sentinel, "{backend:?} overlap {nl}x{nr}");
+            let mut t = sentinel.clone();
+            simd::real_update_with(backend, &block, &block, (nl, nr), &mut t);
+            assert_eq!(t, sentinel, "{backend:?} update {nl}x{nr}");
+        }
+    }
+}
+
 /// The partial-sum order is a function of the shape: a dispatch spread over
 /// the pool and one forced onto this thread agree to the last bit.
 fn chunk_owner_case<R: Real>() {

@@ -13,10 +13,19 @@
 //! Eqs. (5)-(8)) hinges on treating `v_nl` separately from the point-local
 //! part.
 
+use std::ops::{AddAssign, Mul, SubAssign};
+
 use dcmesh_grid::Mesh3;
 use dcmesh_math::C64;
 
 use crate::atoms::AtomSet;
+
+/// An orbital amplitude `h` acts on. `h` is real — `v_loc`, the projector
+/// amplitudes and the stencil are — hence real-linear: one body applies it
+/// to a complex block (the LFD state) and to a real one (the eigensolver's).
+pub trait Amplitude: Copy + Default + AddAssign + SubAssign + Mul<f64, Output = Self> {}
+impl Amplitude for f64 {}
+impl Amplitude for C64 {}
 
 /// One Kleinman–Bylander rank-1 nonlocal channel: sparse projector values
 /// with its energy strength.
@@ -31,18 +40,18 @@ pub struct NonlocalProjector {
 impl NonlocalProjector {
     /// `<chi | psi_n> * dv` for orbital `n` of the `ncols` in the point-major
     /// block `psi` (`(1, 0)` for a single field).
-    pub fn overlap(&self, psi: &[C64], (ncols, n): (usize, usize), dv: f64) -> C64 {
-        let mut acc = C64::zero();
+    pub fn overlap<A: Amplitude>(&self, psi: &[A], (ncols, n): (usize, usize), dv: f64) -> A {
+        let mut acc = A::default();
         for &(idx, p) in &self.entries {
-            acc += psi[idx * ncols + n].scale(p);
+            acc += psi[idx * ncols + n] * p;
         }
-        acc.scale(dv)
+        acc * dv
     }
 
     /// `out_n += coeff * |chi>` for orbital `n` of the `ncols` in `out`.
-    pub fn accumulate(&self, coeff: C64, out: &mut [C64], (ncols, n): (usize, usize)) {
+    pub fn accumulate<A: Amplitude>(&self, coeff: A, out: &mut [A], (ncols, n): (usize, usize)) {
         for &(idx, p) in &self.entries {
-            out[idx * ncols + n] += coeff.scale(p);
+            out[idx * ncols + n] += coeff * p;
         }
     }
 }
@@ -106,63 +115,72 @@ impl Hamiltonian {
     /// Orbitals in `psi`: the `apply*` methods take one orbital or a block of
     /// them stored point-major (`psi[point * ncols + orbital]`, the SoA layout
     /// of the LFD engine), which costs one sweep over the mesh for all.
-    fn columns(&self, psi: &[C64], out: &[C64]) -> usize {
+    fn columns<A>(&self, psi: &[A], out: &[A]) -> usize {
         let ncols = psi.len() / self.mesh.len();
         assert_eq!(psi.len(), self.mesh.len() * ncols);
         assert_eq!(out.len(), psi.len());
         ncols
     }
 
-    /// `out = -(1/2m) lap psi` (Dirichlet boundaries), overwriting `out`:
-    /// the boundary tests are per mesh point, the orbital runs branch-free.
-    pub fn apply_kinetic(&self, psi: &[C64], out: &mut [C64]) {
+    /// `out = -(1/2m) lap psi` (Dirichlet boundaries), overwriting `out`, a
+    /// z line of all orbitals (one contiguous run) at a time: the boundary
+    /// tests are per line, the runs branch-free, and every element takes its
+    /// seven terms in the order diagonal, x-, x+, y-, y+, z-, z+.
+    pub fn apply_kinetic<A: Amplitude>(&self, psi: &[A], out: &mut [A]) {
         let (m, ncols) = (&self.mesh, self.columns(psi, out));
         let [cx, cy, cz] = self.kinetic_couplings();
         let diag = 2.0 * (cx + cy + cz);
-        let (sx, sy, sz) = (m.ny * m.nz * ncols, m.nz * ncols, ncols);
+        let line = m.nz * ncols;
+        let (sx, sy) = (m.ny * line, line);
+        let sub = |acc: &mut [A], from: &[A], coupling: f64| {
+            for (a, p) in acc.iter_mut().zip(from) {
+                *a -= *p * coupling;
+            }
+        };
         for i in 0..m.nx {
             for j in 0..m.ny {
-                for k in 0..m.nz {
-                    let c = m.idx(i, j, k) * ncols;
-                    let acc = &mut out[c..c + ncols];
-                    for (a, p) in acc.iter_mut().zip(&psi[c..c + ncols]) {
-                        *a = p.scale(diag);
-                    }
-                    let mut sub = |has: bool, at: usize, coupling: f64| {
-                        if has {
-                            for (a, p) in acc.iter_mut().zip(&psi[at..at + ncols]) {
-                                *a -= p.scale(coupling);
-                            }
-                        }
-                    };
-                    sub(i > 0, c.wrapping_sub(sx), cx);
-                    sub(i + 1 < m.nx, c + sx, cx);
-                    sub(j > 0, c.wrapping_sub(sy), cy);
-                    sub(j + 1 < m.ny, c + sy, cy);
-                    sub(k > 0, c.wrapping_sub(sz), cz);
-                    sub(k + 1 < m.nz, c + sz, cz);
+                let c = m.idx(i, j, 0) * ncols;
+                let acc = &mut out[c..c + line];
+                for (a, p) in acc.iter_mut().zip(&psi[c..c + line]) {
+                    *a = *p * diag;
                 }
+                if i > 0 {
+                    sub(acc, &psi[c - sx..c - sx + line], cx);
+                }
+                if i + 1 < m.nx {
+                    sub(acc, &psi[c + sx..c + sx + line], cx);
+                }
+                if j > 0 {
+                    sub(acc, &psi[c - sy..c - sy + line], cy);
+                }
+                if j + 1 < m.ny {
+                    sub(acc, &psi[c + sy..c + sy + line], cy);
+                }
+                // Along the line every point but the first has a lower
+                // neighbour and every point but the last an upper one.
+                sub(&mut acc[ncols..], &psi[c..c + line - ncols], cz);
+                sub(&mut acc[..line - ncols], &psi[c + ncols..c + line], cz);
             }
         }
     }
 
     /// `out += v_loc * psi`.
-    pub fn apply_local_potential(&self, psi: &[C64], out: &mut [C64]) {
+    pub fn apply_local_potential<A: Amplitude>(&self, psi: &[A], out: &mut [A]) {
         let ncols = self.columns(psi, out).max(1);
         let points = out.chunks_exact_mut(ncols).zip(psi.chunks_exact(ncols));
         for ((o, p), &v) in points.zip(&self.v_loc) {
             for (o, p) in o.iter_mut().zip(p) {
-                *o += p.scale(v);
+                *o += *p * v;
             }
         }
     }
 
     /// `out += v_nl psi = sum_a E_a <chi_a|psi> |chi_a>`.
-    pub fn apply_nonlocal(&self, psi: &[C64], out: &mut [C64]) {
+    pub fn apply_nonlocal<A: Amplitude>(&self, psi: &[A], out: &mut [A]) {
         let (dv, ncols) = (self.mesh.dv(), self.columns(psi, out));
         for proj in &self.projectors {
             for n in 0..ncols {
-                let c = proj.overlap(psi, (ncols, n), dv).scale(proj.e_kb);
+                let c = proj.overlap(psi, (ncols, n), dv) * proj.e_kb;
                 proj.accumulate(c, out, (ncols, n));
             }
         }
@@ -170,7 +188,7 @@ impl Hamiltonian {
 
     /// Full application `out = h psi`, optionally including the nonlocal
     /// part (the loc/nl distinction of Eq. (5) and the scissor shift Eq. (8)).
-    pub fn apply(&self, psi: &[C64], out: &mut [C64], include_nonlocal: bool) {
+    pub fn apply<A: Amplitude>(&self, psi: &[A], out: &mut [A], include_nonlocal: bool) {
         self.apply_kinetic(psi, out);
         self.apply_local_potential(psi, out);
         if include_nonlocal {
@@ -341,6 +359,11 @@ pub(crate) mod tests {
                 h.apply(&col, &mut want, nl);
                 assert!((0..g).all(|p| out[p * ncols + n] == want[p]), "column {n}");
             }
+            // `h` is real: on the block's real part, the result's real part.
+            let re: Vec<f64> = soa.iter().map(|z| z.re).collect();
+            let mut out_re = vec![0.0; g * ncols];
+            h.apply(&re, &mut out_re, nl);
+            assert!(out.iter().zip(&out_re).all(|(z, x)| z.re == *x));
         }
     }
 
