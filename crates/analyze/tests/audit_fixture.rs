@@ -206,6 +206,8 @@ fn workspace_tree_audit_is_clean() {
             .collect::<Vec<_>>()
             .join("\n")
     );
-    assert!(report.stats.no_panic_roots >= 13, "{:?}", report.stats);
+    // Nine roots since the complex projector kernels, the packed GEMM
+    // kernel and their lane shuffles went with their nine annotations.
+    assert!(report.stats.no_panic_roots >= 9, "{:?}", report.stats);
     assert!(report.stats.contracts >= 20, "{:?}", report.stats);
 }

@@ -1,12 +1,10 @@
-//! Criterion microbenchmarks of the split-complex SIMD layer: the packed
-//! AVX2 GEMM against the scalar blocked reference at the paper-relevant
-//! nonlocal shape (Table II: the overlap `S = dv * Psi0^H Psi` is a tall
-//! skinny `(norb, nu, ngrid)` contraction), the two projector kernels at that
-//! shape, the set-up eigensolver's real block kernels beside their complex
-//! counterparts, and the kinetic stencil under the scalar vs AVX2 backend: the pair
-//! kernels on one L1-resident run, one directional step, each axis's merged
-//! sweep and the whole step. The projector, pair and sweep rows run in both
-//! precisions (`dp` = f64 x 4 lanes, `sp` = f32 x 8).
+//! Criterion microbenchmarks of the SIMD layer under the scalar vs AVX2
+//! backend: the nonlocal projector's step and overlap (real x complex on the
+//! real block kernels) at the benchmark workloads' shapes, the real block
+//! kernels at the set-up eigensolver's shapes, and the kinetic stencil: the
+//! pair kernels on one L1-resident run, one directional step, each axis's
+//! merged sweep and the whole step. The projector, pair and sweep rows run in
+//! both precisions (`dp` = f64 x 4 lanes, `sp` = f32 x 8).
 //!
 //! Backend selection uses the process-global override; criterion runs the
 //! benchmark functions serially, so flipping it between groups is safe.
@@ -15,54 +13,11 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use dcmesh_grid::{Mesh3, WfAos};
 use dcmesh_lfd::kinetic::{Axis, KineticPropagator, StepFraction};
-use dcmesh_math::gemm::{gemm_blocked, gemm_with_backend, Matrix, Op};
+use dcmesh_lfd::nonlocal::NonlocalCorrection;
 use dcmesh_math::simd::{self, Backend};
 use dcmesh_math::{Complex, Real, C64};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Table II nonlocal shape, mesh scaled 1/10 so one rep stays in the ms
-/// range: full norb and nu, contraction depth `k` = grid points.
-const M: usize = 64;
-const N: usize = 16;
-const K: usize = 35280;
-
-fn random_matrix(rng: &mut StdRng, rows: usize, cols: usize) -> Matrix<f64> {
-    Matrix::from_fn(rows, cols, |_, _| {
-        C64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))
-    })
-}
-
-fn bench_simd_gemm(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(11);
-    let a = random_matrix(&mut rng, M, K);
-    let b = random_matrix(&mut rng, K, N);
-    let alpha = C64::new(0.7, -0.1);
-
-    let mut group = c.benchmark_group("simd_gemm");
-    group.sample_size(20);
-
-    group.bench_function("scalar_blocked_m64_n16_k35280", |bch| {
-        let mut cm = Matrix::zeros(M, N);
-        bch.iter(|| gemm_blocked(alpha, &a, Op::None, &b, Op::None, C64::zero(), &mut cm));
-    });
-    group.bench_function("avx2_packed_m64_n16_k35280", |bch| {
-        let mut cm = Matrix::zeros(M, N);
-        bch.iter(|| {
-            gemm_with_backend(
-                Backend::Avx2,
-                alpha,
-                &a,
-                Op::None,
-                &b,
-                Op::None,
-                C64::zero(),
-                &mut cm,
-            );
-        });
-    });
-    group.finish();
-}
 
 const BACKENDS: [(Backend, &str); 2] = [(Backend::Scalar, "scalar"), (Backend::Avx2, "avx2")];
 
@@ -86,46 +41,54 @@ fn sp_infix<R: Real>() -> &'static str {
     }
 }
 
-/// The two skinny GEMMs of the nonlocal correction at the shape above:
-/// `M = T T0^H` (64 orbitals x 16 references over 35,280 grid points) and
-/// `T += M T0` with its fused norms.
-fn bench_simd_projector_at<R: Real>(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(13);
-    let t0 = random_vec::<R>(&mut rng, N * K);
-    let init = random_vec::<R>(&mut rng, M * K);
-    // Small coefficients: repeated updates must not overflow the state.
-    let m: Vec<Complex<R>> = random_vec::<R>(&mut rng, M * N)
-        .iter()
-        .map(|z| *z * Complex::new(R::from_f64(1e-4), R::ZERO))
-        .collect();
-
-    let mut group = c.benchmark_group("simd_proj");
-    group.sample_size(20);
+/// The nonlocal projector at the benchmark workloads' shapes, `g` points x
+/// `norb` orbitals of which `nu` unoccupied: 8^3 x 4|2 (`serve_burst`,
+/// `traj_coupled`) and 16^3 x 16|8 (`traj_lfd`) in f64, 24^3 x 32|16
+/// (`lfd_sp`) in f32. `apply` is one half-step `nlp_prop_soa` (overlap and
+/// update), `overlap` the full-basis overlap of `remap_occ_soa`.
+fn bench_nonlocal_projector_at<R: Real>(
+    group: &mut criterion::BenchmarkGroup,
+    side: usize,
+    norb: usize,
+) {
+    let mesh = Mesh3::cubic(side, 0.4);
+    let mut psi0 = WfAos::<R>::zeros(mesh.clone(), norb);
+    psi0.randomize(2);
+    let (lumo, dt) = (norb / 2, R::from_f64(0.04));
+    let dv = R::from_f64(mesh.dv());
+    let nl = NonlocalCorrection::new(psi0.to_matrix(), lumo, R::from_f64(0.08), dt, dv);
+    let occ = vec![R::TWO; norb];
     for (backend, tag) in BACKENDS {
-        let shape = format!("{}_{tag}_m{M}_n{N}_k{K}", prec::<R>());
-        group.bench_function(format!("overlap_{shape}").as_str(), |bch| {
-            let mut out = vec![Complex::zero(); M * N];
-            let (one, zero) = (Complex::one(), Complex::zero());
-            bch.iter(|| simd::proj_overlap_with(backend, one, &init, M, &t0, N, zero, &mut out));
+        simd::set_backend(backend);
+        let shape = format!(
+            "{}_{tag}_g{}_n{norb}_u{}",
+            prec::<R>(),
+            mesh.len(),
+            norb - lumo
+        );
+        group.bench_function(format!("apply_{shape}").as_str(), |bch| {
+            let mut state = psi0.to_soa();
+            bch.iter(|| nl.nlp_prop_soa(&mut state));
         });
-        group.bench_function(format!("update_{shape}").as_str(), |bch| {
-            let mut t = init.clone();
-            let mut norms = vec![R::ZERO; M];
-            bch.iter(|| simd::proj_update_with(backend, &m, &t0, N, &mut t, M, &mut norms));
+        group.bench_function(format!("overlap_{shape}").as_str(), |bch| {
+            let state = psi0.to_soa();
+            bch.iter(|| nl.remap_occ_soa(&state, &occ));
         });
     }
+    simd::clear_backend_override();
+}
+
+fn bench_nonlocal_projector(c: &mut Criterion) {
+    let mut group = c.benchmark_group("simd_nonlocal");
+    group.sample_size(20);
+    bench_nonlocal_projector_at::<f64>(&mut group, 8, 4);
+    bench_nonlocal_projector_at::<f64>(&mut group, 16, 16);
+    bench_nonlocal_projector_at::<f32>(&mut group, 24, 32);
     group.finish();
 }
 
-fn bench_simd_projector(c: &mut Criterion) {
-    bench_simd_projector_at::<f64>(c);
-    bench_simd_projector_at::<f32>(c);
-}
-
 /// The set-up eigensolver's two block kernels at its two benchmark shapes
-/// (8^3 x 4 and 16^3 x 16), real (`dp` only: the solver is `f64`) beside the
-/// complex projector kernels they replaced there: a real row is 2 flops a
-/// multiply-add, a complex one 8.
+/// (8^3 x 4 and 16^3 x 16), `dp` only: the solver is `f64`.
 fn bench_simd_real_blocks(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(14);
     let mut group = c.benchmark_group("simd_block");
@@ -135,13 +98,9 @@ fn bench_simd_real_blocks(c: &mut Criterion) {
             random_vec::<f64>(&mut rng, g * n),
             random_vec::<f64>(&mut rng, g * n),
         );
-        let small = |z: &C64| *z * C64::from_real(1e-4);
-        let zc: Vec<C64> = random_vec::<f64>(&mut rng, n * n)
-            .iter()
-            .map(small)
-            .collect();
-        let re = |zs: &[C64]| zs.iter().map(|z| z.re).collect::<Vec<f64>>();
-        let (l, r, coeff) = (re(&zl), re(&zr), re(&zc));
+        let zc = random_vec::<f64>(&mut rng, n * n);
+        let re = |zs: &[C64], scale: f64| zs.iter().map(|z| z.re * scale).collect::<Vec<f64>>();
+        let (l, r, coeff) = (re(&zl, 1.0), re(&zr, 1.0), re(&zc, 1e-4));
         for (backend, tag) in BACKENDS {
             let shape = format!("{tag}_g{g}_n{n}");
             group.bench_function(format!("real_overlap_{shape}").as_str(), |bch| {
@@ -151,15 +110,6 @@ fn bench_simd_real_blocks(c: &mut Criterion) {
             group.bench_function(format!("real_update_{shape}").as_str(), |bch| {
                 let mut t = r.clone();
                 bch.iter(|| simd::real_update_with(backend, &coeff, &l, (n, n), &mut t));
-            });
-            group.bench_function(format!("complex_overlap_{shape}").as_str(), |bch| {
-                let mut out = vec![C64::zero(); n * n];
-                let (one, zero) = (C64::one(), C64::zero());
-                bch.iter(|| simd::proj_overlap_with(backend, one, &zr, n, &zl, n, zero, &mut out));
-            });
-            group.bench_function(format!("complex_update_{shape}").as_str(), |bch| {
-                let (mut t, mut norms) = (zr.clone(), vec![0.0; n]);
-                bch.iter(|| simd::proj_update_with(backend, &zc, &zl, n, &mut t, n, &mut norms));
             });
         }
     }
@@ -255,8 +205,7 @@ fn bench_simd_stencil(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_simd_gemm,
-    bench_simd_projector,
+    bench_nonlocal_projector,
     bench_simd_real_blocks,
     bench_simd_pair_kernels,
     bench_simd_stencil

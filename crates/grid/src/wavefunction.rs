@@ -10,6 +10,10 @@ use dcmesh_math::{linalg, Complex, Matrix, Real};
 
 use crate::mesh::Mesh3;
 
+/// The share of its starting norm below which [`WfAos::randomize`] calls an
+/// orbital dependent on the ones before it.
+const RANK_TOL: f64 = 1e-5;
+
 /// Orbital-major wavefunction set: orbital `n` occupies the contiguous slice
 /// `[n * ngrid, (n+1) * ngrid)`, with mesh points in z-fastest order.
 ///
@@ -82,14 +86,22 @@ impl<R: Real> WfAos<R> {
         &mut self.data[n * g..(n + 1) * g]
     }
 
-    /// Fill with deterministic pseudo-random amplitudes (Gaussian-enveloped
-    /// plane waves per orbital) and orthonormalize. Used for benchmark
-    /// workload generation; seeds give reproducible streams.
-    pub fn randomize(&mut self, seed: u64) {
+    /// Fill with deterministic real amplitudes — Gaussian-enveloped standing
+    /// waves `env(r) cos(k_n . r + 0.37 n)`, a distinct wave vector per
+    /// orbital perturbed by the seed — and orthonormalize them in real
+    /// arithmetic. Used for benchmark workloads and synthetic reference
+    /// blocks; seeds give reproducible streams.
+    ///
+    /// Returns the orbitals Gram–Schmidt found dependent and left zero:
+    /// every orbital past the mesh's point count, and any the waves cannot
+    /// tell apart on a small mesh.
+    pub fn randomize(&mut self, seed: u64) -> Vec<usize> {
         let (nx, ny, nz) = (self.mesh.nx, self.mesh.ny, self.mesh.nz);
+        let g = self.mesh.len();
         let center = [nx as f64 / 2.0, ny as f64 / 2.0, nz as f64 / 2.0];
         let sigma2 = (nx.min(ny).min(nz) as f64 / 3.0).powi(2);
-        for n in 0..self.norb {
+        let mut block = vec![R::ZERO; g * self.norb];
+        for (n, orb) in block.chunks_exact_mut(g.max(1)).enumerate() {
             // Distinct wave vector per orbital, perturbed by the seed.
             let s = seed
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -97,25 +109,22 @@ impl<R: Real> WfAos<R> {
             let kx = 2.0 * std::f64::consts::PI * ((s % 7) as f64 + 1.0) / nx as f64;
             let ky = 2.0 * std::f64::consts::PI * (((s / 7) % 5) as f64 + 1.0) / ny as f64;
             let kz = 2.0 * std::f64::consts::PI * (((s / 35) % 3) as f64 + 1.0) / nz as f64;
-            let g = self.mesh.len();
-            let mesh = self.mesh.clone();
-            let orb = &mut self.data[n * g..(n + 1) * g];
-            for i in 0..nx {
-                for j in 0..ny {
-                    for k in 0..nz {
-                        let r2 = (i as f64 - center[0]).powi(2)
-                            + (j as f64 - center[1]).powi(2)
-                            + (k as f64 - center[2]).powi(2);
-                        let env = (-r2 / (2.0 * sigma2)).exp();
-                        let phase =
-                            kx * i as f64 + ky * j as f64 + kz * k as f64 + (n as f64) * 0.37;
-                        orb[mesh.idx(i, j, k)] =
-                            Complex::from_polar(R::from_f64(env), R::from_f64(phase));
-                    }
-                }
+            for (i, j, k) in self.mesh.iter_points() {
+                let r2 = (i as f64 - center[0]).powi(2)
+                    + (j as f64 - center[1]).powi(2)
+                    + (k as f64 - center[2]).powi(2);
+                let env = (-r2 / (2.0 * sigma2)).exp();
+                let phase = kx * i as f64 + ky * j as f64 + kz * k as f64 + (n as f64) * 0.37;
+                orb[self.mesh.idx(i, j, k)] = R::from_f64(env) * R::from_f64(phase).cos();
             }
         }
-        self.orthonormalize();
+        let dropped = linalg::gram_schmidt(&mut block, g, R::from_f64(RANK_TOL));
+        // Gram–Schmidt normalized with dv = 1; rescale to physical norm.
+        let scale = R::from_f64(1.0 / self.mesh.dv().sqrt());
+        for (z, x) in self.data.iter_mut().zip(&block) {
+            *z = Complex::from_real(*x * scale);
+        }
+        dropped
     }
 
     /// L2 norm (including the volume element) of orbital `n`.
@@ -131,21 +140,6 @@ impl<R: Real> WfAos<R> {
             if nv > R::ZERO {
                 linalg::scal(R::ONE / nv, self.orbital_mut(n));
             }
-        }
-    }
-
-    /// Orthonormalize all orbitals with modified Gram–Schmidt
-    /// (volume-element-weighted inner product).
-    pub fn orthonormalize(&mut self) {
-        let g = self.mesh.len();
-        let dv = self.mesh.dv();
-        let mut m = Matrix::from_vec(g, self.norb, std::mem::take(&mut self.data));
-        linalg::gram_schmidt(&mut m, R::from_f64(1e-12));
-        self.data = take_matrix_data(m);
-        // Gram–Schmidt normalized with dv = 1; rescale to physical norm.
-        let scale = R::from_f64(1.0 / dv.sqrt());
-        for z in &mut self.data {
-            *z = z.scale(scale);
         }
     }
 
@@ -421,6 +415,94 @@ mod tests {
         a.randomize(42);
         b.randomize(42);
         assert!(a.max_abs_diff(&b) == 0.0);
+    }
+
+    /// `S = Psi^T Psi dv` of a randomized set: the identity, but for the
+    /// orbitals `randomize` reported, whose rows and columns are zero.
+    fn randomize_case<R: Real>(
+        (nx, ny, nz): (usize, usize, usize),
+        norb: usize,
+        seed: u64,
+    ) -> Vec<usize> {
+        let mut wf = WfAos::<R>::zeros(Mesh3::new(nx, ny, nz, 0.5, 0.45, 0.4), norb);
+        let dropped = wf.randomize(seed);
+        assert!(wf.data().iter().all(|z| z.im == R::ZERO));
+        let s = wf.overlap(&wf);
+        let tol = 100.0 * R::EPSILON.to_f64();
+        for i in 0..norb {
+            for j in 0..norb {
+                let kept = !dropped.contains(&i) && !dropped.contains(&j);
+                let want = if kept && i == j { 1.0 } else { 0.0 };
+                let got = s[(i, j)].re.to_f64();
+                assert!(
+                    (got - want).abs() < tol,
+                    "{nx}x{ny}x{nz} x {norb} seed {seed}: S[{i}][{j}] = {got}"
+                );
+            }
+        }
+        dropped
+    }
+
+    #[test]
+    fn randomize_has_full_rank_at_every_shape_in_use() {
+        // The benchmark's engines and probes (24^3 x 32 for `lfd_sp`, its
+        // f64 check and the digests' 24^3 x 8; 16^3 x 16 and 8^3 x 4 for the
+        // `DcMeshSim` workloads) at the seeds it runs and beyond, and the
+        // suite's fixed shapes and seeds down to the line kernel's 7 x 4 x 5
+        // x 33 (in both precisions: `randomize` orthonormalizes in `R`).
+        let seeds = |n: u64| (0..n).chain([1_000_003, 0x5eed_5eed]);
+        for seed in 1..=10 {
+            let mut wf = WfAos::<f32>::zeros(Mesh3::cubic(24, 0.4), 32);
+            assert_eq!(wf.randomize(seed), [], "lfd_sp, seed {seed}");
+        }
+        let mut cases: Vec<((usize, usize, usize), usize, u64)> = Vec::new();
+        cases.extend(seeds(12).map(|seed| ((16, 16, 16), 16, seed)));
+        cases.extend(seeds(64).map(|seed| ((8, 8, 8), 4, seed)));
+        cases.extend([
+            ((24, 24, 24), 32, 7),
+            ((24, 24, 24), 8, 11),
+            ((12, 12, 12), 16, 1),
+            ((8, 8, 8), 6, 7),
+            ((9, 6, 5), 4, 2),
+            ((6, 6, 6), 7, 4),
+            ((6, 6, 6), 6, 31),
+            ((5, 5, 5), 5, 33),
+            ((7, 4, 5), 33, 73),
+            ((4, 5, 7), 33, 73),
+            ((4, 4, 4), 22, 5),
+        ]);
+        for (dims, norb, seed) in cases {
+            assert_eq!(
+                randomize_case::<f64>(dims, norb, seed),
+                [],
+                "{dims:?} x {norb}, seed {seed}"
+            );
+            assert_eq!(
+                randomize_case::<f32>(dims, norb, seed),
+                [],
+                "{dims:?} x {norb}, seed {seed}"
+            );
+        }
+    }
+
+    #[test]
+    fn randomize_reports_the_orbitals_it_cannot_make_independent() {
+        // Eight points hold at most eight orbitals (these waves six); the
+        // standing waves of a 4^3 mesh alias, so forty of them
+        // (`lowest_states`' widest test block, whose start noise restores
+        // the rank) span 39 dimensions at seed 3.
+        for (dims, norb, seed, lost) in [((2, 2, 2), 16, 1, 10), ((4, 4, 4), 40, 3, 1)] {
+            assert_eq!(
+                randomize_case::<f64>(dims, norb, seed).len(),
+                lost,
+                "{dims:?}"
+            );
+            assert_eq!(
+                randomize_case::<f32>(dims, norb, seed).len(),
+                lost,
+                "{dims:?}"
+            );
+        }
     }
 
     #[test]

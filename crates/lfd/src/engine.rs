@@ -233,7 +233,7 @@ pub struct LfdEngine<R: Real> {
     /// The local Hamiltonian the energy meter takes expectations of.
     h_loc: dcmesh_tddft::Hamiltonian,
     nl: NonlocalCorrection<R>,
-    /// Squared orbital norms the last nonlocal application handed back.
+    /// Squared orbital norms the closing nonlocal application hands back.
     norms2: Vec<R>,
     psi: State<R>,
     device: Option<Device>,
@@ -255,13 +255,24 @@ impl<R: Real> std::fmt::Debug for LfdEngine<R> {
 }
 
 impl<R: Real> LfdEngine<R> {
-    /// Build the engine with a synthetic orthonormal initial state and a
-    /// local potential `v_loc` (pass zeros for free propagation).
+    /// Build the engine with a synthetic orthonormal initial state (real:
+    /// [`WfAos::randomize`]) and a local potential `v_loc` (pass zeros for
+    /// free propagation). Panics when the mesh cannot hold `norb`
+    /// independent orbitals: an orbital left zero would still be counted
+    /// occupied, and the engine's electron count would disagree with its
+    /// density.
     pub fn new(cfg: LfdConfig, v_loc: Vec<f64>) -> Self {
         assert_eq!(v_loc.len(), cfg.mesh.len());
         assert!(cfg.lumo < cfg.norb, "need at least one unoccupied orbital");
         let mut init = WfAos::<R>::zeros(cfg.mesh.clone(), cfg.norb);
-        init.randomize(cfg.seed);
+        let dropped = init.randomize(cfg.seed);
+        assert!(
+            dropped.is_empty(),
+            "LfdEngine::new: {} mesh points hold no {} independent synthetic orbitals \
+             (orbitals {dropped:?} came out dependent)",
+            cfg.mesh.len(),
+            cfg.norb
+        );
         Self::with_initial_state(cfg, v_loc, init)
     }
 
@@ -585,9 +596,11 @@ impl<R: Real> LfdEngine<R> {
         let bytes = std::mem::size_of_val(psi.data()) as u64;
         let mut body = || {
             let Some(frac) = frac else { return };
-            nl.apply_soa(psi, frac, norms2);
             if renormalize {
+                nl.apply_soa(psi, frac, Some(norms2));
                 nl.renormalize_soa(psi, norms2);
+            } else {
+                nl.apply_soa(psi, frac, None);
             }
         };
         match &self.device {
@@ -1216,6 +1229,21 @@ mod tests {
         });
         assert!(zero.state_data() == norb.state_data());
         assert!(zero.occupations == norb.occupations);
+    }
+
+    #[test]
+    #[should_panic(expected = "8 mesh points hold no 16 independent")]
+    fn an_engine_refuses_a_mesh_too_small_for_its_orbitals() {
+        // 2^3 points hold 8 independent orbitals, not 16. Built anyway, the
+        // engine would count 2.0 electrons on each of its 12 occupied
+        // orbitals, zero ones included, while its density held at most 16.
+        let cfg = LfdConfig {
+            mesh: Mesh3::cubic(2, 0.5),
+            norb: 16,
+            lumo: 12,
+            ..small_cfg(BuildKind::CpuBlas)
+        };
+        LfdEngine::<f64>::new(cfg, vec![0.0; 8]);
     }
 
     #[test]

@@ -123,7 +123,7 @@ impl<R: Real> PotentialPropagator<R> {
                 let base_point = team * points_per_slab;
                 for (pt, amps) in chunk.chunks_exact_mut(norb).enumerate() {
                     // One phase per point, broadcast over the orbital run —
-                    // the vectorized split-complex scale kernel.
+                    // the vectorized scale kernel.
                     simd::scale(amps, phases[base_point + pt]);
                 }
             });

@@ -24,6 +24,23 @@ pub struct Complex<R> {
 // glue — exactly the arena `Pod` contract.
 unsafe impl<R: Real> dcmesh_pool::arena::Pod for Complex<R> {}
 
+/// The reals `[re0, im0, re1, im1, ..]` of a run of complex values: a
+/// point-major block of `k` complex columns read as one of `2 k` real
+/// columns, which is how a real matrix multiplies it.
+pub fn as_reals<R: Real>(zs: &[Complex<R>]) -> &[R] {
+    // SAFETY: (bounds=2 * zs.len() reals: `Complex<R>` is `repr(C)` over two
+    // `R` and so has no padding, aliasing=the view borrows `zs`) the pointer
+    // is aligned for `R`, the alignment of `Complex<R>`.
+    unsafe { std::slice::from_raw_parts(zs.as_ptr().cast::<R>(), 2 * zs.len()) }
+}
+
+/// [`as_reals`] of a mutable run.
+pub fn as_reals_mut<R: Real>(zs: &mut [Complex<R>]) -> &mut [R] {
+    // SAFETY: (bounds=2 * zs.len() reals as in `as_reals`, aliasing=the view
+    // holds the exclusive borrow of `zs`) every bit pattern is a valid `R`.
+    unsafe { std::slice::from_raw_parts_mut(zs.as_mut_ptr().cast::<R>(), 2 * zs.len()) }
+}
+
 impl<R: Real> Complex<R> {
     /// Construct from real and imaginary parts.
     #[inline(always)]

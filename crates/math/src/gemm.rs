@@ -7,17 +7,18 @@
 //! * [`gemm_naive`] — reference triple loop (the pre-BLAS "CPU OpenMP
 //!   Parallel" build of Table II uses the loop formulation) and the
 //!   semantics oracle of the tests.
-//! * [`gemm_colmajor_with_backend`] — the one general GEMM, over raw
-//!   column-major slices: scalar blocked column panels spread over the
+//! * [`gemm_colmajor`] — the one general GEMM, over raw column-major
+//!   slices: blocked column panels with a packed A-panel, spread over the
 //!   persistent `dcmesh-pool` executor (the device executor layers the
-//!   cuBLAS roofline model on top), the split-complex AVX2 packed kernel
-//!   in [`crate::simd`] for large `f64` problems when the backend allows,
-//!   and the register-tiled projector kernel for the nonlocal overlap
-//!   shape. [`gemm_colmajor`], [`gemm`] and [`gemm_with_backend`] are the
-//!   same kernel on the active or a pinned backend, over slices or
+//!   cuBLAS roofline model on top). [`gemm`] is the same kernel over
 //!   [`Matrix`] operands.
-//! * [`gemm_blocked`] — that kernel pinned to the scalar backend and to the
-//!   calling thread (the "BLAS" build's serial rung).
+//! * [`gemm_blocked`] — that kernel kept on the calling thread (the "BLAS"
+//!   build's serial rung).
+//!
+//! The workloads' own GEMMs are not here: the nonlocal projector multiplies
+//! by a real reference and the set-up solve is real symmetric, so both run
+//! on the real block kernels of [`crate::simd`]. This one serves the tests
+//! as an oracle and the frozen benchmark as its GEMM probe.
 //!
 //! Matrices are column-major like BLAS, so a wavefunction matrix `Psi` with
 //! `Ngrid` rows (grid points) and `Norb` columns (orbitals) stores each
@@ -26,13 +27,11 @@
 //! Parallel dispatch is zero-allocation in steady state (no chunk lists,
 //! no spawned threads, and packing scratch comes from the per-thread
 //! aligned arena), and the arithmetic per output entry is a function of
-//! the shape and the backend alone — a call spread over the pool is
-//! bitwise equal to the same call under `dcmesh_pool::run_inline`, which
-//! the tests assert.
+//! the shape alone — a call spread over the pool is bitwise equal to the
+//! same call under `dcmesh_pool::run_inline`, which the tests assert.
 
 use crate::complex::Complex;
 use crate::real::Real;
-use crate::simd::{self, Backend};
 use dcmesh_pool::arena::with_scratch;
 use dcmesh_pool::global as pool;
 
@@ -237,11 +236,10 @@ pub fn gemm_naive<R: Real>(
 /// sized so an MC x KC A-panel plus a KC x NC B-panel stay L2-resident.
 const BLOCK: usize = 64;
 
-/// Single-threaded scalar GEMM: `C = alpha * op(A) * op(B) + beta * C`.
+/// Single-threaded GEMM: `C = alpha * op(A) * op(B) + beta * C`.
 ///
-/// The "BLAS" rung of the Table II ladder and the bit-stable reference the
-/// SIMD paths are validated against: [`gemm_with_backend`] pinned to
-/// [`Backend::Scalar`] with every dispatch kept on the calling thread.
+/// The "BLAS" rung of the Table II ladder: [`gemm`] with every dispatch kept
+/// on the calling thread, and so bit for bit its result.
 pub fn gemm_blocked<R: Real>(
     alpha: Complex<R>,
     a: &Matrix<R>,
@@ -251,13 +249,11 @@ pub fn gemm_blocked<R: Real>(
     beta: Complex<R>,
     c: &mut Matrix<R>,
 ) {
-    dcmesh_pool::run_inline(|| {
-        gemm_with_backend(Backend::Scalar, alpha, a, op_a, b, op_b, beta, c);
-    });
+    dcmesh_pool::run_inline(|| gemm(alpha, a, op_a, b, op_b, beta, c));
 }
 
 /// Production GEMM on [`Matrix`] operands: [`gemm_colmajor`] over their
-/// column-major storage, dispatching on [`simd::active_backend`].
+/// column-major storage.
 pub fn gemm<R: Real>(
     alpha: Complex<R>,
     a: &Matrix<R>,
@@ -267,25 +263,8 @@ pub fn gemm<R: Real>(
     beta: Complex<R>,
     c: &mut Matrix<R>,
 ) {
-    gemm_with_backend(simd::active_backend(), alpha, a, op_a, b, op_b, beta, c);
-}
-
-/// [`gemm`] with the SIMD backend pinned per call (no global state), used
-/// by the equivalence tests, the benches, and `DCMESH_SIMD` plumbing.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_with_backend<R: Real>(
-    backend: Backend,
-    alpha: Complex<R>,
-    a: &Matrix<R>,
-    op_a: Op,
-    b: &Matrix<R>,
-    op_b: Op,
-    beta: Complex<R>,
-    c: &mut Matrix<R>,
-) {
     let cdims = (c.rows(), c.cols());
-    gemm_colmajor_with_backend(
-        backend,
+    gemm_colmajor(
         alpha,
         a.data(),
         (a.rows(), a.cols()),
@@ -301,52 +280,15 @@ pub fn gemm_with_backend<R: Real>(
 
 /// Slice-based GEMM over raw column-major storage:
 /// `C = alpha * op(A) * op(B) + beta * C` where each operand is a
-/// `(data, rows, cols)` triple describing its *stored* shape.
+/// `(data, rows, cols)` triple describing its *stored* shape: the one
+/// general complex GEMM every other entry point of this module lands in.
 ///
-/// This is the zero-copy entry point for SoA-resident wavefunction data
-/// (the flat SoA array *is* a `Norb x Ngrid` column-major matrix), so the
-/// BLASified nonlocal correction never copies the state.
+/// Blocked column panels of `C` with a packed A-panel: the panels are
+/// independent, so each claim-loop task owns a disjoint slice of the output
+/// — data-race freedom by construction — and the arithmetic per output
+/// entry does not depend on who ran the panel.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_colmajor<R: Real>(
-    alpha: Complex<R>,
-    a: &[Complex<R>],
-    adims: (usize, usize),
-    op_a: Op,
-    b: &[Complex<R>],
-    bdims: (usize, usize),
-    op_b: Op,
-    beta: Complex<R>,
-    c: &mut [Complex<R>],
-    cdims: (usize, usize),
-) {
-    gemm_colmajor_with_backend(
-        simd::active_backend(),
-        alpha,
-        a,
-        adims,
-        op_a,
-        b,
-        bdims,
-        op_b,
-        beta,
-        c,
-        cdims,
-    );
-}
-
-/// [`gemm_colmajor`] with the SIMD backend pinned per call: the one general
-/// complex GEMM every other entry point of this module lands in.
-///
-/// The kernel is chosen by what the call can observe: the nonlocal
-/// projector's overlap shape goes to [`simd::proj_overlap_with`], large
-/// `f64` problems on an AVX2 backend to the split-complex packed
-/// microkernel, everything else to scalar blocked column panels. Column
-/// panels of `C` are independent, so each claim-loop task owns a disjoint
-/// slice of the output — data-race freedom by construction — and the
-/// arithmetic per output entry does not depend on who ran the panel.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_colmajor_with_backend<R: Real>(
-    backend: Backend,
     alpha: Complex<R>,
     a: &[Complex<R>],
     (ar, ac): (usize, usize),
@@ -371,33 +313,7 @@ pub fn gemm_colmajor_with_backend<R: Real>(
     };
     assert_eq!(k, kb, "GEMM inner dimensions must agree");
     assert_eq!((cr, cc), (m, n), "GEMM output shape mismatch");
-    let small = m * n * k < 32 * 32 * 32;
     let mut kernel = || {
-        // The nonlocal projector's overlap shape, `C = alpha A B^H + beta C`
-        // with a small output and a long contraction (the SoA `T T0^H`),
-        // goes to the register-tiled kernel in `simd`.
-        if op_a == Op::None && op_b == Op::ConjTrans && m * n <= 16384 && k >= 256 {
-            return simd::proj_overlap_with(backend, alpha, a, m, b, n, beta, c);
-        }
-        // Large general shapes: split-complex packed AVX2 kernel when allowed.
-        if !small
-            && simd::try_gemm_packed(
-                backend,
-                alpha,
-                a,
-                (ar, ac),
-                op_a,
-                b,
-                (br, bc),
-                op_b,
-                beta,
-                c,
-                (m, n),
-                k,
-            )
-        {
-            return;
-        }
         let a_at = |r: usize, col: usize| -> Complex<R> {
             match op_a {
                 Op::None => a[col * ar + r],
@@ -458,7 +374,7 @@ pub fn gemm_colmajor_with_backend<R: Real>(
             });
         });
     };
-    if small {
+    if m * n * k < 32 * 32 * 32 {
         // Small problems: parallel dispatch overhead dominates.
         dcmesh_pool::run_inline(kernel)
     } else {
@@ -529,9 +445,9 @@ mod tests {
 
     type Shape = (usize, usize, usize);
 
-    /// `gemm_with_backend` against `gemm_naive` for all nine `Op` pairs
-    /// of one `(m, n, k)` problem in precision `R`.
-    fn all_ops_match_naive<R: Real>(rng: &mut StdRng, backend: Backend, (m, n, k): Shape) {
+    /// `gemm` against `gemm_naive` for all nine `Op` pairs of one
+    /// `(m, n, k)` problem in precision `R`.
+    fn all_ops_match_naive<R: Real>(rng: &mut StdRng, (m, n, k): Shape) {
         let ops = [Op::None, Op::Trans, Op::ConjTrans];
         let mut mat = |rows, cols| random_matrix(rng, rows, cols).cast::<R>();
         for &op_a in &ops {
@@ -549,11 +465,11 @@ mod tests {
                 let alpha = Complex::new(R::from_f64(1.1), R::from_f64(0.2));
                 let beta = Complex::new(R::from_f64(-0.2), R::from_f64(0.4));
                 gemm_naive(alpha, &a, op_a, &b, op_b, beta, &mut c1);
-                gemm_with_backend(backend, alpha, &a, op_a, &b, op_b, beta, &mut c2);
+                gemm(alpha, &a, op_a, &b, op_b, beta, &mut c2);
                 let tol = R::from_f64(64.0 * (k as f64 + 4.0)) * R::EPSILON;
                 assert!(
                     c1.max_abs_diff(&c2) < tol,
-                    "{} {backend:?} ({m},{n},{k}) {op_a:?} {op_b:?}",
+                    "{} ({m},{n},{k}) {op_a:?} {op_b:?}",
                     R::PRECISION_LABEL
                 );
             }
@@ -575,10 +491,8 @@ mod tests {
         ];
         let mut rng = StdRng::seed_from_u64(3);
         for shape in shapes {
-            for backend in [Backend::Scalar, Backend::Avx2] {
-                all_ops_match_naive::<f64>(&mut rng, backend, shape);
-                all_ops_match_naive::<f32>(&mut rng, backend, shape);
-            }
+            all_ops_match_naive::<f64>(&mut rng, shape);
+            all_ops_match_naive::<f32>(&mut rng, shape);
         }
     }
 
@@ -598,12 +512,10 @@ mod tests {
     #[test]
     fn pool_parallel_gemm_is_bitwise_equal_to_serial() {
         // One kernel, two ways of running it: spread over the pool, and
-        // kept on this thread by `run_inline`. Every output entry is
-        // computed by the same arithmetic sequence whoever claims its
-        // panel (or its chunk of the projector's contraction), so the
-        // results must agree to the last bit regardless of pool size or
-        // chunk-claim order — on either backend, at every kernel the shape
-        // dispatch can pick.
+        // kept on this thread by `run_inline` (`gemm_blocked`). Every output
+        // entry is computed by the same arithmetic sequence whoever claims
+        // its panel, so the results must agree to the last bit regardless of
+        // pool size or panel-claim order.
         let mut rng = StdRng::seed_from_u64(7);
         let alpha = C64::new(0.7, -0.3);
         let beta = C64::new(-0.2, 0.4);
@@ -624,23 +536,9 @@ mod tests {
             let c0 = random_matrix(&mut rng, m, n);
             let mut blocked = c0.clone();
             gemm_blocked(alpha, &a, op_a, &b, op_b, beta, &mut blocked);
-            for backend in [Backend::Scalar, Backend::Avx2] {
-                let mut parallel = c0.clone();
-                gemm_with_backend(backend, alpha, &a, op_a, &b, op_b, beta, &mut parallel);
-                let mut inline = c0.clone();
-                dcmesh_pool::run_inline(|| {
-                    gemm_with_backend(backend, alpha, &a, op_a, &b, op_b, beta, &mut inline);
-                });
-                assert_eq!(inline.data(), parallel.data(), "{backend:?} ({m},{n},{k})");
-                if backend == Backend::Scalar {
-                    // `gemm_blocked` is exactly that inline scalar call.
-                    assert_eq!(blocked.data(), inline.data(), "({m},{n},{k})");
-                } else {
-                    // The AVX2 kernels reorder the contraction: tolerance.
-                    let tol = 1e-11 * (k as f64).sqrt();
-                    assert!(blocked.max_abs_diff(&inline) < tol, "({m},{n},{k})");
-                }
-            }
+            let mut parallel = c0.clone();
+            gemm(alpha, &a, op_a, &b, op_b, beta, &mut parallel);
+            assert_eq!(blocked.data(), parallel.data(), "({m},{n},{k})");
         }
     }
 

@@ -8,8 +8,9 @@
 //! * [`Complex`] — a minimal complex-number type (the paper propagates
 //!   complex-valued Kohn–Sham wavefunctions).
 //! * [`gemm`] — a from-scratch blocked, pool-parallel complex GEMM standing
-//!   in for AOCL-BLAS / cuBLAS in the "BLASification" of the nonlocal
-//!   correction (paper §III-D).
+//!   in for AOCL-BLAS / cuBLAS in the "BLASification" of paper §III-D: the
+//!   tests' oracle and the benchmark's GEMM probe (the nonlocal correction
+//!   itself is real x complex, on the real block kernels of [`simd`]).
 //! * [`fft`] — radix-2 + Bluestein FFTs used by reference spectral solvers.
 //! * [`multigrid`] — the O(N) multigrid Poisson solver used for the global
 //!   Hartree potential (paper §II, "globally scalable" solver).
@@ -17,9 +18,9 @@
 //!   at the heart of the space-splitting kinetic propagator (ref. [28]).
 //! * [`linalg`] — vector kernels, Gram–Schmidt, and a complex Hermitian
 //!   Jacobi eigensolver for Rayleigh–Ritz subspace diagonalization.
-//! * [`simd`] — split-complex (SoA) AVX2+FMA microkernels with runtime
-//!   dispatch (`DCMESH_SIMD`): pointwise, line and projector kernels and the
-//!   packed GEMM microkernel with its fixed register and cache tiles.
+//! * [`simd`] — AVX2+FMA kernels with runtime dispatch (`DCMESH_SIMD`):
+//!   pointwise and line kernels on interleaved complex lanes, and the real
+//!   block kernels of the set-up solve and the nonlocal projector.
 //! * [`phys`] — Hartree atomic-unit constants and conversions.
 
 pub mod complex;
@@ -32,7 +33,7 @@ pub mod real;
 pub mod simd;
 pub mod tridiag;
 
-pub use complex::Complex;
+pub use complex::{as_reals, as_reals_mut, Complex};
 pub use gemm::{Matrix, Op};
 pub use real::Real;
 

@@ -56,39 +56,35 @@ pub fn normalize<R: Real>(x: &mut [Complex<R>]) -> R {
     n
 }
 
-/// Modified Gram–Schmidt on the columns of `m`, in place.
+/// Modified Gram–Schmidt on the real columns of `m` (column-major, `rows`
+/// reals to a column), in place, with the projections taken twice per
+/// column for robustness.
 ///
-/// Columns that collapse below `tol` (linear dependence) are replaced with
-/// zero and reported in the returned list of dropped indices.
-pub fn gram_schmidt<R: Real>(m: &mut Matrix<R>, tol: R) -> Vec<usize> {
-    let cols = m.cols();
-    let rows = m.rows();
+/// A column left with at most `tol` of the norm it started with (linear
+/// dependence) is replaced with zeros and reported in the returned list of
+/// dropped indices.
+pub fn gram_schmidt<R: Real>(m: &mut [R], rows: usize, tol: R) -> Vec<usize> {
+    let dot = |a: &[R], b: &[R]| a.iter().zip(b).fold(R::ZERO, |s, (x, y)| s + *x * *y);
     let mut dropped = Vec::new();
-    for c in 0..cols {
-        // Subtract projections on previous columns (two passes of MGS for
-        // re-orthogonalization robustness).
+    for c in 0..m.len() / rows.max(1) {
+        let (done, rest) = m.split_at_mut(c * rows);
+        let cur = &mut rest[..rows];
+        let before = dot(cur, cur).sqrt();
         for _ in 0..2 {
-            for p in 0..c {
-                // Split borrow: copy the previous column head pointer via raw
-                // index math on the data slice.
-                let (left, right) = m.data_mut().split_at_mut(c * rows);
-                let prev = &left[p * rows..(p + 1) * rows];
-                let cur = &mut right[..rows];
-                let proj = dotc(prev, cur);
+            for prev in done.chunks_exact(rows) {
+                let proj = dot(prev, cur);
                 for (pv, cv) in prev.iter().zip(cur.iter_mut()) {
                     *cv -= proj * *pv;
                 }
             }
         }
-        let cur = m.col_mut(c);
-        let n = norm(cur);
-        if n < tol {
-            for z in cur.iter_mut() {
-                *z = Complex::zero();
-            }
+        let n = dot(cur, cur).sqrt();
+        if n <= tol * before {
+            cur.fill(R::ZERO);
             dropped.push(c);
         } else {
-            scal(R::ONE / n, cur);
+            let inv = R::ONE / n;
+            cur.iter_mut().for_each(|x| *x *= inv);
         }
     }
     dropped
@@ -355,15 +351,13 @@ mod tests {
     fn gram_schmidt_orthonormalizes() {
         let mut rng = StdRng::seed_from_u64(41);
         let (rows, cols) = (20, 6);
-        let mut m = Matrix::from_fn(rows, cols, |_, _| {
-            C64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))
-        });
-        let dropped = gram_schmidt(&mut m, 1e-12);
+        let mut m: Vec<f64> = (0..rows * cols).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let dropped = gram_schmidt(&mut m, rows, 1e-12);
         assert!(dropped.is_empty());
-        for i in 0..cols {
-            for j in 0..cols {
-                let d = dotc(m.col(i), m.col(j));
-                let want = if i == j { C64::one() } else { C64::zero() };
+        for (i, a) in m.chunks_exact(rows).enumerate() {
+            for (j, b) in m.chunks_exact(rows).enumerate() {
+                let d: f64 = a.iter().zip(b).map(|(x, y)| x * y).sum();
+                let want = if i == j { 1.0 } else { 0.0 };
                 assert!((d - want).abs() < 1e-12, "({i},{j}) -> {d}");
             }
         }
@@ -372,14 +366,15 @@ mod tests {
     #[test]
     fn gram_schmidt_drops_dependent_column() {
         let rows = 8;
-        let mut m = Matrix::zeros(rows, 3);
+        let mut m = vec![0.0; 3 * rows];
         for r in 0..rows {
-            m[(r, 0)] = C64::from_real(1.0);
-            m[(r, 1)] = C64::from_real(2.0); // parallel to column 0
-            m[(r, 2)] = C64::from_real(r as f64);
+            m[r] = 1.0;
+            m[rows + r] = 2.0; // parallel to column 0
+            m[2 * rows + r] = r as f64;
         }
-        let dropped = gram_schmidt(&mut m, 1e-10);
+        let dropped = gram_schmidt(&mut m, rows, 1e-10);
         assert_eq!(dropped, vec![1]);
+        assert!(m[rows..2 * rows].iter().all(|&x| x == 0.0));
     }
 
     #[test]

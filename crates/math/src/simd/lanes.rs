@@ -6,22 +6,17 @@
 //!
 //! What an implementation guarantees: every arithmetic operation is
 //! **lane-local** (output lane `i` depends on lane `i` of the inputs alone
-//! and rounds as the scalar IEEE operation does, FMAs with one rounding), the
-//! shuffles move values without touching them, and
-//! `interleave(deinterleave(lo, hi)) == (lo, hi)`. An element therefore
+//! and rounds as the scalar IEEE operation does, FMAs with one rounding), and
+//! the shuffles move values without touching them. An element therefore
 //! rounds alike wherever it sits in a run, in a full vector or in the ragged
 //! last one.
 
 use core::arch::x86_64::{
-    __m256, __m256d, __m256i, _mm256_add_pd, _mm256_add_ps, _mm256_castpd256_pd128,
-    _mm256_castps256_ps128, _mm256_extractf128_pd, _mm256_extractf128_ps, _mm256_fmadd_pd,
-    _mm256_fmadd_ps, _mm256_fnmadd_pd, _mm256_fnmadd_ps, _mm256_loadu_pd, _mm256_loadu_ps,
+    __m256, __m256d, __m256i, _mm256_fmadd_pd, _mm256_fmadd_ps, _mm256_loadu_pd, _mm256_loadu_ps,
     _mm256_loadu_si256, _mm256_maskload_pd, _mm256_maskload_ps, _mm256_maskstore_pd,
     _mm256_maskstore_ps, _mm256_movedup_pd, _mm256_movehdup_ps, _mm256_moveldup_ps, _mm256_mul_pd,
     _mm256_mul_ps, _mm256_permute_pd, _mm256_permute_ps, _mm256_setr_pd, _mm256_setr_ps,
-    _mm256_shuffle_ps, _mm256_storeu_pd, _mm256_storeu_ps, _mm256_unpackhi_pd, _mm256_unpackhi_ps,
-    _mm256_unpacklo_pd, _mm256_unpacklo_ps, _mm_add_pd, _mm_add_ps, _mm_hadd_pd, _mm_hadd_ps,
-    _mm_loadu_pd, _mm_loadu_ps, _mm_storeu_pd, _mm_storeu_ps,
+    _mm256_storeu_pd, _mm256_storeu_ps,
 };
 
 use crate::real::Real;
@@ -56,31 +51,14 @@ pub trait Lanes: Copy {
     fn pattern(a: Self::R, b: Self::R) -> Self;
     /// `self * o`, lane by lane.
     fn mul(self, o: Self) -> Self;
-    /// `self + o`, lane by lane.
-    fn add(self, o: Self) -> Self;
     /// `self * a + c`, one rounding.
     fn fmadd(self, a: Self, c: Self) -> Self;
-    /// `c - self * a`, one rounding.
-    fn fnmadd(self, a: Self, c: Self) -> Self;
     /// `[im, re, ..]`: re and im of every value exchanged.
     fn swap(self) -> Self;
     /// `[re, re, ..]`.
     fn dup_re(self) -> Self;
     /// `[im, im, ..]`.
     fn dup_im(self) -> Self;
-    /// The `2 * C` values of two consecutive vectors as `(re, im)` vectors,
-    /// in an order of the implementation's choosing that [`Self::interleave`]
-    /// undoes (elementwise arithmetic commutes with any lane permutation).
-    fn deinterleave(lo: Self, hi: Self) -> (Self, Self);
-    /// Inverse of [`Self::deinterleave`].
-    fn interleave(re: Self, im: Self) -> (Self, Self);
-    /// `nrm[k] += self[2k] + self[2k + 1]` for `k < C`: with `self` a sum of
-    /// squared lanes, the `|z|^2` of each of the vector's values.
-    ///
-    /// # Safety
-    ///
-    /// `C` reals must be readable and writable at `nrm`.
-    unsafe fn add_norms(self, nrm: *mut Self::R);
     /// The first `n <= 2 * C` reals at `p`, zeros behind them: a masked load,
     /// which touches nothing past them.
     ///
@@ -220,36 +198,10 @@ impl Lanes for __m256d {
     }
     forward! {
         mul(self, o) => _mm256_mul_pd;
-        add(self, o) => _mm256_add_pd;
         fmadd(self, a, c) => _mm256_fmadd_pd;
-        fnmadd(self, a, c) => _mm256_fnmadd_pd;
         swap(self) => _mm256_permute_pd::<0b0101>;
         dup_re(self) => _mm256_movedup_pd;
         dup_im(self) => _mm256_permute_pd::<0b1111>;
-    }
-    // Value order `[z0 z2 z1 z3]`.
-    // AUDIT: no_panic
-    #[inline(always)]
-    fn deinterleave(lo: Self, hi: Self) -> (Self, Self) {
-        // SAFETY: AVX per the trait contract.
-        unsafe { (_mm256_unpacklo_pd(lo, hi), _mm256_unpackhi_pd(lo, hi)) }
-    }
-    // AUDIT: no_panic
-    #[inline(always)]
-    fn interleave(re: Self, im: Self) -> (Self, Self) {
-        Self::deinterleave(re, im)
-    }
-    // SAFETY: the contract of `Lanes::add_norms`.
-    #[inline(always)]
-    unsafe fn add_norms(self, nrm: *mut f64) {
-        // SAFETY: two reals at nrm per the caller; AVX per the trait contract.
-        unsafe {
-            let sums = _mm_hadd_pd(
-                _mm256_castpd256_pd128(self),
-                _mm256_extractf128_pd::<1>(self),
-            );
-            _mm_storeu_pd(nrm, _mm_add_pd(_mm_loadu_pd(nrm), sums));
-        }
     }
     // SAFETY: the contract of `Lanes::load_masked`.
     #[inline(always)]
@@ -288,42 +240,10 @@ impl Lanes for __m256 {
     }
     forward! {
         mul(self, o) => _mm256_mul_ps;
-        add(self, o) => _mm256_add_ps;
         fmadd(self, a, c) => _mm256_fmadd_ps;
-        fnmadd(self, a, c) => _mm256_fnmadd_ps;
         swap(self) => _mm256_permute_ps::<0b10_11_00_01>;
         dup_re(self) => _mm256_moveldup_ps;
         dup_im(self) => _mm256_movehdup_ps;
-    }
-    // Value order `[z0 z1 z4 z5 z2 z3 z6 z7]`.
-    // AUDIT: no_panic
-    #[inline(always)]
-    fn deinterleave(lo: Self, hi: Self) -> (Self, Self) {
-        // SAFETY: AVX per the trait contract.
-        unsafe {
-            (
-                _mm256_shuffle_ps::<0b10_00_10_00>(lo, hi),
-                _mm256_shuffle_ps::<0b11_01_11_01>(lo, hi),
-            )
-        }
-    }
-    // AUDIT: no_panic
-    #[inline(always)]
-    fn interleave(re: Self, im: Self) -> (Self, Self) {
-        // SAFETY: AVX per the trait contract.
-        unsafe { (_mm256_unpacklo_ps(re, im), _mm256_unpackhi_ps(re, im)) }
-    }
-    // SAFETY: the contract of `Lanes::add_norms`.
-    #[inline(always)]
-    unsafe fn add_norms(self, nrm: *mut f32) {
-        // SAFETY: four reals at nrm per the caller; AVX per the trait contract.
-        unsafe {
-            let sums = _mm_hadd_ps(
-                _mm256_castps256_ps128(self),
-                _mm256_extractf128_ps::<1>(self),
-            );
-            _mm_storeu_ps(nrm, _mm_add_ps(_mm_loadu_ps(nrm), sums));
-        }
     }
     // SAFETY: the contract of `Lanes::load_masked`.
     #[inline(always)]

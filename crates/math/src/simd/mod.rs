@@ -1,32 +1,24 @@
-//! Split-complex SIMD microkernels with runtime backend dispatch.
+//! SIMD kernels with runtime backend dispatch.
 //!
 //! The paper's SoA-layout contribution (§III-A, Alg. 3) observes that
 //! interleaved complex arrays defeat vector units: every vector load drags
 //! in the other component, halving effective bandwidth and blocking FMA
 //! contraction. This module applies the same idea at register level:
 //!
-//! * **Split-complex packed GEMM** ([`try_gemm_packed`]) — operands are
-//!   repacked into separate re/im panels (SoA), and a register-tiled (4×4 in
-//!   `f64`, 8×4 in `f32`) AVX2+FMA microkernel contracts them with 16 FMAs
-//!   per k-step, the textbook BLIS structure for complex-as-two-reals.
 //! * **Pointwise kernels** ([`pair_update`], [`pair_rotate_with`], [`scale`])
 //!   — the kinetic stencil 2×2 pair update, its bare form `[[c, -is], [-is,
 //!   c]]` with real `c`, `s` (half the arithmetic) and the phase/potential
 //!   pointwise multiply. All work on the interleaved complex lanes directly
 //!   (a complex product is a multiply and an FMA against the value and its
 //!   re/im swap), so every element rounds alike wherever it sits in a run.
-//! * **Projector kernels** ([`proj_overlap_with`], [`proj_update`]) — the two
-//!   skinny complex GEMMs of the nonlocal correction, `M = T·T0ᴴ` (tiny
-//!   output, contraction over the grid) and `T += M·T0` (tiny inner
-//!   dimension) with the row norms of the result from the same pass. The
-//!   accumulator tile, respectively the orbital run of a grid point, stays
-//!   in registers; grid chunks are spread over the pool and their partials
-//!   added in an order that depends on the shape alone.
 //! * **Real block kernels** ([`real_overlap_with`], [`real_update_with`]) —
-//!   the same two shapes in real arithmetic, `Lᵀ·R` and `T += S·C`, for the
-//!   set-up eigensolver, whose Hamiltonian is real symmetric: one
+//!   the two skinny GEMM shapes `Lᵀ·R` (tiny output, contraction over the
+//!   grid) and `T += S·C` (tiny inner dimension) in real arithmetic, one
 //!   register-tiled body `C += X·B` on the calling thread, every element one
-//!   chain of sums, a ragged width an overlapping or a masked vector.
+//!   chain of sums, a ragged width an overlapping or a masked vector. They
+//!   serve the set-up eigensolver, whose Hamiltonian is real symmetric, and
+//!   the nonlocal projector, whose reference is real: a complex block read
+//!   as reals is a real block of twice the columns.
 //! * **Kinetic line kernel** ([`stencil_lines_with`]) — paper Algorithms 3–5 as
 //!   one loop nest: the passes of a sweep (up to [`MAX_PASSES`]) applied to
 //!   a line (or a bundle of adjacent lines) as a wavefront, so the live
@@ -44,8 +36,7 @@
 //! * `avx2` — force AVX2 (silently degrades to scalar when unsupported);
 //! * `scalar` — force the portable path: plain `Complex<R>` arithmetic, no
 //!   FMA contraction. The pointwise and line kernels then perform the
-//!   arithmetic sequence of the pre-SIMD code; the projector kernels sum
-//!   their chunk partials in chunk order.
+//!   arithmetic sequence of the pre-SIMD code.
 //!
 //! Each AVX2 kernel body is written once over the lane trait of `lanes.rs`;
 //! `f64` runs it in `__m256d` (two complex values per vector), `f32` in
@@ -61,10 +52,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 use crate::complex::Complex;
-use crate::gemm::Op;
 use crate::real::Real;
-use dcmesh_pool::arena::with_scratch;
-use dcmesh_pool::{global as pool, SlicePtr};
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
@@ -95,7 +83,7 @@ impl Vectorized for f32 {
 // Backend dispatch
 // ---------------------------------------------------------------------------
 
-/// Instruction-set backend for the complex kernels.
+/// Instruction-set backend for the kernels.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Backend {
     /// AVX2 + FMA kernels: `f64` four reals to a vector, `f32` eight.
@@ -293,196 +281,7 @@ pub fn pair_rotate_with<R: Real>(
 }
 
 // ---------------------------------------------------------------------------
-// Skinny projector kernels (the nonlocal correction's two GEMM shapes)
-// ---------------------------------------------------------------------------
-
-/// Grid points per parallel work unit (and per partial sum) of the
-/// projector kernels. A constant, so the order in which partials are added
-/// depends on the shape alone — never on the size of the pool.
-pub const PROJ_CHUNK: usize = 512;
-
-/// Portable body of [`proj_overlap_with`] for orbitals `n_lo..norb` of one
-/// chunk: `part[u][n] += sum_p t[p][n] * conj(t0[p][u])`.
-fn proj_overlap_portable<R: Real>(
-    t: &[Complex<R>],
-    norb: usize,
-    t0: &[Complex<R>],
-    nref: usize,
-    n_lo: usize,
-    part: &mut [Complex<R>],
-) {
-    if n_lo == norb {
-        return;
-    }
-    for (tp, bp) in t.chunks_exact(norb).zip(t0.chunks_exact(nref)) {
-        for (b, col) in bp.iter().zip(part.chunks_exact_mut(norb)) {
-            let bc = b.conj();
-            for (acc, z) in col[n_lo..].iter_mut().zip(&tp[n_lo..]) {
-                *acc += *z * bc;
-            }
-        }
-    }
-}
-
-/// The projector overlap `M = alpha * T * T0^H + beta * M` on an explicit
-/// backend: `t` is the SoA wavefunction array viewed as a column-major
-/// `norb x ngrid` matrix, `t0` a `nref x ngrid` reference block, `out` the
-/// small column-major `norb x nref` result. `beta == 0` ignores what `out`
-/// held.
-///
-/// The contraction runs over the grid in chunks of [`PROJ_CHUNK`] points
-/// spread over the pool; each chunk accumulates its own partial (on AVX2
-/// with the accumulator tile in registers across an L1-sized block of
-/// points) and the partials are added in chunk order.
-#[allow(clippy::too_many_arguments)]
-pub fn proj_overlap_with<R: Real>(
-    backend: Backend,
-    alpha: Complex<R>,
-    t: &[Complex<R>],
-    norb: usize,
-    t0: &[Complex<R>],
-    nref: usize,
-    beta: Complex<R>,
-    out: &mut [Complex<R>],
-) {
-    assert_eq!(out.len(), norb * nref, "overlap output shape mismatch");
-    if out.is_empty() {
-        return;
-    }
-    let ngrid = t.len() / norb;
-    assert_eq!(t.len(), ngrid * norb, "T storage size mismatch");
-    assert_eq!(t0.len(), ngrid * nref, "T0 storage size mismatch");
-    let avx2 = use_avx2(backend);
-    let len = out.len();
-    with_scratch::<Complex<R>, 1, ()>([ngrid.div_ceil(PROJ_CHUNK) * len], |[partials]| {
-        pool().for_each_chunks_of_mut(partials, len, |ci, part| {
-            part.fill(Complex::zero());
-            let (p0, p1) = (ci * PROJ_CHUNK, ((ci + 1) * PROJ_CHUNK).min(ngrid));
-            let (tc, bc) = (&t[p0 * norb..p1 * norb], &t0[p0 * nref..p1 * nref]);
-            let mut n_lo = 0;
-            #[cfg(target_arch = "x86_64")]
-            if avx2 {
-                // SAFETY: (cpu=avx2) `use_avx2` verified CPU support.
-                n_lo = unsafe { avx2::proj_overlap::<R::V>(tc, norb, bc, nref, part) };
-            }
-            let _ = avx2;
-            proj_overlap_portable(tc, norb, bc, nref, n_lo, part);
-        });
-        for (i, cv) in out.iter_mut().enumerate() {
-            let mut acc = Complex::zero();
-            for part in partials.chunks_exact(len) {
-                acc += part[i];
-            }
-            *cv = if beta == Complex::zero() {
-                alpha * acc
-            } else {
-                alpha * acc + beta * *cv
-            };
-        }
-    });
-}
-
-/// Portable body of [`proj_update_with`] for orbitals `n_lo..norb` of one
-/// chunk.
-fn proj_update_portable<R: Real>(
-    m: &[Complex<R>],
-    t0: &[Complex<R>],
-    nref: usize,
-    t: &mut [Complex<R>],
-    norb: usize,
-    n_lo: usize,
-    nrm: &mut [R],
-) {
-    if n_lo == norb {
-        return;
-    }
-    for (tp, bp) in t.chunks_exact_mut(norb).zip(t0.chunks_exact(nref)) {
-        let tp = &mut tp[n_lo..];
-        for (b, col) in bp.iter().zip(m.chunks_exact(norb)) {
-            for (z, mv) in tp.iter_mut().zip(&col[n_lo..]) {
-                *z += *mv * *b;
-            }
-        }
-        for (acc, z) in nrm[n_lo..].iter_mut().zip(tp.iter()) {
-            *acc += z.norm_sqr();
-        }
-    }
-}
-
-/// The projector rank update `T += M * T0` on an explicit backend, with
-/// the squared norm of every updated row `norms[n] = sum_g |T[n][g]|^2`
-/// accumulated in the same pass: `m` is the small column-major `norb x nref`
-/// coefficient matrix, `t0` the `nref x ngrid` reference block, `t` the SoA
-/// array updated in place.
-///
-/// Chunks of [`PROJ_CHUNK`] grid points are spread over the pool (on AVX2
-/// the orbital run of one grid point stays in registers across all `nref`
-/// terms); per-chunk norm partials are added in chunk order.
-pub fn proj_update_with<R: Real>(
-    backend: Backend,
-    m: &[Complex<R>],
-    t0: &[Complex<R>],
-    nref: usize,
-    t: &mut [Complex<R>],
-    norb: usize,
-    norms: &mut [R],
-) {
-    assert_eq!(m.len(), norb * nref, "coefficient shape mismatch");
-    assert_eq!(norms.len(), norb, "norm output length mismatch");
-    if t.is_empty() {
-        norms.fill(R::ZERO);
-        return;
-    }
-    let ngrid = t.len() / norb;
-    assert_eq!(t.len(), ngrid * norb, "T storage size mismatch");
-    assert_eq!(t0.len(), ngrid * nref, "T0 storage size mismatch");
-    let avx2 = use_avx2(backend);
-    let n_chunks = ngrid.div_ceil(PROJ_CHUNK);
-    with_scratch::<Complex<R>, 1, ()>([if avx2 { m.len() } else { 0 }], |[im]| {
-        for (d, z) in im.iter_mut().zip(m) {
-            *d = Complex::new(-z.im, z.re);
-        }
-        let im = &*im;
-        with_scratch::<R, 1, ()>([n_chunks * norb], |[partials]| {
-            let slots = SlicePtr::new(partials);
-            pool().for_each_chunks_of_mut(t, PROJ_CHUNK * norb, |ci, tc| {
-                // SAFETY: chunk index ci is claimed exactly once, so slot
-                // [ci*norb, (ci+1)*norb) has no other live reference;
-                // `partials` outlives the dispatch.
-                let nrm = unsafe { slots.subslice_mut(ci * norb, (ci + 1) * norb) };
-                nrm.fill(R::ZERO);
-                let p0 = ci * PROJ_CHUNK;
-                let bc = &t0[p0 * nref..(p0 + tc.len() / norb) * nref];
-                let mut n_lo = 0;
-                #[cfg(target_arch = "x86_64")]
-                if avx2 {
-                    // SAFETY: (cpu=avx2) `use_avx2` verified CPU support.
-                    n_lo = unsafe { avx2::proj_update::<R::V>(m, im, bc, nref, tc, norb, nrm) };
-                }
-                let _ = (avx2, im);
-                proj_update_portable(m, bc, nref, tc, norb, n_lo, nrm);
-            });
-            for (n, out) in norms.iter_mut().enumerate() {
-                *out = partials.chunks_exact(norb).map(|part| part[n]).sum();
-            }
-        });
-    });
-}
-
-/// [`proj_update_with`] on the [`active_backend`].
-pub fn proj_update<R: Real>(
-    m: &[Complex<R>],
-    t0: &[Complex<R>],
-    nref: usize,
-    t: &mut [Complex<R>],
-    norb: usize,
-    norms: &mut [R],
-) {
-    proj_update_with(active_backend(), m, t0, nref, t, norb, norms);
-}
-
-// ---------------------------------------------------------------------------
-// Real block kernels (the set-up eigensolver's two GEMM shapes)
+// Real block kernels (the set-up solve's and the projector's two GEMM shapes)
 // ---------------------------------------------------------------------------
 
 /// Mesh points per pass of [`real_overlap_with`]: both blocks of a pass stay
@@ -789,149 +588,6 @@ pub fn stencil_lines_with<R: Real>(
 ) {
     // SAFETY: the exclusive borrow covers every element of every line.
     unsafe { stencil_lines_raw(backend, data.as_mut_ptr(), data.len(), set, passes) };
-}
-
-// ---------------------------------------------------------------------------
-// Split-complex packed GEMM
-// ---------------------------------------------------------------------------
-
-/// Microkernel register tile: rows of C per microkernel call at `f64`, one
-/// vector of reals (`f32` takes twice as many; the tile scratch fits those).
-pub const MR: usize = 4;
-/// Microkernel register tile: cols of C per microkernel call.
-pub const NR: usize = 4;
-
-/// Cache tiles of the packed GEMM: rows of the packed A block and
-/// contraction depth per packing pass (A-panel 2 × MC × KC × 8 B = 256 KiB
-/// in `f64`, L2-resident; B sliver L1-resident), and columns per C panel —
-/// also the parallel work-distribution grain.
-const MC: usize = 64;
-const KC: usize = 256;
-const NC: usize = 128;
-
-/// Element of `op(S)` at (r, c) for column-major storage with `rows` rows.
-#[inline(always)]
-fn op_at<R: Real>(s: &[Complex<R>], rows: usize, op: Op, r: usize, c: usize) -> Complex<R> {
-    match op {
-        Op::None => s[c * rows + r],
-        Op::Trans => s[r * rows + c],
-        Op::ConjTrans => s[r * rows + c].conj(),
-    }
-}
-
-/// Pack `w` rows of `op(A)` (or columns of `op(B)`) by `kw` contraction
-/// steps, element `(i, p)` read through `at`, into `tile`-wide split-complex
-/// panels, zero-padding the ragged last one.
-/// Layout: panel `t` (entries `t..t + tile`) occupies `[t*kw ..][p*tile + ii]`.
-#[inline(always)]
-fn pack_splitc<R: Real>(
-    tile: usize,
-    w: usize,
-    kw: usize,
-    at: impl Fn(usize, usize) -> Complex<R>,
-    re: &mut [R],
-    im: &mut [R],
-) {
-    for t in (0..w.next_multiple_of(tile)).step_by(tile) {
-        let base = t * kw; // == (t / tile) * (kw * tile)
-        for p in 0..kw {
-            for ii in 0..tile {
-                let z = if t + ii < w {
-                    at(t + ii, p)
-                } else {
-                    Complex::zero()
-                };
-                re[base + p * tile + ii] = z.re;
-                im[base + p * tile + ii] = z.im;
-            }
-        }
-    }
-}
-
-/// The split-complex packed GEMM `C = alpha * op(A) * op(B) + beta * C` on
-/// raw column-major storage, behind its checked dispatch: `false` (and `C`
-/// untouched) when the backend or CPU has no SIMD path — the caller then
-/// runs its scalar fallback.
-///
-/// Parallelizes over `NC`-column panels of C on the persistent pool (each
-/// panel is a disjoint output slice, and per-panel arithmetic order is
-/// fixed, so results are deterministic for any worker count). Panel scratch
-/// comes from the per-thread aligned arena — no allocation in steady state.
-#[allow(clippy::too_many_arguments)]
-pub fn try_gemm_packed<R: Real>(
-    backend: Backend,
-    alpha: Complex<R>,
-    a: &[Complex<R>],
-    (ar, _ac): (usize, usize),
-    op_a: Op,
-    b: &[Complex<R>],
-    (br, _bc): (usize, usize),
-    op_b: Op,
-    beta: Complex<R>,
-    c: &mut [Complex<R>],
-    (m, _n): (usize, usize),
-    k: usize,
-) -> bool {
-    if !use_avx2(backend) {
-        return false;
-    }
-    #[cfg(target_arch = "x86_64")]
-    pool().for_each_chunks_of_mut(c, m * NC, |panel, cpanel| {
-        let j0 = panel * NC;
-        let ncols = cpanel.len() / m.max(1);
-        if beta != Complex::one() {
-            for z in cpanel.iter_mut() {
-                *z *= beta;
-            }
-        }
-        let np = ncols.next_multiple_of(NR);
-        with_scratch::<R, 6, ()>(
-            [MC * KC, MC * KC, KC * np, KC * np, 2 * MR * NR, 2 * MR * NR],
-            |[are, aim, bre, bim, tre, tim]| {
-                // Rows per microkernel call: the reals of one vector.
-                let mr = 2 * <R::V as lanes::Lanes>::C;
-                for pc in (0..k).step_by(KC) {
-                    let kw = (pc + KC).min(k) - pc;
-                    let b_at = move |j, p| op_at(b, br, op_b, pc + p, j0 + j);
-                    pack_splitc(NR, ncols, kw, b_at, bre, bim);
-                    for ic in (0..m).step_by(MC) {
-                        let mw = (ic + MC).min(m) - ic;
-                        let a_at = move |i, p| op_at(a, ar, op_a, ic + i, pc + p);
-                        pack_splitc(mr, mw, kw, a_at, are, aim);
-                        for jt in (0..ncols).step_by(NR) {
-                            let jw = (ncols - jt).min(NR);
-                            let bre_p = &bre[jt * kw..(jt + NR) * kw];
-                            let bim_p = &bim[jt * kw..(jt + NR) * kw];
-                            for it in (0..mw).step_by(mr) {
-                                let iw = (mw - it).min(mr);
-                                let are_p = &are[it * kw..(it + mr) * kw];
-                                let aim_p = &aim[it * kw..(it + mr) * kw];
-                                // SAFETY: `use_avx2` verified AVX2+FMA at
-                                // function entry; slices are kw*mr / kw*NR
-                                // as the kernel requires.
-                                unsafe {
-                                    avx2::microkernel::<R::V>(
-                                        kw, are_p, aim_p, bre_p, bim_p, tre, tim,
-                                    );
-                                }
-                                for jj in 0..jw {
-                                    let col = &mut cpanel
-                                        [(jt + jj) * m + ic + it..(jt + jj) * m + ic + it + iw];
-                                    for (ii, cv) in col.iter_mut().enumerate() {
-                                        let z = Complex::new(tre[jj * mr + ii], tim[jj * mr + ii]);
-                                        *cv += alpha * z;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            },
-        );
-    });
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = (alpha, a, ar, op_a, b, br, op_b, beta, c, m, k);
-    true
 }
 
 #[cfg(test)]

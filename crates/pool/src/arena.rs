@@ -1,7 +1,7 @@
 //! Per-thread, 64-byte-aligned, reusable scratch arenas.
 //!
-//! The GEMM panel loops and the SIMD microkernels need short-lived packing
-//! buffers on every worker. Allocating a fresh `Vec` per panel closure (the
+//! The GEMM panel loops and the projector's chunk partials need short-lived
+//! scratch buffers on every worker. Allocating a fresh `Vec` per panel closure (the
 //! old pattern) churns the allocator from every pool worker on every panel;
 //! this module keeps one cache-aligned byte arena per thread and hands out
 //! typed sub-slices from it, so a panel claim costs zero allocations after

@@ -219,7 +219,7 @@ impl PairTable {
 
 /// Rows `i` of the pair loop per chunk. The chunking depends on the atom
 /// count alone, so the forces and the energy keep their bits at every pool
-/// size (the rule of `dcmesh_math::simd::PROJ_CHUNK`).
+/// size (the rule of `dcmesh_lfd::nonlocal::PROJ_CHUNK`).
 const PAIR_ROWS: usize = 64;
 
 impl ForceProvider for PerovskiteFF {
