@@ -17,7 +17,7 @@
 //! a stochastic surface hop, an atomic update, and the polarization
 //! response.
 
-use dcmesh_grid::Mesh3;
+use dcmesh_grid::{Mesh3, WfAos};
 use dcmesh_lfd::{BuildKind, LaserPulse, LfdConfig, LfdEngine, Maxwell1d};
 use dcmesh_qxmd::forcefield::SimBox;
 use dcmesh_qxmd::md::{MdConfig, MdIntegrator};
@@ -108,7 +108,8 @@ pub struct DcMeshConfig {
     /// Feed the time-dependent LFD electron density back into the forces
     /// on the ions (Ehrenfest electron-atom coupling, paper Eq. (3)).
     pub ehrenfest_feedback: bool,
-    /// RNG seed.
+    /// RNG seed of domain 0's set-up start block and of the hop stream, and
+    /// nothing else: every later domain starts from its neighbour's states.
     pub seed: u64,
 }
 
@@ -208,8 +209,9 @@ impl Slab {
     }
 }
 
-/// What the set-up eigensolve of one domain reported. Not evolving state:
-/// a restored simulation solves again, and no checkpoint holds it.
+/// What the set-up eigensolve of one domain reported: cold for domain 0,
+/// warm from domain `d - 1`'s converged block for every `d > 0`. Not evolving
+/// state: a restored simulation solves again, and no checkpoint holds it.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SetupSolve {
     /// Outer iterations taken (the cap is 200).
@@ -321,6 +323,7 @@ impl DcMeshSim {
         let spacing = slab_len / cfg.domain_mesh_points as f64;
         let mut engines = Vec::with_capacity(cfg.domains_x);
         let mut setup_solves = Vec::with_capacity(cfg.domains_x);
+        let mut warm: Option<WfAos<f64>> = None;
         for d in 0..cfg.domains_x {
             let center = (d as f64 + 0.5) * slab_len;
             let mut slab = Slab {
@@ -352,19 +355,19 @@ impl DcMeshSim {
             // only caps the iterations), so the dark dynamics is stationary
             // (the reference basis of the shadow nonlocal correction must be
             // adiabatic states): `excited_population` stays below 1e-12.
-            let h = dcmesh_tddft::Hamiltonian::with_potential(mesh, v_loc);
-            let eig = dcmesh_tddft::eigensolver::lowest_states(
-                &h,
-                cfg.norb,
-                200,
-                cfg.seed.wrapping_add(d as u64),
-            );
+            // One cold solve: domain 0 starts from a seeded random block; each
+            // later one refines its neighbour's converged block in place
+            // (translated slabs share a potential to rounding), then copies it.
+            let h = dcmesh_tddft::Hamiltonian::with_potential(mesh.clone(), v_loc);
+            let eig = match warm.as_mut() {
+                None => dcmesh_tddft::eigensolver::lowest_states(&h, cfg.norb, 200, cfg.seed),
+                Some(x) => dcmesh_tddft::eigensolver::refine_states(&h, x, 200),
+            };
             setup_solves.push(SetupSolve::from(&eig));
-            engines.push(LfdEngine::with_initial_state(
-                lfd_cfg,
-                h.v_loc,
-                eig.orbitals,
-            ));
+            let mut init = WfAos::zeros(mesh, cfg.norb);
+            init.data_mut()
+                .copy_from_slice(warm.get_or_insert(eig.orbitals).data());
+            engines.push(LfdEngine::with_initial_state(lfd_cfg, h.v_loc, init));
         }
 
         let fssh = (0..cfg.domains_x)
@@ -698,7 +701,8 @@ pub(crate) mod tests {
     fn a_poisoned_set_up_solve_is_not_converged() {
         let sim = DcMeshSim::new(quick_cfg());
         assert!(sim.setup_solves().iter().all(|s| s.converged()));
-        assert!(sim.setup_solves().iter().all(|s| s.iterations > 0));
+        // Domain 0's cold solve iterates; the warm domains may not need to.
+        assert!(sim.setup_solves()[0].iterations > 0);
         // One NaN in `v_loc` and every residual is non-finite: the summary
         // keeps the NaN, which no `f64::max` fold would.
         let mut h = sim.domain_hamiltonian(0);

@@ -6,9 +6,9 @@
 //! `scripts/check.sh gates` runs this file in release mode and prints its
 //! `eig <shape>: ...` lines.
 
-use dcmesh_core::{DcMeshConfig, DcMeshSim, ResilientRunner};
+use dcmesh_core::{DcMeshConfig, DcMeshSim, ResilientRunner, SetupSolve};
 use dcmesh_lfd::{BuildKind, LaserPulse};
-use dcmesh_tddft::eigensolver::{lowest_states, EigenResult, TOLERANCE};
+use dcmesh_tddft::eigensolver::{lowest_states, refine_states, EigenResult, TOLERANCE};
 use dcmesh_tddft::Hamiltonian;
 
 /// The Hamiltonian `DcMeshSim::new` solves for domain 0 of a supercell cut
@@ -140,24 +140,82 @@ fn benchmark_shapes_set_up_without_a_warning() {
     // `serve_burst`'s, `traj_coupled`'s and `traj_lfd`'s simulations: every
     // domain's solve converges, so the runner has nothing to say at step 0.
     let shapes = [
-        DcMeshConfig::default(),
-        DcMeshConfig {
-            supercell_dims: [8, 4, 4],
-            domains_x: 4,
-            ..DcMeshConfig::default()
-        },
-        DcMeshConfig {
-            domain_mesh_points: 16,
-            norb: 16,
-            lumo: 8,
-            ..DcMeshConfig::default()
-        },
+        ("8^3 x 4, default cell", shape([4, 2, 2], 2, 8, 4, None)),
+        ("8^3 x 4, [8,4,4] cell", shape([8, 4, 4], 4, 8, 4, None)),
+        ("16^3 x 16, default cell", shape([4, 2, 2], 2, 16, 16, None)),
     ];
-    for cfg in shapes {
+    for (name, cfg) in shapes {
         let runner = ResilientRunner::new(cfg, 1);
         assert!(runner.events().is_empty(), "{:?}", runner.events());
         let solves = runner.sim().setup_solves();
+        // `check.sh gates` prints these lines: a warm start that stops
+        // paying shows as a count.
+        let counts = |f: fn(&SetupSolve) -> usize| solves.iter().map(f).collect::<Vec<_>>();
+        println!(
+            "setup {name}: iterations {:?} h_applications {:?}",
+            counts(|s| s.iterations),
+            counts(|s| s.h_applications)
+        );
         assert!(solves.iter().all(|s| s.converged() && s.iterations < 120));
+        // Translated slabs: each warm domain starts converged, to rounding.
+        assert!(solves[1..].iter().all(|s| s.iterations <= 1), "{solves:?}");
+    }
+}
+
+/// A `DcMeshConfig` for `(supercell, domains, mesh points, orbitals)` with
+/// a flux-closure vortex of `vortex` Bohr.
+fn shape(
+    dims: [usize; 3],
+    domains_x: usize,
+    points: usize,
+    norb: usize,
+    vortex: Option<f64>,
+) -> DcMeshConfig {
+    DcMeshConfig {
+        supercell_dims: dims,
+        domains_x,
+        domain_mesh_points: points,
+        norb,
+        lumo: norb / 2,
+        flux_closure_amplitude: vortex,
+        ..DcMeshConfig::default()
+    }
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "a minute in a debug build; check.sh gates runs it in release"
+)]
+fn warm_domains_take_few_iterations_and_match_a_cold_solve() {
+    // Translated slabs (≤ 1 iteration each), then cells a 0.3 Bohr vortex makes
+    // differ: `[8,4,4]`, fig7_flux_closure's and a simulation unit test's.
+    let shapes = [
+        (shape([4, 2, 2], 2, 8, 4, None), 1),
+        (shape([4, 2, 2], 2, 16, 16, None), 1),
+        (shape([8, 4, 4], 4, 8, 4, Some(0.3)), 8),
+        (shape([8, 1, 8], 2, 8, 4, Some(0.3)), 8),
+        (shape([6, 1, 6], 2, 8, 4, Some(0.3)), 8),
+    ];
+    for (cfg, most) in shapes {
+        let sim = DcMeshSim::new(cfg.clone());
+        for (d, solve) in sim.setup_solves().iter().enumerate().skip(1) {
+            let h = sim.domain_hamiltonian(d);
+            let what = format!("{:?} / {}, domain {d}", cfg.supercell_dims, cfg.domains_x);
+            assert!(
+                solve.converged() && solve.iterations <= most,
+                "{what}: {solve:?}"
+            );
+            // The engine's seed states, read back: their Ritz values.
+            let warm = refine_states(&h, &mut sim.engine(d).state_aos(), 0).values;
+            let cold = lowest_states(&h, cfg.norb, 200, cfg.seed).values;
+            let worst = (warm.iter().zip(&cold)).fold(0.0, |a: f64, (w, c)| a.max((w - c).abs()));
+            println!(
+                "warm {what}: {} iterations, values within {worst:.1e} Ha of a cold solve",
+                solve.iterations
+            );
+            assert!(worst < 1e-5, "{what}: {warm:?} vs {cold:?}");
+        }
     }
 }
 

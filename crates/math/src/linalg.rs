@@ -1,6 +1,6 @@
 //! Vector kernels, Gram–Schmidt orthonormalization, and the dense pieces of
 //! the set-up eigensolver: a real symmetric Jacobi solver, Cholesky and the
-//! triangular solve that orthonormalises a block.
+//! inverse of its factor that orthonormalises a block.
 //!
 //! These back the QXMD substrate's Rayleigh–Ritz subspace diagonalization
 //! (local Kohn–Sham solves per DC domain, whose Hamiltonian is real
@@ -293,18 +293,23 @@ pub fn cholesky<R: Real>(n: usize, a: &mut [R]) -> bool {
     true
 }
 
-/// `w <- w L^{-T}` for every length-`n` row `w` of `rows` (a point-major
-/// block), `l` being a [`cholesky`] factor: with `l` from the Gram matrix
-/// `sum_p w_p[i] w_p[j]` of the rows, the columns come out orthonormal.
-pub fn solve_rows_lower_transposed<R: Real>(n: usize, l: &[R], rows: &mut [R]) {
-    assert_eq!(l.len(), n * n);
-    for w in rows.chunks_exact_mut(n.max(1)) {
-        for j in 0..n {
-            let mut acc = w[j];
-            for c in 0..j {
-                acc -= w[c] * l[j + n * c];
+/// Invert a [`cholesky`] factor in place: `a` becomes `L^{-1}`, lower
+/// triangular with its strict upper triangle zeroed. Read row-major it is
+/// `L^{-T}`, the update coefficients that orthonormalise the rows `w` of a
+/// point-major block whose Gram matrix `sum_p w_p[i] w_p[j]` was factored.
+pub fn invert_lower<R: Real>(n: usize, a: &mut [R]) {
+    assert_eq!(a.len(), n * n);
+    // Column j of L^{-1} from the top down: entry i reads row i of L in
+    // columns j..i, where only column j has been overwritten yet.
+    for j in 0..n {
+        a[n * j..n * j + j].fill(R::ZERO);
+        a[j + n * j] = R::ONE / a[j + n * j];
+        for i in j + 1..n {
+            let mut acc = a[i + n * j] * a[j + n * j];
+            for k in j + 1..i {
+                acc += a[i + n * k] * a[k + n * j];
             }
-            w[j] = acc / l[j + n * j];
+            a[i + n * j] = -acc / a[i + n * i];
         }
     }
 }
@@ -513,7 +518,7 @@ mod tests {
     }
 
     #[test]
-    fn cholesky_factors_a_gram_matrix_and_the_row_solve_orthonormalises() {
+    fn cholesky_factors_a_gram_matrix_and_its_inverse_orthonormalises() {
         let mut rng = StdRng::seed_from_u64(46);
         let (npts, n) = (40, 5);
         // Point-major block: row p holds the n column values of point p.
@@ -532,7 +537,14 @@ mod tests {
                 assert!((llt - g[i + n * j]).abs() < 1e-12, "({i},{j})");
             }
         }
-        solve_rows_lower_transposed(n, &l, &mut rows);
+        invert_lower(n, &mut l);
+        // Read row-major, the inverse is L^{-T}: rows <- rows L^{-T}.
+        for w in rows.chunks_exact_mut(n) {
+            let old = w.to_vec();
+            for (j, z) in w.iter_mut().enumerate() {
+                *z = (0..n).map(|k| old[k] * l[k * n + j]).sum();
+            }
+        }
         for (at, got) in gram(&rows).iter().enumerate() {
             let want = f64::from(u8::from(at % n == at / n));
             assert!((got - want).abs() < 1e-12, "entry {at}");

@@ -15,7 +15,8 @@
 //!    active set (never `X`), and when none is left the solve ends;
 //! 2. `W = T R` on the active columns — `T` the inverse of `H`'s diagonal
 //!    shifted by the column's Ritz value — projected off `[X, P]` and
-//!    Cholesky-orthonormalised; the iteration's one application of `H`;
+//!    Cholesky-orthonormalised, `W <- W L^{-T}` on the update kernel
+//!    `simd::real_update_with`; the iteration's one application of `H`;
 //! 3. Rayleigh–Ritz on the orthonormal basis `S = [X, W, P]`, at most
 //!    `3 Norb` wide (Jacobi [`linalg::eigh_in_place`] of `S^T H S`);
 //! 4. `X <- S C`, `P <- S Z` in place, `HX`, `HP` by the same combinations;
@@ -31,7 +32,7 @@
 //! SCF cycle": `iters` caps the outer iterations, the tolerance ends them.
 
 use dcmesh_grid::{Mesh3, WfAos};
-use dcmesh_math::simd::{active_backend, real_overlap_with, real_update_with};
+use dcmesh_math::simd::{active_backend, real_overlap_with, real_update_with, Backend};
 use dcmesh_math::{linalg, C64};
 use rand::rngs::SplitMix64;
 use rand::{Rng, SeedableRng};
@@ -73,21 +74,6 @@ pub struct EigenResult {
     pub h_applications: usize,
 }
 
-/// Apply `h` to every column of `x`, producing `hx` (both `Ngrid x Norb`).
-pub fn apply_block(h: &Hamiltonian, x: &WfAos<f64>, include_nl: bool) -> WfAos<f64> {
-    let mut hx = WfAos::zeros(x.mesh().clone(), x.norb());
-    for n in 0..x.norb() {
-        h.apply(x.orbital(n), hx.orbital_mut(n), include_nl);
-    }
-    hx
-}
-
-/// Rayleigh–Ritz within the span of `x`: rotates `x` to diagonalize the
-/// subspace Hamiltonian and returns the eigenvalue estimates.
-pub fn rayleigh_ritz(h: &Hamiltonian, x: &mut WfAos<f64>, include_nl: bool) -> Vec<f64> {
-    solve(h, x, 0, include_nl).values
-}
-
 /// Find the lowest `norb` eigenpairs of `h` to [`TOLERANCE`], in at most
 /// `iters` outer iterations, starting from a seeded random block.
 pub fn lowest_states(h: &Hamiltonian, norb: usize, iters: usize, seed: u64) -> EigenResult {
@@ -101,38 +87,36 @@ pub fn lowest_states(h: &Hamiltonian, norb: usize, iters: usize, seed: u64) -> E
     for z in x.data_mut() {
         z.re += rng.gen_range(-amp..amp);
     }
-    let res = solve(h, &mut x, iters, true);
+    let res = solve(h, &mut x, iters);
     EigenResult { orbitals: x, ..res }
 }
 
-/// Refine an existing orbital block in place (used by SCF restarts, where
-/// the previous cycle's orbitals seed the next — the paper's "3 CG
-/// iterations per SCF cycle"): a converged block returns in 0 iterations.
-/// The refined orbitals are `x`; the result's `orbitals` is empty.
+/// Refine an existing block in place (an SCF cycle from the last one's
+/// orbitals, the paper's "3 CG iterations per SCF cycle"; a set-up domain
+/// from its neighbour's): a converged block returns in 0 iterations. The
+/// refined orbitals are `x`; the result's `orbitals` is empty.
 pub fn refine_states(h: &Hamiltonian, x: &mut WfAos<f64>, iters: usize) -> EigenResult {
-    solve(h, x, iters, true)
-}
-
-/// `out[i * nr + c] = alpha * (L^T R)[i][c]` for point-major blocks `l`
-/// (`nl` columns) and `r` (`nr` columns).
-fn overlap(alpha: f64, l: &[f64], nl: usize, r: &[f64], nr: usize, out: &mut [f64]) {
-    real_overlap_with(active_backend(), alpha, l, (nl, nr), r, out);
+    solve(h, x, iters)
 }
 
 /// Project the point-major block `t` (`nt` columns, inner-product weight
 /// `wt`) off the orthonormal blocks in `against`, then orthonormalise its
-/// columns by Cholesky, once more if the first pass lost digits. `false`
-/// for dependent or non-finite columns. Scratch: `gram` `Norb^2`, `before` `Norb`.
+/// columns by Cholesky, once more if the first pass lost digits: `t <- t
+/// L^{-T}` on the update kernel, as many points at a time as the `panel`
+/// holds. `false` for dependent or non-finite columns. Scratch: `gram`
+/// `Norb^2`, `panel` at least `Norb`; its head holds the column norms until
+/// the update overwrites them.
 fn orthonormalise(
+    backend: Backend,
     t: &mut [f64],
     nt: usize,
     against: &[(&[f64], usize)],
     wt: f64,
     gram: &mut [f64],
-    before: &mut [f64],
+    panel: &mut [f64],
 ) -> bool {
-    let before = &mut before[..nt];
     for _pass in 0..2 {
+        let before = &mut panel[..nt];
         before.fill(0.0);
         for row in t.chunks_exact(nt.max(1)) {
             for (acc, z) in before.iter_mut().zip(row) {
@@ -141,17 +125,24 @@ fn orthonormalise(
         }
         for &(b, nb) in against {
             let coeff = &mut gram[..nt * nb];
-            overlap(-wt, b, nb, t, nt, coeff);
-            real_update_with(active_backend(), coeff, b, (nb, nt), t);
+            real_overlap_with(backend, -wt, b, (nb, nt), t, coeff);
+            real_update_with(backend, coeff, b, (nb, nt), t);
         }
         let l = &mut gram[..nt * nt];
-        overlap(wt, t, nt, t, nt, l);
+        real_overlap_with(backend, wt, t, (nt, nt), t, l);
         let keeps = |l: &[f64], share| (0..nt).all(|j| l[j + nt * j].powi(2) >= share * before[j]);
         if !linalg::cholesky(nt, l) || !keeps(l, KEPT_SHARE.1) {
             return false;
         }
-        linalg::solve_rows_lower_transposed(nt, l, t);
-        if keeps(l, KEPT_SHARE.0) {
+        let accurate = keeps(l, KEPT_SHARE.0);
+        linalg::invert_lower(nt, l);
+        for tq in t.chunks_mut(panel.len() / nt.max(1) * nt.max(1)) {
+            let out = &mut panel[..tq.len()];
+            out.fill(0.0);
+            real_update_with(backend, l, tq, (nt, nt), out);
+            tq.copy_from_slice(out);
+        }
+        if accurate {
             break;
         }
     }
@@ -164,6 +155,7 @@ fn orthonormalise(
 /// wide. The new `P` lands behind the panels still to be read: `na <= np` or
 /// `np == 0`.
 fn recombine(
+    backend: Backend,
     x: &mut [f64],
     w: &[f64],
     p: &mut [f64],
@@ -171,7 +163,6 @@ fn recombine(
     (ct, zt): (&[f64], &[f64]),
     panel: &mut [f64],
 ) {
-    let backend = active_backend();
     let points = panel.len() / (2 * n);
     for (q, xq) in x.chunks_mut(points * n).enumerate() {
         let (p0, len) = (q * points, xq.len() / n);
@@ -195,8 +186,9 @@ fn recombine(
 
 /// The solver behind every public entry: refines the real part of the block
 /// `xin` in place; [`lowest_states`] fills in the result's `orbitals`.
-fn solve(h: &Hamiltonian, xin: &mut WfAos<f64>, iters: usize, include_nl: bool) -> EigenResult {
+fn solve(h: &Hamiltonian, xin: &mut WfAos<f64>, iters: usize) -> EigenResult {
     let (g, n, dv) = (xin.mesh().len(), xin.norb(), xin.mesh().dv());
+    let backend = active_backend();
     let (mut theta, mut res) = (vec![f64::NAN; 3 * n], vec![f64::NAN; n]);
     let (mut nw, mut np, mut iterations, mut h_applications) = (0, 0, 0, 0);
     let orbitals = WfAos::zeros(xin.mesh().clone(), 0);
@@ -212,7 +204,7 @@ fn solve(h: &Hamiltonian, xin: &mut WfAos<f64>, iters: usize, include_nl: bool) 
             x[pt * n + j] = z.re;
         }
     }
-    let (mut gram, mut before) = (vec![0.0; n * n], vec![0.0; n]);
+    let mut gram = vec![0.0; n * n];
     let mut panel = vec![0.0; PANEL.max(2 * n)];
     let mut a = vec![0.0; 9 * n * n];
     let mut v = vec![0.0; 9 * n * n];
@@ -220,14 +212,14 @@ fn solve(h: &Hamiltonian, xin: &mut WfAos<f64>, iters: usize, include_nl: bool) 
     let mut zt = vec![0.0; 3 * n * n];
     let mut active: Vec<usize> = Vec::with_capacity(n);
     let diag = h.diagonal();
-    let started = n > 0 && orthonormalise(x, n, &[], dv, &mut gram, &mut before);
+    let started = n > 0 && orthonormalise(backend, x, n, &[], dv, &mut gram, &mut panel);
     'solve: for it in (0..=iters).take_while(|_| started) {
         iterations = it;
         let m = n + nw + np;
         let refresh = it % REFRESH_PERIOD == 0;
         if refresh {
-            h.apply(x, hx, include_nl);
-            h.apply(&p[..g * np], &mut hp[..g * np], include_nl);
+            h.apply(x, hx, true);
+            h.apply(&p[..g * np], &mut hp[..g * np], true);
             h_applications += n + np;
         }
         let (wk, hwk, pk, hpk) = (&w[..g * nw], &hw[..g * nw], &p[..g * np], &hp[..g * np]);
@@ -237,7 +229,7 @@ fn solve(h: &Hamiltonian, xin: &mut WfAos<f64>, iters: usize, include_nl: bool) 
         a.fill(0.0);
         let mut block = |l: &[f64], nl: usize, at_l: usize, r: &[f64], nr: usize, at_r: usize| {
             let out = &mut gram[..nl * nr];
-            overlap(dv, l, nl, r, nr, out);
+            real_overlap_with(backend, dv, l, (nl, nr), r, out);
             for (i, row) in out.chunks_exact(nr.max(1)).enumerate() {
                 for (c, z) in row.iter().enumerate() {
                     a[(at_l + i) + m * (at_r + c)] = *z;
@@ -269,12 +261,12 @@ fn solve(h: &Hamiltonian, xin: &mut WfAos<f64>, iters: usize, include_nl: bool) 
             }
         }
         let (z, c) = (&mut zt[..na * m], [(&ct[..n * m], n)]);
-        if !orthonormalise(z, na, &c, 1.0, &mut gram, &mut before) {
+        if !orthonormalise(backend, z, na, &c, 1.0, &mut gram, &mut panel) {
             na = 0;
         }
         let widths = (n, nw, np, na);
-        recombine(x, &w[..g * nw], p, widths, (&ct, &zt), &mut panel);
-        recombine(hx, &hw[..g * nw], hp, widths, (&ct, &zt), &mut panel);
+        recombine(backend, x, w, p, widths, (&ct, &zt), &mut panel);
+        recombine(backend, hx, hw, hp, widths, (&ct, &zt), &mut panel);
         np = na;
 
         res.fill(0.0);
@@ -306,13 +298,13 @@ fn solve(h: &Hamiltonian, xin: &mut WfAos<f64>, iters: usize, include_nl: bool) 
                 }
             }
             let basis = [(&*x, n), (&p[..g * np], np)];
-            if orthonormalise(wk, nw, &basis, dv, &mut gram, &mut before) {
+            if orthonormalise(backend, wk, nw, &basis, dv, &mut gram, &mut panel) {
                 break;
             } else if std::mem::take(&mut np) == 0 {
                 break 'solve;
             }
         }
-        h.apply(wk, &mut hw[..g * nw], include_nl);
+        h.apply(wk, &mut hw[..g * nw], true);
         h_applications += nw;
     }
     for (j, orbital) in xin.data_mut().chunks_exact_mut(g.max(1)).enumerate() {
@@ -343,7 +335,7 @@ pub fn homo_lumo(values: &[f64], nocc: usize) -> (f64, f64) {
 
 /// Analytic eigenvalues of the Dirichlet finite-difference particle-in-a-box
 /// along one axis: `lambda_k = (1 - cos(k pi / (n+1))) / (m dx^2)`,
-/// `k = 1..n`. Used by tests and by benchmark sanity checks.
+/// `k = 1..n`: the analytic oracle of the particle-in-a-box tests.
 pub fn fd_box_eigenvalue(k: usize, n: usize, dx: f64, mass: f64) -> f64 {
     (1.0 - (k as f64 * std::f64::consts::PI / (n as f64 + 1.0)).cos()) / (mass * dx * dx)
 }
@@ -446,6 +438,15 @@ mod tests {
         let e_nl = lowest_states(&h_nl, 2, 150, 13).values[0];
         let e_loc = lowest_states(&h_loc, 2, 150, 13).values[0];
         assert!(e_nl < e_loc, "nl {e_nl} loc {e_loc}");
+    }
+
+    /// Apply `h` to every column of `x`, producing `hx` (both `Ngrid x Norb`).
+    fn apply_block(h: &Hamiltonian, x: &WfAos<f64>, include_nl: bool) -> WfAos<f64> {
+        let mut hx = WfAos::zeros(x.mesh().clone(), x.norb());
+        for n in 0..x.norb() {
+            h.apply(x.orbital(n), hx.orbital_mut(n), include_nl);
+        }
+        hx
     }
 
     use crate::hamiltonian::tests::{dense_spectrum, small_atom_hamiltonian};
@@ -593,16 +594,17 @@ mod tests {
     #[test]
     fn zero_iterations_is_the_rayleigh_ritz_of_the_start_block() {
         let h = small_atom_hamiltonian(6);
-        let mut start = WfAos::zeros(h.mesh().clone(), 3);
-        start.randomize(4);
-        let (mut x, mut y) = (start.clone(), start);
+        let mut x = WfAos::zeros(h.mesh().clone(), 3);
+        x.randomize(4);
         let res = refine_states(&h, &mut x, 0);
         assert_eq!((res.iterations, res.h_applications), (0, 3));
-        assert_eq!(res.values, rayleigh_ritz(&h, &mut y, true));
         assert!(res.values.windows(2).all(|w| w[0] <= w[1]));
-        // The residuals are those of the rotated block, and far from converged.
+        // The values are the rotated block's Rayleigh quotients, the
+        // residuals its residuals, and far from converged.
         let hx = apply_block(&h, &x, true);
         for n in 0..3 {
+            let quotient = linalg::dotc(x.orbital(n), hx.orbital(n)).re * h.mesh().dv();
+            assert!((res.values[n] - quotient).abs() < 1e-10 * quotient.abs());
             let r2: f64 = (x.orbital(n).iter().zip(hx.orbital(n)))
                 .map(|(xc, hc)| (*hc - xc.scale(res.values[n])).norm_sqr())
                 .sum();
@@ -690,8 +692,10 @@ mod tests {
         // In `solve` a refusal of the coefficient block Z (reachable only
         // with non-finite data: Z always has room) continues as the refusal
         // of W against [X, P] does, with P dropped.
-        let (mut gram, mut before) = (vec![0.0; 4], vec![0.0; 2]);
-        let mut refuses = |t: &mut [f64]| !orthonormalise(t, 2, &[], 1.0, &mut gram, &mut before);
+        let (mut gram, mut panel) = (vec![0.0; 4], vec![0.0; 4]);
+        let mut refuses = |t: &mut [f64]| {
+            !orthonormalise(active_backend(), t, 2, &[], 1.0, &mut gram, &mut panel)
+        };
         let column = [1.0, -2.0, 0.5, 3.0, 1.5];
         let mut independent: Vec<f64> = (column.iter().enumerate())
             .flat_map(|(p, &c)| [c, p as f64])
@@ -701,6 +705,33 @@ mod tests {
         assert!(refuses(&mut dependent));
         independent[4] = f64::NAN;
         assert!(refuses(&mut independent));
+    }
+
+    #[test]
+    fn orthonormalise_leaves_orthonormal_columns_at_every_width_and_panel_cut() {
+        // Point counts around the tile kernel's 128-point blocks and a
+        // 4096-real panel cut into ragged chunks; widths past a 16-orbital
+        // block. Fewer points than columns cannot be orthonormal: refused.
+        let (wt, mut rng) = (0.125, SplitMix64::seed_from_u64(5));
+        for backend in [Backend::Scalar, Backend::Avx2] {
+            for nt in 1..=17 {
+                let (mut gram, mut panel) = (vec![0.0; nt * nt], vec![0.0; PANEL]);
+                for points in [1, 127, 128, 129, 512, 4096] {
+                    let mut t: Vec<f64> =
+                        (0..points * nt).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                    let done = orthonormalise(backend, &mut t, nt, &[], wt, &mut gram, &mut panel);
+                    assert_eq!(done, points >= nt, "{backend:?}: {nt} x {points}");
+                    for (i, j) in (0..nt * nt).map(|at| (at % nt, at / nt)).filter(|_| done) {
+                        let dot: f64 = t.chunks_exact(nt).map(|row| row[i] * row[j] * wt).sum();
+                        let want = f64::from(u8::from(i == j));
+                        assert!(
+                            (dot - want).abs() < 1e-12,
+                            "{backend:?}: {nt} x {points}, ({i},{j})"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
