@@ -1,10 +1,11 @@
-//! Criterion microbenchmarks of the SIMD layer under the scalar vs AVX2
-//! backend: the nonlocal projector's step and overlap (real x complex on the
+//! Criterion microbenchmarks of the SIMD layer under the scalar, AVX2 and
+//! AVX-512 backends: the nonlocal projector's step and overlap (real x complex on the
 //! real block kernels) at the benchmark workloads' shapes, the real block
 //! kernels at the set-up eigensolver's shapes, and the kinetic stencil: the
 //! pair kernels on one L1-resident run, one directional step, each axis's
 //! merged sweep and the whole step. The projector, pair and sweep rows run in
-//! both precisions (`dp` = f64 x 4 lanes, `sp` = f32 x 8).
+//! both precisions (`dp` = f64 x 4 lanes at AVX2 and x 8 at AVX-512, `sp` =
+//! f32 x 8 and x 16).
 //!
 //! Backend selection uses the process-global override; criterion runs the
 //! benchmark functions serially, so flipping it between groups is safe.
@@ -14,12 +15,12 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use dcmesh_grid::{Mesh3, WfAos};
 use dcmesh_lfd::kinetic::{Axis, KineticPropagator, StepFraction};
 use dcmesh_lfd::nonlocal::NonlocalCorrection;
-use dcmesh_math::simd::{self, Backend};
+use dcmesh_math::simd::{self, Backend, Backend::*};
 use dcmesh_math::{Complex, Real, C64};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-const BACKENDS: [(Backend, &str); 2] = [(Backend::Scalar, "scalar"), (Backend::Avx2, "avx2")];
+const BACKENDS: [(Backend, &str); 3] = [(Scalar, "scalar"), (Avx2, "avx2"), (Avx512, "avx512")];
 
 fn random_vec<R: Real>(rng: &mut StdRng, n: usize) -> Vec<Complex<R>> {
     let mut unit = || R::from_f64(rng.gen_range(-1.0..1.0));
@@ -151,7 +152,7 @@ fn bench_simd_pair_kernels(c: &mut Criterion) {
 }
 
 /// Each axis's share of a whole step (five merged passes for X and Y, three
-/// for Z) and the whole step, both backends — the work one QD step
+/// for Z) and the whole step, every backend — the work one QD step
 /// performs. Per pass: divide by 5, 5, 3 and 13.
 fn bench_simd_step_sweeps<R: Real>(group: &mut criterion::BenchmarkGroup, mesh: &Mesh3) {
     let norb = 16;

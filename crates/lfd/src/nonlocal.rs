@@ -941,7 +941,7 @@ mod tests {
         (24, 24, 24),
     ];
 
-    /// The SoA entry points on both backends against [`triple_loops`] over
+    /// The SoA entry points on every backend against [`triple_loops`] over
     /// [`GRID_MESHES`], ragged and vector-wide orbital counts and the LUMO
     /// at the first, a third and the last orbital; the largest difference.
     ///
@@ -968,7 +968,7 @@ mod tests {
                     let dv = R::from_f64(mesh.dv());
                     let nl = NonlocalCorrection::new(reference.clone(), lumo, delta, dt, dv);
                     let want = triple_loops(&nl, &state);
-                    for backend in [Backend::Scalar, Backend::Avx2] {
+                    for backend in [Backend::Scalar, Backend::Avx2, Backend::Avx512] {
                         let d = max_diff(&soa_outputs(&nl, backend, &state), &want);
                         let tag = format!("{nx}x{ny}x{nz} x {norb}, lumo {lumo}, {backend:?}");
                         assert!(d < tol, "{tag}: {d:e}");

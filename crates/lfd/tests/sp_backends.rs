@@ -1,7 +1,8 @@
-//! The single-precision engine on the AVX2 lanes and on the forced-scalar
-//! path: the `lfd_sp` benchmark shape scaled to 12^3 x 16, three MD steps.
-//! Both hold the norm, agree with each other at f32 rounding, and agree
-//! with the double-precision engine at f32 accuracy.
+//! The single-precision engine on the AVX2 lanes, the AVX-512 lanes and the
+//! forced-scalar path: the `lfd_sp` benchmark shape scaled to 12^3 x 16,
+//! three MD steps. The two lane widths give the same bits; the vector and
+//! the scalar path hold the norm, agree with each other at f32 rounding, and
+//! agree with the double-precision engine at f32 accuracy.
 //!
 //! One test in this file: `simd::set_backend` is process-global.
 
@@ -40,9 +41,12 @@ fn three_steps<R: Real>(backend: Backend) -> (f64, f64) {
 #[test]
 fn f32_engine_agrees_across_backends_and_with_f64() {
     let (norm_v, excited_v) = three_steps::<f32>(Backend::Avx2);
+    let wide = three_steps::<f32>(Backend::Avx512);
     let (norm_s, excited_s) = three_steps::<f32>(Backend::Scalar);
     let (_, excited_dp) = three_steps::<f64>(Backend::Avx2);
     simd::clear_backend_override();
+    // Without AVX-512F the wide request runs the AVX2 lanes: equal anyway.
+    assert_eq!(wide, (norm_v, excited_v), "avx512 against avx2");
     assert!(
         norm_v < 1e-5 && norm_s < 1e-5,
         "norm error: avx2 {norm_v:.3e}, scalar {norm_s:.3e}"

@@ -18,7 +18,7 @@
 //!   at the heart of the space-splitting kinetic propagator (ref. [28]).
 //! * [`linalg`] — vector kernels, Gram–Schmidt, and a complex Hermitian
 //!   Jacobi eigensolver for Rayleigh–Ritz subspace diagonalization.
-//! * [`simd`] — AVX2+FMA kernels with runtime dispatch (`DCMESH_SIMD`):
+//! * [`simd`] — 512- and 256-bit lane kernels with runtime dispatch (`DCMESH_SIMD`):
 //!   pointwise and line kernels on interleaved complex lanes, and the real
 //!   block kernels of the set-up solve and the nonlocal projector.
 //! * [`phys`] — Hartree atomic-unit constants and conversions.

@@ -1,34 +1,41 @@
 //! The lane trait the kernels of [`super::avx2`] are written over, and its
-//! two implementations: `__m256d` (two `Complex<f64>`) and `__m256` (four
-//! `Complex<f32>`). A kernel body sees interleaved complex values `[re, im,
-//! re, im, ..]` and these few operations on them; which vector it runs in
-//! follows from the element type ([`super::Vectorized::V`]).
+//! four implementations: `__m256d` and `__m512d` (two and four
+//! `Complex<f64>`), `__m256` and `__m512` (four and eight `Complex<f32>`). A
+//! kernel body sees interleaved complex values `[re, im, re, im, ..]` and
+//! these few operations on them; which vector it runs in follows from the
+//! element type and the width of its entry point ([`super::Vectorized`]).
 //!
 //! What an implementation guarantees: every arithmetic operation is
 //! **lane-local** (output lane `i` depends on lane `i` of the inputs alone
 //! and rounds as the scalar IEEE operation does, FMAs with one rounding), and
 //! the shuffles move values without touching them. An element therefore
 //! rounds alike wherever it sits in a run, in a full vector or in the ragged
-//! last one.
+//! last one — and at either width: no body reduces across lanes, so the
+//! 512-bit instantiation of a body gives the 256-bit one's bits.
 
 use core::arch::x86_64::{
-    __m256, __m256d, __m256i, _mm256_fmadd_pd, _mm256_fmadd_ps, _mm256_loadu_pd, _mm256_loadu_ps,
-    _mm256_loadu_si256, _mm256_maskload_pd, _mm256_maskload_ps, _mm256_maskstore_pd,
-    _mm256_maskstore_ps, _mm256_movedup_pd, _mm256_movehdup_ps, _mm256_moveldup_ps, _mm256_mul_pd,
-    _mm256_mul_ps, _mm256_permute_pd, _mm256_permute_ps, _mm256_setr_pd, _mm256_setr_ps,
-    _mm256_storeu_pd, _mm256_storeu_ps,
+    __m256, __m256d, __m256i, __m512, __m512d, __mmask16, __mmask8, _mm256_fmadd_pd,
+    _mm256_fmadd_ps, _mm256_loadu_pd, _mm256_loadu_ps, _mm256_loadu_si256, _mm256_maskload_pd,
+    _mm256_maskload_ps, _mm256_maskstore_pd, _mm256_maskstore_ps, _mm256_movedup_pd,
+    _mm256_movehdup_ps, _mm256_moveldup_ps, _mm256_mul_pd, _mm256_mul_ps, _mm256_permute_pd,
+    _mm256_permute_ps, _mm256_setr_pd, _mm256_setr_ps, _mm256_storeu_pd, _mm256_storeu_ps,
+    _mm512_fmadd_pd, _mm512_fmadd_ps, _mm512_loadu_pd, _mm512_loadu_ps, _mm512_mask_storeu_pd,
+    _mm512_mask_storeu_ps, _mm512_maskz_loadu_pd, _mm512_maskz_loadu_ps, _mm512_movedup_pd,
+    _mm512_movehdup_ps, _mm512_moveldup_ps, _mm512_mul_pd, _mm512_mul_ps, _mm512_permute_pd,
+    _mm512_permute_ps, _mm512_setr4_pd, _mm512_setr4_ps, _mm512_storeu_pd, _mm512_storeu_ps,
 };
 
 use crate::real::Real;
 
 /// One vector of interleaved complex values.
 ///
-/// Every method executes AVX2 / FMA instructions, so like the safe
-/// `std::arch` intrinsics it may only be called from a function that enables
-/// those features (and is `#[inline(always)]`, to compile into it: a safe
-/// trait method cannot carry `#[target_feature]`). The trait cannot be named
-/// outside `simd`, where its callers are the kernels behind the dispatch;
-/// the pointer methods are `unsafe` for their bounds on top.
+/// Every method executes instructions of its width — AVX2 and FMA at 256
+/// bits, AVX-512F at 512 — so like the safe `std::arch` intrinsics it may
+/// only be called from a function that enables those features (and is
+/// `#[inline(always)]`, to compile into it: a safe trait method cannot carry
+/// `#[target_feature]`). The trait cannot be named outside `simd`, where its
+/// callers are the kernels behind the dispatch; the pointer methods are
+/// `unsafe` for their bounds on top.
 pub trait Lanes: Copy {
     /// The real element type.
     type R: Real;
@@ -112,45 +119,6 @@ pub trait Lanes: Copy {
             }
         }
     }
-    /// The first `n < C` values at `p`, zeros behind them: the ragged end of
-    /// a run goes through the same vector operations as the rest of it.
-    ///
-    /// # Safety
-    ///
-    /// `n` complex values must be readable at `p`.
-    #[inline(always)]
-    unsafe fn load_head(p: *const Self::R, n: usize) -> Self {
-        debug_assert!(n < Self::C);
-        let mut buf = [Self::R::ZERO; 8];
-        // Real by real under a constant trip count: a `memcpy` call would put
-        // its frame into every call of a kernel, ragged end or not.
-        for (k, slot) in buf.iter_mut().enumerate().take(2 * Self::C) {
-            if k < 2 * n {
-                // SAFETY: real k of the n values the caller vouches for.
-                *slot = unsafe { *p.add(k) };
-            }
-        }
-        // SAFETY: the buffer holds a whole vector.
-        unsafe { Self::load(buf.as_ptr()) }
-    }
-    /// Store the first `n < C` values of `self` to `p`.
-    ///
-    /// # Safety
-    ///
-    /// `n` complex values must be writable at `p`.
-    #[inline(always)]
-    unsafe fn store_head(self, p: *mut Self::R, n: usize) {
-        debug_assert!(n < Self::C);
-        let mut buf = [Self::R::ZERO; 8];
-        // SAFETY: the buffer holds a whole vector.
-        unsafe { self.store(buf.as_mut_ptr()) };
-        for (k, x) in buf.iter().enumerate().take(2 * Self::C) {
-            if k < 2 * n {
-                // SAFETY: real k of the n values the caller vouches for.
-                unsafe { *p.add(k) = *x };
-            }
-        }
-    }
 }
 
 /// The mask of the first `n <= 8` lanes of `T` (`i64` for `f64` lanes, `i32`
@@ -163,98 +131,119 @@ fn head_mask<T>(ones_then_zeros: &[T; 16], n: usize) -> __m256i {
 const MASK_64: [i64; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
 const MASK_32: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
 
-/// The lane-local methods that are one intrinsic each:
-/// `name(args) => intrinsic` is `fn name(args) -> Self { intrinsic(args) }`.
-macro_rules! forward {
-    ($($name:ident($($arg:ident),*) => $intrinsic:expr;)*) => {$(
-        #[inline(always)]
-        fn $name($($arg: Self),*) -> Self {
-            // SAFETY: AVX and FMA per the trait contract.
-            unsafe { $intrinsic($($arg),*) }
+/// The mask register of the first `n <= 16` lanes.
+#[inline(always)]
+fn head_bits(n: usize) -> u32 {
+    (1 << n.min(16)) - 1
+}
+
+/// One implementation, each method the one intrinsic call it is: `C`, the
+/// pointer methods and `pattern` over the argument names given, then the
+/// lane-local methods (`name(args) => intrinsic` is `fn name(args) -> Self {
+/// intrinsic(args) }`).
+macro_rules! lanes {
+    ($v:ty: $r:ty, $c:literal;
+     load($lp:ident) => $load:expr;
+     store($ss:ident, $sp:ident) => $store:expr;
+     load_masked($mp:ident, $mn:ident) => $load_masked:expr;
+     store_masked($ms:ident, $mq:ident, $mm:ident) => $store_masked:expr;
+     pattern($a:ident, $b:ident) => $pattern:expr;
+     $($name:ident($($arg:ident),*) => $intrinsic:expr;)*) => {
+        impl Lanes for $v {
+            type R = $r;
+            const C: usize = $c;
+            // SAFETY: the contract of `Lanes::load`.
+            #[inline(always)]
+            unsafe fn load($lp: *const $r) -> Self {
+                // SAFETY: 2 C reals at p per the caller; the width's features.
+                unsafe { $load }
+            }
+            // SAFETY: the contract of `Lanes::store`.
+            #[inline(always)]
+            unsafe fn store($ss: Self, $sp: *mut $r) {
+                // SAFETY: as for `load`.
+                unsafe { $store }
+            }
+            // SAFETY: the contract of `Lanes::load_masked`.
+            #[inline(always)]
+            unsafe fn load_masked($mp: *const $r, $mn: usize) -> Self {
+                // SAFETY: the mask admits the n reals at p per the caller.
+                unsafe { $load_masked }
+            }
+            // SAFETY: the contract of `Lanes::store_masked`.
+            #[inline(always)]
+            unsafe fn store_masked($ms: Self, $mq: *mut $r, $mm: usize) {
+                // SAFETY: as for `load_masked`.
+                unsafe { $store_masked }
+            }
+            #[inline(always)]
+            fn pattern($a: $r, $b: $r) -> Self {
+                // SAFETY: the width's features per the trait contract.
+                unsafe { $pattern }
+            }
+            $(
+                #[inline(always)]
+                fn $name($($arg: Self),*) -> Self {
+                    // SAFETY: the width's features per the trait contract.
+                    unsafe { $intrinsic($($arg),*) }
+                }
+            )*
         }
-    )*};
+    };
 }
 
-impl Lanes for __m256d {
-    type R = f64;
-    const C: usize = 2;
-
-    // SAFETY: the contract of `Lanes::load`.
-    #[inline(always)]
-    unsafe fn load(p: *const f64) -> Self {
-        // SAFETY: four reals at p per the caller; AVX per the trait contract.
-        unsafe { _mm256_loadu_pd(p) }
-    }
-    // SAFETY: the contract of `Lanes::store`.
-    #[inline(always)]
-    unsafe fn store(self, p: *mut f64) {
-        // SAFETY: four reals at p per the caller; AVX per the trait contract.
-        unsafe { _mm256_storeu_pd(p, self) }
-    }
-    #[inline(always)]
-    fn pattern(a: f64, b: f64) -> Self {
-        // SAFETY: AVX per the trait contract.
-        unsafe { _mm256_setr_pd(a, b, a, b) }
-    }
-    forward! {
-        mul(self, o) => _mm256_mul_pd;
-        fmadd(self, a, c) => _mm256_fmadd_pd;
-        swap(self) => _mm256_permute_pd::<0b0101>;
-        dup_re(self) => _mm256_movedup_pd;
-        dup_im(self) => _mm256_permute_pd::<0b1111>;
-    }
-    // SAFETY: the contract of `Lanes::load_masked`.
-    #[inline(always)]
-    unsafe fn load_masked(p: *const f64, n: usize) -> Self {
-        // SAFETY: the mask admits the n reals at p the caller vouches for; AVX.
-        unsafe { _mm256_maskload_pd(p, head_mask(&MASK_64, n)) }
-    }
-    // SAFETY: the contract of `Lanes::store_masked`.
-    #[inline(always)]
-    unsafe fn store_masked(self, p: *mut f64, n: usize) {
-        // SAFETY: the mask admits the n reals at p the caller vouches for; AVX.
-        unsafe { _mm256_maskstore_pd(p, head_mask(&MASK_64, n), self) }
-    }
+lanes! {
+    __m256d: f64, 2;
+    load(p) => _mm256_loadu_pd(p);
+    store(self, p) => _mm256_storeu_pd(p, self);
+    load_masked(p, n) => _mm256_maskload_pd(p, head_mask(&MASK_64, n));
+    store_masked(self, p, n) => _mm256_maskstore_pd(p, head_mask(&MASK_64, n), self);
+    pattern(a, b) => _mm256_setr_pd(a, b, a, b);
+    mul(self, o) => _mm256_mul_pd;
+    fmadd(self, a, c) => _mm256_fmadd_pd;
+    swap(self) => _mm256_permute_pd::<0b0101>;
+    dup_re(self) => _mm256_movedup_pd;
+    dup_im(self) => _mm256_permute_pd::<0b1111>;
 }
 
-impl Lanes for __m256 {
-    type R = f32;
-    const C: usize = 4;
+lanes! {
+    __m256: f32, 4;
+    load(p) => _mm256_loadu_ps(p);
+    store(self, p) => _mm256_storeu_ps(p, self);
+    load_masked(p, n) => _mm256_maskload_ps(p, head_mask(&MASK_32, n));
+    store_masked(self, p, n) => _mm256_maskstore_ps(p, head_mask(&MASK_32, n), self);
+    pattern(a, b) => _mm256_setr_ps(a, b, a, b, a, b, a, b);
+    mul(self, o) => _mm256_mul_ps;
+    fmadd(self, a, c) => _mm256_fmadd_ps;
+    swap(self) => _mm256_permute_ps::<0b10_11_00_01>;
+    dup_re(self) => _mm256_moveldup_ps;
+    dup_im(self) => _mm256_movehdup_ps;
+}
 
-    // SAFETY: the contract of `Lanes::load`.
-    #[inline(always)]
-    unsafe fn load(p: *const f32) -> Self {
-        // SAFETY: eight reals at p per the caller; AVX per the trait contract.
-        unsafe { _mm256_loadu_ps(p) }
-    }
-    // SAFETY: the contract of `Lanes::store`.
-    #[inline(always)]
-    unsafe fn store(self, p: *mut f32) {
-        // SAFETY: eight reals at p per the caller; AVX per the trait contract.
-        unsafe { _mm256_storeu_ps(p, self) }
-    }
-    #[inline(always)]
-    fn pattern(a: f32, b: f32) -> Self {
-        // SAFETY: AVX per the trait contract.
-        unsafe { _mm256_setr_ps(a, b, a, b, a, b, a, b) }
-    }
-    forward! {
-        mul(self, o) => _mm256_mul_ps;
-        fmadd(self, a, c) => _mm256_fmadd_ps;
-        swap(self) => _mm256_permute_ps::<0b10_11_00_01>;
-        dup_re(self) => _mm256_moveldup_ps;
-        dup_im(self) => _mm256_movehdup_ps;
-    }
-    // SAFETY: the contract of `Lanes::load_masked`.
-    #[inline(always)]
-    unsafe fn load_masked(p: *const f32, n: usize) -> Self {
-        // SAFETY: the mask admits the n reals at p the caller vouches for; AVX.
-        unsafe { _mm256_maskload_ps(p, head_mask(&MASK_32, n)) }
-    }
-    // SAFETY: the contract of `Lanes::store_masked`.
-    #[inline(always)]
-    unsafe fn store_masked(self, p: *mut f32, n: usize) {
-        // SAFETY: the mask admits the n reals at p the caller vouches for; AVX.
-        unsafe { _mm256_maskstore_ps(p, head_mask(&MASK_32, n), self) }
-    }
+lanes! {
+    __m512d: f64, 4;
+    load(p) => _mm512_loadu_pd(p);
+    store(self, p) => _mm512_storeu_pd(p, self);
+    load_masked(p, n) => _mm512_maskz_loadu_pd(head_bits(n) as __mmask8, p);
+    store_masked(self, p, n) => _mm512_mask_storeu_pd(p, head_bits(n) as __mmask8, self);
+    pattern(a, b) => _mm512_setr4_pd(a, b, a, b);
+    mul(self, o) => _mm512_mul_pd;
+    fmadd(self, a, c) => _mm512_fmadd_pd;
+    swap(self) => _mm512_permute_pd::<0x55>;
+    dup_re(self) => _mm512_movedup_pd;
+    dup_im(self) => _mm512_permute_pd::<0xFF>;
+}
+
+lanes! {
+    __m512: f32, 8;
+    load(p) => _mm512_loadu_ps(p);
+    store(self, p) => _mm512_storeu_ps(p, self);
+    load_masked(p, n) => _mm512_maskz_loadu_ps(head_bits(n) as __mmask16, p);
+    store_masked(self, p, n) => _mm512_mask_storeu_ps(p, head_bits(n) as __mmask16, self);
+    pattern(a, b) => _mm512_setr4_ps(a, b, a, b);
+    mul(self, o) => _mm512_mul_ps;
+    fmadd(self, a, c) => _mm512_fmadd_ps;
+    swap(self) => _mm512_permute_ps::<0b10_11_00_01>;
+    dup_re(self) => _mm512_moveldup_ps;
+    dup_im(self) => _mm512_movehdup_ps;
 }

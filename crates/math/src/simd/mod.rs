@@ -31,16 +31,20 @@
 //! The active backend resolves once from `DCMESH_SIMD`:
 //!
 //! * `auto` (default, also unset or empty, and what anything unknown is
-//!   read as after one line on stderr) — AVX2+FMA when the CPU has it, else
-//!   scalar;
-//! * `avx2` — force AVX2 (silently degrades to scalar when unsupported);
+//!   read as after one line on stderr) — the widest lanes the CPU has:
+//!   AVX-512F, else AVX2+FMA, else scalar;
+//! * `avx2` — AVX2 lanes, 256 bits on any CPU (silently degrades to scalar
+//!   when unsupported);
 //! * `scalar` — force the portable path: plain `Complex<R>` arithmetic, no
 //!   FMA contraction. The pointwise and line kernels then perform the
 //!   arithmetic sequence of the pre-SIMD code.
 //!
-//! Each AVX2 kernel body is written once over the lane trait of `lanes.rs`;
-//! `f64` runs it in `__m256d` (two complex values per vector), `f32` in
-//! `__m256` (four), the instantiation chosen from `R` through [`Vectorized`].
+//! Each vector kernel body is written once over the lane trait of
+//! `lanes.rs` and instantiated per width: `f64` runs it in `__m256d` or
+//! `__m512d` (two or four complex values per vector), `f32` in `__m256` or
+//! `__m512` (four or eight), the vector chosen from `R` through
+//! [`Vectorized`]. Every lane operation is lane-local and no body reduces
+//! across lanes, so both widths give the same bits.
 //!
 //! Every kernel also has a `*_with(backend, ..)` variant taking an explicit
 //! [`Backend`], used by the equivalence tests and benches so they never
@@ -59,24 +63,32 @@ mod avx2;
 #[cfg(target_arch = "x86_64")]
 mod lanes;
 
-/// Names the 256-bit vector the AVX2 kernels run `Self` in, so that a kernel
-/// generic over `R` picks its instantiation from `R` alone. A supertrait of
-/// [`Real`]; implemented for `f32` and `f64`.
+/// Names the 256- and the 512-bit vector the kernels run `Self` in, so that
+/// a kernel generic over `R` picks its instantiation from `R` and the width
+/// alone. A supertrait of [`Real`]; implemented for `f32` and `f64`.
 pub trait Vectorized: Sized {
-    /// The vector of `Self` lanes (an implementation detail of this module).
+    /// The 256-bit vector of `Self` lanes (a detail of this module).
     #[cfg(target_arch = "x86_64")]
     #[doc(hidden)]
-    type V: lanes::Lanes<R = Self>;
+    type V256: lanes::Lanes<R = Self>;
+    /// The 512-bit vector of `Self` lanes.
+    #[cfg(target_arch = "x86_64")]
+    #[doc(hidden)]
+    type V512: lanes::Lanes<R = Self>;
 }
 
 impl Vectorized for f64 {
     #[cfg(target_arch = "x86_64")]
-    type V = core::arch::x86_64::__m256d;
+    type V256 = core::arch::x86_64::__m256d;
+    #[cfg(target_arch = "x86_64")]
+    type V512 = core::arch::x86_64::__m512d;
 }
 
 impl Vectorized for f32 {
     #[cfg(target_arch = "x86_64")]
-    type V = core::arch::x86_64::__m256;
+    type V256 = core::arch::x86_64::__m256;
+    #[cfg(target_arch = "x86_64")]
+    type V512 = core::arch::x86_64::__m512;
 }
 
 // ---------------------------------------------------------------------------
@@ -86,22 +98,51 @@ impl Vectorized for f32 {
 /// Instruction-set backend for the kernels.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Backend {
+    /// AVX-512F kernels: `f64` eight reals to a vector, `f32` sixteen.
+    Avx512,
     /// AVX2 + FMA kernels: `f64` four reals to a vector, `f32` eight.
     Avx2,
     /// Portable scalar kernels — bitwise identical to the pre-SIMD code.
     Scalar,
 }
 
-/// Does this CPU support the AVX2+FMA kernels? (`std` caches the detection.)
-pub fn avx2_available() -> bool {
+/// What `backend` runs as on this CPU: a width the CPU lacks degrades to
+/// the next narrower one, AVX-512F to AVX2+FMA and that to scalar. (`std`
+/// caches the detection.)
+pub fn resolve(backend: Backend) -> Backend {
     #[cfg(target_arch = "x86_64")]
-    return std::arch::is_x86_feature_detected!("avx2")
-        && std::arch::is_x86_feature_detected!("fma");
-    #[cfg(not(target_arch = "x86_64"))]
-    false
+    {
+        use std::arch::is_x86_feature_detected as has;
+        if backend == Backend::Avx512 && has!("avx512f") {
+            return Backend::Avx512;
+        }
+        if backend != Backend::Scalar && has!("avx2") && has!("fma") {
+            return Backend::Avx2;
+        }
+    }
+    let _ = backend;
+    Backend::Scalar
 }
 
-/// 0 = no override, 1 = Avx2, 2 = Scalar.
+/// Runs `body` on the lanes `backend` resolves to; `false`, having run
+/// nothing, where that is the scalar path.
+///
+/// # Safety
+///
+/// The body's own contract holds.
+#[cfg(target_arch = "x86_64")]
+unsafe fn vector<R: Real>(backend: Backend, body: impl avx2::Body<R>) -> bool {
+    match resolve(backend) {
+        // SAFETY: (cpu=avx512f) checked by `resolve`; the rest is the caller's.
+        Backend::Avx512 => unsafe { avx2::on_512(body) },
+        // SAFETY: (cpu=avx2) checked by `resolve`; the rest is the caller's.
+        Backend::Avx2 => unsafe { avx2::on_256(body) },
+        Backend::Scalar => return false,
+    }
+    true
+}
+
+/// 0 = no override, 1 = Avx2, 2 = Scalar, 3 = Avx512.
 static OVERRIDE: AtomicU8 = AtomicU8::new(0);
 
 /// What a `DCMESH_SIMD` value asks for: `None` is `auto` (also the empty
@@ -126,12 +167,8 @@ fn env_backend() -> Backend {
             let _ = writeln!(std::io::stderr(), "{msg}");
             None
         });
-        // "avx2" and "auto" both take AVX2 when available.
-        match want {
-            Some(Backend::Scalar) => Backend::Scalar,
-            _ if avx2_available() => Backend::Avx2,
-            _ => Backend::Scalar,
-        }
+        // "auto" is the widest backend the CPU has.
+        resolve(want.unwrap_or(Backend::Avx512))
     })
 }
 
@@ -141,17 +178,19 @@ pub fn active_backend() -> Backend {
     match OVERRIDE.load(Ordering::Relaxed) {
         1 => Backend::Avx2,
         2 => Backend::Scalar,
+        3 => Backend::Avx512,
         _ => env_backend(),
     }
 }
 
-/// Programmatic backend override (benches / `--simd` flags). An `Avx2`
-/// request on hardware without AVX2+FMA still runs scalar — dispatch
-/// re-checks CPU support.
+/// Programmatic backend override (benches / `--simd` flags). A request the
+/// CPU cannot run degrades as [`resolve`] says — dispatch re-checks CPU
+/// support.
 pub fn set_backend(b: Backend) {
     let v = match b {
         Backend::Avx2 => 1,
         Backend::Scalar => 2,
+        Backend::Avx512 => 3,
     };
     OVERRIDE.store(v, Ordering::Relaxed);
 }
@@ -159,11 +198,6 @@ pub fn set_backend(b: Backend) {
 /// Drop the [`set_backend`] override, returning to `DCMESH_SIMD` dispatch.
 pub fn clear_backend_override() {
     OVERRIDE.store(0, Ordering::Relaxed);
-}
-
-/// Should the AVX2 path run for this call? (backend, CPU.)
-fn use_avx2(backend: Backend) -> bool {
-    backend == Backend::Avx2 && avx2_available()
 }
 
 // ---------------------------------------------------------------------------
@@ -219,9 +253,8 @@ pub fn pair_rotate_scalar<R: Real>(a: &mut [Complex<R>], b: &mut [Complex<R>], c
 /// `z *= ph` over a slice on an explicit backend.
 pub fn scale_with<R: Real>(backend: Backend, zs: &mut [Complex<R>], ph: Complex<R>) {
     #[cfg(target_arch = "x86_64")]
-    if use_avx2(backend) {
-        // SAFETY: (cpu=avx2) `use_avx2` verified AVX2+FMA CPU support.
-        unsafe { avx2::scale::<R::V>(zs, ph) };
+    // SAFETY: a slice is all the body asks for.
+    if unsafe { vector(backend, avx2::Scale(zs, ph)) } {
         return;
     }
     let _ = backend;
@@ -242,9 +275,8 @@ pub fn pair_update_with<R: Real>(
     o: Complex<R>,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if use_avx2(backend) {
-        // SAFETY: (cpu=avx2) `use_avx2` verified AVX2+FMA CPU support.
-        unsafe { avx2::pair_update::<R::V, false>(a, b, d, o) };
+    // SAFETY: two disjoint slices are all the body asks for.
+    if unsafe { vector(backend, avx2::Pair::<R, false>(a, b, d, o)) } {
         return;
     }
     let _ = backend;
@@ -270,11 +302,12 @@ pub fn pair_rotate_with<R: Real>(
     s: R,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if use_avx2(backend) {
+    {
         let (d, o) = (Complex::new(c, R::ZERO), Complex::new(R::ZERO, -s));
-        // SAFETY: (cpu=avx2) `use_avx2` verified AVX2+FMA CPU support.
-        unsafe { avx2::pair_update::<R::V, true>(a, b, d, o) };
-        return;
+        // SAFETY: two disjoint slices are all the body asks for.
+        if unsafe { vector(backend, avx2::Pair::<R, true>(a, b, d, o)) } {
+            return;
+        }
     }
     let _ = backend;
     pair_rotate_scalar(a, b, c, s);
@@ -308,11 +341,14 @@ fn real_gemm<R: Real>(
             && (rows == 0 || nq == 0 || (rows - 1) * sa + (nq - 1) * sq < x.len()),
         "block product shape mismatch"
     );
+    // A row narrower than a 512-bit vector (64 bytes) is one masked vector
+    // there, slower than the 256-bit lanes' whole or equally masked ones
+    // (EXPERIMENTS.md "512-bit lanes"): such a product takes those.
+    let narrow = backend == Backend::Avx512 && ncols * std::mem::size_of::<R>() < 64;
+    let backend = if narrow { Backend::Avx2 } else { backend };
     #[cfg(target_arch = "x86_64")]
-    if use_avx2(backend) {
-        // SAFETY: (cpu=avx2, bounds=the assert above is the kernel's
-        // contract) `use_avx2` verified AVX2+FMA CPU support.
-        unsafe { avx2::real_gemm::<R::V>(x, (sa, sq), nq, b, c, ncols) };
+    // SAFETY: (bounds=the assert above is the body's contract)
+    if unsafe { vector(backend, avx2::Gemm(x, (sa, sq), nq, b, c, ncols)) } {
         return;
     }
     let _ = backend;
@@ -561,10 +597,8 @@ pub unsafe fn stencil_lines_raw<R: Real>(
         passes.len()
     );
     #[cfg(target_arch = "x86_64")]
-    if use_avx2(backend) {
-        // SAFETY: (cpu=avx2, bounds=the checks above cover the kernel's
-        // contract) `use_avx2` verified CPU support.
-        unsafe { avx2::stencil_lines::<R::V>(ptr, set, passes) };
+    // SAFETY: (bounds=the checks above cover the body's contract)
+    if unsafe { vector(backend, avx2::Lines(ptr, set, passes)) } {
         return;
     }
     let _ = backend;

@@ -1,7 +1,7 @@
-//! Property tests: the SIMD (AVX2) kernels must agree with the scalar
-//! reference within tight accumulation-order bounds, across odd shapes and
-//! remainder lanes — and the fused line kernel must be *bitwise* identical
-//! to separate sweeps on either backend.
+//! Property tests: the SIMD kernels must agree with the scalar reference
+//! within tight accumulation-order bounds, across odd shapes and remainder
+//! lanes — the fused line kernel must be *bitwise* identical to separate
+//! sweeps on every backend, and the AVX-512 lanes to the AVX2 ones.
 //!
 //! Tolerance model: FMA kernels and the scalar loops evaluate the same sums
 //! in different association orders, so each output entry may differ by a
@@ -11,11 +11,13 @@
 //! observed differences but far below any algorithmic error.
 //!
 //! Every kernel case is generic over the element type and runs at `f64`
-//! (four reals to a vector) and `f32` (eight): the two AVX2 instantiations
-//! of one body get one suite.
+//! (four or eight reals to a vector) and `f32` (eight or sixteen): the four
+//! vector instantiations of one body get one suite.
+
+use std::io::Write;
 
 use dcmesh_math::simd::{self, Backend, LineSet, StencilPass};
-use dcmesh_math::{Complex, Real, C64};
+use dcmesh_math::{as_reals, Complex, Real, C64};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -28,6 +30,11 @@ fn random_vec<R: Real>(rng: &mut StdRng, n: usize) -> Vec<Complex<R>> {
 /// Accumulation-order tolerance for a depth-`k` contraction of O(1) data.
 fn tol<R: Real>(k: usize) -> f64 {
     64.0 * R::EPSILON.to_f64() * (k as f64 + 4.0)
+}
+
+/// The bits of a run of reals, `f32` widened (exactly).
+fn bits<R: Real>(xs: &[R]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_f64().to_bits()).collect()
 }
 
 /// `|a - b|`, in `f64` whatever the element type.
@@ -51,8 +58,8 @@ proptest! {
 }
 
 /// `scale`, `pair_update` and `pair_rotate` on runs of `len` values: AVX2
-/// against scalar within rounding, and `pair_rotate(c, s)` against
-/// `pair_update((c, 0), (0, -s))` bit for bit on either backend.
+/// against scalar within rounding, AVX-512 against AVX2 and `pair_rotate(c,
+/// s)` against `pair_update((c, 0), (0, -s))` bit for bit.
 fn pointwise_case<R: Real>(rng: &mut StdRng, len: usize) {
     let tag = format!("{} len={len}", R::PRECISION_LABEL);
     // Unit-magnitude pair coefficients, like the kinetic propagator's.
@@ -87,7 +94,7 @@ fn pointwise_case<R: Real>(rng: &mut StdRng, len: usize) {
         );
         [z, a_u, b_u, a_r, b_r]
     };
-    let (scalar, avx2) = (on(Backend::Scalar), on(Backend::Avx2));
+    let (scalar, avx2, avx512) = (on(Backend::Scalar), on(Backend::Avx2), on(Backend::Avx512));
     let names = [
         "scale",
         "pair_update a",
@@ -95,18 +102,19 @@ fn pointwise_case<R: Real>(rng: &mut StdRng, len: usize) {
         "pair_rotate a",
         "pair_rotate b",
     ];
-    for ((s, v), what) in scalar.iter().zip(&avx2).zip(names) {
+    for (((s, v), w), what) in scalar.iter().zip(&avx2).zip(&avx512).zip(names) {
         close(s, v, what);
+        assert!(bits(as_reals(v)) == bits(as_reals(w)), "{what} {tag} 512");
     }
 }
 
 #[test]
 fn pointwise_kernels_at_every_ragged_end() {
-    // Every count of values in the last, part-filled vector of both lane
-    // widths (two and four values per vector), with and without full
+    // Every count of values in the last, part-filled vector of all four lane
+    // widths (two, four and eight values per vector), with and without full
     // vectors before it.
     let mut rng = StdRng::seed_from_u64(7);
-    for len in (0..=9).chain([17, 64, 65]) {
+    for len in (0..=17).chain([64, 65]) {
         pointwise_case::<f64>(&mut rng, len);
         pointwise_case::<f32>(&mut rng, len);
     }
@@ -185,8 +193,8 @@ fn pass_list<R: Real>(rng: &mut StdRng, n_passes: usize, bare: usize) -> Vec<Ste
     passes
 }
 
-/// Fused wavefront == separate sweeps, bit for bit, on both backends, for
-/// a [`pass_list`].
+/// Fused wavefront == separate sweeps, bit for bit, on every backend, and
+/// AVX-512 == AVX2, for a [`pass_list`].
 fn stencil_case<R: Real>(
     rng: &mut StdRng,
     set: &LineSet,
@@ -196,7 +204,8 @@ fn stencil_case<R: Real>(
 ) {
     let passes = pass_list::<R>(rng, n_passes, bare);
     let data: Vec<Complex<R>> = (0..len).map(|_| polar(rng, 0.0)).collect();
-    for backend in [Backend::Scalar, Backend::Avx2] {
+    let mut lanes = Vec::new();
+    for backend in [Backend::Scalar, Backend::Avx2, Backend::Avx512] {
         let mut fused = data.clone();
         let mut want = data.clone();
         simd::stencil_lines_with(backend, &mut fused, set, &passes);
@@ -205,7 +214,9 @@ fn stencil_case<R: Real>(
             fused == want,
             "{backend:?} {set:?} {n_passes} passes, {bare} bare"
         );
+        lanes.push(bits(as_reals(&fused)));
     }
+    assert!(lanes[1] == lanes[2], "avx512 vs avx2 {set:?}");
 }
 
 proptest! {
@@ -262,8 +273,9 @@ fn stencil_wavefront_equals_sweeps_at_every_block_size() {
     }
 }
 
-/// Both real block kernels on both backends against triple loops in `f64`,
-/// to `450 eps` (1e-13 in `f64`) of the sum of the terms' magnitudes.
+/// Both real block kernels on every backend against triple loops in `f64`,
+/// to `450 eps` (1e-13 in `f64`) of the sum of the terms' magnitudes, and
+/// AVX-512 against AVX2 bit for bit.
 fn real_block_case<R: Real>(rng: &mut StdRng, (nl, nr): (usize, usize), npts: usize) {
     let mut reals = |n: usize| -> Vec<R> {
         (0..n)
@@ -273,7 +285,8 @@ fn real_block_case<R: Real>(rng: &mut StdRng, (nl, nr): (usize, usize), npts: us
     let (l, r, coeff, alpha) = (reals(npts * nl), reals(npts * nr), reals(nl * nr), -0.7);
     let wide = |x: &R| x.to_f64();
     let close = 450.0 * R::EPSILON.to_f64();
-    for backend in [Backend::Scalar, Backend::Avx2] {
+    let mut lanes = Vec::new();
+    for backend in [Backend::Scalar, Backend::Avx2, Backend::Avx512] {
         let shape = format!("{} {backend:?} {nl}x{nr}x{npts}", R::PRECISION_LABEL);
         // out = alpha L^T R must not read what out held.
         let mut out = vec![R::from_f64(f64::NAN); nl * nr];
@@ -300,7 +313,9 @@ fn real_block_case<R: Real>(rng: &mut StdRng, (nl, nr): (usize, usize), npts: us
                 assert!((wide(got) - sum).abs() <= close * size, "{shape} update");
             }
         }
+        lanes.push([bits(&out), bits(&t)]);
     }
+    assert!(lanes[1] == lanes[2], "{nl}x{nr}x{npts}: avx512 vs avx2");
 }
 
 #[test]
@@ -325,7 +340,7 @@ fn real_block_kernels_leave_their_output_alone_on_an_empty_shape() {
     // The solver's P block is empty on its first iteration, and its W block
     // can be: no shape is asserted before the width is known to be positive.
     let (block, sentinel) = (vec![0.5; 12], vec![7.0; 6]);
-    for backend in [Backend::Scalar, Backend::Avx2] {
+    for backend in [Backend::Scalar, Backend::Avx2, Backend::Avx512] {
         for (nl, nr) in [(0, 3), (3, 0), (0, 0)] {
             let mut out = sentinel.clone();
             simd::real_overlap_with(backend, 2.0, &block, (nl, nr), &block, &mut out);
@@ -349,36 +364,84 @@ fn fnv1a(h: u64, zs: &[C64]) -> u64 {
 
 #[test]
 fn f64_avx2_bits_are_those_of_the_hand_written_kernels() {
-    // The f64 instantiation of the lane-generic line kernel issues, lane for
-    // lane, the instructions of the f64-only kernel it replaced (PR 18,
-    // commit 0b31463, where the constant was computed): three shapes with
-    // ragged ends, a partnerless last point and blocks of either parity.
-    if !simd::avx2_available() {
+    // The f64 instantiations of the lane-generic line kernel issue, lane for
+    // lane, the instructions of the f64-only kernel they replaced (commit
+    // 0b31463, where the constant was computed): three shapes with ragged
+    // ends, a partnerless last point and blocks of either parity.
+    if simd::resolve(Backend::Avx2) != Backend::Avx2 {
         return;
     }
-    let mut rng = StdRng::seed_from_u64(1919);
-    // The draws of the complex projector kernels this test pinned beside
-    // the line kernel until they were deleted: the stencil's inputs stay
-    // those its constant was computed from.
-    for (norb, nref, ngrid) in [(16, 8, 1025), (13, 5, 513), (32, 3, 64)] {
-        random_vec::<f64>(&mut rng, (norb + nref) * ngrid + 2 * norb * nref);
+    for backend in [Backend::Avx2, Backend::Avx512] {
+        if backend == Backend::Avx512 && no_avx512() {
+            continue;
+        }
+        let mut rng = StdRng::seed_from_u64(1919);
+        // The draws of the complex projector kernels this test pinned beside
+        // the line kernel until they were deleted: the stencil's inputs stay
+        // those its constant was computed from.
+        for (norb, nref, ngrid) in [(16, 8, 1025), (13, 5, 513), (32, 3, 64)] {
+            random_vec::<f64>(&mut rng, (norb + nref) * ngrid + 2 * norb * nref);
+        }
+        let mut stencil = 0xcbf2_9ce4_8422_2325;
+        for (n_lines, n_axis, run, block, pad) in
+            [(3, 8, 16, 8, 0), (2, 7, 19, 4, 2), (1, 5, 9, 9, 5)]
+        {
+            let set = LineSet {
+                first: 1,
+                n_lines,
+                line_step: run,
+                n_axis,
+                stride: n_lines * run + pad,
+                run,
+                block,
+            };
+            let passes = pass_list::<f64>(&mut rng, 5, 4);
+            let mut data = random_vec::<f64>(&mut rng, set.span() + 2);
+            simd::stencil_lines_with(backend, &mut data, &set, &passes);
+            stencil = fnv1a(stencil, &data);
+        }
+        assert_eq!(stencil, 0xa15c_d0a4_c287_6a4a, "{backend:?}");
     }
-    let mut stencil = 0xcbf2_9ce4_8422_2325;
-    for (n_lines, n_axis, run, block, pad) in [(3, 8, 16, 8, 0), (2, 7, 19, 4, 2), (1, 5, 9, 9, 5)]
-    {
-        let set = LineSet {
-            first: 1,
-            n_lines,
-            line_step: run,
-            n_axis,
-            stride: n_lines * run + pad,
-            run,
-            block,
-        };
-        let passes = pass_list::<f64>(&mut rng, 5, 4);
-        let mut data = random_vec::<f64>(&mut rng, set.span() + 2);
-        simd::stencil_lines_with(Backend::Avx2, &mut data, &set, &passes);
-        stencil = fnv1a(stencil, &data);
+}
+
+/// Does this CPU lack AVX-512F? Says so on stderr, past the harness's
+/// capture.
+fn no_avx512() -> bool {
+    let missing = simd::resolve(Backend::Avx512) != Backend::Avx512;
+    if missing {
+        let _ = writeln!(std::io::stderr(), "skipped: this CPU has no AVX-512F");
     }
-    assert_eq!(stencil, 0xa15c_d0a4_c287_6a4a, "stencil_lines_with");
+    missing
+}
+
+#[test]
+fn avx512_gives_the_bits_of_avx2() {
+    // Each case also holds the 512-bit lanes to the 256-bit lanes' bits: a
+    // line of runs of every width 1..=17, and block products with that many
+    // rows and as many or twice as many columns, at each count of points
+    // (4096 in release builds only; `check.sh gates` runs them).
+    if no_avx512() {
+        return;
+    }
+    let mut rng = StdRng::seed_from_u64(512);
+    let counts = if cfg!(debug_assertions) { 5 } else { 6 };
+    for w in 1..=17 {
+        for points in [1, 127, 128, 129, 512, 4096].into_iter().take(counts) {
+            let set = LineSet {
+                first: 0,
+                n_lines: 1,
+                line_step: 0,
+                n_axis: points,
+                stride: w,
+                run: w,
+                block: w,
+            };
+            stencil_case::<f64>(&mut rng, &set, set.span(), 5, 4);
+            stencil_case::<f32>(&mut rng, &set, set.span(), 5, 4);
+            for shape in [(w, w), (w, 2 * w)] {
+                real_block_case::<f64>(&mut rng, shape, points);
+                real_block_case::<f32>(&mut rng, shape, points);
+            }
+        }
+    }
 }

@@ -713,7 +713,7 @@ mod tests {
         // 4096-real panel cut into ragged chunks; widths past a 16-orbital
         // block. Fewer points than columns cannot be orthonormal: refused.
         let (wt, mut rng) = (0.125, SplitMix64::seed_from_u64(5));
-        for backend in [Backend::Scalar, Backend::Avx2] {
+        for backend in [Backend::Scalar, Backend::Avx2, Backend::Avx512] {
             for nt in 1..=17 {
                 let (mut gram, mut panel) = (vec![0.0; nt * nt], vec![0.0; PANEL]);
                 for points in [1, 127, 128, 129, 512, 4096] {

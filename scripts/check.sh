@@ -5,9 +5,10 @@
 #   check.sh quick   fast lane — fmt, clippy -D warnings, workspace tests,
 #                    root integration tests and the set-up eigensolve at 1, 2
 #                    and 4 pool threads (one digest each), the digests once
-#                    more on the scalar backend
+#                    more on the 256-bit lanes (equal to auto's) and on the
+#                    scalar backend
 #   check.sh gates   heavy gates — frozen-benchmark build + smoke first,
-#                    then lines per crate under a ceiling (37,105), a
+#                    then lines per crate under a ceiling (37,254), a
 #                    grep that keeps scf_initial_state / MaxwellState /
 #                    export_state, the complex projector kernels, the packed
 #                    GEMM and the complex reference copies from coming back,
@@ -15,7 +16,8 @@
 #                    solve, and every domain of a set-up), audit (no
 #                    waiver beyond today's), racecheck, fault matrix, model
 #                    check, serve_load losing no job, Table I nowait
-#                    ablation, Table II modeled rows, ...
+#                    ablation, Table II modeled rows, the lane entry points
+#                    calling nothing out of line, ...
 #   check.sh all     quick + gates (default)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -70,6 +72,11 @@ tier_quick() {
   capped cargo test --workspace -q
 
   echo "== root integration tests and the set-up eigensolve at DCMESH_THREADS=1,2,4: one physics, one sp, one eig digest =="
+  # The three digest lines of a log, one string.
+  digests() {
+    # -o: under -q the lines share their row with the progress dots.
+    grep -o -e 'physics-digest [0-9a-f]*' -e 'sp-digest [0-9a-f]*' -e 'eig-digest [0-9a-f]*' "$1" | sort -u | tr '\n' ' '
+  }
   # The pool's size is fixed per process, so each thread count is a run of
   # its own; tests/dcmesh_pipeline.rs prints the digests they must share
   # (f64 pipeline + engines, and a single-precision engine), and
@@ -88,8 +95,7 @@ tier_quick() {
       echo "root integration tests or the set-up eigensolve failed (or hung) at DCMESH_THREADS=$threads" >&2
       exit 1
     }
-    # -o: under -q the lines share their row with the progress dots.
-    digest=$(grep -o -e 'physics-digest [0-9a-f]*' -e 'sp-digest [0-9a-f]*' -e 'eig-digest [0-9a-f]*' "$log" | sort -u | tr '\n' ' ')
+    digest=$(digests "$log")
     if [ "$(echo "$digest" | wc -w)" -ne 6 ]; then
       echo "want one physics-, one sp- and one eig-digest line at DCMESH_THREADS=$threads, got '$digest'" >&2
       exit 1
@@ -97,11 +103,30 @@ tier_quick() {
     echo "DCMESH_THREADS=$threads: $digest"
     if [ -z "$want" ]; then
       want=$digest
+      echo "DCMESH_SIMD=auto resolved to: $(grep -o 'simd-backend [A-Za-z0-9]*' "$log" | sort -u | cut -d' ' -f2)"
     elif [ "$digest" != "$want" ]; then
       echo "a digest depends on the thread count: '$want' at 1, '$digest' at $threads" >&2
       exit 1
     fi
   done
+  # The 256-bit lanes, once: every lane operation is lane-local and no kernel
+  # reduces across lanes, so they give the bits of whatever auto resolved to
+  # (the 512-bit lanes where the CPU has AVX-512F).
+  log=$(mktemp /tmp/dcmesh_threads_XXXXXX.log)
+  SCRATCH+=("$log")
+  {
+    DCMESH_SIMD=avx2 capped cargo test -q --test dcmesh_pipeline prints_physics_digest -- --nocapture \
+      && DCMESH_SIMD=avx2 capped "${eig_test[@]}"
+  } > "$log" 2>&1 || {
+    cat "$log" >&2
+    exit 1
+  }
+  digest=$(digests "$log")
+  echo "DCMESH_SIMD=avx2: $digest"
+  if [ "$digest" != "$want" ]; then
+    echo "the 256-bit lanes' digests '$digest' are not auto's '$want'" >&2
+    exit 1
+  fi
   # The other backend, once: no FMA contraction, so its digests are its own.
   log=$(mktemp /tmp/dcmesh_threads_XXXXXX.log)
   SCRATCH+=("$log")
@@ -137,9 +162,10 @@ tier_gates() {
   # 37,000 (the tree once the complex projector kernels, the packed GEMM and
   # their tests and bench rows went) plus the 105 test lines of the warm
   # set-up chain and the triangular step, non-test lines unchanged —
-  # EXPERIMENTS.md "One cold solve". A change that must raise it says why in
+  # EXPERIMENTS.md "One cold solve" — plus the 149 of the 512-bit lanes —
+  # EXPERIMENTS.md "512-bit lanes". A change that must raise it says why in
   # EXPERIMENTS.md.
-  local ceiling=37105
+  local ceiling=37254
   if [ "$total" -gt "$ceiling" ]; then
     echo "the tree grew past $ceiling .rs lines" >&2
     exit 1
@@ -162,6 +188,12 @@ tier_gates() {
   # `refine_states(h, x, 0)` do not come back.
   if grep -rn --include='*.rs' -E 'solve_rows_lower_transposed|rayleigh_ritz\(' crates src tests examples; then
     echo "a deleted set-up solver name is back (lines above)" >&2
+    exit 1
+  fi
+  # A ragged end is a masked load and store at every width; the stack-buffer
+  # copy (too small for sixteen f32 lanes) does not come back.
+  if grep -rn --include='*.rs' -E 'load_head|store_head' crates src tests examples; then
+    echo "a deleted lane method is back (lines above)" >&2
     exit 1
   fi
   # The SIMD directory has a budget of its own: every line before a file's
@@ -216,6 +248,32 @@ tier_gates() {
   if [ -z "$waived" ] || [ "$waived" -gt 16 ]; then
     echo "audit: want a clean summary line with at most 16 waivers, got '${waived}'" >&2
     exit 1
+  fi
+
+  echo "== AVX-512 lanes give the AVX2 lanes' bits, release (4096 points included) =="
+  ran_some cargo test --release -q -p dcmesh-math --test simd_equivalence avx512_gives_the_bits_of_avx2
+
+  echo "== every lane entry point compiles its body whole (no call out of on_256 / on_512) =="
+  # A body, or a helper over vectors, left out of line runs without the
+  # entry point's target features and passes every vector through memory
+  # (several times slower, same bits — no test sees it). The release test
+  # binary instantiates every body at both widths.
+  if command -v objdump > /dev/null; then
+    local eq_bin calls
+    eq_bin=$(cargo test --release -q -p dcmesh-math --test simd_equivalence --no-run --message-format=json 2>/dev/null \
+      | sed -n 's/.*"executable":"\([^"]*\)".*/\1/p' | tail -1)
+    calls=$(objdump -d --no-show-raw-insn -C "$eq_bin" | awk '
+      /^[0-9a-f]+ <dcmesh_math::simd::avx2::on_(256|512)/ { entry = $2; n++; next }
+      /^[0-9a-f]+ </ { entry = "" }
+      entry != "" && /\tcall/ { print entry, $0 }
+      END { if (n < 2) print "no on_256 / on_512 symbol found"
+            else printf "%d instantiations of on_256 / on_512 checked\n", n > "/dev/stderr" }')
+    if [ -n "$calls" ]; then
+      echo "$calls" >&2
+      exit 1
+    fi
+  else
+    echo "objdump not found: skipped"
   fi
 
   echo "== real x complex projector against its triple loops, release (13,824 points included) =="

@@ -222,9 +222,10 @@ fn sp_digest() -> u64 {
 
 /// Prints the digests `scripts/check.sh quick` compares across
 /// `DCMESH_THREADS=1,2,4` (the pool's size is fixed per process, so each
-/// thread count is a run of its own).
+/// thread count is a run of its own) and `DCMESH_SIMD`, and the lanes run.
 #[test]
 fn prints_physics_digest() {
+    println!("simd-backend {:?}", dcmesh::math::simd::active_backend());
     println!("physics-digest {:016x}", physics_digest());
     println!("sp-digest {:016x}", sp_digest());
 }
