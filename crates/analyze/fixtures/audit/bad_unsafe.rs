@@ -4,10 +4,6 @@
 
 static mut HITS: u64 = 0;
 
-pub fn touch(p: *mut u64) {
-    let _v = unsafe { *p };
-}
-
 pub fn spawn_off() {
     let h = std::thread::spawn(|| {});
     let _ = h.join();
@@ -24,6 +20,3 @@ pub fn report_metric(t: f64) {
 pub fn sneaky_intrinsics() {
     let _four_wide = core::arch::x86_64::_mm256_setzero_pd;
 }
-
-#[target_feature(enable = "avx2")]
-pub unsafe fn undocumented_kernel() {}

@@ -1,10 +1,9 @@
 //! `dcmesh-analyze --bin audit` — whole-workspace static analysis:
-//! hygiene lints, panic-freedom call graphs from `AUDIT: no_panic`
+//! hygiene rules, panic-freedom call graphs from `AUDIT: no_panic`
 //! roots, and machine-checked SAFETY contracts. See
 //! [`dcmesh_analyze::audit`].
 //!
-//! Usage: `cargo run -p dcmesh-analyze --bin audit -- \
-//!   [--format=json|text] [--report] [ROOT]`
+//! Usage: `cargo run -p dcmesh-analyze --bin audit -- [ROOT]`
 
 use std::process::ExitCode;
 

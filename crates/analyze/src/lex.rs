@@ -1,12 +1,12 @@
 //! A real Rust lexer for the static-analysis front end.
 //!
-//! The original hygiene lint stripped comments and strings with a
+//! The original hygiene scanner stripped comments and strings with a
 //! per-line character scanner, which had two known blind spots: raw
 //! string literals (`r#"..."#` — the scanner saw the inner `"` as a
 //! string boundary) and nested block comments (`/* /* */ */` — the
 //! scanner did not track block comments at all). This module replaces
 //! that with a faithful single-pass lexer producing a token stream that
-//! every lint rule and audit pass shares — one lex per file.
+//! every audit pass shares — one lex per file.
 //!
 //! Covered syntax:
 //!

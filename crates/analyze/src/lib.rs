@@ -19,10 +19,11 @@
 //!    snapshots; at every region settle (dispatch return) overlapping
 //!    writes without a happens-before edge are reported through
 //!    `dcmesh-obs` and panic the offending test.
-//! 3. [`lint`] — the source-level hygiene rules, run as the first pass of
-//!    [`audit`] (`--bin audit`): undocumented `unsafe`, stray
-//!    `thread::spawn`, wall-clock reads in kernel crates, and
-//!    `static mut`.
+//! 3. [`audit`] (`--bin audit`) — whole-workspace static analysis over
+//!    one lex per file: the path-scoped hygiene rules (stray
+//!    `thread::spawn`, wall-clock reads and prints in kernel crates, raw
+//!    `arch` intrinsics outside the SIMD module, `static mut`),
+//!    panic-freedom call graphs, and machine-checked SAFETY contracts.
 //!
 //! Layering: this crate sits *below* `dcmesh-pool` (which links the
 //! [`sync`] primitives and [`race`] hooks into its hot path), so it
@@ -32,7 +33,6 @@
 
 pub mod audit;
 pub mod lex;
-pub mod lint;
 pub mod race;
 pub mod sched;
 pub mod sync;

@@ -3,7 +3,6 @@
 //! (for panic-freedom findings) the full offending call chain.
 
 use dcmesh_analyze::audit::{self, AuditReport, Corpus};
-use dcmesh_analyze::lint;
 use std::path::PathBuf;
 
 /// Load one fixture and audit it as if it lived at `rel`.
@@ -25,32 +24,24 @@ fn audit_fixture(stem: &str) -> (String, AuditReport) {
 #[test]
 fn hygiene_fixture_trips_every_rule_with_a_location() {
     // Audited as if it lived in a kernel crate, the fixture must trip
-    // all seven hygiene rules. (The undocumented `#[target_feature]
-    // unsafe fn` deliberately counts under undocumented-unsafe too.)
+    // the five hygiene rules once each, and nothing else. The Display form
+    // is what the CI log shows; keep it grep-able.
     let report = audit_fixture_at("bad_unsafe", "crates/math/src/bad.rs");
-    for (rule, hits) in [
-        ("static-mut", 1),
-        ("undocumented-unsafe", 2),
-        ("thread-spawn", 1),
-        ("wall-clock", 1),
-        ("println-metrics", 1),
-        ("raw-arch", 1),
-        ("target-feature", 1),
-    ] {
-        assert_eq!(
-            report.by_rule(rule).len(),
-            hits,
-            "{rule}: {:?}",
-            report.findings
-        );
-    }
-    let sm = report.by_rule("static-mut")[0];
-    assert_eq!((sm.path.as_str(), sm.line), ("crates/math/src/bad.rs", 5));
-    // Display form is what the CI log shows; keep it grep-able.
-    let shown = format!("{sm}");
-    assert!(
-        shown.starts_with("crates/math/src/bad.rs:5: [static-mut]"),
-        "{shown}"
+    let shown: Vec<String> = report.findings.iter().map(|f| f.to_string()).collect();
+    assert_eq!(
+        shown,
+        [
+            "crates/math/src/bad.rs:5: [static-mut] mutable statics are banned; use atomics or \
+             OnceLock",
+            "crates/math/src/bad.rs:8: [thread-spawn] raw thread spawns belong to crates/pool; \
+             dispatch through the pool",
+            "crates/math/src/bad.rs:13: [wall-clock] kernel crates must not read wall clocks; use \
+             dcmesh-obs spans",
+            "crates/math/src/bad.rs:17: [println-metrics] kernel crates must not print; record \
+             dcmesh-obs metrics instead",
+            "crates/math/src/bad.rs:21: [raw-arch] raw arch intrinsics live in crates/math/src/simd/ \
+             only; dispatch through dcmesh_math::simd",
+        ]
     );
 }
 
@@ -152,44 +143,32 @@ fn raw_strings_and_nested_comments_neither_hide_nor_invent() {
 }
 
 #[test]
-fn golden_json_report() {
-    // All fixtures together, in sorted order, as one deterministic corpus.
+fn one_corpus_of_all_fixtures_gives_the_union_of_their_findings() {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures/audit");
-    let mut stems: Vec<String> = std::fs::read_dir(&dir)
+    let mut sources: Vec<(String, String)> = std::fs::read_dir(&dir)
         .expect("fixtures dir")
         .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
         .filter(|n| n.ends_with(".rs"))
-        .collect();
-    stems.sort();
-    let sources: Vec<(String, String)> = stems
-        .iter()
         .map(|n| {
-            let src = std::fs::read_to_string(dir.join(n)).expect("fixture readable");
+            let src = std::fs::read_to_string(dir.join(&n)).expect("fixture readable");
             (format!("crates/fixt/src/{n}"), src)
         })
         .collect();
-    let report = audit::run(&Corpus::from_sources(sources));
-    let got = report.to_json(false).to_string();
-
-    let golden = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/audit_report.json");
-    if std::env::var("UPDATE_GOLDEN").is_ok_and(|v| !v.is_empty() && v != "0") {
-        std::fs::create_dir_all(golden.parent().unwrap()).expect("golden dir");
-        std::fs::write(&golden, format!("{got}\n")).expect("write golden");
-        return;
-    }
-    let want =
-        std::fs::read_to_string(&golden).expect("golden file missing — bless with UPDATE_GOLDEN=1");
-    assert_eq!(
-        got,
-        want.trim_end(),
-        "audit JSON drifted — bless with UPDATE_GOLDEN=1 if intended"
-    );
+    sources.sort();
+    let mut union: Vec<_> = sources
+        .iter()
+        .flat_map(|s| audit::run(&Corpus::from_sources(vec![s.clone()])).findings)
+        .collect();
+    union.sort_by(|a, b| (&a.path, a.line, &a.rule).cmp(&(&b.path, b.line, &b.rule)));
+    let shown = |fs: Vec<audit::AuditFinding>| fs.iter().map(|f| f.to_string()).collect::<Vec<_>>();
+    let whole = audit::run(&Corpus::from_sources(sources)).findings;
+    assert_eq!(shown(whole), shown(union));
 }
 
 #[test]
 fn workspace_tree_audit_is_clean() {
     let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    let root = lint::find_workspace_root(&manifest).expect("workspace root");
+    let root = audit::find_workspace_root(&manifest).expect("workspace root");
     let corpus = Corpus::load(&root).expect("corpus");
     let report = audit::run(&corpus);
     assert!(
@@ -207,7 +186,9 @@ fn workspace_tree_audit_is_clean() {
             .join("\n")
     );
     // Nine roots since the complex projector kernels, the packed GEMM
-    // kernel and their lane shuffles went with their nine annotations.
-    assert!(report.stats.no_panic_roots >= 9, "{:?}", report.stats);
-    assert!(report.stats.contracts >= 20, "{:?}", report.stats);
+    // kernel and their lane shuffles went with their nine annotations. A
+    // waiver is a reviewed exception: the count may fall, never rise.
+    let s = &report.stats;
+    assert_eq!((s.no_panic_roots, s.contracts), (9, 23), "{s:?}");
+    assert!(s.waived <= 16, "{s:?}");
 }

@@ -229,7 +229,12 @@ impl<R: Real> Body<R> for Lines<'_, R> {
 /// their `P * W` accumulators in registers across all `nq` terms; `x(a, q)`
 /// is `x[a * sa + q * sq]`, and `b`, `c` have `ld` reals to a row. The
 /// vectors of a row are all loaded before any is stored, so two of them may
-/// overlap. The caller enables the target features of `L`.
+/// overlap.
+///
+/// # Safety
+///
+/// The caller enables the target features of `L` and keeps every access
+/// inside the bounds the contract below claims.
 #[inline(always)]
 // AUDIT: no_panic
 // SAFETY: (bounds=the caller keeps the part reals at every one of

@@ -2,22 +2,23 @@
 # Tiered repo-wide hygiene gate. Run from anywhere; operates on the
 # workspace root. Shared by local runs and CI (.github/workflows/ci.yml):
 #
-#   check.sh quick   fast lane — fmt, clippy -D warnings, workspace tests,
+#   check.sh quick   fast lane — fmt, clippy -D warnings, workspace tests
+#                    (the whole-tree audit among them: no finding, today's
+#                    no_panic roots and contracts, no waiver beyond today's),
 #                    root integration tests and the set-up eigensolve at 1, 2
 #                    and 4 pool threads (one digest each), the digests once
 #                    more on the 256-bit lanes (equal to auto's) and on the
 #                    scalar backend
 #   check.sh gates   heavy gates — frozen-benchmark build + smoke first,
-#                    then lines per crate under a ceiling (37,254), a
+#                    then lines per crate under a ceiling (36,738), a
 #                    grep that keeps scf_initial_state / MaxwellState /
 #                    export_state, the complex projector kernels, the packed
 #                    GEMM and the complex reference copies from coming back,
 #                    eigensolver counts at the benchmark's shapes (one cold
-#                    solve, and every domain of a set-up), audit (no
-#                    waiver beyond today's), racecheck, fault matrix, model
-#                    check, serve_load losing no job, Table I nowait
-#                    ablation, Table II modeled rows, the lane entry points
-#                    calling nothing out of line, ...
+#                    solve, and every domain of a set-up), racecheck, fault
+#                    matrix, model check, serve_load losing no job, Table I
+#                    nowait ablation, Table II modeled rows, the lane entry
+#                    points calling nothing out of line, ...
 #   check.sh all     quick + gates (default)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -143,9 +144,9 @@ tier_quick() {
 tier_gates() {
   echo "== frozen benchmark still builds and smokes (BENCHMARK.json, benchmark/) =="
   # First: no workspace test compiles benchmark/src/probes.rs, so a deletion
-  # that breaks it should fail here in minutes, not after the audit,
-  # racecheck and fault matrix. The build may rewrite benchmark/Cargo.lock
-  # (BENCHMARK.json's command has no --locked); cleanup puts it back.
+  # that breaks it should fail here in minutes, not after the racecheck and
+  # fault matrix. The build may rewrite benchmark/Cargo.lock (BENCHMARK.json's
+  # command has no --locked); cleanup puts it back.
   LOCK_SAVED=$(mktemp /tmp/dcmesh_benchmark_lock_XXXXXX)
   SCRATCH+=("$LOCK_SAVED")
   cp benchmark/Cargo.lock "$LOCK_SAVED"
@@ -163,9 +164,10 @@ tier_gates() {
   # their tests and bench rows went) plus the 105 test lines of the warm
   # set-up chain and the triangular step, non-test lines unchanged —
   # EXPERIMENTS.md "One cold solve" — plus the 149 of the 512-bit lanes —
-  # EXPERIMENTS.md "512-bit lanes". A change that must raise it says why in
-  # EXPERIMENTS.md.
-  local ceiling=37254
+  # EXPERIMENTS.md "512-bit lanes" — less a net 516 (the lint module, the
+  # audit's JSON form and its golden test went) — EXPERIMENTS.md "One static
+  # analyzer". A change that must raise it says why in EXPERIMENTS.md.
+  local ceiling=36738
   if [ "$total" -gt "$ceiling" ]; then
     echo "the tree grew past $ceiling .rs lines" >&2
     exit 1
@@ -234,22 +236,6 @@ tier_gates() {
   echo "== pool tests at DCMESH_THREADS=2 =="
   DCMESH_THREADS=2 capped cargo test -q -p dcmesh-pool -p dcmesh-device -p dcmesh-lfd
 
-  echo "== static-analysis audit gate (lint + panic-freedom + SAFETY contracts) =="
-  # The summary line names the no_panic roots, the machine-checked SAFETY
-  # contracts and the waivers; a waiver is a reviewed exception, so their
-  # count may fall but not rise (16 since PR 26).
-  local audit_out waived
-  audit_out=$(cargo run -q -p dcmesh-analyze --bin audit -- --report 2>&1) || {
-    echo "$audit_out" >&2
-    exit 1
-  }
-  echo "$audit_out"
-  waived=$(echo "$audit_out" | sed -n 's/^audit: clean — .*, \([0-9]*\) waived$/\1/p')
-  if [ -z "$waived" ] || [ "$waived" -gt 16 ]; then
-    echo "audit: want a clean summary line with at most 16 waivers, got '${waived}'" >&2
-    exit 1
-  fi
-
   echo "== AVX-512 lanes give the AVX2 lanes' bits, release (4096 points included) =="
   ran_some cargo test --release -q -p dcmesh-math --test simd_equivalence avx512_gives_the_bits_of_avx2
 
@@ -260,7 +246,7 @@ tier_gates() {
   # binary instantiates every body at both widths.
   if command -v objdump > /dev/null; then
     local eq_bin calls
-    eq_bin=$(cargo test --release -q -p dcmesh-math --test simd_equivalence --no-run --message-format=json 2>/dev/null \
+    eq_bin=$(cargo test --release -q -p dcmesh-math --test simd_equivalence --no-run --message-format json 2>/dev/null \
       | sed -n 's/.*"executable":"\([^"]*\)".*/\1/p' | tail -1)
     calls=$(objdump -d --no-show-raw-insn -C "$eq_bin" | awk '
       /^[0-9a-f]+ <dcmesh_math::simd::avx2::on_(256|512)/ { entry = $2; n++; next }
