@@ -12,10 +12,10 @@
 //! * [`file`] — the versioned, checksummed checkpoint container written
 //!   via temp-file + atomic rename: a crash mid-write can never destroy
 //!   the previous good checkpoint.
-//! * [`fault`] — a deterministic, env-gated [`fault::FaultPlan`] that can
-//!   drop/delay/duplicate messages, kill a rank at a chosen operation, and
-//!   inject a NaN into a kernel output. Disarmed it costs one relaxed
-//!   atomic load, the same contract as `dcmesh-obs`.
+//! * [`fault`] — an env-gated [`fault::FaultPlan`] that plants a NaN in a
+//!   kernel output at a chosen MD step (`DCMESH_FAULT_PLAN=nan@STEP`), the
+//!   fault a supervised run must roll back from. Disarmed it costs one
+//!   relaxed atomic load, the same contract as `dcmesh-obs`.
 //!
 //! Observability rides on `dcmesh-obs`: `ckpt.write_s`, `ckpt.bytes`,
 //! `faults.injected` and friends land in the metrics registry when the
@@ -26,5 +26,5 @@ pub mod fault;
 pub mod file;
 
 pub use codec::{CkptError, Decoder, Encoder};
-pub use fault::{FaultKind, FaultPlan};
+pub use fault::FaultPlan;
 pub use file::{read_checkpoint, write_checkpoint_atomic, FORMAT_VERSION};

@@ -13,11 +13,10 @@
 //! Alg. 5 applies on-device. The fabric therefore exposes MPI-style
 //! requests: [`Rank::isend`] / [`Rank::irecv`] post an operation and
 //! return a typed handle ([`SendRequest`] / [`RecvRequest`]); the payload
-//! is claimed at [`Rank::wait`] / [`Rank::wait_all`], probed with
-//! [`Rank::test`]. The simulated clock makes the overlap *measurable*: a
-//! receive posted at clock `t0` whose message arrives at `t0 + L` and is
-//! waited on after `C` seconds of compute costs `max(C, L)`, not `C + L` —
-//! the blocking [`Rank::recv`] (post and wait at the same instant)
+//! is claimed at [`Rank::wait`] / [`Rank::wait_all`]. The simulated clock
+//! makes the overlap *measurable*: a receive posted at clock `t0` whose
+//! message arrives at `t0 + L` and is waited on after `C` seconds of
+//! compute costs `max(C, L)`, not `C + L` — the blocking [`Rank::recv`] (post and wait at the same instant)
 //! degenerates to the sum. Per-rank [`OverlapStats`] split every modeled
 //! transfer into a hidden part (behind compute) and a stall part (exposed
 //! at the wait), and feed the `comm.wait_ns` counter.
@@ -28,47 +27,34 @@
 //! `dcmesh_analyze::sync` mutex/condvar pair. Outside a schedule
 //! exploration those delegate to `std` after one relaxed load; under
 //! [`dcmesh_analyze::sched::explore`] every mailbox operation becomes a
-//! scheduling point, so the *real* request lifecycle (post → fault
-//! resolution → wait) is model-checked exhaustively, the way the pool's
-//! dispatch protocol is. [`World::endpoints`] hands out the connected
-//! [`Rank`] endpoints without spawning threads, so a model check can own
-//! thread creation. Receive deadlines are a wall-clock escape hatch and
+//! scheduling point, so the *real* request lifecycle (post → wait) is
+//! model-checked exhaustively, the way the pool's dispatch protocol is.
+//! [`World::endpoints`] hands out the connected [`Rank`] endpoints without
+//! spawning threads, so a model check can own thread creation. Receive deadlines are a wall-clock escape hatch and
 //! never fire under exploration: a receive that can block forever there
 //! surfaces as a detected deadlock, not a timeout.
 //!
 //! ## Failure handling
 //!
 //! Production campaigns lose ranks, so the fabric must fail loudly rather
-//! than hang. Three mechanisms work together:
+//! than hang. Two mechanisms work together:
 //!
 //! * Every rank thread runs under `catch_unwind`; a panic marks the rank
 //!   failed in the shared world control block, and [`World::try_run`]
 //!   reports *which* rank died (with its panic message) instead of
 //!   deadlocking the survivors.
-//! * Receives are deadline-bounded: [`Rank::try_recv`] polls in short
-//!   chunks, checking the failed-rank flags between chunks, and returns a
-//!   typed [`CommError`] on peer failure or deadline expiry
-//!   (`DCMESH_COMM_DEADLINE_MS`, default 5000). Messages a rank managed to
-//!   send before dying still deliver — queued data outranks failure flags.
-//!   A rank that dies *between* a posted receive and its wait surfaces as
-//!   [`CommError::RankFailed`] from the wait.
-//! * Messages carry per-sender sequence numbers; receivers drop duplicates
-//!   by a low-water-mark rule (per-sender delivery is FIFO, so any arrival
-//!   at or below the sender's admission high-water mark is a replayed
-//!   copy). Unlike a bounded recent-sequence window, the rule is immune to
-//!   duplicates deferred arbitrarily far past the original — the
-//!   adversarial case `dcmesh-ckpt`'s `dup=P@N` fault injects.
+//! * Receives are deadline-bounded: a wait polls in short chunks, checking
+//!   the failed-rank flags between chunks, and panics with a message that
+//!   names the dead peer (`rank R failed`) or the expired deadline (`timed
+//!   out`, `DCMESH_COMM_DEADLINE_MS`, default 5000) — a panic that
+//!   [`World::try_run`] reports like any other. Messages a rank managed to
+//!   send before dying still deliver: queued data outranks failure flags.
 //!
-//! Fault injection hooks (drop/delay/duplicate/kill) live on the send path
-//! but *resolve at the wait*, like real network faults: a dropped message
-//! is a receive deadline, a delay moves the modeled arrival clock, a
-//! duplicate is absorbed at admission time. The hooks cost one relaxed
-//! atomic load when no plan is installed.
+//! The mailbox is an in-process, exactly-once FIFO per sender: nothing on
+//! it is dropped, delayed or duplicated.
 
 use crate::network::NetworkModel;
 use dcmesh_analyze::sync::{Condvar, Mutex};
-use dcmesh_ckpt::fault::{self, MessageAction};
-use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::fmt;
 use std::io::Write;
@@ -79,13 +65,11 @@ use std::time::Duration;
 
 /// A message between ranks: payload of f64 words plus the sender's clock.
 /// `logical_bytes` lets scaling drivers model full-size transfers without
-/// materializing the data. `seq` is unique per sender and drives duplicate
-/// suppression on the receive side.
-#[derive(Clone, Debug)]
+/// materializing the data.
+#[derive(Debug)]
 struct Message {
     from: usize,
     tag: u64,
-    seq: u64,
     payload: Vec<f64>,
     clock: f64,
     logical_bytes: Option<u64>,
@@ -102,21 +86,16 @@ const POLL_MS: u64 = 1;
 /// Default receive deadline when `DCMESH_COMM_DEADLINE_MS` is unset.
 const DEFAULT_DEADLINE_MS: u64 = 5000;
 
-/// A typed communication failure.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CommError {
+/// Why a communication operation failed: the text of the panic that
+/// [`World::try_run`] reports for the failing rank.
+#[derive(Debug)]
+enum CommError {
     /// A peer rank died (panicked) while this rank was communicating.
-    RankFailed {
-        /// The rank that failed.
-        rank: usize,
-    },
+    RankFailed { rank: usize },
     /// No matching message arrived within the receive deadline.
     Timeout {
-        /// Sender the receive was waiting on.
         from: usize,
-        /// Tag the receive was waiting on.
         tag: u64,
-        /// How long the receive polled before giving up, in milliseconds.
         waited_ms: u64,
     },
     /// The channel closed without a recorded rank failure.
@@ -139,8 +118,6 @@ impl fmt::Display for CommError {
         }
     }
 }
-
-impl std::error::Error for CommError {}
 
 /// One or more ranks failed during a [`World::try_run`].
 #[derive(Clone, Debug)]
@@ -242,7 +219,7 @@ impl Mailbox {
 }
 
 /// Shared world state: which ranks have failed, and why. Ranks poll the
-/// flags between receive chunks, so a dead peer surfaces as a typed error
+/// flags between receive chunks, so a dead peer surfaces as a named failure
 /// within one poll interval instead of a deadlock.
 #[derive(Debug)]
 struct WorldCtrl {
@@ -293,14 +270,16 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// What a `DCMESH_COMM_DEADLINE_MS` value asks for: the empty string (i.e.
-/// unset) is the default; anything but a millisecond count is an error.
+/// unset) is the default; anything but a millisecond count of at least one
+/// poll interval is an error (a shorter deadline would expire every
+/// receive whose message is not already queued).
 fn parse_deadline_ms(value: &str) -> Result<u64, String> {
     match value.trim() {
         "" => Ok(DEFAULT_DEADLINE_MS),
-        v => v.parse().map_err(|_| {
+        v => v.parse().ok().filter(|&ms| ms >= POLL_MS).ok_or_else(|| {
             format!(
-                "DCMESH_COMM_DEADLINE_MS={value:?}: expected a millisecond count, \
-                 using {DEFAULT_DEADLINE_MS}"
+                "DCMESH_COMM_DEADLINE_MS={value:?}: expected a millisecond count \
+                 of at least {POLL_MS}, using {DEFAULT_DEADLINE_MS}"
             )
         }),
     }
@@ -368,10 +347,6 @@ impl World {
                 collective_seq: 0,
                 ctrl: Arc::clone(&ctrl),
                 deadline_ms,
-                send_seq: Cell::new(0),
-                comm_ops: Cell::new(0),
-                dedup_floor: vec![0; nranks],
-                dup_stash: RefCell::new(Vec::new()),
                 overlap: OverlapStats::default(),
                 p2p_names: vec![None; nranks],
             })
@@ -379,11 +354,10 @@ impl World {
     }
 
     /// Like [`World::run`], but rank failures are reported instead of
-    /// propagated: if any rank panics (including a comm failure escalated
-    /// to a panic by the legacy API), the returned [`WorldError`] names
-    /// every failed rank with its panic message. Surviving ranks observe
-    /// the failure as a typed [`CommError`] from their next receive rather
-    /// than deadlocking.
+    /// propagated: if any rank panics (a failed receive is a panic too),
+    /// the returned [`WorldError`] names every failed rank with its panic
+    /// message. A survivor blocked on a dead peer fails its receive within
+    /// one poll interval, naming the dead rank, rather than deadlocking.
     pub fn try_run<T, F>(nranks: usize, net: NetworkModel, f: F) -> Result<Vec<T>, WorldError>
     where
         T: Send,
@@ -440,68 +414,23 @@ impl World {
 /// rendezvous transport has a place to block.
 #[derive(Debug)]
 #[must_use = "a send request should be waited on (wait is free for buffered sends)"]
-pub struct SendRequest {
-    to: usize,
-    tag: u64,
-}
+pub struct SendRequest(());
 
 impl SendRequest {
-    /// Destination rank.
-    pub fn peer(&self) -> usize {
-        self.to
-    }
-
-    /// Message tag.
-    pub fn tag(&self) -> u64 {
-        self.tag
-    }
-
     /// Complete the send. Trivial for the buffered transport.
     pub fn wait(self) {}
-
-    /// Whether the send has completed (always, for buffered sends).
-    pub fn test(&self) -> bool {
-        true
-    }
-}
-
-#[derive(Debug)]
-enum RecvState {
-    /// No matching message claimed yet.
-    Pending,
-    /// A matching message was claimed by [`Rank::test`]; the clock
-    /// settlement still happens at the wait.
-    Done(Message),
 }
 
 /// Handle for a posted receive. Created by [`Rank::irecv`]; consumed by
-/// [`Rank::wait`] and friends, which perform the modeled-clock settlement. The post captures the rank's
-/// clock, so the settlement can split the transfer into hidden and
-/// stalled time (see [`OverlapStats`]).
+/// [`Rank::wait`] and [`Rank::wait_all`], which perform the modeled-clock
+/// settlement. The post captures the rank's clock, so the settlement can
+/// split the transfer into hidden and stalled time (see [`OverlapStats`]).
 #[derive(Debug)]
 #[must_use = "an unwaited receive leaves its message (and modeled time) unclaimed"]
 pub struct RecvRequest {
     from: usize,
     tag: u64,
     posted_clock: f64,
-    state: RecvState,
-}
-
-impl RecvRequest {
-    /// Source rank this receive is matched against.
-    pub fn peer(&self) -> usize {
-        self.from
-    }
-
-    /// Tag this receive is matched against.
-    pub fn tag(&self) -> u64 {
-        self.tag
-    }
-
-    /// Simulated clock at which the receive was posted.
-    pub fn posted_clock(&self) -> f64 {
-        self.posted_clock
-    }
 }
 
 /// Per-rank accounting of how much modeled communication time was hidden
@@ -550,15 +479,6 @@ impl OverlapStats {
     }
 }
 
-/// A duplicate copy the fault plan asked to replay later: it is pushed to
-/// `to` once the owning rank has posted `remaining` further messages.
-#[derive(Debug)]
-struct DeferredDup {
-    to: usize,
-    remaining: u64,
-    msg: Message,
-}
-
 /// One rank's endpoint: identity, point-to-point plumbing, collectives,
 /// and the simulated clock.
 pub struct Rank {
@@ -574,17 +494,6 @@ pub struct Rank {
     collective_seq: u64,
     ctrl: Arc<WorldCtrl>,
     deadline_ms: u64,
-    /// Per-sender sequence stamp; `Cell` keeps `send` at `&self`.
-    send_seq: Cell<u64>,
-    /// Communication-operation counter driving the kill fault.
-    comm_ops: Cell<u64>,
-    /// Per-sender duplicate-suppression low-water mark: the next sequence
-    /// number still admissible from that sender. Because per-sender
-    /// delivery is FIFO, any arrival below the mark is a replayed copy —
-    /// no bounded window to age out of.
-    dedup_floor: Vec<u64>,
-    /// Fault-injected duplicates awaiting their deferred replay.
-    dup_stash: RefCell<Vec<DeferredDup>>,
     /// Hidden-vs-stalled communication time accounting.
     overlap: OverlapStats,
     /// Lazily built per-neighbor latency metric names, so the receive hot
@@ -603,7 +512,7 @@ impl std::fmt::Debug for Rank {
 
 impl Drop for Rank {
     fn drop(&mut self) {
-        // Closing the inbox turns sends to a gone rank into typed errors
+        // Closing the inbox turns sends to a gone rank into failures
         // instead of silent buffering; already-queued messages stay
         // deliverable (not that a dropped endpoint will read them).
         self.inbox.close();
@@ -642,52 +551,16 @@ impl Rank {
         self.overlap
     }
 
-    /// Receive deadline in milliseconds (see `DCMESH_COMM_DEADLINE_MS`).
-    pub fn deadline_ms(&self) -> u64 {
-        self.deadline_ms
-    }
-
     /// Override the receive deadline for this rank (tests mostly).
     pub fn set_deadline_ms(&mut self, ms: u64) {
         assert!(ms >= POLL_MS, "deadline below poll granularity");
         self.deadline_ms = ms;
     }
 
-    /// Panic with a structured comm failure; the legacy (non-`try`) API
-    /// escalates typed errors this way, and `World` converts the panic
+    /// Panic with a structured comm failure; `World` converts the panic
     /// into a [`WorldError`] entry instead of a deadlock.
     fn escalate(&self, e: CommError) -> ! {
         panic!("communication failure on rank {}: {e}", self.id)
-    }
-
-    /// Count a communication operation and fire the kill fault if the
-    /// installed plan targets this rank at this operation.
-    fn fault_op(&self) {
-        let op = self.comm_ops.get();
-        self.comm_ops.set(op + 1);
-        if fault::armed() && fault::should_kill(self.id, op) {
-            panic!("fault injection: rank {} killed at comm op {op}", self.id);
-        }
-    }
-
-    /// Stamp an outgoing message with this sender's next sequence number.
-    fn make_msg(
-        &self,
-        tag: u64,
-        payload: Vec<f64>,
-        clock: f64,
-        logical_bytes: Option<u64>,
-    ) -> Message {
-        let seq = self.send_seq.get();
-        self.send_seq.set(seq + 1);
-        Message {
-            from: self.id,
-            tag,
-            seq,
-            payload,
-            clock,
-            logical_bytes,
-        }
     }
 
     fn channel_error(&self) -> CommError {
@@ -698,12 +571,11 @@ impl Rank {
     }
 
     /// Enqueue `msg` at rank `to`. A closed peer inbox means the peer is
-    /// gone: if any rank has *failed*, that is a typed error the sender
-    /// must see; if the peer simply exited cleanly (it already received
-    /// everything it wanted — e.g. its last wait was satisfied by an
-    /// injected duplicate while the original was still in flight), the
-    /// buffered send completes locally and the payload is dropped, as a
-    /// real fabric would once the receiver has finalized.
+    /// gone: if any rank has *failed*, that is an error the sender must
+    /// see; if the peer simply exited cleanly (it already received
+    /// everything it wanted), the buffered send completes locally and the
+    /// payload is dropped, as a real fabric would once the receiver has
+    /// finalized.
     fn push_to(&self, to: usize, msg: Message) -> Result<(), CommError> {
         match self.outboxes[to].push(msg) {
             Ok(()) => Ok(()),
@@ -717,135 +589,38 @@ impl Rank {
         }
     }
 
-    /// Advance the deferred-duplicate countdowns by one posted message and
-    /// replay any copy that came due. Replays bypass the fault hooks (a
-    /// copy is not re-dropped or re-duplicated) and ignore closed peers.
-    fn tick_dup_stash(&self) {
-        let mut stash = self.dup_stash.borrow_mut();
-        if stash.is_empty() {
-            return;
-        }
-        let mut due = Vec::new();
-        stash.retain_mut(|d| {
-            if d.remaining <= 1 {
-                due.push((
-                    d.to,
-                    std::mem::replace(
-                        &mut d.msg,
-                        Message {
-                            from: 0,
-                            tag: 0,
-                            seq: 0,
-                            payload: Vec::new(),
-                            clock: 0.0,
-                            logical_bytes: None,
-                        },
-                    ),
-                ));
-                false
-            } else {
-                d.remaining -= 1;
-                true
-            }
-        });
-        drop(stash);
-        for (to, msg) in due {
-            let _ = self.outboxes[to].push(msg);
-        }
-    }
-
-    /// Push one message to `to`, applying any installed fault plan:
-    /// drop, extra modeled latency, or duplication. An immediate duplicate
-    /// carries the same sequence number and is absorbed by the receiver's
-    /// low-water-mark admission; a deferred duplicate (`dup=P@N`) is
-    /// replayed after `N` further posts from this rank — the fault
-    /// *resolves* at the receiver's wait, not here.
-    fn post(&self, to: usize, mut msg: Message) -> Result<(), CommError> {
-        if fault::armed() {
-            self.tick_dup_stash();
-            match fault::message_action(msg.from, to, msg.tag, msg.seq) {
-                MessageAction::Deliver => {}
-                MessageAction::Drop => return Ok(()),
-                MessageAction::Delay(s) => msg.clock += s,
-                MessageAction::Duplicate => {
-                    let defer = fault::dup_defer();
-                    if defer == 0 {
-                        self.push_to(to, msg.clone())?;
-                    } else {
-                        self.dup_stash.borrow_mut().push(DeferredDup {
-                            to,
-                            remaining: defer,
-                            msg: msg.clone(),
-                        });
-                    }
-                }
-            }
-        }
-        self.push_to(to, msg)
-    }
-
-    /// Non-blocking send of `payload` to rank `to` with a user `tag`
-    /// (must be < 2^60; higher tags are reserved for collectives).
-    /// Panics on a dead peer; see [`Rank::try_send`] for the typed form.
-    pub fn send(&self, to: usize, tag: u64, payload: &[f64]) {
-        if let Err(e) = self.try_send(to, tag, payload) {
+    /// Post a send of `payload` to rank `to` with a user `tag` (must be
+    /// < 2^60; higher tags are reserved for collectives) and return its
+    /// request handle. Buffered transport: the send is complete at post,
+    /// so [`SendRequest::wait`] is free. Panics on a dead peer.
+    pub fn isend(&self, to: usize, tag: u64, payload: &[f64]) -> SendRequest {
+        assert!(tag < COLLECTIVE_TAG_BASE, "user tags must be < 2^60");
+        if let Err(e) = self.send_raw(to, tag, payload.to_vec()) {
             self.escalate(e);
         }
-    }
-
-    /// Fallible form of [`Rank::send`].
-    pub fn try_send(&self, to: usize, tag: u64, payload: &[f64]) -> Result<(), CommError> {
-        self.try_isend(to, tag, payload).map(SendRequest::wait)
-    }
-
-    /// Post a send and return its request handle. Buffered transport:
-    /// the send is complete at post, so [`SendRequest::wait`] is free.
-    /// Panics on a dead peer; see [`Rank::try_isend`].
-    pub fn isend(&self, to: usize, tag: u64, payload: &[f64]) -> SendRequest {
-        match self.try_isend(to, tag, payload) {
-            Ok(req) => req,
-            Err(e) => self.escalate(e),
-        }
-    }
-
-    /// Fallible form of [`Rank::isend`].
-    pub fn try_isend(
-        &self,
-        to: usize,
-        tag: u64,
-        payload: &[f64],
-    ) -> Result<SendRequest, CommError> {
-        assert!(tag < COLLECTIVE_TAG_BASE, "user tags must be < 2^60");
-        self.fault_op();
-        self.send_raw(to, tag, payload.to_vec())?;
-        Ok(SendRequest { to, tag })
+        SendRequest(())
     }
 
     fn send_raw(&self, to: usize, tag: u64, payload: Vec<f64>) -> Result<(), CommError> {
         dcmesh_obs::metrics::counter_add("comm.messages", 1);
         dcmesh_obs::metrics::counter_add("comm.send_bytes", (payload.len() * 8) as u64);
-        let msg = self.make_msg(tag, payload, self.clock, None);
-        self.post(to, msg)
+        let msg = Message {
+            from: self.id,
+            tag,
+            payload,
+            clock: self.clock,
+            logical_bytes: None,
+        };
+        self.push_to(to, msg)
     }
 
-    /// Blocking selective receive from rank `from` with matching `tag`.
-    /// Advances the clock to the modeled arrival time. Panics on peer
-    /// failure or deadline expiry; see [`Rank::try_recv`] for the typed
-    /// form.
+    /// Blocking selective receive from rank `from` with matching `tag`:
+    /// an [`Rank::irecv`] waited on immediately (post clock == wait clock,
+    /// so nothing is hidden). Advances the clock to the modeled arrival
+    /// time. Panics on peer failure or deadline expiry.
     pub fn recv(&mut self, from: usize, tag: u64) -> Vec<f64> {
-        match self.try_recv(from, tag) {
-            Ok(payload) => payload,
-            Err(e) => self.escalate(e),
-        }
-    }
-
-    /// Fallible form of [`Rank::recv`]: returns a typed error when a peer
-    /// rank has failed, the channel closed, or no matching message arrived
-    /// within the deadline. Equivalent to an [`Rank::irecv`] waited on
-    /// immediately (post clock == wait clock, so nothing is hidden).
-    pub fn try_recv(&mut self, from: usize, tag: u64) -> Result<Vec<f64>, CommError> {
         let req = self.irecv(from, tag);
-        self.try_wait(req)
+        self.wait(req)
     }
 
     /// Post a selective receive and return its request handle. The rank's
@@ -855,79 +630,22 @@ impl Rank {
     /// payload is empty and its logical size is what the clock is charged.
     pub fn irecv(&mut self, from: usize, tag: u64) -> RecvRequest {
         assert!(tag < COLLECTIVE_TAG_BASE, "user tags must be < 2^60");
-        self.fault_op();
         dcmesh_obs::metrics::counter_add("comm.recv_posted", 1);
         RecvRequest {
             from,
             tag,
             posted_clock: self.clock,
-            state: RecvState::Pending,
         }
     }
 
-    /// Non-blocking completion probe: true once a matching message has
-    /// been claimed for `req`, after which the corresponding wait settles
-    /// without blocking. Does not advance the clock — modeled time is
-    /// charged at the wait.
-    pub fn test(&mut self, req: &mut RecvRequest) -> bool {
-        if matches!(req.state, RecvState::Done(_)) {
-            return true;
-        }
-        if let Some(msg) = self.claim_pending(req.from, req.tag) {
-            req.state = RecvState::Done(msg);
-            return true;
-        }
-        let drained = self.inbox.drain();
-        for msg in drained {
-            if let Some(m) = self.admit(msg) {
-                self.pending.push(m);
-            }
-        }
-        if let Some(msg) = self.claim_pending(req.from, req.tag) {
-            req.state = RecvState::Done(msg);
-            return true;
-        }
-        false
-    }
-
-    /// Complete a posted receive, returning its payload. Panics
-    /// (structured) on peer failure or deadline expiry; see
-    /// [`Rank::try_wait`].
+    /// Complete a posted receive, returning its payload: receive the
+    /// matching message, charge the modeled transfer to the clock, and
+    /// split it into hidden vs stalled time. A peer that died after the
+    /// post, or a deadline that expired, panics (structured) here.
     pub fn wait(&mut self, req: RecvRequest) -> Vec<f64> {
-        match self.try_wait(req) {
-            Ok(payload) => payload,
+        let msg = match self.recv_raw(req.from, req.tag) {
+            Ok(msg) => msg,
             Err(e) => self.escalate(e),
-        }
-    }
-
-    /// Complete a batch of posted receives in order, returning their
-    /// payloads. Panics (structured) on the first failure; see
-    /// [`Rank::try_wait_all`].
-    pub fn wait_all(&mut self, reqs: Vec<RecvRequest>) -> Vec<Vec<f64>> {
-        match self.try_wait_all(reqs) {
-            Ok(payloads) => payloads,
-            Err(e) => self.escalate(e),
-        }
-    }
-
-    /// Fallible form of [`Rank::wait_all`]: settles requests in order and
-    /// returns the first error (e.g. [`CommError::RankFailed`] when a peer
-    /// died between the posts and this wait). Requests after the failed
-    /// one are abandoned — their messages, if any, stay claimable.
-    pub fn try_wait_all(&mut self, reqs: Vec<RecvRequest>) -> Result<Vec<Vec<f64>>, CommError> {
-        reqs.into_iter().map(|r| self.try_wait(r)).collect()
-    }
-
-    /// Fallible form of [`Rank::wait`]. A peer that died after the post
-    /// surfaces here as [`CommError::RankFailed`]; a message the fault
-    /// plan dropped surfaces as [`CommError::Timeout`] — faults resolve at
-    /// the wait. Settles the receive: obtains the matching message (claimed
-    /// by an earlier [`Rank::test`] or received now), charges the modeled
-    /// transfer to the clock, and splits it into hidden vs stalled time.
-    pub fn try_wait(&mut self, req: RecvRequest) -> Result<Vec<f64>, CommError> {
-        let msg = match req.state {
-            RecvState::Done(msg) => msg,
-            RecvState::Pending => self.recv_raw(req.from, req.tag)?,
         };
         let bytes = msg.logical_bytes.unwrap_or((msg.payload.len() * 8) as u64);
         let latency = self.net.p2p_time(bytes as usize, req.from, self.id);
@@ -941,7 +659,13 @@ impl Rank {
         self.clock = wait_clock.max(arrival);
         dcmesh_obs::metrics::counter_add("comm.wait_ns", (stall * 1e9) as u64);
         self.record_p2p(req.from, bytes, latency);
-        Ok(msg.payload)
+        msg.payload
+    }
+
+    /// Complete a batch of posted receives in order, returning their
+    /// payloads. Panics (structured) on the first failure.
+    pub fn wait_all(&mut self, reqs: Vec<RecvRequest>) -> Vec<Vec<f64>> {
+        reqs.into_iter().map(|r| self.wait(r)).collect()
     }
 
     /// Feed modeled p2p traffic into the metrics registry: total exchanged
@@ -961,40 +685,21 @@ impl Rank {
     /// Non-blocking send of a *modeled* message: no payload is
     /// materialized, but the receiver's clock advances as if
     /// `logical_bytes` had crossed the fabric. Scaling drivers use this to
-    /// model full-size halo exchanges without allocating them.
+    /// model full-size halo exchanges without allocating them. Panics on a
+    /// dead peer.
     pub fn send_modeled(&self, to: usize, tag: u64, logical_bytes: u64) {
-        if let Err(e) = self.try_send_modeled(to, tag, logical_bytes) {
+        assert!(tag < COLLECTIVE_TAG_BASE, "user tags must be < 2^60");
+        dcmesh_obs::metrics::counter_add("comm.send_bytes", logical_bytes);
+        let msg = Message {
+            from: self.id,
+            tag,
+            payload: Vec::new(),
+            clock: self.clock,
+            logical_bytes: Some(logical_bytes),
+        };
+        if let Err(e) = self.push_to(to, msg) {
             self.escalate(e);
         }
-    }
-
-    /// Fallible form of [`Rank::send_modeled`].
-    pub fn try_send_modeled(
-        &self,
-        to: usize,
-        tag: u64,
-        logical_bytes: u64,
-    ) -> Result<(), CommError> {
-        assert!(tag < COLLECTIVE_TAG_BASE, "user tags must be < 2^60");
-        self.fault_op();
-        dcmesh_obs::metrics::counter_add("comm.send_bytes", logical_bytes);
-        let msg = self.make_msg(tag, Vec::new(), self.clock, Some(logical_bytes));
-        self.post(to, msg)
-    }
-
-    /// Admit a message off the wire, dropping duplicates by the per-sender
-    /// low-water mark: per-sender delivery is FIFO, so a fresh message
-    /// always carries a higher sequence number than everything admitted
-    /// before it — any arrival at or below the mark is an injected (or
-    /// retransmitted) copy, no matter how long it was deferred.
-    fn admit(&mut self, msg: Message) -> Option<Message> {
-        let floor = &mut self.dedup_floor[msg.from];
-        if msg.seq < *floor {
-            dcmesh_obs::metrics::counter_add("comm.dup_dropped", 1);
-            return None;
-        }
-        *floor = msg.seq + 1;
-        Some(msg)
     }
 
     /// Take the first pending message matching `(from, tag)`, if any.
@@ -1020,15 +725,12 @@ impl Rank {
         loop {
             // Drain whatever is already queued before consulting failure
             // flags, so delivered-then-died messages win.
-            let drained = self.inbox.drain();
             let mut found = None;
-            for msg in drained {
-                if let Some(m) = self.admit(msg) {
-                    if found.is_none() && m.from == from && m.tag == tag {
-                        found = Some(m);
-                    } else {
-                        self.pending.push(m);
-                    }
+            for m in self.inbox.drain() {
+                if found.is_none() && m.from == from && m.tag == tag {
+                    found = Some(m);
+                } else {
+                    self.pending.push(m);
                 }
             }
             if let Some(m) = found {
@@ -1065,13 +767,12 @@ impl Rank {
     /// `max(entry clocks) + tree_collective_time`. Panics (structured)
     /// on rank failure or deadline expiry.
     pub fn allreduce_with(&mut self, data: &mut [f64], combine: impl Fn(f64, f64) -> f64) {
-        if let Err(e) = self.try_allreduce_with(data, combine) {
+        if let Err(e) = self.allreduce_raw(data, combine) {
             self.escalate(e);
         }
     }
 
-    /// Fallible form of [`Rank::allreduce_with`].
-    pub fn try_allreduce_with(
+    fn allreduce_raw(
         &mut self,
         data: &mut [f64],
         combine: impl Fn(f64, f64) -> f64,
@@ -1081,7 +782,6 @@ impl Rank {
         if self.size == 1 {
             return Ok(());
         }
-        self.fault_op();
         if self.id == 0 {
             let mut max_clock = self.clock;
             for from in 1..self.size {
@@ -1097,8 +797,14 @@ impl Rank {
             dcmesh_obs::metrics::counter_add("comm.collective_bytes", bytes as u64);
             dcmesh_obs::metrics::histogram_record("comm.collective_latency_s", coll);
             for to in 1..self.size {
-                let msg = self.make_msg(tag, data.to_vec(), done, None);
-                self.post(to, msg)?;
+                let msg = Message {
+                    from: self.id,
+                    tag,
+                    payload: data.to_vec(),
+                    clock: done,
+                    logical_bytes: None,
+                };
+                self.push_to(to, msg)?;
             }
         } else {
             self.send_raw(0, tag, data.to_vec())?;
@@ -1129,7 +835,7 @@ mod tests {
         assert_eq!(parse_deadline_ms(""), Ok(DEFAULT_DEADLINE_MS));
         assert_eq!(parse_deadline_ms("60000"), Ok(60000));
         assert_eq!(parse_deadline_ms(" 250\n"), Ok(250));
-        for bad in ["abc", "-1", "1.5"] {
+        for bad in ["abc", "-1", "1.5", "0"] {
             let msg = parse_deadline_ms(bad).expect_err(bad);
             assert!(msg.contains(bad) && msg.contains("5000"), "{msg}");
         }
@@ -1152,7 +858,7 @@ mod tests {
         let out = World::run(n, NetworkModel::slingshot11(), |r| {
             let next = (r.id() + 1) % n;
             let prev = (r.id() + n - 1) % n;
-            r.send(next, 7, &[r.id() as f64]);
+            r.isend(next, 7, &[r.id() as f64]).wait();
             let got = r.recv(prev, 7);
             got[0] as usize
         });
@@ -1196,8 +902,8 @@ mod tests {
         let out = World::run(2, NetworkModel::ideal(), |r| {
             if r.id() == 0 {
                 // Send tag 2 first, tag 1 second.
-                r.send(1, 2, &[2.0]);
-                r.send(1, 1, &[1.0]);
+                r.isend(1, 2, &[2.0]).wait();
+                r.isend(1, 1, &[1.0]).wait();
                 vec![]
             } else {
                 // Receive tag 1 first: must skip the tag-2 message.
@@ -1325,38 +1031,13 @@ mod tests {
     }
 
     #[test]
-    fn test_probe_claims_without_clock_advance() {
-        let out = World::run(2, NetworkModel::slingshot11(), |r| {
-            if r.id() == 0 {
-                r.send(1, 6, &[7.0]);
-                true
-            } else {
-                let mut req = r.irecv(0, 6);
-                // Spin until the probe claims the message.
-                let mut probes = 0u32;
-                while !r.test(&mut req) {
-                    probes += 1;
-                    assert!(probes < 1_000_000, "probe never completed");
-                    std::thread::yield_now();
-                }
-                let t_before = r.time();
-                assert_eq!(t_before, 0.0, "test must not advance the clock");
-                let got = r.wait(req);
-                assert_eq!(got, vec![7.0]);
-                r.time() >= t_before
-            }
-        });
-        assert!(out[1]);
-    }
-
-    #[test]
     fn wait_all_settles_in_order() {
         let n = 4;
         let out = World::run(n, NetworkModel::slingshot11(), |r| {
             let id = r.id();
             for to in 0..n {
                 if to != id {
-                    r.send(to, 30 + id as u64, &[id as f64]);
+                    r.isend(to, 30 + id as u64, &[id as f64]).wait();
                 }
             }
             let reqs: Vec<RecvRequest> = (0..n)
@@ -1379,7 +1060,7 @@ mod tests {
         let mut r0 = ranks.pop().expect("rank 0");
         let h = dcmesh_analyze::sync::spawn_named("endpoint-sender", move || {
             let r1 = r1;
-            r1.send(0, 5, &[9.0]);
+            r1.isend(0, 5, &[9.0]).wait();
         });
         let req = r0.irecv(1, 5);
         let got = r0.wait(req);

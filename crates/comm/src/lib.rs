@@ -28,5 +28,5 @@
 pub mod comm;
 pub mod network;
 
-pub use comm::{CommError, OverlapStats, Rank, RecvRequest, SendRequest, World, WorldError};
+pub use comm::{OverlapStats, Rank, RecvRequest, SendRequest, World, WorldError};
 pub use network::NetworkModel;

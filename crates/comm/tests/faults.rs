@@ -1,39 +1,38 @@
-//! Fault-injection matrix for the comm fabric: each injected fault must be
-//! *detected* (typed error or named failed rank, never a hang) and, where
-//! the fabric promises recovery (duplicates), recovered from.
-//!
-//! The fault plan and the metrics registry are process-global, so every
-//! test that installs a plan runs under `fault::with_installed`, which
-//! serializes them through the plan's test lock.
+//! Rank failures in the comm fabric: a rank that dies, or a peer that stays
+//! silent, must be *detected* — a named failed rank or a timeout in the
+//! `WorldError`, never a hang. A failed receive is a panic on the survivor,
+//! so every assertion reads the `(rank, panic message)` pairs `try_run`
+//! returns.
 
-use dcmesh_ckpt::fault::{self, FaultPlan};
-use dcmesh_comm::{CommError, NetworkModel, World};
+use dcmesh_comm::{NetworkModel, World, WorldError};
+
+/// The panic message `err` carries for `rank`.
+fn reason(err: &WorldError, rank: usize) -> &str {
+    err.failures
+        .iter()
+        .find(|(r, _)| *r == rank)
+        .map(|(_, why)| why.as_str())
+        .unwrap_or_else(|| panic!("rank {rank} is not reported: {err}"))
+}
 
 /// The original hang: a rank panicking *before* its send left every peer
-/// blocked forever in an unbounded `recv`. Now the survivor gets a typed
-/// `RankFailed` within one poll interval and the world names the culprit.
+/// blocked forever in an unbounded `recv`. Now the survivor's receive fails
+/// within one poll interval naming the culprit, and the world names both.
 #[test]
 fn rank_panicking_before_send_is_detected_not_deadlocked() {
-    let _guard = fault::test_lock();
     let err = World::try_run(2, NetworkModel::ideal(), |r| {
         if r.id() == 0 {
             panic!("rank 0 dies before sending");
         }
         // Rank 1 waits on a message rank 0 never sends.
-        let got = r.try_recv(0, 7);
-        assert_eq!(got, Err(CommError::RankFailed { rank: 0 }));
-        got.is_err()
+        r.recv(0, 7)
     })
     .expect_err("a failed rank must surface as a WorldError");
+    assert!(reason(&err, 0).contains("dies before sending"), "{err}");
+    let survivor = reason(&err, 1);
     assert!(
-        err.failures.iter().any(|(rank, _)| *rank == 0),
-        "rank 0 must be reported: {err}"
-    );
-    assert!(
-        err.failures
-            .iter()
-            .any(|(_, reason)| reason.contains("dies before sending")),
-        "panic message must be carried: {err}"
+        survivor.contains("rank 0 failed") && !survivor.contains("timed out"),
+        "the survivor must name the dead rank, not time out: {err}"
     );
 }
 
@@ -41,228 +40,70 @@ fn rank_panicking_before_send_is_detected_not_deadlocked() {
 /// data outranks failure flags.
 #[test]
 fn message_sent_before_death_still_delivers() {
-    let _guard = fault::test_lock();
     let err = World::try_run(2, NetworkModel::ideal(), |r| {
         if r.id() == 0 {
-            r.send(1, 3, &[42.0]);
+            r.isend(1, 3, &[42.0]).wait();
             panic!("rank 0 dies after sending");
         }
-        let got = r.try_recv(0, 3).expect("sent message must deliver");
+        let got = r.recv(0, 3);
         assert_eq!(got, vec![42.0]);
         got[0]
     })
     .expect_err("rank 0 still failed overall");
     assert_eq!(err.failures.len(), 1, "only rank 0 failed: {err}");
+    assert!(reason(&err, 0).contains("dies after sending"), "{err}");
 }
 
+/// A rank dying inside a collective: the survivors' receives fail naming a
+/// dead rank instead of hanging at the next round, and the world reports
+/// the rank that died with its own message.
 #[test]
-fn dropped_message_surfaces_as_timeout() {
-    let plan = FaultPlan {
-        seed: 1,
-        drop_prob: 1.0,
-        ..FaultPlan::none()
-    };
-    fault::with_installed(plan, || {
-        let out = World::try_run(2, NetworkModel::ideal(), |r| {
-            r.set_deadline_ms(50);
-            if r.id() == 0 {
-                r.try_send(1, 9, &[1.0]).expect("send itself succeeds");
-                Ok(vec![])
-            } else {
-                r.try_recv(0, 9)
+fn rank_dying_in_a_collective_is_named_in_world_error() {
+    let err = World::try_run(3, NetworkModel::ideal(), |r| {
+        r.set_deadline_ms(2_000);
+        for round in 0..3 {
+            if r.id() == 1 && round == 2 {
+                panic!("rank 1 dies before its third allreduce");
             }
-        })
-        .expect("timeout is an error value, not a rank failure");
-        match &out[1] {
-            Err(CommError::Timeout {
-                from: 0,
-                tag: 9,
-                waited_ms,
-            }) => {
-                assert!(*waited_ms >= 50, "deadline honoured: {waited_ms}")
-            }
-            other => panic!("expected timeout, got {other:?}"),
+            let mut v = [r.id() as f64];
+            r.allreduce_sum(&mut v);
         }
-    });
-}
-
-#[test]
-fn delayed_message_arrives_with_extra_modeled_latency() {
-    let plan = FaultPlan {
-        seed: 2,
-        delay_prob: 1.0,
-        delay_s: 0.5,
-        ..FaultPlan::none()
-    };
-    fault::with_installed(plan, || {
-        let out = World::run(2, NetworkModel::ideal(), |r| {
-            if r.id() == 0 {
-                r.send(1, 4, &[1.0]);
-                0.0
-            } else {
-                r.recv(0, 4);
-                r.time()
-            }
-        });
-        assert!(
-            out[1] >= 0.5,
-            "receiver clock must include the injected delay, got {}",
-            out[1]
-        );
-    });
-}
-
-/// Duplicates are injected with the sender's original sequence number;
-/// the receiver's dedup window must absorb the copy so each payload is
-/// seen exactly once and subsequent traffic is unaffected.
-#[test]
-fn duplicated_messages_are_deduplicated() {
-    let plan = FaultPlan {
-        seed: 3,
-        dup_prob: 1.0,
-        ..FaultPlan::none()
-    };
-    fault::with_installed(plan, || {
-        dcmesh_obs::enable();
-        dcmesh_obs::metrics::clear();
-        let out = World::run(2, NetworkModel::ideal(), |r| {
-            if r.id() == 0 {
-                for i in 0..8 {
-                    r.send(1, i, &[i as f64]);
-                }
-                vec![]
-            } else {
-                (0..8).map(|i| r.recv(0, i)[0]).collect::<Vec<f64>>()
-            }
-        });
-        dcmesh_obs::disable();
-        assert_eq!(out[1], (0..8).map(|i| i as f64).collect::<Vec<f64>>());
-        let snap = dcmesh_obs::metrics::snapshot();
-        assert!(
-            snap.counters.get("faults.injected").copied().unwrap_or(0) >= 8,
-            "duplicate injections must be counted"
-        );
-        // The dup of the final message can still sit in the channel when
-        // the world exits (nothing receives after it), so 7 of the 8
-        // injected copies are guaranteed to have been drained and dropped.
-        assert!(
-            snap.counters.get("comm.dup_dropped").copied().unwrap_or(0) >= 7,
-            "dedup window must drop the injected copies"
-        );
-    });
-}
-
-#[test]
-fn killed_rank_is_named_in_world_error() {
-    let plan = FaultPlan {
-        kill_rank: Some((1, 2)),
-        ..FaultPlan::none()
-    };
-    fault::with_installed(plan, || {
-        let err = World::try_run(3, NetworkModel::ideal(), |r| {
-            r.set_deadline_ms(200);
-            // Three barriers; rank 1 dies at its third comm op.
-            for _ in 0..3 {
-                let mut v = [r.id() as f64];
-                if r.try_allreduce_with(&mut v, |a, b| a + b).is_err() {
-                    break;
-                }
-            }
-            r.id()
-        })
-        .expect_err("the kill must surface");
-        assert!(
-            err.failures
-                .iter()
-                .any(|(rank, reason)| *rank == 1 && reason.contains("fault injection")),
-            "rank 1's kill must be reported: {err}"
-        );
-    });
-}
-
-/// The dedup-window regression: a duplicate deferred beyond any bounded
-/// receive-side window (the old implementation remembered only the last
-/// 64 sequence numbers) used to be re-delivered as a fresh message. The
-/// low-water-mark admission has no window to fall out of: a copy of
-/// sequence 0 surfacing 70 posts later must still be dropped.
-#[test]
-fn duplicate_deferred_beyond_any_bounded_window_is_still_deduped() {
-    let plan = FaultPlan {
-        seed: 5,
-        dup_prob: 1.0,
-        dup_defer_msgs: 70,
-        ..FaultPlan::none()
-    };
-    fault::with_installed(plan, || {
-        dcmesh_obs::enable();
-        dcmesh_obs::metrics::clear();
-        let n = 80u64;
-        let out = World::run(2, NetworkModel::ideal(), |r| {
-            if r.id() == 0 {
-                for i in 0..n {
-                    r.send(1, i, &[i as f64]);
-                }
-                vec![]
-            } else {
-                (0..n).map(|i| r.recv(0, i)[0]).collect::<Vec<f64>>()
-            }
-        });
-        dcmesh_obs::disable();
-        assert_eq!(
-            out[1],
-            (0..n).map(|i| i as f64).collect::<Vec<f64>>(),
-            "every payload must deliver exactly once, in order"
-        );
-        // Duplicates of messages 0..=9 replay at posts 70..=79, each
-        // queued ahead of that post's own message — so by the time tag 79
-        // is received, all ten stale copies have been drained and must
-        // have died at admission, not been re-delivered.
-        let snap = dcmesh_obs::metrics::snapshot();
-        assert!(
-            snap.counters.get("comm.dup_dropped").copied().unwrap_or(0) >= 10,
-            "stale duplicates must be dropped by the low-water mark: {:?}",
-            snap.counters.get("comm.dup_dropped")
-        );
-    });
+        r.id()
+    })
+    .expect_err("the death must surface");
+    assert!(reason(&err, 1).contains("third allreduce"), "{err}");
+    // The root gathers from rank 1 first, so its receive names rank 1.
+    assert!(reason(&err, 0).contains("rank 1 failed"), "{err}");
+    assert!(
+        err.failures
+            .iter()
+            .all(|(_, why)| !why.contains("timed out")),
+        "a dead peer is not a timeout: {err}"
+    );
 }
 
 /// A rank dying *between* a peer's post and its wait: the receive is
-/// outstanding when the sender is killed, so the failure must surface at
-/// `try_wait` as a typed `RankFailed`, not a hang or a bare timeout.
+/// outstanding when the sender dies, so the failure must surface at the
+/// wait, well inside its deadline and naming the dead rank — not as a hang
+/// or a bare timeout.
 #[test]
-fn wait_on_rank_that_died_after_post_returns_rank_failed() {
-    let plan = FaultPlan {
-        kill_rank: Some((1, 0)),
-        ..FaultPlan::none()
-    };
-    fault::with_installed(plan, || {
-        let seen: std::sync::Mutex<Option<CommError>> = std::sync::Mutex::new(None);
-        let err = World::try_run(2, NetworkModel::ideal(), |r| {
-            if r.id() == 0 {
-                r.set_deadline_ms(2_000);
-                let req = r.irecv(1, 8);
-                let got = r.try_wait(req).expect_err("peer died before sending");
-                *seen.lock().unwrap() = Some(got.clone());
-                Err::<(), _>(got)
-            } else {
-                // First comm op trips the kill before anything is sent.
-                let _ = r.try_send(0, 8, &[1.0]);
-                Ok(())
-            }
-        })
-        .expect_err("the killed rank must surface as a WorldError");
-        assert!(
-            err.failures
-                .iter()
-                .any(|(rank, reason)| *rank == 1 && reason.contains("fault injection")),
-            "rank 1's kill must be reported: {err}"
-        );
-        assert_eq!(
-            *seen.lock().unwrap(),
-            Some(CommError::RankFailed { rank: 1 }),
-            "the outstanding wait must resolve to RankFailed, not Timeout"
-        );
-    });
+fn wait_on_rank_that_died_after_post_names_the_dead_rank() {
+    let err = World::try_run(2, NetworkModel::ideal(), |r| {
+        if r.id() == 0 {
+            r.set_deadline_ms(2_000);
+            let req = r.irecv(1, 8);
+            r.wait(req);
+        } else {
+            panic!("rank 1 dies before sending");
+        }
+    })
+    .expect_err("the dead rank must surface as a WorldError");
+    assert!(reason(&err, 1).contains("dies before sending"), "{err}");
+    let survivor = reason(&err, 0);
+    assert!(
+        survivor.contains("rank 1 failed") && !survivor.contains("timed out"),
+        "the outstanding wait must name rank 1, not time out: {err}"
+    );
 }
 
 /// Deadlock-freedom at large halo sizes: 8 ranks on a ring exchange
@@ -271,7 +112,6 @@ fn wait_on_rank_that_died_after_post_returns_rank_failed() {
 /// must complete on every round — no rendezvous cycle, no timeout.
 #[test]
 fn posted_receive_ring_exchange_is_deadlock_free_at_large_halos() {
-    let _guard = fault::test_lock();
     let p = 8usize;
     let face = 131_072; // 1 MiB of f64 per face
     let out = World::run(p, NetworkModel::slingshot11(), |r| {
@@ -304,23 +144,20 @@ fn posted_receive_ring_exchange_is_deadlock_free_at_large_halos() {
     );
 }
 
-/// The deadline itself: a receive on a tag nobody ever sends must come
-/// back as `Timeout` (bounded), not hang.
+/// The deadline itself: a receive on a tag nobody ever sends, from a peer
+/// that never fails, must fail as a timeout (bounded), not hang.
 #[test]
 fn recv_on_silent_peer_times_out() {
-    let _guard = fault::test_lock();
-    let out = World::try_run(2, NetworkModel::ideal(), |r| {
+    let err = World::try_run(2, NetworkModel::ideal(), |r| {
         if r.id() == 1 {
             r.set_deadline_ms(30);
-            r.try_recv(0, 99)
-        } else {
-            Ok(vec![])
+            r.recv(0, 99);
         }
     })
-    .expect("timeouts are values");
+    .expect_err("the receive must time out");
+    assert_eq!(err.failures.len(), 1, "only the receiver failed: {err}");
     assert!(
-        matches!(out[1], Err(CommError::Timeout { .. })),
-        "got {:?}",
-        out[1]
+        reason(&err, 1).contains("receive from rank 0 (tag 99) timed out after 30 ms"),
+        "{err}"
     );
 }

@@ -365,7 +365,6 @@ mod tests {
     fn warning_precedes_rollback_for_an_injected_nan() {
         let plan = FaultPlan {
             nan_at_step: Some(1),
-            ..FaultPlan::none()
         };
         fault::with_installed(plan, || {
             let mut runner = ResilientRunner::new(quick_cfg(), 1);
@@ -454,7 +453,6 @@ mod tests {
     fn injected_nan_is_detected_and_recovered() {
         let plan = FaultPlan {
             nan_at_step: Some(1),
-            ..FaultPlan::none()
         };
         fault::with_installed(plan, || {
             let mut runner = ResilientRunner::new(quick_cfg(), 1);
@@ -476,7 +474,6 @@ mod tests {
         // consumed, but the runner must refuse to continue.
         let plan = FaultPlan {
             nan_at_step: Some(0),
-            ..FaultPlan::none()
         };
         fault::with_installed(plan, || {
             let mut runner = ResilientRunner::new(quick_cfg(), 1).with_max_rollbacks(0);

@@ -150,7 +150,6 @@ fn a_nan_poisoned_job_is_evicted_while_its_siblings_finish() {
     // service keeps running.
     let plan = FaultPlan {
         nan_at_step: Some(1),
-        ..FaultPlan::none()
     };
     fault::with_installed(plan, || {
         let service = Service::start(ServeConfig {
@@ -195,7 +194,6 @@ fn a_nan_poisoned_job_retries_from_its_checkpoint_and_completes() {
     // snapshot, and — the injection being consumed — the retry completes.
     let plan = FaultPlan {
         nan_at_step: Some(1),
-        ..FaultPlan::none()
     };
     fault::with_installed(plan, || {
         let service = Service::start(ServeConfig {

@@ -1,8 +1,8 @@
 //! Bounded exhaustive model checking of the comm fabric's nonblocking
-//! request lifecycle (post -> fault resolution -> wait).
+//! request lifecycle (post -> wait).
 //!
 //! These scenarios run the **real** `Rank` transport — the mailbox mutex,
-//! its condvar, and the dedup admission path — under
+//! its condvar, and the pending-claim path — under
 //! `dcmesh_analyze::sched`: [`dcmesh_comm::World::endpoints`] hands back
 //! connected endpoints without spawning threads, so the test owns thread
 //! creation via `dcmesh_analyze::sync::spawn_named` and the explorer
@@ -17,7 +17,6 @@
 //! bookkeeping adds no scheduling points of its own.
 
 use dcmesh_analyze::sched::{self, Options};
-use dcmesh_ckpt::fault::{self, FaultPlan};
 use dcmesh_comm::{NetworkModel, World};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -33,12 +32,10 @@ fn opts() -> Options {
 /// Lifecycle 1 — the clean symmetric exchange. Both ranks post their
 /// sends, post their receives, overlap a compute slice, and wait. On
 /// every interleaving of the two mailbox protocols the payloads must
-/// cross exactly once (dedup must not eat a fresh message) and neither
-/// wait may hang, whether the message lands before or after the receive
-/// is posted.
+/// cross exactly once and neither wait may hang, whether the message
+/// lands before or after the receive is posted.
 #[test]
 fn isend_irecv_lifecycle_completes_on_every_schedule() {
-    let _guard = fault::test_lock();
     let stats = sched::explore(opts(), || {
         let mut endpoints = World::endpoints(2, NetworkModel::ideal());
         let delivered = Arc::new(AtomicUsize::new(0));
@@ -68,45 +65,51 @@ fn isend_irecv_lifecycle_completes_on_every_schedule() {
     assert!(stats.schedules > 1, "scenario never branched: {stats:?}");
 }
 
-/// Lifecycle 2 — fault resolution between post and wait. With duplicate
-/// injection armed at probability 1 every post also enqueues a copy
-/// carrying the original sequence number; on every interleaving of the
-/// duplicate push with the receiver's drain, the low-water-mark admission
-/// must deliver each payload exactly once, in order, and both waits must
-/// still settle.
+/// Lifecycle 2 — the exchange `core::scaling` runs. Both ranks
+/// `send_modeled` two faces to each other, post both receives, overlap a
+/// compute slice and settle with `wait_all`. Rank 0's slice outlasts the
+/// modeled transfer (hidden), rank 1's does not (exposed stall): on every
+/// interleaving both waits settle, both payloads are empty, and each
+/// rank's clock ends at exactly `max(compute, arrival)`.
 #[test]
-fn duplicate_fault_resolves_exactly_once_on_every_schedule() {
-    let plan = FaultPlan {
-        seed: 11,
-        dup_prob: 1.0,
-        ..FaultPlan::none()
-    };
-    fault::with_installed(plan, || {
-        let stats = sched::explore(opts(), || {
-            let mut endpoints = World::endpoints(2, NetworkModel::ideal());
-            let receiver = endpoints.pop().expect("rank 1");
-            let sender = endpoints.pop().expect("rank 0");
-            let producer = dcmesh_analyze::sync::spawn_named("rank-0", move || {
-                sender.isend(1, 3, &[10.0]).wait();
-                sender.isend(1, 3, &[20.0]).wait();
-            });
-            let consumer = dcmesh_analyze::sync::spawn_named("rank-1", move || {
-                let mut rank = receiver;
-                let first = rank.irecv(0, 3);
-                let second = rank.irecv(0, 3);
-                let got = rank.wait_all(vec![first, second]);
-                assert_eq!(
-                    got,
-                    vec![vec![10.0], vec![20.0]],
-                    "duplicates must be absorbed and order preserved"
-                );
-            });
-            producer.join().unwrap();
-            consumer.join().unwrap();
-        });
-        assert!(stats.complete, "schedule space truncated: {stats:?}");
-        assert!(stats.schedules > 1, "scenario never branched: {stats:?}");
+fn modeled_exchange_settles_at_max_of_compute_and_arrival_on_every_schedule() {
+    const FACE_BYTES: u64 = 1 << 20;
+    let stats = sched::explore(opts(), || {
+        let mut endpoints = World::endpoints(2, NetworkModel::slingshot11());
+        let settled = Arc::new(AtomicUsize::new(0));
+        let handles: Vec<_> = endpoints
+            .drain(..)
+            .map(|mut rank| {
+                let settled = Arc::clone(&settled);
+                dcmesh_analyze::sync::spawn_named(&format!("rank-{}", rank.id()), move || {
+                    let me = rank.id();
+                    let peer = 1 - me;
+                    let compute = [1.0, 1e-9][me];
+                    rank.send_modeled(peer, 1, FACE_BYTES);
+                    rank.send_modeled(peer, 2, FACE_BYTES);
+                    let lo = rank.irecv(peer, 1);
+                    let hi = rank.irecv(peer, 2);
+                    rank.advance(compute);
+                    let got = rank.wait_all(vec![lo, hi]);
+                    assert_eq!(
+                        got,
+                        vec![Vec::<f64>::new(); 2],
+                        "modeled payloads are empty"
+                    );
+                    // Both faces left at clock 0, so they arrive together.
+                    let arrival = rank.network().p2p_time(FACE_BYTES as usize, peer, me);
+                    assert_eq!(rank.time(), compute.max(arrival), "rank {me}'s clock");
+                    settled.fetch_add(1, Ordering::Relaxed);
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(settled.load(Ordering::Relaxed), 2, "a wait never settled");
     });
+    assert!(stats.complete, "schedule space truncated: {stats:?}");
+    assert!(stats.schedules > 1, "scenario never branched: {stats:?}");
 }
 
 /// Lifecycle 3 — out-of-order settle. Two tags posted in one order and
@@ -114,7 +117,6 @@ fn duplicate_fault_resolves_exactly_once_on_every_schedule() {
 /// messages by tag on every schedule, never by arrival position.
 #[test]
 fn waits_settle_out_of_post_order_on_every_schedule() {
-    let _guard = fault::test_lock();
     let stats = sched::explore(opts(), || {
         let mut endpoints = World::endpoints(2, NetworkModel::ideal());
         let receiver = endpoints.pop().expect("rank 1");
