@@ -11,6 +11,8 @@
 //!   in for AOCL-BLAS / cuBLAS in the "BLASification" of paper §III-D: the
 //!   tests' oracle and the benchmark's GEMM probe (the nonlocal correction
 //!   itself is real x complex, on the real block kernels of [`simd`]).
+//! * [`hermite`] — quintic Hermite tables of the radial functions the force
+//!   field and the pseudopotentials evaluate per pair.
 //! * [`fft`] — radix-2 + Bluestein FFTs used by reference spectral solvers.
 //! * [`multigrid`] — the O(N) multigrid Poisson solver used for the global
 //!   Hartree potential (paper §II, "globally scalable" solver).
@@ -26,6 +28,7 @@
 pub mod complex;
 pub mod fft;
 pub mod gemm;
+pub mod hermite;
 pub mod linalg;
 pub mod multigrid;
 pub mod phys;
@@ -35,6 +38,7 @@ pub mod tridiag;
 
 pub use complex::{as_reals, as_reals_mut, Complex};
 pub use gemm::{Matrix, Op};
+pub use hermite::HermiteTable;
 pub use real::Real;
 
 /// Convenience alias: complex number over `f64`.

@@ -18,6 +18,9 @@
 //!   block is a real block of twice the columns, and no lane ever meets its
 //!   partner.
 //!
+//! [`Radial`] is real: one centre against a run of partners stored as three
+//! coordinate runs.
+//!
 //! The caller of an entry point (dispatch in `simd::mod`) has verified its
 //! features. Loads and stores are unaligned — operands come from
 //! caller-owned slices.
@@ -27,7 +30,7 @@ use core::array::from_fn;
 use super::lanes::Lanes;
 use crate::complex::Complex;
 use crate::real::Real;
-use crate::simd::{line_units, LineSet, StencilPass};
+use crate::simd::{line_units, Far, LineSet, RadialPass, StencilPass};
 
 /// A kernel body with its operands.
 pub trait Body<R: Real> {
@@ -343,5 +346,118 @@ impl<R: Real> Body<R> for Gemm<'_, R> {
             }
             done = (done + vectors * w).min(ncols);
         }
+    }
+}
+
+/// Lane `i` holds `i`: which lanes of a vector lie past the end of a run.
+static LANE: [f64; 8] = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0];
+
+/// The radial pass, `Radial(pass, out, sums)`: per partner the displacement
+/// and `r2`, stored to `out` as `dx | dy | dz | r2`, and the far terms
+/// summed into `sums`. Partners go eight at a time, one 512-bit or two
+/// 256-bit vectors, partner `j` into slot `j % 8`, and a lane past the end
+/// of the run takes `r2 = -1`, which every far term selects away (a point on
+/// the centre, `-Z/0`, is near and selected away too): both widths give the
+/// same bits.
+pub struct Radial<'a>(
+    pub &'a RadialPass<'a>,
+    pub &'a mut [f64],
+    pub &'a mut [[f64; 8]; 4],
+);
+
+impl Body<f64> for Radial<'_> {
+    #[inline(always)]
+    // AUDIT: no_panic
+    // SAFETY: (bounds=the dispatcher asserted every run n long and out 4 n
+    // long; each access is the m <= 2 C reals from j <= n of one of them or
+    // the w <= 8 lanes of LANE or of a sum's slots, aliasing=out and sums
+    // and the field's cells are the only writes; the partner and weight runs
+    // are only read)
+    unsafe fn run<L: Lanes<R = f64>>(self) {
+        let Radial(pass, out, sums) = self;
+        let RadialPass {
+            centre: [cx, cy, cz],
+            partners: [xs, ys, zs],
+            period,
+            near2,
+            ref far,
+        } = *pass;
+        let (n, w, zero, near) = (xs.len(), 2 * L::C, L::splat(0.0), L::splat(near2));
+        let (lx, ly, lz) = match period {
+            Some([x, y, z]) => (Some(x), Some(y), Some(z)),
+            None => (None, None, None),
+        };
+        let (out, mut acc, mut at) = (out.as_mut_ptr(), [[zero; 4]; 2], 0);
+        while at < n {
+            for (v, [e_sum, fx, fy, fz]) in acc.iter_mut().take(8 / w).enumerate() {
+                let j = (at + v * w).min(n);
+                let m = (n - j).min(w);
+                // SAFETY: the m reals from j of each partner run.
+                let (dx, dy, dz) = unsafe {
+                    let (px, py, pz) = (xs.as_ptr().add(j), ys.as_ptr().add(j), zs.as_ptr().add(j));
+                    (
+                        displacement::<L>(px, m, cx, lx),
+                        displacement::<L>(py, m, cy, ly),
+                        displacement::<L>(pz, m, cz, lz),
+                    )
+                };
+                let mut r2 = dx.mul(dx).add(dy.mul(dy)).add(dz.mul(dz));
+                if m < w {
+                    // SAFETY: the first w <= 8 lanes of LANE.
+                    let lane = unsafe { L::load(LANE.as_ptr()) };
+                    r2 = lane.select_le(L::splat(m as f64 - 0.5), r2, L::splat(-1.0));
+                }
+                for (k, x) in [dx, dy, dz, r2].into_iter().enumerate() {
+                    // SAFETY: the m reals from j of column k of out.
+                    unsafe { x.store_reals(out.add(k * n + j), m) };
+                }
+                match *far {
+                    Far::None => {}
+                    Far::Sums(weights, force2) => {
+                        // SAFETY: the m reals from j of the weights.
+                        let e = unsafe { L::load_reals(weights.as_ptr().add(j), m) }.div(r2.sqrt());
+                        let g = r2.select_le(
+                            near,
+                            zero,
+                            r2.select_le(L::splat(force2), e.div(r2), zero),
+                        );
+                        *e_sum = e_sum.add(r2.select_le(near, zero, e));
+                        (*fx, *fy, *fz) = (fx.add(g.mul(dx)), fy.add(g.mul(dy)), fz.add(g.mul(dz)));
+                    }
+                    // SAFETY: the m reals from j of the field, written
+                    // through its cells.
+                    Far::Field(cells, scale) => unsafe {
+                        let p = cells.as_ptr().cast::<f64>().cast_mut().add(j);
+                        let old = L::load_reals(p, m);
+                        let new = old.add(L::splat(scale).div(r2.sqrt()));
+                        r2.select_le(near, old, new).store_reals(p, m);
+                    },
+                }
+            }
+            at += 8;
+        }
+        for (v, a) in acc.iter().take(8 / w).enumerate() {
+            for (slots, x) in sums.iter_mut().zip(a) {
+                // SAFETY: lanes v w .. v w + w <= 8 of the slots.
+                unsafe { x.store(slots.as_mut_ptr().add(v * w)) };
+            }
+        }
+    }
+}
+
+/// One axis of [`Radial`]: `m` partner coordinates at `p` less the centre's
+/// `c`, minimum-imaged over the period `l` if there is one.
+///
+/// # Safety
+///
+/// The caller enables the target features of `L`, and `m` reals are
+/// readable at `p`.
+#[inline(always)]
+unsafe fn displacement<L: Lanes<R = f64>>(p: *const f64, m: usize, c: f64, l: Option<f64>) -> L {
+    // SAFETY: the caller's m reals.
+    let x = unsafe { L::load_reals(p, m) }.sub(L::splat(c));
+    match l {
+        Some(l) => x.sub(L::splat(l).mul(x.mul(L::splat(1.0 / l)).round())),
+        None => x,
     }
 }

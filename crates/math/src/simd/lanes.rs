@@ -1,9 +1,10 @@
 //! The lane trait the kernels of [`super::avx2`] are written over, and its
 //! four implementations: `__m256d` and `__m512d` (two and four
 //! `Complex<f64>`), `__m256` and `__m512` (four and eight `Complex<f32>`). A
-//! kernel body sees interleaved complex values `[re, im, re, im, ..]` and
-//! these few operations on them; which vector it runs in follows from the
-//! element type and the width of its entry point ([`super::Vectorized`]).
+//! kernel body sees interleaved complex values `[re, im, re, im, ..]` (or,
+//! in the radial pass, plain reals) and these few operations on them; which
+//! vector it runs in follows from the element type and the width of its
+//! entry point ([`super::Vectorized`]).
 //!
 //! What an implementation guarantees: every arithmetic operation is
 //! **lane-local** (output lane `i` depends on lane `i` of the inputs alone
@@ -13,17 +14,7 @@
 //! last one — and at either width: no body reduces across lanes, so the
 //! 512-bit instantiation of a body gives the 256-bit one's bits.
 
-use core::arch::x86_64::{
-    __m256, __m256d, __m256i, __m512, __m512d, __mmask16, __mmask8, _mm256_fmadd_pd,
-    _mm256_fmadd_ps, _mm256_loadu_pd, _mm256_loadu_ps, _mm256_loadu_si256, _mm256_maskload_pd,
-    _mm256_maskload_ps, _mm256_maskstore_pd, _mm256_maskstore_ps, _mm256_movedup_pd,
-    _mm256_movehdup_ps, _mm256_moveldup_ps, _mm256_mul_pd, _mm256_mul_ps, _mm256_permute_pd,
-    _mm256_permute_ps, _mm256_setr_pd, _mm256_setr_ps, _mm256_storeu_pd, _mm256_storeu_ps,
-    _mm512_fmadd_pd, _mm512_fmadd_ps, _mm512_loadu_pd, _mm512_loadu_ps, _mm512_mask_storeu_pd,
-    _mm512_mask_storeu_ps, _mm512_maskz_loadu_pd, _mm512_maskz_loadu_ps, _mm512_movedup_pd,
-    _mm512_movehdup_ps, _mm512_moveldup_ps, _mm512_mul_pd, _mm512_mul_ps, _mm512_permute_pd,
-    _mm512_permute_ps, _mm512_setr4_pd, _mm512_setr4_ps, _mm512_storeu_pd, _mm512_storeu_ps,
-};
+use core::arch::x86_64::*;
 
 use crate::real::Real;
 
@@ -60,6 +51,15 @@ pub trait Lanes: Copy {
     fn mul(self, o: Self) -> Self;
     /// `self * a + c`, one rounding.
     fn fmadd(self, a: Self, c: Self) -> Self;
+    // `self + o`, `self - o`, `self / o` and the square root, lane by lane;
+    // `round` is to the nearest integer, ties to even.
+    fn add(self, o: Self) -> Self;
+    fn sub(self, o: Self) -> Self;
+    fn div(self, o: Self) -> Self;
+    fn sqrt(self) -> Self;
+    fn round(self) -> Self;
+    /// `if self <= b { x } else { y }`, lane by lane (`y` on a NaN).
+    fn select_le(self, b: Self, x: Self, y: Self) -> Self;
     /// `[im, re, ..]`: re and im of every value exchanged.
     fn swap(self) -> Self;
     /// `[re, re, ..]`.
@@ -138,9 +138,9 @@ fn head_bits(n: usize) -> u32 {
 }
 
 /// One implementation, each method the one intrinsic call it is: `C`, the
-/// pointer methods and `pattern` over the argument names given, then the
-/// lane-local methods (`name(args) => intrinsic` is `fn name(args) -> Self {
-/// intrinsic(args) }`).
+/// pointer methods, `pattern` and `select_le` (a compare and a blend) over
+/// the argument names given, then the lane-local methods (`name(args) =>
+/// intrinsic` is `fn name(args) -> Self { intrinsic(args) }`).
 macro_rules! lanes {
     ($v:ty: $r:ty, $c:literal;
      load($lp:ident) => $load:expr;
@@ -148,6 +148,7 @@ macro_rules! lanes {
      load_masked($mp:ident, $mn:ident) => $load_masked:expr;
      store_masked($ms:ident, $mq:ident, $mm:ident) => $store_masked:expr;
      pattern($a:ident, $b:ident) => $pattern:expr;
+     select_le($s:ident, $le:ident, $x:ident, $y:ident) => $select:expr;
      $($name:ident($($arg:ident),*) => $intrinsic:expr;)*) => {
         impl Lanes for $v {
             type R = $r;
@@ -181,6 +182,11 @@ macro_rules! lanes {
                 // SAFETY: the width's features per the trait contract.
                 unsafe { $pattern }
             }
+            #[inline(always)]
+            fn select_le($s: Self, $le: Self, $x: Self, $y: Self) -> Self {
+                // SAFETY: the width's features per the trait contract.
+                unsafe { $select }
+            }
             $(
                 #[inline(always)]
                 fn $name($($arg: Self),*) -> Self {
@@ -199,11 +205,17 @@ lanes! {
     load_masked(p, n) => _mm256_maskload_pd(p, head_mask(&MASK_64, n));
     store_masked(self, p, n) => _mm256_maskstore_pd(p, head_mask(&MASK_64, n), self);
     pattern(a, b) => _mm256_setr_pd(a, b, a, b);
+    select_le(self, b, x, y) => _mm256_blendv_pd(y, x, _mm256_cmp_pd::<_CMP_LE_OQ>(self, b));
     mul(self, o) => _mm256_mul_pd;
     fmadd(self, a, c) => _mm256_fmadd_pd;
     swap(self) => _mm256_permute_pd::<0b0101>;
     dup_re(self) => _mm256_movedup_pd;
     dup_im(self) => _mm256_permute_pd::<0b1111>;
+    add(self, o) => _mm256_add_pd;
+    sub(self, o) => _mm256_sub_pd;
+    div(self, o) => _mm256_div_pd;
+    sqrt(self) => _mm256_sqrt_pd;
+    round(self) => _mm256_round_pd::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>;
 }
 
 lanes! {
@@ -213,11 +225,17 @@ lanes! {
     load_masked(p, n) => _mm256_maskload_ps(p, head_mask(&MASK_32, n));
     store_masked(self, p, n) => _mm256_maskstore_ps(p, head_mask(&MASK_32, n), self);
     pattern(a, b) => _mm256_setr_ps(a, b, a, b, a, b, a, b);
+    select_le(self, b, x, y) => _mm256_blendv_ps(y, x, _mm256_cmp_ps::<_CMP_LE_OQ>(self, b));
     mul(self, o) => _mm256_mul_ps;
     fmadd(self, a, c) => _mm256_fmadd_ps;
     swap(self) => _mm256_permute_ps::<0b10_11_00_01>;
     dup_re(self) => _mm256_moveldup_ps;
     dup_im(self) => _mm256_movehdup_ps;
+    add(self, o) => _mm256_add_ps;
+    sub(self, o) => _mm256_sub_ps;
+    div(self, o) => _mm256_div_ps;
+    sqrt(self) => _mm256_sqrt_ps;
+    round(self) => _mm256_round_ps::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>;
 }
 
 lanes! {
@@ -227,11 +245,17 @@ lanes! {
     load_masked(p, n) => _mm512_maskz_loadu_pd(head_bits(n) as __mmask8, p);
     store_masked(self, p, n) => _mm512_mask_storeu_pd(p, head_bits(n) as __mmask8, self);
     pattern(a, b) => _mm512_setr4_pd(a, b, a, b);
+    select_le(self, b, x, y) => _mm512_mask_blend_pd(_mm512_cmp_pd_mask::<_CMP_LE_OQ>(self, b), y, x);
     mul(self, o) => _mm512_mul_pd;
     fmadd(self, a, c) => _mm512_fmadd_pd;
     swap(self) => _mm512_permute_pd::<0x55>;
     dup_re(self) => _mm512_movedup_pd;
     dup_im(self) => _mm512_permute_pd::<0xFF>;
+    add(self, o) => _mm512_add_pd;
+    sub(self, o) => _mm512_sub_pd;
+    div(self, o) => _mm512_div_pd;
+    sqrt(self) => _mm512_sqrt_pd;
+    round(self) => _mm512_roundscale_pd::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>;
 }
 
 lanes! {
@@ -241,9 +265,15 @@ lanes! {
     load_masked(p, n) => _mm512_maskz_loadu_ps(head_bits(n) as __mmask16, p);
     store_masked(self, p, n) => _mm512_mask_storeu_ps(p, head_bits(n) as __mmask16, self);
     pattern(a, b) => _mm512_setr4_ps(a, b, a, b);
+    select_le(self, b, x, y) => _mm512_mask_blend_ps(_mm512_cmp_ps_mask::<_CMP_LE_OQ>(self, b), y, x);
     mul(self, o) => _mm512_mul_ps;
     fmadd(self, a, c) => _mm512_fmadd_ps;
     swap(self) => _mm512_permute_ps::<0b10_11_00_01>;
     dup_re(self) => _mm512_moveldup_ps;
     dup_im(self) => _mm512_movehdup_ps;
+    add(self, o) => _mm512_add_ps;
+    sub(self, o) => _mm512_sub_ps;
+    div(self, o) => _mm512_div_ps;
+    sqrt(self) => _mm512_sqrt_ps;
+    round(self) => _mm512_roundscale_ps::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>;
 }

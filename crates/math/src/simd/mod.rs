@@ -44,13 +44,15 @@
 //! `__m512d` (two or four complex values per vector), `f32` in `__m256` or
 //! `__m512` (four or eight), the vector chosen from `R` through
 //! [`Vectorized`]. Every lane operation is lane-local and no body reduces
-//! across lanes, so both widths give the same bits.
+//! across lanes (the radial pass sums into eight fixed slots, one or two
+//! vectors), so both widths give the same bits.
 //!
 //! Every kernel also has a `*_with(backend, ..)` variant taking an explicit
 //! [`Backend`], used by the equivalence tests and benches so they never
 //! mutate process-global state. All raw `std::arch` use in the workspace
 //! lives in this directory — enforced by the `analyze` lint.
 
+use std::cell::Cell;
 use std::io::Write;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -622,6 +624,115 @@ pub fn stencil_lines_with<R: Real>(
 ) {
     // SAFETY: the exclusive borrow covers every element of every line.
     unsafe { stencil_lines_raw(backend, data.as_mut_ptr(), data.len(), set, passes) };
+}
+
+// ---------------------------------------------------------------------------
+// Radial pass (one centre against a run of partners)
+// ---------------------------------------------------------------------------
+
+/// What the radial pass adds for a partner beyond the near radius, at
+/// distance `d` and displacement `(dx, dy, dz)`.
+#[derive(Debug)]
+pub enum Far<'a> {
+    /// Nothing: the caller's function vanishes there.
+    None,
+    /// `Sums(w, force2)`: `[sum w/d, sum w dx/d^3, sum w dy/d^3, sum w dz/d^3]`,
+    /// the last three over `r2 <= force2` only — the energy and the force of
+    /// `-Z/d` against the weights `w`, over `Z`.
+    Sums(&'a [f64], f64),
+    /// `Field(v, s)`: `v[j] += s / d`.
+    Field(&'a [Cell<f64>], f64),
+}
+
+/// One radial pass: `centre` against the partners `(x[j], y[j], z[j])`,
+/// displacement `partner - centre` minimum-imaged as `d - l round(d / l)`
+/// where `period` (the box lengths) is given. Partners with `r2 <= near2`
+/// are near; every other adds what `far` asks for.
+#[derive(Debug)]
+pub struct RadialPass<'a> {
+    pub centre: [f64; 3],
+    pub partners: [&'a [f64]; 3],
+    pub period: Option<[f64; 3]>,
+    pub near2: f64,
+    pub far: Far<'a>,
+}
+
+/// The radial pass on an explicit backend: every near partner goes to
+/// `on_near(j, displacement, r2)` in `j` order, and the [`Far::Sums`] come
+/// back (zeros otherwise). The lanes and the scalar twin make the same IEEE
+/// operations, and a sum is eight slots (partner `j` in slot `j % 8`) added
+/// in one order, so the bits are the same on every backend.
+pub fn radial_with(
+    backend: Backend,
+    pass: &RadialPass<'_>,
+    mut on_near: impl FnMut(usize, [f64; 3], f64),
+) -> [f64; 4] {
+    let n = pass.partners[0].len();
+    let far = match pass.far {
+        Far::Sums(w, _) => w.len(),
+        Far::Field(v, _) => v.len(),
+        Far::None => n,
+    };
+    let shapes = pass.partners.iter().all(|p| p.len() == n) && far == n;
+    assert!(shapes, "radial pass shape mismatch");
+    let mut sums = [[0.0; 8]; 4];
+    dcmesh_pool::arena::with_scratch::<f64, 1, ()>([4 * n], |[out]| {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: (bounds=the assert above is the body's contract)
+        let done = unsafe { vector(backend, avx2::Radial(pass, &mut *out, &mut sums)) };
+        #[cfg(not(target_arch = "x86_64"))]
+        let done = false;
+        if !done {
+            radial_scalar(pass, out, &mut sums);
+        }
+        let (d, r2) = out.split_at(3 * n);
+        // The near list, compacted without a branch per partner (a fifth of
+        // them are near, in no pattern a predictor learns).
+        dcmesh_pool::arena::with_scratch::<u32, 1, ()>([n], |[near]| {
+            let mut m = 0;
+            for (j, &r2) in r2.iter().enumerate() {
+                near[m] = j as u32;
+                m += usize::from(r2 <= pass.near2);
+            }
+            for &j in &near[..m] {
+                let j = j as usize;
+                on_near(j, [d[j], d[n + j], d[2 * n + j]], r2[j]);
+            }
+        });
+    });
+    sums.map(|s| ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7])))
+}
+
+/// [`radial_with`] on the [`active_backend`].
+pub fn radial(pass: &RadialPass<'_>, on_near: impl FnMut(usize, [f64; 3], f64)) -> [f64; 4] {
+    radial_with(active_backend(), pass, on_near)
+}
+
+/// The scalar twin of `avx2::Radial`, operation for operation.
+fn radial_scalar(pass: &RadialPass<'_>, out: &mut [f64], sums: &mut [[f64; 8]; 4]) {
+    let n = pass.partners[0].len();
+    for j in 0..n {
+        let d: [f64; 3] = std::array::from_fn(|ax| {
+            let x = pass.partners[ax][j] - pass.centre[ax];
+            pass.period
+                .map_or(x, |l| x - l[ax] * (x * (1.0 / l[ax])).round_ties_even())
+        });
+        let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
+        for (k, x) in d.into_iter().chain([r2]).enumerate() {
+            out[k * n + j] = x;
+        }
+        match pass.far {
+            _ if r2 <= pass.near2 => {}
+            Far::None => {}
+            Far::Sums(w, force2) => {
+                let (e, slot) = (w[j] / r2.sqrt(), j % 8);
+                let g = if r2 <= force2 { e / r2 } else { 0.0 };
+                sums[0][slot] += e;
+                (1..4).for_each(|k| sums[k][slot] += g * d[k - 1]);
+            }
+            Far::Field(v, scale) => v[j].set(v[j].get() + scale / r2.sqrt()),
+        }
+    }
 }
 
 #[cfg(test)]

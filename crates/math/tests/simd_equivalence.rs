@@ -14,9 +14,10 @@
 //! (four or eight reals to a vector) and `f32` (eight or sixteen): the four
 //! vector instantiations of one body get one suite.
 
+use std::cell::Cell;
 use std::io::Write;
 
-use dcmesh_math::simd::{self, Backend, LineSet, StencilPass};
+use dcmesh_math::simd::{self, Backend, Far, LineSet, RadialPass, StencilPass};
 use dcmesh_math::{as_reals, Complex, Real, C64};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -441,6 +442,51 @@ fn avx512_gives_the_bits_of_avx2() {
             for shape in [(w, w), (w, 2 * w)] {
                 real_block_case::<f64>(&mut rng, shape, points);
                 real_block_case::<f32>(&mut rng, shape, points);
+            }
+        }
+    }
+}
+
+/// Every output of the radial pass on `backend` — the near list, the sums of
+/// `Far::Sums` and the field of `Far::Field` — as bits.
+fn radial_bits(
+    backend: Backend,
+    partners: [&[f64]; 3],
+    w: &[f64],
+    period: Option<[f64; 3]>,
+) -> Vec<u64> {
+    let (v, mut bits) = (w.iter().map(|&x| Cell::new(x)).collect::<Vec<_>>(), vec![]);
+    for far in [Far::None, Far::Sums(w, 150.0), Far::Field(&v, -6.0)] {
+        let pass = RadialPass {
+            centre: [1.5, 17.0, 30.5],
+            partners,
+            period,
+            near2: 40.0,
+            far,
+        };
+        let sums = simd::radial_with(backend, &pass, |j, d, r2| {
+            bits.extend(d.into_iter().chain([r2, j as f64]).map(f64::to_bits))
+        });
+        bits.extend(sums.map(f64::to_bits));
+    }
+    bits.extend(v.iter().map(|c| c.get().to_bits()));
+    bits
+}
+
+#[test]
+fn radial_pass_gives_the_scalar_twins_bits_at_both_widths() {
+    // Partner counts on both sides of every lane count and vector pair; the
+    // first partner sits on the centre (`-Z/0`, selected away).
+    let mut rng = StdRng::seed_from_u64(31);
+    for n in (1..=17).chain([127, 512, 639]) {
+        let mut run = || -> Vec<f64> { (0..n).map(|_| rng.gen_range(-3.0..33.0)).collect() };
+        let (mut xs, mut ys, mut zs, w) = (run(), run(), run(), run());
+        (xs[0], ys[0], zs[0]) = (1.5, 17.0, 30.5);
+        for period in [None, Some([30.0, 28.0, 32.0])] {
+            let want = radial_bits(Backend::Scalar, [&xs, &ys, &zs], &w, period);
+            for backend in [Backend::Avx2, Backend::Avx512] {
+                let got = radial_bits(backend, [&xs, &ys, &zs], &w, period);
+                assert!(got == want, "{backend:?} n = {n} period {period:?}");
             }
         }
     }

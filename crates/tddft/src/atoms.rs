@@ -7,7 +7,10 @@
 //! Eq. (5). Parameters for Pb/Ti/O are model values tuned for stable SCF on
 //! coarse meshes, not transferable chemistry (see DESIGN.md).
 
+use std::sync::OnceLock;
+
 use dcmesh_math::phys::AMU_IN_ME;
+use dcmesh_math::HermiteTable;
 
 /// A chemical species with model pseudopotential parameters (atomic units).
 #[derive(Clone, Debug)]
@@ -91,65 +94,41 @@ impl Species {
     }
 }
 
-/// Nodes per unit of `x` in the [`erf`] table.
-const ERF_NODES_PER_UNIT: f64 = 256.0;
 /// `erf(x)` is `1.0` to the last bit from here on: `erfc(6) = 2.2e-17` is
-/// below half an ulp of 1.
-const ERF_SATURATION: f64 = 6.0;
+/// below half an ulp of 1. So is `g(x) = erf(x) / x` against `1 / x`.
+pub const ERF_SATURATION: f64 = 6.0;
 
-/// `(erf(x_k), erf'(x_k) = 2/sqrt(pi) e^{-x_k^2})` at `x_k = k / 256` for
-/// `0 <= x_k <= 6`, built on first use from [`erf_series`] (25 KB).
-fn erf_table() -> &'static [[f64; 2]] {
-    static TABLE: std::sync::OnceLock<Vec<[f64; 2]>> = std::sync::OnceLock::new();
-    TABLE.get_or_init(|| {
-        let nodes = (ERF_SATURATION * ERF_NODES_PER_UNIT) as usize;
-        (0..=nodes)
-            .map(|k| {
-                let x = k as f64 / ERF_NODES_PER_UNIT;
-                let slope = 2.0 / std::f64::consts::PI.sqrt() * (-x * x).exp();
-                [erf_series(x), slope]
-            })
-            .collect()
-    })
+/// `g(x) = erf(x) / x` on `[0, 6]`, a quintic Hermite table at 64 nodes per
+/// unit (9 KB): the local pseudopotential is
+/// `v_loc(d) = -(Z / rc) g(d / rc)`, the Wolf kernel `erfc(a r) / r = 1 / r -
+/// a g(a r)`. Built once per process from [`erf`], so its bits are those of
+/// constants.
+pub fn erf_over_x() -> &'static HermiteTable {
+    static TABLE: OnceLock<HermiteTable> = OnceLock::new();
+    TABLE.get_or_init(|| HermiteTable::new(0.0, ERF_SATURATION, 64.0, erf_over_x_exact))
 }
 
-/// Error function at constant cost: the nearest node `x_k` of a table with
-/// spacing 1/256 plus a five-term Taylor step in `h = x - x_k`
-/// (`|h| <= 1/512`). Every derivative of `erf` is a Hermite polynomial
-/// times `erf'`, so the step needs the two tabulated values and no
-/// transcendental; its remainder `|H_5 erf'| h^6 / 720` is below 3e-18, and
-/// the result is within 2e-15 of [`erf_series`], the series / continued
-/// fraction the table is built from. Saturates: exactly `1.0` for
-/// `x >= 6` (and `-1.0` for `x <= -6`). NaN in, NaN out.
-///
-/// High accuracy matters because ion-ion forces are validated against
-/// finite differences of the erf-based energy.
-pub fn erf(x: f64) -> f64 {
-    if x < 0.0 {
-        return -erf(-x);
+/// `[g, g', g'']` of `g(x) = erf(x) / x` in closed form: with `x g = erf`,
+/// `g' = (erf' - g) / x` and `g'' = -2 erf' - 2 g' / x`.
+fn erf_over_x_exact(x: f64) -> [f64; 3] {
+    let slope = 2.0 / std::f64::consts::PI.sqrt() * (-x * x).exp();
+    if x == 0.0 {
+        return [slope, 0.0, -2.0 / 3.0 * slope];
     }
-    if x >= ERF_SATURATION {
-        return 1.0;
-    }
-    // NaN casts to node 0 and comes back out through `h`.
-    let k = (x * ERF_NODES_PER_UNIT + 0.5) as usize;
-    let xk = k as f64 / ERF_NODES_PER_UNIT;
-    let h = x - xk;
-    let [erf_k, slope_k] = erf_table()[k];
-    // erf^(n+1) = (-1)^n H_n erf': the Taylor coefficients over erf' are
-    // 1, -x, (2x^2 - 1)/3, -x(2x^2 - 3)/6, (4x^4 - 12x^2 + 3)/30.
-    let x2 = xk * xk;
-    let c2 = (2.0 * x2 - 1.0) * (1.0 / 3.0);
-    let c3 = -xk * (2.0 * x2 - 3.0) * (1.0 / 6.0);
-    let c4 = (4.0 * x2 * x2 - 12.0 * x2 + 3.0) * (1.0 / 30.0);
-    erf_k + slope_k * h * (1.0 + h * (-xk + h * (c2 + h * (c3 + h * c4))))
+    let g = erf(x) / x;
+    let dg = (slope - g) / x;
+    [g, dg, -2.0 * slope - 2.0 * dg / x]
 }
 
 /// Error function by series, accurate to ~1e-15 at a cost that grows with
 /// `x`: Maclaurin series for `x < 2` (up to 60 terms), continued-fraction
-/// `erfc` (modified Lentz, up to 200 iterations) beyond. Builds the table
-/// behind [`erf`] and is the oracle `erf` is tested against. `x >= 0`.
-fn erf_series(x: f64) -> f64 {
+/// `erfc` (modified Lentz, up to 200 iterations) beyond. Odd; exactly `1.0`
+/// from `x = 6` on; NaN in, NaN out. The tables of the radial kernel are
+/// built from it, and the closed forms they are tested against call it.
+pub fn erf(x: f64) -> f64 {
+    if x < 0.0 {
+        return -erf(-x);
+    }
     let two_over_sqrt_pi = 2.0 / std::f64::consts::PI.sqrt();
     if x < 2.0 {
         // erf(x) = 2/sqrt(pi) * sum_n (-1)^n x^(2n+1) / (n! (2n+1)).
@@ -300,29 +279,15 @@ mod tests {
     }
 
     #[test]
-    fn erf_is_within_2e15_of_the_series_oracle() {
-        let n = 50_000;
-        let mut worst = 0.0f64;
-        for i in 0..n {
-            let x = 7.0 * i as f64 / n as f64;
-            let (fast, oracle) = (erf(x), erf_series(x));
-            worst = worst.max((fast - oracle).abs());
-            assert_eq!(erf(-x), -fast, "odd symmetry at {x}");
+    fn erf_over_x_table_matches_the_closed_form() {
+        let (g, mut worst) = (erf_over_x(), [0.0f64; 2]);
+        for i in 0..=60_000 {
+            let x = i as f64 / 10_000.0;
+            let ((v, dv), [v0, dv0, _]) = (g.eval(x), erf_over_x_exact(x));
+            worst = [worst[0].max((v - v0).abs()), worst[1].max((dv - dv0).abs())];
         }
-        assert!(worst <= 2e-15, "max |erf - oracle| = {worst:e}");
-    }
-
-    #[test]
-    fn erf_saturates_exactly_where_the_oracle_does() {
-        for i in 0..=4800 {
-            let x = 6.0 + 0.005 * i as f64;
-            assert_eq!(erf(x), 1.0, "erf({x})");
-            assert_eq!(erf_series(x), 1.0, "oracle at {x}");
-            assert_eq!(erf(-x), -1.0, "erf(-{x})");
-        }
-        assert_eq!(erf(f64::INFINITY), 1.0);
-        // Continuous into the saturation: the last tabulated interval.
-        assert!((erf(6.0 - 1e-9) - 1.0).abs() < 1e-16);
+        assert!(worst[0] < 1e-14 && worst[1] < 1e-11, "{worst:?}");
+        assert_eq!(erf(ERF_SATURATION), 1.0);
     }
 
     #[test]
@@ -333,8 +298,8 @@ mod tests {
 
     #[test]
     fn erf_is_relatively_accurate_near_zero() {
-        // Node 0 holds erf(0) = 0 exactly, so small arguments keep their
-        // relative accuracy (v_local's r -> 0 limit relies on it).
+        // The series keeps small arguments' relative accuracy (v_local's
+        // r -> 0 limit relies on it).
         for x in [1e-300, 1e-12, 1e-6, 1e-3] {
             let x2 = x * x;
             let want = 2.0 / std::f64::consts::PI.sqrt() * x * (1.0 - x2 / 3.0 + x2 * x2 / 10.0);

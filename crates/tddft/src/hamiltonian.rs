@@ -16,6 +16,7 @@
 use std::ops::{AddAssign, Mul, SubAssign};
 
 use dcmesh_grid::Mesh3;
+use dcmesh_math::simd::{self, Far};
 use dcmesh_math::C64;
 
 use crate::atoms::AtomSet;
@@ -236,17 +237,24 @@ impl Hamiltonian {
     }
 }
 
-/// Sum of local pseudopotentials of all atoms, evaluated on the mesh.
+/// Sum of local pseudopotentials of all atoms, evaluated on the mesh: one
+/// radial pass per atom, `-Z/d` in closed form beyond `6 rc` and
+/// [`erf_over_x`](crate::atoms::erf_over_x) inside, within 1e-12 of the
+/// closed form's largest value.
 pub fn local_pseudopotential(mesh: &Mesh3, atoms: &AtomSet) -> Vec<f64> {
     let mut v = vec![0.0; mesh.len()];
-    for atom in &atoms.atoms {
-        let sp = &atoms.species[atom.species];
-        for (i, j, k) in mesh.iter_points() {
-            let p = mesh.position(i, j, k);
-            let r = crate::atoms::distance(p, atom.pos);
-            v[mesh.idx(i, j, k)] += sp.v_local(r);
+    let cells = std::cell::Cell::from_mut(&mut v[..]).as_slice_of_cells();
+    let g = crate::atoms::erf_over_x();
+    crate::forces::with_positions(mesh, |points| {
+        for atom in &atoms.atoms {
+            let sp = &atoms.species[atom.species];
+            let (scale, rc) = (-sp.z_val, sp.rc_loc);
+            let pass = crate::forces::near_pass(atom.pos, points, rc, Far::Field(cells, scale));
+            simd::radial(&pass, |p, _, r2| {
+                cells[p].set(cells[p].get() + scale / rc * g.eval(r2.sqrt() / rc).0);
+            });
         }
-    }
+    });
     v
 }
 
@@ -454,16 +462,27 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn local_pseudopotential_attractive_at_atom() {
+    fn local_pseudopotential_attractive_at_atom_and_matches_the_closed_form() {
         let mesh = Mesh3::cubic(12, 0.5);
-        let mut atoms = AtomSet::new(vec![Species::oxygen()]);
+        let mut atoms = AtomSet::new(vec![Species::oxygen(), Species::lead()]);
         let c = mesh.center();
         atoms.push(0, c);
+        atoms.push(1, mesh.position(2, 3, 4));
+        atoms.push(0, [c[0] + 1.3, c[1] - 2.9, c[2] + 11.0]);
         let v = local_pseudopotential(&mesh, &atoms);
         let (ci, cj, ck) = mesh.nearest_point(c);
         let v_at = v[mesh.idx(ci, cj, ck)];
         let v_far = v[mesh.idx(0, 0, 0)];
         assert!(v_at < v_far && v_at < -1.0, "v_at={v_at} v_far={v_far}");
+        let max = v.iter().fold(0.0f64, |m, x| m.max(x.abs()));
+        for (i, j, k) in mesh.iter_points() {
+            let p = mesh.position(i, j, k);
+            let want: f64 = (atoms.atoms.iter())
+                .map(|a| atoms.species[a.species].v_local(crate::atoms::distance(p, a.pos)))
+                .sum();
+            let got = v[mesh.idx(i, j, k)];
+            assert!((got - want).abs() <= 1e-12 * max, "({i},{j},{k})");
+        }
     }
 
     #[test]
