@@ -1,14 +1,11 @@
 //! Criterion microbenchmarks of the substrate layers: the from-scratch
-//! complex GEMM (BLASification backend), the multigrid Hartree solver
-//! (global O(N) solver), FFTs, the simulated-MPI collectives, the
-//! classical force field, and the set-up eigensolve.
+//! complex GEMM (BLASification backend), the simulated-MPI collectives,
+//! the classical force field, and the set-up eigensolve.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dcmesh_comm::{NetworkModel, World};
 use dcmesh_core::{DcMeshConfig, DcMeshSim};
-use dcmesh_math::fft::{fft, Direction};
-use dcmesh_math::gemm::{gemm, gemm_blocked, gemm_naive, Op};
-use dcmesh_math::multigrid::{MgParams, Multigrid};
+use dcmesh_math::gemm::{gemm, gemm_naive, Op};
 use dcmesh_math::{Complex, Matrix};
 use dcmesh_qxmd::forcefield::{PerovskiteFF, SimBox};
 use dcmesh_qxmd::md::ForceProvider;
@@ -53,15 +50,17 @@ fn bench_gemm(c: &mut Criterion) {
     group.bench_function("blocked", |bch| {
         let mut out = Matrix::zeros(n, n);
         bch.iter(|| {
-            gemm_blocked(
-                Complex::one(),
-                &a,
-                Op::None,
-                &b,
-                Op::None,
-                Complex::zero(),
-                &mut out,
-            )
+            dcmesh_pool::run_inline(|| {
+                gemm(
+                    Complex::one(),
+                    &a,
+                    Op::None,
+                    &b,
+                    Op::None,
+                    Complex::zero(),
+                    &mut out,
+                )
+            })
         });
     });
     group.bench_function("parallel", |bch| {
@@ -78,51 +77,6 @@ fn bench_gemm(c: &mut Criterion) {
             )
         });
     });
-    group.finish();
-}
-
-fn bench_multigrid(c: &mut Criterion) {
-    let n = 32;
-    let mg = Multigrid::new(
-        n,
-        n,
-        n,
-        8.0,
-        8.0,
-        8.0,
-        MgParams {
-            max_cycles: 10,
-            ..Default::default()
-        },
-    );
-    let mut f = vec![0.0; n * n * n];
-    for (i, v) in f.iter_mut().enumerate() {
-        *v = ((i % 17) as f64 - 8.0) / 8.0;
-    }
-    let mean = f.iter().sum::<f64>() / f.len() as f64;
-    for v in f.iter_mut() {
-        *v -= mean;
-    }
-    c.bench_function("multigrid_poisson_32cubed", |b| {
-        b.iter(|| mg.solve(&f));
-    });
-}
-
-fn bench_fft(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fft");
-    for n in [64usize, 70] {
-        // 70 = the paper's mesh line length (Bluestein path).
-        let signal: Vec<Complex<f64>> = (0..n)
-            .map(|i| Complex::new((i as f64 * 0.3).sin(), (i as f64 * 0.7).cos()))
-            .collect();
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| {
-                let mut work = signal.clone();
-                fft(&mut work, Direction::Forward);
-                work
-            });
-        });
-    }
     group.finish();
 }
 
@@ -175,8 +129,6 @@ fn bench_eigensolver(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_gemm,
-    bench_multigrid,
-    bench_fft,
     bench_comm_allreduce,
     bench_forcefield,
     bench_eigensolver

@@ -2,11 +2,11 @@
 //!
 //! 1. orbital block size in the blocked stencil (paper Alg. 4),
 //! 2. loops vs BLAS nonlocal correction across problem sizes (§III-D),
-//! 3. LDC buffer width: embedding accuracy vs cost (paper §II),
 //! 4. load imbalance vs weak-scaling efficiency (Fig. 2 sensitivity).
 //!
-//! (A fifth sweep timed the spawn-per-call dispatch the persistent pool
-//! replaced in PR 2; its 10-28x is recorded in EXPERIMENTS.md.)
+//! (Sweep 3 ran the LDC buffer width through the DC-SCF, and a fifth timed
+//! the spawn-per-call dispatch the persistent pool replaced; both left with
+//! the code they measured, and EXPERIMENTS.md records their numbers.)
 //!
 //! Run: `cargo run --release -p dcmesh-bench --bin ablations`
 
@@ -18,8 +18,6 @@ use dcmesh_core::scaling::{weak_scaling, ScalingConfig};
 use dcmesh_grid::{Mesh3, WfAos};
 use dcmesh_lfd::kinetic::{Axis, KineticPropagator, StepFraction};
 use dcmesh_lfd::nonlocal::NonlocalCorrection;
-use dcmesh_tddft::dcscf::{run_dc_scf, DcScfConfig};
-use dcmesh_tddft::{AtomSet, Species};
 
 fn main() {
     // The sweeps use fixed workloads; BenchArgs only carries the
@@ -28,7 +26,6 @@ fn main() {
     args.init_obs();
     block_size_sweep();
     gemm_path_sweep();
-    buffer_width_sweep();
     imbalance_sweep();
     args.finish_obs();
 }
@@ -102,61 +99,6 @@ fn gemm_path_sweep() {
     }
     println!("{}", table.render());
     println!("(the BLAS advantage grows once the state outgrows cache — the paper's point)\n");
-}
-
-fn buffer_width_sweep() {
-    println!("=== ablation 3: LDC buffer width (embedding accuracy vs cost) ===");
-    let global = Mesh3::new(16, 8, 8, 0.55, 0.55, 0.55);
-    let mut atoms = AtomSet::new(vec![Species::hydrogen()]);
-    atoms.push(0, [4.0 * 0.55, 4.0 * 0.55, 4.0 * 0.55]);
-    atoms.push(0, [12.0 * 0.55, 4.0 * 0.55, 4.0 * 0.55]);
-    // Single-domain reference.
-    let reference = run_dc_scf(
-        &global,
-        &atoms,
-        &DcScfConfig {
-            parts: [1, 1, 1],
-            buffer: 0,
-            norb_per_domain: 4,
-            scf_iters: 8,
-            ..Default::default()
-        },
-    )
-    .global_density;
-    let mut table = Table::new(&[
-        "buffer (pts)",
-        "local mesh",
-        "density err (L2)",
-        "time (ms)",
-    ]);
-    for buffer in [0usize, 1, 2, 3] {
-        let cfg = DcScfConfig {
-            parts: [2, 1, 1],
-            buffer,
-            norb_per_domain: 2,
-            scf_iters: 8,
-            ..Default::default()
-        };
-        let t0 = Instant::now();
-        let dc = run_dc_scf(&global, &atoms, &cfg);
-        let dt = t0.elapsed().as_secs_f64() * 1e3;
-        let err: f64 = dc
-            .global_density
-            .iter()
-            .zip(&reference)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            .sqrt();
-        let side = 8 + 2 * buffer;
-        table.row(&[
-            buffer.to_string(),
-            format!("{side}x{}x{}", 8 + 2 * buffer, 8 + 2 * buffer),
-            format!("{err:.4}"),
-            format!("{dt:.0}"),
-        ]);
-    }
-    println!("{}", table.render());
-    println!("(thicker buffers embed better but cost (s+2b)^3/s^3 more work — the\n strong-scaling alpha term of §IV-A)\n");
 }
 
 fn imbalance_sweep() {

@@ -12,8 +12,6 @@
 //!   persistent `dcmesh-pool` executor (the device executor layers the
 //!   cuBLAS roofline model on top). [`gemm`] is the same kernel over
 //!   [`Matrix`] operands.
-//! * [`gemm_blocked`] — that kernel kept on the calling thread (the "BLAS"
-//!   build's serial rung).
 //!
 //! The workloads' own GEMMs are not here: the nonlocal projector multiplies
 //! by a real reference and the set-up solve is real symmetric, so both run
@@ -236,22 +234,6 @@ pub fn gemm_naive<R: Real>(
 /// sized so an MC x KC A-panel plus a KC x NC B-panel stay L2-resident.
 const BLOCK: usize = 64;
 
-/// Single-threaded GEMM: `C = alpha * op(A) * op(B) + beta * C`.
-///
-/// The "BLAS" rung of the Table II ladder: [`gemm`] with every dispatch kept
-/// on the calling thread, and so bit for bit its result.
-pub fn gemm_blocked<R: Real>(
-    alpha: Complex<R>,
-    a: &Matrix<R>,
-    op_a: Op,
-    b: &Matrix<R>,
-    op_b: Op,
-    beta: Complex<R>,
-    c: &mut Matrix<R>,
-) {
-    dcmesh_pool::run_inline(|| gemm(alpha, a, op_a, b, op_b, beta, c));
-}
-
 /// Production GEMM on [`Matrix`] operands: [`gemm_colmajor`] over their
 /// column-major storage.
 pub fn gemm<R: Real>(
@@ -382,21 +364,6 @@ pub fn gemm_colmajor<R: Real>(
     }
 }
 
-/// Matrix-vector product `y = op(A) x` (level-2 helper for small solvers).
-pub fn gemv<R: Real>(a: &Matrix<R>, op_a: Op, x: &[Complex<R>]) -> Vec<Complex<R>> {
-    let (m, k) = a.op_dims(op_a);
-    assert_eq!(x.len(), k, "gemv dimension mismatch");
-    let mut y = vec![Complex::zero(); m];
-    for (i, yi) in y.iter_mut().enumerate() {
-        let mut acc = Complex::zero();
-        for (p, xp) in x.iter().enumerate() {
-            acc += a.op_at(op_a, i, p) * *xp;
-        }
-        *yi = acc;
-    }
-    y
-}
-
 /// Count of complex fused-multiply-adds a GEMM performs: `m * n * k`.
 ///
 /// One complex FMA = 8 real flops; the device roofline model consumes this.
@@ -438,7 +405,7 @@ mod tests {
             let alpha = C64::new(0.7, -0.3);
             let beta = C64::new(-0.2, 0.4);
             gemm_naive(alpha, &a, Op::None, &b, Op::None, beta, &mut c1);
-            gemm_blocked(alpha, &a, Op::None, &b, Op::None, beta, &mut c2);
+            dcmesh_pool::run_inline(|| gemm(alpha, &a, Op::None, &b, Op::None, beta, &mut c2));
             assert!(c1.max_abs_diff(&c2) < 1e-11, "({m},{n},{k})");
         }
     }
@@ -504,7 +471,9 @@ mod tests {
         let b = random_matrix(&mut rng, k, n);
         let mut c1 = Matrix::zeros(m, n);
         let mut c2 = Matrix::zeros(m, n);
-        gemm_blocked(C64::one(), &a, Op::None, &b, Op::None, C64::zero(), &mut c1);
+        dcmesh_pool::run_inline(|| {
+            gemm(C64::one(), &a, Op::None, &b, Op::None, C64::zero(), &mut c1)
+        });
         gemm(C64::one(), &a, Op::None, &b, Op::None, C64::zero(), &mut c2);
         assert!(c1.max_abs_diff(&c2) < 1e-11);
     }
@@ -512,10 +481,10 @@ mod tests {
     #[test]
     fn pool_parallel_gemm_is_bitwise_equal_to_serial() {
         // One kernel, two ways of running it: spread over the pool, and
-        // kept on this thread by `run_inline` (`gemm_blocked`). Every output
-        // entry is computed by the same arithmetic sequence whoever claims
-        // its panel, so the results must agree to the last bit regardless of
-        // pool size or panel-claim order.
+        // kept on this thread by `run_inline`. Every output entry is
+        // computed by the same arithmetic sequence whoever claims its panel,
+        // so the results must agree to the last bit regardless of pool size
+        // or panel-claim order.
         let mut rng = StdRng::seed_from_u64(7);
         let alpha = C64::new(0.7, -0.3);
         let beta = C64::new(-0.2, 0.4);
@@ -535,7 +504,7 @@ mod tests {
             };
             let c0 = random_matrix(&mut rng, m, n);
             let mut blocked = c0.clone();
-            gemm_blocked(alpha, &a, op_a, &b, op_b, beta, &mut blocked);
+            dcmesh_pool::run_inline(|| gemm(alpha, &a, op_a, &b, op_b, beta, &mut blocked));
             let mut parallel = c0.clone();
             gemm(alpha, &a, op_a, &b, op_b, beta, &mut parallel);
             assert_eq!(blocked.data(), parallel.data(), "({m},{n},{k})");
@@ -573,30 +542,6 @@ mod tests {
         gemm_naive(C64::one(), &p, Op::None, &p, Op::None, C64::zero(), &mut p2);
         assert!(p.max_abs_diff(&p2) < 1e-13);
         assert!(p.adjoint().max_abs_diff(&p) < 1e-13);
-    }
-
-    #[test]
-    fn gemv_matches_gemm() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let a = random_matrix(&mut rng, 9, 5);
-        let x: Vec<C64> = (0..5)
-            .map(|_| C64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
-            .collect();
-        let xm = Matrix::from_vec(5, 1, x.clone());
-        let mut ym = Matrix::zeros(9, 1);
-        gemm_naive(
-            C64::one(),
-            &a,
-            Op::None,
-            &xm,
-            Op::None,
-            C64::zero(),
-            &mut ym,
-        );
-        let y = gemv(&a, Op::None, &x);
-        for i in 0..9 {
-            assert!((y[i] - ym[(i, 0)]).abs() < 1e-13);
-        }
     }
 
     #[test]

@@ -13,9 +13,6 @@
 //!   itself is real x complex, on the real block kernels of [`simd`]).
 //! * [`hermite`] — quintic Hermite tables of the radial functions the force
 //!   field and the pseudopotentials evaluate per pair.
-//! * [`fft`] — radix-2 + Bluestein FFTs used by reference spectral solvers.
-//! * [`multigrid`] — the O(N) multigrid Poisson solver used for the global
-//!   Hartree potential (paper §II, "globally scalable" solver).
 //! * [`tridiag`] — tridiagonal operators and the even/odd 2×2 block splitting
 //!   at the heart of the space-splitting kinetic propagator (ref. [28]).
 //! * [`linalg`] — vector kernels, Gram–Schmidt, and a complex Hermitian
@@ -26,11 +23,9 @@
 //! * [`phys`] — Hartree atomic-unit constants and conversions.
 
 pub mod complex;
-pub mod fft;
 pub mod gemm;
 pub mod hermite;
 pub mod linalg;
-pub mod multigrid;
 pub mod phys;
 pub mod real;
 pub mod simd;

@@ -12,7 +12,7 @@
 //!    behind the same [`enabled`] check; no caller-owned buffer sits between.
 //! 2. **Metrics registry** — [`metrics`]: counters, gauges, and
 //!    log₂-bucketed histograms (per-step latency distributions, comm
-//!    bytes, SCF residuals, multigrid V-cycle counts).
+//!    bytes, MD energy and temperature, excited populations).
 //! 3. **Exporters** — [`chrome`]: Chrome-trace/Perfetto JSON with a host
 //!    wall-clock track (pid 1) and a modeled device-clock track (pid 2);
 //!    [`report`]: flat per-phase aggregation that callers render through

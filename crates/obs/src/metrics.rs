@@ -163,8 +163,8 @@ impl Histogram {
     }
 }
 
-/// Latest-value metric with running extrema (e.g. the SCF residual per
-/// iteration).
+/// Latest-value metric with running extrema (e.g. the MD total energy per
+/// step).
 #[derive(Clone, Debug)]
 pub struct Gauge {
     /// Most recently set value.

@@ -4,8 +4,8 @@
 //! a smooth local part `v_loc(r) = -Z_val * erf(r / rc) / r` (finite at the
 //! origin, Coulombic at range) and one Kleinman–Bylander nonlocal channel
 //! with a Gaussian projector — the `v_ion = v_loc + v_nl` split of paper
-//! Eq. (5). Parameters for Pb/Ti/O are model values tuned for stable SCF on
-//! coarse meshes, not transferable chemistry (see DESIGN.md).
+//! Eq. (5). Parameters for Pb/Ti/O are model values tuned for well-conditioned
+//! eigensolves on coarse meshes, not transferable chemistry (see DESIGN.md).
 
 use std::sync::OnceLock;
 
@@ -248,11 +248,6 @@ impl AtomSet {
             .sum()
     }
 
-    /// Number of doubly occupied orbitals needed (spin-restricted).
-    pub fn occupied_orbitals(&self) -> usize {
-        (self.electron_count() / 2.0).ceil() as usize
-    }
-
     /// Zero every atom's force accumulator.
     pub fn clear_forces(&mut self) {
         for a in &mut self.atoms {
@@ -332,9 +327,8 @@ mod tests {
         for i in 0..3 {
             set.push(2, [i as f64, 0.0, 0.0]);
         }
-        // Pb(4) + Ti(4) + 3 O(6) = 26 electrons, 13 doubly occupied orbitals.
+        // Pb(4) + Ti(4) + 3 O(6) = 26 electrons.
         assert_eq!(set.electron_count(), 26.0);
-        assert_eq!(set.occupied_orbitals(), 13);
     }
 
     #[test]

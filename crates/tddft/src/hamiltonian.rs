@@ -3,9 +3,9 @@
 //! `h = -(1/2m) lap + v_loc(r) + v_nl`, with:
 //!
 //! * kinetic: 3-point finite differences per axis, Dirichlet boundaries
-//!   (DC domains are finite; the LDC density-adaptive boundary enters via
-//!   the embedded `v_loc`),
-//! * `v_loc`: local pseudopotential + Hartree + LDA XC, point-diagonal,
+//!   (DC domains are finite),
+//! * `v_loc`: the local pseudopotential, point-diagonal (no Hartree or XC
+//!   term: the set-up solves the bare potential),
 //! * `v_nl`: Kleinman–Bylander rank-1 channels, one per atom:
 //!   `v_nl = sum_a |chi_a> E_a <chi_a|` with normalized projectors.
 //!
@@ -61,7 +61,7 @@ impl NonlocalProjector {
 #[derive(Clone, Debug)]
 pub struct Hamiltonian {
     mesh: Mesh3,
-    /// Point-local effective potential (pseudo + Hartree + XC [+ laser]).
+    /// Point-local effective potential (local pseudopotential [+ laser]).
     pub v_loc: Vec<f64>,
     /// Nonlocal KB channels.
     pub projectors: Vec<NonlocalProjector>,
@@ -83,16 +83,9 @@ impl Hamiltonian {
     }
 
     /// Build from atoms: local pseudopotential summed over atoms plus one
-    /// KB projector per atom with `e_kb != 0`. `v_extra` (Hartree + XC) is
-    /// added pointwise if provided.
-    pub fn from_atoms(mesh: Mesh3, atoms: &AtomSet, v_extra: Option<&[f64]>) -> Self {
-        let mut v_loc = local_pseudopotential(&mesh, atoms);
-        if let Some(extra) = v_extra {
-            assert_eq!(extra.len(), v_loc.len());
-            for (v, e) in v_loc.iter_mut().zip(extra) {
-                *v += e;
-            }
-        }
+    /// KB projector per atom with `e_kb != 0`.
+    pub fn from_atoms(mesh: Mesh3, atoms: &AtomSet) -> Self {
+        let v_loc = local_pseudopotential(&mesh, atoms);
         let projectors = build_projectors(&mesh, atoms);
         Self {
             mesh,
@@ -327,7 +320,7 @@ pub(crate) mod tests {
         let mesh = Mesh3::cubic(n, 0.6);
         let mut atoms = AtomSet::new(vec![Species::oxygen()]);
         atoms.push(0, mesh.center());
-        Hamiltonian::from_atoms(mesh, &atoms, None)
+        Hamiltonian::from_atoms(mesh, &atoms)
     }
 
     #[test]
@@ -385,7 +378,7 @@ pub(crate) mod tests {
         let mesh = Mesh3::cubic(10, 0.5);
         let mut atoms = AtomSet::new(vec![Species::titanium()]);
         atoms.push(0, mesh.center());
-        Hamiltonian::from_atoms(mesh, &atoms, None)
+        Hamiltonian::from_atoms(mesh, &atoms)
     }
 
     #[test]

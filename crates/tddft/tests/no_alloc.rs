@@ -60,7 +60,7 @@ fn a_solve_allocates_the_same_at_5_and_at_50_iterations() {
     let mut atoms = AtomSet::new(vec![Species::titanium(), Species::oxygen()]);
     atoms.push(0, mesh.center());
     atoms.push(1, [1.5, 2.5, 2.0]);
-    let with_channels = Hamiltonian::from_atoms(mesh.clone(), &atoms, None);
+    let with_channels = Hamiltonian::from_atoms(mesh.clone(), &atoms);
     let mut local_only = with_channels.clone();
     local_only.projectors.clear();
     for h in [&local_only, &with_channels] {

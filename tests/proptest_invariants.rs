@@ -1,13 +1,11 @@
 //! Property-based tests (proptest) on the core invariants the whole stack
 //! leans on: unitarity, conservation, layout round-trips, GEMM correctness
-//! on arbitrary shapes, FFT round-trips at arbitrary lengths, and
-//! decomposition exactness.
+//! on arbitrary shapes, and the simulated collectives.
 
 use dcmesh::comm::{NetworkModel, World};
-use dcmesh::grid::{DcDecomposition, Mesh3, WfAos};
+use dcmesh::grid::{Mesh3, WfAos};
 use dcmesh::lfd::kinetic::{Axis, KineticPropagator, StepFraction};
 use dcmesh::lfd::nonlocal::NonlocalCorrection;
-use dcmesh::math::fft::{fft, Direction};
 use dcmesh::math::gemm::{gemm, gemm_naive, Matrix, Op};
 use dcmesh::math::{Complex, C64};
 use proptest::prelude::*;
@@ -91,24 +89,6 @@ proptest! {
     }
 
     #[test]
-    fn fft_roundtrip_any_length(len in 1usize..200, seed in 0u64..100) {
-        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
-        };
-        let x: Vec<C64> = (0..len).map(|_| Complex::new(next(), next())).collect();
-        let mut y = x.clone();
-        fft(&mut y, Direction::Forward);
-        fft(&mut y, Direction::Inverse);
-        for i in 0..len {
-            prop_assert!((y[i] - x[i]).abs() < 1e-9 * (len as f64).max(1.0));
-        }
-    }
-
-    #[test]
     fn remap_occ_conserves_total_in_span(
         norb in 2usize..6,
         seed in 0u64..500,
@@ -135,23 +115,6 @@ proptest! {
         let want: f64 = occ0.iter().sum();
         prop_assert!((total - want).abs() < 1e-9);
         prop_assert!(f.iter().all(|&x| x >= -1e-12));
-    }
-
-    #[test]
-    fn dc_decomposition_cores_partition_any_grid(
-        px in 1usize..4,
-        py in 1usize..3,
-        pz in 1usize..3,
-        cells in 2usize..4,
-    ) {
-        let global = Mesh3::new(px * cells * 2, py * cells * 2, pz * cells * 2, 0.5, 0.5, 0.5);
-        let d = DcDecomposition::new(global, [px, py, pz], 1);
-        let mut counter = vec![0.0; d.global.len()];
-        for dom in &d.domains {
-            let ones = vec![1.0; dom.mesh.len()];
-            d.gather_core(dom, &ones, &mut counter);
-        }
-        prop_assert!(counter.iter().all(|&c| (c - 1.0).abs() < 1e-12));
     }
 
     #[test]
