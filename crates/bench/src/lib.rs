@@ -207,7 +207,7 @@ impl BenchArgs {
             dcmesh_pool::set_thread_override(n);
         }
         // A fault plan that does not parse must not run as a clean one.
-        if let Err(e) = dcmesh_ckpt::fault::install_from_env() {
+        if let Err(e) = dcmesh_lfd::fault::install_from_env() {
             eprintln!("DCMESH_FAULT_PLAN: {e}");
             std::process::exit(2);
         }

@@ -17,7 +17,8 @@
 //!   second, isogranular speedup, weak/strong parallel efficiency, and
 //!   single-node throughput (Fig. 4).
 //! * [`checkpoint`] — bit-exact snapshot/restore of the full simulation
-//!   state (atomic checkpoint files, config fingerprinting).
+//!   state: the tagged payload codec, the versioned and checksummed
+//!   container written atomically, and config fingerprinting.
 //! * [`invariants`] — the physics invariants of one state, the per-step
 //!   [`StepSample`] / whole-run [`InvariantSummary`] built from them, and
 //!   the drift ceilings of the watchdog rule.
@@ -32,7 +33,7 @@ pub mod resilience;
 pub mod scaling;
 pub mod simulation;
 
-pub use checkpoint::config_fingerprint;
+pub use checkpoint::{config_fingerprint, CkptError};
 pub use invariants::{
     step_series_jsonl, DriftWarning, InvariantSummary, SimInvariants, StepSample,
 };

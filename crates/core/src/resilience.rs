@@ -1,6 +1,6 @@
 //! The supervised run: per-step recording, drift warnings, and
-//! checkpoint-backed rollback and retry — the one way to step a
-//! [`DcMeshSim`] under supervision.
+//! checkpoint-backed rollback — the one way to step a [`DcMeshSim`] under
+//! supervision.
 //!
 //! [`ResilientRunner`] wraps a [`DcMeshSim`]. After every attempted MD
 //! step it, in this order: records a [`StepSample`] (the wall time of the
@@ -17,11 +17,11 @@
 //! `checkpoint_every` successful steps; an optional path mirrors them to
 //! disk through the atomic checkpoint writer.
 
+use crate::checkpoint::{write_checkpoint_atomic, CkptError};
 use crate::invariants::{
     drift_warnings, watched, DriftWarning, InvariantSummary, SimInvariants, StepSample,
 };
 use crate::simulation::{DcMeshConfig, DcMeshSim, StepReport};
-use dcmesh_ckpt::CkptError;
 use std::collections::VecDeque;
 use std::fmt;
 use std::path::PathBuf;
@@ -154,19 +154,6 @@ impl ResilientRunner {
         }
     }
 
-    /// Rebuild a runner from a snapshot an earlier runner produced — the
-    /// scheduler's eviction/retry path. The fingerprint check is bypassed
-    /// because a degraded schedule (halved `dt_qd`) legitimately shifts
-    /// it; structural checks still apply.
-    pub fn from_snapshot(
-        cfg: DcMeshConfig,
-        snapshot: &[u8],
-        checkpoint_every: u64,
-    ) -> Result<Self, ResilienceError> {
-        let sim = DcMeshSim::restore_from_bytes(cfg, snapshot, false)?;
-        Ok(Self::from_sim(sim, checkpoint_every))
-    }
-
     /// Mirror every periodic snapshot to `path` (atomic write).
     pub fn with_checkpoint_path(mut self, path: PathBuf) -> Self {
         self.checkpoint_path = Some(path);
@@ -195,18 +182,8 @@ impl ResilientRunner {
         self.rollbacks
     }
 
-    /// The configuration currently driving the simulation. After a
-    /// rollback this differs from the construction config (`dt_qd` halved,
-    /// `n_qd` doubled) — a retry from [`ResilientRunner::last_snapshot`]
-    /// should carry it forward.
-    pub fn config(&self) -> &DcMeshConfig {
-        self.sim.config()
-    }
-
     /// The last good in-memory snapshot (taken at construction and every
-    /// `checkpoint_every` successful steps). A scheduler that evicts an
-    /// unrecoverable job can requeue it from these bytes via
-    /// [`ResilientRunner::from_snapshot`].
+    /// `checkpoint_every` successful steps), the one a rollback restores.
     pub fn last_snapshot(&self) -> &[u8] {
         &self.last_snapshot
     }
@@ -303,7 +280,7 @@ impl ResilientRunner {
         self.last_snapshot = self.sim.snapshot_bytes();
         self.steps_since_ckpt = 0;
         if let Some(path) = &self.checkpoint_path {
-            dcmesh_ckpt::write_checkpoint_atomic(path, &self.last_snapshot)?;
+            write_checkpoint_atomic(path, &self.last_snapshot)?;
         }
         Ok(())
     }
@@ -314,7 +291,7 @@ mod tests {
     use super::*;
     use crate::simulation::tests::quick_cfg;
     use crate::simulation::DcMeshConfig;
-    use dcmesh_ckpt::fault::{self, FaultPlan};
+    use dcmesh_lfd::fault;
 
     #[test]
     fn clean_run_records_every_step_without_events() {
@@ -363,10 +340,7 @@ mod tests {
 
     #[test]
     fn warning_precedes_rollback_for_an_injected_nan() {
-        let plan = FaultPlan {
-            nan_at_step: Some(1),
-        };
-        fault::with_installed(plan, || {
+        fault::with_nan_at(1, || {
             let mut runner = ResilientRunner::new(quick_cfg(), 1);
             runner.run_to(3).unwrap();
             assert_eq!(runner.rollbacks(), 1);
@@ -451,10 +425,7 @@ mod tests {
 
     #[test]
     fn injected_nan_is_detected_and_recovered() {
-        let plan = FaultPlan {
-            nan_at_step: Some(1),
-        };
-        fault::with_installed(plan, || {
+        fault::with_nan_at(1, || {
             let mut runner = ResilientRunner::new(quick_cfg(), 1);
             let last = runner.run_to(3).unwrap();
             assert_eq!(runner.md_steps(), 3);
@@ -472,10 +443,7 @@ mod tests {
     fn persistent_nan_exhausts_the_rollback_budget() {
         // Inject at step 0 with a zero budget: the one-shot injection is
         // consumed, but the runner must refuse to continue.
-        let plan = FaultPlan {
-            nan_at_step: Some(0),
-        };
-        fault::with_installed(plan, || {
+        fault::with_nan_at(0, || {
             let mut runner = ResilientRunner::new(quick_cfg(), 1).with_max_rollbacks(0);
             let err = runner.step().unwrap_err();
             assert_eq!(err, ResilienceError::Unrecoverable { rollbacks: 0 });

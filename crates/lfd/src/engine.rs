@@ -404,7 +404,7 @@ impl<R: Real> LfdEngine<R> {
         }
         // Fault plan: plant a NaN in the kernel output at the configured
         // step (one-shot — a rollback replaying this step proceeds clean).
-        if dcmesh_ckpt::fault::armed() && dcmesh_ckpt::fault::consume_nan_injection(self.md_steps) {
+        if crate::fault::consume_nan_injection(self.md_steps) {
             if let Some(z) = self.state_data_mut().first_mut() {
                 *z = dcmesh_math::Complex::new(R::from_f64(f64::NAN), R::ZERO);
             }

@@ -22,8 +22,11 @@
 //!   handshake is occupation numbers (§II "shadow dynamics").
 //! * [`engine`] — the multiple-time-scale QD loop (N_QD steps per MD step,
 //!   Eq. (4)) assembled over all build variants of Table II.
+//! * [`fault`] — the one-shot NaN the engine plants in its output at an
+//!   armed step (`DCMESH_FAULT_PLAN=nan@STEP`), for the rollback tests.
 
 pub mod engine;
+pub mod fault;
 pub mod kinetic;
 pub mod maxwell;
 pub mod nonlocal;

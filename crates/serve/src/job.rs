@@ -37,17 +37,12 @@ pub struct JobSpec {
     pub cfg: DcMeshConfig,
     /// MD steps to complete.
     pub target_steps: u64,
-    /// In-memory snapshot cadence for the resilient runner (also the
-    /// granularity of eviction-retry: a retried job restarts from the
-    /// last snapshot, not from scratch).
+    /// In-memory snapshot cadence for the resilient runner (the snapshot a
+    /// rollback restores).
     pub checkpoint_every: u64,
-    /// Rollback budget per attempt before the runner declares the state
-    /// unrecoverable.
+    /// Rollback budget before the runner declares the state unrecoverable
+    /// and the job is evicted.
     pub max_rollbacks: u32,
-    /// Extra attempts after an unrecoverable failure before the job is
-    /// evicted for good. Each retry resumes from the last good snapshot
-    /// with the degraded (halved `dt_qd`) schedule carried forward.
-    pub retries: u32,
     /// Wall-clock budget measured from submission; checked cooperatively
     /// at every MD-step boundary.
     pub deadline: Option<Duration>,
@@ -63,7 +58,6 @@ impl Default for JobSpec {
             target_steps: 4,
             checkpoint_every: 1,
             max_rollbacks: 3,
-            retries: 1,
             deadline: None,
             pool_share: PoolShare::Shared,
         }
@@ -83,14 +77,13 @@ pub enum JobStatus {
     Cancelled,
     /// The wall-clock deadline passed at a step boundary.
     DeadlineExceeded,
-    /// Unrecoverable after exhausting retries; the service survived.
+    /// Still non-finite after the runner's rollbacks ran out; the service
+    /// survived.
     Evicted {
-        /// Total rollbacks across every attempt.
+        /// Rollbacks the runner performed.
         rollbacks: u32,
-        /// Attempts consumed (1 + retries).
-        attempts: u32,
     },
-    /// Infrastructure failure (checkpoint I/O, panic in the attempt).
+    /// Infrastructure failure (checkpoint I/O, panic in the run).
     Failed {
         /// Human-readable reason.
         reason: String,
@@ -111,30 +104,22 @@ pub struct JobOutcome {
     pub status: JobStatus,
     /// MD steps completed when the job left the system.
     pub steps_done: u64,
-    /// Rollbacks across all attempts.
+    /// Rollbacks the runner performed.
     pub rollbacks: u32,
-    /// Attempts started (0 if the job never reached a worker).
+    /// 1 for a job that ran, 0 for one resolved before it started.
     pub attempts: u32,
-    /// Seconds spent queued before the first attempt started.
+    /// Seconds spent queued before the run started.
     pub queue_wait_s: f64,
-    /// Seconds spent actually running, summed over attempts.
+    /// Seconds spent actually running.
     pub run_s: f64,
     /// Excited-state population after the last completed step (NaN if no
     /// step ran) — the physics observable a tenant actually asked for.
     pub excited_population: f64,
-    /// Whole-run invariant summary of the last attempt (`None` when no
-    /// step ran).
+    /// Whole-run invariant summary (`None` when no step ran).
     pub summary: Option<InvariantSummary>,
-    /// The last attempt's step samples, oldest first — one per attempted
-    /// step, rolled-back ones included.
+    /// The run's step samples, oldest first — one per attempted step,
+    /// rolled-back ones included.
     pub samples: Vec<StepSample>,
-}
-
-impl JobOutcome {
-    /// The step samples as JSONL (one object per line).
-    pub fn step_series_jsonl(&self) -> String {
-        dcmesh_core::step_series_jsonl(&self.samples)
-    }
 }
 
 /// Mutable per-job state shared between the handle and the worker.
@@ -205,11 +190,6 @@ impl JobHandle {
         self.shared.st.lock().status.clone()
     }
 
-    /// The outcome, if the job has already left the system.
-    pub fn try_outcome(&self) -> Option<JobOutcome> {
-        self.shared.st.lock().outcome.clone()
-    }
-
     /// Block until the job leaves the system and return its outcome.
     pub fn wait(&self) -> JobOutcome {
         let mut st = self.shared.st.lock();
@@ -234,10 +214,7 @@ mod tests {
             JobStatus::Completed,
             JobStatus::Cancelled,
             JobStatus::DeadlineExceeded,
-            JobStatus::Evicted {
-                rollbacks: 3,
-                attempts: 2,
-            },
+            JobStatus::Evicted { rollbacks: 3 },
             JobStatus::Failed { reason: "x".into() },
         ] {
             assert!(s.is_terminal(), "{s:?}");
@@ -252,7 +229,6 @@ mod tests {
             shared: Arc::clone(&shared),
         };
         assert_eq!(handle.status(), JobStatus::Queued);
-        assert!(handle.try_outcome().is_none());
         let publisher = dcmesh_analyze::sync::spawn_named("finisher", move || {
             shared.finish(JobOutcome {
                 status: JobStatus::Completed,

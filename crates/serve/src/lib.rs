@@ -15,12 +15,12 @@
 //! - **Deadlines & cancellation** — both are cooperative, checked at
 //!   every MD-step boundary; a cancel releases the worker and its pool
 //!   capacity at the next step edge.
-//! - **Graceful degradation** — a job that trips the fault path
-//!   (`ResilienceError::Unrecoverable`) is retried from its last good
-//!   checkpoint with the degraded time-step schedule carried forward,
-//!   then evicted ([`JobStatus::Evicted`]) if the retry budget runs out.
-//!   Panics become [`JobStatus::Failed`]. The service itself never goes
-//!   down with a tenant.
+//! - **Graceful degradation** — a job's runner rolls a non-finite state
+//!   back to its last good snapshot with a halved QD step; a job still
+//!   non-finite after its rollback budget (`ResilienceError::Unrecoverable`)
+//!   is evicted ([`JobStatus::Evicted`]). Panics become
+//!   [`JobStatus::Failed`]. The service itself never goes down with a
+//!   tenant.
 //! - **Per-job samples** — a job is stepped by one
 //!   `dcmesh_core::ResilientRunner`; its [`JobOutcome`] carries that
 //!   runner's step samples and invariant summary as data and formats the

@@ -69,7 +69,7 @@ pub struct LoadReport {
     pub rejected: usize,
     /// Terminal-status counts over the admitted jobs.
     pub completed: usize,
-    /// Evicted after exhausting retries.
+    /// Evicted after the runner's rollbacks ran out.
     pub evicted: usize,
     /// Cancelled (shutdown or explicit).
     pub cancelled: usize,
@@ -200,7 +200,7 @@ mod tests {
 
     #[test]
     fn a_small_burst_completes_every_job() {
-        let _guard = dcmesh_ckpt::fault::test_lock();
+        let _guard = dcmesh_lfd::fault::test_lock();
         let cfg = LoadConfig {
             jobs: 4,
             concurrency: 2,

@@ -3,10 +3,7 @@
 //! Admission control happens at [`JobQueue::submit`]: a full queue rejects
 //! the job immediately (typed [`Rejected::QueueFull`]) instead of letting
 //! latency grow without bound — the caller is expected to shed or retry
-//! later. Retries of *already admitted* jobs re-enter through
-//! [`JobQueue::requeue_front`], which bypasses the capacity check (an
-//! admitted job must never be lost to a burst of new arrivals) and jumps
-//! the line so its snapshot stays warm.
+//! later.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -14,7 +11,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dcmesh_analyze::sync::{Condvar, Mutex};
-use dcmesh_core::DcMeshConfig;
 
 use crate::job::{JobShared, JobSpec};
 
@@ -43,15 +39,6 @@ impl fmt::Display for Rejected {
 
 impl std::error::Error for Rejected {}
 
-/// Snapshot + degraded config an evicted attempt hands to its retry.
-pub(crate) struct ResumeState {
-    /// Config as degraded by rollbacks (halved `dt_qd`) — carried forward
-    /// so the retry does not repeat the failed schedule.
-    pub(crate) cfg: DcMeshConfig,
-    /// Last good snapshot bytes from the failed attempt's runner.
-    pub(crate) snapshot: Vec<u8>,
-}
-
 /// An admitted job travelling through the queue.
 pub(crate) struct Job {
     pub(crate) id: u64,
@@ -60,16 +47,6 @@ pub(crate) struct Job {
     pub(crate) submitted_at: Instant,
     /// Absolute deadline derived from the spec at submission time.
     pub(crate) deadline_at: Option<Instant>,
-    /// Attempts already consumed (0 for a fresh job).
-    pub(crate) attempts: u32,
-    /// Rollbacks accumulated across prior attempts.
-    pub(crate) rollbacks: u32,
-    /// Queue wait, fixed at the moment the first attempt starts.
-    pub(crate) queue_wait_s: Option<f64>,
-    /// Run seconds accumulated across prior attempts.
-    pub(crate) run_s: f64,
-    /// Present on retry attempts: resume point from the failed attempt.
-    pub(crate) resume: Option<ResumeState>,
 }
 
 #[derive(Debug)]
@@ -82,7 +59,6 @@ impl fmt::Debug for Job {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Job")
             .field("id", &self.id)
-            .field("attempts", &self.attempts)
             .finish_non_exhaustive()
     }
 }
@@ -107,7 +83,7 @@ impl JobQueue {
         }
     }
 
-    /// Admit a fresh job, or hand it back (boxed — the spec is large and
+    /// Admit a job, or hand it back (boxed — the spec is large and
     /// the rejection path should stay cheap) with the typed rejection.
     pub(crate) fn submit(&self, job: Job) -> Result<(), (Box<Job>, Rejected)> {
         let mut g = self.inner.lock();
@@ -126,16 +102,6 @@ impl JobQueue {
         drop(g);
         self.nonempty.notify_one();
         Ok(())
-    }
-
-    /// Re-enqueue an already-admitted job at the head of the line,
-    /// bypassing the capacity bound (admission happened once; a retry must
-    /// not be shed by arrival pressure).
-    pub(crate) fn requeue_front(&self, job: Job) {
-        let mut g = self.inner.lock();
-        g.q.push_front(job);
-        drop(g);
-        self.nonempty.notify_one();
     }
 
     /// Block until a job is available. Returns `None` once the queue is
@@ -189,11 +155,6 @@ mod tests {
             shared: Arc::new(JobShared::new()),
             submitted_at: Instant::now(),
             deadline_at: None,
-            attempts: 0,
-            rollbacks: 0,
-            queue_wait_s: None,
-            run_s: 0.0,
-            resume: None,
         }
     }
 
@@ -206,16 +167,6 @@ mod tests {
         assert_eq!(returned.id, 2, "the rejected job comes back to the caller");
         assert_eq!(why, Rejected::QueueFull { capacity: 2 });
         assert_eq!(q.len(), 2);
-    }
-
-    #[test]
-    fn requeue_front_bypasses_capacity_and_jumps_the_line() {
-        let q = JobQueue::new(1);
-        q.submit(job(0)).unwrap();
-        q.requeue_front(job(9));
-        assert_eq!(q.len(), 2, "capacity bound does not apply to retries");
-        assert_eq!(q.pop_wait().unwrap().id, 9, "retry pops first");
-        assert_eq!(q.pop_wait().unwrap().id, 0);
     }
 
     #[test]

@@ -13,14 +13,13 @@
 //! core), under [`PoolShare::Inline`] each job pins its kernels to its
 //! own scheduler thread so N jobs use N cores with no contention.
 //!
-//! Graceful degradation: an attempt that exhausts its rollback budget
-//! (`ResilienceError::Unrecoverable`, e.g. the `ckpt` fault path
-//! injecting a NaN) is retried from its last good snapshot — with the
-//! degraded `dt_qd` schedule carried forward — up to `retries` times,
-//! then evicted with a terminal [`JobStatus::Evicted`]. A panic inside an
-//! attempt is caught and converted to [`JobStatus::Failed`]. Either way
-//! the worker thread survives and moves to the next job; one tenant's
-//! pathology never takes the service down.
+//! Graceful degradation: the runner's rollbacks are the one recovery. A
+//! job whose state is still non-finite once its rollback budget is spent
+//! (`ResilienceError::Unrecoverable`, e.g. after an injected NaN with
+//! `max_rollbacks: 0`) is evicted with a terminal [`JobStatus::Evicted`].
+//! A panic inside the run is caught and converted to
+//! [`JobStatus::Failed`]. Either way the worker thread survives and moves
+//! to the next job; one tenant's pathology never takes the service down.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -32,7 +31,7 @@ use dcmesh_core::{InvariantSummary, ResilienceError, ResilientRunner, StepSample
 use dcmesh_obs::metrics;
 
 use crate::job::{JobHandle, JobOutcome, JobShared, JobSpec, JobStatus, PoolShare};
-use crate::queue::{Job, JobQueue, Rejected, ResumeState};
+use crate::queue::{Job, JobQueue, Rejected};
 
 /// Service sizing.
 #[derive(Clone, Copy, Debug)]
@@ -97,11 +96,6 @@ impl Service {
             shared: Arc::clone(&shared),
             submitted_at: Instant::now(),
             deadline_at,
-            attempts: 0,
-            rollbacks: 0,
-            queue_wait_s: None,
-            run_s: 0.0,
-            resume: None,
         };
         match self.queue.submit(job) {
             Ok(()) => {
@@ -126,18 +120,8 @@ impl Service {
     /// loop's cooperative checks).
     pub fn shutdown(self, drain: bool) {
         for job in self.queue.shutdown(drain) {
-            metrics::counter_add("serve.cancelled", 1);
-            job.shared.finish(JobOutcome {
-                status: JobStatus::Cancelled,
-                steps_done: 0,
-                rollbacks: 0,
-                attempts: 0,
-                queue_wait_s: job.submitted_at.elapsed().as_secs_f64(),
-                run_s: 0.0,
-                excited_population: f64::NAN,
-                summary: None,
-                samples: Vec::new(),
-            });
+            let waited = job.submitted_at.elapsed().as_secs_f64();
+            finish(&job, JobStatus::Cancelled, waited, None);
         }
         for w in self.workers {
             let _ = w.join();
@@ -145,31 +129,23 @@ impl Service {
     }
 }
 
-/// How one attempt ended, plus everything the outcome needs from it.
-enum AttemptEnd {
-    /// Terminal — publish the outcome.
-    Finished(JobStatus),
-    /// Unrecoverable but retry budget remains — requeue from the snapshot.
-    Retry(ResumeState),
-}
-
-/// What an attempt measured, independent of how it ended: read off its
-/// runner once the step loop is over.
-struct AttemptStats {
+/// What a run measured, independent of how it ended: read off its runner
+/// once the step loop is over.
+struct RunStats {
     steps_done: u64,
-    attempt_rollbacks: u32,
+    rollbacks: u32,
     excited_population: f64,
     summary: Option<InvariantSummary>,
     samples: Vec<StepSample>,
     run_s: f64,
 }
 
-impl AttemptStats {
+impl RunStats {
     /// The stats of a job that never stepped.
     fn empty() -> Self {
         Self {
             steps_done: 0,
-            attempt_rollbacks: 0,
+            rollbacks: 0,
             excited_population: f64::NAN,
             summary: None,
             samples: Vec::new(),
@@ -180,121 +156,74 @@ impl AttemptStats {
 
 fn worker_loop(queue: &JobQueue) {
     while let Some(job) = queue.pop_wait() {
-        process(queue, job);
+        process(&job);
     }
 }
 
-/// Run one pass over a job: pre-flight checks, one attempt, then either
-/// publish the outcome or requeue the retry.
-fn process(queue: &JobQueue, mut job: Job) {
-    if job.queue_wait_s.is_none() {
-        let wait = job.submitted_at.elapsed().as_secs_f64();
-        job.queue_wait_s = Some(wait);
-        metrics::histogram_record("serve.queue_seconds", wait);
-    }
+/// Serve one job: pre-flight checks, the run, then the outcome.
+fn process(job: &Job) {
+    let waited = job.submitted_at.elapsed().as_secs_f64();
+    metrics::histogram_record("serve.queue_seconds", waited);
     // Pre-SCF checks: a cancel or an expired deadline that landed while
     // the job was queued resolves it before any state is built.
     if job.shared.cancel.load(Ordering::Acquire) {
-        return finish(job, JobStatus::Cancelled, None);
+        return finish(job, JobStatus::Cancelled, waited, None);
     }
     if job.deadline_at.is_some_and(|d| Instant::now() >= d) {
-        return finish(job, JobStatus::DeadlineExceeded, None);
+        return finish(job, JobStatus::DeadlineExceeded, waited, None);
     }
     job.shared.set_running();
-    job.attempts += 1;
-    match catch_unwind(AssertUnwindSafe(|| run_attempt(&job))) {
-        Err(payload) => {
-            let reason = panic_reason(payload.as_ref());
-            finish(job, JobStatus::Failed { reason }, None);
-        }
-        Ok((end, stats)) => {
-            job.run_s += stats.run_s;
-            job.rollbacks += stats.attempt_rollbacks;
-            match end {
-                AttemptEnd::Retry(resume) => {
-                    metrics::counter_add("serve.retried", 1);
-                    job.resume = Some(resume);
-                    queue.requeue_front(job);
-                }
-                AttemptEnd::Finished(status) => finish(job, status, Some(stats)),
-            }
-        }
-    }
+    let (status, stats) = catch_unwind(AssertUnwindSafe(|| run(job))).unwrap_or_else(|payload| {
+        let reason = panic_reason(payload.as_ref());
+        (JobStatus::Failed { reason }, RunStats::empty())
+    });
+    finish(job, status, waited, Some(stats));
 }
 
-/// One attempt: build the runner (fresh or from the retry snapshot) and
-/// step it to the target with cooperative checks at every MD-step
-/// boundary.
-fn run_attempt(job: &Job) -> (AttemptEnd, AttemptStats) {
+/// Build the job's runner and step it to the target with cooperative
+/// checks at every MD-step boundary.
+fn run(job: &Job) -> (JobStatus, RunStats) {
     let spec = &job.spec;
     let started = Instant::now();
-    let mut runner = match &job.resume {
-        Some(r) => {
-            match ResilientRunner::from_snapshot(r.cfg.clone(), &r.snapshot, spec.checkpoint_every)
-            {
-                Ok(runner) => runner,
-                Err(e) => {
-                    return (
-                        AttemptEnd::Finished(JobStatus::Failed {
-                            reason: format!("resume failed: {e}"),
-                        }),
-                        AttemptStats {
-                            run_s: started.elapsed().as_secs_f64(),
-                            ..AttemptStats::empty()
-                        },
-                    )
-                }
-            }
-        }
-        None => ResilientRunner::new(spec.cfg.clone(), spec.checkpoint_every),
-    }
-    .with_max_rollbacks(spec.max_rollbacks);
+    let mut runner = ResilientRunner::new(spec.cfg.clone(), spec.checkpoint_every)
+        .with_max_rollbacks(spec.max_rollbacks);
 
     let mut excited = f64::NAN;
     let step_loop = |runner: &mut ResilientRunner, excited: &mut f64| loop {
         if job.shared.cancel.load(Ordering::Acquire) {
-            break AttemptEnd::Finished(JobStatus::Cancelled);
+            break JobStatus::Cancelled;
         }
         if job.deadline_at.is_some_and(|d| Instant::now() >= d) {
-            break AttemptEnd::Finished(JobStatus::DeadlineExceeded);
+            break JobStatus::DeadlineExceeded;
         }
         if runner.md_steps() >= spec.target_steps {
-            break AttemptEnd::Finished(JobStatus::Completed);
+            break JobStatus::Completed;
         }
         match runner.step() {
             Ok(report) => {
                 metrics::counter_add("serve.steps", 1);
                 *excited = report.excited_population;
             }
-            Err(ResilienceError::Unrecoverable { .. }) => {
-                if job.attempts <= spec.retries {
-                    break AttemptEnd::Retry(ResumeState {
-                        cfg: runner.config().clone(),
-                        snapshot: runner.last_snapshot().to_vec(),
-                    });
-                }
-                break AttemptEnd::Finished(JobStatus::Evicted {
-                    rollbacks: job.rollbacks + runner.rollbacks(),
-                    attempts: job.attempts,
-                });
+            Err(ResilienceError::Unrecoverable { rollbacks }) => {
+                break JobStatus::Evicted { rollbacks };
             }
             Err(ResilienceError::Ckpt(e)) => {
-                break AttemptEnd::Finished(JobStatus::Failed {
+                break JobStatus::Failed {
                     reason: format!("checkpoint: {e}"),
-                });
+                };
             }
         }
     };
-    let end = match spec.pool_share {
+    let status = match spec.pool_share {
         PoolShare::Inline => dcmesh_pool::run_inline(|| step_loop(&mut runner, &mut excited)),
         PoolShare::Shared => step_loop(&mut runner, &mut excited),
     };
 
     (
-        end,
-        AttemptStats {
+        status,
+        RunStats {
             steps_done: runner.md_steps(),
-            attempt_rollbacks: runner.rollbacks(),
+            rollbacks: runner.rollbacks(),
             excited_population: excited,
             summary: runner.summary(),
             samples: runner.samples().cloned().collect(),
@@ -303,10 +232,10 @@ fn run_attempt(job: &Job) -> (AttemptEnd, AttemptStats) {
     )
 }
 
-/// Publish the terminal outcome (with the last attempt's samples and
-/// summary when the job actually ran) and bump the per-status service
-/// counters.
-fn finish(job: Job, status: JobStatus, stats: Option<AttemptStats>) {
+/// Publish the terminal outcome (with the run's samples and summary when
+/// the job started: `stats` is `None` for one resolved while queued) and
+/// bump the per-status service counters.
+fn finish(job: &Job, status: JobStatus, waited: f64, stats: Option<RunStats>) {
     let counter = match &status {
         JobStatus::Completed => "serve.completed",
         JobStatus::Cancelled => "serve.cancelled",
@@ -316,20 +245,20 @@ fn finish(job: Job, status: JobStatus, stats: Option<AttemptStats>) {
         JobStatus::Queued | JobStatus::Running => unreachable!("finish() takes terminal statuses"),
     };
     metrics::counter_add(counter, 1);
-    // A job resolved by `process`'s pre-flight checks never ran: a 0.0 for
-    // it would only drag the histogram's low buckets.
-    if job.attempts > 0 {
-        metrics::histogram_record("serve.run_seconds", job.run_s);
+    // A job resolved before it started has no run time: a 0.0 for it would
+    // only drag the histogram's low buckets.
+    if let Some(stats) = &stats {
+        metrics::histogram_record("serve.run_seconds", stats.run_s);
     }
-
-    let stats = stats.unwrap_or_else(AttemptStats::empty);
+    let attempts = u32::from(stats.is_some());
+    let stats = stats.unwrap_or_else(RunStats::empty);
     job.shared.finish(JobOutcome {
         status,
         steps_done: stats.steps_done,
-        rollbacks: job.rollbacks,
-        attempts: job.attempts,
-        queue_wait_s: job.queue_wait_s.unwrap_or(0.0),
-        run_s: job.run_s,
+        rollbacks: stats.rollbacks,
+        attempts,
+        queue_wait_s: waited,
+        run_s: stats.run_s,
         excited_population: stats.excited_population,
         summary: stats.summary,
         samples: stats.samples,
@@ -365,7 +294,7 @@ mod tests {
 
     #[test]
     fn a_served_job_matches_a_direct_run_bit_for_bit() {
-        let _guard = dcmesh_ckpt::fault::test_lock();
+        let _guard = dcmesh_lfd::fault::test_lock();
         let service = Service::start(ServeConfig::default());
         let handle = service.submit(quick_spec("direct-equiv")).unwrap();
         let outcome = handle.wait();
@@ -384,12 +313,13 @@ mod tests {
             direct.to_bits(),
             "serving must not perturb the physics"
         );
-        assert_eq!(outcome.step_series_jsonl().lines().count(), 3);
+        let jsonl = dcmesh_core::step_series_jsonl(&outcome.samples);
+        assert_eq!(jsonl.lines().count(), 3);
     }
 
     #[test]
     fn inline_and_shared_pool_policies_agree_on_the_physics() {
-        let _guard = dcmesh_ckpt::fault::test_lock();
+        let _guard = dcmesh_lfd::fault::test_lock();
         let service = Service::start(ServeConfig::default());
         let shared = service
             .submit(JobSpec {
@@ -416,7 +346,7 @@ mod tests {
 
     #[test]
     fn a_panicking_job_fails_without_taking_the_worker_down() {
-        let _guard = dcmesh_ckpt::fault::test_lock();
+        let _guard = dcmesh_lfd::fault::test_lock();
         let service = Service::start(ServeConfig {
             concurrency: 1,
             ..ServeConfig::default()

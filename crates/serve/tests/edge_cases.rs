@@ -4,8 +4,8 @@
 
 use std::time::{Duration, Instant};
 
-use dcmesh_ckpt::fault::{self, FaultPlan};
 use dcmesh_core::DcMeshConfig;
+use dcmesh_lfd::fault;
 use dcmesh_serve::{
     run_load, JobHandle, JobSpec, JobStatus, LoadConfig, Rejected, ServeConfig, Service,
 };
@@ -145,13 +145,10 @@ fn an_expired_deadline_resolves_before_any_state_is_built() {
 #[test]
 fn a_nan_poisoned_job_is_evicted_while_its_siblings_finish() {
     // The one-shot NaN injection poisons whichever concurrent job reaches
-    // MD step 1 first. With a zero rollback budget and no retries that job
-    // must be evicted — and only that job; its siblings complete and the
-    // service keeps running.
-    let plan = FaultPlan {
-        nan_at_step: Some(1),
-    };
-    fault::with_installed(plan, || {
+    // MD step 1 first. With a zero rollback budget that job must be
+    // evicted — and only that job; its siblings complete and the service
+    // keeps running.
+    fault::with_nan_at(1, || {
         let service = Service::start(ServeConfig {
             concurrency: 2,
             ..ServeConfig::default()
@@ -161,7 +158,6 @@ fn a_nan_poisoned_job_is_evicted_while_its_siblings_finish() {
                 service
                     .submit(JobSpec {
                         max_rollbacks: 0,
-                        retries: 0,
                         ..spec(&format!("tenant-{i}"), 3)
                     })
                     .unwrap()
@@ -183,34 +179,35 @@ fn a_nan_poisoned_job_is_evicted_while_its_siblings_finish() {
             "exactly one job consumes the one-shot NaN: {outcomes:?}"
         );
         assert_eq!(completed, 2, "siblings must be unaffected: {outcomes:?}");
+        assert_eq!(evicted[0].status, JobStatus::Evicted { rollbacks: 0 });
         assert_eq!(evicted[0].attempts, 1);
     });
 }
 
 #[test]
-fn a_nan_poisoned_job_retries_from_its_checkpoint_and_completes() {
-    // Same injection, but with a retry budget: the poisoned attempt ends
-    // unrecoverable, the scheduler requeues the job from its last good
-    // snapshot, and — the injection being consumed — the retry completes.
-    let plan = FaultPlan {
-        nan_at_step: Some(1),
-    };
-    fault::with_installed(plan, || {
+fn a_nan_poisoned_job_rolls_back_to_its_checkpoint_and_completes() {
+    // Same injection, but with a rollback budget: the runner restores its
+    // last good snapshot with a halved QD step, and — the injection being
+    // consumed — the replayed step is clean and the job completes.
+    fault::with_nan_at(1, || {
         let service = Service::start(ServeConfig {
             concurrency: 1,
             ..ServeConfig::default()
         });
         let handle = service
             .submit(JobSpec {
-                max_rollbacks: 0,
-                retries: 1,
+                max_rollbacks: 1,
                 ..spec("degraded", 3)
             })
             .unwrap();
         let out = handle.wait();
         service.shutdown(true);
         assert_eq!(out.status, JobStatus::Completed, "{out:?}");
-        assert_eq!(out.attempts, 2, "one failed attempt + one retry");
+        assert_eq!(
+            (out.attempts, out.rollbacks),
+            (1, 1),
+            "one run, one rollback"
+        );
         assert_eq!(out.steps_done, 3);
         assert!(out.excited_population.is_finite());
     });

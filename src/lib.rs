@@ -1,5 +1,4 @@
 //! dcmesh umbrella crate: re-exports the whole workspace public API.
-pub use dcmesh_ckpt as ckpt;
 pub use dcmesh_comm as comm;
 pub use dcmesh_core as core;
 pub use dcmesh_device as device;
