@@ -17,9 +17,9 @@
 //!   Driver layers (lfd engine, core simulation, bench) and `crates/obs`
 //!   itself may read wall clocks.
 //! * **println-metrics** — `println!`/`eprintln!`/`print!` are banned in
-//!   the kernel crates: ad-hoc printed "metrics" bypass the `dcmesh-obs`
-//!   counters and cannot be compared across runs. Driver and bench
-//!   layers own stdout.
+//!   the kernel crates: an ad-hoc printed number cannot be compared across
+//!   runs. A kernel returns the number to its caller (or times itself
+//!   under a `dcmesh-obs` span); driver and bench layers own stdout.
 //! * **raw-arch** — `std::arch` / `core::arch` intrinsics are allowed
 //!   only inside `crates/math/src/simd/`, the one audited home for
 //!   ISA-specific code (with its scalar fallback and dispatch gate).
@@ -70,7 +70,7 @@ pub fn check(corpus: &Corpus) -> Vec<AuditFinding> {
                 ),
                 "println" | "eprintln" | "print" if in_kernel_crate && macro_bang_paren(lx, i) => (
                     "println-metrics",
-                    "kernel crates must not print; record dcmesh-obs metrics instead",
+                    "kernel crates must not print; return the number to the caller",
                 ),
                 "arch"
                     if !arch_allowed

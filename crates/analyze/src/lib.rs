@@ -17,8 +17,8 @@
 //! 2. [`race`] — a shadow-access race detector (`DCMESH_RACECHECK=1`):
 //!    `SlicePtr` writes are logged as byte intervals with vector-clock
 //!    snapshots; at every region settle (dispatch return) overlapping
-//!    writes without a happens-before edge are reported through
-//!    `dcmesh-obs` and panic the offending test.
+//!    writes without a happens-before edge are printed and panic the
+//!    offending test.
 //! 3. [`audit`] (`--bin audit`) — whole-workspace static analysis over
 //!    one lex per file: the path-scoped hygiene rules (stray
 //!    `thread::spawn`, wall-clock reads and prints in kernel crates, raw
@@ -27,7 +27,7 @@
 //!
 //! Layering: this crate sits *below* `dcmesh-pool` (which links the
 //! [`sync`] primitives and [`race`] hooks into its hot path), so it
-//! must depend only on `dcmesh-obs`. When neither tool is armed, every
+//! depends on no other dcmesh crate. When neither tool is armed, every
 //! instrumentation point costs one relaxed atomic load — the same
 //! contract `dcmesh-obs` spans make.
 

@@ -26,10 +26,9 @@
 //! * At every **settle point** (dispatch return, or an explicit
 //!   [`settle`]) the logs are drained and checked: two writes
 //!   from different threads that overlap without a happens-before edge
-//!   in either direction are a violation. Violations are counted on the
-//!   `race.violations` metric, printed, and panic the settling thread
-//!   (unless a [`capture`] scope is collecting them, or the thread is
-//!   already panicking).
+//!   in either direction are a violation. Violations are printed and
+//!   panic the settling thread (unless a [`capture`] scope is collecting
+//!   them, or the thread is already panicking).
 //!
 //! # Caveats (read before trusting a clean run)
 //!
@@ -334,7 +333,6 @@ pub fn settle(settle_label: &'static str) {
         for t in &reg.threads {
             accesses.append(&mut lock_state(t).log);
         }
-        let fresh = accesses.len();
 
         // Interval sweep: sort by lo, compare each access against the
         // still-open ones before it.
@@ -373,14 +371,6 @@ pub fn settle(settle_label: &'static str) {
             accesses.drain(..accesses.len() - RETAIN);
         }
         reg.retained = accesses;
-
-        if dcmesh_obs::enabled() {
-            dcmesh_obs::metrics::counter_add("race.regions", 1);
-            dcmesh_obs::metrics::counter_add("race.accesses", fresh as u64);
-            if !violations.is_empty() {
-                dcmesh_obs::metrics::counter_add("race.violations", violations.len() as u64);
-            }
-        }
 
         if !violations.is_empty() {
             if let Some(sink) = reg.capture.as_mut() {

@@ -37,8 +37,8 @@ fn hygiene_fixture_trips_every_rule_with_a_location() {
              dispatch through the pool",
             "crates/math/src/bad.rs:13: [wall-clock] kernel crates must not read wall clocks; use \
              dcmesh-obs spans",
-            "crates/math/src/bad.rs:17: [println-metrics] kernel crates must not print; record \
-             dcmesh-obs metrics instead",
+            "crates/math/src/bad.rs:17: [println-metrics] kernel crates must not print; return the \
+             number to the caller",
             "crates/math/src/bad.rs:21: [raw-arch] raw arch intrinsics live in crates/math/src/simd/ \
              only; dispatch through dcmesh_math::simd",
         ]

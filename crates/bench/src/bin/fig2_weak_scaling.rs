@@ -53,9 +53,6 @@ fn main() {
             format!("{:.4}", analytic.weak(cfg.atoms_per_rank as f64, p.ranks)),
         ]);
     }
-    if let Some(last) = points.last() {
-        dcmesh_obs::metrics::gauge_set("comm.overlap_ratio", last.overlap_ratio);
-    }
     println!("{}", table.render());
     let last = points.last().unwrap();
     println!(

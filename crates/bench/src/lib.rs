@@ -336,8 +336,7 @@ pub mod paper {
 
 /// Render the flat per-phase aggregate of a drained timeline through the
 /// shared [`Table`] formatter: one row per `(phase, track)` with counts,
-/// total seconds, and attached bytes. Includes the metrics registry's
-/// counters and gauges below the phase table when any are set.
+/// total seconds, and attached bytes.
 pub fn obs_report(events: &[Event]) -> String {
     let mut table = Table::new(&["Phase", "Track", "Count", "Total (s)", "Bytes"]);
     for agg in dcmesh_obs::report::aggregate(events) {
@@ -349,34 +348,7 @@ pub fn obs_report(events: &[Event]) -> String {
             agg.bytes.to_string(),
         ]);
     }
-    let mut out = table.render();
-    let snap = dcmesh_obs::metrics::snapshot();
-    if !snap.counters.is_empty() || !snap.gauges.is_empty() {
-        let mut mt = Table::new(&["Metric", "Kind", "Value"]);
-        for (name, v) in &snap.counters {
-            mt.row(&[name.clone(), "counter".to_string(), v.to_string()]);
-        }
-        for (name, g) in &snap.gauges {
-            mt.row(&[name.clone(), "gauge".to_string(), format!("{:.6e}", g.last)]);
-        }
-        for (name, h) in &snap.histograms {
-            mt.row(&[
-                name.clone(),
-                "histogram".to_string(),
-                format!(
-                    "n={} sum={:.6e} p50={:.3e} p95={:.3e} p99={:.3e}",
-                    h.count,
-                    h.sum,
-                    h.p50(),
-                    h.p95(),
-                    h.p99()
-                ),
-            ]);
-        }
-        out.push('\n');
-        out.push_str(&mt.render());
-    }
-    out
+    table.render()
 }
 
 /// Total host-track seconds recorded for one phase name.

@@ -19,7 +19,7 @@
 //! compute costs `max(C, L)`, not `C + L` — the blocking [`Rank::recv`] (post and wait at the same instant)
 //! degenerates to the sum. Per-rank [`OverlapStats`] split every modeled
 //! transfer into a hidden part (behind compute) and a stall part (exposed
-//! at the wait), and feed the `comm.wait_ns` counter.
+//! at the wait, summed in [`OverlapStats::wait_s`]).
 //!
 //! ## Transport
 //!
@@ -348,7 +348,6 @@ impl World {
                 ctrl: Arc::clone(&ctrl),
                 deadline_ms,
                 overlap: OverlapStats::default(),
-                p2p_names: vec![None; nranks],
             })
             .collect()
     }
@@ -496,9 +495,6 @@ pub struct Rank {
     deadline_ms: u64,
     /// Hidden-vs-stalled communication time accounting.
     overlap: OverlapStats,
-    /// Lazily built per-neighbor latency metric names, so the receive hot
-    /// path never allocates a metric key.
-    p2p_names: Vec<Option<String>>,
 }
 
 impl std::fmt::Debug for Rank {
@@ -581,10 +577,7 @@ impl Rank {
             Ok(()) => Ok(()),
             Err(()) => match self.ctrl.first_failed() {
                 Some(rank) => Err(CommError::RankFailed { rank }),
-                None => {
-                    dcmesh_obs::metrics::counter_add("comm.sent_after_exit", 1);
-                    Ok(())
-                }
+                None => Ok(()),
             },
         }
     }
@@ -602,8 +595,6 @@ impl Rank {
     }
 
     fn send_raw(&self, to: usize, tag: u64, payload: Vec<f64>) -> Result<(), CommError> {
-        dcmesh_obs::metrics::counter_add("comm.messages", 1);
-        dcmesh_obs::metrics::counter_add("comm.send_bytes", (payload.len() * 8) as u64);
         let msg = Message {
             from: self.id,
             tag,
@@ -630,7 +621,6 @@ impl Rank {
     /// payload is empty and its logical size is what the clock is charged.
     pub fn irecv(&mut self, from: usize, tag: u64) -> RecvRequest {
         assert!(tag < COLLECTIVE_TAG_BASE, "user tags must be < 2^60");
-        dcmesh_obs::metrics::counter_add("comm.recv_posted", 1);
         RecvRequest {
             from,
             tag,
@@ -657,8 +647,6 @@ impl Rank {
         self.overlap.span_s += (arrival - req.posted_clock).max(0.0);
         self.overlap.hidden_s += (wait_clock.min(arrival) - req.posted_clock).max(0.0);
         self.clock = wait_clock.max(arrival);
-        dcmesh_obs::metrics::counter_add("comm.wait_ns", (stall * 1e9) as u64);
-        self.record_p2p(req.from, bytes, latency);
         msg.payload
     }
 
@@ -668,20 +656,6 @@ impl Rank {
         reqs.into_iter().map(|r| self.wait(r)).collect()
     }
 
-    /// Feed modeled p2p traffic into the metrics registry: total exchanged
-    /// bytes plus a per-neighbor latency histogram. No-op (and no
-    /// allocation) when the collector is disabled; the metric name for
-    /// each neighbor is built once and cached, not formatted per receive.
-    fn record_p2p(&mut self, from: usize, bytes: u64, latency_s: f64) {
-        if !dcmesh_obs::enabled() {
-            return;
-        }
-        dcmesh_obs::metrics::counter_add("comm.recv_bytes", bytes);
-        let name =
-            self.p2p_names[from].get_or_insert_with(|| format!("comm.p2p_latency_s.from_{from}"));
-        dcmesh_obs::metrics::histogram_record(name, latency_s);
-    }
-
     /// Non-blocking send of a *modeled* message: no payload is
     /// materialized, but the receiver's clock advances as if
     /// `logical_bytes` had crossed the fabric. Scaling drivers use this to
@@ -689,7 +663,6 @@ impl Rank {
     /// dead peer.
     pub fn send_modeled(&self, to: usize, tag: u64, logical_bytes: u64) {
         assert!(tag < COLLECTIVE_TAG_BASE, "user tags must be < 2^60");
-        dcmesh_obs::metrics::counter_add("comm.send_bytes", logical_bytes);
         let msg = Message {
             from: self.id,
             tag,
@@ -744,7 +717,6 @@ impl Rank {
                 WaitOutcome::TimedOut => {
                     waited_ms += POLL_MS;
                     if waited_ms >= self.deadline_ms {
-                        dcmesh_obs::metrics::counter_add("comm.timeouts", 1);
                         return Err(CommError::Timeout {
                             from,
                             tag,
@@ -794,8 +766,6 @@ impl Rank {
             let coll = self.net.tree_collective_time(bytes, self.size);
             let done = max_clock + coll;
             self.clock = done;
-            dcmesh_obs::metrics::counter_add("comm.collective_bytes", bytes as u64);
-            dcmesh_obs::metrics::histogram_record("comm.collective_latency_s", coll);
             for to in 1..self.size {
                 let msg = Message {
                     from: self.id,

@@ -16,7 +16,6 @@
 //! payload is handed to a [`Decoder`](super::codec::Decoder).
 
 use std::path::Path;
-use std::time::Instant;
 
 use super::codec::{checksum64, CkptError};
 
@@ -28,13 +27,10 @@ pub(super) const FORMAT_VERSION: u32 = 1;
 
 const HEADER_LEN: usize = 8 + 4 + 8 + 8;
 
-/// Write `payload` as a checkpoint at `path` (temp file + atomic rename).
-///
-/// Records `ckpt.write_s` (histogram), `ckpt.bytes` and `ckpt.writes`
-/// (counters) when the obs collector is enabled.
+/// Write `payload` as a checkpoint at `path` (temp file + atomic rename),
+/// inside a `ckpt.write` span.
 pub(crate) fn write_checkpoint_atomic(path: &Path, payload: &[u8]) -> Result<(), CkptError> {
     let _span = dcmesh_obs::span!("ckpt.write");
-    let wall = Instant::now();
     let mut file = Vec::with_capacity(HEADER_LEN + payload.len());
     file.extend_from_slice(MAGIC);
     file.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
@@ -45,10 +41,6 @@ pub(crate) fn write_checkpoint_atomic(path: &Path, payload: &[u8]) -> Result<(),
     let tmp = path.with_extension("ckpt.tmp");
     std::fs::write(&tmp, &file)?;
     std::fs::rename(&tmp, path)?;
-
-    dcmesh_obs::metrics::counter_add("ckpt.writes", 1);
-    dcmesh_obs::metrics::counter_add("ckpt.bytes", file.len() as u64);
-    dcmesh_obs::metrics::histogram_record("ckpt.write_s", wall.elapsed().as_secs_f64());
     Ok(())
 }
 

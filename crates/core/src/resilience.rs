@@ -131,7 +131,6 @@ impl ResilientRunner {
         let last_snapshot = sim.snapshot_bytes();
         let unconverged = sim.setup_solves().iter().filter(|s| !s.converged());
         let warn = |solve: &crate::simulation::SetupSolve| {
-            dcmesh_obs::metrics::counter_add("telemetry.watchdog_warnings", 1);
             RunEvent::Warning(DriftWarning {
                 step: 0,
                 what: "setup_residual",
@@ -218,7 +217,6 @@ impl ResilientRunner {
                 }
                 return Ok(report);
             }
-            dcmesh_obs::metrics::counter_add("faults.rollbacks", 1);
             if self.rollbacks >= self.max_rollbacks {
                 return Err(ResilienceError::Unrecoverable {
                     rollbacks: self.rollbacks,
@@ -251,7 +249,6 @@ impl ResilientRunner {
         let watched = watched(base, &inv);
         summary.fold(&inv, &watched);
         for warning in drift_warnings(self.sim.md_steps(), &watched) {
-            dcmesh_obs::metrics::counter_add("telemetry.watchdog_warnings", 1);
             self.events.push(RunEvent::Warning(warning));
         }
         let [(_, energy_drift, _), ..] = watched;

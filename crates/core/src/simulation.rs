@@ -435,10 +435,8 @@ impl DcMeshSim {
     /// Each multiscale phase — Maxwell FDTD, LFD propagation, FSSH hop,
     /// Ehrenfest feedback, MD integration, LK polarization — runs under a
     /// `sim.*` span so an enabled trace collector sees the full Eq. (3)
-    /// cycle; per-step wall latency feeds the `sim.md_step_seconds`
-    /// histogram.
+    /// cycle, the whole step under `sim.md_step`.
     pub fn md_step(&mut self) -> StepReport {
-        let step_wall = std::time::Instant::now();
         let step_span = dcmesh_obs::span!("sim.md_step");
         let step_id = step_span.id();
         let cfg = &self.cfg;
@@ -484,7 +482,6 @@ impl DcMeshSim {
         let lfd_transfer_s: f64 = timings.iter().map(|t| t.transfer).sum();
         let excited: f64 = self.engines.iter().map(|e| e.excited_population()).sum();
         drop(lfd_span);
-        dcmesh_obs::metrics::gauge_set("sim.excited_population", excited);
 
         // --- Domain-boundary exchange: neighbouring domains compare density
         // faces across their seams (diagnostic only — it must not perturb
@@ -499,7 +496,6 @@ impl DcMeshSim {
         };
         let boundary_mismatch = self.seam_mismatch(&densities);
         drop(boundary_span);
-        dcmesh_obs::metrics::gauge_set("sim.boundary_mismatch", boundary_mismatch);
 
         // --- Surface hopping: one FSSH step per domain. ---
         let fssh_span = dcmesh_obs::span!("sim.fssh_hop", parent = step_id);
@@ -533,7 +529,6 @@ impl DcMeshSim {
             }
         }
         drop(fssh_span);
-        dcmesh_obs::metrics::counter_add("sim.fssh_hops", hops as u64);
 
         // --- Ehrenfest feedback: electron density -> forces on the ions. ---
         let ehrenfest_span = dcmesh_obs::span!("sim.ehrenfest_feedback", parent = step_id);
@@ -596,10 +591,6 @@ impl DcMeshSim {
         self.time += cfg.dt_md;
         self.md_steps += 1;
         drop(step_span);
-        dcmesh_obs::metrics::histogram_record(
-            "sim.md_step_seconds",
-            step_wall.elapsed().as_secs_f64(),
-        );
         StepReport {
             time_fs: dcmesh_math::phys::au_to_femtoseconds(self.time),
             excited_population: excited,

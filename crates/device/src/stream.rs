@@ -165,7 +165,6 @@ impl Device {
                 start * 1e6,
                 dt * 1e6,
             ));
-            dcmesh_obs::metrics::counter_add("device.kernels_launched", 1);
         }
     }
 
@@ -225,14 +224,6 @@ impl Device {
                     dt * 1e6,
                 )
                 .with_bytes(bytes),
-            );
-            dcmesh_obs::metrics::counter_add(
-                if h2d {
-                    "device.h2d_bytes"
-                } else {
-                    "device.d2h_bytes"
-                },
-                bytes,
             );
         }
     }

@@ -484,12 +484,6 @@ impl<R: Real> LfdEngine<R> {
             sh.download_occupations(&new_occ);
         }
         self.occupations = new_occ;
-        // Non-finite detection: a NaN anywhere in the state poisons the
-        // occupation remap, so the cheap total-occupation check catches it
-        // without an O(N) sweep of the wavefunctions.
-        if !total_after.to_f64().is_finite() {
-            dcmesh_obs::metrics::counter_add("lfd.nonfinite_detected", 1);
-        }
         self.md_steps += 1;
 
         drop(_hs_span);

@@ -5,8 +5,7 @@
 //! output once — the fault a supervised run must detect, roll back from and
 //! recover. The whole plan is one atomic: 0 is disarmed, `step + 1` arms the
 //! injection for `step`. Disarmed, the engine's query is one relaxed load —
-//! the same contract as the `dcmesh-obs` collector. An injection counts
-//! `faults.injected`.
+//! the same contract as the `dcmesh-obs` collector.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -61,13 +60,9 @@ pub(crate) fn consume_nan_injection(step: u64) -> bool {
     if due == 0 || due - 1 != step {
         return false;
     }
-    let fired = NAN_AT
+    NAN_AT
         .compare_exchange(due, 0, Ordering::Relaxed, Ordering::Relaxed)
-        .is_ok();
-    if fired {
-        dcmesh_obs::metrics::counter_add("faults.injected", 1);
-    }
-    fired
+        .is_ok()
 }
 
 static TEST_GUARD: Mutex<()> = Mutex::new(());

@@ -1,6 +1,6 @@
 //! `dcmesh-obs`: unified observability for the DC-MESH stack.
 //!
-//! Three pieces, mirroring what the paper's evaluation needed by hand
+//! Two pieces, mirroring what the paper's evaluation needed by hand
 //! (§IV: per-kernel breakdowns, Tables I–II, scaling efficiencies):
 //!
 //! 1. **Span tracing** — [`span!`] guards emit enter/exit events into
@@ -10,13 +10,14 @@
 //!    relaxed atomic load. Code that times a phase itself (the LFD engine's
 //!    `lfd.*` slices) hands an [`Event::complete`] to [`trace::record`]
 //!    behind the same [`enabled`] check; no caller-owned buffer sits between.
-//! 2. **Metrics registry** — [`metrics`]: counters, gauges, and
-//!    log₂-bucketed histograms (per-step latency distributions, comm
-//!    bytes, MD energy and temperature, excited populations).
-//! 3. **Exporters** — [`chrome`]: Chrome-trace/Perfetto JSON with a host
+//! 2. **Exporters** — [`chrome`]: Chrome-trace/Perfetto JSON with a host
 //!    wall-clock track (pid 1) and a modeled device-clock track (pid 2);
 //!    [`report`]: flat per-phase aggregation that callers render through
 //!    `dcmesh_core::metrics::Table`.
+//!
+//! Every other number a run produces is a value its API returns
+//! (`StepReport`, `OverlapStats`, `DeviceStats`, `JobOutcome`, ...), not a
+//! second channel here.
 //!
 //! Timestamps come from an injectable [`clock`]: wall-clock for real
 //! profiling, a deterministic counter for snapshot-tested output.
@@ -29,7 +30,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 pub mod chrome;
 pub mod clock;
 pub mod json;
-pub mod metrics;
 pub mod report;
 pub mod span;
 pub mod trace;
@@ -60,11 +60,10 @@ pub fn disable() {
     ENABLED.store(false, Ordering::SeqCst);
 }
 
-/// Disable the collector and discard all buffered events and metrics.
+/// Disable the collector and discard all buffered events.
 pub fn reset() {
     disable();
     trace::clear();
-    metrics::clear();
     clock::reset();
 }
 

@@ -1,12 +1,10 @@
 //! Integration tests for the observability layer: cross-thread span
-//! nesting, exact histogram bucket boundaries, the disabled fast path,
-//! and Chrome-trace JSON round-tripping.
+//! nesting, the disabled fast path, and Chrome-trace JSON round-tripping.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use dcmesh_obs::clock::{self, ClockMode};
 use dcmesh_obs::json::Json;
-use dcmesh_obs::metrics::{self, bucket_exponent, Histogram};
 use dcmesh_obs::report::{aggregate, SpanTree};
 use dcmesh_obs::{chrome, span, trace, Event, Track};
 
@@ -69,32 +67,6 @@ fn span_nesting_survives_cross_thread_merge() {
 }
 
 #[test]
-fn histogram_buckets_are_exact_at_powers_of_two() {
-    // Pure data-structure test: no global state involved.
-    for e in [-60i32, -5, -1, 0, 1, 7, 52, 60] {
-        let p = 2.0f64.powi(e);
-        assert_eq!(bucket_exponent(p), Some(e), "2^{e} must open bucket {e}");
-        // The largest float below 2^e still belongs to bucket e-1.
-        let below = f64::from_bits(p.to_bits() - 1);
-        assert_eq!(bucket_exponent(below), Some(e - 1), "just under 2^{e}");
-        // Anything in (2^e, 2^(e+1)) stays in bucket e.
-        assert_eq!(bucket_exponent(p * 1.5), Some(e));
-    }
-    let mut h = Histogram::default();
-    h.record(2.0); // exactly 2^1 -> bucket 1
-    h.record(1.9999999999999998); // largest f64 < 2 -> bucket 0
-    h.record(4.0); // exactly 2^2 -> bucket 2
-    h.record(0.0); // non-positive -> underflow
-    h.record(f64::INFINITY); // -> overflow
-    assert_eq!(h.bucket(0), 1);
-    assert_eq!(h.bucket(1), 1);
-    assert_eq!(h.bucket(2), 1);
-    assert_eq!(h.underflow, 1);
-    assert_eq!(h.overflow, 1);
-    assert_eq!(h.count, 5);
-}
-
-#[test]
 fn disabled_collector_emits_nothing() {
     let _guard = collector_lock();
     dcmesh_obs::reset(); // leaves the collector disabled
@@ -104,18 +76,11 @@ fn disabled_collector_emits_nothing() {
         assert_eq!(outer.id(), 0, "disabled spans must not allocate ids");
         let _inner = span!("nor.this", parent = outer.id());
     }
-    metrics::counter_add("dead.counter", 5);
-    metrics::gauge_set("dead.gauge", 1.0);
-    metrics::histogram_record("dead.histogram", 2.0);
 
     assert!(
         trace::drain().is_empty(),
         "disabled collector buffered events"
     );
-    let snap = metrics::snapshot();
-    assert!(snap.counters.is_empty());
-    assert!(snap.gauges.is_empty());
-    assert!(snap.histograms.is_empty());
 }
 
 #[test]
@@ -126,7 +91,6 @@ fn chrome_trace_roundtrips_with_monotonic_timestamps() {
     {
         let _outer = span!("phase.outer");
         let _inner = span!("phase.inner");
-        metrics::counter_add("events.seen", 1);
     }
     // Device-track slices with modeled timestamps, deliberately recorded
     // out of order: drain() must still produce an ordered timeline.
@@ -181,6 +145,4 @@ fn chrome_trace_roundtrips_with_monotonic_timestamps() {
     assert!(names.contains(&"phase.outer"));
     assert!(names.contains(&"phase.inner"));
     assert!(names.contains(&"device.kernel"));
-    let snap = metrics::snapshot();
-    assert_eq!(snap.counters.get("events.seen"), Some(&1));
 }

@@ -29,11 +29,10 @@
 //! living on the caller's stack — then participate in the claim loop
 //! themselves. Workers `fetch_add` over the index range to claim chunks;
 //! trailing chunks are therefore stolen dynamically by whichever thread is
-//! free (load balance for irregular bodies, counted by the `pool.steals`
-//! metric). The dispatching thread does not return until every chunk is
-//! claimed *and* every registered worker has exited the job, which is what
-//! makes the borrowed-closure erasure sound (the same blocking argument as
-//! `std::thread::scope`).
+//! free (load balance for irregular bodies). The dispatching thread does
+//! not return until every chunk is claimed *and* every registered worker
+//! has exited the job, which is what makes the borrowed-closure erasure
+//! sound (the same blocking argument as `std::thread::scope`).
 //!
 //! Panics inside a body are caught on the worker, the first payload is
 //! kept, remaining chunks are cancelled, and the payload is re-raised on
@@ -66,7 +65,6 @@ use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 
 use dcmesh_analyze::race;
 use dcmesh_analyze::sync::{spawn_named, AtomicBool, AtomicUsize, Condvar, JoinHandle, Mutex};
@@ -308,15 +306,8 @@ struct JobCore {
     n_items: usize,
     /// Indices claimed per atomic op.
     grain: usize,
-    pool_size: usize,
     panicked: AtomicBool,
     panic: Mutex<Option<Box<dyn Any + Send + 'static>>>,
-    /// Chunks executed (for the `pool.tasks` counter).
-    tasks: std::sync::atomic::AtomicUsize,
-    /// Chunks executed by a thread other than the chunk's static owner.
-    steals: std::sync::atomic::AtomicUsize,
-    /// Threads that entered the claim loop (pool-utilization gauge).
-    participants: std::sync::atomic::AtomicUsize,
     /// Launch-edge packet each participant joins on entry (racecheck only).
     race_launch: Option<race::Packet>,
     /// Completion packets the dispatcher joins before settling.
@@ -393,12 +384,11 @@ impl Drop for DispatchFlagGuard {
 
 /// Claim-loop body shared by workers and the dispatching thread.
 // AUDIT: no_panic
-fn run_job(job: JobRef, participant: usize) {
+fn run_job(job: JobRef) {
     // SAFETY: (bounds=the dispatch protocol keeps both pointers live while
     // any participant is inside this fn, aliasing=the closure is Sync and
     // JobCore is all atomics and locks) see `JobRef` docs.
     let (core, func) = unsafe { (&*job.core, &*job.func) };
-    core.participants.fetch_add(1, Ordering::Relaxed);
     if let Some(pkt) = &core.race_launch {
         // Everything the dispatcher did before publishing the job
         // happens-before this participant's writes.
@@ -416,13 +406,6 @@ fn run_job(job: JobRef, participant: usize) {
             break;
         }
         let end = (start + core.grain).min(core.n_items);
-        core.tasks.fetch_add(1, Ordering::Relaxed);
-        // A chunk's static owner under round-robin assignment; executing it
-        // elsewhere counts as a (dynamic load-balancing) steal.
-        let chunk_idx = start / core.grain;
-        if chunk_idx % core.pool_size != participant % core.pool_size {
-            core.steals.fetch_add(1, Ordering::Relaxed);
-        }
         let result = catch_unwind(AssertUnwindSafe(|| {
             for i in start..end {
                 func(i);
@@ -507,9 +490,7 @@ impl ThreadPool {
         let workers = (0..size.saturating_sub(1))
             .map(|i| {
                 let shared = Arc::clone(&shared);
-                spawn_named(&format!("dcmesh-pool-{i}"), move || {
-                    worker_loop(shared, i + 1)
-                })
+                spawn_named(&format!("dcmesh-pool-{i}"), move || worker_loop(shared))
             })
             .collect();
         Self {
@@ -566,20 +547,14 @@ impl ThreadPool {
             return;
         }
 
-        let obs = dcmesh_obs::enabled();
-        let t0 = obs.then(Instant::now);
-        let _span = obs.then(|| dcmesh_obs::span!("pool.dispatch"));
+        let _span = dcmesh_obs::span!("pool.dispatch");
 
         let core = JobCore {
             next: AtomicUsize::new(0),
             n_items,
             grain,
-            pool_size: self.size,
             panicked: AtomicBool::new(false),
             panic: Mutex::new(None),
-            tasks: std::sync::atomic::AtomicUsize::new(0),
-            steals: std::sync::atomic::AtomicUsize::new(0),
-            participants: std::sync::atomic::AtomicUsize::new(0),
             race_launch: race::enabled().then(race::fork),
             race_done: std::sync::Mutex::new(Vec::new()),
         };
@@ -603,8 +578,7 @@ impl ThreadPool {
                 st.job = Some(job);
                 self.shared.work_cv.notify_all();
             }
-            // The dispatching thread is participant 0.
-            run_job(job, 0);
+            run_job(job);
             let mut st = self.shared.state.lock();
             while st.active != 0 {
                 st = self.shared.done_cv.wait(st);
@@ -623,27 +597,6 @@ impl ThreadPool {
                 race::join(pkt);
             }
             race::settle("pool.dispatch");
-        }
-
-        if obs {
-            dcmesh_obs::metrics::counter_add(
-                "pool.tasks",
-                core.tasks.load(Ordering::Relaxed) as u64,
-            );
-            dcmesh_obs::metrics::counter_add(
-                "pool.steals",
-                core.steals.load(Ordering::Relaxed) as u64,
-            );
-            dcmesh_obs::metrics::gauge_set(
-                "pool.utilization",
-                core.participants.load(Ordering::Relaxed) as f64 / self.size as f64,
-            );
-            if let Some(t0) = t0 {
-                dcmesh_obs::metrics::histogram_record(
-                    "pool.dispatch_seconds",
-                    t0.elapsed().as_secs_f64(),
-                );
-            }
         }
 
         if core.panicked.load(Ordering::SeqCst) {
@@ -791,7 +744,7 @@ impl Drop for ThreadPool {
     }
 }
 
-fn worker_loop(shared: Arc<Shared>, participant: usize) {
+fn worker_loop(shared: Arc<Shared>) {
     IN_POOL_WORKER.set(true);
     let mut seen_epoch = 0u64;
     loop {
@@ -811,7 +764,7 @@ fn worker_loop(shared: Arc<Shared>, participant: usize) {
                 st = shared.work_cv.wait(st);
             }
         };
-        run_job(job, participant);
+        run_job(job);
         let mut st = shared.state.lock();
         st.active -= 1;
         if st.active == 0 {

@@ -198,12 +198,6 @@ impl<F: ForceProvider> MdIntegrator<F> {
             }
         }
         self.steps += 1;
-        // Energy-conservation gauges for the flight recorder. Gated on the
-        // collector, so a disabled run pays two relaxed loads.
-        if dcmesh_obs::enabled() {
-            dcmesh_obs::metrics::gauge_set("qxmd.md_total_energy", self.total_energy());
-            dcmesh_obs::metrics::gauge_set("qxmd.md_temperature_k", self.temperature());
-        }
     }
 }
 

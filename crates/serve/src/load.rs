@@ -14,7 +14,6 @@
 use std::time::{Duration, Instant};
 
 use dcmesh_core::DcMeshConfig;
-use dcmesh_obs::metrics::Histogram;
 use rand::rngs::SplitMix64;
 use rand::{Rng, SeedableRng};
 
@@ -85,7 +84,8 @@ pub struct LoadReport {
     pub queue_p50_s: f64,
     /// 95th-percentile queue wait.
     pub queue_p95_s: f64,
-    /// Run-time quantiles over admitted jobs (seconds).
+    /// Run-time quantiles over the admitted jobs that started (seconds);
+    /// NaN when none did.
     pub run_p50_s: f64,
     /// 95th-percentile run time.
     pub run_p95_s: f64,
@@ -106,6 +106,13 @@ fn mix(mut z: u64) -> u64 {
 /// A uniform draw in (0, 1) from the top 53 bits of a `u64`.
 fn unit_open(x: u64) -> f64 {
     ((x >> 11) as f64 + 0.5) / (1u64 << 53) as f64
+}
+
+/// Nearest-rank `q`-quantile of `v` (sorted in place); NaN when empty.
+fn quantile(v: &mut [f64], q: f64) -> f64 {
+    v.sort_by(f64::total_cmp);
+    let rank = (q * v.len() as f64).ceil() as usize;
+    v.get(rank.max(1) - 1).copied().unwrap_or(f64::NAN)
 }
 
 /// Offer `cfg.jobs` jobs to a fresh service and account for every one.
@@ -147,6 +154,13 @@ pub fn run_load(cfg: &LoadConfig) -> LoadReport {
     let wall_s = t0.elapsed().as_secs_f64();
     service.shutdown(true);
 
+    let mut queue_s: Vec<f64> = outcomes.iter().map(|o| o.queue_wait_s).collect();
+    // A job resolved in the queue never ran: its `run_s` is 0, not a run time.
+    let mut run_s: Vec<f64> = outcomes
+        .iter()
+        .map(|o| o.run_s)
+        .filter(|&s| s > 0.0)
+        .collect();
     let mut report = LoadReport {
         submitted: outcomes.len(),
         rejected,
@@ -157,17 +171,13 @@ pub fn run_load(cfg: &LoadConfig) -> LoadReport {
         failed: 0,
         wall_s,
         throughput_jobs_per_s: 0.0,
-        queue_p50_s: f64::NAN,
-        queue_p95_s: f64::NAN,
-        run_p50_s: f64::NAN,
-        run_p95_s: f64::NAN,
+        queue_p50_s: quantile(&mut queue_s, 0.50),
+        queue_p95_s: quantile(&mut queue_s, 0.95),
+        run_p50_s: quantile(&mut run_s, 0.50),
+        run_p95_s: quantile(&mut run_s, 0.95),
         digest: 0,
     };
-    let mut queue_hist = Histogram::default();
-    let mut run_hist = Histogram::default();
     for (h, o) in handles.iter().zip(&outcomes) {
-        queue_hist.record(o.queue_wait_s);
-        run_hist.record(o.run_s);
         match &o.status {
             JobStatus::Completed => {
                 report.completed += 1;
@@ -187,10 +197,6 @@ pub fn run_load(cfg: &LoadConfig) -> LoadReport {
     } else {
         0.0
     };
-    report.queue_p50_s = queue_hist.p50();
-    report.queue_p95_s = queue_hist.p95();
-    report.run_p50_s = run_hist.p50();
-    report.run_p95_s = run_hist.p95();
     report
 }
 
@@ -215,5 +221,23 @@ mod tests {
         assert!(report.throughput_jobs_per_s > 0.0);
         assert!(report.queue_p95_s >= 0.0);
         assert_ne!(report.digest, 0, "digest folds in every completed job");
+    }
+
+    #[test]
+    fn jobs_that_never_started_have_no_run_time() {
+        let _guard = dcmesh_lfd::fault::test_lock();
+        let cfg = LoadConfig {
+            jobs: 3,
+            concurrency: 1,
+            steps_per_job: 2,
+            deadline: Some(Duration::ZERO),
+            ..LoadConfig::default()
+        };
+        let report = run_load(&cfg);
+        assert_eq!(report.submitted, 3);
+        assert_eq!(report.deadline_exceeded, 3);
+        assert!(report.queue_p95_s >= 0.0);
+        assert!(report.run_p50_s.is_nan(), "run p50 {}", report.run_p50_s);
+        assert!(report.run_p95_s.is_nan(), "run p95 {}", report.run_p95_s);
     }
 }

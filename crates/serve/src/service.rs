@@ -28,7 +28,6 @@ use std::time::Instant;
 
 use dcmesh_analyze::sync::{spawn_named, AtomicUsize, JoinHandle};
 use dcmesh_core::{InvariantSummary, ResilienceError, ResilientRunner, StepSample};
-use dcmesh_obs::metrics;
 
 use crate::job::{JobHandle, JobOutcome, JobShared, JobSpec, JobStatus, PoolShare};
 use crate::queue::{Job, JobQueue, Rejected};
@@ -89,7 +88,8 @@ impl Service {
     pub fn submit(&self, spec: JobSpec) -> Result<JobHandle, Rejected> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed) as u64;
         let shared = Arc::new(JobShared::new());
-        let deadline_at = spec.deadline.map(|d| Instant::now() + d);
+        // A deadline past the clock's range is no deadline.
+        let deadline_at = spec.deadline.and_then(|d| Instant::now().checked_add(d));
         let job = Job {
             id,
             spec,
@@ -98,14 +98,8 @@ impl Service {
             deadline_at,
         };
         match self.queue.submit(job) {
-            Ok(()) => {
-                metrics::counter_add("serve.submitted", 1);
-                Ok(JobHandle { id, shared })
-            }
-            Err((_job, why)) => {
-                metrics::counter_add("serve.rejected", 1);
-                Err(why)
-            }
+            Ok(()) => Ok(JobHandle { id, shared }),
+            Err((_job, why)) => Err(why),
         }
     }
 
@@ -163,7 +157,6 @@ fn worker_loop(queue: &JobQueue) {
 /// Serve one job: pre-flight checks, the run, then the outcome.
 fn process(job: &Job) {
     let waited = job.submitted_at.elapsed().as_secs_f64();
-    metrics::histogram_record("serve.queue_seconds", waited);
     // Pre-SCF checks: a cancel or an expired deadline that landed while
     // the job was queued resolves it before any state is built.
     if job.shared.cancel.load(Ordering::Acquire) {
@@ -200,10 +193,7 @@ fn run(job: &Job) -> (JobStatus, RunStats) {
             break JobStatus::Completed;
         }
         match runner.step() {
-            Ok(report) => {
-                metrics::counter_add("serve.steps", 1);
-                *excited = report.excited_population;
-            }
+            Ok(report) => *excited = report.excited_population,
             Err(ResilienceError::Unrecoverable { rollbacks }) => {
                 break JobStatus::Evicted { rollbacks };
             }
@@ -232,24 +222,9 @@ fn run(job: &Job) -> (JobStatus, RunStats) {
     )
 }
 
-/// Publish the terminal outcome (with the run's samples and summary when
-/// the job started: `stats` is `None` for one resolved while queued) and
-/// bump the per-status service counters.
+/// Publish the terminal outcome, with the run's samples and summary when
+/// the job started: `stats` is `None` for one resolved while queued.
 fn finish(job: &Job, status: JobStatus, waited: f64, stats: Option<RunStats>) {
-    let counter = match &status {
-        JobStatus::Completed => "serve.completed",
-        JobStatus::Cancelled => "serve.cancelled",
-        JobStatus::DeadlineExceeded => "serve.deadline_exceeded",
-        JobStatus::Evicted { .. } => "serve.evicted",
-        JobStatus::Failed { .. } => "serve.failed",
-        JobStatus::Queued | JobStatus::Running => unreachable!("finish() takes terminal statuses"),
-    };
-    metrics::counter_add(counter, 1);
-    // A job resolved before it started has no run time: a 0.0 for it would
-    // only drag the histogram's low buckets.
-    if let Some(stats) = &stats {
-        metrics::histogram_record("serve.run_seconds", stats.run_s);
-    }
     let attempts = u32::from(stats.is_some());
     let stats = stats.unwrap_or_else(RunStats::empty);
     job.shared.finish(JobOutcome {

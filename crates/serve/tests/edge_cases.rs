@@ -70,8 +70,6 @@ fn cancellation_mid_run_releases_the_worker_for_the_next_job() {
 #[test]
 fn run_seconds_counts_only_jobs_that_started() {
     let _guard = fault::test_lock();
-    dcmesh_obs::reset();
-    dcmesh_obs::enable();
     let service = Service::start(ServeConfig {
         concurrency: 1,
         ..ServeConfig::default()
@@ -83,20 +81,19 @@ fn run_seconds_counts_only_jobs_that_started() {
     let queued = service.submit(spec("queued", 2)).unwrap();
     queued.cancel();
     blocker.cancel();
-    assert_eq!(blocker.wait().attempts, 1);
+    let blocker_out = blocker.wait();
+    assert_eq!(
+        (blocker_out.status, blocker_out.attempts),
+        (JobStatus::Cancelled, 1)
+    );
+    assert!(blocker_out.run_s > 0.0, "the blocker ran");
     let queued_out = queued.wait();
     assert_eq!(
-        (queued_out.status, queued_out.attempts),
-        (JobStatus::Cancelled, 0)
+        (queued_out.status, queued_out.attempts, queued_out.run_s),
+        (JobStatus::Cancelled, 0, 0.0),
+        "a job resolved in the queue has no run time"
     );
     service.shutdown(true);
-    let snapshot = dcmesh_obs::metrics::snapshot();
-    dcmesh_obs::reset();
-    assert_eq!(snapshot.counters["serve.cancelled"], 2);
-    assert_eq!(
-        snapshot.histograms["serve.run_seconds"].count, 1,
-        "one job started, so one run time"
-    );
 }
 
 #[test]
@@ -140,6 +137,21 @@ fn an_expired_deadline_resolves_before_any_state_is_built() {
         out.steps_done, 0,
         "no SCF work for a job that is already late"
     );
+}
+
+#[test]
+fn a_deadline_past_the_clock_is_no_deadline() {
+    let _guard = fault::test_lock();
+    let service = Service::start(ServeConfig::default());
+    let handle = service
+        .submit(JobSpec {
+            deadline: Some(Duration::MAX),
+            ..spec("never-late", 2)
+        })
+        .unwrap();
+    let out = handle.wait();
+    service.shutdown(true);
+    assert_eq!((out.status, out.steps_done), (JobStatus::Completed, 2));
 }
 
 #[test]
