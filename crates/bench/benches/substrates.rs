@@ -1,9 +1,8 @@
 //! Criterion microbenchmarks of the substrate layers: the from-scratch
-//! complex GEMM (BLASification backend), the simulated-MPI collectives,
-//! the classical force field, and the set-up eigensolve.
+//! complex GEMM (BLASification backend), the classical force field, and
+//! the set-up eigensolve.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dcmesh_comm::{NetworkModel, World};
 use dcmesh_core::{DcMeshConfig, DcMeshSim};
 use dcmesh_math::gemm::{gemm, gemm_naive, Op};
 use dcmesh_math::{Complex, Matrix};
@@ -80,18 +79,6 @@ fn bench_gemm(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_comm_allreduce(c: &mut Criterion) {
-    c.bench_function("simulated_mpi_allreduce_16ranks", |b| {
-        b.iter(|| {
-            World::run(16, NetworkModel::slingshot11(), |r| {
-                let mut v = vec![r.id() as f64; 256];
-                r.allreduce_sum(&mut v);
-                v[0]
-            })
-        });
-    });
-}
-
 fn bench_forcefield(c: &mut Criterion) {
     let sc = Supercell::build(&PbTiO3Cell::cubic(), [3, 3, 3]);
     let ff = PerovskiteFF::pbtio3(SimBox {
@@ -126,11 +113,5 @@ fn bench_eigensolver(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_gemm,
-    bench_comm_allreduce,
-    bench_forcefield,
-    bench_eigensolver
-);
+criterion_group!(benches, bench_gemm, bench_forcefield, bench_eigensolver);
 criterion_main!(benches);

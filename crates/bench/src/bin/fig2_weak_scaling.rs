@@ -12,7 +12,7 @@ use dcmesh_core::scaling::{weak_scaling, AnalyticEfficiency, ScalingConfig};
 fn main() {
     let args = BenchArgs::parse();
     println!("Fig. 2 reproduction — weak-scaling parallel efficiency");
-    println!("(one OS thread per simulated rank; compute = calibrated roofline model,");
+    println!("(simulated ranks in lockstep; compute = calibrated roofline model,");
     println!(" communication = modeled Slingshot dragonfly; see DESIGN.md)\n");
     if args.no_overlap {
         println!("halo/compute overlap DISABLED (--no-overlap ablation)\n");

@@ -1,10 +1,9 @@
 //! Rank-per-thread message passing with simulated clocks.
 //!
-//! QXMD's global-local SCF needs: point-to-point exchange of domain
-//! boundaries and allreduce of the global density/energy. Each rank carries a
-//! simulated clock: `advance()` adds *measured* local compute time, and
-//! every communication operation adds *modeled* network time from
-//! [`NetworkModel`], so a laptop reproduces full-machine timing structure.
+//! Point-to-point exchange of domain boundaries between ranks. Each rank
+//! carries a simulated clock: `advance()` adds local compute time, and
+//! every receive adds *modeled* network time from [`NetworkModel`], so a
+//! laptop reproduces full-machine timing structure.
 //!
 //! ## Nonblocking API and overlap accounting
 //!
@@ -64,19 +63,13 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// A message between ranks: payload of f64 words plus the sender's clock.
-/// `logical_bytes` lets scaling drivers model full-size transfers without
-/// materializing the data.
 #[derive(Debug)]
 struct Message {
     from: usize,
     tag: u64,
     payload: Vec<f64>,
     clock: f64,
-    logical_bytes: Option<u64>,
 }
-
-/// Internal tag namespace for collectives (user tags must stay below).
-const COLLECTIVE_TAG_BASE: u64 = 1 << 60;
 
 /// Receive poll granularity. The deadline is accumulated from these
 /// chunks rather than read off a wall clock (kernel crates are
@@ -309,12 +302,12 @@ impl World {
     ///
     /// ```
     /// use dcmesh_comm::{NetworkModel, World};
-    /// let sums = World::run(4, NetworkModel::ideal(), |rank| {
-    ///     let mut sum = [rank.id() as f64];
-    ///     rank.allreduce_sum(&mut sum);
-    ///     sum[0]
+    /// let from_prev = World::run(4, NetworkModel::ideal(), |rank| {
+    ///     let (me, n) = (rank.id(), rank.size());
+    ///     rank.isend((me + 1) % n, 0, &[me as f64]).wait();
+    ///     rank.recv((me + n - 1) % n, 0)[0]
     /// });
-    /// assert_eq!(sums, vec![6.0; 4]); // 0+1+2+3 on every rank
+    /// assert_eq!(from_prev, vec![3.0, 0.0, 1.0, 2.0]); // around the ring
     /// ```
     pub fn run<T, F>(nranks: usize, net: NetworkModel, f: F) -> Vec<T>
     where
@@ -344,7 +337,6 @@ impl World {
                 pending: Vec::new(),
                 clock: 0.0,
                 net: net.clone(),
-                collective_seq: 0,
                 ctrl: Arc::clone(&ctrl),
                 deadline_ms,
                 overlap: OverlapStats::default(),
@@ -469,6 +461,17 @@ impl OverlapStats {
         }
     }
 
+    /// Settle one receive posted at clock `posted`, waited on at `wait`,
+    /// whose message arrives at `arrival`: account it as above and return
+    /// the clock the wait leaves at, `max(wait, arrival)`.
+    pub fn settle(&mut self, posted: f64, wait: f64, arrival: f64) -> f64 {
+        self.receives += 1;
+        self.wait_s += (arrival - wait).max(0.0);
+        self.span_s += (arrival - posted).max(0.0);
+        self.hidden_s += (wait.min(arrival) - posted).max(0.0);
+        wait.max(arrival)
+    }
+
     /// Accumulate another rank's stats (for world-level aggregation).
     pub fn merge(&mut self, other: &OverlapStats) {
         self.receives += other.receives;
@@ -478,8 +481,8 @@ impl OverlapStats {
     }
 }
 
-/// One rank's endpoint: identity, point-to-point plumbing, collectives,
-/// and the simulated clock.
+/// One rank's endpoint: identity, point-to-point plumbing and the
+/// simulated clock.
 pub struct Rank {
     id: usize,
     size: usize,
@@ -490,7 +493,6 @@ pub struct Rank {
     pending: Vec<Message>,
     clock: f64,
     net: NetworkModel,
-    collective_seq: u64,
     ctrl: Arc<WorldCtrl>,
     deadline_ms: u64,
     /// Hidden-vs-stalled communication time accounting.
@@ -531,7 +533,7 @@ impl Rank {
         self.clock
     }
 
-    /// Add measured local compute time to the simulated clock.
+    /// Add local compute time to the simulated clock.
     pub fn advance(&mut self, seconds: f64) {
         debug_assert!(seconds >= 0.0, "cannot advance clock backwards");
         self.clock += seconds;
@@ -582,27 +584,20 @@ impl Rank {
         }
     }
 
-    /// Post a send of `payload` to rank `to` with a user `tag` (must be
-    /// < 2^60; higher tags are reserved for collectives) and return its
+    /// Post a send of `payload` to rank `to` with `tag` and return its
     /// request handle. Buffered transport: the send is complete at post,
     /// so [`SendRequest::wait`] is free. Panics on a dead peer.
     pub fn isend(&self, to: usize, tag: u64, payload: &[f64]) -> SendRequest {
-        assert!(tag < COLLECTIVE_TAG_BASE, "user tags must be < 2^60");
-        if let Err(e) = self.send_raw(to, tag, payload.to_vec()) {
-            self.escalate(e);
-        }
-        SendRequest(())
-    }
-
-    fn send_raw(&self, to: usize, tag: u64, payload: Vec<f64>) -> Result<(), CommError> {
         let msg = Message {
             from: self.id,
             tag,
-            payload,
+            payload: payload.to_vec(),
             clock: self.clock,
-            logical_bytes: None,
         };
-        self.push_to(to, msg)
+        if let Err(e) = self.push_to(to, msg) {
+            self.escalate(e);
+        }
+        SendRequest(())
     }
 
     /// Blocking selective receive from rank `from` with matching `tag`:
@@ -616,11 +611,8 @@ impl Rank {
 
     /// Post a selective receive and return its request handle. The rank's
     /// current clock is captured as the post time; compute advanced before
-    /// the matching [`Rank::wait`] overlaps the modeled transfer. A message
-    /// sent by [`Rank::send_modeled`] is received like any other: its
-    /// payload is empty and its logical size is what the clock is charged.
+    /// the matching [`Rank::wait`] overlaps the modeled transfer.
     pub fn irecv(&mut self, from: usize, tag: u64) -> RecvRequest {
-        assert!(tag < COLLECTIVE_TAG_BASE, "user tags must be < 2^60");
         RecvRequest {
             from,
             tag,
@@ -637,16 +629,8 @@ impl Rank {
             Ok(msg) => msg,
             Err(e) => self.escalate(e),
         };
-        let bytes = msg.logical_bytes.unwrap_or((msg.payload.len() * 8) as u64);
-        let latency = self.net.p2p_time(bytes as usize, req.from, self.id);
-        let arrival = msg.clock + latency;
-        let wait_clock = self.clock;
-        let stall = (arrival - wait_clock).max(0.0);
-        self.overlap.receives += 1;
-        self.overlap.wait_s += stall;
-        self.overlap.span_s += (arrival - req.posted_clock).max(0.0);
-        self.overlap.hidden_s += (wait_clock.min(arrival) - req.posted_clock).max(0.0);
-        self.clock = wait_clock.max(arrival);
+        let arrival = msg.clock + self.net.p2p_time(msg.payload.len() * 8, req.from, self.id);
+        self.clock = self.overlap.settle(req.posted_clock, self.clock, arrival);
         msg.payload
     }
 
@@ -654,25 +638,6 @@ impl Rank {
     /// payloads. Panics (structured) on the first failure.
     pub fn wait_all(&mut self, reqs: Vec<RecvRequest>) -> Vec<Vec<f64>> {
         reqs.into_iter().map(|r| self.wait(r)).collect()
-    }
-
-    /// Non-blocking send of a *modeled* message: no payload is
-    /// materialized, but the receiver's clock advances as if
-    /// `logical_bytes` had crossed the fabric. Scaling drivers use this to
-    /// model full-size halo exchanges without allocating them. Panics on a
-    /// dead peer.
-    pub fn send_modeled(&self, to: usize, tag: u64, logical_bytes: u64) {
-        assert!(tag < COLLECTIVE_TAG_BASE, "user tags must be < 2^60");
-        let msg = Message {
-            from: self.id,
-            tag,
-            payload: Vec::new(),
-            clock: self.clock,
-            logical_bytes: Some(logical_bytes),
-        };
-        if let Err(e) = self.push_to(to, msg) {
-            self.escalate(e);
-        }
     }
 
     /// Take the first pending message matching `(from, tag)`, if any.
@@ -728,72 +693,6 @@ impl Rank {
             }
         }
     }
-
-    fn next_collective_tag(&mut self) -> u64 {
-        self.collective_seq += 1;
-        COLLECTIVE_TAG_BASE + self.collective_seq
-    }
-
-    /// Allreduce with an arbitrary elementwise combiner; result replaces
-    /// `data` on every rank. Clocks synchronize to
-    /// `max(entry clocks) + tree_collective_time`. Panics (structured)
-    /// on rank failure or deadline expiry.
-    pub fn allreduce_with(&mut self, data: &mut [f64], combine: impl Fn(f64, f64) -> f64) {
-        if let Err(e) = self.allreduce_raw(data, combine) {
-            self.escalate(e);
-        }
-    }
-
-    fn allreduce_raw(
-        &mut self,
-        data: &mut [f64],
-        combine: impl Fn(f64, f64) -> f64,
-    ) -> Result<(), CommError> {
-        let tag = self.next_collective_tag();
-        let bytes = data.len() * 8;
-        if self.size == 1 {
-            return Ok(());
-        }
-        if self.id == 0 {
-            let mut max_clock = self.clock;
-            for from in 1..self.size {
-                let msg = self.recv_raw(from, tag)?;
-                max_clock = max_clock.max(msg.clock);
-                for (d, v) in data.iter_mut().zip(&msg.payload) {
-                    *d = combine(*d, *v);
-                }
-            }
-            let coll = self.net.tree_collective_time(bytes, self.size);
-            let done = max_clock + coll;
-            self.clock = done;
-            for to in 1..self.size {
-                let msg = Message {
-                    from: self.id,
-                    tag,
-                    payload: data.to_vec(),
-                    clock: done,
-                    logical_bytes: None,
-                };
-                self.push_to(to, msg)?;
-            }
-        } else {
-            self.send_raw(0, tag, data.to_vec())?;
-            let msg = self.recv_raw(0, tag)?;
-            data.copy_from_slice(&msg.payload);
-            self.clock = msg.clock; // collective completion time
-        }
-        Ok(())
-    }
-
-    /// Elementwise sum allreduce.
-    pub fn allreduce_sum(&mut self, data: &mut [f64]) {
-        self.allreduce_with(data, |a, b| a + b);
-    }
-
-    /// Barrier: zero-byte allreduce.
-    pub fn barrier(&mut self) {
-        self.allreduce_with(&mut [], |a, _| a);
-    }
 }
 
 #[cfg(test)]
@@ -812,17 +711,6 @@ mod tests {
     }
 
     #[test]
-    fn single_rank_world() {
-        let out = World::run(1, NetworkModel::ideal(), |r| {
-            r.barrier();
-            let mut s = [5.0];
-            r.allreduce_sum(&mut s);
-            (r.id(), s[0])
-        });
-        assert_eq!(out, vec![(0, 5.0)]);
-    }
-
-    #[test]
     fn point_to_point_ring() {
         let n = 6;
         let out = World::run(n, NetworkModel::slingshot11(), |r| {
@@ -834,36 +722,6 @@ mod tests {
         });
         for (id, got) in out.iter().enumerate() {
             assert_eq!(*got, (id + n - 1) % n);
-        }
-    }
-
-    #[test]
-    fn allreduce_sum_correct() {
-        let n = 8;
-        let out = World::run(n, NetworkModel::slingshot11(), |r| {
-            let mut v = vec![r.id() as f64, 1.0];
-            r.allreduce_sum(&mut v);
-            v
-        });
-        let want = vec![(0..8).sum::<usize>() as f64, 8.0];
-        for v in out {
-            assert_eq!(v, want);
-        }
-    }
-
-    #[test]
-    fn collective_synchronizes_clocks() {
-        let out = World::run(4, NetworkModel::slingshot11(), |r| {
-            // Rank 2 is slow.
-            r.advance(if r.id() == 2 { 1.0 } else { 0.1 });
-            r.barrier();
-            r.time()
-        });
-        // Everyone ends at the same completion time >= slowest entry.
-        let t0 = out[0];
-        assert!(t0 >= 1.0);
-        for t in &out {
-            assert!((t - t0).abs() < 1e-12);
         }
     }
 
@@ -886,56 +744,6 @@ mod tests {
     }
 
     #[test]
-    fn comm_time_grows_with_rank_count() {
-        let time_for = |p: usize| {
-            let out = World::run(p, NetworkModel::slingshot11(), |r| {
-                let mut v = vec![0.0; 1024];
-                for _ in 0..10 {
-                    r.allreduce_sum(&mut v);
-                }
-                r.time()
-            });
-            out[0]
-        };
-        let t4 = time_for(4);
-        let t16 = time_for(16);
-        assert!(t16 > t4, "t4={t4} t16={t16}");
-    }
-
-    #[test]
-    fn modeled_messages_cost_time_without_payload() {
-        let out = World::run(2, NetworkModel::slingshot11(), |r| {
-            if r.id() == 0 {
-                r.send_modeled(1, 9, 1 << 30); // "1 GiB" halo
-                0.0
-            } else {
-                assert!(r.recv(0, 9).is_empty(), "a modeled message has no payload");
-                r.time()
-            }
-        });
-        // 1 GiB over NVLink (same node) at 600 GB/s ~ 1.8 ms.
-        assert!(out[1] > 1e-3, "modeled transfer time {}", out[1]);
-    }
-
-    #[test]
-    fn repeated_collectives_use_distinct_tags() {
-        // Two back-to-back allreduces must not cross-talk.
-        let out = World::run(3, NetworkModel::ideal(), |r| {
-            let mut a = vec![1.0];
-            r.allreduce_sum(&mut a);
-            let mut b = vec![10.0];
-            r.allreduce_sum(&mut b);
-            (a[0], b[0])
-        });
-        for (a, b) in out {
-            assert_eq!(a, 3.0);
-            assert_eq!(b, 30.0);
-        }
-    }
-
-    // --- Nonblocking request API ---
-
-    #[test]
     fn irecv_wait_delivers_payload() {
         let out = World::run(2, NetworkModel::slingshot11(), |r| {
             if r.id() == 0 {
@@ -955,17 +763,18 @@ mod tests {
         // 1 s compute slice hides the modeled transfer entirely
         // (max(compute, comm)); the blocking order stamps the send after
         // the slice and pays the sum.
+        let face = vec![1.0; 1 << 17]; // 1 MiB
         let step = |overlap: bool| {
-            let out = World::run(2, NetworkModel::slingshot11(), move |r| {
+            let out = World::run(2, NetworkModel::slingshot11(), |r| {
                 let peer = 1 - r.id();
                 if overlap {
-                    r.send_modeled(peer, 9, 1 << 28);
+                    r.isend(peer, 9, &face).wait();
                     let req = r.irecv(peer, 9);
                     r.advance(1.0);
                     r.wait(req);
                 } else {
                     r.advance(1.0);
-                    r.send_modeled(peer, 9, 1 << 28);
+                    r.isend(peer, 9, &face).wait();
                     r.recv(peer, 9);
                 }
                 (r.time(), r.overlap())
@@ -974,29 +783,29 @@ mod tests {
         };
         let (t_overlap, s_overlap) = step(true);
         let (t_blocking, s_blocking) = step(false);
-        // 256 MiB on-node at 600 GB/s ~ 0.45 ms of modeled transfer.
+        // 1 MiB on-node at 600 GB/s ~ 2.1 us of modeled transfer.
         assert!((t_overlap - 1.0).abs() < 1e-9, "fully hidden: {t_overlap}");
-        assert!(t_blocking > 1.0003, "blocking pays the sum: {t_blocking}");
+        assert!(t_blocking > 1.000002, "blocking pays the sum: {t_blocking}");
         assert!(s_overlap.overlap_ratio() > 0.99, "{s_overlap:?}");
         assert_eq!(s_blocking.hidden_s, 0.0, "{s_blocking:?}");
-        assert!(s_blocking.wait_s > 3e-4, "{s_blocking:?}");
+        assert!(s_blocking.wait_s > 2e-6, "{s_blocking:?}");
     }
 
     #[test]
     fn exposed_stall_when_compute_is_short() {
         let out = World::run(2, NetworkModel::slingshot11(), |r| {
             if r.id() == 0 {
-                r.send_modeled(1, 9, 1 << 30);
+                r.isend(1, 9, &vec![1.0; 1 << 17]).wait(); // 1 MiB
                 OverlapStats::default()
             } else {
                 let req = r.irecv(0, 9);
-                r.advance(1e-6); // far less than the ~21 ms transfer
+                r.advance(1e-8); // far less than the ~2.1 us transfer
                 r.wait(req);
                 r.overlap()
             }
         });
         let s = out[1];
-        assert!(s.wait_s > 1e-3, "stall must be exposed: {s:?}");
+        assert!(s.wait_s > 2e-6, "stall must be exposed: {s:?}");
         assert!(s.hidden_s > 0.0 && s.hidden_s < s.span_s, "{s:?}");
     }
 

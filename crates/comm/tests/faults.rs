@@ -54,34 +54,6 @@ fn message_sent_before_death_still_delivers() {
     assert!(reason(&err, 0).contains("dies after sending"), "{err}");
 }
 
-/// A rank dying inside a collective: the survivors' receives fail naming a
-/// dead rank instead of hanging at the next round, and the world reports
-/// the rank that died with its own message.
-#[test]
-fn rank_dying_in_a_collective_is_named_in_world_error() {
-    let err = World::try_run(3, NetworkModel::ideal(), |r| {
-        r.set_deadline_ms(2_000);
-        for round in 0..3 {
-            if r.id() == 1 && round == 2 {
-                panic!("rank 1 dies before its third allreduce");
-            }
-            let mut v = [r.id() as f64];
-            r.allreduce_sum(&mut v);
-        }
-        r.id()
-    })
-    .expect_err("the death must surface");
-    assert!(reason(&err, 1).contains("third allreduce"), "{err}");
-    // The root gathers from rank 1 first, so its receive names rank 1.
-    assert!(reason(&err, 0).contains("rank 1 failed"), "{err}");
-    assert!(
-        err.failures
-            .iter()
-            .all(|(_, why)| !why.contains("timed out")),
-        "a dead peer is not a timeout: {err}"
-    );
-}
-
 /// A rank dying *between* a peer's post and its wait: the receive is
 /// outstanding when the sender dies, so the failure must surface at the
 /// wait, well inside its deadline and naming the dead rank — not as a hang

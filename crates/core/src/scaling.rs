@@ -3,22 +3,23 @@
 //!
 //! Strategy (DESIGN.md substitution table): the paper measured wall-clock
 //! on up to 1,024 ranks of Polaris; we have one machine. The drivers
-//! therefore run one thread per simulated rank through the
-//! [`dcmesh_comm::World`] fabric, where
+//! therefore step one modeled clock per simulated rank in lockstep, where
 //!
 //! * per-rank *compute* time comes from the calibrated roofline model of
 //!   the per-rank DC-MESH workload (LFD on the A100 model + QXMD on the
 //!   EPYC model) plus a deterministic per-rank load-imbalance jitter, and
 //! * *communication* is modeled message passing with physically sized
-//!   payloads: halo exchanges with the six domain neighbours per SCF
-//!   iteration and tree collectives for the global potential.
+//!   messages on the [`NetworkModel`]: halo exchanges with the domain
+//!   neighbours per SCF iteration, settled by the rule
+//!   [`OverlapStats::settle`] that the `dcmesh_comm` fabric's receives use,
+//!   and tree collectives for the global potential.
 //!
 //! The simulated makespan then yields the same efficiency definitions the
 //! paper uses. Calibration constants are documented in EXPERIMENTS.md; the
 //! claim reproduced is the *shape* (flat weak scaling with a log P decay;
 //! strong scaling degrading with P^(1/3) and P log P terms).
 
-use dcmesh_comm::{NetworkModel, OverlapStats, Rank, World};
+use dcmesh_comm::{NetworkModel, OverlapStats};
 use dcmesh_device::HardwareSpec;
 
 /// The analytic efficiency models of §IV-A.
@@ -200,59 +201,68 @@ impl ScalingConfig {
 /// Simulate one MD step on `p` ranks at per-rank granularity `scale`;
 /// returns the simulated makespan (max rank completion time) plus the
 /// world-aggregated halo overlap accounting.
+///
+/// The ranks' clocks step in lockstep, one SCF iteration at a time: every
+/// rank stamps its halo sends, then settles its two receives (`prev`, then
+/// `next`) through [`OverlapStats::settle`], the rule `Rank::wait` applies
+/// to a real message; the global potential solve and its tree allreduce end
+/// the iteration, and a barrier ends the step. A single rank exchanges
+/// nothing and pays no collective.
 fn simulate_md_step(cfg: &ScalingConfig, p: usize, scale: f64) -> (f64, OverlapStats) {
+    assert!(p >= 1, "need at least one rank");
     let t_base = cfg.rank_compute_time(scale);
-    let halo = cfg.halo_bytes(scale);
-    let out = World::run(p, cfg.net.clone(), |rank: &mut Rank| {
-        let id = rank.id();
-        let n = rank.size();
-        for scf in 0..cfg.scf_iters {
-            // Local compute slice of this SCF iteration (+ LFD on the last).
-            let slice = t_base / cfg.scf_iters as f64 * cfg.jitter(id);
-            let tag = 100 + scf as u64;
-            let next = (id + 1) % n;
-            let prev = (id + n - 1) % n;
-            if cfg.overlap && n > 1 {
-                // Halo exchange with the two ring neighbours (the 1D
-                // projection of the 6-neighbour exchange; bytes scaled
-                // accordingly). The faces sent are the *previous* SCF
-                // iterate's boundary, available before the slice starts, so
-                // the exchange is posted first and settled at the point the
-                // new iterate needs it — the transfer rides under compute.
-                rank.send_modeled(next, tag, 3 * halo);
-                rank.send_modeled(prev, tag + 50, 3 * halo);
-                let from_prev = rank.irecv(prev, tag);
-                let from_next = rank.irecv(next, tag + 50);
-                rank.advance(slice);
-                rank.wait_all(vec![from_prev, from_next]);
-            } else {
-                // Ablation: blocking order. The sends are stamped after
-                // the slice, so every receive exposes the full transfer.
-                rank.advance(slice);
-                if n > 1 {
-                    rank.send_modeled(next, tag, 3 * halo);
-                    rank.send_modeled(prev, tag + 50, 3 * halo);
-                    rank.recv(prev, tag);
-                    rank.recv(next, tag + 50);
+    let halo_bytes = (3 * cfg.halo_bytes(scale)) as usize;
+    // Coarse-level depth of the global multigrid solve (log2 P levels).
+    let global_solve = cfg.global_solve_serial * (p.max(2) as f64).log2().ceil();
+    let mut clock = vec![0.0f64; p];
+    let mut stats = vec![OverlapStats::default(); p];
+    // Every rank joins the collective at the slowest rank's clock and
+    // leaves it after the modeled tree.
+    let collective = |clock: &mut [f64], bytes: usize| {
+        if p > 1 {
+            let done =
+                clock.iter().copied().fold(0.0, f64::max) + cfg.net.tree_collective_time(bytes, p);
+            clock.fill(done);
+        }
+    };
+    for _ in 0..cfg.scf_iters {
+        let posted = clock.clone();
+        // Local compute slice of this SCF iteration (+ LFD on the last).
+        for (id, c) in clock.iter_mut().enumerate() {
+            *c += t_base / cfg.scf_iters as f64 * cfg.jitter(id);
+        }
+        if p > 1 {
+            // Halo exchange with the two ring neighbours (the 1D projection
+            // of the 6-neighbour exchange; bytes scaled accordingly). The
+            // faces sent are the *previous* SCF iterate's boundary, available
+            // before the slice starts, so the exchange is posted first and
+            // settled where the new iterate needs it — the transfer rides
+            // under compute. The `--no-overlap` ablation stamps the sends
+            // after the slice and posts each receive where it waits, so
+            // every receive exposes the full transfer.
+            let stamp = if cfg.overlap { &posted } else { &clock }.clone();
+            for id in 0..p {
+                for from in [(id + p - 1) % p, (id + 1) % p] {
+                    let arrival = stamp[from] + cfg.net.p2p_time(halo_bytes, from, id);
+                    let post = if cfg.overlap { posted[id] } else { clock[id] };
+                    clock[id] = stats[id].settle(post, clock[id], arrival);
                 }
             }
-            // Global potential: coarse-grid tree reduction + broadcast,
-            // plus the log P-deep coarse-level solve of the multigrid.
-            let levels = (n.max(2) as f64).log2().ceil();
-            rank.advance(cfg.global_solve_serial * levels);
-            let mut global = vec![0.0; 512];
-            rank.allreduce_sum(&mut global);
         }
-        rank.barrier();
-        (rank.time(), rank.overlap())
-    });
-    let mut stats = OverlapStats::default();
-    let mut makespan = 0.0f64;
-    for (t, s) in out {
-        makespan = makespan.max(t);
-        stats.merge(&s);
+        // Global potential: the log P-deep coarse-level solve of the
+        // multigrid, then a coarse-grid tree reduction + broadcast.
+        for c in clock.iter_mut() {
+            *c += global_solve;
+        }
+        collective(&mut clock, 512 * 8);
     }
-    (makespan, stats)
+    collective(&mut clock, 0); // the closing barrier
+    let makespan = clock.iter().copied().fold(0.0, f64::max);
+    let mut total = OverlapStats::default();
+    for s in &stats {
+        total.merge(s);
+    }
+    (makespan, total)
 }
 
 /// Weak-scaling sweep (paper Fig. 2): constant `atoms_per_rank`, P grows.
@@ -461,6 +471,44 @@ mod tests {
                 s_blocking.overlap_ratio()
             );
             assert_eq!(s_blocking.hidden_s, 0.0, "blocking order must hide nothing");
+        }
+    }
+
+    #[test]
+    fn two_rank_step_is_the_closed_form_in_both_orders() {
+        // One SCF iteration on two ranks: each rank's receives settle
+        // against the other's stamp (before its slice when overlapped,
+        // after it when blocking), the global solve adds g, and the
+        // allreduce and the barrier start from the slower rank.
+        for overlap in [true, false] {
+            let cfg = ScalingConfig {
+                scf_iters: 1,
+                overlap,
+                ..quick_cfg()
+            };
+            let slice = [0, 1].map(|r| cfg.rank_compute_time(1.0) * cfg.jitter(r));
+            let p2p = cfg.net.p2p_time((3 * cfg.halo_bytes(1.0)) as usize, 0, 1);
+            let g = cfg.global_solve_serial;
+            let end = [0, 1].map(|r| {
+                let settled = if overlap {
+                    slice[r].max(p2p)
+                } else {
+                    slice[r].max(slice[1 - r] + p2p)
+                };
+                settled + g
+            });
+            let want = end[0].max(end[1])
+                + cfg.net.tree_collective_time(512 * 8, 2)
+                + cfg.net.tree_collective_time(0, 2);
+            let (t, stats) = simulate_md_step(&cfg, 2, 1.0);
+            assert!(
+                (t / want - 1.0).abs() < 1e-12,
+                "overlap {overlap}: step {t} vs closed form {want}"
+            );
+            assert_eq!(stats.receives, 4);
+            if !overlap {
+                assert_eq!(stats.hidden_s, 0.0, "blocking order must hide nothing");
+            }
         }
     }
 

@@ -65,15 +65,15 @@ fn isend_irecv_lifecycle_completes_on_every_schedule() {
     assert!(stats.schedules > 1, "scenario never branched: {stats:?}");
 }
 
-/// Lifecycle 2 — the exchange `core::scaling` runs. Both ranks
-/// `send_modeled` two faces to each other, post both receives, overlap a
+/// Lifecycle 2 — a halo exchange with compute in between. Both ranks
+/// `isend` two tagged faces to each other, post both receives, overlap a
 /// compute slice and settle with `wait_all`. Rank 0's slice outlasts the
 /// modeled transfer (hidden), rank 1's does not (exposed stall): on every
-/// interleaving both waits settle, both payloads are empty, and each
+/// interleaving both waits settle, both faces cross intact, and each
 /// rank's clock ends at exactly `max(compute, arrival)`.
 #[test]
 fn modeled_exchange_settles_at_max_of_compute_and_arrival_on_every_schedule() {
-    const FACE_BYTES: u64 = 1 << 20;
+    const FACE_WORDS: usize = 1 << 10;
     let stats = sched::explore(opts(), || {
         let mut endpoints = World::endpoints(2, NetworkModel::slingshot11());
         let settled = Arc::new(AtomicUsize::new(0));
@@ -85,19 +85,17 @@ fn modeled_exchange_settles_at_max_of_compute_and_arrival_on_every_schedule() {
                     let me = rank.id();
                     let peer = 1 - me;
                     let compute = [1.0, 1e-9][me];
-                    rank.send_modeled(peer, 1, FACE_BYTES);
-                    rank.send_modeled(peer, 2, FACE_BYTES);
+                    let face = |v: f64| vec![v; FACE_WORDS];
+                    rank.isend(peer, 1, &face(me as f64)).wait();
+                    rank.isend(peer, 2, &face(me as f64 + 0.5)).wait();
                     let lo = rank.irecv(peer, 1);
                     let hi = rank.irecv(peer, 2);
                     rank.advance(compute);
                     let got = rank.wait_all(vec![lo, hi]);
-                    assert_eq!(
-                        got,
-                        vec![Vec::<f64>::new(); 2],
-                        "modeled payloads are empty"
-                    );
+                    let want = [face(peer as f64), face(peer as f64 + 0.5)];
+                    assert_eq!(got, want, "rank {me}'s faces");
                     // Both faces left at clock 0, so they arrive together.
-                    let arrival = rank.network().p2p_time(FACE_BYTES as usize, peer, me);
+                    let arrival = rank.network().p2p_time(FACE_WORDS * 8, peer, me);
                     assert_eq!(rank.time(), compute.max(arrival), "rank {me}'s clock");
                     settled.fetch_add(1, Ordering::Relaxed);
                 })

@@ -1,4 +1,4 @@
-//! Integration of the scaling drivers with the comm fabric and metrics:
+//! Integration of the scaling drivers with the network model and metrics:
 //! the Figs. 2-4 pipeline at reduced size.
 
 use dcmesh::core::metrics::{parallel_efficiency_strong, parallel_efficiency_weak, Speed};
@@ -46,6 +46,22 @@ fn default_weak_scaling_step_times_are_the_pinned_ones() {
             p.sim_seconds
         );
     }
+}
+
+#[test]
+fn default_weak_sweep_reaches_1024_ranks() {
+    // Fig. 2's default sweep, as `fig2_weak_scaling` runs it: every rank
+    // count up to P = 1,024 yields a point, and the last one is the
+    // efficiency the figure prints.
+    let ranks = [4, 8, 16, 32, 64, 128, 256, 512, 1024];
+    let pts = weak_scaling(&ScalingConfig::default(), &ranks);
+    assert_eq!(pts.len(), 9);
+    let eff = pts[8].efficiency;
+    println!("weak-scaling efficiency at P = 1024: {eff}");
+    assert!(
+        (eff - 0.9741).abs() < 1e-4,
+        "P = 1024: efficiency {eff} left 1e-4 of 0.9741"
+    );
 }
 
 #[test]
