@@ -186,9 +186,11 @@ fn workspace_tree_audit_is_clean() {
             .join("\n")
     );
     // Ten roots: the nine since the complex projector kernels, the packed
-    // GEMM kernel and their lane shuffles went, and the radial pass. A
-    // waiver is a reviewed exception: the count may fall, never rise.
+    // GEMM kernel and their lane shuffles went, and the radial pass. Two
+    // contracts joined with the complex views of a real run that a
+    // line-aligned `WfSoa` is stored as. A waiver is a reviewed exception:
+    // the count may fall, never rise.
     let s = &report.stats;
-    assert_eq!((s.no_panic_roots, s.contracts), (10, 25), "{s:?}");
+    assert_eq!((s.no_panic_roots, s.contracts), (10, 27), "{s:?}");
     assert!(s.waived <= 16, "{s:?}");
 }

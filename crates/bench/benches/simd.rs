@@ -15,6 +15,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use dcmesh_grid::{Mesh3, WfAos};
 use dcmesh_lfd::kinetic::{Axis, KineticPropagator, StepFraction};
 use dcmesh_lfd::nonlocal::NonlocalCorrection;
+use dcmesh_lfd::PotentialPropagator;
 use dcmesh_math::simd::{self, Backend, Backend::*};
 use dcmesh_math::{Complex, Real, C64};
 use rand::rngs::StdRng;
@@ -157,6 +158,8 @@ fn bench_simd_pair_kernels(c: &mut Criterion) {
 fn bench_simd_step_sweeps<R: Real>(group: &mut criterion::BenchmarkGroup, mesh: &Mesh3) {
     let norb = 16;
     let prop = KineticPropagator::<R>::new(mesh.clone(), R::from_f64(0.04), R::ONE);
+    let v_loc: Vec<f64> = (0..mesh.len()).map(|i| (i as f64 * 0.37).sin()).collect();
+    let pot = PotentialPropagator::new(mesh.clone(), &v_loc, R::from_f64(0.02));
     let mut init = WfAos::<R>::zeros(mesh.clone(), norb);
     init.randomize(5);
     let sp = sp_infix::<R>();
@@ -174,6 +177,11 @@ fn bench_simd_step_sweeps<R: Real>(group: &mut criterion::BenchmarkGroup, mesh: 
         group.bench_function(format!("strang_step_{sp}{tag}_norb16").as_str(), |b| {
             let mut psi = init.to_soa();
             b.iter(|| prop.step_optimized(&mut psi, 8, None));
+        });
+        // The step with `Pot(dt/2)` on either side, fused into its sweeps.
+        group.bench_function(format!("fused_step_{sp}{tag}_norb16").as_str(), |b| {
+            let mut psi = init.to_soa();
+            b.iter(|| prop.step_with_potential(&mut psi, &pot, 8, None));
         });
     }
 }

@@ -613,9 +613,9 @@ impl DcMeshSim {
     /// planes of its two ring neighbours: a plain loop over the domains on
     /// this thread, with the per-domain sums and the rank-ordered reduction
     /// of the posted-receive exchange it replaced (which stays as the test
-    /// oracle; `comm`'s isend/irecv discipline is exercised by the scaling
-    /// drivers). Returns the mean absolute mismatch per boundary point
-    /// (0 for one domain). Purely diagnostic: reads densities, mutates
+    /// oracle; no program path passes messages, since the scaling drivers
+    /// step modeled clocks). Returns the mean absolute mismatch per boundary
+    /// point (0 for one domain). Purely diagnostic: reads densities, mutates
     /// nothing.
     pub fn boundary_density_mismatch(&self) -> f64 {
         if self.engines.len() < 2 {

@@ -6,7 +6,8 @@
 //! arrays of structures (AoS)." Both layouts are first-class here because the
 //! benchmark harness measures the transition (Algorithm 1 -> Algorithm 3).
 
-use dcmesh_math::{linalg, Complex, Matrix, Real};
+use dcmesh_math::{from_reals, from_reals_mut, linalg, Complex, Matrix, Real};
+use dcmesh_pool::arena::ALIGN;
 
 use crate::mesh::Mesh3;
 
@@ -27,12 +28,19 @@ pub struct WfAos<R> {
 }
 
 /// Grid-major wavefunction set: grid point `ijk` stores all `Norb` orbital
-/// amplitudes contiguously — the SoA layout of Algorithms 2-5.
-#[derive(Clone, Debug)]
+/// amplitudes contiguously — the SoA layout of Algorithms 2-5. The first
+/// amplitude starts a cache line ([`ALIGN`] bytes), so a run that is a whole
+/// number of lines from it (a point of 4 f64 or 8 f32 orbitals and more)
+/// never splits one in a vector load or store.
+#[derive(Debug)]
 pub struct WfSoa<R> {
     mesh: Mesh3,
     norb: usize,
-    data: Vec<Complex<R>>,
+    /// The amplitudes as reals, from `reals[lead]` on: one zeroed allocation
+    /// (a `calloc`, so pages are touched when first written) [`ALIGN`] bytes
+    /// longer than they need, `lead` the reals up to its first line.
+    reals: Vec<R>,
+    lead: usize,
 }
 
 impl<R: Real> WfAos<R> {
@@ -184,9 +192,10 @@ impl<R: Real> WfAos<R> {
     /// Convert to the SoA layout.
     pub fn to_soa(&self) -> WfSoa<R> {
         let mut out = WfSoa::zeros(self.mesh.clone(), self.norb);
+        let data = out.data_mut();
         for n in 0..self.norb {
             for (ijk, &z) in self.orbital(n).iter().enumerate() {
-                out.data[ijk * self.norb + n] = z;
+                data[ijk * self.norb + n] = z;
             }
         }
         out
@@ -233,11 +242,16 @@ impl<R: Real> WfAos<R> {
 impl<R: Real> WfSoa<R> {
     /// Zero-initialized set of `norb` orbitals on `mesh` in SoA layout.
     pub fn zeros(mesh: Mesh3, norb: usize) -> Self {
-        let len = mesh.len() * norb;
+        let size = std::mem::size_of::<R>();
+        // Zeros of a float are one `calloc`; a `Complex` zero is written out.
+        let reals = vec![R::ZERO; 2 * mesh.len() * norb + ALIGN / size];
+        // A `Vec<R>` starts on a multiple of `size`, which divides `ALIGN`.
+        let lead = (ALIGN - reals.as_ptr() as usize % ALIGN) % ALIGN / size;
         Self {
             mesh,
             norb,
-            data: vec![Complex::zero(); len],
+            reals,
+            lead,
         }
     }
 
@@ -251,14 +265,16 @@ impl<R: Real> WfSoa<R> {
         self.norb
     }
 
-    /// Raw storage (grid-major, orbital fastest).
+    /// Raw storage (grid-major, orbital fastest), starting on a cache line.
     pub fn data(&self) -> &[Complex<R>] {
-        &self.data
+        let end = self.lead + 2 * self.mesh.len() * self.norb;
+        from_reals(&self.reals[self.lead..end])
     }
 
     /// Mutable raw storage.
     pub fn data_mut(&mut self) -> &mut [Complex<R>] {
-        &mut self.data
+        let end = self.lead + 2 * self.mesh.len() * self.norb;
+        from_reals_mut(&mut self.reals[self.lead..end])
     }
 
     /// Linear index of grid point `(i, j, k)`, orbital `n`.
@@ -271,7 +287,7 @@ impl<R: Real> WfSoa<R> {
     #[inline]
     pub fn point(&self, i: usize, j: usize, k: usize) -> &[Complex<R>] {
         let base = self.mesh.idx(i, j, k) * self.norb;
-        &self.data[base..base + self.norb]
+        &self.data()[base..base + self.norb]
     }
 
     /// Electron number density `rho(r) = sum_n f_n |psi_n(r)|^2`, read in
@@ -280,7 +296,10 @@ impl<R: Real> WfSoa<R> {
     pub fn density(&self, occupations: &[R]) -> Vec<R> {
         assert_eq!(occupations.len(), self.norb);
         let mut rho = vec![R::ZERO; self.mesh.len()];
-        for (r, point) in rho.iter_mut().zip(self.data.chunks_exact(self.norb.max(1))) {
+        for (r, point) in rho
+            .iter_mut()
+            .zip(self.data().chunks_exact(self.norb.max(1)))
+        {
             for (z, &f) in point.iter().zip(occupations) {
                 if f != R::ZERO {
                     *r += z.norm_sqr() * f;
@@ -294,10 +313,11 @@ impl<R: Real> WfSoa<R> {
     pub fn to_aos(&self) -> WfAos<R> {
         let g = self.mesh.len();
         let mut out = WfAos::zeros(self.mesh.clone(), self.norb);
+        let data = self.data();
         for n in 0..self.norb {
             let go = n * g;
             for ijk in 0..g {
-                out.data[go + ijk] = self.data[ijk * self.norb + n];
+                out.data[go + ijk] = data[ijk * self.norb + n];
             }
         }
         out
@@ -305,12 +325,21 @@ impl<R: Real> WfSoa<R> {
 
     /// Maximum absolute amplitude difference against another SoA set.
     pub fn max_abs_diff(&self, other: &WfSoa<R>) -> R {
-        assert_eq!(self.data.len(), other.data.len());
-        self.data
+        assert_eq!(self.data().len(), other.data().len());
+        self.data()
             .iter()
-            .zip(&other.data)
+            .zip(other.data())
             .map(|(a, b)| (*a - *b).abs())
             .fold(R::ZERO, R::max)
+    }
+}
+
+impl<R: Real> Clone for WfSoa<R> {
+    /// A copy whose storage starts on a cache line of its own.
+    fn clone(&self) -> Self {
+        let mut out = Self::zeros(self.mesh.clone(), self.norb);
+        out.data_mut().copy_from_slice(self.data());
+        out
     }
 }
 
@@ -503,6 +532,25 @@ mod tests {
                 "{dims:?}"
             );
         }
+    }
+
+    fn starts_lines<R: Real>() {
+        for n in 1..=40 {
+            let wf = WfAos::<R>::zeros(Mesh3::new(n, 1, 1, 0.5, 0.5, 0.5), 1 + n % 3);
+            let soa = WfSoa::<R>::zeros(wf.mesh().clone(), wf.norb());
+            for data in [soa.data(), soa.clone().data(), wf.to_soa().data()] {
+                assert_eq!(
+                    (data.len(), data.as_ptr() as usize % ALIGN),
+                    (n * wf.norb(), 0)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn soa_storage_starts_on_a_cache_line() {
+        starts_lines::<f64>();
+        starts_lines::<f32>();
     }
 
     #[test]

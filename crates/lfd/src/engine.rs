@@ -532,19 +532,23 @@ impl<R: Real> LfdEngine<R> {
         }
     }
 
+    /// `Pot(dt/2) Kin(dt) Pot(dt/2)`. The SoA builds run the potential inside
+    /// the kinetic sweeps ([`KineticPropagator::step_with_potential`]), in the
+    /// `lfd.kinetic` slice; the baseline runs it, and the modeled device is
+    /// charged it, as the paper's kernel of its own on either side.
     fn apply_electron_propagation(&mut self, policy: LaunchPolicy, sums: &mut PhaseSums) {
-        self.timed_phase(sums, Phase::Potential, |e, p| e.apply_potential(p), policy);
+        let apart = matches!(self.psi, State::Aos(_)) || self.device.is_some();
+        let pot = |e: &mut Self, p| match (&mut e.psi, &e.device) {
+            (State::Aos(psi), _) => apply_potential_aos(&e.pot_half, psi),
+            (State::Soa(psi), Some(dev)) => e.pot_half.charge(dev, p, psi.norb()),
+            (State::Soa(_), None) => {}
+        };
+        if apart {
+            self.timed_phase(sums, Phase::Potential, pot, policy);
+        }
         self.timed_phase(sums, Phase::Kinetic, |e, p| e.apply_kinetic(p), policy);
-        self.timed_phase(sums, Phase::Potential, |e, p| e.apply_potential(p), policy);
-    }
-
-    fn apply_potential(&mut self, policy: LaunchPolicy) {
-        match &mut self.psi {
-            State::Aos(psi) => apply_potential_aos(&self.pot_half, psi),
-            State::Soa(psi) => {
-                let dev_pair = self.device.as_ref().map(|d| (d, policy));
-                self.pot_half.apply(psi, dev_pair);
-            }
+        if apart {
+            self.timed_phase(sums, Phase::Potential, pot, policy);
         }
     }
 
@@ -554,7 +558,8 @@ impl<R: Real> LfdEngine<R> {
             State::Aos(psi) => self.kin.step_alg1(psi),
             State::Soa(psi) => {
                 let dev_pair = self.device.as_ref().map(|d| (d, policy));
-                self.kin.step_optimized(psi, block, dev_pair);
+                self.kin
+                    .step_with_potential(psi, &self.pot_half, block, dev_pair);
             }
         }
     }

@@ -37,14 +37,22 @@
 //! passes instead of five of 3 (Algorithm 1 keeps the paper's order and is the
 //! oracle). A pass also multiplies *every* point of a line by one scalar phase:
 //! the tables hold the bare rotation, a list's last pass the list's whole phase.
+//!
+//! The potential runs here too: [`KineticPropagator::step_with_potential`]
+//! is `Pot(dt/2) Kin(dt) Pot(dt/2)` with each point's phase multiplied in by
+//! the line kernel right before the X sweep's first pass touches the point
+//! and once the Z sweep is done with its line, so on a host build the
+//! potential's time is part of the `lfd.kinetic` slice.
 
 use dcmesh_device::{
     teams_distribute, teams_distribute_mut, Device, KernelWork, LaunchPolicy, Precision, StreamId,
 };
 use dcmesh_grid::{Mesh3, WfAos, WfSoa};
-use dcmesh_math::simd::{self, LineSet, StencilPass};
+use dcmesh_math::simd::{self, LineSet, PhaseAt, PointPhases, StencilPass};
 use dcmesh_math::{Complex, Real};
 use dcmesh_pool::SlicePtr;
+
+use crate::potential::PotentialPropagator;
 
 /// Cartesian sweep direction `d` of the paper's `kin_prop(…, d, …)`.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -217,10 +225,10 @@ impl<R: Real> KineticPropagator<R> {
     ) {
         assert_eq!(psi.mesh().len(), self.mesh.len(), "mesh mismatch");
         let norb = psi.norb();
-        let passes = self.pass_set(axis, frac);
+        let (passes, data) = (self.pass_set(axis, frac), psi.data_mut());
         // No teams: the same line sets, one after the other on this thread.
         dcmesh_pool::run_inline(|| {
-            sweep_axis(psi.data_mut(), &self.mesh, norb, axis, passes, block_size);
+            sweep_axis(data, &self.mesh, norb, axis, passes, block_size, None);
         });
     }
 
@@ -238,7 +246,7 @@ impl<R: Real> KineticPropagator<R> {
         block_size: usize,
         device: Option<(&Device, LaunchPolicy)>,
     ) {
-        self.sweep(psi, axis, self.pass_set(axis, frac), 3, block_size, device);
+        self.sweep(psi, axis, frac as usize, block_size, device, None);
     }
 
     /// One axis's share of [`KineticPropagator::step_optimized`] — `X(dt/2)²`
@@ -250,27 +258,33 @@ impl<R: Real> KineticPropagator<R> {
         block_size: usize,
         device: Option<(&Device, LaunchPolicy)>,
     ) {
-        let paper_passes = if axis == Axis::Z { 3 } else { 6 };
-        let passes = &self.passes[axis as usize][STEP];
-        self.sweep(psi, axis, passes, paper_passes, block_size, device);
+        self.sweep(psi, axis, STEP, block_size, device, None);
     }
 
-    /// One fused sweep of `passes` along `axis`. The modeled device runs the
-    /// paper's kernel: `paper_passes` launches on stream 0 (data-dependent, so
-    /// `nowait` only removes the host-side gaps), the host body on the first.
+    /// One fused sweep of the pass list `list` (`Half`, `Full` or [`STEP`])
+    /// along `axis`, multiplying in `phases` as it goes. The modeled device
+    /// runs the paper's kernel: three launches per directional step on stream
+    /// 0 (data-dependent, so `nowait` only removes the host-side gaps), the
+    /// host body on the first.
     fn sweep(
         &self,
         psi: &mut WfSoa<R>,
         axis: Axis,
-        passes: &[StencilPass<R>],
-        paper_passes: usize,
+        list: usize,
         block_size: usize,
         device: Option<(&Device, LaunchPolicy)>,
+        phases: Option<PointPhases<'_, R>>,
     ) {
         assert_eq!(psi.mesh().len(), self.mesh.len(), "mesh mismatch");
+        let passes = &self.passes[axis as usize][list];
+        let paper_passes = if list == STEP && axis != Axis::Z {
+            6
+        } else {
+            3
+        };
         let norb = psi.norb();
         let data = psi.data_mut();
-        let mut run = || sweep_axis(data, &self.mesh, norb, axis, passes, block_size);
+        let mut run = || sweep_axis(data, &self.mesh, norb, axis, passes, block_size, phases);
         match device {
             Some((dev, policy)) => {
                 let work = self.pass_work(norb);
@@ -319,8 +333,48 @@ impl<R: Real> KineticPropagator<R> {
         block_size: usize,
         device: Option<(&Device, LaunchPolicy)>,
     ) {
-        for axis in [Axis::X, Axis::Y, Axis::Z] {
-            self.apply_axis_step(psi, axis, block_size, device);
+        self.step(psi, block_size, device, None);
+    }
+
+    /// `Pot(dt/2) Kin(dt) Pot(dt/2)` — `pot.apply`, [`step_optimized`],
+    /// `pot.apply`, bit for bit — in the three sweeps of `step_optimized`: a
+    /// point takes `pot`'s phase right before the X sweep's first pass touches
+    /// it and once the Z sweep is done with its line (while the line is in
+    /// L1), so the potential costs no pass over the state of its own. Lines
+    /// are independent and each element takes the same operations in the
+    /// same order, so no bit moves. The modeled device is charged
+    /// the 15 kinetic launches; the paper's two `lfd.potential` launches are
+    /// the caller's ([`PotentialPropagator::charge`]), so that it can time
+    /// the two kernels apart.
+    ///
+    /// [`step_optimized`]: KineticPropagator::step_optimized
+    pub fn step_with_potential(
+        &self,
+        psi: &mut WfSoa<R>,
+        pot: &PotentialPropagator<R>,
+        block_size: usize,
+        device: Option<(&Device, LaunchPolicy)>,
+    ) {
+        assert_eq!(pot.mesh().len(), self.mesh.len(), "mesh mismatch");
+        self.step(psi, block_size, device, Some(pot.phases()));
+    }
+
+    /// The three sweeps of a step, a phase per point (if any) multiplied in
+    /// before X and after Z.
+    fn step(
+        &self,
+        psi: &mut WfSoa<R>,
+        block_size: usize,
+        device: Option<(&Device, LaunchPolicy)>,
+        table: Option<&[Complex<R>]>,
+    ) {
+        let norb = psi.norb();
+        let (before, after) = (Some(PhaseAt::BeforeFirstPass), Some(PhaseAt::AfterLastPass));
+        for (axis, at) in [(Axis::X, before), (Axis::Y, None), (Axis::Z, after)] {
+            let phases = table
+                .zip(at)
+                .map(|(table, at)| PointPhases { table, norb, at });
+            self.sweep(psi, axis, STEP, block_size, device, phases);
         }
     }
 }
@@ -398,7 +452,8 @@ const STRANG_SEQUENCE: [(Axis, StepFraction); 5] = [
 /// each the `nz` adjacent lines through that row. Adjacent X or Y lines
 /// (consecutive `k`) are `norb` elements apart, so unless the orbital block
 /// splits a point's run they are swept as one line of `nz * norb`-element
-/// runs: long contiguous streams instead of `nz` short ones.
+/// runs: long contiguous streams instead of `nz` short ones. `phases` (one
+/// per mesh point) go to the line kernel, a Z team's from its slab on.
 // AUDIT: no_panic
 fn sweep_axis<R: Real>(
     data: &mut [Complex<R>],
@@ -407,6 +462,7 @@ fn sweep_axis<R: Real>(
     axis: Axis,
     passes: &[StencilPass<R>],
     block: usize,
+    phases: Option<PointPhases<'_, R>>,
 ) {
     let block = if block == 0 { norb.max(1) } else { block };
     let row = m.nz * norb;
@@ -440,7 +496,8 @@ fn sweep_axis<R: Real>(
                 // mutably borrowed until the teams have joined.
                 unsafe {
                     let ptr = base.rows_mut(set.first, row, slab, m.nx);
-                    simd::stencil_lines_raw(backend, ptr, base.len(), &set, passes);
+                    let len = base.len();
+                    simd::stencil_lines_raw(backend, ptr, len, &set, passes, phases.as_ref());
                 }
             });
         }
@@ -455,8 +512,12 @@ fn sweep_axis<R: Real>(
             block,
         },
     };
-    teams_distribute_mut(data, m.nx, |_, chunk| {
-        simd::stencil_lines_with(backend, chunk, &set, passes);
+    teams_distribute_mut(data, m.nx, |x, chunk| {
+        let slab_phases = phases.map(|p| PointPhases {
+            table: p.table.get(x * m.ny * m.nz..).unwrap_or_default(),
+            ..p
+        });
+        simd::stencil_lines_with(backend, chunk, &set, passes, slab_phases.as_ref());
     });
 }
 
@@ -578,7 +639,7 @@ mod tests {
             Axis::Y => (m.ny, m.nz * norb),
             Axis::Z => (m.nz, norb),
         };
-        let data = psi.data_mut();
+        let (data, backend) = (psi.data_mut(), simd::active_backend());
         for pass in passes {
             for_each_on_plane(m, axis, |idx_of| {
                 for nb in (0..norb).step_by(block) {
@@ -586,7 +647,7 @@ mod tests {
                     let at = |i: usize| idx_of(i) * norb + nb;
                     let lone = |data: &mut [Complex<R>], i: usize| {
                         if pass.rotation().is_none() {
-                            simd::scale(&mut data[at(i)..at(i) + len], pass.lone);
+                            simd::scale_with(backend, &mut data[at(i)..at(i) + len], pass.lone);
                         }
                     };
                     if pass.start == 1 {
@@ -597,10 +658,8 @@ mod tests {
                         let (head, tail) = data.split_at_mut(at(i) + stride);
                         let (a, b) = (&mut head[at(i)..at(i) + len], &mut tail[..len]);
                         match pass.rotation() {
-                            Some((c, s)) => {
-                                simd::pair_rotate_with(simd::active_backend(), a, b, c, s)
-                            }
-                            None => simd::pair_update(a, b, pass.d, pass.o),
+                            Some((c, s)) => simd::pair_rotate_with(backend, a, b, c, s),
+                            None => simd::pair_update_with(backend, a, b, pass.d, pass.o),
                         }
                         i += 2;
                     }
@@ -613,13 +672,17 @@ mod tests {
     }
 
     /// Line kernel == separate sweeps, bit for bit (three-pass directional
-    /// steps and the five-pass merged ones), and the commuted step == Alg. 1
-    /// in the paper's order to rounding, over odd extents, ragged orbital
-    /// counts and block sizes.
+    /// steps and the five-pass merged ones), the step with the potential
+    /// folded in == `pot.apply; step_optimized; pot.apply`, bit for bit, and
+    /// the commuted step == Alg. 1 in the paper's order to rounding, over odd
+    /// extents, ragged orbital counts and block sizes (Z lines in lockstep
+    /// where a block is a whole point).
     fn line_kernel_matches_its_references<R: Real>(tol: f64) {
         for (nx, ny, nz) in [(7, 4, 5), (4, 5, 7), (1, 6, 2)] {
             let mesh = Mesh3::new(nx, ny, nz, 0.4, 0.5, 0.6);
             let prop = KineticPropagator::<R>::new(mesh.clone(), R::from_f64(0.03), R::ONE);
+            let v: Vec<f64> = (0..mesh.len()).map(|i| (i as f64 * 0.37).sin()).collect();
+            let pot = PotentialPropagator::with_field(mesh.clone(), &v, [0.2, 0.1, -0.3], prop.dt);
             for norb in [1usize, 3, 4, 7, 16, 33] {
                 let mut wf0 = WfAos::<R>::zeros(mesh.clone(), norb);
                 wf0.randomize(40 + norb as u64);
@@ -645,9 +708,18 @@ mod tests {
                             assert_eq!(step.data(), want.data(), "merged {tag}");
                         }
                     }
-                    let mut aos = wf0.clone();
+                    let (mut fused, mut soa) = (wf0.to_soa(), wf0.to_soa());
+                    prop.step_with_potential(&mut fused, &pot, block, None);
+                    pot.apply(&mut soa, None);
+                    prop.step_optimized(&mut soa, block, None);
+                    pot.apply(&mut soa, None);
+                    assert_eq!(
+                        fused.data(),
+                        soa.data(),
+                        "fused {nx}x{ny}x{nz} x {norb}, {block}"
+                    );
+                    let (mut aos, mut soa) = (wf0.clone(), wf0.to_soa());
                     prop.step_alg1(&mut aos);
-                    let mut soa = wf0.to_soa();
                     prop.step_optimized(&mut soa, block, None);
                     let diff = aos.max_abs_diff(&soa.to_aos()).to_f64();
                     assert!(

@@ -10,10 +10,18 @@
 //! domain center `X(alpha)` (Eq. (2)); we apply the corresponding
 //! length-gauge dipole term `E(t) . (r - r_c)` with `E = -(1/c) dA/dt`
 //! (DESIGN.md substitution table).
+//!
+//! Where it runs: [`PotentialPropagator::apply`] is the paper's kernel, one
+//! whole-array phase pass. The engine's SoA builds fold both `Pot(dt/2)` of a
+//! QD step into the kinetic sweeps instead
+//! ([`crate::KineticPropagator::step_with_potential`]), so on a host build the
+//! potential's wall time sits inside the `lfd.kinetic` slice; the modeled
+//! device is still charged this kernel twice per QD step
+//! ([`PotentialPropagator::charge`]).
 
 use dcmesh_device::{teams_distribute_mut, Device, KernelWork, LaunchPolicy, Precision, StreamId};
 use dcmesh_grid::{Mesh3, WfSoa};
-use dcmesh_math::simd;
+use dcmesh_math::simd::{self, LineSet, PhaseAt, PointPhases};
 use dcmesh_math::{Complex, Real};
 
 /// Precomputed per-point propagator phases for one local potential snapshot.
@@ -108,32 +116,58 @@ impl<R: Real> PotentialPropagator<R> {
         &self.mesh
     }
 
+    /// The phase `apply` multiplies each mesh point by.
+    pub(crate) fn phases(&self) -> &[Complex<R>] {
+        &self.phases
+    }
+
     /// Apply the phase to every orbital at every point (SoA layout), with
-    /// teams parallelism over x-slabs; optionally launched on `device`.
+    /// teams parallelism over x-slabs — per slab one dispatched body, the
+    /// line kernel's per-point phases over a sweep of no passes, which
+    /// broadcasts each point's phase over its orbital run; optionally
+    /// launched on `device`.
     pub fn apply(&self, psi: &mut WfSoa<R>, device: Option<(&Device, LaunchPolicy)>) {
         assert_eq!(psi.mesh().len(), self.mesh.len(), "mesh mismatch");
         let norb = psi.norb();
-        let work = self.work(norb);
-        let phases = &self.phases;
-        let nx = self.mesh.nx;
+        let plane = self.mesh.ny * self.mesh.nz;
+        // A slab as one line of `plane` points.
+        let (run, n_axis) = (norb, plane);
+        let set = LineSet {
+            first: 0,
+            n_lines: 1,
+            line_step: 0,
+            n_axis,
+            stride: run,
+            run,
+            block: run,
+        };
+        let backend = simd::active_backend();
         let data = psi.data_mut();
         let mut run = || {
-            teams_distribute_mut(data, nx, |team, chunk| {
-                let points_per_slab = chunk.len() / norb;
-                let base_point = team * points_per_slab;
-                for (pt, amps) in chunk.chunks_exact_mut(norb).enumerate() {
-                    // One phase per point, broadcast over the orbital run —
-                    // the vectorized scale kernel.
-                    simd::scale(amps, phases[base_point + pt]);
-                }
+            teams_distribute_mut(data, self.mesh.nx, |x, slab| {
+                let table = &self.phases[x * plane..];
+                let phases = PointPhases {
+                    table,
+                    norb,
+                    at: PhaseAt::AfterLastPass,
+                };
+                simd::stencil_lines_with(backend, slab, &set, &[], Some(&phases));
             });
         };
         match device {
-            Some((dev, policy)) => {
-                dev.launch_named("lfd.potential", StreamId(0), policy, work, run);
-            }
+            Some((dev, policy)) => self.launch(dev, policy, norb, run),
             None => run(),
         }
+    }
+
+    /// Charge the modeled device one application to `norb` orbitals without
+    /// running it: the launch of a potential the host ran elsewhere.
+    pub fn charge(&self, dev: &Device, policy: LaunchPolicy, norb: usize) {
+        self.launch(dev, policy, norb, || ());
+    }
+
+    fn launch(&self, dev: &Device, policy: LaunchPolicy, norb: usize, body: impl FnOnce()) {
+        dev.launch_named("lfd.potential", StreamId(0), policy, self.work(norb), body);
     }
 
     /// Roofline work of one application.

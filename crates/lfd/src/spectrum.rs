@@ -135,9 +135,7 @@ pub fn delta_kick_spectrum(
     let mut dipole = Vec::with_capacity(steps + 1);
     dipole.push(dipole_moment(&soa.to_aos(), occupations, axis));
     for _ in 0..steps {
-        pot_half.apply(&mut soa, None);
-        kin.step_optimized(&mut soa, block, None);
-        pot_half.apply(&mut soa, None);
+        kin.step_with_potential(&mut soa, &pot_half, block, None);
         dipole.push(dipole_moment(&soa.to_aos(), occupations, axis));
     }
     // Resolution: gamma ~ few / T_total; omega_max covers several gaps.

@@ -41,6 +41,24 @@ pub fn as_reals_mut<R: Real>(zs: &mut [Complex<R>]) -> &mut [R] {
     unsafe { std::slice::from_raw_parts_mut(zs.as_mut_ptr().cast::<R>(), 2 * zs.len()) }
 }
 
+/// The inverse of [`as_reals`]: the complex values `[re0, im0, re1, im1, ..]`
+/// of a run of reals, a trailing odd real left out.
+pub fn from_reals<R: Real>(rs: &[R]) -> &[Complex<R>] {
+    // SAFETY: (bounds=rs.len() / 2 complex values: `Complex<R>` is `repr(C)`
+    // over two `R`, no padding, aliasing=the view borrows `rs`) the pointer
+    // is aligned for `R`, the alignment of `Complex<R>`.
+    unsafe { std::slice::from_raw_parts(rs.as_ptr().cast::<Complex<R>>(), rs.len() / 2) }
+}
+
+/// [`from_reals`] of a mutable run.
+pub fn from_reals_mut<R: Real>(rs: &mut [R]) -> &mut [Complex<R>] {
+    // SAFETY: (bounds=rs.len() / 2 complex values: `Complex<R>` is `repr(C)`
+    // over two `R`, no padding, aliasing=the view holds the exclusive borrow
+    // of `rs`) the pointer is aligned for `R`, the alignment of `Complex<R>`,
+    // and every pair of reals is a valid value.
+    unsafe { std::slice::from_raw_parts_mut(rs.as_mut_ptr().cast::<Complex<R>>(), rs.len() / 2) }
+}
+
 impl<R: Real> Complex<R> {
     /// Construct from real and imaginary parts.
     #[inline(always)]

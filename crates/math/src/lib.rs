@@ -31,7 +31,7 @@ pub mod real;
 pub mod simd;
 pub mod tridiag;
 
-pub use complex::{as_reals, as_reals_mut, Complex};
+pub use complex::{as_reals, as_reals_mut, from_reals, from_reals_mut, Complex};
 pub use gemm::{Matrix, Op};
 pub use hermite::HermiteTable;
 pub use real::Real;

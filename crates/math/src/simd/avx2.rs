@@ -26,11 +26,12 @@
 //! caller-owned slices.
 
 use core::array::from_fn;
+use core::marker::PhantomData;
 
 use super::lanes::Lanes;
 use crate::complex::Complex;
 use crate::real::Real;
-use crate::simd::{line_units, Far, LineSet, RadialPass, StencilPass};
+use crate::simd::{line_units, Far, LineOps, LineSet, PointPhases, RadialPass, Run, StencilPass};
 
 /// A kernel body with its operands.
 pub trait Body<R: Real> {
@@ -99,6 +100,32 @@ impl<R: Real> Body<R> for Scale<'_, R> {
             // SAFETY: the m reals of complex values i .. n are in bounds.
             unsafe { times(L::load_masked(pz.add(2 * i), m), p).store_masked(pz.add(2 * i), m) };
         }
+    }
+}
+
+/// The line kernel's operations on the lanes `L`: [`Pair`] — its `BARE` form
+/// when the pass is a bare rotation, whose partnerless points are left alone
+/// — or [`Scale`] for a unit, [`Scale`] for a point's phase.
+struct OnLanes<L>(PhantomData<L>);
+
+impl<R: Real, L: Lanes<R = R>> LineOps<R> for OnLanes<L> {
+    #[inline(always)]
+    unsafe fn unit(&self, p: &StencilPass<R>, a: Run<R>, b: Option<Run<R>>) {
+        // SAFETY: the caller enabled the features of `L`; the runs are slices.
+        unsafe {
+            match (p.rotation(), b) {
+                (Some(_), None) => {}
+                (Some(_), Some(b)) => Pair::<R, true>(a, b, p.d, p.o).run::<L>(),
+                (None, None) => Scale(a, p.lone).run::<L>(),
+                (None, Some(b)) => Pair::<R, false>(a, b, p.d, p.o).run::<L>(),
+            }
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn point(&self, z: Run<R>, ph: Complex<R>) {
+        // SAFETY: the caller enabled the features of `L`.
+        unsafe { Scale(z, ph).run::<L>() };
     }
 }
 
@@ -189,19 +216,19 @@ fn rotate<L: Lanes, const BARE: bool>(u: L, v: L, [d_re, d_im, o_re, o_im]: [L; 
     }
 }
 
-/// The kinetic line kernel, `Lines(ptr, set, passes)`: the wavefront of
-/// [`line_units`] with each run handed to [`Pair`] — its `BARE` form when the
-/// pass is a bare rotation, whose partnerless points are left alone — or
-/// [`Scale`]. Their bodies are lane-local: an element rounds the same
-/// wherever it sits in a run, so the block size changes no bit.
+/// The kinetic line kernel, `Lines(ptr, set, passes, phases)`: the
+/// wavefront of [`line_units`] over the lanes' [`OnLanes`] operations. Their
+/// bodies are lane-local: an element rounds the same wherever it sits in a
+/// run, so the block size changes no bit.
 ///
-/// Its contract: `set.span()` elements are live behind `ptr`, `set.stride >=
-/// set.run` whenever a line has more than one point, and no other thread
-/// touches the set's lines during the call.
+/// Its contract: `set.span()` elements are live behind `ptr` and have a
+/// phase in the table, `set.stride >= set.run` whenever a line has more than
+/// one point, and no other thread touches the set's lines during the call.
 pub struct Lines<'a, R>(
     pub *mut Complex<R>,
     pub &'a LineSet,
     pub &'a [StencilPass<R>],
+    pub Option<&'a PointPhases<'a, R>>,
 );
 
 impl<R: Real> Body<R> for Lines<'_, R> {
@@ -211,17 +238,10 @@ impl<R: Real> Body<R> for Lines<'_, R> {
     // allocation; the nest keeps every run below it, aliasing=the caller owns
     // the set's lines; partner runs are stride >= run >= len apart)
     unsafe fn run<L: Lanes<R = R>>(self) {
-        let Lines(ptr, set, passes) = self;
+        let Lines(ptr, set, passes, phases) = self;
         // SAFETY: the caller's contract is the nest's, and the bodies are
         // compiled under the target features the caller enabled.
-        unsafe {
-            line_units(ptr, set, passes, |pass, a, b| match (pass.rotation(), b) {
-                (Some(_), None) => {}
-                (Some(_), Some(b)) => Pair::<R, true>(a, b, pass.d, pass.o).run::<L>(),
-                (None, None) => Scale(a, pass.lone).run::<L>(),
-                (None, Some(b)) => Pair::<R, false>(a, b, pass.d, pass.o).run::<L>(),
-            })
-        };
+        unsafe { line_units(ptr, set, passes, phases, &OnLanes::<L>(PhantomData)) };
     }
 }
 

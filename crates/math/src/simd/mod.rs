@@ -24,7 +24,8 @@
 //!   a line (or a bundle of adjacent lines) as a wavefront, so the live
 //!   points stay in L1 and the backend is resolved once per call, not once
 //!   per 256-byte run. A pass that is a bare rotation goes through
-//!   [`pair_rotate_with`] and leaves its partnerless points alone.
+//!   [`pair_rotate_with`] and leaves its partnerless points alone. A sweep
+//!   may also multiply in a phase per point ([`PointPhases`]).
 //!
 //! # Backend selection
 //!
@@ -263,9 +264,39 @@ pub fn scale_with<R: Real>(backend: Backend, zs: &mut [Complex<R>], ph: Complex<
     scale_scalar(zs, ph);
 }
 
-/// `z *= ph` over a slice on the [`active_backend`].
-pub fn scale<R: Real>(zs: &mut [Complex<R>], ph: Complex<R>) {
-    scale_with(active_backend(), zs, ph);
+/// A run of a line.
+type Run<'a, R> = &'a mut [Complex<R>];
+
+/// What the line kernel does with a unit of a wavefront (`p` on the run `a`
+/// and its partner `b`, if any) and with a point's phase: the scalar
+/// references or a lane body's. Not closures, so that a lane body's methods
+/// are `#[inline(always)]` into its entry point.
+trait LineOps<R: Real> {
+    /// # Safety
+    ///
+    /// The target features of the implementor's lanes are enabled.
+    unsafe fn unit(&self, p: &StencilPass<R>, a: Run<R>, b: Option<Run<R>>);
+    /// # Safety
+    ///
+    /// As for `unit`.
+    unsafe fn point(&self, z: Run<R>, ph: Complex<R>);
+}
+
+struct ScalarOps;
+
+impl<R: Real> LineOps<R> for ScalarOps {
+    unsafe fn unit(&self, p: &StencilPass<R>, a: Run<R>, b: Option<Run<R>>) {
+        match (p.rotation(), b) {
+            (Some(_), None) => {}
+            (Some((c, s)), Some(b)) => pair_rotate_scalar(a, b, c, s),
+            (None, None) => scale_scalar(a, p.lone),
+            (None, Some(b)) => pair_update_scalar(a, b, p.d, p.o),
+        }
+    }
+
+    unsafe fn point(&self, z: Run<R>, ph: Complex<R>) {
+        scale_scalar(z, ph);
+    }
 }
 
 /// Stencil pair rotation on an explicit backend.
@@ -283,16 +314,6 @@ pub fn pair_update_with<R: Real>(
     }
     let _ = backend;
     pair_update_scalar(a, b, d, o);
-}
-
-/// Stencil pair rotation on the [`active_backend`].
-pub fn pair_update<R: Real>(
-    a: &mut [Complex<R>],
-    b: &mut [Complex<R>],
-    d: Complex<R>,
-    o: Complex<R>,
-) {
-    pair_update_with(active_backend(), a, b, d, o);
 }
 
 /// Bare pair rotation (see [`pair_rotate_scalar`]) on an explicit backend.
@@ -439,6 +460,25 @@ impl<R: Real> StencilPass<R> {
 /// Most passes one sweep takes: two merged half-steps, `E O E O E`.
 pub const MAX_PASSES: usize = 5;
 
+/// When a sweep multiplies in its [`PointPhases`]: right before its first
+/// pass touches a point, or once its last pass is done with the point's line.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum PhaseAt {
+    BeforeFirstPass,
+    AfterLastPass,
+}
+
+/// A phase per point that a sweep multiplies in (the potential's `Pot(dt/2)`
+/// folded into the kinetic sweeps): element `e` of the storage the line
+/// kernel is given is multiplied by `table[e / norb]`, as [`scale_with`]
+/// multiplies it. A sweep of no passes is its phases after them alone.
+#[derive(Copy, Clone, Debug)]
+pub struct PointPhases<'a, R> {
+    pub table: &'a [Complex<R>],
+    pub norb: usize,
+    pub at: PhaseAt,
+}
+
 /// A family of equally shaped stencil lines inside one flat SoA array:
 /// element `n` of the run at point `i` of line `l` lives at
 /// `first + l * line_step + i * stride + n`. A run is the orbitals of one
@@ -492,10 +532,10 @@ struct Wavefront<'a, R> {
     done: [usize; MAX_PASSES],
 }
 
-/// One step is `(pass, at, lone)`: rotate the pair `at, at + 1` by `pass`, or
-/// (`lone`) multiply the partnerless point `at` by its phase.
+/// One step is `(q, pass, at, lone)`: rotate the pair `at, at + 1` by pass
+/// `q`, or (`lone`) multiply the partnerless point `at` by its phase.
 impl<'a, R> Iterator for Wavefront<'a, R> {
-    type Item = (&'a StencilPass<R>, usize, bool);
+    type Item = (usize, &'a StencilPass<R>, usize, bool);
 
     // AUDIT: no_panic
     #[inline(always)]
@@ -504,60 +544,148 @@ impl<'a, R> Iterator for Wavefront<'a, R> {
         // before has got (the whole line, for the first).
         let mut ready = self.n_axis;
         let mut pick = None;
-        for (pass, done) in self.passes.iter().zip(self.done.iter_mut()) {
+        for (q, (pass, done)) in self.passes.iter().zip(self.done.iter_mut()).enumerate() {
             let at = *done;
             let lone = (at == 0 && pass.start == 1) || at + 1 == self.n_axis;
             let next = at + if lone { 1 } else { 2 };
             if at < self.n_axis && next <= ready {
-                pick = Some((pass, done, at, lone, next));
+                pick = Some((q, pass, done, at, lone, next));
             }
             ready = at;
         }
-        let (pass, done, at, lone, next) = pick?;
+        let (q, pass, done, at, lone, next) = pick?;
         *done = next;
-        Some((pass, at, lone))
+        Some((q, pass, at, lone))
     }
+}
+
+/// How many lines of `set` one wavefront of `n_passes` drives in lockstep,
+/// paying its per-unit bookkeeping once for all of them (short lines pay it
+/// often): when a run is one block and the line step is no multiple of 4 KiB
+/// (4K aliasing: such lines share L1 sets and fool the store buffer), as many
+/// lines as keep their live points, one more than the passes each, in 16 KiB
+/// (half an L1).
+fn lockstep_lines<R>(set: &LineSet, n_passes: usize) -> usize {
+    let size = std::mem::size_of::<Complex<R>>();
+    if set.block < set.run || (set.line_step * size).is_multiple_of(4096) {
+        return 1;
+    }
+    (16384 / ((n_passes + 1) * set.run * size).max(1)).clamp(1, set.n_lines.max(1))
 }
 
 /// The loop nest of the line kernel, one for both backends: every line of
 /// `set`, one orbital block at a time, hands the units of a [`Wavefront`]
-/// over `passes` to `on_unit` as the pass, the run it touches and that run's
-/// partner (none for a partnerless point).
+/// over `passes` to `ops.unit` as the pass, the run it touches and that run's
+/// partner (none for a partnerless point). Short lines go in lockstep groups
+/// ([`lockstep_lines`]): each unit for every line of the group. With
+/// `phases`, each point goes to `ops.point` with its phase before the first
+/// pass's unit over it, or after the wavefront of its line (group): in one
+/// run where the line's runs follow each other.
 ///
 /// # Safety
 ///
 /// Same contract as [`stencil_lines_raw`], whose checks ran already.
-// SAFETY: (bounds=every run of len elements from base + nb + i*stride
-// with i < n_axis and nb + len <= run ends at or below set.span() which
-// the dispatcher checked against the allocation, aliasing=the caller owns
-// the set's lines; partner runs are stride >= run >= len apart)
+// SAFETY: (bounds=every run of len elements from first + line*line_step +
+// nb + i*stride with line < n_lines and i < n_axis and nb + len <= run ends
+// at or below set.span() which the dispatcher checked against the
+// allocation and the phase table, aliasing=the caller owns the set's lines;
+// partner runs are stride >= run >= len apart)
 #[inline(always)]
 unsafe fn line_units<R: Real>(
     ptr: *mut Complex<R>,
     set: &LineSet,
     passes: &[StencilPass<R>],
-    on_unit: impl Fn(&StencilPass<R>, &mut [Complex<R>], Option<&mut [Complex<R>]>),
+    phases: Option<&PointPhases<'_, R>>,
+    ops: &impl LineOps<R>,
 ) {
-    for line in 0..set.n_lines {
-        let base = set.first + line * set.line_step;
+    let group = lockstep_lines::<R>(set, passes.len());
+    let pre = phases.filter(|p| p.at == PhaseAt::BeforeFirstPass);
+    let post = phases.filter(|p| p.at == PhaseAt::AfterLastPass);
+    // A run's point by multiply-adds where the set steps by whole points: a
+    // division per run costs more than a point's phase.
+    let norb = phases.map_or(1, |p| p.norb.max(1));
+    let (pl, ps) = (set.line_step / norb, set.stride / norb);
+    let whole = set.line_step.is_multiple_of(norb) && set.stride.is_multiple_of(norb);
+    let mut line = 0;
+    while line < set.n_lines {
+        let lines = group.min(set.n_lines - line);
         let mut nb = 0;
         while nb < set.run {
             let len = (set.run - nb).min(set.block);
-            // SAFETY: see the bounds= and aliasing= claims above; each
-            // slice is dropped before the next one over its elements.
-            let run = |i: usize| unsafe {
-                std::slice::from_raw_parts_mut(ptr.add(base + nb + i * set.stride), len)
+            let (p0, r0) = ((set.first + nb) / norb, (set.first + nb) % norb);
+            // Element `e`, point `i` of line `l`: its point and offset in it.
+            let point = |l: usize, i: usize, e: usize| match whole {
+                true => (p0 + l * pl + i * ps, r0),
+                false => (e / norb, e % norb),
             };
             let units = Wavefront {
                 passes,
                 n_axis: set.n_axis,
                 done: [0; MAX_PASSES],
             };
-            for (pass, at, lone) in units {
-                on_unit(pass, run(at), (!lone).then(|| run(at + 1)));
+            for (q, pass, at, lone) in units {
+                for l in line..line + lines {
+                    let a = set.first + l * set.line_step + nb + at * set.stride;
+                    let b = a + set.stride;
+                    if let Some(p) = pre.filter(|_| q == 0) {
+                        // SAFETY: the runs claimed above; the caller's
+                        // contract covers `ops` (here and below).
+                        unsafe { phase_run(ptr, a, len, point(l, at, a), p, ops) };
+                        if !lone {
+                            // SAFETY: as above.
+                            unsafe { phase_run(ptr, b, len, point(l, at + 1, b), p, ops) };
+                        }
+                    }
+                    // SAFETY: as above; each slice is dropped before the
+                    // next one over its elements.
+                    let run = |e: usize| unsafe { std::slice::from_raw_parts_mut(ptr.add(e), len) };
+                    // SAFETY: as above.
+                    unsafe { ops.unit(pass, run(a), (!lone).then(|| run(b))) };
+                }
+            }
+            if let Some(p) = post {
+                let (count, step) = match set.stride == len {
+                    true => (1, set.n_axis * len),
+                    false => (set.n_axis, len),
+                };
+                for l in line..line + lines {
+                    for i in 0..count {
+                        let e = set.first + l * set.line_step + nb + i * set.stride;
+                        // SAFETY: the runs claimed above, `count` of them one.
+                        unsafe { phase_run(ptr, e, step, point(l, i, e), p, ops) };
+                    }
+                }
             }
             nb += len;
         }
+        line += lines;
+    }
+}
+
+/// The `len` elements at `e`, which start `r` elements into point `pt`, to
+/// `ops.point` one point (or the part of one they hold) at a time with its
+/// phase from `p`: a fn, not a closure, to be inlined into a lane body.
+///
+/// # Safety
+///
+/// The elements are live and the caller's alone, and the contract of `ops`.
+#[inline(always)]
+unsafe fn phase_run<R: Real>(
+    ptr: *mut Complex<R>,
+    e: usize,
+    len: usize,
+    (pt, r): (usize, usize),
+    p: &PointPhases<'_, R>,
+    ops: &impl LineOps<R>,
+) {
+    // SAFETY: the caller's.
+    let mut zs = unsafe { std::slice::from_raw_parts_mut(ptr.add(e), len) };
+    let (mut take, mut phases) = (p.norb.saturating_sub(r), p.table.iter().skip(pt));
+    while let Some(ph) = phases.next().filter(|_| !zs.is_empty()) {
+        let (z, rest) = zs.split_at_mut(take.min(zs.len()));
+        // SAFETY: the caller's.
+        unsafe { ops.point(z, *ph) };
+        (zs, take) = (rest, p.norb);
     }
 }
 
@@ -568,7 +696,10 @@ unsafe fn line_units<R: Real>(
 /// pass. The backend is resolved once per call; per element the arithmetic
 /// is that of [`pair_rotate_with`] for a bare [`StencilPass::rotation`]
 /// (partnerless points untouched), of [`pair_update_with`] / [`scale_with`]
-/// for any other pass, on a run of the block's length.
+/// for any other pass, on a run of the block's length — and, with `phases`,
+/// that of [`scale_with`] by the point's phase before the first pass or
+/// after the last. Lines are independent, so neither the lockstep groups nor
+/// the phases' place in the wavefront move a bit.
 ///
 /// The raw form exists for callers that hand disjoint, *strided* line
 /// sets of one array to different threads (no `&mut` sub-slice can express
@@ -578,15 +709,17 @@ unsafe fn line_units<R: Real>(
 ///
 /// `len` elements must be live behind `ptr`, and for the duration of the
 /// call nothing else may access the elements of the set's lines.
-// SAFETY: (bounds=set.span() <= len and block >= 1 are asserted before any
-// access, aliasing=the caller grants exclusive access to the set's lines;
-// stride >= norb is asserted so partner runs never overlap)
+// SAFETY: (bounds=set.span() <= len, block >= 1 and a phase table covering
+// set.span() are asserted before any access, aliasing=the caller grants
+// exclusive access to the set's lines; stride >= norb is asserted so
+// partner runs never overlap)
 pub unsafe fn stencil_lines_raw<R: Real>(
     backend: Backend,
     ptr: *mut Complex<R>,
     len: usize,
     set: &LineSet,
     passes: &[StencilPass<R>],
+    phases: Option<&PointPhases<'_, R>>,
 ) {
     // AUDIT: waiver(entry guard before the raw-pointer sweep; a bad line set must fail loudly)
     assert!(
@@ -594,25 +727,21 @@ pub unsafe fn stencil_lines_raw<R: Real>(
             && set.span() <= len
             && (set.n_axis <= 1 || set.stride >= set.run)
             && passes.len() <= MAX_PASSES
-            && passes.iter().all(|p| p.start <= 1),
+            && passes.iter().all(|p| p.start <= 1)
+            && phases.is_none_or(|p| {
+                p.norb >= 1 && set.span() <= p.table.len().saturating_mul(p.norb)
+            }),
         "invalid line set {set:?} of {} passes over {len} elements",
         passes.len()
     );
     #[cfg(target_arch = "x86_64")]
     // SAFETY: (bounds=the checks above cover the body's contract)
-    if unsafe { vector(backend, avx2::Lines(ptr, set, passes)) } {
+    if unsafe { vector(backend, avx2::Lines(ptr, set, passes, phases)) } {
         return;
     }
     let _ = backend;
     // SAFETY: the checks above cover the nest's contract.
-    unsafe {
-        line_units(ptr, set, passes, |pass, a, b| match (pass.rotation(), b) {
-            (Some(_), None) => {}
-            (Some((c, s)), Some(b)) => pair_rotate_scalar(a, b, c, s),
-            (None, None) => scale_scalar(a, pass.lone),
-            (None, Some(b)) => pair_update_scalar(a, b, pass.d, pass.o),
-        })
-    };
+    unsafe { line_units(ptr, set, passes, phases, &ScalarOps) };
 }
 
 /// [`stencil_lines_raw`] over a slice the caller owns outright.
@@ -621,9 +750,10 @@ pub fn stencil_lines_with<R: Real>(
     data: &mut [Complex<R>],
     set: &LineSet,
     passes: &[StencilPass<R>],
+    phases: Option<&PointPhases<'_, R>>,
 ) {
     // SAFETY: the exclusive borrow covers every element of every line.
-    unsafe { stencil_lines_raw(backend, data.as_mut_ptr(), data.len(), set, passes) };
+    unsafe { stencil_lines_raw(backend, data.as_mut_ptr(), data.len(), set, passes, phases) };
 }
 
 // ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@
 use std::cell::Cell;
 use std::io::Write;
 
-use dcmesh_math::simd::{self, Backend, Far, LineSet, RadialPass, StencilPass};
+use dcmesh_math::simd::{
+    self, Backend, Far, LineSet, PhaseAt, PointPhases, RadialPass, StencilPass,
+};
 use dcmesh_math::{as_reals, Complex, Real, C64};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -195,29 +197,60 @@ fn pass_list<R: Real>(rng: &mut StdRng, n_passes: usize, bare: usize) -> Vec<Ste
 }
 
 /// Fused wavefront == separate sweeps, bit for bit, on every backend, and
-/// AVX-512 == AVX2, for a [`pass_list`].
+/// AVX-512 == AVX2, for a [`pass_list`]: bare, and with a table of per-point
+/// phases (points of `norb` elements) before the first pass or after the
+/// last == every element of every run times its point's phase, one at a
+/// time through the public scale kernel, before or after the sweeps.
 fn stencil_case<R: Real>(
     rng: &mut StdRng,
     set: &LineSet,
     len: usize,
     n_passes: usize,
     bare: usize,
+    norb: usize,
 ) {
     let passes = pass_list::<R>(rng, n_passes, bare);
     let data: Vec<Complex<R>> = (0..len).map(|_| polar(rng, 0.0)).collect();
-    let mut lanes = Vec::new();
-    for backend in [Backend::Scalar, Backend::Avx2, Backend::Avx512] {
-        let mut fused = data.clone();
-        let mut want = data.clone();
-        simd::stencil_lines_with(backend, &mut fused, set, &passes);
-        separate_sweeps(backend, &mut want, set, &passes);
-        assert!(
-            fused == want,
-            "{backend:?} {set:?} {n_passes} passes, {bare} bare"
-        );
-        lanes.push(bits(as_reals(&fused)));
+    let table: Vec<Complex<R>> = (0..len.div_ceil(norb)).map(|_| polar(rng, 0.999)).collect();
+    let phase_sweep = |backend, data: &mut [Complex<R>]| {
+        for (line, i) in (0..set.n_lines).flat_map(|l| (0..set.n_axis).map(move |i| (l, i))) {
+            let at = set.first + line * set.line_step + i * set.stride;
+            for e in at..at + set.run {
+                simd::scale_with(backend, &mut data[e..=e], table[e / norb]);
+            }
+        }
+    };
+    for at in [
+        None,
+        Some(PhaseAt::BeforeFirstPass),
+        Some(PhaseAt::AfterLastPass),
+    ] {
+        let phases = at.map(|at| PointPhases {
+            table: &table,
+            norb,
+            at,
+        });
+        let mut lanes = Vec::new();
+        for backend in [Backend::Scalar, Backend::Avx2, Backend::Avx512] {
+            let mut fused = data.clone();
+            let mut want = data.clone();
+            simd::stencil_lines_with(backend, &mut fused, set, &passes, phases.as_ref());
+            // With no pass to go before, there is nothing to take phases.
+            if at == Some(PhaseAt::BeforeFirstPass) && n_passes > 0 {
+                phase_sweep(backend, &mut want);
+            }
+            separate_sweeps(backend, &mut want, set, &passes);
+            if at == Some(PhaseAt::AfterLastPass) {
+                phase_sweep(backend, &mut want);
+            }
+            assert!(
+                fused == want,
+                "{backend:?} {set:?} {n_passes} passes, {bare} bare, phases {at:?} of {norb}"
+            );
+            lanes.push(bits(as_reals(&fused)));
+        }
+        assert!(lanes[1] == lanes[2], "avx512 vs avx2 {set:?} {at:?}");
     }
-    assert!(lanes[1] == lanes[2], "avx512 vs avx2 {set:?}");
 }
 
 proptest! {
@@ -233,8 +266,9 @@ proptest! {
         layout in 0usize..2,
         first in 0usize..5,
         // Directional steps and merged half-steps, full passes throughout
-        // or bare rotations closed by one full pass (the kinetic tables).
-        shape in 0usize..4,
+        // or bare rotations closed by one full pass (the kinetic tables),
+        // and no passes (the potential: phases alone).
+        shape in 0usize..5,
         seed in 0u64..1_000_000,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -244,9 +278,12 @@ proptest! {
             (run, n_lines * run + 2)
         };
         let set = LineSet { first, n_lines, line_step, n_axis, stride, run, block };
-        let (n_passes, bare) = [(3, 0), (3, 2), (5, 4), (5, 0)][shape];
-        stencil_case::<f64>(&mut rng, &set, set.span() + 3, n_passes, bare);
-        stencil_case::<f32>(&mut rng, &set, set.span() + 3, n_passes, bare);
+        let (n_passes, bare) = [(3, 0), (3, 2), (5, 4), (5, 0), (0, 0)][shape];
+        // Points of the phase table: as long as a run (the kinetic sweeps'
+        // Z lines), shorter or longer.
+        let norb = [run, 1 + seed as usize % (2 * run)][(seed / 7) as usize % 2];
+        stencil_case::<f64>(&mut rng, &set, set.span() + 3, n_passes, bare, norb);
+        stencil_case::<f32>(&mut rng, &set, set.span() + 3, n_passes, bare, norb);
     }
 }
 
@@ -268,8 +305,8 @@ fn stencil_wavefront_equals_sweeps_at_every_block_size() {
                 run,
                 block,
             };
-            stencil_case::<f64>(&mut rng, &set, set.span() + 3, 5, 4);
-            stencil_case::<f32>(&mut rng, &set, set.span() + 3, 5, 4);
+            stencil_case::<f64>(&mut rng, &set, set.span() + 3, 5, 4, run);
+            stencil_case::<f32>(&mut rng, &set, set.span() + 3, 5, 4, 4);
         }
     }
 }
@@ -398,7 +435,7 @@ fn f64_avx2_bits_are_those_of_the_hand_written_kernels() {
             };
             let passes = pass_list::<f64>(&mut rng, 5, 4);
             let mut data = random_vec::<f64>(&mut rng, set.span() + 2);
-            simd::stencil_lines_with(backend, &mut data, &set, &passes);
+            simd::stencil_lines_with(backend, &mut data, &set, &passes, None);
             stencil = fnv1a(stencil, &data);
         }
         assert_eq!(stencil, 0xa15c_d0a4_c287_6a4a, "{backend:?}");
@@ -437,8 +474,8 @@ fn avx512_gives_the_bits_of_avx2() {
                 run: w,
                 block: w,
             };
-            stencil_case::<f64>(&mut rng, &set, set.span(), 5, 4);
-            stencil_case::<f32>(&mut rng, &set, set.span(), 5, 4);
+            stencil_case::<f64>(&mut rng, &set, set.span(), 5, 4, w);
+            stencil_case::<f32>(&mut rng, &set, set.span(), 5, 4, w);
             for shape in [(w, w), (w, 2 * w)] {
                 real_block_case::<f64>(&mut rng, shape, points);
                 real_block_case::<f32>(&mut rng, shape, points);

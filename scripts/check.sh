@@ -10,7 +10,7 @@
 #                    more on the 256-bit lanes (equal to auto's) and on the
 #                    scalar backend
 #   check.sh gates   heavy gates — frozen-benchmark build + smoke first,
-#                    then lines per crate under a ceiling (32,467), a
+#                    then lines per crate under a ceiling (32,839), a
 #                    grep that keeps scf_initial_state / MaxwellState /
 #                    export_state, the complex projector kernels, the packed
 #                    GEMM, the complex reference copies, the fallible comm
@@ -185,9 +185,11 @@ tier_gates() {
   # said once" — less 538 (the metrics registry and every call into it)
   # — EXPERIMENTS.md "One telemetry channel" — less 198 (the scaling
   # drivers' thread world: comm's modeled send and collectives, their tests
-  # and bench row) — EXPERIMENTS.md "Scaling without a simulated MPI". A
-  # change that must raise it says why in EXPERIMENTS.md.
-  local ceiling=32467
+  # and bench row) — EXPERIMENTS.md "Scaling without a simulated MPI" —
+  # plus 372 (the line kernel's per-point phases and lockstep groups, the
+  # line-aligned state, their tests) — EXPERIMENTS.md "Potential inside the
+  # kinetic sweeps". A change that must raise it says why in EXPERIMENTS.md.
+  local ceiling=32839
   if [ "$total" -gt "$ceiling" ]; then
     echo "the tree grew past $ceiling .rs lines" >&2
     exit 1
