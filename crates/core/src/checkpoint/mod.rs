@@ -142,10 +142,9 @@ impl DcMeshSim {
     /// health check the resilience layer polls after each step.
     pub fn is_finite(&self) -> bool {
         self.md.is_finite()
-            && self.engines.iter().all(|e| e.state_is_finite())
             && self.lk.field.is_finite()
             && self.maxwell.is_finite()
-            && self.fssh.iter().all(|f| f.is_finite())
+            && (self.domains.iter()).all(|d| d.engine.state_is_finite() && d.fssh.is_finite())
     }
 
     /// Serialize the full mutable state into a checkpoint payload.
@@ -180,18 +179,19 @@ impl DcMeshSim {
         e.put_f64(self.lk.time);
 
         // Dipole history driving the polarization current.
-        e.put_f64_slice(&self.prev_dipole);
+        let prev_dipole: Vec<f64> = self.domains.iter().map(|d| d.prev_dipole).collect();
+        e.put_f64_slice(&prev_dipole);
 
         // Per-domain FSSH state.
-        e.put_usize(self.fssh.len());
-        for f in &self.fssh {
+        e.put_usize(self.domains.len());
+        for f in self.domains.iter().map(|d| &d.fssh) {
             e.put_usize(f.surface);
             put_complex(&mut e, &f.c);
         }
 
         // Per-domain LFD engines: wavefunctions in native layout.
-        e.put_usize(self.engines.len());
-        for eng in &self.engines {
+        e.put_usize(self.domains.len());
+        for eng in self.domains.iter().map(|d| &d.engine) {
             e.put_f64(eng.time);
             e.put_u64(eng.md_steps());
             e.put_f64_slice(&eng.occupations);
@@ -245,13 +245,15 @@ impl DcMeshSim {
         sim.lk.time = d.take_f64()?;
 
         // Dipole history.
-        take_into(&mut d, &mut sim.prev_dipole)?;
+        let mut prev_dipole = vec![0.0; sim.domains.len()];
+        take_into(&mut d, &mut prev_dipole)?;
+        (sim.domains.iter_mut().zip(prev_dipole)).for_each(|(dom, p)| dom.prev_dipole = p);
 
         // Per-domain FSSH state.
-        if d.take_usize()? != sim.fssh.len() {
+        if d.take_usize()? != sim.domains.len() {
             return Err(CkptError::ConfigMismatch);
         }
-        for f in sim.fssh.iter_mut() {
+        for f in sim.domains.iter_mut().map(|dom| &mut dom.fssh) {
             let surface = d.take_usize()?;
             if surface >= f.nstates() {
                 return Err(CkptError::ConfigMismatch);
@@ -260,15 +262,17 @@ impl DcMeshSim {
             take_complex_into(&mut d, &mut f.c)?;
         }
 
-        // Per-domain LFD engines.
-        if d.take_usize()? != sim.engines.len() {
+        // Per-domain LFD engines, and the density and dipole they imply.
+        if d.take_usize()? != sim.domains.len() {
             return Err(CkptError::ConfigMismatch);
         }
-        for eng in sim.engines.iter_mut() {
+        for dom in sim.domains.iter_mut() {
+            let eng = &mut dom.engine;
             eng.time = d.take_f64()?;
             eng.set_md_steps(d.take_u64()?);
             take_into(&mut d, &mut eng.occupations)?;
             take_complex_into(&mut d, eng.state_data_mut())?;
+            dom.observe();
         }
 
         if !d.is_done() {
@@ -367,12 +371,14 @@ mod tests {
                 assert!(sim.maxwell.restore([&a_prev, &a, &j], 0.0));
             }),
             ("lk px", |sim| sim.lk.field.px[0] = f64::NAN),
-            ("fssh amplitude", |sim| sim.fssh[1].c[0].im = f64::NAN),
+            ("fssh amplitude", |sim| {
+                sim.domains[1].fssh.c[0].im = f64::NAN
+            }),
             ("atom velocity", |sim| {
                 sim.md.atoms.atoms[5].vel[2] = f64::NAN
             }),
             ("engine amplitude", |sim| {
-                sim.engines[1].state_data_mut()[7].re = f64::NAN
+                sim.domains[1].engine.state_data_mut()[7].re = f64::NAN
             }),
         ];
         let mut sim = DcMeshSim::new(quick_cfg());

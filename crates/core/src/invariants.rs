@@ -71,17 +71,14 @@ impl DcMeshSim {
     /// a stride, not in the inner loop.
     pub fn physics_invariants(&self) -> SimInvariants {
         let md_total_energy = self.md.total_energy();
-        let electronic_energy: f64 = self.engines.iter().map(|e| e.total_energy()).sum();
+        let domains = &self.domains;
+        let electronic_energy: f64 = domains.iter().map(|d| d.engine.total_energy()).sum();
         let field_energy = self.maxwell.energy();
-        let max_norm_error = self
-            .engines
-            .iter()
-            .map(|e| e.max_norm_error())
+        let max_norm_error = (domains.iter())
+            .map(|d| d.engine.max_norm_error())
             .fold(0.0, max_sticky);
-        let max_population_error = self
-            .fssh
-            .iter()
-            .map(|f| (f.norm() - 1.0).abs())
+        let max_population_error = (domains.iter())
+            .map(|d| (d.fssh.norm() - 1.0).abs())
             .fold(0.0, max_sticky);
         SimInvariants {
             md_total_energy,

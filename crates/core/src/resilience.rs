@@ -129,8 +129,8 @@ impl ResilientRunner {
     /// `setup_residual` warning at step 0.
     pub fn from_sim(sim: DcMeshSim, checkpoint_every: u64) -> Self {
         let last_snapshot = sim.snapshot_bytes();
-        let unconverged = sim.setup_solves().iter().filter(|s| !s.converged());
-        let warn = |solve: &crate::simulation::SetupSolve| {
+        let unconverged = sim.setup_solves().filter(|s| !s.converged());
+        let warn = |solve: crate::simulation::SetupSolve| {
             RunEvent::Warning(DriftWarning {
                 step: 0,
                 what: "setup_residual",

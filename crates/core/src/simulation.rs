@@ -9,13 +9,25 @@
 //! * the 1D FDTD [`Maxwell1d`] field threading the domains (reported and
 //!   checkpointed; the engines take `E(t)` from the pulse analytically),
 //! * classical MD for the atoms ([`PerovskiteFF`]),
-//! * per-domain FSSH surface hopping fed by the LFD excitation, and
+//! * per-domain FSSH surface hopping on a two-level model (`HOP_LEVELS`,
+//!   coupling `5 v_rms` from the atoms' speed; the LFD state does not enter,
+//!   and a hop moves no occupation and no atom: it is counted), and
 //! * Landau–Khalatnikov polarization dynamics for the Fig. 7 application.
 //!
-//! One [`DcMeshSim::md_step`] is the full multiscale cycle of Eq. (3):
-//! N_QD electronic steps inside one MD step, an occupation-only handshake,
-//! a stochastic surface hop, an atomic update, and the polarization
-//! response.
+//! Each DC domain is one `Domain`: its engine, its slab of atoms, its
+//! hopping state, and the density and dipole of its electrons. One
+//! [`DcMeshSim::md_step`] is the multiscale cycle of Eq. (3) in three
+//! phases:
+//!
+//! 1. Maxwell, global: the field advances through the MD window, driven by
+//!    each domain's polarization current (the change of its dipole).
+//! 2. One pool claim over the domains: each runs its N_QD electronic steps
+//!    (with the occupation-only handshake), writes its density once, takes
+//!    its dipole from it and, with Ehrenfest feedback, the pseudo-forces on
+//!    its slab's atoms.
+//! 3. Serial, in domain order: the seam diagnostic over the densities, the
+//!    surface hops (one RNG stream and one kinetic-energy reservoir), the
+//!    force scatter, the atomic update and the polarization response.
 
 use dcmesh_grid::{Mesh3, WfAos};
 use dcmesh_lfd::{BuildKind, LaserPulse, LfdConfig, LfdEngine, Maxwell1d};
@@ -49,16 +61,6 @@ impl EhrenfestFF {
         Self {
             classical,
             external: vec![[0.0; 3]; natoms],
-        }
-    }
-
-    /// Replace the external (electronic) forces for the coming MD step:
-    /// every atom named in `forces` gets its force, every other atom zero.
-    /// Scatters into the buffer held since construction.
-    pub fn set_external(&mut self, forces: impl IntoIterator<Item = (usize, [f64; 3])>) {
-        self.external.fill([0.0; 3]);
-        for (atom, f) in forces {
-            self.external[atom] = f;
         }
     }
 
@@ -247,6 +249,38 @@ impl From<&dcmesh_tddft::eigensolver::EigenResult> for SetupSolve {
 /// `|excited>` a model gap apart.
 const HOP_LEVELS: [f64; 2] = [0.0, 0.1];
 
+/// One DC domain: everything the multiscale step keeps per domain.
+pub(crate) struct Domain {
+    pub(crate) engine: LfdEngine<f64>,
+    slab: Slab,
+    pub(crate) fssh: FsshState,
+    setup: SetupSolve,
+    /// x-dipole of the electrons at the start of the last MD step, and
+    /// `dipole` now: the domain radiates their difference.
+    pub(crate) prev_dipole: f64,
+    dipole: f64,
+    /// Electron density of the engine's present state, one value per mesh
+    /// point: written once per step, read by the dipole, the seam
+    /// diagnostic and the Ehrenfest forces.
+    density: Vec<f64>,
+}
+
+impl Domain {
+    /// Take the density and the dipole of the engine's present state.
+    pub(crate) fn observe(&mut self) {
+        self.engine.density_into(&mut self.density);
+        self.dipole =
+            dcmesh_lfd::spectrum::density_dipole(&self.engine.config().mesh, &self.density, 0);
+    }
+
+    /// The low and high x-faces of the density: with z fastest, the first
+    /// and the last `ny * nz` points.
+    fn seam_faces(&self) -> (&[f64], &[f64]) {
+        let n = self.engine.config().mesh.face_len(0);
+        (&self.density[..n], &self.density[self.density.len() - n..])
+    }
+}
+
 /// The coupled simulation.
 pub struct DcMeshSim {
     pub(crate) cfg: DcMeshConfig,
@@ -254,16 +288,14 @@ pub struct DcMeshSim {
     pub md: MdIntegrator<EhrenfestFF>,
     /// Supercell bookkeeping (dims, polarization extraction).
     pub supercell: Supercell,
-    pub(crate) engines: Vec<LfdEngine<f64>>,
-    setup_solves: Vec<SetupSolve>,
-    slabs: Vec<Slab>,
+    /// The DC domains, in x order.
+    pub(crate) domains: Vec<Domain>,
     /// Volume of one slab (Bohr^3).
     slab_volume: f64,
     /// Maxwell steps per QD step (the field grid's Courant limit is below
     /// `dt_qd`).
     field_substeps: usize,
     pub(crate) maxwell: Maxwell1d,
-    pub(crate) fssh: Vec<FsshState>,
     /// Nonadiabatic coupling matrix of the hop model; its off-diagonals
     /// are rewritten every step.
     hop_nac: [Vec<f64>; 2],
@@ -272,8 +304,6 @@ pub struct DcMeshSim {
     pub(crate) rng: SplitMix64,
     pub(crate) time: f64,
     pub(crate) md_steps: u64,
-    /// Previous per-domain dipole moments (for the polarization current).
-    pub(crate) prev_dipole: Vec<f64>,
 }
 
 impl std::fmt::Debug for DcMeshSim {
@@ -319,10 +349,8 @@ impl DcMeshSim {
         // Domains: cubic boxes spanning each x-slab of the supercell.
         let slab_len = supercell.box_lengths[0] / cfg.domains_x as f64;
         let slab_volume = slab_len * supercell.box_lengths[1] * supercell.box_lengths[2];
-        let mut slabs = Vec::with_capacity(cfg.domains_x);
         let spacing = slab_len / cfg.domain_mesh_points as f64;
-        let mut engines = Vec::with_capacity(cfg.domains_x);
-        let mut setup_solves = Vec::with_capacity(cfg.domains_x);
+        let mut domains = Vec::with_capacity(cfg.domains_x);
         let mut warm: Option<WfAos<f64>> = None;
         for d in 0..cfg.domains_x {
             let center = (d as f64 + 0.5) * slab_len;
@@ -337,7 +365,6 @@ impl DcMeshSim {
             let mut mesh = Mesh3::cubic(cfg.domain_mesh_points, spacing);
             mesh.origin = [slab.x0, 0.0, 0.0];
             let v_loc = slab.local_potential(&supercell.atoms, &sim_box, &mesh);
-            slabs.push(slab);
             let lfd_cfg = LfdConfig {
                 mesh: mesh.clone(),
                 norb: cfg.norb,
@@ -363,46 +390,48 @@ impl DcMeshSim {
                 None => dcmesh_tddft::eigensolver::lowest_states(&h, cfg.norb, 200, cfg.seed),
                 Some(x) => dcmesh_tddft::eigensolver::refine_states(&h, x, 200),
             };
-            setup_solves.push(SetupSolve::from(&eig));
-            let mut init = WfAos::zeros(mesh, cfg.norb);
+            let setup = SetupSolve::from(&eig);
+            let mut init = WfAos::zeros(mesh.clone(), cfg.norb);
             init.data_mut()
                 .copy_from_slice(warm.get_or_insert(eig.orbitals).data());
-            engines.push(LfdEngine::with_initial_state(lfd_cfg, h.v_loc, init));
+            let mut domain = Domain {
+                engine: LfdEngine::with_initial_state(lfd_cfg, h.v_loc, init),
+                slab,
+                fssh: FsshState::new(2, 0, FsshConfig::default()),
+                setup,
+                prev_dipole: 0.0,
+                dipole: 0.0,
+                density: vec![0.0; mesh.len()],
+            };
+            domain.observe();
+            domain.prev_dipole = domain.dipole;
+            domains.push(domain);
         }
-
-        let fssh = (0..cfg.domains_x)
-            .map(|_| FsshState::new(2, 0, FsshConfig::default()))
-            .collect();
 
         let pol = PolarizationField::from_supercell(&supercell, 0);
         let lk = LkDynamics::new(pol, 0.5, 0.05);
         // Counter-based generator: its whole state is one u64, so a
         // checkpoint can capture and resume the hop stream bit-exactly.
         let rng = SplitMix64::seed_from_u64(cfg.seed);
-        let prev_dipole = engines.iter().map(domain_dipole).collect();
         Self {
             cfg,
             md,
             supercell,
-            engines,
-            setup_solves,
-            slabs,
+            domains,
             slab_volume,
             field_substeps: substeps as usize,
             maxwell,
-            fssh,
             hop_nac: [vec![0.0; 2], vec![0.0; 2]],
             lk,
             rng,
             time: 0.0,
             md_steps: 0,
-            prev_dipole,
         }
     }
 
     /// Number of DC domains.
     pub fn num_domains(&self) -> usize {
-        self.engines.len()
+        self.domains.len()
     }
 
     /// Completed MD steps.
@@ -412,35 +441,32 @@ impl DcMeshSim {
 
     /// Access a domain engine.
     pub fn engine(&self, d: usize) -> &LfdEngine<f64> {
-        &self.engines[d]
+        &self.domains[d].engine
     }
 
     /// What each domain's set-up eigensolve reported, in domain order.
-    pub fn setup_solves(&self) -> &[SetupSolve] {
-        &self.setup_solves
+    pub fn setup_solves(&self) -> impl ExactSizeIterator<Item = SetupSolve> + '_ {
+        self.domains.iter().map(|d| d.setup)
     }
 
     /// The bare local Hamiltonian of domain `d` at the present atom
     /// positions: at construction, the one whose lowest states seed it.
     pub fn domain_hamiltonian(&self, d: usize) -> dcmesh_tddft::Hamiltonian {
-        let mesh = self.engines[d].config().mesh.clone();
+        let mesh = self.engine(d).config().mesh.clone();
         let sim_box = &self.md.forces.classical.sim_box;
-        let mut slab = self.slabs[d].clone();
+        let mut slab = self.domains[d].slab.clone();
         let v_loc = slab.local_potential(&self.md.atoms, sim_box, &mesh);
         dcmesh_tddft::Hamiltonian::with_potential(mesh, v_loc)
     }
 
-    /// Run one full multiscale MD step.
-    ///
-    /// Each multiscale phase — Maxwell FDTD, LFD propagation, FSSH hop,
-    /// Ehrenfest feedback, MD integration, LK polarization — runs under a
-    /// `sim.*` span so an enabled trace collector sees the full Eq. (3)
-    /// cycle, the whole step under `sim.md_step`.
+    /// Run one full multiscale MD step, in the three phases of the module
+    /// doc. Each multiscale phase runs under a `sim.*` span, so an enabled
+    /// trace collector sees the full Eq. (3) cycle under `sim.md_step`.
     pub fn md_step(&mut self) -> StepReport {
         let step_span = dcmesh_obs::span!("sim.md_step");
         let step_id = step_span.id();
         let cfg = &self.cfg;
-        // --- Maxwell: advance the field through this MD window. ---
+        // --- 1. Maxwell: advance the field through this MD window. ---
         let maxwell_span = dcmesh_obs::span!("sim.maxwell_fdtd", parent = step_id);
         let pulse = cfg.laser.clone().unwrap_or(LaserPulse {
             e0: 0.0,
@@ -448,56 +474,59 @@ impl DcMeshSim {
             duration: 1.0,
         });
         // Polarization-current feedback: each domain radiates the change of
-        // its dipole moment (matter -> field coupling of the Maxwell-TDDFT
-        // loop). The current from the previous MD window drives this one.
-        let dipoles: Vec<f64> = self.engines.iter().map(domain_dipole).collect();
-        let currents: Vec<f64> = dipoles
-            .iter()
-            .zip(&self.prev_dipole)
-            .map(|(mu, mu0)| (mu - mu0) / cfg.dt_md.max(1e-12) / self.slab_volume)
-            .collect();
-        self.prev_dipole = dipoles;
-        // The field's clock runs with the electrons': `n_qd` QD steps of
-        // `substeps` field steps each.
+        // its dipole moment over the previous MD window (matter -> field
+        // coupling of the Maxwell-TDDFT loop). The field's clock runs with
+        // the electrons': `n_qd` QD steps of `substeps` field steps each.
         for _ in 0..cfg.n_qd * self.field_substeps {
-            for (slab, j) in self.slabs.iter().zip(&currents) {
-                self.maxwell.deposit_current(slab.cell, *j);
+            for dom in &self.domains {
+                let j = (dom.dipole - dom.prev_dipole) / cfg.dt_md.max(1e-12) / self.slab_volume;
+                self.maxwell.deposit_current(dom.slab.cell, j);
             }
             self.maxwell.step(&pulse);
         }
-        let a_at_domains: Vec<f64> = self
-            .slabs
-            .iter()
-            .map(|slab| self.maxwell.sample(slab.center))
+        let a_at_domains: Vec<f64> = (self.domains.iter())
+            .map(|dom| self.maxwell.sample(dom.slab.center))
             .collect();
         drop(maxwell_span);
 
-        // --- LFD: N_QD electronic steps per domain, in parallel on the
-        // persistent pool (one claim per domain engine). ---
-        let lfd_span = dcmesh_obs::span!("sim.lfd_propagation", parent = step_id);
-        let timings: Vec<dcmesh_lfd::KernelTimings> =
-            dcmesh_pool::global().map_mut(&mut self.engines, |_, e| e.run_md_step());
+        // --- 2. One `map_mut` over the domains: N_QD electronic steps, the
+        // density and the dipole, and with feedback the forces of that
+        // density on the slab's atoms (the hops of phase 3 move no atom, so
+        // these are the atoms this step integrates). ---
+        let domains_span = dcmesh_obs::span!("sim.domain_step", parent = step_id);
+        let (atoms, sim_box) = (&self.md.atoms, &self.md.forces.classical.sim_box);
+        let feedback = cfg.ehrenfest_feedback;
+        let timings = dcmesh_pool::global().map_mut(&mut self.domains, |_, dom| {
+            let timings = dom.engine.run_md_step();
+            dom.prev_dipole = dom.dipole;
+            dom.observe();
+            if feedback {
+                let slab = &mut dom.slab;
+                slab.refill(atoms, sim_box);
+                slab.atoms.clear_forces();
+                let mesh = &dom.engine.config().mesh;
+                dcmesh_tddft::forces::local_pseudo_forces(mesh, &mut slab.atoms, &dom.density);
+            }
+            timings
+        });
+        drop(domains_span);
+
+        // --- 3. Serial, in domain order. ---
         let lfd_electron_s: f64 = timings.iter().map(|t| t.electron).sum();
         let lfd_nonlocal_s: f64 = timings.iter().map(|t| t.nonlocal).sum();
         let lfd_transfer_s: f64 = timings.iter().map(|t| t.transfer).sum();
-        let excited: f64 = self.engines.iter().map(|e| e.excited_population()).sum();
-        drop(lfd_span);
+        let excited: f64 = (self.domains.iter())
+            .map(|dom| dom.engine.excited_population())
+            .sum();
 
-        // --- Domain-boundary exchange: neighbouring domains compare density
+        // Domain-boundary exchange: neighbouring domains compare density
         // faces across their seams (diagnostic only — it must not perturb
-        // the physics). ---
+        // the physics).
         let boundary_span = dcmesh_obs::span!("sim.boundary_exchange", parent = step_id);
-        // One post-LFD density per domain, shared by the seam diagnostic
-        // and the Ehrenfest feedback.
-        let densities: Vec<Vec<f64>> = if self.engines.len() > 1 || cfg.ehrenfest_feedback {
-            self.engines.iter().map(|e| e.density_f64()).collect()
-        } else {
-            Vec::new()
-        };
-        let boundary_mismatch = self.seam_mismatch(&densities);
+        let boundary_mismatch = self.boundary_density_mismatch();
         drop(boundary_span);
 
-        // --- Surface hopping: one FSSH step per domain. ---
+        // Surface hopping: one FSSH step per domain.
         let fssh_span = dcmesh_obs::span!("sim.fssh_hop", parent = step_id);
         // Two-level model ([`HOP_LEVELS`]); NAC scales with atomic velocity.
         let v_rms = {
@@ -517,8 +546,8 @@ impl DcMeshSim {
         let nac = 5.0 * v_rms; // velocity-proportional coupling
         self.hop_nac[0][1] = nac;
         self.hop_nac[1][0] = -nac;
-        for f in self.fssh.iter_mut() {
-            if let dcmesh_qxmd::fssh::HopEvent::Hopped(_) = f.step(
+        for dom in &mut self.domains {
+            if let dcmesh_qxmd::fssh::HopEvent::Hopped(_) = dom.fssh.step(
                 &HOP_LEVELS,
                 &self.hop_nac,
                 cfg.dt_md,
@@ -530,42 +559,30 @@ impl DcMeshSim {
         }
         drop(fssh_span);
 
-        // --- Ehrenfest feedback: electron density -> forces on the ions. ---
+        // Ehrenfest feedback: the domains' forces, scattered in domain order
+        // (every atom no slab holds gets zero).
         let ehrenfest_span = dcmesh_obs::span!("sim.ehrenfest_feedback", parent = step_id);
-        if cfg.ehrenfest_feedback {
-            let (atoms, sim_box) = (&self.md.atoms, &self.md.forces.classical.sim_box);
-            let engines = &self.engines;
-            // Per domain, one pool claim each: the atoms of its slab, their
-            // forces from the domain's density.
-            dcmesh_pool::global().map_mut(&mut self.slabs, |d, slab| {
-                slab.refill(atoms, sim_box);
-                slab.atoms.clear_forces();
-                dcmesh_tddft::forces::local_pseudo_forces(
-                    &engines[d].config().mesh,
-                    &mut slab.atoms,
-                    &densities[d],
-                );
-            });
-            // Scattered in domain order.
-            self.md
-                .forces
-                .set_external(self.slabs.iter().flat_map(|slab| {
-                    slab.indices
-                        .iter()
-                        .copied()
-                        .zip(slab.atoms.atoms.iter().map(|a| a.force))
-                }));
+        if feedback {
+            let external = &mut self.md.forces.external;
+            external.fill([0.0; 3]);
+            for slab in self.domains.iter().map(|dom| &dom.slab) {
+                for (&atom, a) in slab.indices.iter().zip(&slab.atoms.atoms) {
+                    external[atom] = a.force;
+                }
+            }
         }
         drop(ehrenfest_span);
 
-        // --- MD: advance the atoms. ---
+        // MD: advance the atoms.
         let md_span = dcmesh_obs::span!("sim.md_integration", parent = step_id);
         self.md.step();
-        // Keep the supercell's atom view in sync for polarization analysis.
+        // Keep the supercell's atom view in sync for polarization analysis:
+        // a fresh clone, as `clone_from` raised `traj_lfd`'s peak RSS by 18 %
+        // through glibc's heap layout (EXPERIMENTS.md, "One `Domain` per DC").
         self.supercell.atoms = self.md.atoms.clone();
         drop(md_span);
 
-        // --- Polarization response (LK), driven by the excitation. ---
+        // Polarization response (LK), driven by the excitation.
         let lk_span = dcmesh_obs::span!("sim.lk_polarization", parent = step_id);
         let n_cells = self.supercell.num_cells() as f64;
         let n_exc = (excited / n_cells).min(1.0);
@@ -608,49 +625,26 @@ impl DcMeshSim {
 
     /// Electron-density continuity across the DC domain seams.
     ///
-    /// Each domain packs its low/high x-faces of the density (the seam
-    /// planes of the x-decomposition) and compares them with the facing
-    /// planes of its two ring neighbours: a plain loop over the domains on
-    /// this thread, with the per-domain sums and the rank-ordered reduction
-    /// of the posted-receive exchange it replaced (which stays as the test
-    /// oracle; no program path passes messages, since the scaling drivers
-    /// step modeled clocks). Returns the mean absolute mismatch per boundary
-    /// point (0 for one domain). Purely diagnostic: reads densities, mutates
-    /// nothing.
+    /// Each domain compares the low/high x-faces of its density (the seam
+    /// planes of the x-decomposition) with the facing planes of its two
+    /// ring neighbours: a plain loop over the domains, with the per-domain
+    /// sums and the domain-ordered reduction of the posted-receive exchange
+    /// it replaced (which stays as the test oracle). Returns the mean
+    /// absolute mismatch per boundary point (0 for one domain) of the
+    /// densities the last step wrote — what its
+    /// [`StepReport::boundary_mismatch`] reported. Purely diagnostic.
     pub fn boundary_density_mismatch(&self) -> f64 {
-        if self.engines.len() < 2 {
-            return 0.0;
-        }
-        let densities: Vec<Vec<f64>> = self.engines.iter().map(|e| e.density_f64()).collect();
-        self.seam_mismatch(&densities)
-    }
-
-    /// The low and high x-face of every domain's density.
-    fn seam_faces(&self, densities: &[Vec<f64>]) -> Vec<(Vec<f64>, Vec<f64>)> {
-        self.engines
-            .iter()
-            .zip(densities)
-            .map(|(e, rho)| {
-                let mesh = &e.config().mesh;
-                (mesh.pack_face(rho, 0, false), mesh.pack_face(rho, 0, true))
-            })
-            .collect()
-    }
-
-    /// [`DcMeshSim::boundary_density_mismatch`] on densities the caller
-    /// already holds (one per domain; unread for a single domain).
-    fn seam_mismatch(&self, densities: &[Vec<f64>]) -> f64 {
-        let nd = self.engines.len();
+        let nd = self.domains.len();
         if nd < 2 {
             return 0.0;
         }
-        let faces = self.seam_faces(densities);
         // Summed in domain order: the diagnostic is bit-exact run to run
         // (the determinism test compares reports exactly).
         let total: f64 = (0..nd)
             .map(|d| {
-                let (lo, hi) = &faces[d];
-                let (prev_hi, next_lo) = (&faces[(d + nd - 1) % nd].1, &faces[(d + 1) % nd].0);
+                let (lo, hi) = self.domains[d].seam_faces();
+                let prev_hi = self.domains[(d + nd - 1) % nd].seam_faces().1;
+                let next_lo = self.domains[(d + 1) % nd].seam_faces().0;
                 let diff: f64 = lo
                     .iter()
                     .zip(prev_hi)
@@ -665,14 +659,10 @@ impl DcMeshSim {
 
     /// Total electron occupation across domains (conservation check).
     pub fn total_occupation(&self) -> f64 {
-        self.engines.iter().map(|e| e.total_occupation()).sum()
+        (self.domains.iter())
+            .map(|dom| dom.engine.total_occupation())
+            .sum()
     }
-}
-
-/// x-dipole of a domain's electrons, from its density read in place
-/// (`spectrum::dipole_moment` of `state_aos()`, bit for bit, without the copy).
-fn domain_dipole(e: &LfdEngine<f64>) -> f64 {
-    dcmesh_lfd::spectrum::density_dipole(&e.config().mesh, &e.density_f64(), 0)
 }
 
 #[cfg(test)]
@@ -691,9 +681,9 @@ pub(crate) mod tests {
     #[test]
     fn a_poisoned_set_up_solve_is_not_converged() {
         let sim = DcMeshSim::new(quick_cfg());
-        assert!(sim.setup_solves().iter().all(|s| s.converged()));
+        assert!(sim.setup_solves().all(|s| s.converged()));
         // Domain 0's cold solve iterates; the warm domains may not need to.
-        assert!(sim.setup_solves()[0].iterations > 0);
+        assert!(sim.setup_solves().next().is_some_and(|s| s.iterations > 0));
         // One NaN in `v_loc` and every residual is non-finite: the summary
         // keeps the NaN, which no `f64::max` fold would.
         let mut h = sim.domain_hamiltonian(0);
@@ -701,26 +691,6 @@ pub(crate) mod tests {
         let eig = dcmesh_tddft::eigensolver::lowest_states(&h, 4, 200, 1);
         let solve = SetupSolve::from(&eig);
         assert!(solve.max_residual.is_nan() && !solve.converged());
-    }
-
-    #[test]
-    fn simulation_constructs_and_steps() {
-        let mut sim = DcMeshSim::new(quick_cfg());
-        assert_eq!(sim.num_domains(), 2);
-        let r = sim.md_step();
-        assert!(r.time_fs > 0.0);
-        assert!(r.temperature_k >= 0.0);
-        assert_eq!(sim.md_steps(), 1);
-    }
-
-    #[test]
-    fn occupation_conserved_over_steps() {
-        let mut sim = DcMeshSim::new(quick_cfg());
-        let n0 = sim.total_occupation();
-        for _ in 0..3 {
-            sim.md_step();
-        }
-        assert!((sim.total_occupation() - n0).abs() < 1e-9);
     }
 
     #[test]
@@ -778,18 +748,23 @@ pub(crate) mod tests {
         assert_eq!(r1.excited_population, r2.excited_population);
         assert_eq!(r1.mean_polarization, r2.mean_polarization);
         assert_eq!(r1.hops, r2.hops);
-        // The halo-exchange diagnostic is bit-exact too (fixed reduction
-        // order across the world's ranks).
+        // The seam diagnostic is bit-exact too (summed in domain order).
         assert_eq!(r1.boundary_mismatch, r2.boundary_mismatch);
     }
 
-    /// The posted-receive exchange `seam_mismatch` ran until PR 17, kept as
-    /// its oracle: a rank per domain sends both faces, posts both receives
-    /// and settles them where the neighbour data is consumed.
-    fn seam_mismatch_over_the_world(sim: &DcMeshSim, densities: &[Vec<f64>]) -> f64 {
+    /// The posted-receive exchange the seam diagnostic replaced, kept as its
+    /// oracle: a rank per domain packs both x-faces of the domain's density
+    /// point by point, sends them, posts both receives and settles them
+    /// where the neighbour data is consumed.
+    fn seam_mismatch_over_the_world(sim: &DcMeshSim) -> f64 {
         use dcmesh_comm::{NetworkModel, Rank, World};
-        let faces = sim.seam_faces(densities);
-        let nd = faces.len();
+        let face = |d: usize, i: usize| -> Vec<f64> {
+            let (mesh, rho) = (&sim.engine(d).config().mesh, &sim.domains[d].density);
+            let row = |j| (0..mesh.nz).map(move |k| rho[mesh.idx(i, j, k)]);
+            (0..mesh.ny).flat_map(row).collect()
+        };
+        let nx = sim.engine(0).config().mesh.nx;
+        let nd = sim.num_domains();
         // Distinct tags per direction: with two domains, prev == next, so
         // the two inbound faces must demultiplex by tag alone.
         const TAG_HI: u64 = 61; // my high face, headed to next's low seam
@@ -799,9 +774,9 @@ pub(crate) mod tests {
             let n = rank.size();
             let next = (d + 1) % n;
             let prev = (d + n - 1) % n;
-            let (lo, hi) = &faces[d];
-            rank.isend(next, TAG_HI, hi).wait();
-            rank.isend(prev, TAG_LO, lo).wait();
+            let (lo, hi) = (face(d, 0), face(d, nx - 1));
+            rank.isend(next, TAG_HI, &hi).wait();
+            rank.isend(prev, TAG_LO, &lo).wait();
             let from_prev = rank.irecv(prev, TAG_HI);
             let from_next = rank.irecv(next, TAG_LO);
             let prev_hi = rank.wait(from_prev);
@@ -826,9 +801,11 @@ pub(crate) mod tests {
             });
             for step in 0..2 {
                 let reported = sim.md_step().boundary_mismatch;
-                let densities: Vec<Vec<f64>> =
-                    sim.engines.iter().map(|e| e.density_f64()).collect();
-                let want = seam_mismatch_over_the_world(&sim, &densities);
+                // The domains' densities are their engines' own.
+                for d in 0..domains_x {
+                    assert_eq!(sim.domains[d].density, sim.engine(d).density_f64());
+                }
+                let want = seam_mismatch_over_the_world(&sim);
                 assert!(want > 0.0, "{domains_x} domains: seams agree exactly");
                 for got in [reported, sim.boundary_density_mismatch()] {
                     assert_eq!(
@@ -839,20 +816,11 @@ pub(crate) mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn boundary_mismatch_reported_and_single_domain_free() {
-        let mut sim = DcMeshSim::new(quick_cfg());
-        let r = sim.md_step();
-        assert!(
-            r.boundary_mismatch.is_finite() && r.boundary_mismatch >= 0.0,
-            "seam diagnostic: {}",
-            r.boundary_mismatch
-        );
-        let mut cfg1 = quick_cfg();
-        cfg1.domains_x = 1;
-        let mut single = DcMeshSim::new(cfg1);
+        // One domain has no seam.
+        let mut single = DcMeshSim::new(DcMeshConfig {
+            domains_x: 1,
+            ..quick_cfg()
+        });
         assert_eq!(single.md_step().boundary_mismatch, 0.0);
     }
 

@@ -147,7 +147,7 @@ fn benchmark_shapes_set_up_without_a_warning() {
     for (name, cfg) in shapes {
         let runner = ResilientRunner::new(cfg, 1);
         assert!(runner.events().is_empty(), "{:?}", runner.events());
-        let solves = runner.sim().setup_solves();
+        let solves: Vec<SetupSolve> = runner.sim().setup_solves().collect();
         // `check.sh gates` prints these lines: a warm start that stops
         // paying shows as a count.
         let counts = |f: fn(&SetupSolve) -> usize| solves.iter().map(f).collect::<Vec<_>>();
@@ -199,7 +199,7 @@ fn warm_domains_take_few_iterations_and_match_a_cold_solve() {
     ];
     for (cfg, most) in shapes {
         let sim = DcMeshSim::new(cfg.clone());
-        for (d, solve) in sim.setup_solves().iter().enumerate().skip(1) {
+        for (d, solve) in sim.setup_solves().enumerate().skip(1) {
             let h = sim.domain_hamiltonian(d);
             let what = format!("{:?} / {}, domain {d}", cfg.supercell_dims, cfg.domains_x);
             assert!(

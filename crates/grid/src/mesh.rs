@@ -161,62 +161,6 @@ impl Mesh3 {
             _ => panic!("axis must be 0, 1, or 2"),
         }
     }
-
-    /// Visit the linear indices of the boundary plane perpendicular to
-    /// `axis`, at the high end if `hi` else the low end, in the order the
-    /// remaining two axes run in memory (so an x-face, with z fastest, is
-    /// one contiguous slab).
-    fn for_each_face_idx(&self, axis: usize, hi: bool, mut f: impl FnMut(usize)) {
-        match axis {
-            0 => {
-                let i = if hi { self.nx - 1 } else { 0 };
-                for j in 0..self.ny {
-                    for k in 0..self.nz {
-                        f(self.idx(i, j, k));
-                    }
-                }
-            }
-            1 => {
-                let j = if hi { self.ny - 1 } else { 0 };
-                for i in 0..self.nx {
-                    for k in 0..self.nz {
-                        f(self.idx(i, j, k));
-                    }
-                }
-            }
-            2 => {
-                let k = if hi { self.nz - 1 } else { 0 };
-                for i in 0..self.nx {
-                    for j in 0..self.ny {
-                        f(self.idx(i, j, k));
-                    }
-                }
-            }
-            _ => panic!("axis must be 0, 1, or 2"),
-        }
-    }
-
-    /// Pack the boundary face of `field` perpendicular to `axis` (high end
-    /// if `hi`) into a contiguous send buffer, ready for a posted halo
-    /// exchange. The layout is the inverse of [`Mesh3::unpack_face`].
-    pub fn pack_face(&self, field: &[f64], axis: usize, hi: bool) -> Vec<f64> {
-        assert_eq!(field.len(), self.len(), "field must match the mesh");
-        let mut out = Vec::with_capacity(self.face_len(axis));
-        self.for_each_face_idx(axis, hi, |idx| out.push(field[idx]));
-        out
-    }
-
-    /// Scatter a received halo face back onto the boundary plane of
-    /// `field` perpendicular to `axis` (high end if `hi`). Inverse of
-    /// [`Mesh3::pack_face`].
-    pub fn unpack_face(&self, field: &mut [f64], axis: usize, hi: bool, face: &[f64]) {
-        assert_eq!(field.len(), self.len(), "field must match the mesh");
-        assert_eq!(face.len(), self.face_len(axis), "face buffer size");
-        let mut it = face.iter();
-        self.for_each_face_idx(axis, hi, |idx| {
-            field[idx] = *it.next().expect("face length checked above");
-        });
-    }
 }
 
 #[cfg(test)]
@@ -282,40 +226,5 @@ mod tests {
     #[should_panic(expected = "dimensions must be positive")]
     fn zero_dimension_rejected() {
         Mesh3::new(0, 4, 4, 1.0, 1.0, 1.0);
-    }
-
-    #[test]
-    fn face_pack_unpack_roundtrip_every_axis() {
-        let m = Mesh3::new(3, 4, 5, 1.0, 1.0, 1.0);
-        let field: Vec<f64> = (0..m.len()).map(|v| v as f64).collect();
-        for axis in 0..3 {
-            for hi in [false, true] {
-                let face = m.pack_face(&field, axis, hi);
-                assert_eq!(face.len(), m.face_len(axis));
-                let mut target = vec![-1.0; m.len()];
-                m.unpack_face(&mut target, axis, hi, &face);
-                // Every boundary point landed where it came from, and
-                // nothing off the face was touched.
-                let mut touched = 0;
-                for (idx, &v) in target.iter().enumerate() {
-                    if v >= 0.0 {
-                        assert_eq!(v, field[idx], "axis {axis} hi {hi} idx {idx}");
-                        touched += 1;
-                    }
-                }
-                assert_eq!(touched, m.face_len(axis));
-            }
-        }
-    }
-
-    #[test]
-    fn x_face_is_the_contiguous_slab() {
-        // With z fastest, the low x-face is exactly field[0 .. ny*nz].
-        let m = Mesh3::new(3, 4, 5, 1.0, 1.0, 1.0);
-        let field: Vec<f64> = (0..m.len()).map(|v| v as f64).collect();
-        let face = m.pack_face(&field, 0, false);
-        assert_eq!(&face[..], &field[..m.ny * m.nz]);
-        let hi = m.pack_face(&field, 0, true);
-        assert_eq!(&hi[..], &field[field.len() - m.ny * m.nz..]);
     }
 }

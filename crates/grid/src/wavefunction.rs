@@ -169,9 +169,16 @@ impl<R: Real> WfAos<R> {
 
     /// Electron number density `rho(r) = sum_n f_n |psi_n(r)|^2`.
     pub fn density(&self, occupations: &[R]) -> Vec<R> {
+        let mut rho = vec![R::ZERO; self.mesh.len()];
+        self.density_into(occupations, &mut rho);
+        rho
+    }
+
+    /// [`WfAos::density`] written over `rho`, one value per mesh point.
+    pub fn density_into(&self, occupations: &[R], rho: &mut [R]) {
         assert_eq!(occupations.len(), self.norb);
-        let g = self.mesh.len();
-        let mut rho = vec![R::ZERO; g];
+        assert_eq!(rho.len(), self.mesh.len());
+        rho.fill(R::ZERO);
         for (n, &f) in occupations.iter().enumerate() {
             if f == R::ZERO {
                 continue;
@@ -180,7 +187,6 @@ impl<R: Real> WfAos<R> {
                 *r += z.norm_sqr() * f;
             }
         }
-        rho
     }
 
     /// Total electron count `integral rho dV` for given occupations.
@@ -290,23 +296,24 @@ impl<R: Real> WfSoa<R> {
         &self.data()[base..base + self.norb]
     }
 
-    /// Electron number density `rho(r) = sum_n f_n |psi_n(r)|^2`, read in
-    /// place: each point's sum runs in orbital order and skips `f == 0`, so
-    /// the result is [`WfAos::density`]'s bit for bit.
-    pub fn density(&self, occupations: &[R]) -> Vec<R> {
+    /// Electron number density `rho(r) = sum_n f_n |psi_n(r)|^2` written
+    /// over `rho` (one value per mesh point), read in place: each point's
+    /// sum runs in orbital order and skips `f == 0`, so the result is
+    /// [`WfAos::density`]'s bit for bit.
+    pub fn density_into(&self, occupations: &[R], rho: &mut [R]) {
         assert_eq!(occupations.len(), self.norb);
-        let mut rho = vec![R::ZERO; self.mesh.len()];
+        assert_eq!(rho.len(), self.mesh.len());
         for (r, point) in rho
             .iter_mut()
             .zip(self.data().chunks_exact(self.norb.max(1)))
         {
+            *r = R::ZERO;
             for (z, &f) in point.iter().zip(occupations) {
                 if f != R::ZERO {
                     *r += z.norm_sqr() * f;
                 }
             }
         }
-        rho
     }
 
     /// Convert to the AoS layout.

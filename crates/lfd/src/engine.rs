@@ -721,11 +721,18 @@ impl<R: Real> LfdEngine<R> {
     ///
     /// Reads the native storage in place: no layout copy.
     pub fn density_f64(&self) -> Vec<f64> {
-        let rho = match &self.psi {
-            State::Aos(a) => a.density(&self.occupations),
-            State::Soa(s) => s.density(&self.occupations),
-        };
+        let mut rho = vec![R::ZERO; self.cfg.mesh.len()];
+        self.density_into(&mut rho);
         rho.iter().map(|r| r.to_f64()).collect()
+    }
+
+    /// [`LfdEngine::density_f64`] in the engine's precision, written over
+    /// `rho` (one value per mesh point): no allocation.
+    pub fn density_into(&self, rho: &mut [R]) {
+        match &self.psi {
+            State::Aos(a) => a.density_into(&self.occupations, rho),
+            State::Soa(s) => s.density_into(&self.occupations, rho),
+        }
     }
 
     /// Reference to the shadow state (device builds).

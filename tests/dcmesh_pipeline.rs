@@ -33,7 +33,7 @@ fn multistep_run_conserves_electrons_and_stays_finite() {
         assert!(r.temperature_k.is_finite() && r.temperature_k >= 0.0);
         assert!(r.mean_polarization.iter().all(|p| p.is_finite()));
     }
-    assert!((sim.total_occupation() - n0).abs() < 1e-8);
+    assert!((sim.total_occupation() - n0).abs() < 1e-9);
     assert_eq!(sim.md_steps(), 5);
 }
 
@@ -116,14 +116,22 @@ fn field_free_and_lit_runs_diverge() {
     assert!(diverged, "laser had no effect on the coupled pipeline");
 }
 
+/// The pulse of the digests' lit runs.
+const LIT: LaserPulse = LaserPulse {
+    e0: 0.3,
+    omega: 0.8,
+    duration: 400.0,
+};
+
 /// FNV-1a over a stream of 64-bit words.
 fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
-    words
-        .into_iter()
-        .flat_map(u64::to_le_bytes)
-        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
+    fnv1a_bytes(words.into_iter().flat_map(u64::to_le_bytes))
+}
+
+fn fnv1a_bytes(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// Bits of everything a fixed 3-step run reports, for the host-resident
@@ -136,11 +144,7 @@ fn physics_digest() -> u64 {
     for build in [BuildKind::CpuBlas, BuildKind::GpuCublas] {
         let mut cfg = base_cfg();
         cfg.build = build;
-        cfg.laser = Some(LaserPulse {
-            e0: 0.3,
-            omega: 0.8,
-            duration: 400.0,
-        });
+        cfg.laser = Some(LIT);
         let mut sim = DcMeshSim::new(cfg);
         for _ in 0..3 {
             let r = sim.md_step();
@@ -163,7 +167,7 @@ fn physics_digest() -> u64 {
         words.extend(engine.occupations.iter().map(|f| f.to_bits()));
     }
     // The coupling phases: 160 atoms are three row chunks of the pair
-    // loop, the two domains two claims of the Ehrenfest loop; the atoms
+    // loop, the two domains two claims of the domain step; the atoms
     // carry whatever order the pool added their forces in.
     let mut cfg = base_cfg();
     cfg.supercell_dims = [4, 4, 2];
@@ -220,6 +224,22 @@ fn sp_digest() -> u64 {
     )
 }
 
+/// Bits of every piece of evolving state — the Maxwell field, the dipole
+/// history, FSSH, the RNG, the external forces, the engines — after three
+/// steps of a 4-domain run with the laser and Ehrenfest feedback on.
+fn snapshot_digest() -> u64 {
+    let mut sim = DcMeshSim::new(DcMeshConfig {
+        domains_x: 4,
+        ehrenfest_feedback: true,
+        laser: Some(LIT),
+        ..base_cfg()
+    });
+    for _ in 0..3 {
+        sim.md_step();
+    }
+    fnv1a_bytes(sim.snapshot_bytes())
+}
+
 /// Prints the digests `scripts/check.sh quick` compares across
 /// `DCMESH_THREADS=1,2,4` (the pool's size is fixed per process, so each
 /// thread count is a run of its own) and `DCMESH_SIMD`, and the lanes run.
@@ -228,4 +248,5 @@ fn prints_physics_digest() {
     println!("simd-backend {:?}", dcmesh::math::simd::active_backend());
     println!("physics-digest {:016x}", physics_digest());
     println!("sp-digest {:016x}", sp_digest());
+    println!("snapshot-digest {:016x}", snapshot_digest());
 }
