@@ -15,7 +15,7 @@
 //!   feature itself. Anything else could execute illegal instructions
 //!   on older CPUs.
 //! * **contract-align** — an `align=N` claim must match the arena's
-//!   [`ALIGN`] constant (read out of `crates/pool/src/arena.rs`, not
+//!   `ALIGN` constant (read out of `crates/pool/src/arena.rs`, not
 //!   hard-coded here), so the claim goes stale loudly if the arena
 //!   changes.
 //! * **contract-bounds** — an audited (`no_panic`) fn whose body

@@ -11,7 +11,7 @@
 //!   `crates/pool` (the one owner of execution resources) and
 //!   `crates/analyze` (the explorer must create controlled threads).
 //!   Everything else must go through the pool, or scoped helpers.
-//! * **wall-clock** — `Instant::now` is banned in the [`KERNEL_CRATES`]:
+//! * **wall-clock** — `Instant::now` is banned in the `KERNEL_CRATES`:
 //!   kernels are timed by the `dcmesh-obs` span layer and the modeled
 //!   device clock; ad-hoc timers there skew the roofline accounting.
 //!   Driver layers (lfd engine, core simulation, bench) and `crates/obs`

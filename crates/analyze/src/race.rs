@@ -37,7 +37,7 @@
 //! * Intervals are raw addresses: memory freed and reallocated between
 //!   two compared accesses can alias. Three mitigations: settles drain
 //!   and check eagerly; the retained cross-settle window is small
-//!   ([`RETAIN`]); and `SlicePtr::new` [`claim`]s its range — the
+//!   (`RETAIN`); and `SlicePtr::new` [`claim`]s its range — the
 //!   `&mut [T]` it takes proves exclusive ownership, so stale shadow
 //!   state at a reused address is discarded when a new owner appears.
 //!   Run race-checked suites with `--test-threads=1` (as

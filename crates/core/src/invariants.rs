@@ -7,7 +7,7 @@
 //! electron occupation. [`crate::ResilientRunner`] takes one per MD step
 //! and turns it into a [`StepSample`], folds it into the run's
 //! [`InvariantSummary`], and checks it against the drift ceilings
-//! ([`drift_warnings`]) *before* its hard non-finite check — the early
+//! (`drift_warnings`) *before* its hard non-finite check — the early
 //! warning ahead of a rollback.
 //!
 //! The electronic energy evaluation is the expensive part

@@ -4,7 +4,7 @@
 //! Physics: per Suzuki–Trotter, `exp(-i dt T)` factorizes by Cartesian axis;
 //! along one axis the tridiagonal finite-difference kinetic operator is
 //! split into even/odd 2x2 blocks whose exponentials are *exact* 2x2
-//! unitaries (space-splitting method, paper ref. [28]). One directional
+//! unitaries (space-splitting method, paper ref. \[28\]). One directional
 //! application is the three-pass sweep `E(dt/2) O(dt) E(dt/2)`; the paper's
 //! full 3D step is the sequence `X(dt/2) Y(dt/2) Z(dt) Y(dt/2) X(dt/2)`.
 //! Every pass is an in-place 3-point-stencil-shaped sweep — the loop nest

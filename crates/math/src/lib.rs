@@ -14,7 +14,7 @@
 //! * [`hermite`] — quintic Hermite tables of the radial functions the force
 //!   field and the pseudopotentials evaluate per pair.
 //! * [`tridiag`] — tridiagonal operators and the even/odd 2×2 block splitting
-//!   at the heart of the space-splitting kinetic propagator (ref. [28]).
+//!   at the heart of the space-splitting kinetic propagator (ref. \[28\]).
 //! * [`linalg`] — vector kernels, Gram–Schmidt, and a complex Hermitian
 //!   Jacobi eigensolver for Rayleigh–Ritz subspace diagonalization.
 //! * [`simd`] — 512- and 256-bit lane kernels with runtime dispatch (`DCMESH_SIMD`):

@@ -5,7 +5,7 @@
 //! in the other component, halving effective bandwidth and blocking FMA
 //! contraction. This module applies the same idea at register level:
 //!
-//! * **Pointwise kernels** ([`pair_update`], [`pair_rotate_with`], [`scale`])
+//! * **Pointwise kernels** ([`pair_update_with`], [`pair_rotate_with`], [`scale_with`])
 //!   — the kinetic stencil 2×2 pair update, its bare form `[[c, -is], [-is,
 //!   c]]` with real `c`, `s` (half the arithmetic) and the phase/potential
 //!   pointwise multiply. All work on the interleaved complex lanes directly

@@ -1,6 +1,6 @@
 //! Tridiagonal operators and the even/odd 2x2 block splitting.
 //!
-//! The space-splitting method (paper ref. [28], Nakano–Vashishta–Kalia 1994)
+//! The space-splitting method (paper ref. \[28\], Nakano–Vashishta–Kalia 1994)
 //! writes the one-dimensional kinetic Hamiltonian `T_d` — a tridiagonal
 //! matrix from the 3-point Laplacian — as `T_d = A_even + A_odd`, where each
 //! `A` is block-diagonal with 2x2 blocks coupling neighbouring mesh points.

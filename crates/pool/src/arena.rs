@@ -7,10 +7,9 @@
 //! typed sub-slices from it, so a panel claim costs zero allocations after
 //! the first dispatch warms the arena up.
 //!
-//! Alignment is fixed at [`ALIGN`] = 64 bytes — one cache line, and wide
-//! enough for any AVX-512 load — and every requested slice *starts* on a
-//! 64-byte boundary, so `std::arch` aligned loads on the packed panels are
-//! always legal.
+//! Alignment is fixed at [`ALIGN`] = 64 bytes — one cache line — and every
+//! requested slice *starts* on a 64-byte boundary, so no slice shares its
+//! first line with the one before it.
 //!
 //! Arenas are thread-local and handed out as a stack: a nested
 //! [`with_scratch`] call (e.g. a blocked GEMM invoked from inside another

@@ -25,7 +25,7 @@
 //! # Dispatch protocol
 //!
 //! [`ThreadPool::for_each_index`] and friends publish a single erased job —
-//! a raw fat pointer to the caller's closure plus a [`JobCore`] of atomics
+//! a raw fat pointer to the caller's closure plus a `JobCore` of atomics
 //! living on the caller's stack — then participate in the claim loop
 //! themselves. Workers `fetch_add` over the index range to claim chunks;
 //! trailing chunks are therefore stolen dynamically by whichever thread is

@@ -1,6 +1,6 @@
 //! Classical reference force field for perovskite oxides.
 //!
-//! The paper's application workflow (Fig. 7, ref. [35]) trains a neural
+//! The paper's application workflow (Fig. 7, ref. \[35\]) trains a neural
 //! network against ground-state quantum MD. This classical
 //! polarizable-perovskite field stands in for it. It combines:
 //!

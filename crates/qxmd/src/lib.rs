@@ -10,7 +10,7 @@
 //! * [`forcefield`] — a classical polarizable-perovskite reference force
 //!   field (Buckingham short range + Wolf-summed Coulomb + on-site
 //!   anharmonic double well) standing in for the paper's neural-network
-//!   force field trained with ground-state quantum MD (ref. [35]), which is
+//!   force field trained with ground-state quantum MD (ref. \[35\]), which is
 //!   not reproduced.
 //! * [`fssh`] — Tully fewest-switches surface hopping: the
 //!   `U_SH(Rdot, Delta_MD)` occupation-update of paper Eq. (3).

@@ -10,11 +10,11 @@
 //!   distinguishes flux closure from mono-domain states.
 //! * [`LkDynamics`] — Landau–Khalatnikov relaxational dynamics
 //!   `dP/dt = -Gamma dF/dP` in the double-well free energy
-//!   `F = sum_cells [-(alpha/2)(1 - s n_exc) P^2 + (beta/4) P^4 - E.P]
-//!   + (kappa/2) sum_<cells> |P_i - P_j|^2`, where `n_exc` is the
-//!     laser-induced excited-carrier density LFD reports: excitation screens
-//!     the double well, lowering the switching barrier — the mechanism behind
-//!     light-induced topological switching (refs [12, 35]).
+//!   `F = sum_cells [-(alpha/2)(1 - s n_exc) P^2 + (beta/4) P^4 - E.P] +
+//!   (kappa/2) sum_<cells> |P_i - P_j|^2`, where `n_exc` is the
+//!   laser-induced excited-carrier density LFD reports: excitation screens
+//!   the double well, lowering the switching barrier — the mechanism behind
+//!   light-induced topological switching (refs \[12, 35\]).
 
 use dcmesh_pool::arena::with_scratch;
 

@@ -1,6 +1,6 @@
 //! Bounded admission queue with backpressure and drain-aware shutdown.
 //!
-//! Admission control happens at [`JobQueue::submit`]: a full queue rejects
+//! Admission control happens at `JobQueue::submit`: a full queue rejects
 //! the job immediately (typed [`Rejected::QueueFull`]) instead of letting
 //! latency grow without bound — the caller is expected to shed or retry
 //! later.
