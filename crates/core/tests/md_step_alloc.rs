@@ -10,8 +10,8 @@ use dcmesh_core::{DcMeshConfig, DcMeshSim};
 use dcmesh_lfd::LaserPulse;
 
 /// Two domains: one per `run_md_step`, the claim's timings, `a_at_domains`,
-/// the atom clone (two), 161 per FSSH step (8 per RK4 substep, hop odds).
-const MOST: u64 = 328;
+/// the atom clone (two), two per FSSH step (its RK4 buffer, hop odds).
+const MOST: u64 = 10;
 
 struct Counting;
 

@@ -19,7 +19,8 @@
 //!   partner.
 //!
 //! [`Radial`] is real: one centre against a run of partners stored as three
-//! coordinate runs.
+//! coordinate runs, its near partners left-packed into a list and a
+//! caller's per-pair terms run over that on [`On`], the lanes as a [`Lane`].
 //!
 //! The caller of an entry point (dispatch in `simd::mod`) has verified its
 //! features. Loads and stores are unaligned — operands come from
@@ -31,7 +32,9 @@ use core::marker::PhantomData;
 use super::lanes::Lanes;
 use crate::complex::Complex;
 use crate::real::Real;
-use crate::simd::{line_units, Far, LineOps, LineSet, PointPhases, RadialPass, Run, StencilPass};
+use crate::simd::{
+    line_units, Far, Lane, LineOps, LineSet, NearTerms, PointPhases, RadialPass, Run, StencilPass,
+};
 
 /// A kernel body with its operands.
 pub trait Body<R: Real> {
@@ -372,29 +375,34 @@ impl<R: Real> Body<R> for Gemm<'_, R> {
 /// Lane `i` holds `i`: which lanes of a vector lie past the end of a run.
 static LANE: [f64; 8] = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0];
 
-/// The radial pass, `Radial(pass, out, sums)`: per partner the displacement
-/// and `r2`, stored to `out` as `dx | dy | dz | r2`, and the far terms
-/// summed into `sums`. Partners go eight at a time, one 512-bit or two
-/// 256-bit vectors, partner `j` into slot `j % 8`, and a lane past the end
-/// of the run takes `r2 = -1`, which every far term selects away (a point on
-/// the centre, `-Z/0`, is near and selected away too): both widths give the
-/// same bits.
-pub struct Radial<'a>(
+/// The radial pass, `Radial(pass, terms, list, sums, count)`: per partner
+/// the displacement and `r2`, left-packed into the columns `j | dx | dy | dz
+/// | r2` of `list` (`n` reals each) where the partner is near, their number
+/// in `count`, and the far terms summed into `sums`; then the near pairs'
+/// `terms` into the columns after those, on [`On`]. Partners go eight at a
+/// time, one 512-bit or two 256-bit vectors, partner `j` into slot `j % 8`,
+/// and a lane past the end of the run takes `r2 = -1`, which every far term
+/// selects away (a point on the centre, `-Z/0`, is near and selected away
+/// too) and the near mask leaves out: both widths give the same bits.
+pub struct Radial<'a, T>(
     pub &'a RadialPass<'a>,
+    pub &'a T,
     pub &'a mut [f64],
     pub &'a mut [[f64; 8]; 4],
+    pub &'a mut usize,
 );
 
-impl Body<f64> for Radial<'_> {
+impl<T: NearTerms> Body<f64> for Radial<'_, T> {
     #[inline(always)]
     // AUDIT: no_panic
-    // SAFETY: (bounds=the dispatcher asserted every run n long and out 4 n
-    // long; each access is the m <= 2 C reals from j <= n of one of them or
-    // the w <= 8 lanes of LANE or of a sum's slots, aliasing=out and sums
-    // and the field's cells are the only writes; the partner and weight runs
-    // are only read)
+    // SAFETY: (bounds=the dispatcher asserted every run n long and list 8 n
+    // long; each access is the m <= 2 C reals from j <= n of a run or from k
+    // < count of a list column; the w <= 8 lanes of LANE or of a sum's slots;
+    // or the kept k <= m reals from count <= j of a list column,
+    // aliasing=list and sums and the field's cells are the only writes; the
+    // partner and weight runs are only read)
     unsafe fn run<L: Lanes<R = f64>>(self) {
-        let Radial(pass, out, sums) = self;
+        let Radial(pass, terms, list, sums, count) = self;
         let RadialPass {
             centre: [cx, cy, cz],
             partners: [xs, ys, zs],
@@ -407,7 +415,9 @@ impl Body<f64> for Radial<'_> {
             Some([x, y, z]) => (Some(x), Some(y), Some(z)),
             None => (None, None, None),
         };
-        let (out, mut acc, mut at) = (out.as_mut_ptr(), [[zero; 4]; 2], 0);
+        let (list, mut acc, mut at) = (list.as_mut_ptr(), [[zero; 4]; 2], 0);
+        // SAFETY: the first w <= 8 lanes of LANE.
+        let lane = unsafe { L::load(LANE.as_ptr()) };
         while at < n {
             for (v, [e_sum, fx, fy, fz]) in acc.iter_mut().take(8 / w).enumerate() {
                 let j = (at + v * w).min(n);
@@ -423,14 +433,18 @@ impl Body<f64> for Radial<'_> {
                 };
                 let mut r2 = dx.mul(dx).add(dy.mul(dy)).add(dz.mul(dz));
                 if m < w {
-                    // SAFETY: the first w <= 8 lanes of LANE.
-                    let lane = unsafe { L::load(LANE.as_ptr()) };
                     r2 = lane.select_le(L::splat(m as f64 - 0.5), r2, L::splat(-1.0));
                 }
-                for (k, x) in [dx, dy, dz, r2].into_iter().enumerate() {
-                    // SAFETY: the m reals from j of column k of out.
-                    unsafe { x.store_reals(out.add(k * n + j), m) };
+                let (keep, js) = (
+                    r2.le_bits(near) & ((1 << m) - 1),
+                    lane.add(L::splat(j as f64)),
+                );
+                for (k, x) in [js, dx, dy, dz, r2].into_iter().enumerate() {
+                    // SAFETY: the count(keep) <= m reals from *count <= j of
+                    // column k of the list.
+                    unsafe { x.compress_store(keep, list.add(k * n + *count)) };
                 }
+                *count += keep.count_ones() as usize;
                 match *far {
                     Far::None => {}
                     Far::Sums(weights, force2) => {
@@ -461,6 +475,71 @@ impl Body<f64> for Radial<'_> {
                 // SAFETY: lanes v w .. v w + w <= 8 of the slots.
                 unsafe { x.store(slots.as_mut_ptr().add(v * w)) };
             }
+        }
+        // The near pairs' terms, the ragged end on masked lanes (whose `j`
+        // and `r2` load as zeros).
+        let mut k = 0;
+        while k < *count {
+            let m = (*count - k).min(w);
+            // SAFETY: the m reals from k of columns 0 and 4.
+            let (j, r2) = unsafe {
+                (
+                    L::load_reals(list.add(k), m),
+                    L::load_reals(list.add(4 * n + k), m),
+                )
+            };
+            for (c, t) in terms.terms(On(j), On(r2)).into_iter().enumerate() {
+                // SAFETY: the m reals from k of column 5 + c < 8.
+                unsafe { t.0.store_reals(list.add((5 + c) * n + k), m) };
+            }
+            k += w;
+        }
+    }
+}
+
+/// The lanes `L` as a [`Lane`] for a caller's terms: a value of this type
+/// exists only inside an entry point (it cannot be named outside this
+/// module).
+#[derive(Clone, Copy)]
+pub struct On<L>(L);
+
+macro_rules! on_ops {
+    ($($op:ident $f:ident),*) => {$(
+        impl<L: Lanes<R = f64>> core::ops::$op for On<L> {
+            type Output = Self;
+            #[inline(always)]
+            fn $f(self, o: Self) -> Self {
+                On(self.0.$f(o.0))
+            }
+        }
+    )*};
+}
+on_ops!(Add add, Sub sub, Mul mul, Div div);
+
+impl<L: Lanes<R = f64>> Lane for On<L> {
+    #[inline(always)]
+    fn splat(x: f64) -> Self {
+        On(L::splat(x))
+    }
+    #[inline(always)]
+    fn sqrt(self) -> Self {
+        On(self.0.sqrt())
+    }
+    #[inline(always)]
+    fn round(self) -> Self {
+        On(self.0.round())
+    }
+    #[inline(always)]
+    fn select_le(self, b: Self, x: Self, y: Self) -> Self {
+        On(self.0.select_le(b.0, x.0, y.0))
+    }
+    #[inline(always)]
+    fn gather(table: &[f64], at: Self) -> Self {
+        match super::clamp(table, at) {
+            // SAFETY: (bounds=every lane is clamped to an index of the table
+            // no larger than i32::MAX)
+            Some(at) => On(unsafe { L::gather(table.as_ptr(), at.0) }),
+            None => Self::splat(f64::NAN),
         }
     }
 }

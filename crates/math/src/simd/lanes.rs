@@ -9,7 +9,7 @@
 //! What an implementation guarantees: every arithmetic operation is
 //! **lane-local** (output lane `i` depends on lane `i` of the inputs alone
 //! and rounds as the scalar IEEE operation does, FMAs with one rounding), and
-//! the shuffles move values without touching them. An element therefore
+//! shuffles, gathers and left-packs move values untouched. An element thus
 //! rounds alike wherever it sits in a run, in a full vector or in the ragged
 //! last one — and at either width: no body reduces across lanes, so the
 //! 512-bit instantiation of a body gives the 256-bit one's bits.
@@ -60,6 +60,31 @@ pub trait Lanes: Copy {
     fn round(self) -> Self;
     /// `if self <= b { x } else { y }`, lane by lane (`y` on a NaN).
     fn select_le(self, b: Self, x: Self, y: Self) -> Self;
+    /// Bit `i` set where lane `i` of `self` is `<= b` (clear on a NaN).
+    fn le_bits(self, b: Self) -> u32;
+    /// Lane `i` is `*p.add(k)`, `k` the whole number lane `i` of `at` holds.
+    ///
+    /// # Safety
+    ///
+    /// Every lane of `at` is a whole number in `0 ..= i32::MAX` naming a
+    /// readable real behind `p`.
+    unsafe fn gather(p: *const Self::R, at: Self) -> Self;
+    /// Store the lanes whose bit is set in `keep`, in lane order, to `p`: the
+    /// left-packed form of `self`, `keep.count_ones()` reals.
+    ///
+    /// # Safety
+    ///
+    /// `keep.count_ones()` reals must be writable at `p`.
+    #[inline(always)]
+    unsafe fn compress_store(self, keep: u32, p: *mut Self::R) {
+        let mut lanes = [Self::R::ZERO; 16];
+        // SAFETY: 2 C <= 16 reals of the array, and count(keep) at p.
+        unsafe {
+            self.store(lanes.as_mut_ptr());
+            let kept = (0..2 * Self::C).filter(|i| keep >> i & 1 == 1);
+            kept.enumerate().for_each(|(m, i)| *p.add(m) = lanes[i]);
+        }
+    }
     /// `[im, re, ..]`: re and im of every value exchanged.
     fn swap(self) -> Self;
     /// `[re, re, ..]`.
@@ -137,18 +162,40 @@ fn head_bits(n: usize) -> u32 {
     (1 << n.min(16)) - 1
 }
 
+/// Per 4-bit keep mask, the `_mm256_permutevar8x32_ps` indices that move the
+/// kept `f64` lanes (two 32-bit halves each) to the front, in lane order.
+static LEFT_PACK: [[i32; 8]; 16] = {
+    let (mut table, mut keep) = ([[0; 8]; 16], 0);
+    while keep < 16 {
+        let (mut to, mut from) = (0, 0);
+        while from < 4 {
+            if keep >> from & 1 == 1 {
+                (table[keep][2 * to], table[keep][2 * to + 1]) = (2 * from, 2 * from + 1);
+                to += 1;
+            }
+            from += 1;
+        }
+        keep += 1;
+    }
+    table
+};
+
 /// One implementation, each method the one intrinsic call it is: `C`, the
-/// pointer methods, `pattern` and `select_le` (a compare and a blend) over
-/// the argument names given, then the lane-local methods (`name(args) =>
-/// intrinsic` is `fn name(args) -> Self { intrinsic(args) }`).
+/// pointer methods, `pattern`, `select_le` (a compare and a blend) and
+/// `le_bits` over the argument names given, `compress_store` where the
+/// width has a cheaper one than the trait's, then the lane-local methods
+/// (`name(args) => intrinsic` is `fn name(args) -> Self { intrinsic(args) }`).
 macro_rules! lanes {
     ($v:ty: $r:ty, $c:literal;
      load($lp:ident) => $load:expr;
      store($ss:ident, $sp:ident) => $store:expr;
      load_masked($mp:ident, $mn:ident) => $load_masked:expr;
      store_masked($ms:ident, $mq:ident, $mm:ident) => $store_masked:expr;
+     gather($gp:ident, $ga:ident) => $gather:expr;
+     $(compress_store($cs:ident, $ck:ident, $cp:ident) => $compress:expr;)?
      pattern($a:ident, $b:ident) => $pattern:expr;
      select_le($s:ident, $le:ident, $x:ident, $y:ident) => $select:expr;
+     le_bits($bs:ident, $bb:ident) => $le_bits:expr;
      $($name:ident($($arg:ident),*) => $intrinsic:expr;)*) => {
         impl Lanes for $v {
             type R = $r;
@@ -177,6 +224,21 @@ macro_rules! lanes {
                 // SAFETY: as for `load_masked`.
                 unsafe { $store_masked }
             }
+            // SAFETY: the contract of `Lanes::gather`.
+            #[inline(always)]
+            unsafe fn gather($gp: *const $r, $ga: Self) -> Self {
+                // SAFETY: every lane names a readable real per the caller.
+                unsafe { $gather }
+            }
+            $(
+            // SAFETY: the contract of `Lanes::compress_store`.
+            #[inline(always)]
+            unsafe fn compress_store($cs: Self, $ck: u32, $cp: *mut $r) {
+                // SAFETY: the masked store writes the count(keep) reals the
+                // caller vouches for.
+                unsafe { $compress }
+            }
+            )?
             #[inline(always)]
             fn pattern($a: $r, $b: $r) -> Self {
                 // SAFETY: the width's features per the trait contract.
@@ -186,6 +248,11 @@ macro_rules! lanes {
             fn select_le($s: Self, $le: Self, $x: Self, $y: Self) -> Self {
                 // SAFETY: the width's features per the trait contract.
                 unsafe { $select }
+            }
+            #[inline(always)]
+            fn le_bits($bs: Self, $bb: Self) -> u32 {
+                // SAFETY: the width's features per the trait contract.
+                unsafe { $le_bits }
             }
             $(
                 #[inline(always)]
@@ -204,8 +271,15 @@ lanes! {
     store(self, p) => _mm256_storeu_pd(p, self);
     load_masked(p, n) => _mm256_maskload_pd(p, head_mask(&MASK_64, n));
     store_masked(self, p, n) => _mm256_maskstore_pd(p, head_mask(&MASK_64, n), self);
+    gather(p, at) => _mm256_i32gather_pd::<8>(p, _mm256_cvttpd_epi32(at));
+    compress_store(self, keep, p) => {
+        let at = _mm256_loadu_si256(LEFT_PACK[keep as usize & 15].as_ptr().cast());
+        let packed = _mm256_castps_pd(_mm256_permutevar8x32_ps(_mm256_castpd_ps(self), at));
+        _mm256_maskstore_pd(p, head_mask(&MASK_64, keep.count_ones() as usize), packed)
+    };
     pattern(a, b) => _mm256_setr_pd(a, b, a, b);
     select_le(self, b, x, y) => _mm256_blendv_pd(y, x, _mm256_cmp_pd::<_CMP_LE_OQ>(self, b));
+    le_bits(self, b) => _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(self, b)) as u32;
     mul(self, o) => _mm256_mul_pd;
     fmadd(self, a, c) => _mm256_fmadd_pd;
     swap(self) => _mm256_permute_pd::<0b0101>;
@@ -224,8 +298,10 @@ lanes! {
     store(self, p) => _mm256_storeu_ps(p, self);
     load_masked(p, n) => _mm256_maskload_ps(p, head_mask(&MASK_32, n));
     store_masked(self, p, n) => _mm256_maskstore_ps(p, head_mask(&MASK_32, n), self);
+    gather(p, at) => _mm256_i32gather_ps::<4>(p, _mm256_cvttps_epi32(at));
     pattern(a, b) => _mm256_setr_ps(a, b, a, b, a, b, a, b);
     select_le(self, b, x, y) => _mm256_blendv_ps(y, x, _mm256_cmp_ps::<_CMP_LE_OQ>(self, b));
+    le_bits(self, b) => _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_LE_OQ>(self, b)) as u32;
     mul(self, o) => _mm256_mul_ps;
     fmadd(self, a, c) => _mm256_fmadd_ps;
     swap(self) => _mm256_permute_ps::<0b10_11_00_01>;
@@ -244,8 +320,15 @@ lanes! {
     store(self, p) => _mm512_storeu_pd(p, self);
     load_masked(p, n) => _mm512_maskz_loadu_pd(head_bits(n) as __mmask8, p);
     store_masked(self, p, n) => _mm512_mask_storeu_pd(p, head_bits(n) as __mmask8, self);
+    gather(p, at) => _mm512_i32gather_pd::<8>(_mm512_cvttpd_epi32(at), p);
+    compress_store(self, keep, p) => _mm512_mask_storeu_pd(
+        p,
+        head_bits(keep.count_ones() as usize) as __mmask8,
+        _mm512_maskz_compress_pd(keep as __mmask8, self),
+    );
     pattern(a, b) => _mm512_setr4_pd(a, b, a, b);
     select_le(self, b, x, y) => _mm512_mask_blend_pd(_mm512_cmp_pd_mask::<_CMP_LE_OQ>(self, b), y, x);
+    le_bits(self, b) => _mm512_cmp_pd_mask::<_CMP_LE_OQ>(self, b) as u32;
     mul(self, o) => _mm512_mul_pd;
     fmadd(self, a, c) => _mm512_fmadd_pd;
     swap(self) => _mm512_permute_pd::<0x55>;
@@ -264,8 +347,10 @@ lanes! {
     store(self, p) => _mm512_storeu_ps(p, self);
     load_masked(p, n) => _mm512_maskz_loadu_ps(head_bits(n) as __mmask16, p);
     store_masked(self, p, n) => _mm512_mask_storeu_ps(p, head_bits(n) as __mmask16, self);
+    gather(p, at) => _mm512_i32gather_ps::<4>(_mm512_cvttps_epi32(at), p);
     pattern(a, b) => _mm512_setr4_ps(a, b, a, b);
     select_le(self, b, x, y) => _mm512_mask_blend_ps(_mm512_cmp_ps_mask::<_CMP_LE_OQ>(self, b), y, x);
+    le_bits(self, b) => _mm512_cmp_ps_mask::<_CMP_LE_OQ>(self, b) as u32;
     mul(self, o) => _mm512_mul_ps;
     fmadd(self, a, c) => _mm512_fmadd_ps;
     swap(self) => _mm512_permute_ps::<0b10_11_00_01>;

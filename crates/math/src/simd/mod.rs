@@ -26,6 +26,10 @@
 //!   per 256-byte run. A pass that is a bare rotation goes through
 //!   [`pair_rotate_with`] and leaves its partnerless points alone. A sweep
 //!   may also multiply in a phase per point ([`PointPhases`]).
+//! * **Radial pass** ([`radial_with`]) — one centre against a run of
+//!   partners: displacements and `r²`, a closed-form far field, and the near
+//!   partners left-packed with a caller's [`NearTerms`], written once over
+//!   [`Lane`] and run on the same lanes (the quintic tables' reads gathers).
 //!
 //! # Backend selection
 //!
@@ -761,7 +765,8 @@ pub fn stencil_lines_with<R: Real>(
 // ---------------------------------------------------------------------------
 
 /// What the radial pass adds for a partner beyond the near radius, at
-/// distance `d` and displacement `(dx, dy, dz)`.
+/// distance `d` and displacement `(dx, dy, dz)`; a near partner goes to the
+/// [`Near`] list instead, with the caller's [`NearTerms`].
 #[derive(Debug)]
 pub enum Far<'a> {
     /// Nothing: the caller's function vanishes there.
@@ -777,7 +782,8 @@ pub enum Far<'a> {
 /// One radial pass: `centre` against the partners `(x[j], y[j], z[j])`,
 /// displacement `partner - centre` minimum-imaged as `d - l round(d / l)`
 /// where `period` (the box lengths) is given. Partners with `r2 <= near2`
-/// are near; every other adds what `far` asks for.
+/// are near and go to the [`Near`] list; every other adds what `far` asks
+/// for.
 #[derive(Debug)]
 pub struct RadialPass<'a> {
     pub centre: [f64; 3],
@@ -787,16 +793,110 @@ pub struct RadialPass<'a> {
     pub far: Far<'a>,
 }
 
-/// The radial pass on an explicit backend: every near partner goes to
-/// `on_near(j, displacement, r2)` in `j` order, and the [`Far::Sums`] come
-/// back (zeros otherwise). The lanes and the scalar twin make the same IEEE
-/// operations, and a sum is eight slots (partner `j` in slot `j % 8`) added
-/// in one order, so the bits are the same on every backend.
-pub fn radial_with(
+/// Reals of scratch per partner that a radial pass and its [`Near`] list
+/// take: eight columns, `j | dx | dy | dz | r2 | t0 | t1 | t2`.
+pub const NEAR_COLUMNS: usize = 8;
+
+/// The arithmetic a caller's per-pair terms are written in, once: `f64` is
+/// one pair, and the lane bodies run the same code on a vector of pairs.
+/// Every operation rounds as the scalar IEEE one does and none is fused, so
+/// a term has the same bits on every backend.
+pub trait Lane:
+    Copy
+    + core::ops::Add<Output = Self>
+    + core::ops::Sub<Output = Self>
+    + core::ops::Mul<Output = Self>
+    + core::ops::Div<Output = Self>
+{
+    /// `x` in every lane.
+    fn splat(x: f64) -> Self;
+    fn sqrt(self) -> Self;
+    /// To the nearest whole number, ties to even.
+    fn round(self) -> Self;
+    /// `if self <= b { x } else { y }` (`y` on a NaN).
+    fn select_le(self, b: Self, x: Self, y: Self) -> Self;
+    /// `table[k]`, `k` the whole part of `at` clamped into the table (and
+    /// below `i32::MAX`), a NaN to the last entry; NaN from an empty table.
+    fn gather(table: &[f64], at: Self) -> Self;
+}
+
+impl Lane for f64 {
+    fn splat(x: f64) -> Self {
+        x
+    }
+    fn sqrt(self) -> Self {
+        f64::sqrt(self)
+    }
+    fn round(self) -> Self {
+        self.round_ties_even()
+    }
+    fn select_le(self, b: Self, x: Self, y: Self) -> Self {
+        if self <= b {
+            x
+        } else {
+            y
+        }
+    }
+    fn gather(table: &[f64], at: Self) -> Self {
+        clamp(table, at).map_or(f64::NAN, |k| table[k as usize])
+    }
+}
+
+/// `at` clamped into the indices of `table` (at most `i32::MAX`), a NaN to
+/// the last; `None` for an empty table.
+#[inline(always)]
+fn clamp<V: Lane>(table: &[f64], at: V) -> Option<V> {
+    let last = V::splat(table.len().min(i32::MAX as usize).checked_sub(1)? as f64);
+    let (zero, at) = (V::splat(0.0), at.select_le(last, at, last));
+    Some(at.select_le(zero, zero, at))
+}
+
+/// A caller's terms of one near pair, written once over [`Lane`] and run on
+/// the lanes or one pair at a time. An implementation is
+/// `#[inline(always)]`, so that it compiles into the lane entry point.
+pub trait NearTerms {
+    /// Three terms of the near partners `j` (whole numbers) at squared
+    /// distances `r2`.
+    fn terms<V: Lane>(&self, j: V, r2: V) -> [V; 3];
+}
+
+/// A radial pass's near partners in `j` order, left-packed into the
+/// caller's scratch ([`NEAR_COLUMNS`] columns of `n` reals, the first
+/// `count` of each filled), with their terms.
+#[derive(Debug)]
+pub struct Near<'a> {
+    cols: &'a [f64],
+    n: usize,
+    count: usize,
+}
+
+impl Near<'_> {
+    /// How many partners are near.
+    pub fn count(&self) -> usize {
+        self.count
+    }
+
+    /// Near partner `k`: its index in the run, its displacement, its `r2`
+    /// and its terms.
+    pub fn get(&self, k: usize) -> (usize, [f64; 3], f64, [f64; 3]) {
+        assert!(k < self.count, "near partner {k} of {}", self.count);
+        let c = |col: usize| self.cols[col * self.n + k];
+        (c(0) as usize, [c(1), c(2), c(3)], c(4), [c(5), c(6), c(7)])
+    }
+}
+
+/// The radial pass on an explicit backend: the [`Far::Sums`] (zeros
+/// otherwise) and the near partners, left-packed into `scratch` (at least
+/// [`NEAR_COLUMNS`] reals per partner) in `j` order with their `terms`. The
+/// lanes and the scalar twin make the same IEEE operations, and a sum is
+/// eight slots (partner `j` in slot `j % 8`) added in one order, so the bits
+/// are the same on every backend.
+pub fn radial_with<'a>(
     backend: Backend,
     pass: &RadialPass<'_>,
-    mut on_near: impl FnMut(usize, [f64; 3], f64),
-) -> [f64; 4] {
+    terms: &impl NearTerms,
+    scratch: &'a mut [f64],
+) -> ([f64; 4], Near<'a>) {
     let n = pass.partners[0].len();
     let far = match pass.far {
         Far::Sums(w, _) => w.len(),
@@ -805,42 +905,41 @@ pub fn radial_with(
     };
     let shapes = pass.partners.iter().all(|p| p.len() == n) && far == n;
     assert!(shapes, "radial pass shape mismatch");
-    let mut sums = [[0.0; 8]; 4];
-    dcmesh_pool::arena::with_scratch::<f64, 1, ()>([4 * n], |[out]| {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: (bounds=the assert above is the body's contract)
-        let done = unsafe { vector(backend, avx2::Radial(pass, &mut *out, &mut sums)) };
-        #[cfg(not(target_arch = "x86_64"))]
-        let done = false;
-        if !done {
-            radial_scalar(pass, out, &mut sums);
+    let cols = &mut scratch[..NEAR_COLUMNS * n];
+    let (mut sums, mut count) = ([[0.0; 8]; 4], 0);
+    #[cfg(target_arch = "x86_64")]
+    let body = avx2::Radial(pass, terms, &mut *cols, &mut sums, &mut count);
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: (bounds=the assert and the slice above are the body's contract)
+    let done = unsafe { vector(backend, body) };
+    #[cfg(not(target_arch = "x86_64"))]
+    let done = false;
+    if !done {
+        count = radial_scalar(pass, cols, &mut sums);
+        for k in 0..count {
+            let t = terms.terms(cols[k], cols[4 * n + k]);
+            for (c, t) in t.into_iter().enumerate() {
+                cols[(5 + c) * n + k] = t;
+            }
         }
-        let (d, r2) = out.split_at(3 * n);
-        // The near list, compacted without a branch per partner (a fifth of
-        // them are near, in no pattern a predictor learns).
-        dcmesh_pool::arena::with_scratch::<u32, 1, ()>([n], |[near]| {
-            let mut m = 0;
-            for (j, &r2) in r2.iter().enumerate() {
-                near[m] = j as u32;
-                m += usize::from(r2 <= pass.near2);
-            }
-            for &j in &near[..m] {
-                let j = j as usize;
-                on_near(j, [d[j], d[n + j], d[2 * n + j]], r2[j]);
-            }
-        });
-    });
-    sums.map(|s| ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7])))
+    }
+    let sums = sums.map(|s| ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7])));
+    (sums, Near { cols, n, count })
 }
 
 /// [`radial_with`] on the [`active_backend`].
-pub fn radial(pass: &RadialPass<'_>, on_near: impl FnMut(usize, [f64; 3], f64)) -> [f64; 4] {
-    radial_with(active_backend(), pass, on_near)
+pub fn radial<'a>(
+    pass: &RadialPass<'_>,
+    terms: &impl NearTerms,
+    scratch: &'a mut [f64],
+) -> ([f64; 4], Near<'a>) {
+    radial_with(active_backend(), pass, terms, scratch)
 }
 
-/// The scalar twin of `avx2::Radial`, operation for operation.
-fn radial_scalar(pass: &RadialPass<'_>, out: &mut [f64], sums: &mut [[f64; 8]; 4]) {
-    let n = pass.partners[0].len();
+/// The scalar twin of `avx2::Radial`, operation for operation: every partner
+/// is written at the end of the near list, which grows where it is near.
+fn radial_scalar(pass: &RadialPass<'_>, near: &mut [f64], sums: &mut [[f64; 8]; 4]) -> usize {
+    let (n, mut count) = (pass.partners[0].len(), 0);
     for j in 0..n {
         let d: [f64; 3] = std::array::from_fn(|ax| {
             let x = pass.partners[ax][j] - pass.centre[ax];
@@ -848,9 +947,10 @@ fn radial_scalar(pass: &RadialPass<'_>, out: &mut [f64], sums: &mut [[f64; 8]; 4
                 .map_or(x, |l| x - l[ax] * (x * (1.0 / l[ax])).round_ties_even())
         });
         let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
-        for (k, x) in d.into_iter().chain([r2]).enumerate() {
-            out[k * n + j] = x;
+        for (k, x) in [j as f64, d[0], d[1], d[2], r2].into_iter().enumerate() {
+            near[k * n + count] = x;
         }
+        count += usize::from(r2 <= pass.near2);
         match pass.far {
             _ if r2 <= pass.near2 => {}
             Far::None => {}
@@ -863,6 +963,7 @@ fn radial_scalar(pass: &RadialPass<'_>, out: &mut [f64], sums: &mut [[f64; 8]; 4
             Far::Field(v, scale) => v[j].set(v[j].get() + scale / r2.sqrt()),
         }
     }
+    count
 }
 
 #[cfg(test)]

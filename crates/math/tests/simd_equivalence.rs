@@ -18,9 +18,10 @@ use std::cell::Cell;
 use std::io::Write;
 
 use dcmesh_math::simd::{
-    self, Backend, Far, LineSet, PhaseAt, PointPhases, RadialPass, StencilPass,
+    self, Backend, Far, Lane, LineSet, NearTerms, PhaseAt, PointPhases, RadialPass, StencilPass,
+    NEAR_COLUMNS,
 };
-use dcmesh_math::{as_reals, Complex, Real, C64};
+use dcmesh_math::{as_reals, Complex, HermiteTable, Real, C64};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -484,27 +485,61 @@ fn avx512_gives_the_bits_of_avx2() {
     }
 }
 
-/// Every output of the radial pass on `backend` — the near list, the sums of
-/// `Far::Sums` and the field of `Far::Field` — as bits.
+/// Near terms for the tests: partner `j` reads piece `pieces[j]` of a table
+/// of three at `r` (a table per lane), and the first piece at `r2`.
+struct PieceTerms<'a>(&'a HermiteTable, &'a [f64]);
+
+impl NearTerms for PieceTerms<'_> {
+    #[inline(always)]
+    fn terms<V: Lane>(&self, j: V, r2: V) -> [V; 3] {
+        let (v, dv) = self.0.eval_on(V::gather(self.1, j), r2.sqrt());
+        [v, dv, self.0.eval(r2).1]
+    }
+}
+
+/// Every output of the radial pass on `backend` — the near list and its
+/// terms, the sums of `Far::Sums` and the field of `Far::Field` — as bits,
+/// at a near radius that takes some partners, every one and none.
 fn radial_bits(
     backend: Backend,
     partners: [&[f64]; 3],
     w: &[f64],
     period: Option<[f64; 3]>,
 ) -> Vec<u64> {
+    let table = HermiteTable::join(&[
+        &HermiteTable::new(0.0, 5.0, 1.0, |x| [x.sin(), x.cos(), -x.sin()]),
+        &HermiteTable::new(2.0, 30.0, 3.0, |x| {
+            [1.0 / x, -1.0 / (x * x), 2.0 / (x * x * x)]
+        }),
+        &HermiteTable::new(-1.0, 8.0, 16.0, |x| [x.exp(); 3]),
+    ]);
+    let n = w.len();
+    let pieces: Vec<f64> = (0..n).map(|j| ((j + 2) % 3) as f64).collect();
+    let mut scratch = vec![f64::NAN; NEAR_COLUMNS * n];
     let (v, mut bits) = (w.iter().map(|&x| Cell::new(x)).collect::<Vec<_>>(), vec![]);
-    for far in [Far::None, Far::Sums(w, 150.0), Far::Field(&v, -6.0)] {
-        let pass = RadialPass {
-            centre: [1.5, 17.0, 30.5],
-            partners,
-            period,
-            near2: 40.0,
-            far,
-        };
-        let sums = simd::radial_with(backend, &pass, |j, d, r2| {
-            bits.extend(d.into_iter().chain([r2, j as f64]).map(f64::to_bits))
-        });
-        bits.extend(sums.map(f64::to_bits));
+    for near2 in [40.0, 1e9, -1.0] {
+        for far in [Far::None, Far::Sums(w, 150.0), Far::Field(&v, -6.0)] {
+            let pass = RadialPass {
+                centre: [1.5, 17.0, 30.5],
+                partners,
+                period,
+                near2,
+                far,
+            };
+            let terms = PieceTerms(&table, &pieces);
+            let (sums, near) = simd::radial_with(backend, &pass, &terms, &mut scratch);
+            for k in 0..near.count() {
+                let (j, d, r2, t) = near.get(k);
+                bits.extend(
+                    d.into_iter()
+                        .chain([r2, j as f64])
+                        .chain(t)
+                        .map(f64::to_bits),
+                );
+            }
+            bits.push(near.count() as u64);
+            bits.extend(sums.map(f64::to_bits));
+        }
     }
     bits.extend(v.iter().map(|c| c.get().to_bits()));
     bits
@@ -513,12 +548,19 @@ fn radial_bits(
 #[test]
 fn radial_pass_gives_the_scalar_twins_bits_at_both_widths() {
     // Partner counts on both sides of every lane count and vector pair; the
-    // first partner sits on the centre (`-Z/0`, selected away).
+    // first partner sits on the centre (`-Z/0`, selected away) and the
+    // second at distance 5, the last node of the first piece.
     let mut rng = StdRng::seed_from_u64(31);
-    for n in (1..=17).chain([127, 512, 639]) {
+    for n in (0..=17).chain([64, 65, 127, 512, 639]) {
         let mut run = || -> Vec<f64> { (0..n).map(|_| rng.gen_range(-3.0..33.0)).collect() };
         let (mut xs, mut ys, mut zs, w) = (run(), run(), run(), run());
-        (xs[0], ys[0], zs[0]) = (1.5, 17.0, 30.5);
+        for (j, at) in [[1.5, 17.0, 30.5], [4.5, 21.0, 30.5]]
+            .into_iter()
+            .enumerate()
+            .take(n)
+        {
+            [xs[j], ys[j], zs[j]] = at;
+        }
         for period in [None, Some([30.0, 28.0, 32.0])] {
             let want = radial_bits(Backend::Scalar, [&xs, &ys, &zs], &w, period);
             for backend in [Backend::Avx2, Backend::Avx512] {

@@ -12,12 +12,15 @@
 //!
 //! with parameters of the right order of magnitude for PbTiO3, chosen for
 //! numerical robustness rather than quantitative transferability
-//! (DESIGN.md).
+//! (DESIGN.md). A row's pairs inside the cutoff come from one radial pass
+//! as a left-packed near list, their terms from the quintic tables on the
+//! lanes, each lane reading its pair's table (`Row`); the sums are a
+//! scalar loop in partner order, so every bit is the scalar backend's.
 
 use std::sync::OnceLock;
 
 use crate::md::ForceProvider;
-use dcmesh_math::simd::{self, Far, RadialPass};
+use dcmesh_math::simd::{self, Far, Lane, NearTerms, RadialPass, NEAR_COLUMNS};
 use dcmesh_math::HermiteTable;
 use dcmesh_pool::arena::with_scratch;
 use dcmesh_pool::ThreadPool;
@@ -91,18 +94,23 @@ fn wolf(r: f64) -> [f64; 3] {
 
 /// Each [`SHORT_RANGE`] pair's whole radial function, `qq erfc(alpha r)/r`
 /// plus its Buckingham energy, as a quintic Hermite table on `[2, 14]` Bohr
-/// at 48 nodes per Bohr (14 KB each), built once per process.
-fn short_range_tables() -> &'static [HermiteTable; 3] {
-    static TABLES: OnceLock<[HermiteTable; 3]> = OnceLock::new();
+/// at 48 nodes per Bohr (14 KB each), then [`erf_over_x`]: pieces 0-2 and 3
+/// of one table, built once per process.
+fn tables() -> &'static HermiteTable {
+    static TABLES: OnceLock<HermiteTable> = OnceLock::new();
     TABLES.get_or_init(|| {
-        SHORT_RANGE.map(|((i, j), b)| {
+        let short = SHORT_RANGE.map(|((i, j), b)| {
             HermiteTable::new(TABLE_FROM, MAX_CUTOFF, 48.0, |r| {
                 let (w, b) = (wolf(r), buckingham(b, r));
                 std::array::from_fn(|k| CHARGES[i] * CHARGES[j] * w[k] + b[k])
             })
-        })
+        });
+        HermiteTable::join(&[&short[0], &short[1], &short[2], erf_over_x()])
     })
 }
+
+/// The piece of [`tables`] a cation pair reads, `erf_over_x` at `alpha r`.
+const CATION: f64 = 3.0;
 
 /// The classical perovskite force field for PbTiO3 (species order Pb, Ti,
 /// O). Minimum-image correctness requires the cutoff to stay inside the
@@ -112,10 +120,12 @@ pub struct PerovskiteFF {
     /// Periodic box.
     pub sim_box: SimBox,
     cutoff: f64,
-    /// Per species pair, row-major `3 x 3`: the charge product, the index of
-    /// a short-range pair in [`SHORT_RANGE`], and the energy and the force
-    /// shift at the cutoff.
-    pairs: [(f64, Option<usize>, [f64; 2]); 9],
+    /// `pairs[si][q][sj]`: of species pair `(si, sj)`, its piece of
+    /// [`tables`] (the index of a short-range pair in [`SHORT_RANGE`], or
+    /// [`CATION`]), the charge product `qq`, `-qq`, and the energy and the
+    /// force shift at the cutoff.
+    pairs: [[[f64; 3]; 5]; 3],
+    tables: &'static HermiteTable,
 }
 
 impl PerovskiteFF {
@@ -123,58 +133,79 @@ impl PerovskiteFF {
     pub fn pbtio3(sim_box: SimBox) -> Self {
         let lmin = sim_box.lengths.iter().fold(f64::INFINITY, |m, &l| m.min(l));
         let rc = MAX_CUTOFF.min(0.49 * lmin);
-        let pairs = std::array::from_fn(|ij| {
-            let (si, sj) = (ij / 3, ij % 3);
+        let pair = |si: usize, sj: usize| {
             let short = SHORT_RANGE
                 .iter()
                 .position(|&(p, _)| p == (si.min(sj), si.max(sj)));
             let (qq, [w, dw, _]) = (CHARGES[si] * CHARGES[sj], wolf(rc));
             let b = short.map_or(0.0, |k| buckingham(SHORT_RANGE[k].1, rc)[0]);
-            (qq, short, [qq * w + b, qq * dw])
-        });
+            [
+                short.map_or(CATION, |k| k as f64),
+                qq,
+                -qq,
+                qq * w + b,
+                qq * dw,
+            ]
+        };
+        let pairs =
+            std::array::from_fn(|si| std::array::from_fn(|q| [0, 1, 2].map(|sj| pair(si, sj)[q])));
         Self {
             sim_box,
             cutoff: rc,
             pairs,
+            tables: tables(),
         }
     }
 
     /// Energy and `dE/dr` of species pair `pair` (row-major) at `r`: damped
     /// shifted-force Coulomb plus, where the pair has one, energy-shifted
-    /// Buckingham. A [`SHORT_RANGE`] pair reads its table and a cation pair
-    /// its `erfc(alpha r)/r = 1/r - alpha g(alpha r)` from `g = erf_over_x`
-    /// (within 2e-11 of the closed form's largest force on the 640-atom
-    /// cell); a pair below [`TABLE_FROM`] takes the closed form.
-    #[inline(always)]
+    /// Buckingham. A pair below [`TABLE_FROM`] takes the closed form, any
+    /// other [`Self::tabled`].
     fn pair(&self, pair: usize, r: f64) -> (f64, f64) {
-        let (qq, short, _) = self.pairs[pair];
-        let unshifted = match short {
-            _ if r < TABLE_FROM => self.closed_form(pair, r),
-            Some(k) => short_range_tables()[k].eval(r),
-            None => {
-                let ((g, dg), inv_r) = (erf_over_x().eval(ALPHA * r), 1.0 / r);
-                (
-                    qq * (inv_r - ALPHA * g),
-                    -qq * (inv_r * inv_r + ALPHA * ALPHA * dg),
-                )
-            }
-        };
-        self.shifted(pair, r, unshifted)
+        if r < TABLE_FROM {
+            return self.shifted(pair, r, self.closed_form(pair, r));
+        }
+        self.tabled(self.consts(pair), r)
+    }
+
+    /// What [`Self::tabled`] needs of species pair `pair` (row-major).
+    fn consts(&self, pair: usize) -> [f64; 5] {
+        self.pairs[pair / 3].map(|c| c[pair % 3])
+    }
+
+    /// `(e, dE/dr)` at `r >= TABLE_FROM` of pairs with the [`Self::consts`]
+    /// `[piece, qq, -qq, e_rc, de_rc]`, lane by lane. A [`SHORT_RANGE`] pair
+    /// reads its piece and a cation pair its `erfc(alpha r)/r = 1/r - alpha
+    /// g(alpha r)` from `g = erf_over_x` (within 2e-11 of the closed form's
+    /// largest force on the 640-atom cell), both less the shifts.
+    #[inline(always)]
+    fn tabled<V: Lane>(&self, [piece, qq, neg_qq, e_rc, de_rc]: [V; 5], r: V) -> (V, V) {
+        let (c, cation, t) = (V::splat, V::splat(CATION - 0.5), self.tables);
+        let (v, dv) = t.eval_on(piece, piece.select_le(cation, r, c(ALPHA) * r));
+        let inv_r = c(1.0) / r;
+        let e = piece.select_le(cation, v, qq * (inv_r - c(ALPHA) * v));
+        let de = neg_qq * (inv_r * inv_r + c(ALPHA * ALPHA) * dv);
+        self.shifted_by(e_rc, de_rc, r, (e, piece.select_le(cation, dv, de)))
     }
 
     /// An unshifted `(e, dE/dr)` of species pair `pair` at `r` less the
     /// pair's shifts at the cutoff, which are linear in `r` and closed-form.
+    fn shifted(&self, pair: usize, r: f64, e: (f64, f64)) -> (f64, f64) {
+        let [.., e_rc, de_rc] = self.consts(pair);
+        self.shifted_by(e_rc, de_rc, r, e)
+    }
+
     #[inline(always)]
-    fn shifted(&self, pair: usize, r: f64, (e, de): (f64, f64)) -> (f64, f64) {
-        let [e_rc, de_rc] = self.pairs[pair].2;
-        (e - e_rc - de_rc * (r - self.cutoff), de - de_rc)
+    fn shifted_by<V: Lane>(&self, e_rc: V, de_rc: V, r: V, (e, de): (V, V)) -> (V, V) {
+        (e - e_rc - de_rc * (r - V::splat(self.cutoff)), de - de_rc)
     }
 
     /// [`Self::pair`] before its shifts, in closed form.
     #[cold]
     fn closed_form(&self, pair: usize, r: f64) -> (f64, f64) {
-        let ((qq, short, _), [w, dw, _]) = (self.pairs[pair], wolf(r));
-        let [b, db, _] = short.map_or([0.0; 3], |k| buckingham(SHORT_RANGE[k].1, r));
+        let ([piece, qq, ..], [w, dw, _]) = (self.consts(pair), wolf(r));
+        let short = (piece < CATION).then(|| SHORT_RANGE[piece as usize].1);
+        let [b, db, _] = short.map_or([0.0; 3], |b| buckingham(b, r));
         (qq * w + b, qq * dw + db)
     }
 }
@@ -190,48 +221,86 @@ impl ForceProvider for PerovskiteFF {
     }
 }
 
+/// The terms of the near partners of one row, `Row(ff, species, consts)`:
+/// `[e, (dE/dr) / r, r]` from [`PerovskiteFF::tabled`], each pair constant
+/// `q` picked by the partner's species (`species[j]`, a real) out of
+/// `consts[q]`.
+struct Row<'a>(&'a PerovskiteFF, &'a [f64], [[f64; 3]; 5]);
+
+impl NearTerms for Row<'_> {
+    #[inline(always)]
+    fn terms<V: Lane>(&self, j: V, r2: V) -> [V; 3] {
+        let (Row(ff, species, [a, b, c, d, e]), r) = (self, r2.sqrt());
+        let sj = V::gather(species, j);
+        let (e, de) = ff.tabled(
+            [by(sj, *a), by(sj, *b), by(sj, *c), by(sj, *d), by(sj, *e)],
+            r,
+        );
+        [e, de / r, r]
+    }
+}
+
+/// `x[sj]`, lane by lane.
+#[inline(always)]
+fn by<V: Lane>(sj: V, [x0, x1, x2]: [f64; 3]) -> V {
+    let c = V::splat;
+    sj.select_le(c(0.5), c(x0), sj.select_le(c(1.5), c(x1), c(x2)))
+}
+
 impl PerovskiteFF {
     /// [`ForceProvider::compute`] with the row chunks spread over `pool`:
     /// per row `i`, one radial pass over the partners `j > i` (minimum image
-    /// and `r2` on the lanes), then the tables over those inside the cutoff.
+    /// and `r2` on the lanes, the near ones left-packed), the tables over
+    /// those inside the cutoff on the lanes, then their sums in partner order.
     fn compute_on(&self, pool: &ThreadPool, atoms: &mut AtomSet) -> f64 {
         let n = atoms.len();
         // Per chunk of rows: the force it puts on every atom (the row atom
         // and, by Newton's third law, its partner), then its energy.
         let stride = 3 * n + 1;
-        with_scratch::<f64, 2, f64>([n.div_ceil(PAIR_ROWS) * stride, 3 * n], |[partials, soa]| {
+        with_scratch::<f64, 2, f64>([n.div_ceil(PAIR_ROWS) * stride, 4 * n], |[partials, soa]| {
             let list = &atoms.atoms;
             for (k, x) in soa.iter_mut().enumerate() {
-                *x = list[k % n].pos[k / n];
+                let atom = &list[k % n];
+                *x = atom.pos.get(k / n).copied().unwrap_or(atom.species as f64);
             }
             let (xs, rest) = soa.split_at(n);
-            let (ys, zs) = rest.split_at(n);
+            let (ys, rest) = rest.split_at(n);
+            let (zs, species) = rest.split_at(n);
             pool.for_each_chunks_of_mut(partials, stride, |chunk, part| {
                 part.fill(0.0);
                 let (forces, energy) = part.split_at_mut(3 * n);
-                for i in chunk * PAIR_ROWS..((chunk + 1) * PAIR_ROWS).min(n) {
-                    let pass = RadialPass {
-                        centre: list[i].pos,
-                        partners: [&xs[i + 1..], &ys[i + 1..], &zs[i + 1..]],
-                        period: Some(self.sim_box.lengths),
-                        near2: self.cutoff * self.cutoff,
-                        far: Far::None,
-                    };
-                    simd::radial(&pass, |j, d, r2| {
-                        let (j, r) = (i + 1 + j, r2.sqrt());
-                        if r2 < 1e-12 {
-                            return;
+                with_scratch::<f64, 1, ()>([NEAR_COLUMNS * n], |[scratch]| {
+                    for i in chunk * PAIR_ROWS..((chunk + 1) * PAIR_ROWS).min(n) {
+                        let pass = RadialPass {
+                            centre: list[i].pos,
+                            partners: [&xs[i + 1..], &ys[i + 1..], &zs[i + 1..]],
+                            period: Some(self.sim_box.lengths),
+                            near2: self.cutoff * self.cutoff,
+                            far: Far::None,
+                        };
+                        let si = list[i].species;
+                        let row = Row(self, &species[i + 1..], self.pairs[si]);
+                        let (_, near) = simd::radial(&pass, &row, scratch);
+                        for k in 0..near.count() {
+                            let (j, d, r2, [mut e, mut c, r]) = near.get(k);
+                            let j = i + 1 + j;
+                            if r2 < 1e-12 {
+                                continue;
+                            }
+                            if r < TABLE_FROM {
+                                let (e0, de) = self.pair(3 * si + list[j].species, r);
+                                (e, c) = (e0, de / r);
+                            }
+                            energy[0] += e;
+                            // d points from i to j: F_i = dE/dr d / r.
+                            for (ax, dax) in d.into_iter().enumerate() {
+                                let f = c * dax;
+                                forces[3 * i + ax] += f;
+                                forces[3 * j + ax] -= f;
+                            }
                         }
-                        let (e, de) = self.pair(list[i].species * 3 + list[j].species, r);
-                        energy[0] += e;
-                        // d points from i to j: F_i = dE/dr d / r.
-                        for (ax, dax) in d.into_iter().enumerate() {
-                            let f = de / r * dax;
-                            forces[3 * i + ax] += f;
-                            forces[3 * j + ax] -= f;
-                        }
-                    });
-                }
+                    }
+                });
             });
             // Chunk order, whichever thread ran which chunk.
             for (i, atom) in atoms.atoms.iter_mut().enumerate() {

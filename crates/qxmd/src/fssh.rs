@@ -86,10 +86,9 @@ impl FsshState {
         self.populations().iter().sum()
     }
 
-    /// Amplitude derivative `dc/dt` at fixed (energies, nac).
-    fn derivative(&self, c: &[C64], energies: &[f64], nac: &[Vec<f64>]) -> Vec<C64> {
+    /// Amplitude derivative `dc/dt` at fixed (energies, nac), into `dc`.
+    fn derivative(c: &[C64], energies: &[f64], nac: &[Vec<f64>], dc: &mut [C64]) {
         let n = c.len();
-        let mut dc = vec![C64::zero(); n];
         for k in 0..n {
             // -i eps_k c_k
             let mut acc = c[k].scale(energies[k]).mul_neg_i();
@@ -100,7 +99,6 @@ impl FsshState {
             }
             dc[k] = acc;
         }
-        dc
     }
 
     /// Advance the amplitudes by `dt` (RK4 with substeps) and attempt one
@@ -121,25 +119,29 @@ impl FsshState {
             assert_eq!(row.len(), n);
         }
         debug_assert!(nac_antisymmetric(nac), "NAC matrix must be antisymmetric");
-        // RK4 substepping of the amplitude ODE.
+        // RK4 substepping of the amplitude ODE, in one buffer per call: the
+        // start `c0`, a stage `ct` and the four slopes.
         let h = dt / self.cfg.substeps as f64;
+        let mut buf = vec![C64::zero(); 6 * n];
+        let (c0, rest) = buf.split_at_mut(n);
+        let (ct, k) = rest.split_at_mut(n);
+        let (k12, k34) = k.split_at_mut(2 * n);
+        let ((k1, k2), (k3, k4)) = (k12.split_at_mut(n), k34.split_at_mut(n));
         for _ in 0..self.cfg.substeps {
-            let c0 = self.c.clone();
-            let k1 = self.derivative(&c0, energies, nac);
-            let c1: Vec<C64> = c0
-                .iter()
-                .zip(&k1)
-                .map(|(c, k)| *c + k.scale(h / 2.0))
-                .collect();
-            let k2 = self.derivative(&c1, energies, nac);
-            let c2: Vec<C64> = c0
-                .iter()
-                .zip(&k2)
-                .map(|(c, k)| *c + k.scale(h / 2.0))
-                .collect();
-            let k3 = self.derivative(&c2, energies, nac);
-            let c3: Vec<C64> = c0.iter().zip(&k3).map(|(c, k)| *c + k.scale(h)).collect();
-            let k4 = self.derivative(&c3, energies, nac);
+            c0.copy_from_slice(&self.c);
+            Self::derivative(c0, energies, nac, k1);
+            for ((t, c), k) in ct.iter_mut().zip(&*c0).zip(&*k1) {
+                *t = *c + k.scale(h / 2.0);
+            }
+            Self::derivative(ct, energies, nac, k2);
+            for ((t, c), k) in ct.iter_mut().zip(&*c0).zip(&*k2) {
+                *t = *c + k.scale(h / 2.0);
+            }
+            Self::derivative(ct, energies, nac, k3);
+            for ((t, c), k) in ct.iter_mut().zip(&*c0).zip(&*k3) {
+                *t = *c + k.scale(h);
+            }
+            Self::derivative(ct, energies, nac, k4);
             for i in 0..n {
                 self.c[i] =
                     c0[i] + (k1[i] + k2[i].scale(2.0) + k3[i].scale(2.0) + k4[i]).scale(h / 6.0);

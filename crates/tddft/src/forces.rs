@@ -17,13 +17,44 @@
 //! `v_loc(d) = -(Z/rc) erf(d/rc)/(d/rc)` is `-Z/d` to the last bit beyond
 //! `6 rc`, so it is read from two places: that closed form, summed on the
 //! lanes, and inside `6 rc` the quintic Hermite table of `erf(x)/x`
-//! ([`erf_over_x`]: 64 nodes per unit on `[0, 6]`), whose forces are within
-//! 1.3e-13 of the closed form's largest, and energy within 1e-12.
+//! ([`erf_over_x`]: 64 nodes per unit on `[0, 6]`), read on the lanes too
+//! over the pass's left-packed near list, whose forces are within 1.3e-13
+//! of the closed form's largest, and energy within 1e-12. The near sums are
+//! a scalar loop in point order.
 
 use dcmesh_grid::Mesh3;
-use dcmesh_math::simd::{self, Far, RadialPass};
+use dcmesh_math::simd::{self, Far, Lane, NearTerms, RadialPass, NEAR_COLUMNS};
+use dcmesh_math::HermiteTable;
 
-use crate::atoms::{erf_over_x, AtomSet, ERF_SATURATION};
+use crate::atoms::{erf_over_x, AtomSet, Species, ERF_SATURATION};
+
+/// The near terms of an atom of species `sp`, `VLoc(g, sp, rho, dv)`: with
+/// `v = -(Z/rc) g(d/rc)`, `[rho v dv, rho v'(d) dv / d, d]` at the points `j`
+/// of the density `rho` (`dv` the volume element), or without one `[v, 0,
+/// 0]`.
+pub(crate) struct VLoc<'a>(
+    pub &'a HermiteTable,
+    pub &'a Species,
+    pub Option<&'a [f64]>,
+    pub f64,
+);
+
+impl NearTerms for VLoc<'_> {
+    #[inline(always)]
+    fn terms<V: Lane>(&self, j: V, r2: V) -> [V; 3] {
+        let VLoc(g, sp, rho, dv) = *self;
+        let (c, d, z, rc) = (V::splat, r2.sqrt(), sp.z_val, sp.rc_loc);
+        let (v, slope) = g.eval(d / c(rc));
+        let Some(rho) = rho else {
+            return [c(-z / rc) * v, c(0.0), c(0.0)];
+        };
+        let rho = V::gather(rho, j);
+        let e = rho * (c(-z / rc) * v) * c(dv);
+        // v'(d) = -(Z/rc^2) g'(d/rc).
+        let f = rho * (c(-z / (rc * rc)) * slope) * c(dv) / d;
+        [e, f, d]
+    }
+}
 
 /// Forces on every atom from the electron density interacting with the
 /// *local* pseudopotentials (Hellmann–Feynman, local channel). Adds into
@@ -31,32 +62,31 @@ use crate::atoms::{erf_over_x, AtomSet, ERF_SATURATION};
 ///
 /// One radial pass per atom ([`simd::radial`]) over the mesh points: the
 /// far field in closed form on the lanes, the points inside `6 rc` (4 % of a
-/// `traj_coupled` domain's pairs) from the table. A point within `1e-8` of
-/// the atom adds `v_loc(0)` and no force.
+/// `traj_coupled` domain's pairs) from the table, on the lanes. A point within
+/// `1e-8` of the atom adds `v_loc(0)` and no force.
 pub fn local_pseudo_forces(mesh: &Mesh3, atoms: &mut AtomSet, rho: &[f64]) -> f64 {
     assert_eq!(rho.len(), mesh.len());
     let (dv, g) = (mesh.dv(), erf_over_x());
     let AtomSet { species, atoms } = atoms;
-    with_positions(mesh, |points| {
+    with_positions(mesh, |points, scratch| {
         let mut energy = 0.0;
         for atom in atoms.iter_mut() {
             let sp = &species[atom.species];
             let (z_val, rc) = (sp.z_val, sp.rc_loc);
             let (mut e_near, mut f) = (0.0, [0.0; 3]);
             let pass = near_pass(atom.pos, points, rc, Far::Sums(rho, (8.0 * rc).powi(2)));
-            let [e_far, far_f @ ..] = simd::radial(&pass, |p, d, r2| {
-                let (rho_p, dist) = (rho[p], r2.sqrt());
-                if rho_p == 0.0 {
-                    return;
+            let terms = VLoc(g, sp, Some(rho), dv);
+            let ([e_far, far_f @ ..], near) = simd::radial(&pass, &terms, scratch);
+            for k in 0..near.count() {
+                let (p, d, _, [e, c, dist]) = near.get(k);
+                if rho[p] == 0.0 {
+                    continue;
                 }
-                // v(d) = -(Z/rc) g(d/rc), v'(d) = -(Z/rc^2) g'(d/rc).
-                let (v, slope) = g.eval(dist / rc);
-                e_near += rho_p * (-z_val / rc * v) * dv;
+                e_near += e;
                 if dist >= 1e-8 {
-                    let c = rho_p * (-z_val / (rc * rc) * slope) * dv / dist;
                     f = [0, 1, 2].map(|ax| f[ax] + c * d[ax]);
                 }
-            });
+            }
             energy += e_near - z_val * dv * e_far;
             for ((fa, near), far) in atom.force.iter_mut().zip(f).zip(far_f) {
                 *fa += near + z_val * dv * far;
@@ -84,14 +114,17 @@ pub(crate) fn near_pass<'a>(
     }
 }
 
-/// The mesh's point positions as three coordinate runs in point order,
-/// borrowed from the thread's scratch arena.
-pub(crate) fn with_positions<T>(mesh: &Mesh3, f: impl FnOnce([&[f64]; 3]) -> T) -> T {
-    dcmesh_pool::arena::with_scratch::<f64, 3, T>([mesh.len(); 3], |[xs, ys, zs]| {
+/// The mesh's point positions as three coordinate runs in point order, and
+/// the scratch of a radial pass over them, borrowed from the thread's
+/// scratch arena.
+pub(crate) fn with_positions<T>(mesh: &Mesh3, f: impl FnOnce([&[f64]; 3], &mut [f64]) -> T) -> T {
+    let n = mesh.len();
+    dcmesh_pool::arena::with_scratch::<f64, 3, T>([n; 3], |[xs, ys, zs]| {
         for (p, (i, j, k)) in mesh.iter_points().enumerate() {
             [xs[p], ys[p], zs[p]] = mesh.position(i, j, k);
         }
-        f([xs, ys, zs])
+        let near = [NEAR_COLUMNS * n];
+        dcmesh_pool::arena::with_scratch::<f64, 1, T>(near, |[near]| f([xs, ys, zs], near))
     })
 }
 

@@ -238,14 +238,17 @@ pub fn local_pseudopotential(mesh: &Mesh3, atoms: &AtomSet) -> Vec<f64> {
     let mut v = vec![0.0; mesh.len()];
     let cells = std::cell::Cell::from_mut(&mut v[..]).as_slice_of_cells();
     let g = crate::atoms::erf_over_x();
-    crate::forces::with_positions(mesh, |points| {
+    crate::forces::with_positions(mesh, |points, scratch| {
         for atom in &atoms.atoms {
             let sp = &atoms.species[atom.species];
             let (scale, rc) = (-sp.z_val, sp.rc_loc);
             let pass = crate::forces::near_pass(atom.pos, points, rc, Far::Field(cells, scale));
-            simd::radial(&pass, |p, _, r2| {
-                cells[p].set(cells[p].get() + scale / rc * g.eval(r2.sqrt() / rc).0);
-            });
+            let terms = crate::forces::VLoc(g, sp, None, 0.0);
+            let (_, near) = simd::radial(&pass, &terms, scratch);
+            for k in 0..near.count() {
+                let (p, _, _, [t, ..]) = near.get(k);
+                cells[p].set(cells[p].get() + t);
+            }
         }
     });
     v

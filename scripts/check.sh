@@ -12,7 +12,7 @@
 #                    scalar backend
 #   check.sh gates   heavy gates — frozen-benchmark build + smoke first,
 #                    rustdoc without a warning, then lines per crate under
-#                    a ceiling (32,835), a
+#                    a ceiling (33,296), a
 #                    grep that keeps scf_initial_state / MaxwellState /
 #                    export_state, the complex projector kernels, the packed
 #                    GEMM, the complex reference copies, the fallible comm
@@ -177,7 +177,7 @@ tier_gates() {
   # it: a change lowers it to its new total, and one that must raise it says
   # why in EXPERIMENTS.md (each section's **Lines** paragraph holds the
   # history).
-  local ceiling=32835
+  local ceiling=33296
   if [ "$total" -gt "$ceiling" ]; then
     echo "the tree grew past $ceiling .rs lines" >&2
     exit 1
@@ -298,7 +298,10 @@ tier_gates() {
   # entry point's target features and passes every vector through memory
   # (several times slower, same bits — no test sees it). The release test
   # binary instantiates every body, f64 and f32, at both widths: 11 of each
-  # entry point, and a body that drops out of one (fewer) fails too.
+  # entry point, and a body that drops out of one (fewer) fails too. The
+  # radial body runs a caller's near terms (the test's reads a quintic table
+  # of three pieces, a piece per lane), so the gathers, the table's
+  # arithmetic and `Lane` on the lanes are checked inside it.
   if command -v objdump > /dev/null; then
     local eq_bin calls
     eq_bin=$(cargo test --release -q -p dcmesh-math --test simd_equivalence --no-run --message-format json 2>/dev/null \
