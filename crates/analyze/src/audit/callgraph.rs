@@ -238,8 +238,8 @@ fn resolve(
             // that *is* the module (`seg.rs` / `seg/mod.rs` /
             // `seg/lib.rs`) beats files merely inside `seg/`, which
             // hold same-named inner kernels (`simd::scale` is the
-            // dispatcher in `simd/mod.rs`, not the AVX2 kernel in
-            // `simd/avx2.rs`).
+            // dispatcher in `simd/mod.rs`, not a kernel body in
+            // `simd/bodies.rs`).
             let exact_file = format!("/{seg}.rs");
             let exact_mod = format!("/{seg}/mod.rs");
             let exact_lib = format!("/{seg}/src/lib.rs");

@@ -1,9 +1,7 @@
-//! The vector kernel bodies, each written once over [`Lanes`], and the two
-//! entry points that run one: [`on_256`] on `__m256d` / `__m256` (f64 x 4 /
-//! f32 x 8) under AVX2 + FMA, [`on_512`] on `__m512d` / `__m512` (f64 x 8 /
-//! f32 x 16) under AVX-512F. A body is an `#[inline(always)]` method without
-//! target features, compiled whole into the entry point that runs it, so the
-//! 256-bit instantiation never carries AVX-512F.
+//! The kernel bodies, each written once over [`Lanes`]: every backend runs
+//! the same body, the scalar one on the portable lanes (one complex value at
+//! a time) and the x86 ones on the vectors of `x86.rs`, so a kernel has one
+//! arithmetic and the same bits on all of them.
 //!
 //! Two ways of getting complex arithmetic onto real lanes:
 //!
@@ -22,18 +20,15 @@
 //! coordinate runs, its near partners left-packed into a list and a
 //! caller's per-pair terms run over that on [`On`], the lanes as a [`Lane`].
 //!
-//! The caller of an entry point (dispatch in `simd::mod`) has verified its
-//! features. Loads and stores are unaligned — operands come from
-//! caller-owned slices.
+//! Loads and stores are unaligned — operands come from caller-owned slices.
 
 use core::array::from_fn;
-use core::marker::PhantomData;
 
 use super::lanes::Lanes;
 use crate::complex::Complex;
 use crate::real::Real;
 use crate::simd::{
-    line_units, Far, Lane, LineOps, LineSet, NearTerms, PointPhases, RadialPass, Run, StencilPass,
+    line_units, Far, Lane, LineSet, NearTerms, PointPhases, RadialPass, StencilPass,
 };
 
 /// A kernel body with its operands.
@@ -42,35 +37,9 @@ pub trait Body<R: Real> {
     ///
     /// # Safety
     ///
-    /// The caller enables the target features of `L` and keeps the body's
-    /// own contract.
+    /// The caller enables the target features of `L` (none for the portable
+    /// lanes) and keeps the body's own contract.
     unsafe fn run<L: Lanes<R = R>>(self);
-}
-
-/// Runs `body` on the 256-bit lanes of `R`.
-///
-/// # Safety
-///
-/// The caller has verified AVX2 and FMA on this CPU and keeps the body's
-/// contract.
-#[target_feature(enable = "avx2", enable = "fma")]
-// SAFETY: (cpu=avx2) the caller verified AVX2 and FMA.
-pub unsafe fn on_256<R: Real>(body: impl Body<R>) {
-    // SAFETY: the features of `R::V256` are enabled; the rest is the caller's.
-    unsafe { body.run::<R::V256>() }
-}
-
-/// Runs `body` on the 512-bit lanes of `R`.
-///
-/// # Safety
-///
-/// The caller has verified AVX-512F on this CPU and keeps the body's
-/// contract.
-#[target_feature(enable = "avx512f")]
-// SAFETY: (cpu=avx512f) the caller verified AVX-512F.
-pub unsafe fn on_512<R: Real>(body: impl Body<R>) {
-    // SAFETY: the features of `R::V512` are enabled; the rest is the caller's.
-    unsafe { body.run::<R::V512>() }
 }
 
 /// `z *= ph` over an interleaved complex slice.
@@ -103,32 +72,6 @@ impl<R: Real> Body<R> for Scale<'_, R> {
             // SAFETY: the m reals of complex values i .. n are in bounds.
             unsafe { times(L::load_masked(pz.add(2 * i), m), p).store_masked(pz.add(2 * i), m) };
         }
-    }
-}
-
-/// The line kernel's operations on the lanes `L`: [`Pair`] — its `BARE` form
-/// when the pass is a bare rotation, whose partnerless points are left alone
-/// — or [`Scale`] for a unit, [`Scale`] for a point's phase.
-struct OnLanes<L>(PhantomData<L>);
-
-impl<R: Real, L: Lanes<R = R>> LineOps<R> for OnLanes<L> {
-    #[inline(always)]
-    unsafe fn unit(&self, p: &StencilPass<R>, a: Run<R>, b: Option<Run<R>>) {
-        // SAFETY: the caller enabled the features of `L`; the runs are slices.
-        unsafe {
-            match (p.rotation(), b) {
-                (Some(_), None) => {}
-                (Some(_), Some(b)) => Pair::<R, true>(a, b, p.d, p.o).run::<L>(),
-                (None, None) => Scale(a, p.lone).run::<L>(),
-                (None, Some(b)) => Pair::<R, false>(a, b, p.d, p.o).run::<L>(),
-            }
-        }
-    }
-
-    #[inline(always)]
-    unsafe fn point(&self, z: Run<R>, ph: Complex<R>) {
-        // SAFETY: the caller enabled the features of `L`.
-        unsafe { Scale(z, ph).run::<L>() };
     }
 }
 
@@ -220,9 +163,9 @@ fn rotate<L: Lanes, const BARE: bool>(u: L, v: L, [d_re, d_im, o_re, o_im]: [L; 
 }
 
 /// The kinetic line kernel, `Lines(ptr, set, passes, phases)`: the
-/// wavefront of [`line_units`] over the lanes' [`OnLanes`] operations. Their
-/// bodies are lane-local: an element rounds the same wherever it sits in a
-/// run, so the block size changes no bit.
+/// wavefront of [`line_units`], its units [`Pair`] and [`Scale`] on the same
+/// lanes. Their bodies are lane-local: an element rounds the same wherever it
+/// sits in a run, so the block size changes no bit.
 ///
 /// Its contract: `set.span()` elements are live behind `ptr` and have a
 /// phase in the table, `set.stride >= set.run` whenever a line has more than
@@ -244,7 +187,7 @@ impl<R: Real> Body<R> for Lines<'_, R> {
         let Lines(ptr, set, passes, phases) = self;
         // SAFETY: the caller's contract is the nest's, and the bodies are
         // compiled under the target features the caller enabled.
-        unsafe { line_units(ptr, set, passes, phases, &OnLanes::<L>(PhantomData)) };
+        unsafe { line_units::<L>(ptr, set, passes, phases) };
     }
 }
 
@@ -380,10 +323,11 @@ static LANE: [f64; 8] = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0];
 /// | r2` of `list` (`n` reals each) where the partner is near, their number
 /// in `count`, and the far terms summed into `sums`; then the near pairs'
 /// `terms` into the columns after those, on [`On`]. Partners go eight at a
-/// time, one 512-bit or two 256-bit vectors, partner `j` into slot `j % 8`,
-/// and a lane past the end of the run takes `r2 = -1`, which every far term
-/// selects away (a point on the centre, `-Z/0`, is near and selected away
-/// too) and the near mask leaves out: both widths give the same bits.
+/// time, one 512-bit, two 256-bit or four portable vectors, partner `j` into
+/// slot `j % 8`, and a lane past the end of the run takes `r2 = -1`, which
+/// every far term selects away (a point on the centre, `-Z/0`, is near and
+/// selected away too) and the near mask leaves out: every width gives the
+/// same bits.
 pub struct Radial<'a, T>(
     pub &'a RadialPass<'a>,
     pub &'a T,
@@ -415,7 +359,7 @@ impl<T: NearTerms> Body<f64> for Radial<'_, T> {
             Some([x, y, z]) => (Some(x), Some(y), Some(z)),
             None => (None, None, None),
         };
-        let (list, mut acc, mut at) = (list.as_mut_ptr(), [[zero; 4]; 2], 0);
+        let (list, mut acc, mut at) = (list.as_mut_ptr(), [[zero; 4]; 4], 0);
         // SAFETY: the first w <= 8 lanes of LANE.
         let lane = unsafe { L::load(LANE.as_ptr()) };
         while at < n {

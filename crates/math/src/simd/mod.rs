@@ -40,17 +40,17 @@
 //!   AVX-512F, else AVX2+FMA, else scalar;
 //! * `avx2` — AVX2 lanes, 256 bits on any CPU (silently degrades to scalar
 //!   when unsupported);
-//! * `scalar` — force the portable path: plain `Complex<R>` arithmetic, no
-//!   FMA contraction. The pointwise and line kernels then perform the
-//!   arithmetic sequence of the pre-SIMD code.
+//! * `scalar` — the lane bodies one complex value at a time, on any CPU:
+//!   auto's bits.
 //!
-//! Each vector kernel body is written once over the lane trait of
-//! `lanes.rs` and instantiated per width: `f64` runs it in `__m256d` or
-//! `__m512d` (two or four complex values per vector), `f32` in `__m256` or
-//! `__m512` (four or eight), the vector chosen from `R` through
-//! [`Vectorized`]. Every lane operation is lane-local and no body reduces
-//! across lanes (the radial pass sums into eight fixed slots, one or two
-//! vectors), so both widths give the same bits.
+//! Each kernel body is written once over the lane trait of `lanes.rs` and
+//! instantiated per backend: the scalar one runs it on the portable lanes
+//! (one complex value, `fmadd` as [`Real::mul_add`]); on x86, `f64` runs it
+//! in `__m256d` or `__m512d` (two or four complex values per vector), `f32`
+//! in `__m256` or `__m512` (four or eight), the vector chosen from `R`
+//! through [`Vectorized`]. Every lane operation is lane-local and no body
+//! reduces across lanes (the radial pass sums into eight fixed slots, one,
+//! two or four vectors), so every backend gives the same bits.
 //!
 //! Every kernel also has a `*_with(backend, ..)` variant taking an explicit
 //! [`Backend`], used by the equivalence tests and benches so they never
@@ -65,10 +65,13 @@ use std::sync::OnceLock;
 use crate::complex::Complex;
 use crate::real::Real;
 
-#[cfg(target_arch = "x86_64")]
-mod avx2;
-#[cfg(target_arch = "x86_64")]
+mod bodies;
 mod lanes;
+#[cfg(target_arch = "x86_64")]
+mod x86;
+
+use bodies::{Body, Gemm, Lines, Pair, Radial, Scale};
+use lanes::{Lanes, Scalar};
 
 /// Names the 256- and the 512-bit vector the kernels run `Self` in, so that
 /// a kernel generic over `R` picks its instantiation from `R` and the width
@@ -109,7 +112,8 @@ pub enum Backend {
     Avx512,
     /// AVX2 + FMA kernels: `f64` four reals to a vector, `f32` eight.
     Avx2,
-    /// Portable scalar kernels — bitwise identical to the pre-SIMD code.
+    /// The same kernel bodies on portable lanes, one complex value at a
+    /// time: the other backends' bits on any CPU.
     Scalar,
 }
 
@@ -131,22 +135,24 @@ pub fn resolve(backend: Backend) -> Backend {
     Backend::Scalar
 }
 
-/// Runs `body` on the lanes `backend` resolves to; `false`, having run
-/// nothing, where that is the scalar path.
+/// Runs `body` on the lanes `backend` resolves to: the portable ones where
+/// that is the scalar path.
 ///
 /// # Safety
 ///
 /// The body's own contract holds.
-#[cfg(target_arch = "x86_64")]
-unsafe fn vector<R: Real>(backend: Backend, body: impl avx2::Body<R>) -> bool {
+unsafe fn vector<R: Real>(backend: Backend, body: impl Body<R>) {
     match resolve(backend) {
+        #[cfg(target_arch = "x86_64")]
         // SAFETY: (cpu=avx512f) checked by `resolve`; the rest is the caller's.
-        Backend::Avx512 => unsafe { avx2::on_512(body) },
+        Backend::Avx512 => unsafe { x86::on_512(body) },
+        #[cfg(target_arch = "x86_64")]
         // SAFETY: (cpu=avx2) checked by `resolve`; the rest is the caller's.
-        Backend::Avx2 => unsafe { avx2::on_256(body) },
-        Backend::Scalar => return false,
+        Backend::Avx2 => unsafe { x86::on_256(body) },
+        // Scalar (all there is off x86).
+        // SAFETY: the portable lanes need no feature; the rest is the caller's.
+        _ => unsafe { body.run::<Scalar<R>>() },
     }
-    true
 }
 
 /// 0 = no override, 1 = Avx2, 2 = Scalar, 3 = Avx512.
@@ -208,102 +214,17 @@ pub fn clear_backend_override() {
 }
 
 // ---------------------------------------------------------------------------
-// Pointwise kernels (scalar reference + dispatch)
+// Pointwise kernels
 // ---------------------------------------------------------------------------
-
-/// `z *= ph` over a slice — scalar reference (the potential/phase loop).
-// Out of line for the same reason as `pair_update_scalar`.
-#[inline(never)]
-pub fn scale_scalar<R: Real>(zs: &mut [Complex<R>], ph: Complex<R>) {
-    for z in zs {
-        *z *= ph;
-    }
-}
-
-/// The kinetic stencil 2×2 pair rotation over two equal-length slices —
-/// scalar reference (the exact arithmetic of the sweep inner loop):
-/// `a' = d*a + o*b`, `b' = o*a + d*b`.
-// Out of line: the `noalias` of the two `&mut` runs only survives a call
-// boundary. Inlined into the portable line kernel, whose runs all derive
-// from one raw pointer, the loop no longer auto-vectorizes (the forced-scalar
-// path 3.5x slower on f32, measured).
-#[inline(never)]
-pub fn pair_update_scalar<R: Real>(
-    a: &mut [Complex<R>],
-    b: &mut [Complex<R>],
-    d: Complex<R>,
-    o: Complex<R>,
-) {
-    debug_assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter_mut().zip(b.iter_mut()) {
-        let u = *x;
-        let v = *y;
-        *x = d * u + o * v;
-        *y = o * u + d * v;
-    }
-}
-
-/// The bare pair rotation `a' = c*a - i*s*b`, `b' = -i*s*a + c*b` with real
-/// `c`, `s` — scalar reference: [`pair_update_scalar`] at `d = (c, 0)`,
-/// `o = (0, -s)` without the products that are zero.
-// Out of line for the same reason as `pair_update_scalar`.
-#[inline(never)]
-pub fn pair_rotate_scalar<R: Real>(a: &mut [Complex<R>], b: &mut [Complex<R>], c: R, s: R) {
-    debug_assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter_mut().zip(b.iter_mut()) {
-        let (u, v) = (*x, *y);
-        *x = Complex::new(c * u.re + s * v.im, c * u.im - s * v.re);
-        *y = Complex::new(c * v.re + s * u.im, c * v.im - s * u.re);
-    }
-}
 
 /// `z *= ph` over a slice on an explicit backend.
 pub fn scale_with<R: Real>(backend: Backend, zs: &mut [Complex<R>], ph: Complex<R>) {
-    #[cfg(target_arch = "x86_64")]
     // SAFETY: a slice is all the body asks for.
-    if unsafe { vector(backend, avx2::Scale(zs, ph)) } {
-        return;
-    }
-    let _ = backend;
-    scale_scalar(zs, ph);
+    unsafe { vector(backend, Scale(zs, ph)) };
 }
 
-/// A run of a line.
-type Run<'a, R> = &'a mut [Complex<R>];
-
-/// What the line kernel does with a unit of a wavefront (`p` on the run `a`
-/// and its partner `b`, if any) and with a point's phase: the scalar
-/// references or a lane body's. Not closures, so that a lane body's methods
-/// are `#[inline(always)]` into its entry point.
-trait LineOps<R: Real> {
-    /// # Safety
-    ///
-    /// The target features of the implementor's lanes are enabled.
-    unsafe fn unit(&self, p: &StencilPass<R>, a: Run<R>, b: Option<Run<R>>);
-    /// # Safety
-    ///
-    /// As for `unit`.
-    unsafe fn point(&self, z: Run<R>, ph: Complex<R>);
-}
-
-struct ScalarOps;
-
-impl<R: Real> LineOps<R> for ScalarOps {
-    unsafe fn unit(&self, p: &StencilPass<R>, a: Run<R>, b: Option<Run<R>>) {
-        match (p.rotation(), b) {
-            (Some(_), None) => {}
-            (Some((c, s)), Some(b)) => pair_rotate_scalar(a, b, c, s),
-            (None, None) => scale_scalar(a, p.lone),
-            (None, Some(b)) => pair_update_scalar(a, b, p.d, p.o),
-        }
-    }
-
-    unsafe fn point(&self, z: Run<R>, ph: Complex<R>) {
-        scale_scalar(z, ph);
-    }
-}
-
-/// Stencil pair rotation on an explicit backend.
+/// The kinetic stencil's 2×2 pair rotation over two equal-length slices on
+/// an explicit backend: `a' = d*a + o*b`, `b' = o*a + d*b`.
 pub fn pair_update_with<R: Real>(
     backend: Backend,
     a: &mut [Complex<R>],
@@ -311,16 +232,13 @@ pub fn pair_update_with<R: Real>(
     d: Complex<R>,
     o: Complex<R>,
 ) {
-    #[cfg(target_arch = "x86_64")]
     // SAFETY: two disjoint slices are all the body asks for.
-    if unsafe { vector(backend, avx2::Pair::<R, false>(a, b, d, o)) } {
-        return;
-    }
-    let _ = backend;
-    pair_update_scalar(a, b, d, o);
+    unsafe { vector(backend, Pair::<R, false>(a, b, d, o)) };
 }
 
-/// Bare pair rotation (see [`pair_rotate_scalar`]) on an explicit backend.
+/// The bare pair rotation `a' = c*a - i*s*b`, `b' = -i*s*a + c*b` with real
+/// `c`, `s` on an explicit backend: [`pair_update_with`] at `d = (c, 0)`,
+/// `o = (0, -s)`, the same bits without the products that are zero.
 pub fn pair_rotate_with<R: Real>(
     backend: Backend,
     a: &mut [Complex<R>],
@@ -328,16 +246,9 @@ pub fn pair_rotate_with<R: Real>(
     c: R,
     s: R,
 ) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        let (d, o) = (Complex::new(c, R::ZERO), Complex::new(R::ZERO, -s));
-        // SAFETY: two disjoint slices are all the body asks for.
-        if unsafe { vector(backend, avx2::Pair::<R, true>(a, b, d, o)) } {
-            return;
-        }
-    }
-    let _ = backend;
-    pair_rotate_scalar(a, b, c, s);
+    let (d, o) = (Complex::new(c, R::ZERO), Complex::new(R::ZERO, -s));
+    // SAFETY: two disjoint slices are all the body asks for.
+    unsafe { vector(backend, Pair::<R, true>(a, b, d, o)) };
 }
 
 // ---------------------------------------------------------------------------
@@ -373,20 +284,8 @@ fn real_gemm<R: Real>(
     // (EXPERIMENTS.md "512-bit lanes"): such a product takes those.
     let narrow = backend == Backend::Avx512 && ncols * std::mem::size_of::<R>() < 64;
     let backend = if narrow { Backend::Avx2 } else { backend };
-    #[cfg(target_arch = "x86_64")]
     // SAFETY: (bounds=the assert above is the body's contract)
-    if unsafe { vector(backend, avx2::Gemm(x, (sa, sq), nq, b, c, ncols)) } {
-        return;
-    }
-    let _ = backend;
-    for (a, row) in c.chunks_exact_mut(ncols).enumerate() {
-        for (q, brow) in b.chunks_exact(ncols).enumerate() {
-            let xv = x[a * sa + q * sq];
-            for (z, bv) in row.iter_mut().zip(brow) {
-                *z += xv * *bv;
-            }
-        }
-    }
+    unsafe { vector(backend, Gemm(x, (sa, sq), nq, b, c, ncols)) };
 }
 
 /// The real block overlap `out[i * nr + c] = alpha * sum_p l[p * nl + i] *
@@ -577,32 +476,33 @@ fn lockstep_lines<R>(set: &LineSet, n_passes: usize) -> usize {
     (16384 / ((n_passes + 1) * set.run * size).max(1)).clamp(1, set.n_lines.max(1))
 }
 
-/// The loop nest of the line kernel, one for both backends: every line of
-/// `set`, one orbital block at a time, hands the units of a [`Wavefront`]
-/// over `passes` to `ops.unit` as the pass, the run it touches and that run's
+/// The loop nest of the line kernel on the lanes `L`: every line of `set`,
+/// one orbital block at a time, hands the units of a [`Wavefront`] over
+/// `passes` to [`unit`] as the pass, the run it touches and that run's
 /// partner (none for a partnerless point). Short lines go in lockstep groups
 /// ([`lockstep_lines`]): each unit for every line of the group. With
-/// `phases`, each point goes to `ops.point` with its phase before the first
-/// pass's unit over it, or after the wavefront of its line (group): in one
-/// run where the line's runs follow each other.
+/// `phases`, each point is scaled by its phase before the first pass's unit
+/// over it, or after the wavefront of its line (group): in one run where the
+/// line's runs follow each other. The helpers are `#[inline(always)]` fns,
+/// not closures, so that they compile into the lanes' entry point.
 ///
 /// # Safety
 ///
-/// Same contract as [`stencil_lines_raw`], whose checks ran already.
+/// Same contract as [`stencil_lines_raw`], whose checks ran already, and the
+/// target features of `L` are enabled.
 // SAFETY: (bounds=every run of len elements from first + line*line_step +
 // nb + i*stride with line < n_lines and i < n_axis and nb + len <= run ends
 // at or below set.span() which the dispatcher checked against the
 // allocation and the phase table, aliasing=the caller owns the set's lines;
 // partner runs are stride >= run >= len apart)
 #[inline(always)]
-unsafe fn line_units<R: Real>(
-    ptr: *mut Complex<R>,
+unsafe fn line_units<L: Lanes>(
+    ptr: *mut Complex<L::R>,
     set: &LineSet,
-    passes: &[StencilPass<R>],
-    phases: Option<&PointPhases<'_, R>>,
-    ops: &impl LineOps<R>,
+    passes: &[StencilPass<L::R>],
+    phases: Option<&PointPhases<'_, L::R>>,
 ) {
-    let group = lockstep_lines::<R>(set, passes.len());
+    let group = lockstep_lines::<L::R>(set, passes.len());
     let pre = phases.filter(|p| p.at == PhaseAt::BeforeFirstPass);
     let post = phases.filter(|p| p.at == PhaseAt::AfterLastPass);
     // A run's point by multiply-adds where the set steps by whole points: a
@@ -633,18 +533,18 @@ unsafe fn line_units<R: Real>(
                     let b = a + set.stride;
                     if let Some(p) = pre.filter(|_| q == 0) {
                         // SAFETY: the runs claimed above; the caller's
-                        // contract covers `ops` (here and below).
-                        unsafe { phase_run(ptr, a, len, point(l, at, a), p, ops) };
+                        // contract covers `L` (here and below).
+                        unsafe { phase_run::<L>(ptr, a, len, point(l, at, a), p) };
                         if !lone {
                             // SAFETY: as above.
-                            unsafe { phase_run(ptr, b, len, point(l, at + 1, b), p, ops) };
+                            unsafe { phase_run::<L>(ptr, b, len, point(l, at + 1, b), p) };
                         }
                     }
                     // SAFETY: as above; each slice is dropped before the
                     // next one over its elements.
                     let run = |e: usize| unsafe { std::slice::from_raw_parts_mut(ptr.add(e), len) };
                     // SAFETY: as above.
-                    unsafe { ops.unit(pass, run(a), (!lone).then(|| run(b))) };
+                    unsafe { unit::<L>(pass, run(a), (!lone).then(|| run(b))) };
                 }
             }
             if let Some(p) = post {
@@ -656,7 +556,7 @@ unsafe fn line_units<R: Real>(
                     for i in 0..count {
                         let e = set.first + l * set.line_step + nb + i * set.stride;
                         // SAFETY: the runs claimed above, `count` of them one.
-                        unsafe { phase_run(ptr, e, step, point(l, i, e), p, ops) };
+                        unsafe { phase_run::<L>(ptr, e, step, point(l, i, e), p) };
                     }
                 }
             }
@@ -666,21 +566,45 @@ unsafe fn line_units<R: Real>(
     }
 }
 
-/// The `len` elements at `e`, which start `r` elements into point `pt`, to
-/// `ops.point` one point (or the part of one they hold) at a time with its
-/// phase from `p`: a fn, not a closure, to be inlined into a lane body.
+/// One unit of a wavefront on the lanes `L`: the pass `p` on the run `a` and
+/// its partner `b` — [`Pair`], its bare form for a bare rotation — or on a
+/// partnerless `a`, [`Scale`] by `p.lone` (nothing for a bare rotation).
 ///
 /// # Safety
 ///
-/// The elements are live and the caller's alone, and the contract of `ops`.
+/// The target features of `L` are enabled.
 #[inline(always)]
-unsafe fn phase_run<R: Real>(
-    ptr: *mut Complex<R>,
+unsafe fn unit<L: Lanes>(
+    p: &StencilPass<L::R>,
+    a: &mut [Complex<L::R>],
+    b: Option<&mut [Complex<L::R>]>,
+) {
+    // SAFETY: the caller's features; the runs are slices.
+    unsafe {
+        match (p.rotation(), b) {
+            (Some(_), None) => {}
+            (Some(_), Some(b)) => Pair::<_, true>(a, b, p.d, p.o).run::<L>(),
+            (None, None) => Scale(a, p.lone).run::<L>(),
+            (None, Some(b)) => Pair::<_, false>(a, b, p.d, p.o).run::<L>(),
+        }
+    }
+}
+
+/// The `len` elements at `e`, which start `r` elements into point `pt`,
+/// times their phases from `p`: [`Scale`] on the lanes `L`, one point (or the
+/// part of one they hold) at a time.
+///
+/// # Safety
+///
+/// The elements are live and the caller's alone, and the target features of
+/// `L` are enabled.
+#[inline(always)]
+unsafe fn phase_run<L: Lanes>(
+    ptr: *mut Complex<L::R>,
     e: usize,
     len: usize,
     (pt, r): (usize, usize),
-    p: &PointPhases<'_, R>,
-    ops: &impl LineOps<R>,
+    p: &PointPhases<'_, L::R>,
 ) {
     // SAFETY: the caller's.
     let mut zs = unsafe { std::slice::from_raw_parts_mut(ptr.add(e), len) };
@@ -688,7 +612,7 @@ unsafe fn phase_run<R: Real>(
     while let Some(ph) = phases.next().filter(|_| !zs.is_empty()) {
         let (z, rest) = zs.split_at_mut(take.min(zs.len()));
         // SAFETY: the caller's.
-        unsafe { ops.point(z, *ph) };
+        unsafe { Scale(z, *ph).run::<L>() };
         (zs, take) = (rest, p.norb);
     }
 }
@@ -738,14 +662,8 @@ pub unsafe fn stencil_lines_raw<R: Real>(
         "invalid line set {set:?} of {} passes over {len} elements",
         passes.len()
     );
-    #[cfg(target_arch = "x86_64")]
     // SAFETY: (bounds=the checks above cover the body's contract)
-    if unsafe { vector(backend, avx2::Lines(ptr, set, passes, phases)) } {
-        return;
-    }
-    let _ = backend;
-    // SAFETY: the checks above cover the nest's contract.
-    unsafe { line_units(ptr, set, passes, phases, &ScalarOps) };
+    unsafe { vector(backend, Lines(ptr, set, passes, phases)) };
 }
 
 /// [`stencil_lines_raw`] over a slice the caller owns outright.
@@ -887,10 +805,9 @@ impl Near<'_> {
 
 /// The radial pass on an explicit backend: the [`Far::Sums`] (zeros
 /// otherwise) and the near partners, left-packed into `scratch` (at least
-/// [`NEAR_COLUMNS`] reals per partner) in `j` order with their `terms`. The
-/// lanes and the scalar twin make the same IEEE operations, and a sum is
-/// eight slots (partner `j` in slot `j % 8`) added in one order, so the bits
-/// are the same on every backend.
+/// [`NEAR_COLUMNS`] reals per partner) in `j` order with their `terms`. One
+/// body on every backend's lanes, and a sum is eight slots (partner `j` in
+/// slot `j % 8`) added in one order, so the bits are the same on all of them.
 pub fn radial_with<'a>(
     backend: Backend,
     pass: &RadialPass<'_>,
@@ -907,22 +824,9 @@ pub fn radial_with<'a>(
     assert!(shapes, "radial pass shape mismatch");
     let cols = &mut scratch[..NEAR_COLUMNS * n];
     let (mut sums, mut count) = ([[0.0; 8]; 4], 0);
-    #[cfg(target_arch = "x86_64")]
-    let body = avx2::Radial(pass, terms, &mut *cols, &mut sums, &mut count);
-    #[cfg(target_arch = "x86_64")]
+    let body = Radial(pass, terms, &mut *cols, &mut sums, &mut count);
     // SAFETY: (bounds=the assert and the slice above are the body's contract)
-    let done = unsafe { vector(backend, body) };
-    #[cfg(not(target_arch = "x86_64"))]
-    let done = false;
-    if !done {
-        count = radial_scalar(pass, cols, &mut sums);
-        for k in 0..count {
-            let t = terms.terms(cols[k], cols[4 * n + k]);
-            for (c, t) in t.into_iter().enumerate() {
-                cols[(5 + c) * n + k] = t;
-            }
-        }
-    }
+    unsafe { vector(backend, body) };
     let sums = sums.map(|s| ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7])));
     (sums, Near { cols, n, count })
 }
@@ -934,36 +838,6 @@ pub fn radial<'a>(
     scratch: &'a mut [f64],
 ) -> ([f64; 4], Near<'a>) {
     radial_with(active_backend(), pass, terms, scratch)
-}
-
-/// The scalar twin of `avx2::Radial`, operation for operation: every partner
-/// is written at the end of the near list, which grows where it is near.
-fn radial_scalar(pass: &RadialPass<'_>, near: &mut [f64], sums: &mut [[f64; 8]; 4]) -> usize {
-    let (n, mut count) = (pass.partners[0].len(), 0);
-    for j in 0..n {
-        let d: [f64; 3] = std::array::from_fn(|ax| {
-            let x = pass.partners[ax][j] - pass.centre[ax];
-            pass.period
-                .map_or(x, |l| x - l[ax] * (x * (1.0 / l[ax])).round_ties_even())
-        });
-        let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
-        for (k, x) in [j as f64, d[0], d[1], d[2], r2].into_iter().enumerate() {
-            near[k * n + count] = x;
-        }
-        count += usize::from(r2 <= pass.near2);
-        match pass.far {
-            _ if r2 <= pass.near2 => {}
-            Far::None => {}
-            Far::Sums(w, force2) => {
-                let (e, slot) = (w[j] / r2.sqrt(), j % 8);
-                let g = if r2 <= force2 { e / r2 } else { 0.0 };
-                sums[0][slot] += e;
-                (1..4).for_each(|k| sums[k][slot] += g * d[k - 1]);
-            }
-            Far::Field(v, scale) => v[j].set(v[j].get() + scale / r2.sqrt()),
-        }
-    }
-    count
 }
 
 #[cfg(test)]

@@ -1,21 +1,22 @@
-//! Property tests: the SIMD kernels must agree with the scalar reference
-//! within tight accumulation-order bounds, across odd shapes and remainder
-//! lanes — the fused line kernel must be *bitwise* identical to separate
-//! sweeps on every backend, and the AVX-512 lanes to the AVX2 ones.
+//! Property tests: every kernel gives the same bits on the scalar backend,
+//! the 256-bit lanes and the 512-bit lanes, across odd shapes and remainder
+//! lanes, and the fused line kernel the bits of separate sweeps.
 //!
-//! Tolerance model: FMA kernels and the scalar loops evaluate the same sums
-//! in different association orders, so each output entry may differ by a
-//! few ulps per accumulated term. We bound the difference by `64 * EPS *
-//! (k + 4) * scale` where `k` is the contraction depth and `scale` the
-//! magnitude of the entries involved — a bound a couple of orders above the
-//! observed differences but far below any algorithmic error.
+//! Tolerance model: none between backends. Each runs one kernel body, on
+//! lanes whose every operation is lane-local and rounds as the scalar IEEE
+//! one does (an FMA once), so any difference is a bug. Each kernel is also
+//! held to an implementation of its own here: the pointwise kernels to a
+//! per-value loop with the bodies' `mul_add`s in their operand order, the
+//! radial pass to a plain loop over the partners, both bit for bit; the line
+//! kernel to a pinned FNV of its bits; and the block kernels to triple loops
+//! in `f64`, within `450 eps` of the terms' magnitudes, since a triple loop
+//! adds in another order than the lanes' one multiply-add per term.
 //!
 //! Every kernel case is generic over the element type and runs at `f64`
-//! (four or eight reals to a vector) and `f32` (eight or sixteen): the four
-//! vector instantiations of one body get one suite.
+//! (two, four or eight reals to a vector) and `f32` (two, eight or sixteen):
+//! the six instantiations of one body get one suite.
 
 use std::cell::Cell;
-use std::io::Write;
 
 use dcmesh_math::simd::{
     self, Backend, Far, Lane, LineSet, NearTerms, PhaseAt, PointPhases, RadialPass, StencilPass,
@@ -31,19 +32,9 @@ fn random_vec<R: Real>(rng: &mut StdRng, n: usize) -> Vec<Complex<R>> {
     (0..n).map(|_| Complex::new(unit(), unit())).collect()
 }
 
-/// Accumulation-order tolerance for a depth-`k` contraction of O(1) data.
-fn tol<R: Real>(k: usize) -> f64 {
-    64.0 * R::EPSILON.to_f64() * (k as f64 + 4.0)
-}
-
 /// The bits of a run of reals, `f32` widened (exactly).
 fn bits<R: Real>(xs: &[R]) -> Vec<u64> {
     xs.iter().map(|x| x.to_f64().to_bits()).collect()
-}
-
-/// `|a - b|`, in `f64` whatever the element type.
-fn dist<R: Real>(a: Complex<R>, b: Complex<R>) -> f64 {
-    (a - b).abs().to_f64()
 }
 
 proptest! {
@@ -61,19 +52,43 @@ proptest! {
     }
 }
 
-/// `scale`, `pair_update` and `pair_rotate` on runs of `len` values: AVX2
-/// against scalar within rounding, AVX-512 against AVX2 and `pair_rotate(c,
-/// s)` against `pair_update((c, 0), (0, -s))` bit for bit.
+/// `u * c`, and `u * c + acc` with `acc`, as the pair kernels make it:
+/// `swap(u) * [-ci, ci]` fused onto `u * [cr, cr]`, itself fused onto `acc`.
+fn times<R: Real>(u: Complex<R>, c: Complex<R>, acc: Option<Complex<R>>) -> Complex<R> {
+    let (re, im) = match acc {
+        Some(acc) => (u.re.mul_add(c.re, acc.re), u.im.mul_add(c.re, acc.im)),
+        None => (u.re * c.re, u.im * c.re),
+    };
+    Complex::new(u.im.mul_add(-c.im, re), u.re.mul_add(c.im, im))
+}
+
+/// The pointwise kernels value by value, the bodies' `mul_add`s in their
+/// operand order: `scale` (`[zi, zi] * [-pi, pr]` fused onto `[zr, zr] *
+/// [pr, pi]`), `pair_update` and `pair_rotate`'s bare form.
+fn pointwise_oracle<R: Real>(
+    (z, u, v): (Complex<R>, Complex<R>, Complex<R>),
+    (ph, d, o): (Complex<R>, Complex<R>, Complex<R>),
+) -> [Complex<R>; 5] {
+    let (c, s) = (d.re, -o.im);
+    [
+        Complex::new(
+            z.im.mul_add(-ph.im, z.re * ph.re),
+            z.im.mul_add(ph.re, z.re * ph.im),
+        ),
+        times(v, o, Some(times(u, d, None))),
+        times(v, d, Some(times(u, o, None))),
+        Complex::new(v.im.mul_add(s, u.re * c), v.re.mul_add(-s, u.im * c)),
+        Complex::new(v.re.mul_add(c, u.im * s), v.im.mul_add(c, u.re * -s)),
+    ]
+}
+
+/// `scale`, `pair_update` and `pair_rotate` on runs of `len` values: every
+/// backend against the per-value oracle bit for bit, and `pair_rotate(c, s)`
+/// against `pair_update((c, 0), (0, -s))`.
 fn pointwise_case<R: Real>(rng: &mut StdRng, len: usize) {
     let tag = format!("{} len={len}", R::PRECISION_LABEL);
     // Unit-magnitude pair coefficients, like the kinetic propagator's.
     let (ph, d, o) = (polar::<R>(rng, 0.999), polar(rng, 0.5), polar(rng, 0.0));
-    let close = |s: &[Complex<R>], v: &[Complex<R>], what: &str| {
-        for (s, v) in s.iter().zip(v) {
-            // Pointwise kernel: depth-2 contraction, a few ulps at most.
-            assert!(dist(*s, *v) < tol::<R>(2), "{what} {tag}: {s:?} vs {v:?}");
-        }
-    };
     let (z0, a0, b0) = (
         random_vec::<R>(rng, len),
         random_vec::<R>(rng, len),
@@ -98,7 +113,11 @@ fn pointwise_case<R: Real>(rng: &mut StdRng, len: usize) {
         );
         [z, a_u, b_u, a_r, b_r]
     };
-    let (scalar, avx2, avx512) = (on(Backend::Scalar), on(Backend::Avx2), on(Backend::Avx512));
+    let mut want: [Vec<Complex<R>>; 5] = Default::default();
+    for i in 0..len {
+        let each = pointwise_oracle((z0[i], a0[i], b0[i]), (ph, d, o));
+        want.iter_mut().zip(each).for_each(|(w, x)| w.push(x));
+    }
     let names = [
         "scale",
         "pair_update a",
@@ -106,9 +125,11 @@ fn pointwise_case<R: Real>(rng: &mut StdRng, len: usize) {
         "pair_rotate a",
         "pair_rotate b",
     ];
-    for (((s, v), w), what) in scalar.iter().zip(&avx2).zip(&avx512).zip(names) {
-        close(s, v, what);
-        assert!(bits(as_reals(v)) == bits(as_reals(w)), "{what} {tag} 512");
+    for backend in [Backend::Scalar, Backend::Avx2, Backend::Avx512] {
+        for ((got, want), what) in on(backend).iter().zip(&want).zip(names) {
+            let same = bits(as_reals(got)) == bits(as_reals(want));
+            assert!(same, "{what} {backend:?} {tag}: {got:?} vs {want:?}");
+        }
     }
 }
 
@@ -198,7 +219,7 @@ fn pass_list<R: Real>(rng: &mut StdRng, n_passes: usize, bare: usize) -> Vec<Ste
 }
 
 /// Fused wavefront == separate sweeps, bit for bit, on every backend, and
-/// AVX-512 == AVX2, for a [`pass_list`]: bare, and with a table of per-point
+/// every backend the same bits, for a [`pass_list`]: bare, and with a table of per-point
 /// phases (points of `norb` elements) before the first pass or after the
 /// last == every element of every run times its point's phase, one at a
 /// time through the public scale kernel, before or after the sweeps.
@@ -250,7 +271,10 @@ fn stencil_case<R: Real>(
             );
             lanes.push(bits(as_reals(&fused)));
         }
-        assert!(lanes[1] == lanes[2], "avx512 vs avx2 {set:?} {at:?}");
+        assert!(
+            lanes.iter().all(|l| *l == lanes[0]),
+            "backends differ {set:?} {at:?}"
+        );
     }
 }
 
@@ -314,7 +338,7 @@ fn stencil_wavefront_equals_sweeps_at_every_block_size() {
 
 /// Both real block kernels on every backend against triple loops in `f64`,
 /// to `450 eps` (1e-13 in `f64`) of the sum of the terms' magnitudes, and
-/// AVX-512 against AVX2 bit for bit.
+/// every backend the same bits.
 fn real_block_case<R: Real>(rng: &mut StdRng, (nl, nr): (usize, usize), npts: usize) {
     let mut reals = |n: usize| -> Vec<R> {
         (0..n)
@@ -354,6 +378,7 @@ fn real_block_case<R: Real>(rng: &mut StdRng, (nl, nr): (usize, usize), npts: us
         }
         lanes.push([bits(&out), bits(&t)]);
     }
+    assert!(lanes[0] == lanes[1], "{nl}x{nr}x{npts}: avx2 vs scalar");
     assert!(lanes[1] == lanes[2], "{nl}x{nr}x{npts}: avx512 vs avx2");
 }
 
@@ -406,14 +431,10 @@ fn f64_avx2_bits_are_those_of_the_hand_written_kernels() {
     // The f64 instantiations of the lane-generic line kernel issue, lane for
     // lane, the instructions of the f64-only kernel they replaced (commit
     // 0b31463, where the constant was computed): three shapes with ragged
-    // ends, a partnerless last point and blocks of either parity.
-    if simd::resolve(Backend::Avx2) != Backend::Avx2 {
-        return;
-    }
-    for backend in [Backend::Avx2, Backend::Avx512] {
-        if backend == Backend::Avx512 && no_avx512() {
-            continue;
-        }
+    // ends, a partnerless last point and blocks of either parity. The scalar
+    // backend runs the same body, so the constant holds on any CPU (a width
+    // it lacks runs as the next narrower one).
+    for backend in [Backend::Scalar, Backend::Avx2, Backend::Avx512] {
         let mut rng = StdRng::seed_from_u64(1919);
         // The draws of the complex projector kernels this test pinned beside
         // the line kernel until they were deleted: the stencil's inputs stay
@@ -443,25 +464,13 @@ fn f64_avx2_bits_are_those_of_the_hand_written_kernels() {
     }
 }
 
-/// Does this CPU lack AVX-512F? Says so on stderr, past the harness's
-/// capture.
-fn no_avx512() -> bool {
-    let missing = simd::resolve(Backend::Avx512) != Backend::Avx512;
-    if missing {
-        let _ = writeln!(std::io::stderr(), "skipped: this CPU has no AVX-512F");
-    }
-    missing
-}
-
 #[test]
 fn avx512_gives_the_bits_of_avx2() {
-    // Each case also holds the 512-bit lanes to the 256-bit lanes' bits: a
-    // line of runs of every width 1..=17, and block products with that many
-    // rows and as many or twice as many columns, at each count of points
-    // (4096 in release builds only; `check.sh gates` runs them).
-    if no_avx512() {
-        return;
-    }
+    // Each case also holds the 512-bit lanes to the 256-bit lanes' bits (and
+    // those to the scalar backend's; a width the CPU lacks runs as the next
+    // narrower one): a line of runs of every width 1..=17, and block products
+    // with that many rows and as many or twice as many columns, at each count
+    // of points (4096 in release builds only; `check.sh gates` runs them).
     let mut rng = StdRng::seed_from_u64(512);
     let counts = if cfg!(debug_assertions) { 5 } else { 6 };
     for w in 1..=17 {
@@ -497,11 +506,43 @@ impl NearTerms for PieceTerms<'_> {
     }
 }
 
-/// Every output of the radial pass on `backend` — the near list and its
-/// terms, the sums of `Far::Sums` and the field of `Far::Field` — as bits,
-/// at a near radius that takes some partners, every one and none.
+/// A near partner's index, displacement, `r2` and terms.
+type NearPair = (usize, [f64; 3], f64, [f64; 3]);
+
+/// The radial pass as a plain loop over the partners, with the lane body's
+/// operations in its order and its eight sum slots (partner `j` in slot `j %
+/// 8`): the oracle of every backend.
+fn radial_loop(pass: &RadialPass<'_>, terms: &PieceTerms<'_>) -> ([f64; 4], Vec<NearPair>) {
+    let (mut sums, mut near) = ([[0.0; 8]; 4], Vec::new());
+    for j in 0..pass.partners[0].len() {
+        let d: [f64; 3] = std::array::from_fn(|ax| {
+            let x = pass.partners[ax][j] - pass.centre[ax];
+            pass.period
+                .map_or(x, |l| x - l[ax] * (x * (1.0 / l[ax])).round_ties_even())
+        });
+        let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
+        match pass.far {
+            _ if r2 <= pass.near2 => near.push((j, d, r2, terms.terms(j as f64, r2))),
+            Far::None => {}
+            Far::Sums(w, force2) => {
+                let (e, slot) = (w[j] / r2.sqrt(), j % 8);
+                let g = if r2 <= force2 { e / r2 } else { 0.0 };
+                sums[0][slot] += e;
+                (1..4).for_each(|k| sums[k][slot] += g * d[k - 1]);
+            }
+            Far::Field(v, scale) => v[j].set(v[j].get() + scale / r2.sqrt()),
+        }
+    }
+    let sums = sums.map(|s| ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7])));
+    (sums, near)
+}
+
+/// Every output of the radial pass on `backend`, or of [`radial_loop`]
+/// without one — the near list and its terms, the sums of `Far::Sums` and
+/// the field of `Far::Field` — as bits, at a near radius that takes some
+/// partners, every one and none.
 fn radial_bits(
-    backend: Backend,
+    backend: Option<Backend>,
     partners: [&[f64]; 3],
     w: &[f64],
     period: Option<[f64; 3]>,
@@ -527,9 +568,14 @@ fn radial_bits(
                 far,
             };
             let terms = PieceTerms(&table, &pieces);
-            let (sums, near) = simd::radial_with(backend, &pass, &terms, &mut scratch);
-            for k in 0..near.count() {
-                let (j, d, r2, t) = near.get(k);
+            let (sums, near) = match backend {
+                None => radial_loop(&pass, &terms),
+                Some(b) => {
+                    let (sums, near) = simd::radial_with(b, &pass, &terms, &mut scratch);
+                    (sums, (0..near.count()).map(|k| near.get(k)).collect())
+                }
+            };
+            for &(j, d, r2, t) in &near {
                 bits.extend(
                     d.into_iter()
                         .chain([r2, j as f64])
@@ -537,7 +583,7 @@ fn radial_bits(
                         .map(f64::to_bits),
                 );
             }
-            bits.push(near.count() as u64);
+            bits.push(near.len() as u64);
             bits.extend(sums.map(f64::to_bits));
         }
     }
@@ -546,7 +592,7 @@ fn radial_bits(
 }
 
 #[test]
-fn radial_pass_gives_the_scalar_twins_bits_at_both_widths() {
+fn radial_pass_gives_the_plain_loops_bits_on_every_backend() {
     // Partner counts on both sides of every lane count and vector pair; the
     // first partner sits on the centre (`-Z/0`, selected away) and the
     // second at distance 5, the last node of the first piece.
@@ -562,9 +608,9 @@ fn radial_pass_gives_the_scalar_twins_bits_at_both_widths() {
             [xs[j], ys[j], zs[j]] = at;
         }
         for period in [None, Some([30.0, 28.0, 32.0])] {
-            let want = radial_bits(Backend::Scalar, [&xs, &ys, &zs], &w, period);
-            for backend in [Backend::Avx2, Backend::Avx512] {
-                let got = radial_bits(backend, [&xs, &ys, &zs], &w, period);
+            let want = radial_bits(None, [&xs, &ys, &zs], &w, period);
+            for backend in [Backend::Scalar, Backend::Avx2, Backend::Avx512] {
+                let got = radial_bits(Some(backend), [&xs, &ys, &zs], &w, period);
                 assert!(got == want, "{backend:?} n = {n} period {period:?}");
             }
         }

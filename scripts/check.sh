@@ -8,25 +8,26 @@
 #                    root integration tests and the set-up eigensolve at 1, 2
 #                    and 4 pool threads (one value of each of the four
 #                    digests), the digests once
-#                    more on the 256-bit lanes (equal to auto's) and on the
-#                    scalar backend
+#                    more on the 256-bit lanes and on the scalar backend
+#                    (each equal to auto's)
 #   check.sh gates   heavy gates — frozen-benchmark build + smoke first,
 #                    rustdoc without a warning, then lines per crate under
-#                    a ceiling (33,296), a
+#                    a ceiling (33,018), a
 #                    grep that keeps scf_initial_state / MaxwellState /
 #                    export_state, the complex projector kernels, the packed
 #                    GEMM, the complex reference copies, the fallible comm
 #                    calls, the message faults, the erf table, the scalar
 #                    loops' oracles, the ground-state stack, the checkpoint
-#                    crate, the serve retry path, the metrics registry
-#                    and comm's modeled send and collectives from coming
-#                    back, eigensolver counts at the benchmark's shapes (one
+#                    crate, the serve retry path, the metrics registry,
+#                    comm's modeled send and collectives and the kernels'
+#                    scalar twins from coming back, eigensolver counts at the benchmark's shapes (one
 #                    cold solve, and every domain of a set-up), racecheck,
 #                    comm failures, NaN recovery and restart equivalence,
 #                    model check, serve_load losing no job, Figs. 2-3 at
 #                    their documented sweeps, Table I nowait
 #                    ablation, Table II modeled rows, the lane entry points
-#                    calling nothing out of line, ...
+#                    calling nothing out of line (in the SIMD tests and in
+#                    the root pipeline test's workload bodies), ...
 #   check.sh all     quick + gates (default)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -138,7 +139,9 @@ tier_quick() {
     echo "the 256-bit lanes' digests '$digest' are not auto's '$want'" >&2
     exit 1
   fi
-  # The other backend, once: no FMA contraction, so its digests are its own.
+  # The scalar backend, once: the same kernel bodies on portable lanes, one
+  # complex value at a time (`mul_add` where the vectors fuse), so auto's bits
+  # on any CPU.
   log=$(mktemp /tmp/dcmesh_threads_XXXXXX.log)
   SCRATCH+=("$log")
   {
@@ -148,7 +151,12 @@ tier_quick() {
     cat "$log" >&2
     exit 1
   }
-  echo "DCMESH_SIMD=scalar: $(grep -o -e '[a-z]*-digest [0-9a-f]*' "$log" | sort -u | tr '\n' ' ')"
+  digest=$(digests "$log")
+  echo "DCMESH_SIMD=scalar: $digest"
+  if [ "$digest" != "$want" ]; then
+    echo "the scalar backend's digests '$digest' are not auto's '$want'" >&2
+    exit 1
+  fi
 }
 
 tier_gates() {
@@ -177,7 +185,7 @@ tier_gates() {
   # it: a change lowers it to its new total, and one that must raise it says
   # why in EXPERIMENTS.md (each section's **Lines** paragraph holds the
   # history).
-  local ceiling=33296
+  local ceiling=33018
   if [ "$total" -gt "$ceiling" ]; then
     echo "the tree grew past $ceiling .rs lines" >&2
     exit 1
@@ -252,6 +260,14 @@ tier_gates() {
     echo "a name the metrics registry's removal deleted is back (lines above)" >&2
     exit 1
   fi
+  # One body per kernel: the scalar backend runs the lane bodies on portable
+  # lanes, so neither the hand-written scalar twins nor the line kernel's
+  # operations trait come back.
+  if grep -rn --include='*.rs' -E 'scale_scalar|pair_update_scalar|pair_rotate_scalar|radial_scalar|ScalarOps|LineOps|OnLanes' \
+    crates src tests examples; then
+    echo "a scalar twin of a kernel body is back (lines above)" >&2
+    exit 1
+  fi
   # The SIMD directory has a budget of its own: every line before a file's
   # `#[cfg(test)]`. 1,913 at PR 24 (its real block kernel), 1,137 since
   # PR 26 deleted the complex projector kernels and the packed GEMM.
@@ -296,27 +312,37 @@ tier_gates() {
   echo "== every lane entry point compiles its body whole (no call out of on_256 / on_512) =="
   # A body, or a helper over vectors, left out of line runs without the
   # entry point's target features and passes every vector through memory
-  # (several times slower, same bits — no test sees it). The release test
-  # binary instantiates every body, f64 and f32, at both widths: 11 of each
-  # entry point, and a body that drops out of one (fewer) fails too. The
-  # radial body runs a caller's near terms (the test's reads a quintic table
-  # of three pieces, a piece per lane), so the gathers, the table's
-  # arithmetic and `Lane` on the lanes are checked inside it.
+  # (several times slower, same bits — no test sees it). Two release
+  # binaries, each with a floor on its instantiations of either entry point
+  # (a body that drops out of one fails too): simd_equivalence instantiates
+  # every body, f64 and f32, at both widths (11; its radial body runs the
+  # test's near terms, a quintic table of three pieces, a piece per lane),
+  # and the root dcmesh_pipeline test the bodies the workloads run (9: the
+  # line kernel, the block products, and the radial pass over the force
+  # field's `qxmd::forcefield::Row` and the pseudopotential's
+  # `tddft::forces::VLoc`), so the gathers, the tables' arithmetic and
+  # `Lane` on the lanes are checked inside them.
   if command -v objdump > /dev/null; then
-    local eq_bin calls
-    eq_bin=$(cargo test --release -q -p dcmesh-math --test simd_equivalence --no-run --message-format json 2>/dev/null \
-      | sed -n 's/.*"executable":"\([^"]*\)".*/\1/p' | tail -1)
-    calls=$(objdump -d --no-show-raw-insn -C "$eq_bin" | awk '
-      /^[0-9a-f]+ <dcmesh_math::simd::avx2::on_(256|512)/ { entry = $2; match($2, /on_(256|512)/); n[substr($2, RSTART, RLENGTH)]++; next }
-      /^[0-9a-f]+ </ { entry = "" }
-      entry != "" && /\tcall/ { print entry, $0 }
-      END { if (n["on_256"] < 11 || n["on_512"] < 11)
-              printf "%d on_256 and %d on_512 instantiations, want 11 of each\n", n["on_256"], n["on_512"]
-            else printf "%d + %d instantiations of on_256 / on_512 checked\n", n["on_256"], n["on_512"] > "/dev/stderr" }')
-    if [ -n "$calls" ]; then
-      echo "$calls" >&2
-      exit 1
-    fi
+    local floor args bin calls
+    while read -r floor args; do
+      # shellcheck disable=SC2086 # $args is several words
+      bin=$(cargo test --release -q $args --no-run --message-format json 2>/dev/null \
+        | sed -n 's/.*"executable":"\([^"]*\)".*/\1/p' | tail -1)
+      calls=$(objdump -d --no-show-raw-insn -C "$bin" | awk -v floor="$floor" -v bin="${bin##*/}" '
+        /^[0-9a-f]+ <dcmesh_math::simd::x86::on_(256|512)/ { entry = $2; match($2, /on_(256|512)/); n[substr($2, RSTART, RLENGTH)]++; next }
+        /^[0-9a-f]+ </ { entry = "" }
+        entry != "" && /\tcall/ { print entry, $0 }
+        END { if (n["on_256"] < floor || n["on_512"] < floor)
+                printf "%s: %d on_256 and %d on_512 instantiations, want %d of each\n", bin, n["on_256"], n["on_512"], floor
+              else printf "%s: %d + %d instantiations of on_256 / on_512 checked\n", bin, n["on_256"], n["on_512"] > "/dev/stderr" }')
+      if [ -n "$calls" ]; then
+        echo "$calls" >&2
+        exit 1
+      fi
+    done <<'BINARIES'
+11 -p dcmesh-math --test simd_equivalence
+9 --test dcmesh_pipeline
+BINARIES
   else
     echo "objdump not found: skipped"
   fi
@@ -324,9 +350,10 @@ tier_gates() {
   echo "== real x complex projector against its triple loops, release (13,824 points included) =="
   ran_some cargo test --release -q -p dcmesh-lfd --lib real_projector_matches_triple_loops
 
-  echo "== SIMD forced-scalar equivalence (math + lfd suites) =="
-  # The scalar backend must reproduce today's results bit-compatibly; the
-  # bitwise-equality tests in these crates enforce it under the override.
+  echo "== SIMD forced-scalar suites (math + lfd) =="
+  # The math and lfd suites once more with every implicitly dispatched kernel
+  # on the scalar backend, whose bits are the lanes' (simd_equivalence and
+  # sp_backends hold the backends equal explicitly whatever the override).
   DCMESH_SIMD=scalar capped cargo test -q -p dcmesh-math -p dcmesh-lfd
 
   echo "== concurrency suites under the shadow-access race detector =="
