@@ -90,6 +90,12 @@ impl Encoder {
         Self::default()
     }
 
+    /// Empty payload written into `buf`'s allocation (its bytes dropped).
+    pub fn reusing(mut buf: Vec<u8>) -> Self {
+        buf.clear();
+        Self { buf }
+    }
+
     /// Finish and take the payload bytes.
     pub fn finish(self) -> Vec<u8> {
         self.buf
@@ -120,10 +126,22 @@ impl Encoder {
 
     /// Append a length-prefixed `f64` slice bit-exactly.
     pub fn put_f64_slice(&mut self, v: &[f64]) {
+        self.put_f64_rows(v.iter().map(|&x| [x]));
+    }
+
+    /// Append rows of `N` values as one `f64` slice, the rows one after the
+    /// other (the bytes of [`Encoder::put_f64_slice`] of their
+    /// concatenation): one resize, then a bulk copy.
+    pub fn put_f64_rows<const N: usize>(&mut self, rows: impl ExactSizeIterator<Item = [f64; N]>) {
+        let n = N * rows.len();
         self.buf.push(TAG_F64_SLICE);
-        self.buf.extend_from_slice(&(v.len() as u64).to_le_bytes());
-        for x in v {
-            self.buf.extend_from_slice(&x.to_le_bytes());
+        self.buf.extend_from_slice(&(n as u64).to_le_bytes());
+        let at = self.buf.len();
+        self.buf.resize(at + 8 * n, 0);
+        for (out, row) in self.buf[at..].chunks_exact_mut(8 * N).zip(rows) {
+            for (b, x) in out.chunks_exact_mut(8).zip(row) {
+                b.copy_from_slice(&x.to_le_bytes());
+            }
         }
     }
 
@@ -233,6 +251,37 @@ mod tests {
         assert_eq!(v[1].to_bits(), f64::NAN.to_bits());
         assert_eq!(v[2], -3.5e300);
         assert!(d.is_done());
+    }
+
+    #[test]
+    fn bulk_slices_roundtrip_and_write_the_bytes_of_one_value_at_a_time() {
+        // Lengths 0, 1 and odd, as slices and as rows of three, into a
+        // dirty buffer of another payload.
+        let one_by_one = |v: &[f64]| {
+            let mut bytes = vec![TAG_F64_SLICE];
+            bytes.extend_from_slice(&(v.len() as u64).to_le_bytes());
+            v.iter()
+                .for_each(|x| bytes.extend_from_slice(&x.to_le_bytes()));
+            bytes
+        };
+        for n in [0, 1, 7] {
+            let v: Vec<f64> = (0..3 * n).map(|i| (i as f64 - 2.5).powi(3) / 7.0).collect();
+            let mut dirty = Encoder::new();
+            dirty.put_f64_slice(&[f64::NAN; 40]);
+            let mut e = Encoder::reusing(dirty.finish());
+            e.put_f64_slice(&v[..n]);
+            e.put_f64_rows(v.chunks_exact(3).map(|r| [r[0], r[1], r[2]]));
+            let payload = e.finish();
+            assert_eq!(
+                payload,
+                [one_by_one(&v[..n]), one_by_one(&v)].concat(),
+                "{n}"
+            );
+            let mut d = Decoder::new(&payload);
+            assert_eq!(d.take_f64_vec().unwrap(), v[..n], "{n}");
+            assert_eq!(d.take_f64_vec().unwrap(), v, "{n}");
+            assert!(d.is_done());
+        }
     }
 
     #[test]

@@ -71,14 +71,6 @@ pub fn config_fingerprint(cfg: &DcMeshConfig) -> u64 {
     checksum64(&e.finish())
 }
 
-fn flatten3(rows: impl Iterator<Item = [f64; 3]>) -> Vec<f64> {
-    let mut out = Vec::new();
-    for r in rows {
-        out.extend_from_slice(&r);
-    }
-    out
-}
-
 /// Read the next f64 slice into `rows`, three values each.
 fn take_rows<'a>(
     d: &mut Decoder,
@@ -101,7 +93,7 @@ fn take_rows<'a>(
 
 /// Append complex amplitudes as interleaved `(re, im)` pairs.
 fn put_complex(e: &mut Encoder, z: &[C64]) {
-    e.put_f64_slice(&z.iter().flat_map(|z| [z.re, z.im]).collect::<Vec<_>>());
+    e.put_f64_slice(dcmesh_math::as_reals(z));
 }
 
 /// Read the next f64 slice into `out`. A slice of another length was taken
@@ -149,7 +141,14 @@ impl DcMeshSim {
 
     /// Serialize the full mutable state into a checkpoint payload.
     pub fn snapshot_bytes(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
+        self.snapshot_into(Vec::new())
+    }
+
+    /// [`DcMeshSim::snapshot_bytes`] written into `buf`'s allocation (its
+    /// old bytes dropped), so that a runner snapshotting every step reuses
+    /// one buffer.
+    pub fn snapshot_into(&self, buf: Vec<u8>) -> Vec<u8> {
+        let mut e = Encoder::reusing(buf);
         e.put_u64(config_fingerprint(&self.cfg));
         e.put_f64(self.time);
         e.put_u64(self.md_steps);
@@ -158,14 +157,14 @@ impl DcMeshSim {
         // Atoms + integrator internals.
         let atoms = &self.md.atoms;
         e.put_usize(atoms.len());
-        e.put_f64_slice(&flatten3(atoms.atoms.iter().map(|a| a.pos)));
-        e.put_f64_slice(&flatten3(atoms.atoms.iter().map(|a| a.vel)));
-        e.put_f64_slice(&flatten3(atoms.atoms.iter().map(|a| a.force)));
+        e.put_f64_rows(atoms.atoms.iter().map(|a| a.pos));
+        e.put_f64_rows(atoms.atoms.iter().map(|a| a.vel));
+        e.put_f64_rows(atoms.atoms.iter().map(|a| a.force));
         e.put_f64(self.md.potential_energy());
         e.put_u64(self.md.steps());
 
         // Ehrenfest external forces held constant over the MD step.
-        e.put_f64_slice(&flatten3(self.md.forces.external.iter().copied()));
+        e.put_f64_slice(self.md.forces.external.as_flattened());
 
         // Maxwell field history.
         for level in self.maxwell.field() {
@@ -179,8 +178,7 @@ impl DcMeshSim {
         e.put_f64(self.lk.time);
 
         // Dipole history driving the polarization current.
-        let prev_dipole: Vec<f64> = self.domains.iter().map(|d| d.prev_dipole).collect();
-        e.put_f64_slice(&prev_dipole);
+        e.put_f64_rows(self.domains.iter().map(|d| [d.prev_dipole]));
 
         // Per-domain FSSH state.
         e.put_usize(self.domains.len());
@@ -335,6 +333,21 @@ mod tests {
                 assert_eq!(x.im.to_bits(), y.im.to_bits());
             }
         }
+    }
+
+    #[test]
+    fn a_snapshot_into_a_dirty_longer_buffer_is_the_snapshot() {
+        let mut sim = DcMeshSim::new(quick_cfg());
+        sim.md_step();
+        let wider = DcMeshConfig {
+            domains_x: 4,
+            supercell_dims: [8, 2, 2],
+            ..quick_cfg()
+        };
+        let dirty = DcMeshSim::new(wider).snapshot_bytes();
+        let want = sim.snapshot_bytes();
+        assert!(dirty.len() > want.len());
+        assert!(sim.snapshot_into(dirty) == want);
     }
 
     #[test]

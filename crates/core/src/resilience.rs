@@ -274,7 +274,8 @@ impl ResilientRunner {
     }
 
     fn take_snapshot(&mut self) -> Result<(), CkptError> {
-        self.last_snapshot = self.sim.snapshot_bytes();
+        let buf = std::mem::take(&mut self.last_snapshot);
+        self.last_snapshot = self.sim.snapshot_into(buf);
         self.steps_since_ckpt = 0;
         if let Some(path) = &self.checkpoint_path {
             write_checkpoint_atomic(path, &self.last_snapshot)?;
@@ -433,6 +434,44 @@ mod tests {
             );
             assert!(runner.sim().is_finite());
             assert!(last.unwrap().excited_population.is_finite());
+        });
+    }
+
+    #[test]
+    fn a_rollback_from_a_reused_snapshot_buffer_is_bit_exact() {
+        // The uninterrupted run's step-3 snapshot, and that snapshot
+        // replayed at the halved QD step a rollback takes.
+        let (at_3, replayed) = {
+            let _guard = fault::test_lock();
+            let mut sim = DcMeshSim::new(quick_cfg());
+            (0..3).for_each(|_| drop(sim.md_step()));
+            let halved = DcMeshConfig {
+                dt_qd: 0.5 * quick_cfg().dt_qd,
+                n_qd: 2 * quick_cfg().n_qd,
+                ..quick_cfg()
+            };
+            let at_3 = sim.snapshot_bytes();
+            let mut replay = DcMeshSim::restore_from_bytes(halved, &at_3, false).unwrap();
+            replay.md_step();
+            (at_3, replay.snapshot_bytes())
+        };
+        fault::with_nan_at(3, || {
+            let mut runner = ResilientRunner::new(quick_cfg(), 1);
+            let buffer = runner.last_snapshot().as_ptr();
+            for step in 1..=3 {
+                runner.run_to(step).unwrap();
+                assert_eq!(runner.last_snapshot().as_ptr(), buffer, "snapshot {step}");
+            }
+            assert!(
+                runner.last_snapshot() == at_3,
+                "the third snapshot in one buffer"
+            );
+            runner.run_to(4).unwrap();
+            assert_eq!(runner.rollbacks(), 1);
+            assert!(
+                runner.sim().snapshot_bytes() == replayed,
+                "the rolled-back step"
+            );
         });
     }
 

@@ -1,5 +1,6 @@
 //! A warmed-up `DcMeshSim::md_step` (laser and Ehrenfest feedback on)
-//! allocates as often at 2 QD steps as at 12, and at most `MOST` times.
+//! allocates as often at 2 QD steps as at 12, and at most `MOST` times; the
+//! `physics_invariants` a supervised step takes, at most `METER_MOST` times.
 //!
 //! One test in this file, so nothing else allocates while it counts.
 
@@ -12,6 +13,11 @@ use dcmesh_lfd::LaserPulse;
 /// Two domains: one per `run_md_step`, the claim's timings, `a_at_domains`,
 /// the atom clone (two), two per FSSH step (its RK4 buffer, hop odds).
 const MOST: u64 = 10;
+
+/// Per domain of a served job: the scissor energies, the state block and its
+/// `h` block, the band energies and the FSSH populations. (16 when
+/// `band_energies` applied `h` to one orbital at a time, a buffer each.)
+const METER_MOST: u64 = 10;
 
 struct Counting;
 
@@ -63,12 +69,31 @@ fn allocations_per_md_step(n_qd: usize) -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed) - before
 }
 
+/// Heap allocations of one `physics_invariants` of a served job (the
+/// default configuration at 5 QD steps) after a step.
+fn allocations_per_invariants() -> u64 {
+    let mut sim = DcMeshSim::new(DcMeshConfig {
+        n_qd: 5,
+        ..DcMeshConfig::default()
+    });
+    sim.md_step();
+    sim.physics_invariants();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    std::hint::black_box(sim.physics_invariants());
+    ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
 #[test]
 fn md_step_allocations_do_not_grow_with_the_qd_steps() {
     if std::env::var_os("DCMESH_RACECHECK").is_some() {
         // The race detector's shadow log of every access is heap-backed.
         return;
     }
+    let meter = allocations_per_invariants();
+    assert!(
+        meter <= METER_MOST,
+        "{meter} allocations per physics_invariants (at most {METER_MOST})"
+    );
     let short = allocations_per_md_step(2);
     let long = allocations_per_md_step(12);
     assert_eq!(

@@ -622,16 +622,42 @@ impl<R: Real> LfdEngine<R> {
 
     /// `calc_energy()`: total electronic energy of each orbital right now —
     /// kinetic + local potential expectation plus the scissor (nonlocal)
-    /// correction of Eq. (8). The expensive expectation runs at f64.
+    /// correction of Eq. (8). The expensive expectation runs at f64, as one
+    /// block operation: the state cast once into a point-major block (the
+    /// SoA storage as it lies, AoS transposed), `h` applied to it as a real
+    /// block of `2 norb` columns, each column summed in grid order — every
+    /// element takes the operations of the one-orbital
+    /// [`Hamiltonian::expectation`](dcmesh_tddft::Hamiltonian::expectation),
+    /// in its order.
     pub fn band_energies(&self) -> Vec<f64> {
+        use dcmesh_math::{as_reals, as_reals_mut, C64};
         let scissor = self.scissor_energies();
-        let mut psi = vec![dcmesh_math::C64::zero(); self.cfg.mesh.len()];
-        (0..self.cfg.norb)
-            .map(|n| {
-                for (o, z) in psi.iter_mut().zip(self.orbital(n)) {
-                    *o = z.cast();
+        let (g, norb) = (self.cfg.mesh.len(), self.cfg.norb);
+        let mut psi = vec![C64::zero(); g * norb];
+        match &self.psi {
+            State::Soa(_) => psi
+                .iter_mut()
+                .zip(self.state_data())
+                .for_each(|(o, z)| *o = z.cast()),
+            State::Aos(_) => {
+                for (n, orbital) in self.state_data().chunks_exact(g).enumerate() {
+                    let column = psi[n..].iter_mut().step_by(norb);
+                    column.zip(orbital).for_each(|(o, z)| *o = z.cast());
                 }
-                self.h_loc.expectation(&psi, false) + scissor[n].to_f64()
+            }
+        }
+        let mut hpsi = vec![C64::zero(); g * norb];
+        self.h_loc
+            .apply(as_reals(&psi), as_reals_mut(&mut hpsi), false);
+        (0..norb)
+            .map(|n| {
+                let (p, hp) = (
+                    psi[n..].iter().step_by(norb),
+                    hpsi[n..].iter().step_by(norb),
+                );
+                let num: f64 = p.clone().zip(hp).map(|(a, b)| (a.conj() * *b).re).sum();
+                let den: f64 = p.map(|z| z.norm_sqr()).sum();
+                num / den + scissor[n].to_f64()
             })
             .collect()
     }
@@ -1005,7 +1031,11 @@ mod tests {
         // `density_f64` reads the native storage; `state_aos()` + the AoS
         // density is what it replaced. Laser on, so the dipole moves.
         let (cfg, v, orbitals, vals) = eigenstate_setup(10);
-        for build in [BuildKind::CpuBlas, BuildKind::CpuLoops] {
+        for build in [
+            BuildKind::CpuBlas,
+            BuildKind::CpuLoops,
+            BuildKind::GpuCublasPinned,
+        ] {
             let cfg = LfdConfig {
                 build,
                 delta_sci: 0.1,
@@ -1033,19 +1063,39 @@ mod tests {
                 let mu_aos = crate::spectrum::dipole_moment(&aos, &e.occupations, 0);
                 assert_eq!(mu.to_bits(), mu_aos.to_bits(), "{build:?}, step {step}");
                 dipoles.push(mu);
-                // The energy meter too: orbital by orbital through one
-                // buffer, what it read out of the copy.
-                let scissor = e.scissor_energies();
-                for (n, got) in e.band_energies().into_iter().enumerate() {
-                    let want = e.h_loc.expectation(aos.orbital(n), false) + scissor[n];
-                    assert_eq!(got.to_bits(), want.to_bits(), "{build:?}, E[{n}]");
-                }
+                let meter = energies_one_by_one(&e);
+                assert_eq!(bits(&e.band_energies()), meter, "{build:?}, step {step}");
             }
             assert!(
                 dipoles[0] != dipoles[2],
                 "{build:?}: the dipole never moved"
             );
         }
+        let mut e = LfdEngine::<f32>::with_initial_state(cfg, v, orbitals.cast());
+        for step in 0..3 {
+            e.run_md_step();
+            assert_eq!(
+                bits(&e.band_energies()),
+                energies_one_by_one(&e),
+                "f32, step {step}"
+            );
+        }
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The energy meter one orbital at a time: the one-orbital expectation
+    /// of each orbital of an AoS copy at f64, plus its scissor energy. The
+    /// block meter must give its bits.
+    fn energies_one_by_one<R: Real>(e: &LfdEngine<R>) -> Vec<u64> {
+        let (aos, scissor) = (e.state_aos(), e.scissor_energies());
+        let energy = |n: usize| {
+            let psi: Vec<_> = aos.orbital(n).iter().map(|z| z.cast()).collect();
+            e.h_loc.expectation(&psi, false) + scissor[n].to_f64()
+        };
+        bits(&(0..aos.norb()).map(energy).collect::<Vec<_>>())
     }
 
     #[test]

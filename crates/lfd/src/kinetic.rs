@@ -24,7 +24,10 @@
 //! block (`norb` for Algorithm 3) and whether the line sets are spread over
 //! teams. The kernel fuses the passes of a sweep per axis line, so a line is
 //! read from beyond L1 once per sweep; the device model still sees the
-//! paper's launches, one per pass of the paper's sequence.
+//! paper's launches, one per pass of the paper's sequence. Which pass touches
+//! which point next is worked out once, in [`KineticPropagator::new`]: each
+//! sweep is a [`dcmesh_math::simd::Sweep`], a unit list the kernel replays on
+//! every line, so the loop nest does no per-unit control work.
 //!
 //! The exact-unitary pairwise update makes the in-place sweep safe without
 //! the paper's `psi_old` carry buffer; eliminating that buffer is precisely
@@ -48,7 +51,7 @@ use dcmesh_device::{
     teams_distribute, teams_distribute_mut, Device, KernelWork, LaunchPolicy, Precision, StreamId,
 };
 use dcmesh_grid::{Mesh3, WfAos, WfSoa};
-use dcmesh_math::simd::{self, LineSet, PhaseAt, PointPhases, StencilPass};
+use dcmesh_math::simd::{self, LineSet, PhaseAt, PointPhases, StencilPass, Sweep};
 use dcmesh_math::{Complex, Real};
 use dcmesh_pool::SlicePtr;
 
@@ -90,10 +93,12 @@ pub struct KineticPropagator<R> {
     mesh: Mesh3,
     mass: R,
     dt: R,
-    /// Pass lists `[axis][sweep]`: the directional step `E O E` at `dt/2` and
-    /// at `dt`, then ([`STEP`]) the axis's share of a whole step — X, Y: two
-    /// half-steps, `E(dt/4) O(dt/2) E(dt/2) O(dt/2) E(dt/4)`; Z: its `Z(dt)`.
-    passes: [[Vec<StencilPass<R>>; 3]; 3],
+    /// Sweeps `[axis][list]` over the axis's lines, each with its unit list
+    /// (built here, replayed by every call): the directional step `E O E` at
+    /// `dt/2` and at `dt`, then ([`STEP`]) the axis's share of a whole step —
+    /// X, Y: two half-steps, `E(dt/4) O(dt/2) E(dt/2) O(dt/2) E(dt/4)`; Z: its
+    /// `Z(dt)`.
+    sweeps: [[Sweep<R>; 3]; 3],
 }
 
 /// Index of an axis's share of a whole step, beside `Half = 0`, `Full = 1`.
@@ -104,10 +109,13 @@ impl<R: Real> KineticPropagator<R> {
     pub fn new(mesh: Mesh3, dt: R, mass: R) -> Self {
         let (half, quarter) = (dt * R::HALF, dt * R::HALF * R::HALF);
         let spacing = [mesh.dx, mesh.dy, mesh.dz];
-        let passes = std::array::from_fn(|ax| {
+        let extent = [mesh.nx, mesh.ny, mesh.nz];
+        let sweeps = std::array::from_fn(|ax| {
             let h = R::from_f64(spacing[ax]);
             let diag = R::ONE / (mass * h * h);
-            let list = |angles: &[(R, usize)]| build_passes(angles, diag, -(diag * R::HALF));
+            let list = |angles: &[(R, usize)]| {
+                Sweep::new(&build_passes(angles, diag, -(diag * R::HALF)), extent[ax])
+            };
             let full = list(&[(half, 0), (dt, 1), (half, 0)]);
             let step = if ax == Axis::Z as usize {
                 full.clone()
@@ -120,7 +128,7 @@ impl<R: Real> KineticPropagator<R> {
             mesh,
             mass,
             dt,
-            passes,
+            sweeps,
         }
     }
 
@@ -140,7 +148,7 @@ impl<R: Real> KineticPropagator<R> {
     }
 
     fn pass_set(&self, axis: Axis, frac: StepFraction) -> &[StencilPass<R>] {
-        &self.passes[axis as usize][frac as usize]
+        self.sweeps[axis as usize][frac as usize].passes()
     }
 
     fn axis_extent(&self, axis: Axis) -> usize {
@@ -225,10 +233,10 @@ impl<R: Real> KineticPropagator<R> {
     ) {
         assert_eq!(psi.mesh().len(), self.mesh.len(), "mesh mismatch");
         let norb = psi.norb();
-        let (passes, data) = (self.pass_set(axis, frac), psi.data_mut());
+        let (sweep, data) = (&self.sweeps[axis as usize][frac as usize], psi.data_mut());
         // No teams: the same line sets, one after the other on this thread.
         dcmesh_pool::run_inline(|| {
-            sweep_axis(data, &self.mesh, norb, axis, passes, block_size, None);
+            sweep_axis(data, &self.mesh, norb, axis, sweep, block_size, None);
         });
     }
 
@@ -276,7 +284,7 @@ impl<R: Real> KineticPropagator<R> {
         phases: Option<PointPhases<'_, R>>,
     ) {
         assert_eq!(psi.mesh().len(), self.mesh.len(), "mesh mismatch");
-        let passes = &self.passes[axis as usize][list];
+        let sweep = &self.sweeps[axis as usize][list];
         let paper_passes = if list == STEP && axis != Axis::Z {
             6
         } else {
@@ -284,7 +292,7 @@ impl<R: Real> KineticPropagator<R> {
         };
         let norb = psi.norb();
         let data = psi.data_mut();
-        let mut run = || sweep_axis(data, &self.mesh, norb, axis, passes, block_size, phases);
+        let mut run = || sweep_axis(data, &self.mesh, norb, axis, sweep, block_size, phases);
         match device {
             Some((dev, policy)) => {
                 let work = self.pass_work(norb);
@@ -443,8 +451,9 @@ const STRANG_SEQUENCE: [(Axis, StepFraction); 5] = [
     (Axis::X, StepFraction::Half),
 ];
 
-/// One sweep — all of `passes` — over every line along `axis` of an SoA array
-/// (`block == 0`: all orbitals together): the kernel behind Algorithms 3-5.
+/// One sweep — all of its passes, in the unit order it was built with — over
+/// every line along `axis` of an SoA array (`block == 0`: all orbitals
+/// together): the kernel behind Algorithms 3-5.
 ///
 /// Teams own disjoint line sets. Y and Z lines lie inside one x-slab
 /// (`ny * nz * norb` contiguous elements), so the teams are the slabs; an X
@@ -460,7 +469,7 @@ fn sweep_axis<R: Real>(
     m: &Mesh3,
     norb: usize,
     axis: Axis,
-    passes: &[StencilPass<R>],
+    sweep: &Sweep<R>,
     block: usize,
     phases: Option<PointPhases<'_, R>>,
 ) {
@@ -497,7 +506,7 @@ fn sweep_axis<R: Real>(
                 unsafe {
                     let ptr = base.rows_mut(set.first, row, slab, m.nx);
                     let len = base.len();
-                    simd::stencil_lines_raw(backend, ptr, len, &set, passes, phases.as_ref());
+                    simd::stencil_lines_raw(backend, ptr, len, &set, sweep, phases.as_ref());
                 }
             });
         }
@@ -517,7 +526,7 @@ fn sweep_axis<R: Real>(
             table: p.table.get(x * m.ny * m.nz..).unwrap_or_default(),
             ..p
         });
-        simd::stencil_lines_with(backend, chunk, &set, passes, slab_phases.as_ref());
+        simd::stencil_lines_with(backend, chunk, &set, sweep, slab_phases.as_ref());
     });
 }
 
@@ -700,7 +709,7 @@ mod tests {
                         assert_eq!(alg5.data(), want.data(), "alg5 {tag}");
                         if axis != Axis::Z {
                             let mut want = wf0.to_soa();
-                            let merged = &prop.passes[axis as usize][STEP];
+                            let merged = prop.sweeps[axis as usize][STEP].passes();
                             assert_eq!(merged.len(), 5);
                             separate_sweeps(&mesh, &mut want, axis, merged, block);
                             let mut step = wf0.to_soa();

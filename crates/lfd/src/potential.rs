@@ -21,7 +21,7 @@
 
 use dcmesh_device::{teams_distribute_mut, Device, KernelWork, LaunchPolicy, Precision, StreamId};
 use dcmesh_grid::{Mesh3, WfSoa};
-use dcmesh_math::simd::{self, LineSet, PhaseAt, PointPhases};
+use dcmesh_math::simd::{self, LineSet, PhaseAt, PointPhases, Sweep};
 use dcmesh_math::{Complex, Real};
 
 /// Precomputed per-point propagator phases for one local potential snapshot.
@@ -141,7 +141,7 @@ impl<R: Real> PotentialPropagator<R> {
             run,
             block: run,
         };
-        let backend = simd::active_backend();
+        let (backend, no_passes) = (simd::active_backend(), Sweep::new(&[], n_axis));
         let data = psi.data_mut();
         let mut run = || {
             teams_distribute_mut(data, self.mesh.nx, |x, slab| {
@@ -151,7 +151,7 @@ impl<R: Real> PotentialPropagator<R> {
                     norb,
                     at: PhaseAt::AfterLastPass,
                 };
-                simd::stencil_lines_with(backend, slab, &set, &[], Some(&phases));
+                simd::stencil_lines_with(backend, slab, &set, &no_passes, Some(&phases));
             });
         };
         match device {

@@ -27,9 +27,7 @@ use core::array::from_fn;
 use super::lanes::Lanes;
 use crate::complex::Complex;
 use crate::real::Real;
-use crate::simd::{
-    line_units, Far, Lane, LineSet, NearTerms, PointPhases, RadialPass, StencilPass,
-};
+use crate::simd::{line_units, Far, Lane, LineSet, NearTerms, PointPhases, RadialPass, Sweep};
 
 /// A kernel body with its operands.
 pub trait Body<R: Real> {
@@ -162,18 +160,19 @@ fn rotate<L: Lanes, const BARE: bool>(u: L, v: L, [d_re, d_im, o_re, o_im]: [L; 
     }
 }
 
-/// The kinetic line kernel, `Lines(ptr, set, passes, phases)`: the
-/// wavefront of [`line_units`], its units [`Pair`] and [`Scale`] on the same
-/// lanes. Their bodies are lane-local: an element rounds the same wherever it
-/// sits in a run, so the block size changes no bit.
+/// The kinetic line kernel, `Lines(ptr, set, sweep, phases)`: the sweep's
+/// units replayed by [`line_units`], [`Pair`] and [`Scale`] on the same
+/// lanes. Their bodies are lane-local: an element rounds the same wherever
+/// it sits in a run, so the block size changes no bit.
 ///
 /// Its contract: `set.span()` elements are live behind `ptr` and have a
 /// phase in the table, `set.stride >= set.run` whenever a line has more than
-/// one point, and no other thread touches the set's lines during the call.
+/// one point, `sweep.n_axis() == set.n_axis`, and no other thread touches the
+/// set's lines during the call.
 pub struct Lines<'a, R>(
     pub *mut Complex<R>,
     pub &'a LineSet,
-    pub &'a [StencilPass<R>],
+    pub &'a Sweep<R>,
     pub Option<&'a PointPhases<'a, R>>,
 );
 
@@ -184,10 +183,10 @@ impl<R: Real> Body<R> for Lines<'_, R> {
     // allocation; the nest keeps every run below it, aliasing=the caller owns
     // the set's lines; partner runs are stride >= run >= len apart)
     unsafe fn run<L: Lanes<R = R>>(self) {
-        let Lines(ptr, set, passes, phases) = self;
+        let Lines(ptr, set, sweep, phases) = self;
         // SAFETY: the caller's contract is the nest's, and the bodies are
         // compiled under the target features the caller enabled.
-        unsafe { line_units::<L>(ptr, set, passes, phases) };
+        unsafe { line_units::<L>(ptr, set, sweep, phases) };
     }
 }
 

@@ -23,7 +23,9 @@
 //!   one loop nest: the passes of a sweep (up to [`MAX_PASSES`]) applied to
 //!   a line (or a bundle of adjacent lines) as a wavefront, so the live
 //!   points stay in L1 and the backend is resolved once per call, not once
-//!   per 256-byte run. A pass that is a bare rotation goes through
+//!   per 256-byte run. The wavefront's order is worked out once, when the
+//!   [`Sweep`] is built, into a list of units that every line replays, each
+//!   unit's kernel chosen there: a pass that is a bare rotation goes through
 //!   [`pair_rotate_with`] and leaves its partnerless points alone. A sweep
 //!   may also multiply in a phase per point ([`PointPhases`]).
 //! * **Radial pass** ([`radial_with`]) — one centre against a run of
@@ -352,7 +354,7 @@ pub struct StencilPass<R> {
 
 impl<R: Real> StencilPass<R> {
     /// `(c, s)` when the pass is the bare rotation `d = (c, 0)`, `o = (0, -s)`,
-    /// `lone = 1`, which the line kernel sends to [`pair_rotate_with`].
+    /// `lone = 1`, whose units a [`Sweep`] sends to [`pair_rotate_with`].
     #[inline(always)]
     pub fn rotation(&self) -> Option<(R, R)> {
         (self.d.im == R::ZERO && self.o.re == R::ZERO && self.lone == Complex::one())
@@ -427,7 +429,7 @@ impl LineSet {
 /// long it is and whatever its stride (a power-of-two stride maps all of a
 /// line's points to one cache set). Every point still sees its updates in
 /// pass order, with the same partner and the same operands, so the result
-/// is bit-for-bit that of separate sweeps.
+/// is bit-for-bit that of separate sweeps. [`Sweep::new`] walks it once.
 struct Wavefront<'a, R> {
     passes: &'a [StencilPass<R>],
     n_axis: usize,
@@ -441,7 +443,6 @@ impl<'a, R> Iterator for Wavefront<'a, R> {
     type Item = (usize, &'a StencilPass<R>, usize, bool);
 
     // AUDIT: no_panic
-    #[inline(always)]
     fn next(&mut self) -> Option<Self::Item> {
         // The latest pass that can move does: `ready` is how far the pass
         // before has got (the whole line, for the first).
@@ -462,6 +463,74 @@ impl<'a, R> Iterator for Wavefront<'a, R> {
     }
 }
 
+/// What one unit of a [`Sweep`] does at its point `at`.
+#[derive(Copy, Clone, Debug, PartialEq)]
+enum Op<R> {
+    /// [`Pair`] by `d`, `o` on the runs at `at` and `at + 1`.
+    Pair(Complex<R>, Complex<R>),
+    /// Its bare form, for a [`StencilPass::rotation`].
+    Rotate(Complex<R>, Complex<R>),
+    /// [`Scale`] of the partnerless run at `at` by the pass's `lone` phase.
+    Scale(Complex<R>),
+    /// Nothing: a partnerless point of a bare first pass, kept because the
+    /// phases before the first pass go with the first pass's units.
+    Touch,
+}
+
+/// One unit of a [`Sweep`]: pass `q` at point `at`.
+#[derive(Copy, Clone, Debug, PartialEq)]
+struct Unit<R> {
+    q: usize,
+    at: usize,
+    op: Op<R>,
+}
+
+/// A sweep of up to [`MAX_PASSES`] passes along lines of `n_axis` points,
+/// with its `Wavefront` order worked out once: the line kernel replays the
+/// unit list on every line, with no per-unit choice of the next pass and no
+/// per-unit test of the pass's kind. The units of a bare rotation over a
+/// partnerless point do nothing and are left out, but for the first pass's
+/// (the phases before the first pass go with them).
+#[derive(Clone, Debug)]
+pub struct Sweep<R> {
+    passes: Vec<StencilPass<R>>,
+    n_axis: usize,
+    units: Vec<Unit<R>>,
+}
+
+impl<R: Real> Sweep<R> {
+    /// The wavefront of `passes` over lines of `n_axis` points. The line
+    /// kernel refuses a sweep of more than [`MAX_PASSES`] passes, or of a pass
+    /// that starts past 1.
+    pub fn new(passes: &[StencilPass<R>], n_axis: usize) -> Self {
+        let order = Wavefront {
+            passes,
+            n_axis,
+            done: [0; MAX_PASSES],
+        };
+        let units = order.filter_map(|(q, pass, at, lone)| {
+            let op = match (pass.rotation(), lone) {
+                (Some(_), true) if q > 0 => return None,
+                (Some(_), true) => Op::Touch,
+                (Some(_), false) => Op::Rotate(pass.d, pass.o),
+                (None, true) => Op::Scale(pass.lone),
+                (None, false) => Op::Pair(pass.d, pass.o),
+            };
+            Some(Unit { q, at, op })
+        });
+        Self {
+            passes: passes.to_vec(),
+            n_axis,
+            units: units.collect(),
+        }
+    }
+
+    /// The passes, in order.
+    pub fn passes(&self) -> &[StencilPass<R>] {
+        &self.passes
+    }
+}
+
 /// How many lines of `set` one wavefront of `n_passes` drives in lockstep,
 /// paying its per-unit bookkeeping once for all of them (short lines pay it
 /// often): when a run is one block and the line step is no multiple of 4 KiB
@@ -477,14 +546,14 @@ fn lockstep_lines<R>(set: &LineSet, n_passes: usize) -> usize {
 }
 
 /// The loop nest of the line kernel on the lanes `L`: every line of `set`,
-/// one orbital block at a time, hands the units of a [`Wavefront`] over
-/// `passes` to [`unit`] as the pass, the run it touches and that run's
-/// partner (none for a partnerless point). Short lines go in lockstep groups
-/// ([`lockstep_lines`]): each unit for every line of the group. With
-/// `phases`, each point is scaled by its phase before the first pass's unit
-/// over it, or after the wavefront of its line (group): in one run where the
-/// line's runs follow each other. The helpers are `#[inline(always)]` fns,
-/// not closures, so that they compile into the lanes' entry point.
+/// one orbital block at a time, replays the units of `sweep` — [`Pair`],
+/// its bare form or [`Scale`] on the run of the unit's point (and its
+/// partner's). Short lines go in lockstep groups ([`lockstep_lines`]): each
+/// unit for every line of the group. With `phases`, each point is scaled by
+/// its phase before the first pass's unit over it, or after the wavefront of
+/// its line (group): in one run where the line's runs follow each other. The
+/// helpers are `#[inline(always)]` fns, not closures, so that they compile
+/// into the lanes' entry point.
 ///
 /// # Safety
 ///
@@ -493,16 +562,17 @@ fn lockstep_lines<R>(set: &LineSet, n_passes: usize) -> usize {
 // SAFETY: (bounds=every run of len elements from first + line*line_step +
 // nb + i*stride with line < n_lines and i < n_axis and nb + len <= run ends
 // at or below set.span() which the dispatcher checked against the
-// allocation and the phase table, aliasing=the caller owns the set's lines;
-// partner runs are stride >= run >= len apart)
+// allocation and the phase table; a unit's point is below sweep.n_axis ==
+// set.n_axis and a paired unit's partner too, aliasing=the caller owns the
+// set's lines; partner runs are stride >= run >= len apart)
 #[inline(always)]
 unsafe fn line_units<L: Lanes>(
     ptr: *mut Complex<L::R>,
     set: &LineSet,
-    passes: &[StencilPass<L::R>],
+    sweep: &Sweep<L::R>,
     phases: Option<&PointPhases<'_, L::R>>,
 ) {
-    let group = lockstep_lines::<L::R>(set, passes.len());
+    let group = lockstep_lines::<L::R>(set, sweep.passes.len());
     let pre = phases.filter(|p| p.at == PhaseAt::BeforeFirstPass);
     let post = phases.filter(|p| p.at == PhaseAt::AfterLastPass);
     // A run's point by multiply-adds where the set steps by whole points: a
@@ -522,12 +592,8 @@ unsafe fn line_units<L: Lanes>(
                 true => (p0 + l * pl + i * ps, r0),
                 false => (e / norb, e % norb),
             };
-            let units = Wavefront {
-                passes,
-                n_axis: set.n_axis,
-                done: [0; MAX_PASSES],
-            };
-            for (q, pass, at, lone) in units {
+            for &Unit { q, at, op } in &sweep.units {
+                let paired = matches!(op, Op::Pair(..) | Op::Rotate(..));
                 for l in line..line + lines {
                     let a = set.first + l * set.line_step + nb + at * set.stride;
                     let b = a + set.stride;
@@ -535,7 +601,7 @@ unsafe fn line_units<L: Lanes>(
                         // SAFETY: the runs claimed above; the caller's
                         // contract covers `L` (here and below).
                         unsafe { phase_run::<L>(ptr, a, len, point(l, at, a), p) };
-                        if !lone {
+                        if paired {
                             // SAFETY: as above.
                             unsafe { phase_run::<L>(ptr, b, len, point(l, at + 1, b), p) };
                         }
@@ -543,8 +609,15 @@ unsafe fn line_units<L: Lanes>(
                     // SAFETY: as above; each slice is dropped before the
                     // next one over its elements.
                     let run = |e: usize| unsafe { std::slice::from_raw_parts_mut(ptr.add(e), len) };
-                    // SAFETY: as above.
-                    unsafe { unit::<L>(pass, run(a), (!lone).then(|| run(b))) };
+                    // SAFETY: as above; the features are the caller's.
+                    unsafe {
+                        match op {
+                            Op::Pair(d, o) => Pair::<_, false>(run(a), run(b), d, o).run::<L>(),
+                            Op::Rotate(d, o) => Pair::<_, true>(run(a), run(b), d, o).run::<L>(),
+                            Op::Scale(lone) => Scale(run(a), lone).run::<L>(),
+                            Op::Touch => {}
+                        }
+                    }
                 }
             }
             if let Some(p) = post {
@@ -563,30 +636,6 @@ unsafe fn line_units<L: Lanes>(
             nb += len;
         }
         line += lines;
-    }
-}
-
-/// One unit of a wavefront on the lanes `L`: the pass `p` on the run `a` and
-/// its partner `b` — [`Pair`], its bare form for a bare rotation — or on a
-/// partnerless `a`, [`Scale`] by `p.lone` (nothing for a bare rotation).
-///
-/// # Safety
-///
-/// The target features of `L` are enabled.
-#[inline(always)]
-unsafe fn unit<L: Lanes>(
-    p: &StencilPass<L::R>,
-    a: &mut [Complex<L::R>],
-    b: Option<&mut [Complex<L::R>]>,
-) {
-    // SAFETY: the caller's features; the runs are slices.
-    unsafe {
-        match (p.rotation(), b) {
-            (Some(_), None) => {}
-            (Some(_), Some(b)) => Pair::<_, true>(a, b, p.d, p.o).run::<L>(),
-            (None, None) => Scale(a, p.lone).run::<L>(),
-            (None, Some(b)) => Pair::<_, false>(a, b, p.d, p.o).run::<L>(),
-        }
     }
 }
 
@@ -618,16 +667,16 @@ unsafe fn phase_run<L: Lanes>(
 }
 
 /// The kinetic line kernel on an explicit backend, over raw storage: every
-/// line of `set`, one orbital block at a time, takes the passes of a sweep
-/// (at most [`MAX_PASSES`]) as one wavefront, so a line's `n_axis x block`
-/// amplitudes are read from beyond L1 once per sweep instead of once per
-/// pass. The backend is resolved once per call; per element the arithmetic
-/// is that of [`pair_rotate_with`] for a bare [`StencilPass::rotation`]
-/// (partnerless points untouched), of [`pair_update_with`] / [`scale_with`]
-/// for any other pass, on a run of the block's length — and, with `phases`,
-/// that of [`scale_with`] by the point's phase before the first pass or
-/// after the last. Lines are independent, so neither the lockstep groups nor
-/// the phases' place in the wavefront move a bit.
+/// line of `set`, one orbital block at a time, replays the units of `sweep`
+/// (its passes as one wavefront), so a line's `n_axis x block` amplitudes
+/// are read from beyond L1 once per sweep instead of once per pass. The
+/// backend is resolved once per call; per element the arithmetic is that of
+/// [`pair_rotate_with`] for a bare [`StencilPass::rotation`] (partnerless
+/// points untouched), of [`pair_update_with`] / [`scale_with`] for any other
+/// pass, on a run of the block's length — and, with `phases`, that of
+/// [`scale_with`] by the point's phase before the first pass or after the
+/// last. Lines are independent, so neither the lockstep groups nor the
+/// phases' place in the wavefront move a bit.
 ///
 /// The raw form exists for callers that hand disjoint, *strided* line
 /// sets of one array to different threads (no `&mut` sub-slice can express
@@ -637,16 +686,17 @@ unsafe fn phase_run<L: Lanes>(
 ///
 /// `len` elements must be live behind `ptr`, and for the duration of the
 /// call nothing else may access the elements of the set's lines.
-// SAFETY: (bounds=set.span() <= len, block >= 1 and a phase table covering
-// set.span() are asserted before any access, aliasing=the caller grants
-// exclusive access to the set's lines; stride >= norb is asserted so
-// partner runs never overlap)
+// SAFETY: (bounds=set.span() <= len, block >= 1, sweep.n_axis == set.n_axis
+// (a unit's pair at, at + 1 is then on the line), at most MAX_PASSES passes
+// each starting at 0 or 1, and a phase table covering set.span() are
+// asserted before any access, aliasing=the caller grants exclusive access to
+// the set's lines; stride >= norb is asserted so partner runs never overlap)
 pub unsafe fn stencil_lines_raw<R: Real>(
     backend: Backend,
     ptr: *mut Complex<R>,
     len: usize,
     set: &LineSet,
-    passes: &[StencilPass<R>],
+    sweep: &Sweep<R>,
     phases: Option<&PointPhases<'_, R>>,
 ) {
     // AUDIT: waiver(entry guard before the raw-pointer sweep; a bad line set must fail loudly)
@@ -654,16 +704,18 @@ pub unsafe fn stencil_lines_raw<R: Real>(
         set.block >= 1
             && set.span() <= len
             && (set.n_axis <= 1 || set.stride >= set.run)
-            && passes.len() <= MAX_PASSES
-            && passes.iter().all(|p| p.start <= 1)
+            && sweep.n_axis == set.n_axis
+            && sweep.passes.len() <= MAX_PASSES
+            && sweep.passes.iter().all(|p| p.start <= 1)
             && phases.is_none_or(|p| {
                 p.norb >= 1 && set.span() <= p.table.len().saturating_mul(p.norb)
             }),
-        "invalid line set {set:?} of {} passes over {len} elements",
-        passes.len()
+        "invalid line set {set:?} for a sweep of {} passes over {} points, {len} elements",
+        sweep.passes.len(),
+        sweep.n_axis
     );
     // SAFETY: (bounds=the checks above cover the body's contract)
-    unsafe { vector(backend, Lines(ptr, set, passes, phases)) };
+    unsafe { vector(backend, Lines(ptr, set, sweep, phases)) };
 }
 
 /// [`stencil_lines_raw`] over a slice the caller owns outright.
@@ -671,11 +723,11 @@ pub fn stencil_lines_with<R: Real>(
     backend: Backend,
     data: &mut [Complex<R>],
     set: &LineSet,
-    passes: &[StencilPass<R>],
+    sweep: &Sweep<R>,
     phases: Option<&PointPhases<'_, R>>,
 ) {
     // SAFETY: the exclusive borrow covers every element of every line.
-    unsafe { stencil_lines_raw(backend, data.as_mut_ptr(), data.len(), set, passes, phases) };
+    unsafe { stencil_lines_raw(backend, data.as_mut_ptr(), data.len(), set, sweep, phases) };
 }
 
 // ---------------------------------------------------------------------------
@@ -854,6 +906,68 @@ mod tests {
         for bad in ["sclar", "Scalar", "0", "avx512"] {
             let msg = parse_simd(bad).expect_err(bad);
             assert!(msg.contains(&format!("{bad:?}")) && msg.contains("auto|avx2|scalar"));
+        }
+    }
+
+    #[test]
+    fn a_sweep_is_its_wavefront_less_the_units_that_do_nothing() {
+        // Every start pattern of up to MAX_PASSES passes, all bare, none bare
+        // or bare but the last (the kinetic tables), on lines of 0..=40
+        // points: the units are the wavefront's in its order, but for the
+        // bare passes' partnerless points after the first pass, and as many
+        // as the passes' pairs and kept partnerless points.
+        let pass = |start: usize, bare: bool| StencilPass {
+            start,
+            d: Complex::new(0.6, if bare { 0.0 } else { 0.1 }),
+            o: Complex::new(0.0, -0.8),
+            lone: if bare {
+                Complex::one()
+            } else {
+                Complex::new(0.0, 1.0)
+            },
+        };
+        for n_axis in 0..=40 {
+            for n in 0..=MAX_PASSES {
+                let kinds = [0, !0, !(1 << n.saturating_sub(1))];
+                for (starts, bare) in (0..1 << n).flat_map(|s| kinds.map(|k| (s, k))) {
+                    let passes: Vec<_> = (0..n)
+                        .map(|q| pass(starts >> q & 1, bare >> q & 1 == 1))
+                        .collect();
+                    let sweep = Sweep::new(&passes, n_axis);
+                    let mut units = sweep.units.iter();
+                    let order = Wavefront {
+                        passes: &passes,
+                        n_axis,
+                        done: [0; MAX_PASSES],
+                    };
+                    for (q, pass, at, lone) in order {
+                        let rotation = pass.rotation().is_some();
+                        if lone && rotation && q > 0 {
+                            continue;
+                        }
+                        let op = match (rotation, lone) {
+                            (true, true) => Op::Touch,
+                            (true, false) => Op::Rotate(pass.d, pass.o),
+                            (false, true) => Op::Scale(pass.lone),
+                            (false, false) => Op::Pair(pass.d, pass.o),
+                        };
+                        assert_eq!(
+                            units.next(),
+                            Some(&Unit { q, at, op }),
+                            "{n_axis} {passes:?}"
+                        );
+                    }
+                    assert_eq!(units.next(), None, "{n_axis} {passes:?}");
+                    let kept: usize = (passes.iter().enumerate())
+                        .map(|(q, p)| {
+                            let pairs = n_axis.saturating_sub(p.start) / 2;
+                            let dropped = p.rotation().is_some() && q > 0;
+                            pairs + if dropped { 0 } else { n_axis - 2 * pairs }
+                        })
+                        .sum();
+                    assert_eq!(sweep.units.len(), kept, "{n_axis} {passes:?}");
+                }
+            }
         }
     }
 }

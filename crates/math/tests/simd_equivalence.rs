@@ -20,7 +20,7 @@ use std::cell::Cell;
 
 use dcmesh_math::simd::{
     self, Backend, Far, Lane, LineSet, NearTerms, PhaseAt, PointPhases, RadialPass, StencilPass,
-    NEAR_COLUMNS,
+    Sweep, NEAR_COLUMNS,
 };
 use dcmesh_math::{as_reals, Complex, HermiteTable, Real, C64};
 use proptest::prelude::*;
@@ -232,6 +232,7 @@ fn stencil_case<R: Real>(
     norb: usize,
 ) {
     let passes = pass_list::<R>(rng, n_passes, bare);
+    let sweep = Sweep::new(&passes, set.n_axis);
     let data: Vec<Complex<R>> = (0..len).map(|_| polar(rng, 0.0)).collect();
     let table: Vec<Complex<R>> = (0..len.div_ceil(norb)).map(|_| polar(rng, 0.999)).collect();
     let phase_sweep = |backend, data: &mut [Complex<R>]| {
@@ -256,7 +257,7 @@ fn stencil_case<R: Real>(
         for backend in [Backend::Scalar, Backend::Avx2, Backend::Avx512] {
             let mut fused = data.clone();
             let mut want = data.clone();
-            simd::stencil_lines_with(backend, &mut fused, set, &passes, phases.as_ref());
+            simd::stencil_lines_with(backend, &mut fused, set, &sweep, phases.as_ref());
             // With no pass to go before, there is nothing to take phases.
             if at == Some(PhaseAt::BeforeFirstPass) && n_passes > 0 {
                 phase_sweep(backend, &mut want);
@@ -334,6 +335,26 @@ fn stencil_wavefront_equals_sweeps_at_every_block_size() {
             stencil_case::<f32>(&mut rng, &set, set.span() + 3, 5, 4, 4);
         }
     }
+}
+
+#[test]
+#[should_panic(expected = "invalid line set")]
+fn a_sweep_built_for_other_lines_is_refused() {
+    // Its units pair points up to its own `n_axis`: on shorter lines they
+    // would reach past the set, so the raw kernel's entry guard stops it.
+    let mut rng = StdRng::seed_from_u64(3);
+    let sweep = Sweep::new(&pass_list::<f64>(&mut rng, 3, 2), 8);
+    let set = LineSet {
+        first: 0,
+        n_lines: 1,
+        line_step: 0,
+        n_axis: 4,
+        stride: 2,
+        run: 2,
+        block: 2,
+    };
+    let mut data = random_vec::<f64>(&mut rng, 64);
+    simd::stencil_lines_with(Backend::Scalar, &mut data, &set, &sweep, None);
 }
 
 /// Both real block kernels on every backend against triple loops in `f64`,
@@ -455,9 +476,9 @@ fn f64_avx2_bits_are_those_of_the_hand_written_kernels() {
                 run,
                 block,
             };
-            let passes = pass_list::<f64>(&mut rng, 5, 4);
+            let sweep = Sweep::new(&pass_list::<f64>(&mut rng, 5, 4), n_axis);
             let mut data = random_vec::<f64>(&mut rng, set.span() + 2);
-            simd::stencil_lines_with(backend, &mut data, &set, &passes, None);
+            simd::stencil_lines_with(backend, &mut data, &set, &sweep, None);
             stencil = fnv1a(stencil, &data);
         }
         assert_eq!(stencil, 0xa15c_d0a4_c287_6a4a, "{backend:?}");
