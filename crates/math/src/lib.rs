@@ -15,8 +15,9 @@
 //!   field and the pseudopotentials evaluate per pair.
 //! * [`tridiag`] — tridiagonal operators and the even/odd 2×2 block splitting
 //!   at the heart of the space-splitting kinetic propagator (ref. \[28\]).
-//! * [`linalg`] — vector kernels, Gram–Schmidt, and a complex Hermitian
-//!   Jacobi eigensolver for Rayleigh–Ritz subspace diagonalization.
+//! * [`linalg`] — vector kernels, Gram–Schmidt, Cholesky, a real symmetric
+//!   eigensolver (Householder, then implicit QL) for Rayleigh–Ritz subspace
+//!   diagonalization, and the complex Hermitian Jacobi the tests hold it to.
 //! * [`simd`] — 512- and 256-bit lane kernels with runtime dispatch (`DCMESH_SIMD`):
 //!   pointwise and line kernels on interleaved complex lanes, and the real
 //!   block kernels of the set-up solve and the nonlocal projector.

@@ -1,6 +1,7 @@
 //! Vector kernels, Gram–Schmidt orthonormalization, and the dense pieces of
-//! the set-up eigensolver: a real symmetric Jacobi solver, Cholesky and the
-//! inverse of its factor that orthonormalises a block.
+//! the set-up eigensolver: a real symmetric eigensolver (Householder
+//! tridiagonalisation and implicit QL), Cholesky and the inverse of its
+//! factor that orthonormalises a block.
 //!
 //! These back the QXMD substrate's Rayleigh–Ritz subspace diagonalization
 //! (local Kohn–Sham solves per DC domain, whose Hamiltonian is real
@@ -100,56 +101,23 @@ pub struct Eigh<R> {
 }
 
 /// Cyclic complex Jacobi eigensolver for a Hermitian matrix: the dense
-/// oracle the tests hold the real-symmetric solvers to, and nothing's hot
-/// path. NaN entries propagate into `values` instead of panicking.
+/// oracle the tests hold the real symmetric solver to, and nothing's hot
+/// path. Sweeps over every pair `p < q` until the off-diagonal norm is `eps`
+/// of the diagonal's. NaN entries propagate into `values` instead of
+/// panicking.
 pub fn eigh<R: Real>(a: &Matrix<R>) -> Eigh<R> {
     let n = a.rows();
     assert_eq!(n, a.cols(), "eigh requires a square matrix");
     let mut m = a.clone();
     let mut vectors = Matrix::identity(n);
-    let mut values = vec![R::ZERO; n];
-    jacobi_sweeps(
-        n,
-        (m.data_mut(), vectors.data_mut(), &mut values),
-        |z| (z.re, z.norm_sqr()),
-        jacobi_rotate,
-    );
-    Eigh { values, vectors }
-}
-
-/// Cyclic Jacobi eigensolver for a real symmetric matrix, without
-/// allocation, for a caller that solves many small problems (the subspace
-/// problem of the set-up eigensolver, at most a few dozen wide): `a` is the
-/// `n x n` matrix (destroyed), `v` receives the eigenvectors as columns and
-/// `values` the eigenvalues, ascending. NaN entries (a poisoned input)
-/// propagate into `values` instead of panicking, so the caller's non-finite
-/// guards see them.
-pub fn eigh_in_place<R: Real>(n: usize, a: &mut [R], v: &mut [R], values: &mut [R]) {
-    v.fill(R::ZERO);
-    v.iter_mut().step_by(n + 1).for_each(|d| *d = R::ONE);
-    jacobi_sweeps(n, (a, v, values), |x| (x, x * x), jacobi_rotate_real);
-}
-
-/// The driver of both Jacobi solvers: sweeps of `rotate` over every pair
-/// `p < q` of the column-major `n x n` matrix `a`, accumulated into `v`
-/// (the identity on entry), until the off-diagonal norm is `eps` of the
-/// diagonal's — O(n^3) per sweep, quadratic convergence once nearly
-/// diagonal — then the eigenpairs sorted ascending. `parts` is `(Re z, |z|^2)`.
-fn jacobi_sweeps<R: Real, T: Copy>(
-    n: usize,
-    (a, v, values): (&mut [T], &mut [T], &mut [R]),
-    parts: impl Fn(T) -> (R, R),
-    rotate: impl Fn(usize, &mut [T], &mut [T], usize, usize),
-) {
-    assert!(a.len() == n * n && v.len() == n * n && values.len() == n);
-    let tol = R::EPSILON.sqrt() * R::EPSILON.sqrt(); // eps^1 for off-norm ratio
+    let tol = R::EPSILON.sqrt() * R::EPSILON.sqrt();
     for _sweep in 0..60 {
         let (mut off, mut dia) = (R::ZERO, R::ZERO);
-        for (idx, z) in a.iter().enumerate() {
+        for (idx, z) in m.data().iter().enumerate() {
             if idx % (n + 1) == 0 {
-                dia += parts(*z).1;
+                dia += z.norm_sqr();
             } else {
-                off += parts(*z).1;
+                off += z.norm_sqr();
             }
         }
         if off.sqrt() / dia.sqrt().max(R::EPSILON) < tol {
@@ -157,14 +125,160 @@ fn jacobi_sweeps<R: Real, T: Copy>(
         }
         for p in 0..n {
             for q in p + 1..n {
-                rotate(n, a, v, p, q);
+                jacobi_rotate(n, m.data_mut(), vectors.data_mut(), p, q);
             }
         }
     }
-    // Stable insertion sort of the eigenpairs by value; a NaN never
-    // compares greater, so it stays where it is.
-    for i in 0..n {
-        values[i] = parts(a[i + n * i]).0;
+    let mut values: Vec<R> = (0..n).map(|i| m.data()[i + n * i].re).collect();
+    sort_ascending(n, &mut values, vectors.data_mut());
+    Eigh { values, vectors }
+}
+
+/// Eigendecomposition of a real symmetric matrix without allocation, for a
+/// caller that solves many small problems (the subspace problem of the
+/// set-up eigensolver, at most a few dozen wide): `a` is the column-major
+/// `n x n` matrix (destroyed), `v` receives the eigenvectors as columns and
+/// `values` the eigenvalues, ascending. Householder tridiagonalisation, then
+/// implicit QL; `a` is the QL's scratch. NaN entries (a poisoned input) come
+/// out as NaN values, not as a panic or an endless iteration, so the
+/// caller's non-finite guards see them.
+pub fn eigh_in_place<R: Real>(n: usize, a: &mut [R], v: &mut [R], values: &mut [R]) {
+    assert!(a.len() == n * n && v.len() == n * n && values.len() == n);
+    tridiagonalise(n, a, values);
+    // Q = H_0 H_1 ... from the last reflector back: H_k acts on rows k+1..
+    // and leaves the columns of the product so far before k+1 alone.
+    v.fill(R::ZERO);
+    v.iter_mut().step_by(n + 1).for_each(|d| *d = R::ONE);
+    for k in (0..n.saturating_sub(2)).rev() {
+        let u = &a[k + 1 + n * k..n * (k + 1)];
+        for col in v[n * (k + 1)..].chunks_exact_mut(n) {
+            let t: R = u.iter().zip(&col[k + 1..]).map(|(x, y)| *x * *y).sum();
+            for (c, x) in col[k + 1..].iter_mut().zip(u) {
+                *c -= t * *x;
+            }
+        }
+    }
+    // The diagonal into `values`, the off-diagonal into a's first column
+    // (which held d_0 and H_0, both read by now).
+    for k in 0..n {
+        values[k] = a[k + n * k];
+        a[k] = if k + 1 < n {
+            a[k + n * (k + 1)]
+        } else {
+            R::ZERO
+        };
+    }
+    tridiagonal_ql(n, values, &mut a[..n], v);
+    // Each vector's largest component positive (the reflectors' signs are
+    // arbitrary): a nearly diagonal matrix, the Rayleigh–Ritz problem of a
+    // converged block, keeps its columns as they were.
+    for col in v.chunks_exact_mut(n.max(1)) {
+        let big = col
+            .iter()
+            .fold(R::ZERO, |b, x| if x.abs() > b.abs() { *x } else { b });
+        if big < R::ZERO {
+            col.iter_mut().for_each(|x| *x = -*x);
+        }
+    }
+    sort_ascending(n, values, v);
+}
+
+/// Householder reduction of the column-major symmetric `n x n` matrix `a`
+/// to tridiagonal form, `a = Q T Q^T` with `Q = H_0 H_1 ...`: the diagonal
+/// of `T` is left on a's, its off-diagonal just above it, and the reflector
+/// `H_k = I - u u^T` (`u^T u = 2`) below the diagonal of column `k`. `w`
+/// (at least `n` long) is scratch.
+fn tridiagonalise<R: Real>(n: usize, a: &mut [R], w: &mut [R]) {
+    for k in 0..n.saturating_sub(2) {
+        // x = column k below the diagonal; H_k x = alpha e_1, alpha of the
+        // opposite sign to x_0 so that u = x - alpha e_1 cancels nothing.
+        let (head, trailing) = a.split_at_mut(n * (k + 1));
+        let u = &mut head[k + 1 + n * k..];
+        let norm = u.iter().map(|x| *x * *x).sum::<R>().sqrt();
+        let alpha = if u[0] < R::ZERO { norm } else { -norm };
+        let scale = (norm * (norm + u[0].abs())).sqrt();
+        u[0] -= alpha;
+        if scale > R::ZERO {
+            u.iter_mut().for_each(|x| *x /= scale);
+        }
+        trailing[k] = alpha;
+        // A <- H A H on the trailing block: p = A u, w = p - (u^T p / 2) u,
+        // A <- A - u w^T - w u^T.
+        let w = &mut w[k + 1..n];
+        w.fill(R::ZERO);
+        for (col, &uj) in trailing.chunks_exact(n).zip(&*u) {
+            for (wi, aij) in w.iter_mut().zip(&col[k + 1..]) {
+                *wi += *aij * uj;
+            }
+        }
+        let half: R = R::HALF * u.iter().zip(&*w).map(|(x, y)| *x * *y).sum::<R>();
+        for (wi, ui) in w.iter_mut().zip(&*u) {
+            *wi -= half * *ui;
+        }
+        for ((col, &uj), &wj) in trailing.chunks_exact_mut(n).zip(&*u).zip(&*w) {
+            for ((aij, ui), wi) in col[k + 1..].iter_mut().zip(&*u).zip(&*w) {
+                *aij -= *ui * wj + *wi * uj;
+            }
+        }
+    }
+}
+
+/// Implicit QL with Wilkinson shifts on the symmetric tridiagonal matrix of
+/// diagonal `d` and off-diagonal `e` (`e[i]` couples `i` and `i + 1`; both
+/// destroyed, `d` left holding the eigenvalues), each plane rotation also
+/// applied to two adjacent columns of `v` (contiguous, column-major). An
+/// eigenvalue not converged after 30 iterations (only a NaN makes one) sets
+/// every value to NaN.
+fn tridiagonal_ql<R: Real>(n: usize, d: &mut [R], e: &mut [R], v: &mut [R]) {
+    for l in 0..n {
+        let mut iterations = 0;
+        'split: loop {
+            let small = |m: usize| e[m].abs() <= R::EPSILON * (d[m].abs() + d[m + 1].abs());
+            let m = (l..n).find(|&m| m + 1 == n || small(m)).unwrap_or(l);
+            if m == l {
+                break;
+            }
+            if iterations == 30 {
+                d.fill(R::from_f64(f64::NAN));
+                return;
+            }
+            iterations += 1;
+            let g = (d[l + 1] - d[l]) / (R::TWO * e[l]);
+            let r = (g * g + R::ONE).sqrt();
+            let mut g = d[m] - d[l] + e[l] / (g + if g < R::ZERO { -r } else { r });
+            let (mut s, mut c, mut p) = (R::ONE, R::ONE, R::ZERO);
+            for i in (l..m).rev() {
+                let (f, b) = (s * e[i], c * e[i]);
+                let r = (f * f + g * g).sqrt();
+                e[i + 1] = r;
+                if r == R::ZERO {
+                    // Underflow: the matrix split here; start over.
+                    d[i + 1] -= p;
+                    e[m] = R::ZERO;
+                    continue 'split;
+                }
+                (s, c) = (f / r, g / r);
+                g = d[i + 1] - p;
+                let r = (d[i] - g) * s + R::TWO * c * b;
+                p = s * r;
+                d[i + 1] = g + p;
+                g = c * r - b;
+                let (lo, hi) = v.split_at_mut(n * (i + 1));
+                for (vi, vj) in lo[n * i..].iter_mut().zip(&mut hi[..n]) {
+                    (*vi, *vj) = (c * *vi - s * *vj, s * *vi + c * *vj);
+                }
+            }
+            d[l] -= p;
+            e[l] = g;
+            e[m] = R::ZERO;
+        }
+    }
+}
+
+/// Stable insertion sort of the eigenpairs (`values`, the `n`-long columns
+/// of `v`) by value; a NaN never compares greater, so it stays where it is.
+fn sort_ascending<R: Real, T>(n: usize, values: &mut [R], v: &mut [T]) {
+    for i in 1..values.len() {
         let mut j = i;
         while j > 0 && values[j - 1] > values[j] {
             values.swap(j - 1, j);
@@ -173,45 +287,6 @@ fn jacobi_sweeps<R: Real, T: Copy>(
             j -= 1;
         }
     }
-}
-
-/// The Jacobi angle annihilating the pair `(p, q)` of a matrix with diagonal
-/// entries `app`, `aqq` and `|a_pq| = mag`: `(t, c, s)`, tangent, cosine, sine.
-fn jacobi_angle<R: Real>(app: R, aqq: R, mag: R) -> (R, R, R) {
-    let tau = (aqq - app) / (R::TWO * mag);
-    let tt = R::ONE / (tau.abs() + (R::ONE + tau * tau).sqrt());
-    let t = if tau < R::ZERO { -tt } else { tt };
-    let c = R::ONE / (R::ONE + t * t).sqrt();
-    (t, c, t * c)
-}
-
-/// One real Jacobi rotation annihilating `m[(p, q)]` of the column-major
-/// symmetric `n x n` matrix `m`, accumulating the rotation into `v`.
-fn jacobi_rotate_real<R: Real>(n: usize, m: &mut [R], v: &mut [R], p: usize, q: usize) {
-    let (app, aqq, apq) = (m[p + n * p], m[q + n * q], m[p + n * q]);
-    if apq.abs() <= R::EPSILON {
-        return;
-    }
-    let (t, c, s) = jacobi_angle(app, aqq, apq);
-    // Columns p and q (p < q) of x: |p'> = c|p> - s|q>, |q'> = s|p> + c|q>.
-    let rotate_columns = |x: &mut [R]| {
-        let (lo, hi) = x.split_at_mut(n * q);
-        for (xp, xq) in lo[n * p..n * (p + 1)].iter_mut().zip(&mut hi[..n]) {
-            (*xp, *xq) = (c * *xp - s * *xq, s * *xp + c * *xq);
-        }
-    };
-    // A <- U^T A U: the columns, then rows p and q as their transposes,
-    // then the 2x2 block in closed form with the pair exactly zero.
-    rotate_columns(m);
-    for col in 0..n {
-        m[p + n * col] = m[col + n * p];
-        m[q + n * col] = m[col + n * q];
-    }
-    m[p + n * p] = app - t * apq;
-    m[q + n * q] = aqq + t * apq;
-    m[p + n * q] = R::ZERO;
-    m[q + n * p] = R::ZERO;
-    rotate_columns(v);
 }
 
 /// One complex Jacobi rotation annihilating `m[(p, q)]` of the column-major
@@ -229,7 +304,11 @@ fn jacobi_rotate<R: Real>(
         return;
     }
     let phase = apq.scale(R::ONE / mag); // e^{i phi}
-    let (_, c, s) = jacobi_angle(m[p + n * p].re, m[q + n * q].re, mag);
+    let tau = (m[q + n * q].re - m[p + n * p].re) / (R::TWO * mag);
+    let tt = R::ONE / (tau.abs() + (R::ONE + tau * tau).sqrt());
+    let t = if tau < R::ZERO { -tt } else { tt };
+    let c = R::ONE / (R::ONE + t * t).sqrt();
+    let s = t * c;
     // Rotation columns: |p'> = c|p> - s e^{-i phi} |q>, |q'> = s e^{i phi}|p> + c|q>.
     let upq = phase.scale(s);
     let uqp = -(phase.conj().scale(s));
@@ -478,43 +557,74 @@ mod tests {
         assert!(eigh(&a).values.iter().any(|v| v.is_nan()));
     }
 
+    /// One symmetric `n x n` matrix of each kind the set-up solve meets:
+    /// dense, diagonal, levels in exact threes turned by an orthogonal `Q`,
+    /// and its own shape, a diagonal `X` block bordered by dense `W`, `P`.
+    fn symmetric_cases(rng: &mut StdRng, n: usize) -> [Vec<f64>; 4] {
+        // The real part of a Hermitian matrix is symmetric.
+        let dense: Vec<f64> = (random_hermitian(rng, n).data().iter())
+            .map(|z| z.re)
+            .collect();
+        let on_diagonal = |at: usize, x: f64| if at.is_multiple_of(n + 1) { x } else { 0.0 };
+        let diagonal = (0..n * n)
+            .map(|at| on_diagonal(at, (at % 5) as f64 - 2.0))
+            .collect();
+        let mut q: Vec<f64> = (0..n * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        assert!(gram_schmidt(&mut q, n, 1e-12).is_empty());
+        let level = |k: usize| (k / 3) as f64 - 1.0;
+        let degenerate = (0..n * n)
+            .map(|at| {
+                (0..n)
+                    .map(|k| q[at % n + n * k] * level(k) * q[at / n + n * k])
+                    .sum()
+            })
+            .collect();
+        let mut bordered = dense.clone();
+        for (i, j) in (0..n / 3).flat_map(|i| (0..n / 3).map(move |j| (i, j))) {
+            bordered[i + n * j] = on_diagonal(i + n * j, bordered[i + n * j]);
+        }
+        [dense, diagonal, degenerate, bordered]
+    }
+
     #[test]
     fn eigh_in_place_of_a_symmetric_matrix_agrees_with_the_hermitian_oracle() {
         let mut rng = StdRng::seed_from_u64(47);
-        for n in [1usize, 2, 7, 24] {
-            // The real part of a Hermitian matrix is symmetric.
-            let sym: Vec<f64> = (random_hermitian(&mut rng, n).data().iter())
-                .map(|z| z.re)
-                .collect();
-            let oracle = eigh(&Matrix::from_vec(
-                n,
-                n,
-                sym.iter().map(|&x| C64::from_real(x)).collect(),
-            ));
-            let (mut a, mut v, mut values) = (sym.clone(), vec![0.0; n * n], vec![0.0; n]);
-            eigh_in_place(n, &mut a, &mut v, &mut values);
-            for (k, (got, want)) in values.iter().zip(&oracle.values).enumerate() {
-                assert!((got - want).abs() < 1e-12, "n={n} value {k}");
-                // A v_k = lambda_k v_k, and V is orthogonal.
-                let vk = &v[n * k..n * (k + 1)];
-                for i in 0..n {
-                    let av: f64 = (0..n).map(|j| sym[i + n * j] * vk[j]).sum();
-                    assert!((av - got * vk[i]).abs() < 1e-10, "n={n} pair {k}");
-                }
-                for (j, vj) in v.chunks_exact(n).enumerate() {
-                    let dot: f64 = vk.iter().zip(vj).map(|(x, y)| x * y).sum();
-                    assert!((dot - f64::from(u8::from(j == k))).abs() < 1e-12);
+        for n in [0usize, 1, 2, 3, 7, 12, 24, 47, 48] {
+            for (case, sym) in symmetric_cases(&mut rng, n).iter().enumerate() {
+                let oracle = eigh(&Matrix::from_vec(
+                    n,
+                    n,
+                    sym.iter().map(|&x| C64::from_real(x)).collect(),
+                ));
+                let (mut a, mut v, mut values) = (sym.clone(), vec![0.0; n * n], vec![0.0; n]);
+                eigh_in_place(n, &mut a, &mut v, &mut values);
+                let what = format!("n={n} case {case}");
+                assert!(values.windows(2).all(|w| w[0] <= w[1]), "{what}");
+                for (k, (got, want)) in values.iter().zip(&oracle.values).enumerate() {
+                    assert!((got - want).abs() < 1e-12, "{what}: value {k}");
+                    // A v_k = lambda_k v_k, and V is orthogonal.
+                    let vk = &v[n * k..n * (k + 1)];
+                    for i in 0..n {
+                        let av: f64 = (0..n).map(|j| sym[i + n * j] * vk[j]).sum();
+                        assert!((av - got * vk[i]).abs() < 1e-10, "{what}: pair {k}");
+                    }
+                    for (j, vj) in v.chunks_exact(n).enumerate() {
+                        let dot: f64 = vk.iter().zip(vj).map(|(x, y)| x * y).sum();
+                        let want = f64::from(u8::from(j == k));
+                        assert!((dot - want).abs() < 1e-12, "{what}: ({j},{k})");
+                    }
                 }
             }
         }
-        // A poisoned matrix yields NaN values, not an unwind.
-        let (mut a, mut v, mut values) = (
-            vec![1.0, f64::NAN, f64::NAN, 2.0],
-            vec![0.0; 4],
-            vec![0.0; 2],
-        );
-        eigh_in_place(2, &mut a, &mut v, &mut values);
-        assert!(values.iter().any(|x| x.is_nan()));
+        // A poisoned matrix, off the diagonal (both triangles) or on it,
+        // yields NaN values within the iteration cap, not an unwind or a hang.
+        for poisoned in [[1, 6], [21, 21]] {
+            let mut a = symmetric_cases(&mut rng, 6)[0].clone();
+            poisoned.iter().for_each(|&at| a[at] = f64::NAN);
+            let (mut v, mut values) = (vec![0.0; 36], vec![0.0; 6]);
+            eigh_in_place(6, &mut a, &mut v, &mut values);
+            assert!(values.iter().any(|x| x.is_nan()), "{values:?}");
+        }
     }
 
     #[test]
