@@ -1,10 +1,9 @@
-//! Criterion microbenchmarks of the substrate layers: the from-scratch
-//! complex GEMM (BLASification backend), the classical force field, and
-//! the set-up eigensolve.
+//! Criterion microbenchmarks of the substrate layers: the reference
+//! complex GEMM, the classical force field, and the set-up eigensolve.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dcmesh_core::{DcMeshConfig, DcMeshSim};
-use dcmesh_math::gemm::{gemm, gemm_naive, Op};
+use dcmesh_math::gemm::{gemm, Op};
 use dcmesh_math::{Complex, Matrix};
 use dcmesh_qxmd::forcefield::{PerovskiteFF, SimBox};
 use dcmesh_qxmd::md::ForceProvider;
@@ -30,40 +29,8 @@ fn bench_gemm(c: &mut Criterion) {
     let n = 96;
     let a = random_matrix(1, n, n);
     let b = random_matrix(2, n, n);
-    let mut group = c.benchmark_group("complex_gemm_96");
-    group.sample_size(20);
-    group.bench_function("naive", |bch| {
-        let mut out = Matrix::zeros(n, n);
-        bch.iter(|| {
-            gemm_naive(
-                Complex::one(),
-                &a,
-                Op::None,
-                &b,
-                Op::None,
-                Complex::zero(),
-                &mut out,
-            )
-        });
-    });
-    group.bench_function("blocked", |bch| {
-        let mut out = Matrix::zeros(n, n);
-        bch.iter(|| {
-            dcmesh_pool::run_inline(|| {
-                gemm(
-                    Complex::one(),
-                    &a,
-                    Op::None,
-                    &b,
-                    Op::None,
-                    Complex::zero(),
-                    &mut out,
-                )
-            })
-        });
-    });
-    group.bench_function("parallel", |bch| {
-        let mut out = Matrix::zeros(n, n);
+    let mut out = Matrix::zeros(n, n);
+    c.bench_function("complex_gemm_96", |bch| {
         bch.iter(|| {
             gemm(
                 Complex::one(),
@@ -76,7 +43,6 @@ fn bench_gemm(c: &mut Criterion) {
             )
         });
     });
-    group.finish();
 }
 
 fn bench_forcefield(c: &mut Criterion) {

@@ -30,12 +30,17 @@ where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync + Send,
 {
-    dcmesh_pool::global().for_each_chunk_mut(data, num_teams, body);
+    if num_teams == 0 {
+        return;
+    }
+    let chunk_len = data.len().div_ceil(num_teams);
+    dcmesh_pool::global().for_each_chunks_of_mut(data, chunk_len, body);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -49,19 +54,16 @@ mod tests {
     }
 
     #[test]
-    fn chunked_teams_partition_exactly() {
-        let mut data = vec![0u64; 1003]; // non-divisible length
-        teams_distribute_mut(&mut data, 16, |t, chunk| {
+    fn chunk_mut_matches_openmp_boundaries() {
+        let mut v = vec![0usize; 103];
+        // ceil(103/10) = 11-element chunks, last chunk 4 long.
+        teams_distribute_mut(&mut v, 10, |t, chunk| {
             for x in chunk.iter_mut() {
-                *x = t as u64 + 1;
+                *x = t + 1;
             }
         });
-        assert!(data.iter().all(|&x| x > 0));
-        // Chunks are contiguous and ordered.
-        let mut last_team = 0;
-        for &x in &data {
-            assert!(x >= last_team, "chunks out of order");
-            last_team = x;
+        for (j, &x) in v.iter().enumerate() {
+            assert_eq!(x, j / 11 + 1);
         }
     }
 
@@ -91,5 +93,25 @@ mod tests {
         });
         let serial_out: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
         assert_eq!(parallel_out, serial_out);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        // Team-chunk dispatch writes every element exactly once with OpenMP
+        // `ceil(len / n_teams)` boundaries.
+        #[test]
+        fn team_chunks_partition_exactly(len in 1usize..800, n_teams in 1usize..65) {
+            let mut data = vec![0u32; len];
+            teams_distribute_mut(&mut data, n_teams, |t, chunk| {
+                for x in chunk.iter_mut() {
+                    *x += 1 + t as u32;
+                }
+            });
+            let chunk_len = len.div_ceil(n_teams);
+            for (j, &x) in data.iter().enumerate() {
+                prop_assert_eq!(x, 1 + (j / chunk_len) as u32);
+            }
+        }
     }
 }

@@ -56,12 +56,6 @@ impl Mesh3 {
         Self::new(n, n, n, h, h, h)
     }
 
-    /// The paper's production LFD mesh per domain: 70 x 70 x 72 points.
-    /// Spacing chosen so the domain spans a 4-unit-cell PbTiO3 block.
-    pub fn paper_lfd() -> Self {
-        Self::new(70, 70, 72, 0.42, 0.42, 0.42)
-    }
-
     /// Total number of points.
     #[inline(always)]
     pub fn len(&self) -> usize {
@@ -186,13 +180,6 @@ mod tests {
         assert_eq!(m.idx(0, 0, 1) - m.idx(0, 0, 0), 1);
         assert_eq!(m.idx(0, 1, 0) - m.idx(0, 0, 0), 4);
         assert_eq!(m.idx(1, 0, 0) - m.idx(0, 0, 0), 16);
-    }
-
-    #[test]
-    fn paper_mesh_dimensions() {
-        let m = Mesh3::paper_lfd();
-        assert_eq!((m.nx, m.ny, m.nz), (70, 70, 72));
-        assert_eq!(m.len(), 70 * 70 * 72);
     }
 
     #[test]

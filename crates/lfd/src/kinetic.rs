@@ -684,8 +684,8 @@ mod tests {
     /// steps and the five-pass merged ones), the step with the potential
     /// folded in == `pot.apply; step_optimized; pot.apply`, bit for bit, and
     /// the commuted step == Alg. 1 in the paper's order to rounding, over odd
-    /// extents, ragged orbital counts and block sizes (Z lines in lockstep
-    /// where a block is a whole point).
+    /// extents, ragged orbital counts and block sizes (blocks of a whole
+    /// point among them).
     fn line_kernel_matches_its_references<R: Real>(tol: f64) {
         for (nx, ny, nz) in [(7, 4, 5), (4, 5, 7), (1, 6, 2)] {
             let mesh = Mesh3::new(nx, ny, nz, 0.4, 0.5, 0.6);

@@ -30,15 +30,6 @@ pub struct LaserPulse {
 }
 
 impl LaserPulse {
-    /// Pulse from peak intensity (W/cm^2), photon energy (eV), duration (fs).
-    pub fn from_lab_units(intensity_w_cm2: f64, photon_ev: f64, duration_fs: f64) -> Self {
-        Self {
-            e0: dcmesh_math::phys::intensity_to_field_au(intensity_w_cm2),
-            omega: dcmesh_math::phys::photon_ev_to_omega_au(photon_ev),
-            duration: dcmesh_math::phys::femtoseconds_to_au(duration_fs),
-        }
-    }
-
     /// Envelope `sin^2(pi t / T)` inside the pulse, zero outside.
     pub fn envelope(&self, t: f64) -> f64 {
         if t <= 0.0 || t >= self.duration {
@@ -243,14 +234,6 @@ mod tests {
         }
         assert!(max <= p.e0 * (1.0 + 1e-9));
         assert!(max > 0.9 * p.e0);
-    }
-
-    #[test]
-    fn lab_unit_conversion() {
-        let p = LaserPulse::from_lab_units(3.509_445e16, 27.211_386, 1.0);
-        assert!((p.e0 - 1.0).abs() < 1e-6);
-        assert!((p.omega - 1.0).abs() < 1e-6);
-        assert!((p.duration - 41.34).abs() < 0.01);
     }
 
     #[test]

@@ -56,13 +56,6 @@ impl<R: Real> ShadowState<R> {
         (self.occupations.len() * std::mem::size_of::<R>()) as u64
     }
 
-    /// Push occupations host -> device (QXMD -> LFD direction).
-    pub fn upload_occupations(&mut self) {
-        self.device
-            .transfer_h2d(StreamId(0), self.handshake_bytes(), self.transfer_kind);
-        self.handshakes += 1;
-    }
-
     /// Pull occupations device -> host (LFD -> QXMD direction), applying
     /// the new values produced by `remap_occ`.
     pub fn download_occupations(&mut self, new_occ: &[R]) {
@@ -120,12 +113,11 @@ mod tests {
     fn handshakes_move_only_occupation_bytes() {
         let dev = Device::a100();
         let mut s: ShadowState<f64> = ShadowState::new(&dev, 10000, 16, vec![2.0; 16]);
-        s.upload_occupations();
         s.download_occupations(&[1.5; 16]);
         let stats = dev.stats();
-        assert_eq!(stats.h2d_bytes, 16 * 8);
+        assert_eq!(stats.h2d_bytes, 0);
         assert_eq!(stats.d2h_bytes, 16 * 8);
-        assert_eq!(s.handshakes(), 2);
+        assert_eq!(s.handshakes(), 1);
         assert!(s.occupations.iter().all(|&f| f == 1.5));
     }
 
@@ -133,7 +125,7 @@ mod tests {
     fn pinned_handshake_does_not_block_host() {
         let dev = Device::a100();
         let mut s: ShadowState<f64> = ShadowState::new(&dev, 10000, 16, vec![2.0; 16]).pinned();
-        s.upload_occupations();
+        s.download_occupations(&[1.5; 16]);
         assert_eq!(dev.host_clock(), 0.0);
     }
 }

@@ -153,12 +153,6 @@ impl<R: Real> Complex<R> {
         Self::new(self.re * s, self.im * s)
     }
 
-    /// Multiply by `i` without a full complex multiply.
-    #[inline(always)]
-    pub fn mul_i(self) -> Self {
-        Self::new(-self.im, self.re)
-    }
-
     /// Multiply by `-i` without a full complex multiply.
     #[inline(always)]
     pub fn mul_neg_i(self) -> Self {
@@ -335,9 +329,8 @@ mod tests {
     }
 
     #[test]
-    fn mul_i_shortcuts() {
+    fn mul_neg_i_shortcut() {
         let z = C64::new(2.0, 3.0);
-        assert_eq!(z.mul_i(), z * C64::i());
         assert_eq!(z.mul_neg_i(), z * C64::new(0.0, -1.0));
     }
 

@@ -7,10 +7,11 @@
 //!   comparison of Table II of the paper.
 //! * [`Complex`] — a minimal complex-number type (the paper propagates
 //!   complex-valued Kohn–Sham wavefunctions).
-//! * [`gemm`] — a from-scratch blocked, pool-parallel complex GEMM standing
-//!   in for AOCL-BLAS / cuBLAS in the "BLASification" of paper §III-D: the
-//!   tests' oracle and the benchmark's GEMM probe (the nonlocal correction
-//!   itself is real x complex, on the real block kernels of [`simd`]).
+//! * [`gemm`] — dense complex matrices and the reference complex GEMM (a
+//!   triple loop over all nine transpose pairs): the tests' oracle and the
+//!   benchmark's GEMM probe. The "BLASification" of paper §III-D runs on the
+//!   real block kernels of [`simd`] (the nonlocal correction is real x
+//!   complex).
 //! * [`hermite`] — quintic Hermite tables of the radial functions the force
 //!   field and the pseudopotentials evaluate per pair.
 //! * [`tridiag`] — tridiagonal operators and the even/odd 2×2 block splitting

@@ -31,30 +31,12 @@ pub fn norm<R: Real>(a: &[Complex<R>]) -> R {
     a.iter().map(|z| z.norm_sqr()).sum::<R>().sqrt()
 }
 
-/// `y += alpha * x`.
-#[inline]
-pub fn axpy<R: Real>(alpha: Complex<R>, x: &[Complex<R>], y: &mut [Complex<R>]) {
-    debug_assert_eq!(x.len(), y.len());
-    for (xi, yi) in x.iter().zip(y.iter_mut()) {
-        *yi += alpha * *xi;
-    }
-}
-
 /// `x *= alpha` for a real scalar.
 #[inline]
 pub fn scal<R: Real>(alpha: R, x: &mut [Complex<R>]) {
     for xi in x.iter_mut() {
         *xi = xi.scale(alpha);
     }
-}
-
-/// Normalize `x` to unit norm; returns the original norm.
-pub fn normalize<R: Real>(x: &mut [Complex<R>]) -> R {
-    let n = norm(x);
-    if n > R::ZERO {
-        scal(R::ONE / n, x);
-    }
-    n
 }
 
 /// Modified Gram–Schmidt on the real columns of `m` (column-major, `rows`
@@ -396,7 +378,7 @@ pub fn invert_lower<R: Real>(n: usize, a: &mut [R]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::{gemm_naive, Op};
+    use crate::gemm::{gemm, Op};
     use crate::C64;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -421,14 +403,6 @@ mod tests {
         let ab = dotc(&a, &b);
         let ba = dotc(&b, &a);
         assert!((ab - ba.conj()).abs() < 1e-15);
-    }
-
-    #[test]
-    fn normalize_gives_unit_norm() {
-        let mut v = vec![C64::new(3.0, 0.0), C64::new(0.0, 4.0)];
-        let n0 = normalize(&mut v);
-        assert!((n0 - 5.0).abs() < 1e-15);
-        assert!((norm(&v) - 1.0).abs() < 1e-15);
     }
 
     #[test]
@@ -492,7 +466,7 @@ mod tests {
             let e = eigh(&a);
             // A V = V Lambda
             let mut av = Matrix::zeros(n, n);
-            gemm_naive(
+            gemm(
                 C64::one(),
                 &a,
                 Op::None,
@@ -522,7 +496,7 @@ mod tests {
         let a = random_hermitian(&mut rng, n);
         let e = eigh(&a);
         let mut vtv = Matrix::zeros(n, n);
-        gemm_naive(
+        gemm(
             C64::one(),
             &e.vectors,
             Op::ConjTrans,
@@ -673,13 +647,9 @@ mod tests {
     }
 
     #[test]
-    fn axpy_and_scal() {
-        let x = vec![C64::one(), C64::i()];
-        let mut y = vec![C64::zero(), C64::one()];
-        axpy(C64::new(2.0, 0.0), &x, &mut y);
-        assert_eq!(y[0], C64::new(2.0, 0.0));
-        assert_eq!(y[1], C64::new(1.0, 2.0));
+    fn scal_scales_both_parts() {
+        let mut y = vec![C64::new(2.0, 0.0), C64::new(1.0, 2.0)];
         scal(0.5, &mut y);
-        assert_eq!(y[0], C64::new(1.0, 0.0));
+        assert_eq!(y, [C64::new(1.0, 0.0), C64::new(0.5, 1.0)]);
     }
 }

@@ -531,29 +531,14 @@ impl<R: Real> Sweep<R> {
     }
 }
 
-/// How many lines of `set` one wavefront of `n_passes` drives in lockstep,
-/// paying its per-unit bookkeeping once for all of them (short lines pay it
-/// often): when a run is one block and the line step is no multiple of 4 KiB
-/// (4K aliasing: such lines share L1 sets and fool the store buffer), as many
-/// lines as keep their live points, one more than the passes each, in 16 KiB
-/// (half an L1).
-fn lockstep_lines<R>(set: &LineSet, n_passes: usize) -> usize {
-    let size = std::mem::size_of::<Complex<R>>();
-    if set.block < set.run || (set.line_step * size).is_multiple_of(4096) {
-        return 1;
-    }
-    (16384 / ((n_passes + 1) * set.run * size).max(1)).clamp(1, set.n_lines.max(1))
-}
-
 /// The loop nest of the line kernel on the lanes `L`: every line of `set`,
 /// one orbital block at a time, replays the units of `sweep` — [`Pair`],
 /// its bare form or [`Scale`] on the run of the unit's point (and its
-/// partner's). Short lines go in lockstep groups ([`lockstep_lines`]): each
-/// unit for every line of the group. With `phases`, each point is scaled by
-/// its phase before the first pass's unit over it, or after the wavefront of
-/// its line (group): in one run where the line's runs follow each other. The
-/// helpers are `#[inline(always)]` fns, not closures, so that they compile
-/// into the lanes' entry point.
+/// partner's). With `phases`, each point is scaled by its phase before the
+/// first pass's unit over it, or after the wavefront of its line: in one run
+/// where the line's runs follow each other. The helpers are
+/// `#[inline(always)]` fns, not closures, so that they compile into the
+/// lanes' entry point.
 ///
 /// # Safety
 ///
@@ -572,7 +557,6 @@ unsafe fn line_units<L: Lanes>(
     sweep: &Sweep<L::R>,
     phases: Option<&PointPhases<'_, L::R>>,
 ) {
-    let group = lockstep_lines::<L::R>(set, sweep.passes.len());
     let pre = phases.filter(|p| p.at == PhaseAt::BeforeFirstPass);
     let post = phases.filter(|p| p.at == PhaseAt::AfterLastPass);
     // A run's point by multiply-adds where the set steps by whole points: a
@@ -580,43 +564,40 @@ unsafe fn line_units<L: Lanes>(
     let norb = phases.map_or(1, |p| p.norb.max(1));
     let (pl, ps) = (set.line_step / norb, set.stride / norb);
     let whole = set.line_step.is_multiple_of(norb) && set.stride.is_multiple_of(norb);
-    let mut line = 0;
-    while line < set.n_lines {
-        let lines = group.min(set.n_lines - line);
+    for l in 0..set.n_lines {
         let mut nb = 0;
         while nb < set.run {
             let len = (set.run - nb).min(set.block);
             let (p0, r0) = ((set.first + nb) / norb, (set.first + nb) % norb);
-            // Element `e`, point `i` of line `l`: its point and offset in it.
-            let point = |l: usize, i: usize, e: usize| match whole {
+            let line = set.first + l * set.line_step + nb;
+            // Element `e`, point `i` of the line: its point and offset in it.
+            let point = |i: usize, e: usize| match whole {
                 true => (p0 + l * pl + i * ps, r0),
                 false => (e / norb, e % norb),
             };
             for &Unit { q, at, op } in &sweep.units {
                 let paired = matches!(op, Op::Pair(..) | Op::Rotate(..));
-                for l in line..line + lines {
-                    let a = set.first + l * set.line_step + nb + at * set.stride;
-                    let b = a + set.stride;
-                    if let Some(p) = pre.filter(|_| q == 0) {
-                        // SAFETY: the runs claimed above; the caller's
-                        // contract covers `L` (here and below).
-                        unsafe { phase_run::<L>(ptr, a, len, point(l, at, a), p) };
-                        if paired {
-                            // SAFETY: as above.
-                            unsafe { phase_run::<L>(ptr, b, len, point(l, at + 1, b), p) };
-                        }
+                let a = line + at * set.stride;
+                let b = a + set.stride;
+                if let Some(p) = pre.filter(|_| q == 0) {
+                    // SAFETY: the runs claimed above; the caller's contract
+                    // covers `L` (here and below).
+                    unsafe { phase_run::<L>(ptr, a, len, point(at, a), p) };
+                    if paired {
+                        // SAFETY: as above.
+                        unsafe { phase_run::<L>(ptr, b, len, point(at + 1, b), p) };
                     }
-                    // SAFETY: as above; each slice is dropped before the
-                    // next one over its elements.
-                    let run = |e: usize| unsafe { std::slice::from_raw_parts_mut(ptr.add(e), len) };
-                    // SAFETY: as above; the features are the caller's.
-                    unsafe {
-                        match op {
-                            Op::Pair(d, o) => Pair::<_, false>(run(a), run(b), d, o).run::<L>(),
-                            Op::Rotate(d, o) => Pair::<_, true>(run(a), run(b), d, o).run::<L>(),
-                            Op::Scale(lone) => Scale(run(a), lone).run::<L>(),
-                            Op::Touch => {}
-                        }
+                }
+                // SAFETY: as above; each slice is dropped before the next
+                // one over its elements.
+                let run = |e: usize| unsafe { std::slice::from_raw_parts_mut(ptr.add(e), len) };
+                // SAFETY: as above; the features are the caller's.
+                unsafe {
+                    match op {
+                        Op::Pair(d, o) => Pair::<_, false>(run(a), run(b), d, o).run::<L>(),
+                        Op::Rotate(d, o) => Pair::<_, true>(run(a), run(b), d, o).run::<L>(),
+                        Op::Scale(lone) => Scale(run(a), lone).run::<L>(),
+                        Op::Touch => {}
                     }
                 }
             }
@@ -625,17 +606,14 @@ unsafe fn line_units<L: Lanes>(
                     true => (1, set.n_axis * len),
                     false => (set.n_axis, len),
                 };
-                for l in line..line + lines {
-                    for i in 0..count {
-                        let e = set.first + l * set.line_step + nb + i * set.stride;
-                        // SAFETY: the runs claimed above, `count` of them one.
-                        unsafe { phase_run::<L>(ptr, e, step, point(l, i, e), p) };
-                    }
+                for i in 0..count {
+                    let e = line + i * set.stride;
+                    // SAFETY: the runs claimed above, `count` of them one.
+                    unsafe { phase_run::<L>(ptr, e, step, point(i, e), p) };
                 }
             }
             nb += len;
         }
-        line += lines;
     }
 }
 
@@ -675,8 +653,8 @@ unsafe fn phase_run<L: Lanes>(
 /// points untouched), of [`pair_update_with`] / [`scale_with`] for any other
 /// pass, on a run of the block's length — and, with `phases`, that of
 /// [`scale_with`] by the point's phase before the first pass or after the
-/// last. Lines are independent, so neither the lockstep groups nor the
-/// phases' place in the wavefront move a bit.
+/// last. Lines are independent, so the phases' place in the wavefront moves
+/// no bit.
 ///
 /// The raw form exists for callers that hand disjoint, *strided* line
 /// sets of one array to different threads (no `&mut` sub-slice can express

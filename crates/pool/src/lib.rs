@@ -632,21 +632,6 @@ impl ThreadPool {
         self.dispatch(n, 1, &|i| f(start + i));
     }
 
-    /// Split `data` into `n_teams` contiguous chunks of `ceil(len/n_teams)`
-    /// elements (OpenMP `teams distribute` boundaries; the last chunk may be
-    /// shorter) and run `f(team, chunk)` for each in parallel.
-    pub fn for_each_chunk_mut<T, F>(&self, data: &mut [T], n_teams: usize, f: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut [T]) + Sync,
-    {
-        if data.is_empty() || n_teams == 0 {
-            return;
-        }
-        let chunk_len = data.len().div_ceil(n_teams);
-        self.for_each_chunks_of_mut(data, chunk_len, f);
-    }
-
     /// Split `data` into contiguous chunks of exactly `chunk_len` elements
     /// (last may be shorter) and run `f(chunk_index, chunk)` for each in
     /// parallel. One chunk per claim.
@@ -673,49 +658,12 @@ impl ThreadPool {
         });
     }
 
-    /// Run `f(i, &mut data[i])` for every element in parallel.
-    pub fn for_each_mut<T, F>(&self, data: &mut [T], f: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut T) + Sync,
-    {
-        if data.is_empty() {
-            return;
-        }
-        let base = SlicePtr::new(data);
-        let grain = self.grain_for(base.len());
-        self.dispatch(base.len(), grain, &move |i| {
-            // SAFETY: each index is claimed exactly once → exclusive access.
-            f(i, unsafe { base.get_mut(i) });
-        });
-    }
-
-    /// Parallel map over `0..n`, collecting results in index order.
+    /// Parallel map over mutable elements, collecting `f(i, &mut data[i])`
+    /// results in index order.
     ///
     /// Allocates only the output buffer. If a body panics, already-computed
     /// results are leaked (not dropped) — memory-safe, matching the
     /// cancel-on-panic dispatch semantics.
-    pub fn map_index<R, F>(&self, n: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        let mut out: Vec<MaybeUninit<R>> = Vec::with_capacity(n);
-        out.resize_with(n, MaybeUninit::uninit);
-        let base = SlicePtr::new(&mut out);
-        let grain = self.grain_for(n);
-        self.dispatch(n, grain, &move |i| {
-            // SAFETY: exclusive slot per claimed index.
-            unsafe { base.get_mut(i).write(f(i)) };
-        });
-        let mut out = ManuallyDrop::new(out);
-        // SAFETY: dispatch returned normally, so every slot was written
-        // exactly once; Vec<MaybeUninit<R>> and Vec<R> have identical layout.
-        unsafe { Vec::from_raw_parts(out.as_mut_ptr() as *mut R, n, out.capacity()) }
-    }
-
-    /// Parallel map over mutable elements, collecting `f(i, &mut data[i])`
-    /// results in index order.
     pub fn map_mut<T, R, F>(&self, data: &mut [T], f: F) -> Vec<R>
     where
         T: Send,
@@ -723,11 +671,20 @@ impl ThreadPool {
         F: Fn(usize, &mut T) -> R + Sync,
     {
         let n = data.len();
-        let base = SlicePtr::new(data);
-        self.map_index(n, move |i| {
-            // SAFETY: exclusive element per claimed index.
-            f(i, unsafe { base.get_mut(i) })
-        })
+        let items = SlicePtr::new(data);
+        let mut out: Vec<MaybeUninit<R>> = Vec::with_capacity(n);
+        out.resize_with(n, MaybeUninit::uninit);
+        let slots = SlicePtr::new(&mut out);
+        let grain = self.grain_for(n);
+        self.dispatch(n, grain, &move |i| {
+            // SAFETY: each index is claimed exactly once, so element `i` and
+            // slot `i` are this call's alone.
+            unsafe { slots.get_mut(i).write(f(i, items.get_mut(i))) };
+        });
+        let mut out = ManuallyDrop::new(out);
+        // SAFETY: dispatch returned normally, so every slot was written
+        // exactly once; Vec<MaybeUninit<R>> and Vec<R> have identical layout.
+        unsafe { Vec::from_raw_parts(out.as_mut_ptr() as *mut R, n, out.capacity()) }
     }
 }
 
@@ -808,28 +765,6 @@ mod tests {
             sum.fetch_add(i as u64, Ordering::Relaxed);
         });
         assert_eq!(sum.load(Ordering::Relaxed), (10..20).sum::<u64>());
-    }
-
-    #[test]
-    fn chunk_mut_matches_openmp_boundaries() {
-        let pool = ThreadPool::new(4);
-        let mut v = vec![0usize; 103];
-        // ceil(103/10) = 11-element chunks, last chunk 4 long.
-        pool.for_each_chunk_mut(&mut v, 10, |t, chunk| {
-            for x in chunk.iter_mut() {
-                *x = t + 1;
-            }
-        });
-        for (j, &x) in v.iter().enumerate() {
-            assert_eq!(x, j / 11 + 1);
-        }
-    }
-
-    #[test]
-    fn map_index_preserves_order() {
-        let pool = ThreadPool::new(4);
-        let out = pool.map_index(777, |i| i * 3);
-        assert_eq!(out, (0..777).map(|i| i * 3).collect::<Vec<_>>());
     }
 
     #[test]

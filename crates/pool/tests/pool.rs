@@ -129,25 +129,4 @@ proptest! {
         });
         prop_assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
-
-    // Team-chunk dispatch writes every element exactly once with OpenMP
-    // `ceil(len / n_teams)` boundaries.
-    #[test]
-    fn team_chunks_partition_exactly(
-        pool_size in 1usize..6,
-        len in 1usize..800,
-        n_teams in 1usize..65,
-    ) {
-        let pool = ThreadPool::new(pool_size);
-        let mut data = vec![0u32; len];
-        pool.for_each_chunk_mut(&mut data, n_teams, |t, chunk| {
-            for x in chunk.iter_mut() {
-                *x += 1 + t as u32;
-            }
-        });
-        let chunk_len = len.div_ceil(n_teams);
-        for (j, &x) in data.iter().enumerate() {
-            prop_assert_eq!(x, 1 + (j / chunk_len) as u32);
-        }
-    }
 }

@@ -115,9 +115,11 @@ fn per_element_dispatch_and_map_are_clean() {
     let ((), violations) = race::capture(|| {
         let pool = ThreadPool::new(4);
         let mut buf = vec![0u32; 500];
-        pool.for_each_mut(&mut buf, |i, x| *x = i as u32);
-        let out = pool.map_index(500, |i| i * 2);
-        assert_eq!(out[499], 998);
+        let out = pool.map_mut(&mut buf, |i, x| {
+            *x = i as u32;
+            i * 2
+        });
+        assert_eq!((buf[499], out[499]), (499, 998));
     });
     assert!(
         violations.is_empty(),
@@ -169,8 +171,8 @@ fn sequential_dispatches_over_same_buffer_are_clean() {
         let pool = ThreadPool::new(3);
         let mut buf = vec![0u64; 256];
         for _round in 0..4 {
-            pool.for_each_mut(&mut buf, |_, x| {
-                *x += 1;
+            pool.for_each_chunks_of_mut(&mut buf, 1, |_, x| {
+                x[0] += 1;
                 hits.fetch_add(1, Ordering::Relaxed);
             });
         }

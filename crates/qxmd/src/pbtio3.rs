@@ -29,17 +29,6 @@ impl PbTiO3Cell {
         }
     }
 
-    /// Tetragonal polar cell: c/a = 1.065, Ti displaced along +z by
-    /// ~0.17 angstrom (the ferroelectric ground state).
-    pub fn tetragonal_polar() -> Self {
-        let a = angstrom_to_bohr(3.90);
-        let c = angstrom_to_bohr(4.156);
-        Self {
-            a: [a, a, c],
-            ti_shift: [0.0, 0.0, angstrom_to_bohr(0.17)],
-        }
-    }
-
     /// Atoms per unit cell (Pb + Ti + 3 O).
     pub const ATOMS_PER_CELL: usize = 5;
 
@@ -105,11 +94,6 @@ impl Supercell {
             dims,
             cell: cell.clone(),
         }
-    }
-
-    /// The paper's per-rank granularity: 40 atoms = 2x2x2 cells.
-    pub fn paper_rank_workload() -> Self {
-        Self::build(&PbTiO3Cell::cubic(), [2, 2, 2])
     }
 
     /// Number of unit cells.
@@ -206,12 +190,6 @@ mod tests {
     }
 
     #[test]
-    fn paper_rank_workload_is_40_atoms() {
-        let sc = Supercell::paper_rank_workload();
-        assert_eq!(sc.atoms.len(), 40);
-    }
-
-    #[test]
     fn electron_count_matches_valence() {
         // Per cell: Pb 4 + Ti 4 + 3 O 6 = 26 valence electrons.
         let sc = Supercell::build(&PbTiO3Cell::cubic(), [1, 1, 1]);
@@ -243,14 +221,6 @@ mod tests {
             let p = sc.cell_polarization(ix, 0, 0);
             assert!(p.iter().all(|&x| x.abs() < 1e-12));
         }
-    }
-
-    #[test]
-    fn tetragonal_cell_polarized_along_z() {
-        let sc = Supercell::build(&PbTiO3Cell::tetragonal_polar(), [1, 1, 1]);
-        let p = sc.cell_polarization(0, 0, 0);
-        assert!(p[2] > 0.0);
-        assert!(p[0].abs() < 1e-12 && p[1].abs() < 1e-12);
     }
 
     #[test]

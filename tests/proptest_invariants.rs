@@ -5,12 +5,27 @@
 use dcmesh::grid::{Mesh3, WfAos};
 use dcmesh::lfd::kinetic::{Axis, KineticPropagator, StepFraction};
 use dcmesh::lfd::nonlocal::NonlocalCorrection;
-use dcmesh::math::gemm::{gemm, gemm_naive, Matrix, Op};
+use dcmesh::math::gemm::{gemm, Matrix, Op};
 use dcmesh::math::{Complex, C64};
 use proptest::prelude::*;
 
 fn small_complex() -> impl Strategy<Value = C64> {
     (-1.0f64..1.0, -1.0f64..1.0).prop_map(|(re, im)| Complex::new(re, im))
+}
+
+/// `alpha * a * b + beta * c` for stored operands, entry by entry, each
+/// entry summing its `k` products in order.
+fn naive_product(
+    alpha: C64,
+    a: &Matrix<f64>,
+    b: &Matrix<f64>,
+    beta: C64,
+    c: &Matrix<f64>,
+) -> Matrix<f64> {
+    Matrix::from_fn(c.rows(), c.cols(), |i, j| {
+        let acc = (0..a.cols()).fold(C64::zero(), |s, p| s + a[(i, p)] * b[(p, j)]);
+        alpha * acc + beta * c[(i, j)]
+    })
 }
 
 proptest! {
@@ -59,16 +74,29 @@ proptest! {
         m in 1usize..24,
         n in 1usize..24,
         k in 1usize..48,
+        ops in (0usize..3, 0usize..3),
         entries in proptest::collection::vec(small_complex(), 1..8),
     ) {
+        // `op(A)` and `op(B)` spelled out by `from_fn` and `adjoint`: every
+        // `Op` pair must give the naive product's bits.
+        let all = [Op::None, Op::Trans, Op::ConjTrans];
+        let (op_a, op_b) = (all[ops.0], all[ops.1]);
         let pick = |i: usize| entries[i % entries.len()];
-        let a = Matrix::from_fn(m, k, |r, c| pick(r * 31 + c * 7));
-        let b = Matrix::from_fn(k, n, |r, c| pick(r * 13 + c * 3 + 1));
-        let mut c1 = Matrix::zeros(m, n);
-        let mut c2 = Matrix::zeros(m, n);
-        gemm_naive(C64::one(), &a, Op::None, &b, Op::None, C64::zero(), &mut c1);
-        gemm(C64::one(), &a, Op::None, &b, Op::None, C64::zero(), &mut c2);
-        prop_assert!(c1.max_abs_diff(&c2) < 1e-10 * (k as f64));
+        let stored = |op: Op, rows: usize, cols: usize, salt: usize| match op {
+            Op::None => Matrix::from_fn(rows, cols, |r, c| pick(r * 31 + c * 7 + salt)),
+            _ => Matrix::from_fn(cols, rows, |r, c| pick(c * 31 + r * 7 + salt)),
+        };
+        let explicit = |m: &Matrix<f64>, op: Op| match op {
+            Op::None => m.clone(),
+            Op::Trans => Matrix::from_fn(m.cols(), m.rows(), |r, c| m[(c, r)]),
+            Op::ConjTrans => m.adjoint(),
+        };
+        let (a, b) = (stored(op_a, m, k, 0), stored(op_b, k, n, 1));
+        let (alpha, beta) = (C64::new(0.7, -0.3), C64::new(-0.2, 0.4));
+        let mut c = Matrix::from_fn(m, n, |r, c| pick(r * 5 + c * 11 + 2));
+        let want = naive_product(alpha, &explicit(&a, op_a), &explicit(&b, op_b), beta, &c);
+        gemm(alpha, &a, op_a, &b, op_b, beta, &mut c);
+        prop_assert_eq!(c, want);
     }
 
     #[test]
@@ -80,11 +108,10 @@ proptest! {
         // op_a = ConjTrans, op_b = None: the eigensolver's `X^H Y` shape.
         let a = Matrix::from_fn(k, m, |r, c| Complex::new((r as f64 * 0.1).sin(), (c as f64 * 0.2).cos()));
         let b = Matrix::from_fn(k, n, |r, c| Complex::new((r as f64 * 0.3).cos(), (c as f64 * 0.05).sin()));
-        let mut c1 = Matrix::zeros(m, n);
-        let mut c2 = Matrix::zeros(m, n);
-        gemm_naive(C64::one(), &a, Op::ConjTrans, &b, Op::None, C64::zero(), &mut c1);
-        gemm(C64::one(), &a, Op::ConjTrans, &b, Op::None, C64::zero(), &mut c2);
-        prop_assert!(c1.max_abs_diff(&c2) < 1e-10 * (k as f64));
+        let mut c = Matrix::zeros(m, n);
+        let want = naive_product(C64::one(), &a.adjoint(), &b, C64::zero(), &c);
+        gemm(C64::one(), &a, Op::ConjTrans, &b, Op::None, C64::zero(), &mut c);
+        prop_assert!(c.max_abs_diff(&want) < 1e-10 * (k as f64));
     }
 
     #[test]
