@@ -600,9 +600,7 @@ impl DcMeshSim {
         // Sub-cycle the explicit LK integrator at its stable step.
         let dt_lk = 0.01;
         let substeps = ((cfg.dt_md * 0.1) / dt_lk).ceil().max(1.0) as usize;
-        for _ in 0..substeps {
-            self.lk.step(dt_lk, [drive, 0.0], n_exc);
-        }
+        self.lk.advance(dt_lk, substeps, [drive, 0.0], n_exc);
         drop(lk_span);
 
         self.time += cfg.dt_md;

@@ -326,12 +326,14 @@ static LANE: [f64; 8] = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0];
 /// slot `j % 8`, and a lane past the end of the run takes `r2 = -1`, which
 /// every far term selects away (a point on the centre, `-Z/0`, is near and
 /// selected away too) and the near mask leaves out: every width gives the
-/// same bits.
+/// same bits. A vector with no near lane writes nothing to the list, and
+/// under [`Far::Sums`] one that also has every lane past `force2` would add
+/// `±0.0` to each slot and is skipped (a NaN `r2` is past no bound).
 pub struct Radial<'a, T>(
     pub &'a RadialPass<'a>,
     pub &'a T,
     pub &'a mut [f64],
-    pub &'a mut [[f64; 8]; 4],
+    pub &'a mut [[f64; 8]; 3],
     pub &'a mut usize,
 );
 
@@ -358,11 +360,16 @@ impl<T: NearTerms> Body<f64> for Radial<'_, T> {
             Some([x, y, z]) => (Some(x), Some(y), Some(z)),
             None => (None, None, None),
         };
-        let (list, mut acc, mut at) = (list.as_mut_ptr(), [[zero; 4]; 4], 0);
+        // The least `r2` past the force cutoff.
+        let past = L::splat(match *far {
+            Far::Sums(_, force2) => force2.next_up(),
+            _ => f64::INFINITY,
+        });
+        let (list, mut acc, mut at) = (list.as_mut_ptr(), [[zero; 3]; 4], 0);
         // SAFETY: the first w <= 8 lanes of LANE.
         let lane = unsafe { L::load(LANE.as_ptr()) };
         while at < n {
-            for (v, [e_sum, fx, fy, fz]) in acc.iter_mut().take(8 / w).enumerate() {
+            for (v, [fx, fy, fz]) in acc.iter_mut().take(8 / w).enumerate() {
                 let j = (at + v * w).min(n);
                 let m = (n - j).min(w);
                 // SAFETY: the m reals from j of each partner run.
@@ -378,18 +385,20 @@ impl<T: NearTerms> Body<f64> for Radial<'_, T> {
                 if m < w {
                     r2 = lane.select_le(L::splat(m as f64 - 0.5), r2, L::splat(-1.0));
                 }
-                let (keep, js) = (
-                    r2.le_bits(near) & ((1 << m) - 1),
-                    lane.add(L::splat(j as f64)),
-                );
-                for (k, x) in [js, dx, dy, dz, r2].into_iter().enumerate() {
-                    // SAFETY: the count(keep) <= m reals from *count <= j of
-                    // column k of the list.
-                    unsafe { x.compress_store(keep, list.add(k * n + *count)) };
+                let real = (1 << m) - 1;
+                let keep = r2.le_bits(near) & real;
+                if keep != 0 {
+                    let js = lane.add(L::splat(j as f64));
+                    for (k, x) in [js, dx, dy, dz, r2].into_iter().enumerate() {
+                        // SAFETY: the count(keep) <= m reals from *count <= j
+                        // of column k of the list.
+                        unsafe { x.compress_store(keep, list.add(k * n + *count)) };
+                    }
+                    *count += keep.count_ones() as usize;
                 }
-                *count += keep.count_ones() as usize;
                 match *far {
                     Far::None => {}
+                    Far::Sums(_, _) if keep == 0 && past.le_bits(r2) & real == real => {}
                     Far::Sums(weights, force2) => {
                         // SAFETY: the m reals from j of the weights.
                         let e = unsafe { L::load_reals(weights.as_ptr().add(j), m) }.div(r2.sqrt());
@@ -398,7 +407,6 @@ impl<T: NearTerms> Body<f64> for Radial<'_, T> {
                             zero,
                             r2.select_le(L::splat(force2), e.div(r2), zero),
                         );
-                        *e_sum = e_sum.add(r2.select_le(near, zero, e));
                         (*fx, *fy, *fz) = (fx.add(g.mul(dx)), fy.add(g.mul(dy)), fz.add(g.mul(dz)));
                     }
                     // SAFETY: the m reals from j of the field, written

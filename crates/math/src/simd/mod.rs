@@ -719,9 +719,10 @@ pub fn stencil_lines_with<R: Real>(
 pub enum Far<'a> {
     /// Nothing: the caller's function vanishes there.
     None,
-    /// `Sums(w, force2)`: `[sum w/d, sum w dx/d^3, sum w dy/d^3, sum w dz/d^3]`,
-    /// the last three over `r2 <= force2` only — the energy and the force of
-    /// `-Z/d` against the weights `w`, over `Z`.
+    /// `Sums(w, force2)`: `[sum w dx/d^3, sum w dy/d^3, sum w dz/d^3]` over
+    /// the partners that are not near and have `r2 <= force2` — the force of
+    /// `-Z/d` against the weights `w`, over `Z`; no energy. A vector of
+    /// partners none of which is near or inside `force2` is skipped whole.
     Sums(&'a [f64], f64),
     /// `Field(v, s)`: `v[j] += s / d`.
     Field(&'a [Cell<f64>], f64),
@@ -843,7 +844,7 @@ pub fn radial_with<'a>(
     pass: &RadialPass<'_>,
     terms: &impl NearTerms,
     scratch: &'a mut [f64],
-) -> ([f64; 4], Near<'a>) {
+) -> ([f64; 3], Near<'a>) {
     let n = pass.partners[0].len();
     let far = match pass.far {
         Far::Sums(w, _) => w.len(),
@@ -853,7 +854,7 @@ pub fn radial_with<'a>(
     let shapes = pass.partners.iter().all(|p| p.len() == n) && far == n;
     assert!(shapes, "radial pass shape mismatch");
     let cols = &mut scratch[..NEAR_COLUMNS * n];
-    let (mut sums, mut count) = ([[0.0; 8]; 4], 0);
+    let (mut sums, mut count) = ([[0.0; 8]; 3], 0);
     let body = Radial(pass, terms, &mut *cols, &mut sums, &mut count);
     // SAFETY: (bounds=the assert and the slice above are the body's contract)
     unsafe { vector(backend, body) };
@@ -866,7 +867,7 @@ pub fn radial<'a>(
     pass: &RadialPass<'_>,
     terms: &impl NearTerms,
     scratch: &'a mut [f64],
-) -> ([f64; 4], Near<'a>) {
+) -> ([f64; 3], Near<'a>) {
     radial_with(active_backend(), pass, terms, scratch)
 }
 

@@ -533,8 +533,8 @@ type NearPair = (usize, [f64; 3], f64, [f64; 3]);
 /// The radial pass as a plain loop over the partners, with the lane body's
 /// operations in its order and its eight sum slots (partner `j` in slot `j %
 /// 8`): the oracle of every backend.
-fn radial_loop(pass: &RadialPass<'_>, terms: &PieceTerms<'_>) -> ([f64; 4], Vec<NearPair>) {
-    let (mut sums, mut near) = ([[0.0; 8]; 4], Vec::new());
+fn radial_loop(pass: &RadialPass<'_>, terms: &PieceTerms<'_>) -> ([f64; 3], Vec<NearPair>) {
+    let (mut sums, mut near) = ([[0.0; 8]; 3], Vec::new());
     for j in 0..pass.partners[0].len() {
         let d: [f64; 3] = std::array::from_fn(|ax| {
             let x = pass.partners[ax][j] - pass.centre[ax];
@@ -545,12 +545,11 @@ fn radial_loop(pass: &RadialPass<'_>, terms: &PieceTerms<'_>) -> ([f64; 4], Vec<
         match pass.far {
             _ if r2 <= pass.near2 => near.push((j, d, r2, terms.terms(j as f64, r2))),
             Far::None => {}
-            Far::Sums(w, force2) => {
-                let (e, slot) = (w[j] / r2.sqrt(), j % 8);
-                let g = if r2 <= force2 { e / r2 } else { 0.0 };
-                sums[0][slot] += e;
-                (1..4).for_each(|k| sums[k][slot] += g * d[k - 1]);
+            Far::Sums(w, force2) if r2 <= force2 => {
+                let g = w[j] / r2.sqrt() / r2;
+                (0..3).for_each(|k| sums[k][j % 8] += g * d[k]);
             }
+            Far::Sums(..) => {}
             Far::Field(v, scale) => v[j].set(v[j].get() + scale / r2.sqrt()),
         }
     }
@@ -616,8 +615,10 @@ fn radial_bits(
 fn radial_pass_gives_the_plain_loops_bits_on_every_backend() {
     // Partner counts on both sides of every lane count and vector pair; the
     // first partner sits on the centre (`-Z/0`, selected away) and the
-    // second at distance 5, the last node of the first piece.
-    let mut rng = StdRng::seed_from_u64(31);
+    // second at distance 5, the last node of the first piece. Each run also
+    // goes sorted along x, where the partners past x = 13.7 lie beyond the
+    // force cutoff (`r2 = 150`) in whole groups of eight.
+    let (mut rng, mut beyond_groups) = (StdRng::seed_from_u64(31), 0);
     for n in (0..=17).chain([64, 65, 127, 512, 639]) {
         let mut run = || -> Vec<f64> { (0..n).map(|_| rng.gen_range(-3.0..33.0)).collect() };
         let (mut xs, mut ys, mut zs, w) = (run(), run(), run(), run());
@@ -628,12 +629,19 @@ fn radial_pass_gives_the_plain_loops_bits_on_every_backend() {
         {
             [xs[j], ys[j], zs[j]] = at;
         }
-        for period in [None, Some([30.0, 28.0, 32.0])] {
-            let want = radial_bits(None, [&xs, &ys, &zs], &w, period);
-            for backend in [Backend::Scalar, Backend::Avx2, Backend::Avx512] {
-                let got = radial_bits(Some(backend), [&xs, &ys, &zs], &w, period);
-                assert!(got == want, "{backend:?} n = {n} period {period:?}");
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &b| xs[a].total_cmp(&xs[b]));
+        let sorted = [&xs, &ys, &zs, &w].map(|v| order.iter().map(|&j| v[j]).collect::<Vec<_>>());
+        beyond_groups += sorted[0].chunks_exact(8).filter(|g| g[0] > 13.7).count();
+        for [xs, ys, zs, w] in [[xs, ys, zs, w], sorted] {
+            for period in [None, Some([30.0, 28.0, 32.0])] {
+                let want = radial_bits(None, [&xs, &ys, &zs], &w, period);
+                for backend in [Backend::Scalar, Backend::Avx2, Backend::Avx512] {
+                    let got = radial_bits(Some(backend), [&xs, &ys, &zs], &w, period);
+                    assert!(got == want, "{backend:?} n = {n} period {period:?}");
+                }
             }
         }
     }
+    assert!(beyond_groups > 50, "{beyond_groups} groups past the cutoff");
 }

@@ -9,8 +9,9 @@
 //! panic payload, or deadlocks.
 //!
 //! Each scenario asserts `stats.complete` (the bounded space was
-//! exhausted, not truncated) and `stats.schedules > 1` (the scenario
-//! actually branched — a sequential test here would be vacuous).
+//! exhausted, not truncated) and prints and pins `stats.schedules`: the
+//! scenario branched (a sequential test here would be vacuous), and a
+//! change that shrinks or grows the explored space fails here.
 //!
 //! Assertion state inside the scenarios uses `std::sync::atomic` /
 //! `std::sync::Mutex` directly: test bookkeeping must not add scheduling
@@ -56,7 +57,8 @@ fn dispatch_epoch_protocol_exactly_once() {
         }
     });
     assert!(stats.complete, "schedule space truncated: {stats:?}");
-    assert!(stats.schedules > 1, "scenario never branched: {stats:?}");
+    println!("schedules {}", stats.schedules);
+    assert_eq!(stats.schedules, 251, "explored space moved: {stats:?}");
 }
 
 /// Protocol 2 — panic capture and re-raise in dispatch. On every
@@ -87,5 +89,6 @@ fn dispatch_reraises_panic_and_pool_survives() {
         assert_eq!(hits.load(Ordering::Relaxed), 2);
     });
     assert!(stats.complete, "schedule space truncated: {stats:?}");
-    assert!(stats.schedules > 1, "scenario never branched: {stats:?}");
+    println!("schedules {}", stats.schedules);
+    assert_eq!(stats.schedules, 306, "explored space moved: {stats:?}");
 }

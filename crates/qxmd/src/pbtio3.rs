@@ -3,7 +3,7 @@
 //! The paper's benchmarks run on "40P-atom PbTiO3 material" (8 unit cells
 //! per MPI rank) and its application (Fig. 7) studies flux-closure polar
 //! domains in strained PbTiO3. This module builds those geometries:
-//! cubic/tetragonal unit cells, supercells, displacement-based polarization
+//! cubic unit cells, supercells, displacement-based polarization
 //! via Born effective charges, and the four-quadrant flux-closure vortex
 //! initialization.
 
@@ -15,18 +15,13 @@ use dcmesh_tddft::{AtomSet, Species};
 pub struct PbTiO3Cell {
     /// Lattice constants (Bohr).
     pub a: [f64; 3],
-    /// Ti displacement from the cell center (Bohr) — the polar mode.
-    pub ti_shift: [f64; 3],
 }
 
 impl PbTiO3Cell {
     /// Ideal cubic cell, a = 3.97 angstrom.
     pub fn cubic() -> Self {
         let a = angstrom_to_bohr(3.97);
-        Self {
-            a: [a, a, a],
-            ti_shift: [0.0; 3],
-        }
+        Self { a: [a, a, a] }
     }
 
     /// Atoms per unit cell (Pb + Ti + 3 O).
@@ -72,15 +67,8 @@ impl Supercell {
                     let o = [ix as f64 * a, iy as f64 * b, iz as f64 * c];
                     // Pb at the corner.
                     atoms.push(0, o);
-                    // Ti at the center (+ polar shift).
-                    atoms.push(
-                        1,
-                        [
-                            o[0] + 0.5 * a + cell.ti_shift[0],
-                            o[1] + 0.5 * b + cell.ti_shift[1],
-                            o[2] + 0.5 * c + cell.ti_shift[2],
-                        ],
-                    );
+                    // Ti at the center.
+                    atoms.push(1, [o[0] + 0.5 * a, o[1] + 0.5 * b, o[2] + 0.5 * c]);
                     // O at the three face centers.
                     atoms.push(2, [o[0] + 0.5 * a, o[1] + 0.5 * b, o[2]]);
                     atoms.push(2, [o[0] + 0.5 * a, o[1], o[2] + 0.5 * c]);

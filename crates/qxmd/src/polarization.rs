@@ -243,49 +243,56 @@ impl LkDynamics {
     /// One explicit LK step: `dP/dt = -gamma dF/dP` under applied field
     /// `(ex, ez)` and excited-carrier density `n_exc` (from LFD).
     pub fn step(&mut self, dt: f64, e_applied: [f64; 2], n_exc: f64) {
+        self.advance(dt, 1, e_applied, n_exc);
+    }
+
+    /// `substeps` explicit LK steps of `dt` under one drive, in one arena
+    /// claim: the bits of as many [`step`](Self::step) calls.
+    pub fn advance(&mut self, dt: f64, substeps: usize, e_applied: [f64; 2], n_exc: f64) {
         let (nx, nz) = (self.field.nx, self.field.nz);
+        let (beta, kappa, gamma) = (self.beta, self.kappa, self.gamma);
         let a_eff = self.alpha * (1.0 - self.screening * n_exc);
-        // Arena scratch: no allocation per sub-step.
+        // Landau part: dF/dP = -a_eff P + beta |P|^2 P - E, plus tetragonal
+        // anisotropy a' d(Px^2 Pz^2)/dP (screened alongside the well by the
+        // excited carriers).
+        let an = self.anisotropy * (a_eff / self.alpha).max(0.0);
+        // A component with no drive decays by a fixed factor per step and
+        // would sit in the subnormal range for ever (a 35x slower step):
+        // below 1e-300 it is zero.
+        let flushed = |p: f64| if p.abs() < 1e-300 { 0.0 } else { p };
         with_scratch::<f64, 2, ()>([nx * nz, nx * nz], |[dpx, dpz]| {
-            for ix in 0..nx {
-                for iz in 0..nz {
-                    let i = ix * self.field.nz + iz;
-                    let (px, pz) = (self.field.px[i], self.field.pz[i]);
-                    let p2 = px * px + pz * pz;
-                    // Landau part: dF/dP = -a_eff P + beta |P|^2 P - E,
-                    // plus tetragonal anisotropy a' d(Px^2 Pz^2)/dP (screened
-                    // alongside the well by the excited carriers).
-                    let an = self.anisotropy * (a_eff / self.alpha).max(0.0);
-                    let mut fx =
-                        -a_eff * px + self.beta * p2 * px - e_applied[0] + 2.0 * an * px * pz * pz;
-                    let mut fz =
-                        -a_eff * pz + self.beta * p2 * pz - e_applied[1] + 2.0 * an * pz * px * px;
-                    // Gradient coupling (periodic neighbours in the plane).
-                    let neighbors = [
-                        ((ix + 1) % nx, iz),
-                        ((ix + nx - 1) % nx, iz),
-                        (ix, (iz + 1) % nz),
-                        (ix, (iz + nz - 1) % nz),
-                    ];
-                    for (jx, jz) in neighbors {
-                        let j = jx * self.field.nz + jz;
-                        fx += self.kappa * (px - self.field.px[j]);
-                        fz += self.kappa * (pz - self.field.pz[j]);
+            for _ in 0..substeps {
+                let (pxs, pzs) = (&self.field.px, &self.field.pz);
+                for ix in 0..nx {
+                    // Periodic neighbours in the plane, wrapped by comparison.
+                    let xp = if ix + 1 == nx { 0 } else { ix + 1 };
+                    let xm = if ix == 0 { nx - 1 } else { ix - 1 };
+                    for iz in 0..nz {
+                        let zp = if iz + 1 == nz { 0 } else { iz + 1 };
+                        let zm = if iz == 0 { nz - 1 } else { iz - 1 };
+                        let i = ix * nz + iz;
+                        let (px, pz) = (pxs[i], pzs[i]);
+                        let p2 = px * px + pz * pz;
+                        let mut fx =
+                            -a_eff * px + beta * p2 * px - e_applied[0] + 2.0 * an * px * pz * pz;
+                        let mut fz =
+                            -a_eff * pz + beta * p2 * pz - e_applied[1] + 2.0 * an * pz * px * px;
+                        for j in [xp * nz + iz, xm * nz + iz, ix * nz + zp, ix * nz + zm] {
+                            fx += kappa * (px - pxs[j]);
+                            fz += kappa * (pz - pzs[j]);
+                        }
+                        dpx[i] = -gamma * fx;
+                        dpz[i] = -gamma * fz;
                     }
-                    dpx[i] = -self.gamma * fx;
-                    dpz[i] = -self.gamma * fz;
                 }
-            }
-            // A component with no drive decays by a fixed factor per step
-            // and would sit in the subnormal range for ever (a 35x slower
-            // step): below 1e-300 it is zero.
-            let flushed = |p: f64| if p.abs() < 1e-300 { 0.0 } else { p };
-            for i in 0..nx * nz {
-                self.field.px[i] = flushed(self.field.px[i] + dt * dpx[i]);
-                self.field.pz[i] = flushed(self.field.pz[i] + dt * dpz[i]);
+                let (pxs, pzs) = (&mut self.field.px, &mut self.field.pz);
+                for i in 0..nx * nz {
+                    pxs[i] = flushed(pxs[i] + dt * dpx[i]);
+                    pzs[i] = flushed(pzs[i] + dt * dpz[i]);
+                }
+                self.time += dt;
             }
         });
-        self.time += dt;
     }
 
     /// Run `steps` LK steps with a time-dependent drive
@@ -490,9 +497,7 @@ mod tests {
         let e_c = 2.0 * lk.alpha * lk.p_spontaneous(0.0) / (3.0 * 3.0f64.sqrt());
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for _ in 0..windows {
-            for _ in 0..207 {
-                lk.step(0.01, [0.5 * e_c, 0.0], 0.01);
-            }
+            lk.advance(0.01, 207, [0.5 * e_c, 0.0], 0.01);
             let m = lk.field.mean();
             for word in [lk.field.toroidal_moment(), m[0], m[1]] {
                 h = (h ^ word.to_bits()).wrapping_mul(0x0000_0100_0000_01b3);
@@ -516,6 +521,53 @@ mod tests {
         x_driven_windows(&mut lk, 340);
         assert!(lk.field.pz.iter().all(|p| *p == 0.0), "pz never flushed");
         assert!(lk.field.px.iter().all(|p| p.is_normal()), "px is driven");
+    }
+
+    /// `LkDynamics::step` before `advance`: `%` wraps, scratch per call.
+    fn step_reference(lk: &mut LkDynamics, dt: f64, e: [f64; 2], n_exc: f64) {
+        let (nx, nz, f) = (lk.field.nx, lk.field.nz, &mut lk.field);
+        let a_eff = lk.alpha * (1.0 - lk.screening * n_exc);
+        let an = lk.anisotropy * (a_eff / lk.alpha).max(0.0);
+        let mut dp = vec![[0.0; 2]; nx * nz];
+        for (i, d) in dp.iter_mut().enumerate() {
+            let (ix, iz, px, pz) = (i / nz, i % nz, f.px[i], f.pz[i]);
+            let p2 = px * px + pz * pz;
+            let mut fx = -a_eff * px + lk.beta * p2 * px - e[0] + 2.0 * an * px * pz * pz;
+            let mut fz = -a_eff * pz + lk.beta * p2 * pz - e[1] + 2.0 * an * pz * px * px;
+            let (xp, xm) = ((ix + 1) % nx, (ix + nx - 1) % nx);
+            let (zp, zm) = ((iz + 1) % nz, (iz + nz - 1) % nz);
+            for j in [xp * nz + iz, xm * nz + iz, ix * nz + zp, ix * nz + zm] {
+                fx += lk.kappa * (px - f.px[j]);
+                fz += lk.kappa * (pz - f.pz[j]);
+            }
+            *d = [-lk.gamma * fx, -lk.gamma * fz];
+        }
+        let flushed = |p: f64| if p.abs() < 1e-300 { 0.0 } else { p };
+        for (i, [dx, dz]) in dp.into_iter().enumerate() {
+            (f.px[i], f.pz[i]) = (flushed(f.px[i] + dt * dx), flushed(f.pz[i] + dt * dz));
+        }
+        lk.time += dt;
+    }
+
+    #[test]
+    fn a_window_in_one_call_is_the_steps_of_the_reference() {
+        // The 8- and 32-cell fields of an MD window's LK sub-steps, lit and
+        // driven along both axes, and a 1-wide field (its own neighbour).
+        let bits = |lk: &LkDynamics| {
+            let p = lk.field.px.iter().chain(&lk.field.pz).chain([&lk.time]);
+            p.map(|x| x.to_bits()).collect::<Vec<_>>()
+        };
+        for dims in [[4, 1, 2], [8, 4, 4], [1, 1, 3]] {
+            let mut sc = Supercell::build(&PbTiO3Cell::cubic(), dims);
+            sc.imprint_flux_closure(0.3, 1.0);
+            let mut lk = LkDynamics::new(PolarizationField::from_supercell(&sc, 0), 0.5, 0.05);
+            let mut reference = lk.clone();
+            for (k, n_exc) in [(0, 0.0), (1, 0.3), (207, 0.01), (5, 1.4)] {
+                lk.advance(0.01, k, [0.02, -0.01], n_exc);
+                (0..k).for_each(|_| step_reference(&mut reference, 0.01, [0.02, -0.01], n_exc));
+                assert_eq!(bits(&lk), bits(&reference), "{dims:?} after {k}");
+            }
+        }
     }
 
     #[test]

@@ -10,17 +10,19 @@
 //! ```
 //!
 //! evaluated on the mesh: the density integrated against the gradient of
-//! the smooth pseudopotential, inside a force cutoff of `8 rc` (beyond it
-//! the point adds energy only, as it always has). It is the one channel
-//! `md_step` feeds back; the ion-ion part comes from the force field.
+//! the smooth pseudopotential, inside a force cutoff of `8 rc`. It is the one
+//! channel `md_step` feeds back, and only the force is computed: an atom
+//! farther than `8 rc` from the box of mesh points skips its pass, and
+//! inside a pass a vector of points past the cutoff is skipped (both only
+//! drop additions of `+0.0`). The ion-ion part comes from the force field.
 //!
 //! `v_loc(d) = -(Z/rc) erf(d/rc)/(d/rc)` is `-Z/d` to the last bit beyond
-//! `6 rc`, so it is read from two places: that closed form, summed on the
-//! lanes, and inside `6 rc` the quintic Hermite table of `erf(x)/x`
+//! `6 rc`, so its slope is read from two places: that closed form, summed
+//! on the lanes, and inside `6 rc` the quintic Hermite table of `erf(x)/x`
 //! ([`erf_over_x`]: 64 nodes per unit on `[0, 6]`), read on the lanes too
 //! over the pass's left-packed near list, whose forces are within 1.3e-13
-//! of the closed form's largest, and energy within 1e-12. The near sums are
-//! a scalar loop in point order.
+//! of the closed form's largest. The near sums are a scalar loop in point
+//! order.
 
 use dcmesh_grid::Mesh3;
 use dcmesh_math::simd::{self, Far, Lane, NearTerms, RadialPass, NEAR_COLUMNS};
@@ -29,9 +31,8 @@ use dcmesh_math::HermiteTable;
 use crate::atoms::{erf_over_x, AtomSet, Species, ERF_SATURATION};
 
 /// The near terms of an atom of species `sp`, `VLoc(g, sp, rho, dv)`: with
-/// `v = -(Z/rc) g(d/rc)`, `[rho v dv, rho v'(d) dv / d, d]` at the points `j`
-/// of the density `rho` (`dv` the volume element), or without one `[v, 0,
-/// 0]`.
+/// `v = -(Z/rc) g(d/rc)`, `[rho v'(d) dv / d, d, 0]` at the points `j` of the
+/// density `rho` (`dv` the volume element), or without one `[v, 0, 0]`.
 pub(crate) struct VLoc<'a>(
     pub &'a HermiteTable,
     pub &'a Species,
@@ -48,51 +49,53 @@ impl NearTerms for VLoc<'_> {
         let Some(rho) = rho else {
             return [c(-z / rc) * v, c(0.0), c(0.0)];
         };
-        let rho = V::gather(rho, j);
-        let e = rho * (c(-z / rc) * v) * c(dv);
         // v'(d) = -(Z/rc^2) g'(d/rc).
-        let f = rho * (c(-z / (rc * rc)) * slope) * c(dv) / d;
-        [e, f, d]
+        let f = V::gather(rho, j) * (c(-z / (rc * rc)) * slope) * c(dv) / d;
+        [f, d, c(0.0)]
     }
 }
 
 /// Forces on every atom from the electron density interacting with the
-/// *local* pseudopotentials (Hellmann–Feynman, local channel). Adds into
-/// the atoms' force accumulators and returns the interaction energy.
+/// *local* pseudopotentials (Hellmann–Feynman, local channel), added into
+/// the atoms' force accumulators.
 ///
-/// One radial pass per atom ([`simd::radial`]) over the mesh points: the
-/// far field in closed form on the lanes, the points inside `6 rc` (4 % of a
-/// `traj_coupled` domain's pairs) from the table, on the lanes. A point within
-/// `1e-8` of the atom adds `v_loc(0)` and no force.
-pub fn local_pseudo_forces(mesh: &Mesh3, atoms: &mut AtomSet, rho: &[f64]) -> f64 {
+/// One radial pass per atom within `8 rc` of the mesh's point box
+/// ([`simd::radial`]): the far field in closed form on the lanes, the
+/// points inside `6 rc` (4 % of a `traj_coupled` domain's pairs) from the
+/// table, on the lanes. A point within `1e-8` of the atom adds no force.
+pub fn local_pseudo_forces(mesh: &Mesh3, atoms: &mut AtomSet, rho: &[f64]) {
     assert_eq!(rho.len(), mesh.len());
     let (dv, g) = (mesh.dv(), erf_over_x());
+    let (lo, hi) = (
+        mesh.origin,
+        mesh.position(mesh.nx - 1, mesh.ny - 1, mesh.nz - 1),
+    );
     let AtomSet { species, atoms } = atoms;
     with_positions(mesh, |points, scratch| {
-        let mut energy = 0.0;
         for atom in atoms.iter_mut() {
             let sp = &species[atom.species];
             let (z_val, rc) = (sp.z_val, sp.rc_loc);
-            let (mut e_near, mut f) = (0.0, [0.0; 3]);
-            let pass = near_pass(atom.pos, points, rc, Far::Sums(rho, (8.0 * rc).powi(2)));
-            let terms = VLoc(g, sp, Some(rho), dv);
-            let ([e_far, far_f @ ..], near) = simd::radial(&pass, &terms, scratch);
+            let force2 = (8.0 * rc).powi(2);
+            // Squared distance to the point box, rounded as a pass rounds
+            // its nearest point's; a NaN position is never skipped.
+            let gap =
+                [0, 1, 2].map(|ax| (lo[ax] - atom.pos[ax]).max(atom.pos[ax] - hi[ax]).max(0.0));
+            if gap[0] * gap[0] + gap[1] * gap[1] + gap[2] * gap[2] > force2 * (1.0 + 1e-9) {
+                continue;
+            }
+            let mut f = [0.0; 3];
+            let pass = near_pass(atom.pos, points, rc, Far::Sums(rho, force2));
+            let (far_f, near) = simd::radial(&pass, &VLoc(g, sp, Some(rho), dv), scratch);
             for k in 0..near.count() {
-                let (p, d, _, [e, c, dist]) = near.get(k);
-                if rho[p] == 0.0 {
-                    continue;
-                }
-                e_near += e;
+                let (_, d, _, [c, dist, _]) = near.get(k);
                 if dist >= 1e-8 {
                     f = [0, 1, 2].map(|ax| f[ax] + c * d[ax]);
                 }
             }
-            energy += e_near - z_val * dv * e_far;
             for ((fa, near), far) in atom.force.iter_mut().zip(f).zip(far_f) {
                 *fa += near + z_val * dv * far;
             }
         }
-        energy
     })
 }
 
@@ -149,8 +152,10 @@ mod tests {
     }
 
     /// The closed form of `local_pseudo_forces`: per (atom, point) with
-    /// non-zero density, `v_loc = -Z erf(d/rc)/d` and its slope, the force
-    /// inside `8 rc` only. The reference the tabled pass is held to.
+    /// non-zero density, the slope of `v_loc = -Z erf(d/rc)/d`, the force
+    /// inside `8 rc` only. The reference the tabled pass is held to; it
+    /// returns the interaction energy, `sum rho v_loc dV`, the force's
+    /// potential.
     fn local_pseudo_forces_closed_form(mesh: &Mesh3, atoms: &mut AtomSet, rho: &[f64]) -> f64 {
         let (dv, mut energy) = (mesh.dv(), 0.0);
         for atom in atoms.atoms.iter_mut() {
@@ -177,11 +182,12 @@ mod tests {
     }
 
     #[test]
-    fn local_forces_and_energy_match_the_closed_form() {
+    fn local_forces_match_the_closed_form() {
         // A domain mesh as `DcMeshSim` builds them (origin off zero), a
         // density with exact zeros, and atoms in every regime of the pass:
         // on a mesh point, inside, within 6-8 rc of the far corner only,
-        // and outside the mesh on either side.
+        // outside the mesh on either side, and on both sides of 8 rc from
+        // the point box.
         let mut mesh = Mesh3::cubic(10, 0.8);
         mesh.origin = [14.7, 0.0, -0.4];
         let c = mesh.center();
@@ -199,13 +205,24 @@ mod tests {
         atoms.push(0, [mesh.origin[0] - 3.3, c[1], c[2]]);
         atoms.push(1, [mesh.origin[0] + 8.0 + 11.0, c[1] + 20.0, c[2]]);
         atoms.push(2, [mesh.origin[0] - 0.05, -6.0, 9.1]);
+        // 8 rc = 5.6 Bohr off the low x face, 1e-3 inside and outside.
+        let p = mesh.position(0, 5, 4);
+        atoms.push(2, [p[0] - 5.599, p[1], p[2]]);
+        atoms.push(2, [p[0] - 5.601, p[1], p[2]]);
+        // Atoms beyond 8 rc of the point box get exactly +0.0.
+        let mut cleared = atoms.clone();
+        local_pseudo_forces(&mesh, &mut cleared, &rho);
+        for a in [5, 6, 8].map(|i| &cleared.atoms[i]) {
+            assert_eq!(a.force.map(f64::to_bits), [0; 3], "{:?}", a.pos);
+        }
+        assert!(cleared.atoms[7].force[0] > 0.0, "the pass keeps 8 rc");
         // Non-zero accumulators: both versions add into them.
         for (n, a) in atoms.atoms.iter_mut().enumerate() {
             a.force = [0.1 * n as f64, -0.3, 1e-3];
         }
         let (start, mut reference) = (atoms.clone(), atoms.clone());
-        let e = local_pseudo_forces(&mesh, &mut atoms, &rho);
-        let e0 = local_pseudo_forces_closed_form(&mesh, &mut reference, &rho);
+        local_pseudo_forces(&mesh, &mut atoms, &rho);
+        local_pseudo_forces_closed_form(&mesh, &mut reference, &rho);
         // The largest force gap between two sets. Against `start` it is the
         // scale: the force the pass added, not the pre-filled values.
         let gap = |a: &AtomSet, b: &AtomSet| {
@@ -214,9 +231,7 @@ mod tests {
             f.fold(0.0f64, |m, (x, y)| m.max((x - y).abs()))
         };
         let (worst, scale) = (gap(&atoms, &reference), gap(&reference, &start));
-        assert!((e - e0).abs() <= 1e-12 * e0.abs(), "energy {e} vs {e0}");
         assert!(worst <= 1e-10 * scale, "{worst:e} of {scale:e}");
-        // The far atoms felt no force but did add to the energy.
         assert_eq!(atoms.atoms[5].force, [0.5, -0.3, 1e-3]);
     }
 
@@ -249,22 +264,15 @@ mod tests {
         local_pseudo_forces(&mesh, &mut atoms, &rho);
         let f = atoms.atoms[0].force;
         let h = 1e-4;
-        #[allow(clippy::needless_range_loop)]
-        for ax in 0..3 {
-            let mut ep_atoms = atoms.clone();
-            ep_atoms.atoms[0].pos[ax] += h;
-            ep_atoms.clear_forces();
-            let ep = local_pseudo_forces(&mesh, &mut ep_atoms, &rho);
-            let mut em_atoms = atoms.clone();
-            em_atoms.atoms[0].pos[ax] -= h;
-            em_atoms.clear_forces();
-            let em = local_pseudo_forces(&mesh, &mut em_atoms, &rho);
-            let fd = -(ep - em) / (2.0 * h);
-            assert!(
-                (fd - f[ax]).abs() < 1e-6 * f[ax].abs().max(1.0),
-                "axis {ax}: fd {fd} vs analytic {}",
-                f[ax]
-            );
+        let energy = |ax: usize, shift: f64| {
+            let mut shifted = atoms.clone();
+            shifted.atoms[0].pos[ax] += shift;
+            local_pseudo_forces_closed_form(&mesh, &mut shifted, &rho)
+        };
+        for (ax, f) in f.into_iter().enumerate() {
+            let fd = -(energy(ax, h) - energy(ax, -h)) / (2.0 * h);
+            let tol = 1e-6 * f.abs().max(1.0);
+            assert!((fd - f).abs() < tol, "axis {ax}: fd {fd} vs analytic {f}");
         }
     }
 

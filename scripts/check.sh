@@ -12,7 +12,7 @@
 #                    (each equal to auto's)
 #   check.sh gates   heavy gates — frozen-benchmark build + smoke first,
 #                    rustdoc without a warning, then lines per crate under
-#                    a ceiling (33,094), a
+#                    a ceiling (33,163), a
 #                    grep that keeps scf_initial_state / MaxwellState /
 #                    export_state, the complex projector kernels, the packed
 #                    GEMM, the complex reference copies, the real Jacobi,
@@ -188,7 +188,7 @@ tier_gates() {
   # it: a change lowers it to its new total, and one that must raise it says
   # why in EXPERIMENTS.md (each section's **Lines** paragraph holds the
   # history).
-  local ceiling=33094
+  local ceiling=33163
   if [ "$total" -gt "$ceiling" ]; then
     echo "the tree grew past $ceiling .rs lines" >&2
     exit 1
